@@ -29,8 +29,10 @@ from .closed_form import (
     ForbiddenInputError,
     auto_case_a,
     auto_case_b,
+    solve_a_case,
     solve_a_case_sweep,
     solve_a_product_sweep,
+    solve_b_case,
     solve_b_case_sweep,
     solve_b_product_sweep,
 )
@@ -54,6 +56,7 @@ from .systems import (
     SystemBInitial,
     SystemBParams,
     Trajectory,
+    ZeroInitialError,
     iterate_a,
     iterate_b,
 )
@@ -176,9 +179,15 @@ def _resolve_case(config: RunConfig, params) -> str:
 def _run_solve(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
-    sweep = solve_a_case_sweep if config.system == "A" else solve_b_case_sweep
-    first, second = sweep(tag, params, ics, config.n_max)
-    indices = range(config.n_max + 1) if config.sweep else [config.n_max]
+    if config.sweep:
+        sweep = solve_a_case_sweep if config.system == "A" else solve_b_case_sweep
+        first, second = sweep(tag, params, ics, config.n_max)
+        indices = range(config.n_max + 1)
+    else:
+        solve = solve_a_case if config.system == "A" else solve_b_case
+        point = solve(tag, params, ics, config.n_max)
+        first, second = {config.n_max: point[0]}, {config.n_max: point[1]}
+        indices = [config.n_max]
     records = [
         {
             "n": n,
@@ -419,7 +428,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                     break
                 skipped += 1
             else:
-                raise RuntimeError("retry cap exhausted")
+                raise UsageError(f"retry cap exhausted drawing admissible System {system} input")
             trajectory = iterate_a(params, ics, n_max)
             tag = auto_case_a(params)
             routes = {
@@ -450,7 +459,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                     break
                 skipped += 1
             else:
-                raise RuntimeError("retry cap exhausted")
+                raise UsageError(f"retry cap exhausted drawing admissible System {system} input")
             trajectory = iterate_b(params, ics, n_max)
             tag = auto_case_b(params)
             routes = {
@@ -685,7 +694,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return _DISPATCH[config.command](config)
     except _Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
-    except (ForbiddenInputError, ZeroInvariantError) as exc:
+    except (ForbiddenInputError, ZeroInitialError, ZeroInvariantError) as exc:
         return EXIT_FORBIDDEN, f"error: forbidden input: {exc}\n"
     except (CaseParamError, UsageError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"

@@ -1,17 +1,20 @@
 """Direct closed-form evaluators for both systems, case by case.
 
 Every evaluator here is an explicit function of the parameters, the initial
-conditions, and the index n alone; iteration is never used.  Each one is
-checkable against the forward iterator, and the test suite does exactly
-that over seeded random inputs.
+conditions, and the index n alone; the forward iteration is never used.
+Each one is checkable against the forward iterator, and the test suite does
+exactly that over seeded random inputs.
 
-System A solutions split by parity of the index into ratios of running
-products of the auxiliary values S and T (seeded from the initial
-conditions as S[0] = 1/(v0*u1), T[0] = 1/(u0*v1)); the enumerated parameter
-cases (a*b != 1, a = 1, b = 1, the sign-mixed pairs, a = b = 1 and
-a = b = -1) substitute the auxiliary closed forms and simplify.  System B
-solutions split by residue mod 4 (mod 8 for the unit-b,d family) with
-S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2).
+Both systems rebuild their orbit from the auxiliary values S and T by one
+telescoped product, two indices at a time: u[n+2] = u[n]*T[n]/S[n+1] and
+v[n+2] = v[n]*S[n]/T[n+1] for System A (S[0] = 1/(v0*u1), T[0] =
+1/(u0*v1)), and the same with y in the role of u and x in that of v for
+System B (S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2)).
+The product routes take S and T from the auxiliary closed forms; the
+enumerated parameter cases (a*b != 1, a = 1, b = 1 and a = b = 1 for A;
+a*c != 1, a*c = 1 and all ones for B) substitute them as simplified
+braces.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d
+family for B, collapse to pure powers split by residue mod 4, 2 and 8.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import ONE, geometric_sum
+from .rational import ONE, format_rational
 from .reduction import closed_ST_a, closed_ST_b
 from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
@@ -149,40 +152,34 @@ def auto_case_b(params: SystemBParams) -> str:
 
 def _validate_case_a(tag: str, params: SystemAParams) -> None:
     if not case_a_applies(tag, params):
-        raise CaseParamError(f"case {tag} is inconsistent with a={params.a}, b={params.b}")
+        a, b = format_rational(params.a), format_rational(params.b)
+        raise CaseParamError(f"case {tag} is inconsistent with a={a}, b={b}")
 
 
 def _validate_case_b(tag: str, params: SystemBParams) -> None:
     if not case_b_applies(tag, params):
-        raise CaseParamError(
-            f"case {tag} is inconsistent with "
-            f"a={params.a}, b={params.b}, c={params.c}, d={params.d}"
-        )
+        a, b, c, d = (format_rational(v) for v in (params.a, params.b, params.c, params.d))
+        raise CaseParamError(f"case {tag} is inconsistent with a={a}, b={b}, c={c}, d={d}")
 
 
 # ---------------------------------------------------------------------------
-# shared assembly: interleaved ratio products over auxiliary braces
+# shared assembly: the telescoped recurrence over auxiliary braces
 #
-# Both systems' parity-split solutions have the shape
+# Both systems rebuild their orbit two indices at a time from the
+# auxiliary values (first, second = u, v for System A and y, x for B):
 #
-#   first[2k]    = f0 * prod_{r<k} Tb[2r]   / prod_{r<k} Sb[2r+1]
-#   second[2k]   = s0 * prod_{r<k} Sb[2r]   / prod_{r<k} Tb[2r+1]
-#   first[2k+1]  = cf * prod_{r<k} Tb[2r+1] / prod_{r<=k} Sb[2r]
-#   second[2k+1] = cs * prod_{r<k} Sb[2r+1] / prod_{r<=k} Tb[2r]
+#   first[m+2]  = first[m]  * Tb[m] / Sb[m+1]
+#   second[m+2] = second[m] * Sb[m] / Tb[m+1]
 #
-# where Sb/Tb are the auxiliary values up to a case-specific nonzero
-# scaling (absorbed into cf/cs).  A zero brace at auxiliary index j makes
-# every trajectory index >= j+1 forbidden.
+# where Sb/Tb are S/T up to a nonzero scaling that is the same for Sb[j]
+# and Tb[j+1] (and for Tb[j] and Sb[j+1]), so it cancels in every ratio;
+# only the start values first[1] = cf/Sb[0] and second[1] = cs/Tb[0] carry
+# it.  Each step multiplies one big value by a small ratio, so assembly
+# costs about what one step of iteration costs.  A zero brace at
+# auxiliary index j makes every trajectory index >= j+1 forbidden.
 
 
-def _first_zero(values: list[Fraction], name: str) -> tuple[int, str] | None:
-    for j, value in enumerate(values):
-        if value == 0:
-            return j, f"auxiliary {name}[{j}] = 0"
-    return None
-
-
-def _assemble_parity(
+def _assemble(
     f0: Fraction,
     s0: Fraction,
     cf: Fraction,
@@ -190,118 +187,58 @@ def _assemble_parity(
     sb: list[Fraction],
     tb: list[Fraction],
     n_max: int,
+    ties: str = "ST",
 ) -> tuple[list[Fraction], list[Fraction]]:
-    poison: tuple[int, str] | None = None
-    for name, values in (("S", sb), ("T", tb)):
-        hit = _first_zero(values, name)
-        if hit is not None and (poison is None or hit[0] < poison[0]):
-            poison = hit
+    """Orbit entries 0..n_max from braces 0..n_max-1; ``ties`` names the
+    brace reported first when S and T vanish at the same index."""
+    braces = {"S": sb, "T": tb}
+    for j in range(n_max):
+        for name in ties:
+            if braces[name][j] == 0:
+                raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
     first = [f0]
     second = [s0]
-    pte = pto = pse = pso = ONE  # running products over even/odd brace slots
-    for k in range(n_max // 2 + 1):
-        m = 2 * k + 1
-        if m <= n_max:
-            if poison is not None and poison[0] < m:
-                raise ForbiddenInputError(poison[0] + 1, poison[1])
-            first.append(cf * pto / (pse * sb[2 * k]))
-            second.append(cs * pso / (pte * tb[2 * k]))
-        m = 2 * k + 2
-        if m <= n_max:
-            if poison is not None and poison[0] < m:
-                raise ForbiddenInputError(poison[0] + 1, poison[1])
-            pte *= tb[2 * k]
-            pse *= sb[2 * k]
-            pso *= sb[2 * k + 1]
-            pto *= tb[2 * k + 1]
-            first.append(f0 * pte / pso)
-            second.append(s0 * pse / pto)
+    if n_max >= 1:
+        first.append(cf / sb[0])
+        second.append(cs / tb[0])
+    for m in range(n_max - 1):
+        first.append(first[m] * (tb[m] / sb[m + 1]))
+        second.append(second[m] * (sb[m] / tb[m + 1]))
     return first, second
 
 
-def _assemble_residue4(
-    ics: SystemBInitial,
-    sb: list[Fraction],
-    tb: list[Fraction],
-    n_max: int,
-    odd_factor: Fraction,
+def _assemble_b(
+    ics: SystemBInitial, sb: list[Fraction], tb: list[Fraction], n_max: int, ties: str
 ) -> tuple[list[Fraction], list[Fraction]]:
-    """Assemble the mod-4 split System B solution from scaled braces.
-
-    sb/tb are the auxiliary S/T values scaled per residue class by the
-    (nonzero) seed products; the index prefactors below absorb exactly
-    those scalings.  odd_factor multiplies the four odd branches (it is
-    1 - a*c for the geometric-ratio case, 1 otherwise).
-    """
-    x0, x1, x2 = ics.x0, ics.x1, ics.x2
-    y0, y1, y2 = ics.y0, ics.y1, ics.y2
-    poison: tuple[int, str] | None = None
-    for name, values in (("T", tb), ("S", sb)):
-        hit = _first_zero(values, name)
-        if hit is not None and (poison is None or hit[0] < poison[0]):
-            poison = hit
-
-    # prefix products per residue class, extended lazily
-    ps = [[ONE], [ONE], [ONE], [ONE]]
-    pt = [[ONE], [ONE], [ONE], [ONE]]
-
-    def pref(table, residue, count):
-        row = table[residue]
-        while len(row) <= count:
-            row.append(row[-1] * (sb if table is ps else tb)[4 * (len(row) - 1) + residue])
-        return row[count]
-
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    for m in range(n_max + 1):
-        if m < 3:
-            xs.append((x0, x1, x2)[m])
-            ys.append((y0, y1, y2)[m])
-            continue
-        if poison is not None and poison[0] < m:
-            raise ForbiddenInputError(poison[0] + 1, poison[1])
-        k, residue = divmod(m, 4)
-        if residue == 0:
-            x_val = (
-                (x2 * y2) ** k * x0 ** (1 - k) * y0 ** (-k)
-                * pref(ps, 0, k) * pref(ps, 2, k) / (pref(pt, 3, k) * pref(pt, 1, k))
-            )
-            y_val = (
-                (x2 * y2) ** k * x0 ** (-k) * y0 ** (1 - k)
-                * pref(pt, 0, k) * pref(pt, 2, k) / (pref(ps, 3, k) * pref(ps, 1, k))
-            )
-        elif residue == 1:
-            x_val = (
-                odd_factor * x1 * (x0 * y0) ** k / (x2 * y2) ** k
-                * pref(ps, 3, k) * pref(ps, 1, k) / (pref(pt, 0, k + 1) * pref(pt, 2, k))
-            )
-            y_val = (
-                odd_factor * y1 * (x0 * y0) ** k / (x2 * y2) ** k
-                * pref(pt, 3, k) * pref(pt, 1, k) / (pref(ps, 0, k + 1) * pref(ps, 2, k))
-            )
-        elif residue == 2:
-            x_val = (
-                x2 ** (k + 1) * y2**k / (x0 * y0) ** k
-                * pref(ps, 0, k + 1) * pref(ps, 2, k) / (pref(pt, 3, k) * pref(pt, 1, k + 1))
-            )
-            y_val = (
-                x2**k * y2 ** (k + 1) / (x0 * y0) ** k
-                * pref(pt, 0, k + 1) * pref(pt, 2, k) / (pref(ps, 3, k) * pref(ps, 1, k + 1))
-            )
-        else:
-            x_val = (
-                odd_factor * y1 * x0 ** (k + 1) * y0**k / (x2**k * y2 ** (k + 1))
-                * pref(ps, 3, k) * pref(ps, 1, k + 1)
-                / (pref(pt, 0, k + 1) * pref(pt, 2, k + 1))
-            )
-            y_val = (
-                odd_factor * x1 * x0**k * y0 ** (k + 1) / (x2 ** (k + 1) * y2**k)
-                * pref(pt, 3, k) * pref(pt, 1, k + 1)
-                / (pref(ps, 0, k + 1) * pref(ps, 2, k + 1))
-            )
-        xs.append(x_val)
-        ys.append(y_val)
+    # y plays the first role and x the second in the shared assembly
+    ys, xs = _assemble(ics.y0, ics.x0, 1 / ics.x0, 1 / ics.y0, sb, tb, n_max, ties)
     return xs, ys
+
+
+def _unzip(pairs) -> tuple[list[Fraction], list[Fraction]]:
+    firsts: list[Fraction] = []
+    seconds: list[Fraction] = []
+    for first, second in pairs:
+        firsts.append(first)
+        seconds.append(second)
+    return firsts, seconds
+
+
+# ---------------------------------------------------------------------------
+# pure-power cases: one point formula per index, no assembly
+
+
+def _point_sweep(point, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    return _unzip(point(ics, n) for n in range(n_max + 1))
+
+
+def _solve_point(point, period: int, ics, n: int) -> tuple[Fraction, Fraction]:
+    """Index n alone.  Every factor of the point formula enters with a
+    positive exponent within the first two periods, so scanning those
+    indices raises the same first ForbiddenInputError as the sweep."""
+    for k in range(min(n, 2 * period)):
+        point(ics, k)
+    return point(ics, n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +254,14 @@ def _require_nonzero_ics_a(ics: SystemAInitial) -> None:
 def solve_a_product_sweep(
     params: SystemAParams, ics: SystemAInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    """General parity-split product solution with auxiliary values taken
-    from the closed form (not from recursion)."""
+    """General product solution: the telescoped assembly over auxiliary
+    values taken from the closed form (not from recursion)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _require_nonzero_ics_a(ics)
     s_seed, t_seed = seeds_a(ics)
-    sb: list[Fraction] = []
-    tb: list[Fraction] = []
-    for j in range(max(0, n_max)):
-        s_val, t_val = closed_ST_a(params, s_seed, t_seed, j)
-        sb.append(s_val)
-        tb.append(t_val)
-    return _assemble_parity(
-        ics.u0, ics.v0, 1 / ics.v0, 1 / ics.u0, sb, tb, n_max
-    )
+    sb, tb = _unzip(closed_ST_a(params, s_seed, t_seed, j) for j in range(n_max))
+    return _assemble(ics.u0, ics.v0, 1 / ics.v0, 1 / ics.u0, sb, tb, n_max)
 
 
 def solve_a_product(
@@ -415,7 +345,7 @@ def _braces_b_unit(params: SystemAParams, ics: SystemAInitial):
     return sb, tb, ics.u1 * (1 - a), ics.v1 * (1 - a)
 
 
-def _braces_ones(ics: SystemAInitial):
+def _braces_ones(params: SystemAParams, ics: SystemAInitial):
     """a = b = 1: auxiliary values grow linearly."""
     p = ics.u0 * ics.v1
     q = ics.v0 * ics.u1
@@ -491,45 +421,48 @@ def _b1_aneg1_point(ics: SystemAInitial, n: int) -> tuple[Fraction, Fraction]:
     return u_val, v_val
 
 
-def solve_a_case_sweep(
-    tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
+# pure-power tags: point formula and its index period
+_POINT_A = {
+    "NegNeg": (_negneg_point, 2),
+    "Aeq1Bneg1": (_a1_bneg1_point, 4),
+    "Beq1Aneg1": (_b1_aneg1_point, 4),
+}
+
+_BRACES_A = {
+    "ABneq1": _braces_ab_general,
+    "Aeq1": _braces_a_unit,
+    "Beq1": _braces_b_unit,
+    "OnesOnes": _braces_ones,
+}
+
+
+def _check_case_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int) -> None:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _validate_case_a(tag, params)
     _require_nonzero_ics_a(ics)
+
+
+def solve_a_case_sweep(
+    tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    _check_case_a(tag, params, ics, n_max)
     if tag == "Product":
         return solve_a_product_sweep(params, ics, n_max)
-    if tag in ("Aeq1Bneg1", "Beq1Aneg1", "NegNeg"):
-        point = {
-            "Aeq1Bneg1": _a1_bneg1_point,
-            "Beq1Aneg1": _b1_aneg1_point,
-            "NegNeg": _negneg_point,
-        }[tag]
-        us: list[Fraction] = []
-        vs: list[Fraction] = []
-        for n in range(n_max + 1):
-            u_val, v_val = point(ics, n)
-            us.append(u_val)
-            vs.append(v_val)
-        return us, vs
-    braces = {
-        "ABneq1": _braces_ab_general,
-        "Aeq1": _braces_a_unit,
-        "Beq1": _braces_b_unit,
-    }
-    if tag == "OnesOnes":
-        sb_fn, tb_fn, cu, cv = _braces_ones(ics)
-    else:
-        sb_fn, tb_fn, cu, cv = braces[tag](params, ics)
-    sb = [sb_fn(j) for j in range(max(0, n_max))]
-    tb = [tb_fn(j) for j in range(max(0, n_max))]
-    return _assemble_parity(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
+    if tag in _POINT_A:
+        return _point_sweep(_POINT_A[tag][0], ics, n_max)
+    sb_fn, tb_fn, cu, cv = _BRACES_A[tag](params, ics)
+    sb = [sb_fn(j) for j in range(n_max)]
+    tb = [tb_fn(j) for j in range(n_max)]
+    return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
 
 
 def solve_a_case(
     tag: str, params: SystemAParams, ics: SystemAInitial, n: int
 ) -> tuple[Fraction, Fraction]:
+    if tag in _POINT_A:
+        _check_case_a(tag, params, ics, n)
+        return _solve_point(*_POINT_A[tag], ics, n)
     us, vs = solve_a_case_sweep(tag, params, ics, n)
     return us[n], vs[n]
 
@@ -541,20 +474,13 @@ def solve_a_case(
 def solve_b_product_sweep(
     params: SystemBParams, ics: SystemBInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    """General parity-split product solution for System B; the auxiliary
-    values come from the mod-4 closed form."""
+    """General product solution for System B: the telescoped assembly over
+    auxiliary values taken from the mod-4 closed form."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     s0, s1, t0, t1 = seeds_b(ics)
-    sb: list[Fraction] = []
-    tb: list[Fraction] = []
-    for j in range(max(0, n_max)):
-        s_val, t_val = closed_ST_b(params, s0, s1, t0, t1, j)
-        sb.append(s_val)
-        tb.append(t_val)
-    # y plays the T-even role and x the S-even role in the shared assembly
-    ys, xs = _assemble_parity(ics.y0, ics.x0, 1 / ics.x0, 1 / ics.y0, sb, tb, n_max)
-    return xs, ys
+    sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
+    return _assemble_b(ics, sb, tb, n_max, ties="ST")
 
 
 def solve_b_product(
@@ -564,43 +490,9 @@ def solve_b_product(
     return xs[n], ys[n]
 
 
-def _braces_b_general(params: SystemBParams, ics: SystemBInitial):
-    """Seed-scaled auxiliary braces for the general mod-4 solution."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    ac = a * c
-    p = ics.x0 * ics.y1
-    q = ics.y0 * ics.x1
-    s = ics.x1 * ics.y2
-    t = ics.y1 * ics.x2
-
-    def sb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        inner = geometric_sum(ac, r - 1)
-        if residue == 0:
-            return ac**r + p * (d + b * c) * inner
-        if residue == 1:
-            return ac**r + s * (d + b * c) * inner
-        full = geometric_sum(ac, r)
-        seed = q if residue == 2 else t
-        return a**r * c ** (r + 1) + seed * (d * full + b * c * inner)
-
-    def tb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        inner = geometric_sum(ac, r - 1)
-        if residue == 0:
-            return ac**r + q * (b + a * d) * inner
-        if residue == 1:
-            return ac**r + t * (b + a * d) * inner
-        full = geometric_sum(ac, r)
-        seed = p if residue == 2 else s
-        return a ** (r + 1) * c**r + seed * (b * full + a * d * inner)
-
-    return sb, tb, ONE
-
-
 def _braces_b_ac_general(params: SystemBParams, ics: SystemBInitial):
-    """a*c != 1 braces with the geometric sums expanded in closed form;
-    the clearing factor 1 - a*c reappears on the odd branches."""
+    """a*c != 1 braces with the geometric sums expanded in closed form and
+    cleared of their denominator 1 - a*c, which joins the brace scale."""
     a, b, c, d = params.a, params.b, params.c, params.d
     ac = a * c
     p = ics.x0 * ics.y1
@@ -660,7 +552,7 @@ def _braces_b_ac_unit(params: SystemBParams, ics: SystemBInitial):
     return sb, tb, ONE
 
 
-def _braces_b_all_ones(ics: SystemBInitial):
+def _braces_b_all_ones(params: SystemBParams, ics: SystemBInitial):
     """a = b = c = d = 1."""
     p = ics.x0 * ics.y1
     q = ics.y0 * ics.x1
@@ -799,36 +691,49 @@ def _unit_bd_point(ics: SystemBInitial, n: int) -> tuple[Fraction, Fraction]:
     return x_val, y_val
 
 
-def solve_b_case_sweep(
+_POINT_B = {"UnitBD": (_unit_bd_point, 8)}
+
+_BRACES_B = {
+    "ACneq1": _braces_b_ac_general,
+    "ACeq1": _braces_b_ac_unit,
+    "AllOnes": _braces_b_all_ones,
+}
+
+
+def _check_case_b(
     tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _validate_case_b(tag, params)
-    seeds_b(ics)  # rejects zero seed products up front
-    if tag == "UnitBD":
-        xs: list[Fraction] = []
-        ys: list[Fraction] = []
-        for n in range(n_max + 1):
-            x_val, y_val = _unit_bd_point(ics, n)
-            xs.append(x_val)
-            ys.append(y_val)
-        return xs, ys
+    return seeds_b(ics)  # rejects zero seed products up front
+
+
+def solve_b_case_sweep(
+    tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    s0, s1, t0, t1 = _check_case_b(tag, params, ics, n_max)
+    if tag in _POINT_B:
+        return _point_sweep(_POINT_B[tag][0], ics, n_max)
     if tag == "Product":
-        sb_fn, tb_fn, odd_factor = _braces_b_general(params, ics)
-    elif tag == "ACneq1":
-        sb_fn, tb_fn, odd_factor = _braces_b_ac_general(params, ics)
-    elif tag == "ACeq1":
-        sb_fn, tb_fn, odd_factor = _braces_b_ac_unit(params, ics)
-    else:  # AllOnes
-        sb_fn, tb_fn, odd_factor = _braces_b_all_ones(ics)
-    sb = [sb_fn(j) for j in range(max(0, n_max))]
-    tb = [tb_fn(j) for j in range(max(0, n_max))]
-    return _assemble_residue4(ics, sb, tb, n_max, odd_factor)
+        # the product sweep's auxiliary values; only the tie order differs
+        sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
+    else:
+        sb_fn, tb_fn, odd_factor = _BRACES_B[tag](params, ics)
+        # brace j is odd_factor * seed * S[j] with seeds (p, s, q, t) for S
+        # and (q, t, p, s) for T; dividing that scale out leaves S[j], T[j]
+        s_unscale = [seed / odd_factor for seed in (s0, s1, t0, t1)]
+        t_unscale = [seed / odd_factor for seed in (t0, t1, s0, s1)]
+        sb = [sb_fn(j) * s_unscale[j % 4] for j in range(n_max)]
+        tb = [tb_fn(j) * t_unscale[j % 4] for j in range(n_max)]
+    return _assemble_b(ics, sb, tb, n_max, ties="TS")
 
 
 def solve_b_case(
     tag: str, params: SystemBParams, ics: SystemBInitial, n: int
 ) -> tuple[Fraction, Fraction]:
+    if tag in _POINT_B:
+        _check_case_b(tag, params, ics, n)
+        return _solve_point(*_POINT_B[tag], ics, n)
     xs, ys = solve_b_case_sweep(tag, params, ics, n)
     return xs[n], ys[n]

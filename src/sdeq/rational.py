@@ -12,6 +12,7 @@ closed forms rely on silently:
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 
@@ -31,20 +32,89 @@ def parse_rational(text: str) -> Fraction:
 
     The accepted grammar is deliberately narrower than Fraction's own
     parser: no sign on the denominator, no decimals, no exponent, no
-    whitespace.  Raises ValueError naming the offending token.
+    whitespace.  Raises ValueError naming the offending token.  Literals
+    of any length are accepted.
     """
     match = _RATIONAL_RE.match(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    denom = match.group(1)
-    if denom is not None and int(denom) == 0:
+    numer, _, denom = text.partition("/")
+    den = _digits_to_int(denom) if denom else 1
+    if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(text)
+    if numer.startswith("-"):
+        return Fraction(-_digits_to_int(numer[1:]), den)
+    return Fraction(_digits_to_int(numer), den)
 
 
 def format_rational(value: Fraction) -> str:
     """Render ``value`` in the same grammar parse_rational accepts."""
-    return str(value)
+    if value.denominator == 1:
+        return _int_to_digits(value.numerator)
+    return f"{_int_to_digits(value.numerator)}/{_int_to_digits(value.denominator)}"
+
+
+# str(int) and int(str) take quadratic time and refuse more than 4300
+# digits by default.  Past the sizes below, both conversions split the
+# number in halves and recombine the halves (the divide and conquer of
+# CPython 3.12's _pylong); leaves stay under the limit.
+_FORMAT_SPLIT_BITS = 12_000
+_FORMAT_LEAF_BITS = 2048
+_PARSE_SPLIT_DIGITS = 3000
+
+
+def _int_to_digits(n: int) -> str:
+    if n.bit_length() < _FORMAT_SPLIT_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(width: int) -> decimal.Decimal:
+        if width not in powers:
+            if width <= _FORMAT_LEAF_BITS:
+                powers[width] = decimal.Decimal(2) ** width
+            else:
+                powers[width] = pow2(width >> 1) * pow2(width - (width >> 1))
+        return powers[width]
+
+    def convert(value: int, width: int) -> decimal.Decimal:
+        # value < 2**width; value = high * 2**half + low
+        if width <= _FORMAT_LEAF_BITS:
+            return decimal.Decimal(value)
+        half = width >> 1
+        high = value >> half
+        low = value - (high << half)
+        return convert(high, width - half) * pow2(half) + convert(low, half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _digits_to_int(digits: str) -> int:
+    if len(digits) <= _PARSE_SPLIT_DIGITS:
+        return int(digits)
+    powers: dict[int, int] = {}
+
+    def pow5(width: int) -> int:
+        if width not in powers:
+            if width <= _PARSE_SPLIT_DIGITS:
+                powers[width] = 5**width
+            else:
+                powers[width] = pow5(width >> 1) * pow5(width - (width >> 1))
+        return powers[width]
+
+    def convert(start: int, stop: int) -> int:
+        # digits[start:stop] = high * 10**width + low, and 10**w = 5**w << w
+        if stop - start <= _PARSE_SPLIT_DIGITS:
+            return int(digits[start:stop])
+        mid = (start + stop + 1) >> 1
+        width = stop - mid
+        return ((convert(start, mid) * pow5(width)) << width) + convert(mid, stop)
+
+    return convert(0, len(digits))
 
 
 def rat(value: int | str | Fraction) -> Fraction:

@@ -2,10 +2,15 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from sdeq import cli
 from sdeq.cli import main
+from sdeq.rational import parse_rational
+from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -279,3 +284,61 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["first"] == ["1", "1", "1/2"]
+
+
+DEEP_A_FLAGS = [
+    "--a", "2/3", "--b", "-5/7",
+    "--u0", "3/5", "--u1", "-2/7", "--v0", "4/9", "--v1", "5/8",
+]
+
+
+def test_iterate_past_the_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, ["iterate", "--system", "A", *DEEP_A_FLAGS, "--n", "300"])
+    assert code == 0
+    payload = json.loads(out)
+    assert max(map(len, payload["first"])) > 4300
+    params = SystemAParams(F(2, 3), F(-5, 7))
+    ics = SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8))
+    trajectory = iterate_a(params, ics, 300)
+    assert [parse_rational(v) for v in payload["first"]] == list(trajectory.first)
+    assert [parse_rational(v) for v in payload["second"]] == list(trajectory.second)
+
+
+def test_zero_initial_b_exits_3(capsys):
+    flags = [*B_FLAGS]
+    flags[flags.index("--x0") + 1] = "0"
+    result = subprocess.run(
+        [sys.executable, "-m", "sdeq", "iterate", "--system", "B", *flags, "--n", "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: forbidden input:")
+    assert "Traceback" not in result.stderr
+    for command in ("reduce", "verify", "solve"):
+        code, out, err = run_cli(capsys, [command, "--system", "B", *flags, "--n", "5"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: forbidden input:")
+
+
+def test_difftest_retry_cap_exits_1(capsys, monkeypatch):
+    def never_clean(params, ics, horizon):
+        return SimpleNamespace(clean=False)
+
+    monkeypatch.setattr(cli, "check_forbidden_a", never_clean)
+    code, out, err = run_cli(
+        capsys, ["difftest", "--system", "A", "--trials", "1", "--n", "5", "--seed", "1"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: retry cap exhausted")
+
+
+def test_pure_power_point_solve_reports_first_break(capsys):
+    argv = [
+        "solve", "--system", "A", "--a", "-1", "--b", "-1",
+        "--u0", "1", "--u1", "2", "--v0", "3", "--v1", "1", "--n", "3",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "breaks closed form at index 2" in err

@@ -230,8 +230,8 @@ def test_case_b_unit_bd_cross_check():
 
 
 def test_case_b_product_routes_agree():
-    # two independent evaluations of the general solution: residue-4 brace
-    # products vs the parity split over the auxiliary closed form
+    # the Product tag assembles the product sweep's auxiliary values; only
+    # the order in which a forbidden report names S and T differs
     rng = random.Random(107)
     for _ in range(15):
         params, ics = draw_admissible_b(rng, 25)
@@ -272,3 +272,158 @@ def test_case_b_forbidden_input():
         with pytest.raises(ForbiddenInputError) as info:
             evaluate()
         assert info.value.index == 5
+
+
+# ---------------------------------------------------------------------------
+# telescoped assembly kernel
+
+DEEP_A_ICS = SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8))
+DEEP_B_ICS = SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6))
+# DEEP_B_ICS is singular at step 8 under all-ones parameters
+ALL_ONES_B_ICS = SystemBInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8), F(3, 4), F(7, 6))
+
+# every tag with parameters as far from unit as the tag allows
+DEEP_A_PARAMS = {
+    "Product": SystemAParams(F(2, 3), F(-5, 7)),
+    "ABneq1": SystemAParams(F(2, 3), F(-5, 7)),
+    "Aeq1": SystemAParams(1, F(-5, 7)),
+    "Beq1": SystemAParams(F(2, 3), 1),
+    "Aeq1Bneg1": SystemAParams(1, -1),
+    "Beq1Aneg1": SystemAParams(-1, 1),
+    "OnesOnes": SystemAParams(1, 1),
+    "NegNeg": SystemAParams(-1, -1),
+}
+DEEP_B_PARAMS = {
+    "Product": SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+    "ACneq1": SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+    "ACeq1": SystemBParams(F(2, 3), F(-5, 7), F(3, 2), F(4, 9)),
+    "UnitBD": SystemBParams(1, 1, -1, 1),
+    "AllOnes": SystemBParams(1, 1, 1, 1),
+}
+
+
+def test_kernel_equals_iteration_deep():
+    n = 300
+    for tag, params in DEEP_A_PARAMS.items():
+        t = iterate_a(params, DEEP_A_ICS, n)
+        assert t.singular is None
+        expect = (list(t.first), list(t.second))
+        assert solve_a_case_sweep(tag, params, DEEP_A_ICS, n) == expect, tag
+        if tag == "ABneq1":
+            assert solve_a_product_sweep(params, DEEP_A_ICS, n) == expect
+            assert t.first[n].numerator.bit_length() > 40_000  # really deep
+    for tag, params in DEEP_B_PARAMS.items():
+        ics = ALL_ONES_B_ICS if tag == "AllOnes" else DEEP_B_ICS
+        t = iterate_b(params, ics, n)
+        assert t.singular is None
+        expect = (list(t.first), list(t.second))
+        assert solve_b_case_sweep(tag, params, ics, n) == expect, tag
+        if tag == "ACneq1":
+            assert solve_b_product_sweep(params, ics, n) == expect
+
+
+# (system, route, params, ics, index, detail): "sweep" is the product sweep,
+# any other route the case sweep of that tag.  Where S and T vanish at the
+# same index the product sweeps report S and the System B case sweeps T.
+FORBIDDEN_BRACES = [
+    ("A", "sweep", ("1", "2"), ("-2", "-1", "-2", "1/2"), 2, "auxiliary S[1] = 0"),
+    ("A", "sweep", ("-1/2", "-1"), ("-1/3", "1/3", "-1", "1"), 5, "auxiliary S[4] = 0"),
+    ("A", "sweep", ("1/2", "2"), ("1/2", "-1/3", "1/2", "-3/4"), 9, "auxiliary S[8] = 0"),
+    ("A", "ABneq1", ("4", "-1/2"), ("4", "-2/3", "1/2", "4/3"), 7, "auxiliary T[6] = 0"),
+    ("A", "Aeq1", ("1", "3"), ("3/2", "1/2", "-3", "4/3"), 3, "auxiliary S[2] = 0"),
+    ("A", "Beq1", ("-1/2", "1"), ("-1/4", "2/3", "-1", "1"), 5, "auxiliary T[4] = 0"),
+    ("A", "OnesOnes", ("1", "1"), ("-1/4", "1/3", "3/4", "1/2"), 9, "auxiliary T[8] = 0"),
+    # S[3] = T[3] = 0
+    ("A", "sweep", ("3/2", "-2/3"), ("4", "1/2", "2", "1/4"), 4, "auxiliary S[3] = 0"),
+    ("A", "ABneq1", ("3/2", "-2/3"), ("4", "1/2", "2", "1/4"), 4, "auxiliary S[3] = 0"),
+    # S[6] = T[6] = 0
+    ("A", "OnesOnes", ("1", "1"), ("1/2", "-2/3", "1/4", "-1/3"), 7, "auxiliary S[6] = 0"),
+    ("B", "sweep", ("1", "-2", "1", "3"), ("1", "3/4", "-3", "1/4", "1/3", "-1/3"),
+     6, "auxiliary T[5] = 0"),
+    ("B", "sweep", ("-3", "1", "-1", "-2"), ("-1", "2", "-3/4", "-3", "-3/4", "-1/2"),
+     9, "auxiliary S[8] = 0"),
+    ("B", "Product", ("1", "1", "2", "-1/3"), ("-2/3", "-1", "-3/2", "-1/4", "4/3", "2"),
+     10, "auxiliary T[9] = 0"),
+    ("B", "ACneq1", ("1/2", "2", "-1", "1"), ("4", "-2", "-1", "1/2", "4", "4/3"),
+     11, "auxiliary S[10] = 0"),
+    ("B", "ACneq1", ("-3/4", "1", "2/3", "-1"), ("-1", "-1/2", "1/2", "2", "-3/4", "-1"),
+     3, "auxiliary T[2] = 0"),
+    ("B", "ACeq1", ("3/2", "-1", "2/3", "1/2"), ("3", "-4/3", "-4", "2/3", "-1", "2"),
+     6, "auxiliary T[5] = 0"),
+    ("B", "AllOnes", ("1", "1", "1", "1"), ("1/2", "3", "-4/3", "-3/4", "-1/2", "-2"),
+     9, "auxiliary S[8] = 0"),
+    # S[4] = T[4] = 0
+    ("B", "sweep", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
+     5, "auxiliary S[4] = 0"),
+    ("B", "Product", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
+     5, "auxiliary T[4] = 0"),
+    ("B", "ACneq1", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
+     5, "auxiliary T[4] = 0"),
+    # S[5] = T[5] = 0
+    ("B", "sweep", ("-1/2", "2", "-2", "3"), ("-4/3", "-1/2", "1", "1/2", "-2", "-2"),
+     6, "auxiliary S[5] = 0"),
+    ("B", "ACeq1", ("-1/2", "2", "-2", "3"), ("-4/3", "-1/2", "1", "1/2", "-2", "-2"),
+     6, "auxiliary T[5] = 0"),
+]
+
+
+@pytest.mark.parametrize("system, route, params, ics, index, detail", FORBIDDEN_BRACES)
+def test_kernel_forbidden_braces(system, route, params, ics, index, detail):
+    if system == "A":
+        params, ics = SystemAParams(*params), SystemAInitial(*ics)
+        iterate, product, case = iterate_a, solve_a_product_sweep, solve_a_case_sweep
+    else:
+        params, ics = SystemBParams(*params), SystemBInitial(*ics)
+        iterate, product, case = iterate_b, solve_b_product_sweep, solve_b_case_sweep
+
+    def evaluate(n_max):
+        if route == "sweep":
+            return product(params, ics, n_max)
+        return case(route, params, ics, n_max)
+
+    # the brace at j = index - 1 matters only once n_max reaches index
+    t = iterate(params, ics, index - 1)
+    assert evaluate(index - 1) == (list(t.first), list(t.second))
+    for n_max in (index, index + 5):
+        with pytest.raises(ForbiddenInputError) as info:
+            evaluate(n_max)
+        assert (info.value.index, info.value.detail) == (index, detail)
+
+
+PURE_POWER = {
+    "A": {"NegNeg": (-1, -1), "Aeq1Bneg1": (1, -1), "Beq1Aneg1": (-1, 1)},
+    "B": {"UnitBD": (1, 1, -1, 1)},
+}
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ForbiddenInputError as exc:
+        return exc.index, exc.detail
+
+
+def test_pure_power_point_matches_sweep():
+    # small components hit the vanishing factors (p, q, s, t in {0, +-1, 1/2})
+    rng = random.Random(108)
+    values = [F(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
+    raised = 0
+    for _ in range(50):
+        for system, tags in PURE_POWER.items():
+            for tag, params in tags.items():
+                if system == "A":
+                    params = SystemAParams(*params)
+                    ics = SystemAInitial(*(rng.choice(values) for _ in range(4)))
+                    point, sweep = solve_a_case, solve_a_case_sweep
+                else:
+                    params = SystemBParams(*params)
+                    ics = SystemBInitial(*(rng.choice(values) for _ in range(6)))
+                    point, sweep = solve_b_case, solve_b_case_sweep
+                for n in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+                    swept = _outcome(lambda: sweep(tag, params, ics, n))
+                    if isinstance(swept[1], str):
+                        raised += 1
+                    else:
+                        swept = swept[0][n], swept[1][n]
+                    assert _outcome(lambda: point(tag, params, ics, n)) == swept
+    assert raised > 50  # the forbidden branch is exercised too

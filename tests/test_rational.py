@@ -33,6 +33,32 @@ def test_format_round_trip():
         assert format_rational(parse_rational(text)) == text
 
 
+def _reference_digits(n: int) -> str:
+    # base-10**100 chunks, each far below the interpreter's str() digit limit
+    chunks = []
+    while n:
+        n, chunk = divmod(n, 10**100)
+        chunks.append(chunk)
+    return str(chunks[-1]) + "".join(str(c).zfill(100) for c in reversed(chunks[:-1]))
+
+
+def test_long_literals_round_trip():
+    # past 4300 digits str(int) and int(str) refuse by default
+    rng = random.Random(7)
+    for bits in (2_000, 11_999, 12_000, 14_300, 60_000, 200_000):
+        num = rng.getrandbits(bits) | (1 << (bits - 1))
+        den = rng.getrandbits(bits // 2) | 1
+        value = F(-num, den)
+        text = format_rational(value)
+        expected = _reference_digits(-value.numerator), _reference_digits(value.denominator)
+        assert text == "-%s/%s" % expected
+        assert parse_rational(text) == value
+        assert format_rational(F(num)) == _reference_digits(num)
+    assert parse_rational("0" * 5000 + "7/" + "0" * 5000 + "21") == F(1, 3)
+    with pytest.raises(ValueError):
+        parse_rational("1/" + "0" * 5000)
+
+
 def test_rat_coercion():
     assert rat(3) == F(3)
     assert rat("-1/2") == F(-1, 2)
