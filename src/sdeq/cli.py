@@ -20,46 +20,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .closed_form import (
-    CASE_TAGS_A,
-    CASE_TAGS_B,
-    CaseParamError,
-    ForbiddenInputError,
-    auto_case_a,
-    auto_case_b,
-    solve_a_case,
-    solve_a_case_sweep,
-    solve_a_product_sweep,
-    solve_b_case,
-    solve_b_case_sweep,
-    solve_b_product_sweep,
-)
-from .forbidden import check_forbidden_a, check_forbidden_b
+from . import closed_form, forbidden, reduction, sampling, symmetry, systems
+from .closed_form import CaseParamError, ForbiddenInputError
 from .rational import format_rational, parse_rational
-from .reduction import ZeroInvariantError, invariants_a, invariants_b, linearize
-from .sampling import (
-    DISTRIBUTION_NOTE,
-    RETRY_CAP,
-    draw_ics_a,
-    draw_ics_b,
-    draw_nonzero,
-    draw_params_a,
-    draw_params_b,
-    draw_params_b_for_case,
-)
-from .symmetry import Characteristic, slsc_residual_a, slsc_residual_b
-from .systems import (
-    SystemAInitial,
-    SystemAParams,
-    SystemBInitial,
-    SystemBParams,
-    Trajectory,
-    ZeroInitialError,
-    iterate_a,
-    iterate_b,
-)
+from .reduction import ZeroInvariantError, linearize
+from .sampling import DISTRIBUTION_NOTE, RETRY_CAP, RetryCapError, draw_nonzero
+from .symmetry import Characteristic
+from .systems import Trajectory, ZeroInitialError
 
 SCHEMA_VERSION = 1
 
@@ -69,8 +38,72 @@ EXIT_SINGULAR = 2
 EXIT_FORBIDDEN = 3
 EXIT_MISMATCH = 4
 
-_PARAM_FLAGS = {"A": ("a", "b"), "B": ("a", "b", "c", "d")}
-_IC_FLAGS = {"A": ("u0", "u1", "v0", "v1"), "B": ("x0", "x1", "x2", "y0", "y1", "y2")}
+
+class SystemSpec(NamedTuple):
+    """Everything the subcommands need to know about one system."""
+
+    param_flags: tuple[str, ...]
+    ic_flags: tuple[str, ...]
+    params: type
+    initial: type
+    min_n: int
+    iterate: Callable
+    check_forbidden: Callable
+    invariants: Callable
+    product_sweep: Callable
+    case_sweep: Callable
+    case_point: Callable
+    residual: Callable
+    # (params, point) -> the residual's update denominators are nonzero
+    residual_admissible: Callable
+    # difftest trials cycle through these (stratum name, case tag or None)
+    strata: tuple[tuple[str, Optional[str]], ...]
+
+
+SYSTEMS = {
+    "A": SystemSpec(
+        param_flags=("a", "b"),
+        ic_flags=("u0", "u1", "v0", "v1"),
+        params=systems.SystemAParams,
+        initial=systems.SystemAInitial,
+        min_n=1,
+        iterate=systems.iterate_a,
+        check_forbidden=forbidden.check_forbidden_a,
+        invariants=reduction.invariants_a,
+        product_sweep=closed_form.solve_a_product_sweep,
+        case_sweep=closed_form.solve_a_case_sweep,
+        case_point=closed_form.solve_a_case,
+        residual=symmetry.slsc_residual_a,
+        residual_admissible=lambda p, point: (
+            p.a + point[0] * point[3] != 0 and p.b + point[2] * point[1] != 0
+        ),
+        strata=(("general", None),),
+    ),
+    "B": SystemSpec(
+        param_flags=("a", "b", "c", "d"),
+        ic_flags=("x0", "x1", "x2", "y0", "y1", "y2"),
+        params=systems.SystemBParams,
+        initial=systems.SystemBInitial,
+        min_n=2,
+        iterate=systems.iterate_b,
+        check_forbidden=forbidden.check_forbidden_b,
+        invariants=reduction.invariants_b,
+        product_sweep=closed_form.solve_b_product_sweep,
+        case_sweep=closed_form.solve_b_case_sweep,
+        case_point=closed_form.solve_b_case,
+        residual=symmetry.slsc_residual_b,
+        residual_admissible=lambda p, point: (
+            p.a + p.b * point[0] * point[4] != 0 and p.c + p.d * point[3] * point[1] != 0
+        ),
+        # the geometric-ratio, unit-ratio, unit-b,d and all-ones families
+        strata=(
+            ("general", None),
+            ("ac-unit", "ACeq1"),
+            ("unit-bd", "UnitBD"),
+            ("all-ones", "AllOnes"),
+        ),
+    ),
+}
 
 
 class UsageError(ValueError):
@@ -116,22 +149,13 @@ def _lits(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def _params_dict(config: RunConfig) -> dict:
-    return {k: format_rational(v) for k, v in config.params.items()}
-
-
-def _ics_dict(config: RunConfig) -> dict:
-    return {k: format_rational(v) for k, v in config.ics.items()}
+def _lit_map(values: dict) -> dict:
+    return {k: format_rational(v) for k, v in values.items()}
 
 
 def _build_inputs(config: RunConfig):
-    if config.system == "A":
-        params = SystemAParams(config.params["a"], config.params["b"])
-        ics = SystemAInitial(*(config.ics[k] for k in _IC_FLAGS["A"]))
-    else:
-        params = SystemBParams(*(config.params[k] for k in _PARAM_FLAGS["B"]))
-        ics = SystemBInitial(*(config.ics[k] for k in _IC_FLAGS["B"]))
-    return params, ics
+    spec = SYSTEMS[config.system]
+    return spec.params(**config.params), spec.initial(**config.ics)
 
 
 def _singular_json(trajectory: Trajectory):
@@ -146,11 +170,7 @@ def _singular_json(trajectory: Trajectory):
 
 def _run_iterate(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
-    trajectory = (
-        iterate_a(params, ics, config.n_max)
-        if config.system == "A"
-        else iterate_b(params, ics, config.n_max)
-    )
+    trajectory = SYSTEMS[config.system].iterate(params, ics, config.n_max)
     if config.fmt == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
         rows = [
@@ -161,7 +181,7 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "system": config.system,
-        "params": _params_dict(config),
+        "params": _lit_map(config.params),
         "N": config.n_max,
         "first": _lits(trajectory.first),
         "second": _lits(trajectory.second),
@@ -173,19 +193,18 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
 def _resolve_case(config: RunConfig, params) -> str:
     if config.case != "auto":
         return config.case
-    return auto_case_a(params) if config.system == "A" else auto_case_b(params)
+    return closed_form.auto_case(config.system, params)
 
 
 def _run_solve(config: RunConfig) -> tuple[int, str]:
+    spec = SYSTEMS[config.system]
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
     if config.sweep:
-        sweep = solve_a_case_sweep if config.system == "A" else solve_b_case_sweep
-        first, second = sweep(tag, params, ics, config.n_max)
+        first, second = spec.case_sweep(tag, params, ics, config.n_max)
         indices = range(config.n_max + 1)
     else:
-        solve = solve_a_case if config.system == "A" else solve_b_case
-        point = solve(tag, params, ics, config.n_max)
+        point = spec.case_point(tag, params, ics, config.n_max)
         first, second = {config.n_max: point[0]}, {config.n_max: point[1]}
         indices = [config.n_max]
     records = [
@@ -205,22 +224,24 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
         "command": "solve",
         "system": config.system,
         "case": tag,
-        "params": _params_dict(config),
-        "ics": _ics_dict(config),
+        "params": _lit_map(config.params),
+        "ics": _lit_map(config.ics),
         "records": records,
     }
     return EXIT_OK, _jdump(payload)
 
 
-def _run_reduce(config: RunConfig) -> tuple[int, str]:
-    params, ics = _build_inputs(config)
-    if config.system == "A":
-        trajectory = iterate_a(params, ics, config.n_max)
-    else:
-        trajectory = iterate_b(params, ics, config.n_max)
+def _regular_orbit(spec: SystemSpec, params, ics, n_max: int) -> Trajectory:
+    trajectory = spec.iterate(params, ics, n_max)
     if trajectory.singular is not None:
         raise _Singular(trajectory)
-    inv = invariants_a(trajectory) if config.system == "A" else invariants_b(trajectory)
+    return trajectory
+
+
+def _run_reduce(config: RunConfig) -> tuple[int, str]:
+    spec = SYSTEMS[config.system]
+    params, ics = _build_inputs(config)
+    inv = spec.invariants(_regular_orbit(spec, params, ics, config.n_max))
     lin = linearize(inv)
     if config.fmt == "csv":
         rows = [
@@ -238,7 +259,7 @@ def _run_reduce(config: RunConfig) -> tuple[int, str]:
         "schema_version": SCHEMA_VERSION,
         "command": "reduce",
         "system": config.system,
-        "params": _params_dict(config),
+        "params": _lit_map(config.params),
         "N": config.n_max,
         "w": _lits(inv.w),
         "z": _lits(inv.z),
@@ -257,40 +278,52 @@ class _Singular(Exception):
         )
 
 
+def _routes(spec: SystemSpec, tag: str, params, ics, n_max: int) -> dict:
+    """The product closed form and the closed form of case ``tag``."""
+    return {
+        "product": spec.product_sweep(params, ics, n_max),
+        tag: spec.case_sweep(tag, params, ics, n_max),
+    }
+
+
+def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
+    """Compare each route with the iterated orbit at indices 0..n_max,
+    routes in sorted order.  Returns (comparisons, failures, the first
+    mismatching (route, n) or None); a failure is an index where either
+    component differs."""
+    failures = 0
+    first_mismatch = None
+    for route, (first, second) in sorted(routes.items()):
+        for n in range(n_max + 1):
+            if first[n] != trajectory.first[n] or second[n] != trajectory.second[n]:
+                failures += 1
+                if first_mismatch is None:
+                    first_mismatch = (route, n)
+    return len(routes) * (n_max + 1), failures, first_mismatch
+
+
 def _run_verify(config: RunConfig) -> tuple[int, str]:
+    spec = SYSTEMS[config.system]
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
-    if config.system == "A":
-        trajectory = iterate_a(params, ics, config.n_max)
-        product = solve_a_product_sweep
-        case_sweep = solve_a_case_sweep
-    else:
-        trajectory = iterate_b(params, ics, config.n_max)
-        product = solve_b_product_sweep
-        case_sweep = solve_b_case_sweep
-    if trajectory.singular is not None:
-        raise _Singular(trajectory)
-    routes = {
-        "product": product(params, ics, config.n_max),
-        tag: case_sweep(tag, params, ics, config.n_max),
-    }
+    trajectory = _regular_orbit(spec, params, ics, config.n_max)
+    routes = _routes(spec, tag, params, ics, config.n_max)
+    checked, _, mismatch = compare_routes(routes, trajectory, config.n_max)
     first_mismatch = None
-    checked = 0
-    for route_name, (first, second) in sorted(routes.items()):
-        for n in range(config.n_max + 1):
-            checked += 1
-            for component, closed, iterated in (
-                ("first", first[n], trajectory.first[n]),
-                ("second", second[n], trajectory.second[n]),
-            ):
-                if closed != iterated and first_mismatch is None:
-                    first_mismatch = {
-                        "route": route_name,
-                        "n": n,
-                        "component": component,
-                        "closed_form": format_rational(closed),
-                        "iterated": format_rational(iterated),
-                    }
+    if mismatch is not None:
+        route, n = mismatch
+        first, second = routes[route]
+        if first[n] != trajectory.first[n]:
+            component, closed, iterated = "first", first[n], trajectory.first[n]
+        else:
+            component, closed, iterated = "second", second[n], trajectory.second[n]
+        first_mismatch = {
+            "route": route,
+            "n": n,
+            "component": component,
+            "closed_form": format_rational(closed),
+            "iterated": format_rational(iterated),
+        }
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -307,14 +340,13 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
 
 def _run_check_forbidden(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
-    check = check_forbidden_a if config.system == "A" else check_forbidden_b
-    report = check(params, ics, config.horizon)
+    report = SYSTEMS[config.system].check_forbidden(params, ics, config.horizon)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "check-forbidden",
         "system": config.system,
-        "params": _params_dict(config),
-        "ics": _ics_dict(config),
+        "params": _lit_map(config.params),
+        "ics": _lit_map(config.ics),
         "horizon": config.horizon,
         "violations": [
             {"restriction": v.restriction_id, "r": v.r} for v in report.violated
@@ -331,24 +363,17 @@ def _sample_residual_input(rng: random.Random, system: str, fixed_params):
     denominators.  Parameters are redrawn with the point unless fixed;
     fixed parameters may admit no point at all (e.g. a = b = 0 for
     System B), in which case the retry cap trips."""
+    spec = SYSTEMS[system]
     for _ in range(RETRY_CAP):
-        if system == "A":
-            params = fixed_params if fixed_params is not None else draw_params_a(rng)
-            point = tuple(draw_nonzero(rng) for _ in range(4))
-            if params.a + point[0] * point[3] != 0 and params.b + point[2] * point[1] != 0:
-                return params, point
-        else:
-            params = fixed_params if fixed_params is not None else draw_params_b(rng)
-            point = tuple(draw_nonzero(rng) for _ in range(6))
-            if (
-                params.a + params.b * point[0] * point[4] != 0
-                and params.c + params.d * point[3] * point[1] != 0
-            ):
-                return params, point
+        params = fixed_params if fixed_params is not None else sampling.draw_params(rng, system)
+        point = tuple(draw_nonzero(rng) for _ in spec.ic_flags)
+        if spec.residual_admissible(params, point):
+            return params, point
     raise UsageError("no admissible sample points for the given parameters")
 
 
 def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
+    spec = SYSTEMS[config.system]
     rng = random.Random(config.seed)
     if config.c1 is not None and config.c2 is not None:
         characteristics = [Characteristic(config.c1, config.c2)]
@@ -360,22 +385,14 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
             )
             for _ in range(config.pairs)
         ]
-    if config.params is None:
-        fixed_params = None
-    elif config.system == "A":
-        fixed_params = SystemAParams(config.params["a"], config.params["b"])
-    else:
-        fixed_params = SystemBParams(*(config.params[k] for k in _PARAM_FLAGS["B"]))
+    fixed_params = None if config.params is None else spec.params(**config.params)
     checked = 0
     nonzero: list[dict] = []
     for ch in characteristics:
         for parity in (0, 1):
             for _ in range(config.samples):
                 params, point = _sample_residual_input(rng, config.system, fixed_params)
-                if config.system == "A":
-                    residuals = slsc_residual_a(ch, params, parity, point)
-                else:
-                    residuals = slsc_residual_b(ch, params, parity, point)
+                residuals = spec.residual(ch, params, parity, point)
                 checked += 1
                 if residuals != (0, 0):
                     nonzero.append(
@@ -401,16 +418,14 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if not nonzero else EXIT_MISMATCH), _jdump(payload)
 
 
-_B_STRATA = ("general", "ac-unit", "unit-bd", "all-ones")
-
-
 def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     """Sample admissible inputs, skip forbidden ones, and assert exact
     agreement of the product and case closed forms with iteration.
 
-    System B trials cycle through parameter strata so the geometric-ratio,
-    unit-ratio, unit-b,d, and all-ones families are all exercised.
+    Trials cycle through the system's parameter strata (for System B the
+    geometric-ratio, unit-ratio, unit-b,d and all-ones families).
     """
+    spec = SYSTEMS[system]
     rng = random.Random(seed)
     skipped = 0
     comparisons = 0
@@ -418,89 +433,39 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     first_counterexample = None
     strata_counts: dict[str, int] = {}
     for trial in range(trials):
-        if system == "A":
-            horizon = max(0, (n_max - 1) // 2)
-            stratum = "general"
-            for _ in range(RETRY_CAP):
-                params = draw_params_a(rng)
-                ics = draw_ics_a(rng)
-                if check_forbidden_a(params, ics, horizon).clean:
-                    break
-                skipped += 1
-            else:
-                raise UsageError(f"retry cap exhausted drawing admissible System {system} input")
-            trajectory = iterate_a(params, ics, n_max)
-            tag = auto_case_a(params)
-            routes = {
-                "product": solve_a_product_sweep(params, ics, n_max),
-                tag: solve_a_case_sweep(tag, params, ics, n_max),
-            }
-            params_json = {"a": format_rational(params.a), "b": format_rational(params.b)}
-            ics_json = {
-                k: format_rational(getattr(ics, k)) for k in _IC_FLAGS["A"]
-            }
-        else:
-            horizon = max(0, (n_max - 1) // 4)
-            stratum = _B_STRATA[trial % len(_B_STRATA)]
-            case_for_stratum = {
-                "general": None,
-                "ac-unit": "ACeq1",
-                "unit-bd": "UnitBD",
-                "all-ones": "AllOnes",
-            }[stratum]
-            for _ in range(RETRY_CAP):
-                params = (
-                    draw_params_b(rng)
-                    if case_for_stratum is None
-                    else draw_params_b_for_case(rng, case_for_stratum)
-                )
-                ics = draw_ics_b(rng)
-                if check_forbidden_b(params, ics, horizon).clean:
-                    break
-                skipped += 1
-            else:
-                raise UsageError(f"retry cap exhausted drawing admissible System {system} input")
-            trajectory = iterate_b(params, ics, n_max)
-            tag = auto_case_b(params)
-            routes = {
-                "product": solve_b_product_sweep(params, ics, n_max),
-                tag: solve_b_case_sweep(tag, params, ics, n_max),
-            }
-            params_json = {
-                k: format_rational(getattr(params, k)) for k in _PARAM_FLAGS["B"]
-            }
-            ics_json = {
-                k: format_rational(getattr(ics, k)) for k in _IC_FLAGS["B"]
-            }
+        stratum, case = spec.strata[trial % len(spec.strata)]
+        params, ics, skipped_now = sampling.draw_admissible(rng, system, n_max, case)
+        skipped += skipped_now
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
+        trajectory = spec.iterate(params, ics, n_max)
+        inputs = {"params": _lit_map(vars(params)), "ics": _lit_map(vars(ics))}
         if trajectory.singular is not None:
             # admissible inputs cannot be singular; a hit here is a finding
             failures += 1
             if first_counterexample is None:
                 first_counterexample = {
                     "kind": "unexpected-singularity",
-                    "params": params_json,
-                    "ics": ics_json,
+                    **inputs,
                     "step": trajectory.singular.step,
                 }
             continue
-        for route_name, (first, second) in sorted(routes.items()):
-            for n in range(n_max + 1):
-                comparisons += 1
-                if first[n] != trajectory.first[n] or second[n] != trajectory.second[n]:
-                    failures += 1
-                    if first_counterexample is None:
-                        first_counterexample = {
-                            "kind": "value-mismatch",
-                            "route": route_name,
-                            "params": params_json,
-                            "ics": ics_json,
-                            "n": n,
-                            "closed_first": format_rational(first[n]),
-                            "closed_second": format_rational(second[n]),
-                            "iterated_first": format_rational(trajectory.first[n]),
-                            "iterated_second": format_rational(trajectory.second[n]),
-                        }
+        routes = _routes(spec, closed_form.auto_case(system, params), params, ics, n_max)
+        compared, failed, mismatch = compare_routes(routes, trajectory, n_max)
+        comparisons += compared
+        failures += failed
+        if mismatch is not None and first_counterexample is None:
+            route, n = mismatch
+            first, second = routes[route]
+            first_counterexample = {
+                "kind": "value-mismatch",
+                "route": route,
+                **inputs,
+                "n": n,
+                "closed_first": format_rational(first[n]),
+                "closed_second": format_rational(second[n]),
+                "iterated_first": format_rational(trajectory.first[n]),
+                "iterated_second": format_rational(trajectory.second[n]),
+            }
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "difftest",
@@ -538,13 +503,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub, *, params=True, ics=True, n=True):
-    sub.add_argument("--system", required=True, choices=("A", "B"))
-    if params:
-        for flag in ("a", "b", "c", "d"):
-            sub.add_argument(f"--{flag}")
-    if ics:
-        for flag in ("u0", "u1", "v0", "v1", "x0", "x1", "x2", "y0", "y1", "y2"):
-            sub.add_argument(f"--{flag}")
+    sub.add_argument("--system", required=True, choices=tuple(SYSTEMS))
+    # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
+    flags = [spec.param_flags for spec in SYSTEMS.values()] if params else []
+    flags += [spec.ic_flags for spec in SYSTEMS.values()] if ics else []
+    for flag in dict.fromkeys(flag for group in flags for flag in group):
+        sub.add_argument(f"--{flag}")
     if n:
         sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--out")
@@ -617,20 +581,19 @@ def _resolve_seed(args) -> Optional[int]:
 def _config_from_args(args) -> RunConfig:
     command = args.command
     system = args.system
+    spec = SYSTEMS[system]
     params = None
     ics = None
     if command in ("iterate", "solve", "reduce", "verify", "check-forbidden"):
-        params = {flag: _rational_arg(args, flag) for flag in _PARAM_FLAGS[system]}
-        ics = {flag: _rational_arg(args, flag) for flag in _IC_FLAGS[system]}
+        params = {flag: _rational_arg(args, flag) for flag in spec.param_flags}
+        ics = {flag: _rational_arg(args, flag) for flag in spec.ic_flags}
     n_max = getattr(args, "n", 0) or 0
-    if command in ("iterate", "solve", "reduce", "verify"):
-        minimum = 1 if system == "A" else 2
-        if n_max < minimum:
-            raise UsageError(f"--n must be >= {minimum} for system {system}")
+    if command in ("iterate", "solve", "reduce", "verify") and n_max < spec.min_n:
+        raise UsageError(f"--n must be >= {spec.min_n} for system {system}")
     case = getattr(args, "case", "auto")
-    valid_tags = CASE_TAGS_A if system == "A" else CASE_TAGS_B
-    if command in ("solve", "verify") and case != "auto" and case not in valid_tags:
-        raise UsageError(f"--case must be 'auto' or one of {', '.join(valid_tags)}")
+    tags = closed_form.CASES[system]
+    if command in ("solve", "verify") and case != "auto" and case not in tags:
+        raise UsageError(f"--case must be 'auto' or one of {', '.join(tags)}")
     seed = _resolve_seed(args)
     if command in ("difftest", "symmetry-check") and seed is None:
         raise UsageError(f"{command} samples randomly; provide --seed or SDE_SEED")
@@ -641,13 +604,11 @@ def _config_from_args(args) -> RunConfig:
         if getattr(args, "c1", None) is not None:
             c1 = _rational_arg(args, "c1")
             c2 = _rational_arg(args, "c2")
-        given = [
-            flag for flag in _PARAM_FLAGS[system] if getattr(args, flag, None) is not None
-        ]
-        if given and len(given) != len(_PARAM_FLAGS[system]):
+        given = [flag for flag in spec.param_flags if getattr(args, flag, None) is not None]
+        if given and len(given) != len(spec.param_flags):
             raise UsageError("give all parameter flags or none for symmetry-check")
         if given:
-            params = {flag: _rational_arg(args, flag) for flag in _PARAM_FLAGS[system]}
+            params = {flag: _rational_arg(args, flag) for flag in spec.param_flags}
         if args.samples < 1 or args.pairs < 1:
             raise UsageError("--samples and --pairs must be positive")
     if command == "check-forbidden" and args.horizon < 0:
@@ -696,7 +657,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return EXIT_SINGULAR, f"error: {exc}\n"
     except (ForbiddenInputError, ZeroInitialError, ZeroInvariantError) as exc:
         return EXIT_FORBIDDEN, f"error: forbidden input: {exc}\n"
-    except (CaseParamError, UsageError) as exc:
+    except (CaseParamError, RetryCapError, UsageError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
 
 

@@ -11,10 +11,12 @@ v[n+2] = v[n]*S[n]/T[n+1] for System A (S[0] = 1/(v0*u1), T[0] =
 1/(u0*v1)), and the same with y in the role of u and x in that of v for
 System B (S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2)).
 The product routes take S and T from the auxiliary closed forms; the
-enumerated parameter cases (a*b != 1, a = 1, b = 1 and a = b = 1 for A;
-a*c != 1, a*c = 1 and all ones for B) substitute them as simplified
-braces.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d
-family for B, collapse to pure powers split by residue mod 4, 2 and 8.
+enumerated parameter cases substitute them as simplified braces: a*b != 1
+(a = 1 and b = 1 are its special values) and a = b = 1 for A, a*c != 1
+and a*c = 1 (all ones is a special value) for B.  The sign-mixed pairs
+and a = b = -1 for A, and the unit-b,d family for B, collapse to pure
+powers split by residue mod 4, 2 and 8.  ``CASES`` holds, per system, each
+tag's predicate and route.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -23,24 +25,13 @@ identifying the first index at which the closed form breaks down.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Optional
 
 from .rational import ONE, format_rational
 from .reduction import closed_ST_a, closed_ST_b
 from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
-
-CASE_TAGS_A = (
-    "Product",
-    "ABneq1",
-    "Aeq1",
-    "Beq1",
-    "Aeq1Bneg1",
-    "Beq1Aneg1",
-    "OnesOnes",
-    "NegNeg",
-)
-
-CASE_TAGS_B = ("Product", "ACneq1", "ACeq1", "UnitBD", "AllOnes")
 
 
 class ForbiddenInputError(ValueError):
@@ -82,84 +73,77 @@ def seeds_b(ics: SystemBInitial) -> tuple[Fraction, Fraction, Fraction, Fraction
 
 
 # ---------------------------------------------------------------------------
-# case predicates and dispatch
+# case tables: per system, tag -> predicate and evaluation route
+
+
+class Case(NamedTuple):
+    """One enumerated parameter case.
+
+    The route is a point formula with its index period (the pure-power
+    cases), braces fed to the shared assembly, or, with neither, the
+    product sweep.  ``fixed`` holds the parameters of a case that admits
+    exactly one choice of them.
+    """
+
+    applies: Callable[[Any], bool]
+    braces: Optional[Callable] = None
+    point: Optional[Callable] = None
+    period: int = 0
+    fixed: Any = None
+
+
+def _pinned(fixed, **route) -> Case:
+    return Case(lambda params: params == fixed, fixed=fixed, **route)
+
+
+def lookup_case(system: str, tag: str) -> Case:
+    """The table entry of a case tag; CaseParamError for an unknown tag."""
+    try:
+        return CASES[system][tag]
+    except KeyError:
+        raise CaseParamError(f"unknown System {system} case tag: {tag!r}") from None
 
 
 def case_a_applies(tag: str, params: SystemAParams) -> bool:
-    a, b = params.a, params.b
-    if tag == "Product":
-        return True
-    if tag == "ABneq1":
-        return a * b != 1
-    if tag == "Aeq1":
-        return a == 1 and b != 1
-    if tag == "Beq1":
-        return b == 1 and a != 1
-    if tag == "Aeq1Bneg1":
-        return a == 1 and b == -1
-    if tag == "Beq1Aneg1":
-        return a == -1 and b == 1
-    if tag == "OnesOnes":
-        return a == 1 and b == 1
-    if tag == "NegNeg":
-        return a == -1 and b == -1
-    raise CaseParamError(f"unknown System A case tag: {tag!r}")
+    return lookup_case("A", tag).applies(params)
 
 
 def case_b_applies(tag: str, params: SystemBParams) -> bool:
-    a, b, c, d = params.a, params.b, params.c, params.d
-    if tag == "Product":
-        return True
-    if tag == "ACneq1":
-        return a * c != 1
-    if tag == "ACeq1":
-        return a * c == 1
-    if tag == "UnitBD":
-        return (a, b, c, d) == (1, 1, -1, 1)
-    if tag == "AllOnes":
-        return a == b == c == d == 1
-    raise CaseParamError(f"unknown System B case tag: {tag!r}")
+    return lookup_case("B", tag).applies(params)
 
 
 # most specific first; the scan order makes auto selection deterministic
-_AUTO_ORDER_A = (
-    "OnesOnes",
-    "NegNeg",
-    "Aeq1Bneg1",
-    "Beq1Aneg1",
-    "Aeq1",
-    "Beq1",
-    "ABneq1",
-    "Product",
-)
+# (Product always applies to A; ACeq1/ACneq1 partition the B parameters)
+_AUTO_ORDER = {
+    "A": ("OnesOnes", "NegNeg", "Aeq1Bneg1", "Beq1Aneg1", "Aeq1", "Beq1", "ABneq1", "Product"),
+    "B": ("AllOnes", "UnitBD", "ACeq1", "ACneq1"),
+}
 
-_AUTO_ORDER_B = ("AllOnes", "UnitBD", "ACeq1", "ACneq1")
+
+def auto_case(system: str, params) -> str:
+    """The most specific case tag whose predicate holds for ``params``."""
+    return next(tag for tag in _AUTO_ORDER[system] if CASES[system][tag].applies(params))
 
 
 def auto_case_a(params: SystemAParams) -> str:
-    for tag in _AUTO_ORDER_A:
-        if case_a_applies(tag, params):
-            return tag
-    raise AssertionError("unreachable: Product always applies")
+    return auto_case("A", params)
 
 
 def auto_case_b(params: SystemBParams) -> str:
-    for tag in _AUTO_ORDER_B:
-        if case_b_applies(tag, params):
-            return tag
-    raise AssertionError("unreachable: ACeq1/ACneq1 partition the parameters")
+    return auto_case("B", params)
 
 
-def _validate_case_a(tag: str, params: SystemAParams) -> None:
-    if not case_a_applies(tag, params):
-        a, b = format_rational(params.a), format_rational(params.b)
-        raise CaseParamError(f"case {tag} is inconsistent with a={a}, b={b}")
-
-
-def _validate_case_b(tag: str, params: SystemBParams) -> None:
-    if not case_b_applies(tag, params):
-        a, b, c, d = (format_rational(v) for v in (params.a, params.b, params.c, params.d))
-        raise CaseParamError(f"case {tag} is inconsistent with a={a}, b={b}, c={c}, d={d}")
+def _validated(system: str, tag: str, params, n_max: int) -> Case:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    case = lookup_case(system, tag)
+    if not case.applies(params):
+        values = ", ".join(
+            f"{field.name}={format_rational(getattr(params, field.name))}"
+            for field in fields(params)
+        )
+        raise CaseParamError(f"case {tag} is inconsistent with {values}")
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +216,17 @@ def _point_sweep(point, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]
     return _unzip(point(ics, n) for n in range(n_max + 1))
 
 
-def _solve_point(point, period: int, ics, n: int) -> tuple[Fraction, Fraction]:
-    """Index n alone.  Every factor of the point formula enters with a
-    positive exponent within the first two periods, so scanning those
-    indices raises the same first ForbiddenInputError as the sweep."""
-    for k in range(min(n, 2 * period)):
-        point(ics, k)
-    return point(ics, n)
+def _solve_index(case, sweep, tag: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
+    """Index n alone: the point formula of a pure-power case, else entry n
+    of the sweep.  Every factor of a point formula enters with a positive
+    exponent within the first two periods, so scanning those indices raises
+    the same first ForbiddenInputError as the sweep."""
+    if case.point is None:
+        first, second = sweep(tag, params, ics, n)
+        return first[n], second[n]
+    for k in range(min(n, 2 * case.period)):
+        case.point(ics, k)
+    return case.point(ics, n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,70 +267,25 @@ def _braces_ab_general(params: SystemAParams, ics: SystemAInitial):
     u1*(1-ab), v1*(1-ab) on the odd branches.
     """
     a, b = params.a, params.b
+    ab = a * b
     p = ics.u0 * ics.v1
     q = ics.v0 * ics.u1
-    ku = 1 - a * b - p * (1 + b)
-    kv = 1 - a * b - q * (1 + a)
+    ku = 1 - ab - p * (1 + b)
+    kv = 1 - ab - q * (1 + a)
 
     def sb(j: int) -> Fraction:
         r, parity = divmod(j, 2)
         if parity == 0:
-            return a**r * b**r * kv + q * (1 + a)
-        return a ** (r + 1) * b**r * ku + p * (1 + a)
+            return ab**r * kv + q * (1 + a)
+        return a * ab**r * ku + p * (1 + a)
 
     def tb(j: int) -> Fraction:
         r, parity = divmod(j, 2)
         if parity == 0:
-            return a**r * b**r * ku + p * (1 + b)
-        return a**r * b ** (r + 1) * kv + q * (1 + b)
+            return ab**r * ku + p * (1 + b)
+        return b * ab**r * kv + q * (1 + b)
 
-    return sb, tb, ics.u1 * (1 - a * b), ics.v1 * (1 - a * b)
-
-
-def _braces_a_unit(params: SystemAParams, ics: SystemAInitial):
-    """a = 1 specialization of the general braces."""
-    b = params.b
-    p = ics.u0 * ics.v1
-    q = ics.v0 * ics.u1
-    ku = 1 - b - p * (1 + b)
-    kv = 1 - b - 2 * q
-
-    def sb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return b**r * kv + 2 * q
-        return b**r * ku + 2 * p
-
-    def tb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return b**r * ku + p * (1 + b)
-        return b ** (r + 1) * kv + q * (1 + b)
-
-    return sb, tb, ics.u1 * (1 - b), ics.v1 * (1 - b)
-
-
-def _braces_b_unit(params: SystemAParams, ics: SystemAInitial):
-    """b = 1 specialization of the general braces."""
-    a = params.a
-    p = ics.u0 * ics.v1
-    q = ics.v0 * ics.u1
-    ju = 1 - a - 2 * p
-    jv = 1 - a - q * (1 + a)
-
-    def sb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return a**r * jv + q * (1 + a)
-        return a ** (r + 1) * ju + p * (1 + a)
-
-    def tb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return a**r * ju + 2 * p
-        return a**r * jv + 2 * q
-
-    return sb, tb, ics.u1 * (1 - a), ics.v1 * (1 - a)
+    return sb, tb, ics.u1 * (1 - ab), ics.v1 * (1 - ab)
 
 
 def _braces_ones(params: SystemAParams, ics: SystemAInitial):
@@ -421,37 +364,37 @@ def _b1_aneg1_point(ics: SystemAInitial, n: int) -> tuple[Fraction, Fraction]:
     return u_val, v_val
 
 
-# pure-power tags: point formula and its index period
-_POINT_A = {
-    "NegNeg": (_negneg_point, 2),
-    "Aeq1Bneg1": (_a1_bneg1_point, 4),
-    "Beq1Aneg1": (_b1_aneg1_point, 4),
+CASES_A = {
+    "Product": Case(lambda params: True),
+    "ABneq1": Case(lambda params: params.a * params.b != 1, braces=_braces_ab_general),
+    # a = 1 and b = 1 are the general braces at that value; their scales
+    # u1*(1 - ab), v1*(1 - ab) stay nonzero because ab != 1
+    "Aeq1": Case(lambda params: params.a == 1 and params.b != 1, braces=_braces_ab_general),
+    "Beq1": Case(lambda params: params.b == 1 and params.a != 1, braces=_braces_ab_general),
+    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), point=_a1_bneg1_point, period=4),
+    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), point=_b1_aneg1_point, period=4),
+    "OnesOnes": _pinned(SystemAParams(1, 1), braces=_braces_ones),
+    "NegNeg": _pinned(SystemAParams(-1, -1), point=_negneg_point, period=2),
 }
 
-_BRACES_A = {
-    "ABneq1": _braces_ab_general,
-    "Aeq1": _braces_a_unit,
-    "Beq1": _braces_b_unit,
-    "OnesOnes": _braces_ones,
-}
+CASE_TAGS_A = tuple(CASES_A)
 
 
-def _check_case_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _validate_case_a(tag, params)
+def _check_case_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int) -> Case:
+    case = _validated("A", tag, params, n_max)
     _require_nonzero_ics_a(ics)
+    return case
 
 
 def solve_a_case_sweep(
     tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    _check_case_a(tag, params, ics, n_max)
-    if tag == "Product":
+    case = _check_case_a(tag, params, ics, n_max)
+    if case.point is not None:
+        return _point_sweep(case.point, ics, n_max)
+    if case.braces is None:
         return solve_a_product_sweep(params, ics, n_max)
-    if tag in _POINT_A:
-        return _point_sweep(_POINT_A[tag][0], ics, n_max)
-    sb_fn, tb_fn, cu, cv = _BRACES_A[tag](params, ics)
+    sb_fn, tb_fn, cu, cv = case.braces(params, ics)
     sb = [sb_fn(j) for j in range(n_max)]
     tb = [tb_fn(j) for j in range(n_max)]
     return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
@@ -460,11 +403,8 @@ def solve_a_case_sweep(
 def solve_a_case(
     tag: str, params: SystemAParams, ics: SystemAInitial, n: int
 ) -> tuple[Fraction, Fraction]:
-    if tag in _POINT_A:
-        _check_case_a(tag, params, ics, n)
-        return _solve_point(*_POINT_A[tag], ics, n)
-    us, vs = solve_a_case_sweep(tag, params, ics, n)
-    return us[n], vs[n]
+    case = _check_case_a(tag, params, ics, n)
+    return _solve_index(case, solve_a_case_sweep, tag, params, ics, n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +488,6 @@ def _braces_b_ac_unit(params: SystemBParams, ics: SystemBInitial):
             return 1 + t * (b + a * d) * r
         seed = p if residue == 2 else s
         return a + seed * (b * (r + 1) + a * d * r)
-
-    return sb, tb, ONE
-
-
-def _braces_b_all_ones(params: SystemBParams, ics: SystemBInitial):
-    """a = b = c = d = 1."""
-    p = ics.x0 * ics.y1
-    q = ics.y0 * ics.x1
-    s = ics.x1 * ics.y2
-    t = ics.y1 * ics.x2
-
-    def sb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        return (1 + 2 * r * p, 1 + 2 * r * s, 1 + (2 * r + 1) * q, 1 + (2 * r + 1) * t)[
-            residue
-        ]
-
-    def tb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        return (1 + 2 * r * q, 1 + 2 * r * t, 1 + (2 * r + 1) * p, 1 + (2 * r + 1) * s)[
-            residue
-        ]
 
     return sb, tb, ONE
 
@@ -691,35 +609,38 @@ def _unit_bd_point(ics: SystemBInitial, n: int) -> tuple[Fraction, Fraction]:
     return x_val, y_val
 
 
-_POINT_B = {"UnitBD": (_unit_bd_point, 8)}
-
-_BRACES_B = {
-    "ACneq1": _braces_b_ac_general,
-    "ACeq1": _braces_b_ac_unit,
-    "AllOnes": _braces_b_all_ones,
+CASES_B = {
+    "Product": Case(lambda params: True),
+    "ACneq1": Case(lambda params: params.a * params.c != 1, braces=_braces_b_ac_general),
+    "ACeq1": Case(lambda params: params.a * params.c == 1, braces=_braces_b_ac_unit),
+    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), point=_unit_bd_point, period=8),
+    # all ones is the a*c = 1 braces at a = b = c = d = 1
+    "AllOnes": _pinned(SystemBParams(1, 1, 1, 1), braces=_braces_b_ac_unit),
 }
+
+CASE_TAGS_B = tuple(CASES_B)
+
+CASES = {"A": CASES_A, "B": CASES_B}
 
 
 def _check_case_b(
     tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _validate_case_b(tag, params)
-    return seeds_b(ics)  # rejects zero seed products up front
+) -> tuple[Case, tuple[Fraction, Fraction, Fraction, Fraction]]:
+    case = _validated("B", tag, params, n_max)
+    return case, seeds_b(ics)  # rejects zero seed products up front
 
 
 def solve_b_case_sweep(
     tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    s0, s1, t0, t1 = _check_case_b(tag, params, ics, n_max)
-    if tag in _POINT_B:
-        return _point_sweep(_POINT_B[tag][0], ics, n_max)
-    if tag == "Product":
+    case, (s0, s1, t0, t1) = _check_case_b(tag, params, ics, n_max)
+    if case.point is not None:
+        return _point_sweep(case.point, ics, n_max)
+    if case.braces is None:
         # the product sweep's auxiliary values; only the tie order differs
         sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
     else:
-        sb_fn, tb_fn, odd_factor = _BRACES_B[tag](params, ics)
+        sb_fn, tb_fn, odd_factor = case.braces(params, ics)
         # brace j is odd_factor * seed * S[j] with seeds (p, s, q, t) for S
         # and (q, t, p, s) for T; dividing that scale out leaves S[j], T[j]
         s_unscale = [seed / odd_factor for seed in (s0, s1, t0, t1)]
@@ -732,8 +653,5 @@ def solve_b_case_sweep(
 def solve_b_case(
     tag: str, params: SystemBParams, ics: SystemBInitial, n: int
 ) -> tuple[Fraction, Fraction]:
-    if tag in _POINT_B:
-        _check_case_b(tag, params, ics, n)
-        return _solve_point(*_POINT_B[tag], ics, n)
-    xs, ys = solve_b_case_sweep(tag, params, ics, n)
-    return xs[n], ys[n]
+    case = _check_case_b(tag, params, ics, n)[0]
+    return _solve_index(case, solve_b_case_sweep, tag, params, ics, n)

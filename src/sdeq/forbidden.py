@@ -14,8 +14,9 @@ restriction family by direct exact comparison for each r up to the
 horizon; ``predict_vs_observe`` closes the loop against the iterator.
 
 Zero invariant products (for System A, a zero among u0*v1, v0*u1) make the
-closed forms inadmissible without forcing any iteration singularity; they
-are reported as their own violations with no predicted step.
+closed forms inadmissible; they are reported as their own violations with
+no predicted step.  ``predict_vs_observe`` then predicts from the invariant
+map itself, which stays defined on zero products.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .systems import (
     SystemAParams,
     SystemBInitial,
     SystemBParams,
-    Trajectory,
     iterate_a,
     iterate_b,
 )
@@ -62,22 +62,27 @@ class PredictVerdict:
     details: Optional[dict] = None
 
 
-def _scan(S, T, horizon: int, period: int, ids_s, ids_t) -> ForbiddenReport:
-    violated: list[Violation] = []
+def _check(params, products, horizon: int, solve_linear, residues) -> ForbiddenReport:
+    """Zero seed products by name; else the restriction families S_<residue>
+    and T_<residue>, with residues naming the index classes of one period,
+    evaluated from the linear recursion seeded with the reciprocal products."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    violated = [Violation(name, 0) for name, value in products if value == 0]
+    if violated:
+        return ForbiddenReport(tuple(violated), None)
+    period = len(residues)
+    seeds = (1 / value for _, value in products)
+    lin = solve_linear(params, *seeds, period * horizon + period - 1)
     predicted: Optional[int] = None
     for r in range(horizon + 1):
-        for offset in range(period):
+        for offset, residue in enumerate(residues):
             m = period * r + offset
-            if m >= len(S):
-                break
-            if S[m] == 0:
-                violated.append(Violation(ids_s[offset], r))
-                if predicted is None or m + 1 < predicted:
-                    predicted = m + 1
-            if T[m] == 0:
-                violated.append(Violation(ids_t[offset], r))
-                if predicted is None or m + 1 < predicted:
-                    predicted = m + 1
+            for side, values in (("S", lin.S), ("T", lin.T)):
+                if values[m] == 0:
+                    violated.append(Violation(f"{side}_{residue}", r))
+                    if predicted is None:
+                        predicted = m + 1
     return ForbiddenReport(tuple(violated), predicted)
 
 
@@ -86,19 +91,8 @@ def check_forbidden_a(
 ) -> ForbiddenReport:
     """Evaluate the four restriction families (S and T, even and odd
     indices) for every r <= horizon; flag zero seed products separately."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    violated: list[Violation] = []
-    if ics.v0 * ics.u1 == 0:
-        violated.append(Violation("w0_zero", 0))
-    if ics.u0 * ics.v1 == 0:
-        violated.append(Violation("z0_zero", 0))
-    if violated:
-        return ForbiddenReport(tuple(violated), None)
-    s_seed = 1 / (ics.v0 * ics.u1)
-    t_seed = 1 / (ics.u0 * ics.v1)
-    lin = solve_linear_a(params, s_seed, t_seed, 2 * horizon + 1)
-    return _scan(lin.S, lin.T, horizon, 2, ("S_even", "S_odd"), ("T_even", "T_odd"))
+    products = (("w0_zero", ics.v0 * ics.u1), ("z0_zero", ics.u0 * ics.v1))
+    return _check(params, products, horizon, solve_linear_a, ("even", "odd"))
 
 
 def check_forbidden_b(
@@ -106,40 +100,32 @@ def check_forbidden_b(
 ) -> ForbiddenReport:
     """Evaluate the eight mod-4 restriction families for every r <= horizon
     plus the four nonzero-product admissibility conditions."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    violated: list[Violation] = []
     products = (
         ("w0_zero", ics.x0 * ics.y1),
         ("w1_zero", ics.x1 * ics.y2),
         ("z0_zero", ics.y0 * ics.x1),
         ("z1_zero", ics.y1 * ics.x2),
     )
-    for name, value in products:
-        if value == 0:
-            violated.append(Violation(name, 0))
-    if violated:
-        return ForbiddenReport(tuple(violated), None)
-    lin = solve_linear_b(
-        params,
-        1 / products[0][1],
-        1 / products[1][1],
-        1 / products[2][1],
-        1 / products[3][1],
-        4 * horizon + 3,
-    )
-    return _scan(
-        lin.S,
-        lin.T,
-        horizon,
-        4,
-        ("S_mod4_0", "S_mod4_1", "S_mod4_2", "S_mod4_3"),
-        ("T_mod4_0", "T_mod4_1", "T_mod4_2", "T_mod4_3"),
-    )
+    residues = ("mod4_0", "mod4_1", "mod4_2", "mod4_3")
+    return _check(params, products, horizon, solve_linear_b, residues)
 
 
-def _observe(trajectory: Trajectory) -> Optional[int]:
-    return None if trajectory.singular is None else trajectory.singular.step
+def _invariant_map_step_a(params: SystemAParams, ics: SystemAInitial, n_max: int):
+    """First singular step of System A by the invariant map
+    w[n+1] = z[n]/(a + z[n]), z[n+1] = w[n]/(b + w[n]) from w[0] = v0*u1,
+    z[0] = u0*v1: the denominators of u[n+2] and v[n+2] are a + z[n] and
+    b + w[n], so step n + 2 is singular iff one of them vanishes."""
+    a, b = params.a, params.b
+    w, z = ics.v0 * ics.u1, ics.u0 * ics.v1
+    for n in range(n_max - 1):
+        if a + z == 0 or b + w == 0:
+            return n + 2
+        w, z = z / (a + z), w / (b + w)
+    return None
+
+
+# per system: restriction check, iterator, index period, minimum n_max
+_PREDICT = {"A": (check_forbidden_a, iterate_a, 2, 1), "B": (check_forbidden_b, iterate_b, 4, 2)}
 
 
 def predict_vs_observe(
@@ -150,29 +136,25 @@ def predict_vs_observe(
 ) -> PredictVerdict:
     """Compare the restriction-based singularity prediction with iteration.
 
-    System B (and the System A prediction machinery) requires nonzero seed
-    products.  For a System A input with a zero seed product no prediction
-    exists; the verdict is agree-regular when iteration stays regular and a
-    mismatch (the restrictions are silent) when it does not.
+    The restrictions need nonzero seed products.  A System A input with a
+    zero seed product is predicted from the invariant map instead; System B
+    rejects zero initial components outright.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if system == "A":
-        horizon = max(0, (n_max - 1) // 2)
-        report = check_forbidden_a(params, ics, horizon)
-        trajectory = iterate_a(params, ics, n_max)
-    elif system == "B":
-        if n_max < 2:
-            raise ValueError("n_max must be >= 2 for System B")
-        horizon = max(0, (n_max - 1) // 4)
-        report = check_forbidden_b(params, ics, horizon)
-        trajectory = iterate_b(params, ics, n_max)  # rejects zero initials
-    else:
+    if system not in _PREDICT:
         raise ValueError(f"unknown system {system!r}")
+    check, iterate, period, min_n = _PREDICT[system]
+    if n_max < min_n:
+        raise ValueError(f"n_max must be >= {min_n} for System {system}")
+    report = check(params, ics, max(0, (n_max - 1) // period))
+    trajectory = iterate(params, ics, n_max)  # System B rejects zero initials
     predicted = report.predicted_singular_step
+    if system == "A" and report.closed_form_inadmissible:
+        predicted = _invariant_map_step_a(params, ics, n_max)
     if predicted is not None and predicted > n_max:
         predicted = None  # not reachable within the queried horizon
-    observed = _observe(trajectory)
+    observed = None if trajectory.singular is None else trajectory.singular.step
     if predicted == observed:
         if observed is None:
             return PredictVerdict("agree-regular")

@@ -63,33 +63,36 @@ _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
 
 
+# _POW2[k] = 2**(_FORMAT_LEAF_BITS << k), exact, filled on demand: split
+# widths are _FORMAT_LEAF_BITS times a power of two and halve exactly, so
+# every conversion shares these powers.  Each entry depends only on k, so
+# concurrent fills agree.
+_POW2: dict[int, decimal.Decimal] = {}
+
+
 def _int_to_digits(n: int) -> str:
     if n.bit_length() < _FORMAT_SPLIT_BITS:
         return str(n)
-    powers: dict[int, decimal.Decimal] = {}
 
-    def pow2(width: int) -> decimal.Decimal:
-        if width not in powers:
-            if width <= _FORMAT_LEAF_BITS:
-                powers[width] = decimal.Decimal(2) ** width
-            else:
-                powers[width] = pow2(width >> 1) * pow2(width - (width >> 1))
-        return powers[width]
-
-    def convert(value: int, width: int) -> decimal.Decimal:
-        # value < 2**width; value = high * 2**half + low
-        if width <= _FORMAT_LEAF_BITS:
+    def convert(value: int, level: int) -> decimal.Decimal:
+        # value < 2**(_FORMAT_LEAF_BITS << level); value = high * 2**half + low
+        if level == 0:
             return decimal.Decimal(value)
-        half = width >> 1
+        half = _FORMAT_LEAF_BITS << (level - 1)
         high = value >> half
         low = value - (high << half)
-        return convert(high, width - half) * pow2(half) + convert(low, half)
+        return convert(high, level - 1) * _POW2[level - 1] + convert(low, level - 1)
 
+    leaves = -(-n.bit_length() // _FORMAT_LEAF_BITS)
+    level = (leaves - 1).bit_length()
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), n.bit_length()))
+        for k in range(level):
+            if k not in _POW2:
+                _POW2[k] = _POW2[k - 1] ** 2 if k else decimal.Decimal(2) ** _FORMAT_LEAF_BITS
+        digits = str(convert(abs(n), level))
     return "-" + digits if n < 0 else digits
 
 

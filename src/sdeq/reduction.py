@@ -63,22 +63,23 @@ def _require_regular(trajectory: Trajectory, min_len: int) -> None:
         raise ValueError(f"trajectory too short: need at least {min_len} entries")
 
 
+def _invariants(trajectory: Trajectory, lead, trail) -> InvariantSeq:
+    """w[n] = lead[n]*trail[n+1], z[n] = trail[n]*lead[n+1] for n = 0..N-1,
+    where lead and trail are the trajectory's two components."""
+    _require_regular(trajectory, 2)
+    w = tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
+    z = tuple(trail[n] * lead[n + 1] for n in range(len(lead) - 1))
+    return InvariantSeq(w, z)
+
+
 def invariants_a(trajectory: Trajectory) -> InvariantSeq:
     """w[n] = v[n]*u[n+1], z[n] = u[n]*v[n+1] for n = 0..N-1."""
-    _require_regular(trajectory, 2)
-    u, v = trajectory.first, trajectory.second
-    w = tuple(v[n] * u[n + 1] for n in range(len(u) - 1))
-    z = tuple(u[n] * v[n + 1] for n in range(len(u) - 1))
-    return InvariantSeq(w, z)
+    return _invariants(trajectory, trajectory.second, trajectory.first)
 
 
 def invariants_b(trajectory: Trajectory) -> InvariantSeq:
     """w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1] for n = 0..N-1."""
-    _require_regular(trajectory, 2)
-    x, y = trajectory.first, trajectory.second
-    w = tuple(x[n] * y[n + 1] for n in range(len(x) - 1))
-    z = tuple(y[n] * x[n + 1] for n in range(len(x) - 1))
-    return InvariantSeq(w, z)
+    return _invariants(trajectory, trajectory.first, trajectory.second)
 
 
 def linearize(invariants: InvariantSeq) -> LinearSeq:
@@ -200,38 +201,35 @@ def closed_ST_b(
     return s_val, t_val
 
 
-def reconstruct_a(lin: LinearSeq, u0: Fraction, v0: Fraction) -> Trajectory:
-    """Rebuild a System A orbit from its auxiliary pair and (u0, v0) via
-    u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n])."""
-    u = [rat(u0)]
-    v = [rat(v0)]
+def _reconstruct(
+    labels: tuple[str, str], lin: LinearSeq, s_feeds_first: bool, first0, second0
+) -> Trajectory:
+    """first[n+1] = 1/(F[n]*second[n]), second[n+1] = 1/(G[n]*first[n]) with
+    (F, G) = (S, T) when ``s_feeds_first``, else (T, S).  Zero divisors are
+    reported in the order S, T, first, second."""
+    first = [rat(first0)]
+    second = [rat(second0)]
     for n, (s_val, t_val) in enumerate(zip(lin.S, lin.T)):
         if s_val == 0:
             raise ZeroDivisorError("S", n)
         if t_val == 0:
             raise ZeroDivisorError("T", n)
-        if u[n] == 0:
-            raise ZeroDivisorError("u", n)
-        if v[n] == 0:
-            raise ZeroDivisorError("v", n)
-        u.append(1 / (s_val * v[n]))
-        v.append(1 / (t_val * u[n]))
-    return Trajectory(("u", "v"), tuple(u), tuple(v))
+        if first[n] == 0:
+            raise ZeroDivisorError(labels[0], n)
+        if second[n] == 0:
+            raise ZeroDivisorError(labels[1], n)
+        f_val, g_val = (s_val, t_val) if s_feeds_first else (t_val, s_val)
+        first.append(1 / (f_val * second[n]))
+        second.append(1 / (g_val * first[n]))
+    return Trajectory(labels, tuple(first), tuple(second))
+
+
+def reconstruct_a(lin: LinearSeq, u0: Fraction, v0: Fraction) -> Trajectory:
+    """Rebuild a System A orbit from its auxiliary pair and (u0, v0) via
+    u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n])."""
+    return _reconstruct(("u", "v"), lin, True, u0, v0)
 
 
 def reconstruct_b(lin: LinearSeq, x0: Fraction, y0: Fraction) -> Trajectory:
     """System B analogue: x[n+1] = 1/(T[n]*y[n]), y[n+1] = 1/(S[n]*x[n])."""
-    x = [rat(x0)]
-    y = [rat(y0)]
-    for n, (s_val, t_val) in enumerate(zip(lin.S, lin.T)):
-        if s_val == 0:
-            raise ZeroDivisorError("S", n)
-        if t_val == 0:
-            raise ZeroDivisorError("T", n)
-        if x[n] == 0:
-            raise ZeroDivisorError("x", n)
-        if y[n] == 0:
-            raise ZeroDivisorError("y", n)
-        x.append(1 / (t_val * y[n]))
-        y.append(1 / (s_val * x[n]))
-    return Trajectory(("x", "y"), tuple(x), tuple(y))
+    return _reconstruct(("x", "y"), lin, False, x0, y0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .closed_form import case_a_applies, case_b_applies
+from .closed_form import lookup_case
 from .forbidden import check_forbidden_a, check_forbidden_b
 from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
@@ -24,6 +24,10 @@ DISTRIBUTION_NOTE = (
 )
 
 
+class RetryCapError(RuntimeError):
+    """Every draw up to the retry cap violated its constraint."""
+
+
 def draw_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -33,7 +37,7 @@ def draw_nonzero(rng: random.Random) -> Fraction:
         value = draw_rational(rng)
         if value != 0:
             return value
-    raise RuntimeError("retry cap exhausted drawing a nonzero rational")
+    raise RetryCapError("retry cap exhausted drawing a nonzero rational")
 
 
 def draw_ics_a(rng: random.Random) -> SystemAInitial:
@@ -53,65 +57,78 @@ def draw_params_b(rng: random.Random) -> SystemBParams:
     return SystemBParams(*(draw_rational(rng) for _ in range(4)))
 
 
-def draw_params_a_for_case(rng: random.Random, tag: str) -> SystemAParams:
-    """Parameters on which the given System A case formula is valid."""
-    fixed = {
-        "OnesOnes": SystemAParams(1, 1),
-        "NegNeg": SystemAParams(-1, -1),
-        "Aeq1Bneg1": SystemAParams(1, -1),
-        "Beq1Aneg1": SystemAParams(-1, 1),
-    }
-    if tag in fixed:
-        return fixed[tag]
+def _draw_ac_unit(rng: random.Random) -> SystemBParams:
+    a = draw_nonzero(rng)
+    return SystemBParams(a, draw_rational(rng), 1 / a, draw_rational(rng))
+
+
+# per system: the full parameter draw, the draws of the cases that pin some
+# parameters, the initial-condition draw, the name of the restriction check
+# and the index period that turns n_max into its horizon
+_SYSTEMS = {
+    "A": (
+        draw_params_a,
+        {
+            "Aeq1": lambda rng: SystemAParams(1, draw_rational(rng)),
+            "Beq1": lambda rng: SystemAParams(draw_rational(rng), 1),
+        },
+        draw_ics_a,
+        "check_forbidden_a",
+        2,
+    ),
+    "B": (draw_params_b, {"ACeq1": _draw_ac_unit}, draw_ics_b, "check_forbidden_b", 4),
+}
+
+
+def draw_params(rng: random.Random, system: str, tag: str | None = None):
+    """Parameters of ``system``; with a case tag, parameters on which that
+    case's formula is valid: its fixed ones, or draws redrawn until its
+    predicate holds."""
+    draw_all, pinned, *_ = _SYSTEMS[system]
+    if tag is None:
+        return draw_all(rng)
+    case = lookup_case(system, tag)
+    if case.fixed is not None:
+        return case.fixed
     for _ in range(RETRY_CAP):
-        if tag == "Aeq1":
-            params = SystemAParams(1, draw_rational(rng))
-        elif tag == "Beq1":
-            params = SystemAParams(draw_rational(rng), 1)
-        else:  # ABneq1 or Product
-            params = draw_params_a(rng)
-        if case_a_applies(tag, params):
+        params = pinned.get(tag, draw_all)(rng)
+        if case.applies(params):
             return params
-    raise RuntimeError(f"retry cap exhausted drawing parameters for case {tag}")
+    raise RetryCapError(f"retry cap exhausted drawing parameters for case {tag}")
+
+
+def draw_params_a_for_case(rng: random.Random, tag: str) -> SystemAParams:
+    return draw_params(rng, "A", tag)
 
 
 def draw_params_b_for_case(rng: random.Random, tag: str) -> SystemBParams:
-    """Parameters on which the given System B case formula is valid."""
-    if tag == "AllOnes":
-        return SystemBParams(1, 1, 1, 1)
-    if tag == "UnitBD":
-        return SystemBParams(1, 1, -1, 1)
-    for _ in range(RETRY_CAP):
-        if tag == "ACeq1":
-            a = draw_nonzero(rng)
-            params = SystemBParams(a, draw_rational(rng), 1 / a, draw_rational(rng))
-        else:  # ACneq1 or Product
-            params = draw_params_b(rng)
-        if case_b_applies(tag, params):
-            return params
-    raise RuntimeError(f"retry cap exhausted drawing parameters for case {tag}")
+    return draw_params(rng, "B", tag)
+
+
+def draw_admissible(rng: random.Random, system: str, n_max: int, tag: str | None = None):
+    """(params, ics, skipped): an input whose restriction check is clean up
+    to n_max, and how many draws before it were not."""
+    _, _, draw_ics, check_name, period = _SYSTEMS[system]
+    # looked up at call time, so a substituted check (a counting wrapper, a
+    # test double) is the one that runs
+    check = globals()[check_name]
+    horizon = max(0, (n_max - 1) // period)
+    for skipped in range(RETRY_CAP):
+        params = draw_params(rng, system, tag)
+        ics = draw_ics(rng)
+        if check(params, ics, horizon).clean:
+            return params, ics, skipped
+    raise RetryCapError(f"retry cap exhausted drawing admissible System {system} input")
 
 
 def draw_admissible_a(
     rng: random.Random, n_max: int, tag: str | None = None
 ) -> tuple[SystemAParams, SystemAInitial]:
     """A (params, ics) pair whose restriction check is clean up to n_max."""
-    horizon = max(0, (n_max - 1) // 2)
-    for _ in range(RETRY_CAP):
-        params = draw_params_a(rng) if tag is None else draw_params_a_for_case(rng, tag)
-        ics = draw_ics_a(rng)
-        if check_forbidden_a(params, ics, horizon).clean:
-            return params, ics
-    raise RuntimeError("retry cap exhausted drawing admissible System A input")
+    return draw_admissible(rng, "A", n_max, tag)[:2]
 
 
 def draw_admissible_b(
     rng: random.Random, n_max: int, tag: str | None = None
 ) -> tuple[SystemBParams, SystemBInitial]:
-    horizon = max(0, (n_max - 1) // 4)
-    for _ in range(RETRY_CAP):
-        params = draw_params_b(rng) if tag is None else draw_params_b_for_case(rng, tag)
-        ics = draw_ics_b(rng)
-        if check_forbidden_b(params, ics, horizon).clean:
-            return params, ics
-    raise RuntimeError("retry cap exhausted drawing admissible System B input")
+    return draw_admissible(rng, "B", n_max, tag)[:2]

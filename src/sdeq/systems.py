@@ -18,59 +18,50 @@ sit at negative indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .rational import rat
 
 
-def _coerce(obj, fields: tuple[str, ...]) -> None:
-    for name in fields:
-        object.__setattr__(obj, name, rat(getattr(obj, name)))
+class _Exact:
+    """Base of the frozen input records: every field becomes an exact rational."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, rat(getattr(self, field.name)))
 
 
 @dataclass(frozen=True)
-class SystemAParams:
+class SystemAParams(_Exact):
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        _coerce(self, ("a", "b"))
-
 
 @dataclass(frozen=True)
-class SystemBParams:
+class SystemBParams(_Exact):
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        _coerce(self, ("a", "b", "c", "d"))
-
 
 @dataclass(frozen=True)
-class SystemAInitial:
+class SystemAInitial(_Exact):
     u0: Fraction
     u1: Fraction
     v0: Fraction
     v1: Fraction
 
-    def __post_init__(self):
-        _coerce(self, ("u0", "u1", "v0", "v1"))
-
 
 @dataclass(frozen=True)
-class SystemBInitial:
+class SystemBInitial(_Exact):
     x0: Fraction
     x1: Fraction
     x2: Fraction
     y0: Fraction
     y1: Fraction
     y2: Fraction
-
-    def __post_init__(self):
-        _coerce(self, ("x0", "x1", "x2", "y0", "y1", "y2"))
 
 
 @dataclass(frozen=True)

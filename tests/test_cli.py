@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdeq import cli
+from sdeq import cli, closed_form, sampling, systems
 from sdeq.cli import main
 from sdeq.rational import parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
@@ -326,7 +326,7 @@ def test_difftest_retry_cap_exits_1(capsys, monkeypatch):
     def never_clean(params, ics, horizon):
         return SimpleNamespace(clean=False)
 
-    monkeypatch.setattr(cli, "check_forbidden_a", never_clean)
+    monkeypatch.setattr(sampling, "check_forbidden_a", never_clean)
     code, out, err = run_cli(
         capsys, ["difftest", "--system", "A", "--trials", "1", "--n", "5", "--seed", "1"]
     )
@@ -342,3 +342,118 @@ def test_pure_power_point_solve_reports_first_break(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert "breaks closed form at index 2" in err
+
+
+# The mismatch payloads below are forced with a wrong auxiliary closed form
+# (the product route reads it) or with an iterator that reports every orbit
+# singular; both substitutions act where the library looks the names up.
+
+
+def _wrong_st_a(monkeypatch):
+    real = closed_form.closed_ST_a
+
+    def wrong(params, s0, t0, j):
+        s, t = real(params, s0, t0, j)
+        return (s + 1, t) if j == 3 else (s, t)
+
+    monkeypatch.setattr(closed_form, "closed_ST_a", wrong)
+
+
+def test_verify_mismatch_payload(capsys, monkeypatch):
+    _wrong_st_a(monkeypatch)
+    argv = [
+        "verify", "--system", "A", "--a", "2", "--b", "3",
+        "--u0", "1", "--u1", "2", "--v0", "3", "--v1", "1/2", "--n", "6",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (4, "")
+    payload = json.loads(out)
+    assert (payload["case"], payload["checked"], payload["equal"]) == ("ABneq1", 14, False)
+    assert payload["first_mismatch"] == {
+        "route": "product",
+        "n": 4,
+        "component": "first",
+        "closed_form": "16/85",
+        "iterated": "32/165",
+    }
+
+
+DISTRIBUTION = (
+    "numerators uniform in [-9, 9], denominators uniform in [1, 9]; "
+    "redraw on constraint violation (retry cap 1000)"
+)
+
+
+def test_difftest_value_mismatch_payload(monkeypatch):
+    _wrong_st_a(monkeypatch)
+    assert cli.difftest("A", 3, 6, 5) == {
+        "schema_version": 1,
+        "command": "difftest",
+        "system": "A",
+        "trials": 3,
+        "N": 6,
+        "seed": 5,
+        "distribution": DISTRIBUTION,
+        "strata": {"general": 3},
+        "skipped_draws": 0,
+        "comparisons": 42,
+        "failures": 9,
+        "first_counterexample": {
+            "kind": "value-mismatch",
+            "route": "product",
+            "params": {"a": "-1/6", "b": "7"},
+            "ics": {"u0": "5/4", "u1": "-8/3", "v0": "-1", "v1": "3/2"},
+            "n": 4,
+            "closed_first": "3735/533",
+            "closed_second": "-57/5249",
+            "iterated_first": "-29880/1271",
+            "iterated_second": "-57/5249",
+        },
+    }
+
+
+def test_difftest_value_mismatch_payload_b(monkeypatch):
+    real = closed_form.closed_ST_b
+
+    def wrong(params, s0, s1, t0, t1, j):
+        s, t = real(params, s0, s1, t0, t1, j)
+        return (s, 2 * t) if j == 2 else (s, t)
+
+    monkeypatch.setattr(closed_form, "closed_ST_b", wrong)
+    report = cli.difftest("B", 4, 5, 3)
+    assert report["strata"] == {"ac-unit": 1, "all-ones": 1, "general": 1, "unit-bd": 1}
+    assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 12)
+    assert report["first_counterexample"] == {
+        "kind": "value-mismatch",
+        "route": "product",
+        "params": {"a": "-2/9", "b": "-5/6", "c": "3", "d": "-9/8"},
+        "ics": {"x0": "-1/9", "x1": "-1/2", "x2": "2/3", "y0": "1", "y1": "1", "y2": "-2/3"},
+        "n": 3,
+        "closed_first": "-9/14",
+        "closed_second": "-4/19",
+        "iterated_first": "-9/7",
+        "iterated_second": "-4/19",
+    }
+
+
+def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
+    real = systems.Trajectory
+
+    def always_singular(labels, first, second, singular=None, origin=0):
+        forced = singular or systems.Singularity(4, "second", "forced")
+        return real(labels, first, second, forced, origin)
+
+    monkeypatch.setattr(systems, "Trajectory", always_singular)
+    report = cli.difftest("A", 3, 6, 5)
+    assert (report["comparisons"], report["failures"]) == (0, 3)
+    assert report["first_counterexample"] == {
+        "kind": "unexpected-singularity",
+        "params": {"a": "-1/6", "b": "7"},
+        "ics": {"u0": "5/4", "u1": "-8/3", "v0": "-1", "v1": "3/2"},
+        "step": 4,
+    }
+    code, out, _ = run_cli(
+        capsys, ["difftest", "--system", "A", "--trials", "3", "--n", "6", "--seed", "5"]
+    )
+    assert code == 4
+    assert json.loads(out) == report

@@ -8,7 +8,7 @@ from sdeq.forbidden import (
     check_forbidden_b,
     predict_vs_observe,
 )
-from sdeq.sampling import draw_ics_a, draw_ics_b, draw_params_a, draw_params_b
+from sdeq.sampling import draw_ics_a, draw_ics_b, draw_params_a, draw_params_b, draw_rational
 from sdeq.systems import (
     SystemAInitial,
     SystemAParams,
@@ -122,6 +122,22 @@ def test_predict_vs_observe_soundness_sample():
         if verdict.kind == "agree-singular":
             singular_seen += 1
     assert singular_seen > 0
+
+
+def test_predict_vs_observe_zero_initials():
+    # zero components are allowed: a zero seed product leaves the
+    # restrictions silent, and the prediction comes from the invariant map
+    rng = random.Random(302)
+    zero_seen = singular_with_zero = 0
+    for _ in range(20_000):
+        params = SystemAParams(draw_rational(rng), draw_rational(rng))
+        ics = SystemAInitial(*(draw_rational(rng) for _ in range(4)))
+        verdict = predict_vs_observe("A", params, ics, 12)
+        assert verdict.kind != "mismatch", verdict.details
+        if 0 in (ics.u0, ics.u1, ics.v0, ics.v1):
+            zero_seen += 1
+            singular_with_zero += verdict.kind == "agree-singular"
+    assert zero_seen > 1000 and singular_with_zero > 100
 
 
 def test_predict_vs_observe_validation():
