@@ -35,6 +35,7 @@ from .rational import (
     ExactScalar,
     alternating_sign,
     format_rational,
+    format_sequence,
     geometric_sum,
     parity_selectors,
     parse_rational,

@@ -11,8 +11,6 @@ regularity was required, 3 forbidden input, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import random
@@ -24,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import closed_form, forbidden, reduction, sampling, symmetry, systems
 from .closed_form import CaseParamError, ForbiddenInputError
-from .rational import format_rational, parse_rational
+from .rational import format_rational, format_sequence, parse_rational
 from .reduction import ZeroInvariantError, linearize
 from .sampling import DISTRIBUTION_NOTE, RETRY_CAP, RetryCapError, draw_nonzero
 from .symmetry import Characteristic
@@ -137,16 +135,11 @@ def _jdump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _lits(values) -> list[str]:
-    return [format_rational(v) for v in values]
+def _csv_table(header: list[str], columns) -> str:
+    # every field is an index, a case tag or a rational literal, none of
+    # which needs quoting, so a plain join writes what csv.writer would
+    rows = zip(*columns)
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _lit_map(values: dict) -> dict:
@@ -173,18 +166,19 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
     trajectory = SYSTEMS[config.system].iterate(params, ics, config.n_max)
     if config.fmt == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
-        rows = [
-            [str(n), format_rational(trajectory.first[n]), format_rational(trajectory.second[n])]
-            for n in range(len(trajectory))
+        columns = [
+            map(str, range(len(trajectory))),
+            format_sequence(trajectory.first),
+            format_sequence(trajectory.second),
         ]
-        return EXIT_OK, _csv_table(header, rows)
+        return EXIT_OK, _csv_table(header, columns)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n_max,
-        "first": _lits(trajectory.first),
-        "second": _lits(trajectory.second),
+        "first": format_sequence(trajectory.first),
+        "second": format_sequence(trajectory.second),
         "singular": _singular_json(trajectory),
     }
     return EXIT_OK, _jdump(payload)
@@ -205,20 +199,16 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
         indices = range(config.n_max + 1)
     else:
         point = spec.case_point(tag, params, ics, config.n_max)
-        first, second = {config.n_max: point[0]}, {config.n_max: point[1]}
+        first, second = [point[0]], [point[1]]
         indices = [config.n_max]
-    records = [
-        {
-            "n": n,
-            "first": format_rational(first[n]),
-            "second": format_rational(second[n]),
-            "case": tag,
-        }
-        for n in indices
-    ]
+    firsts, seconds = format_sequence(first), format_sequence(second)
     if config.fmt == "csv":
-        rows = [[str(r["n"]), r["first"], r["second"], r["case"]] for r in records]
-        return EXIT_OK, _csv_table(["n", "first", "second", "case"], rows)
+        columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
+        return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
+    records = [
+        {"n": n, "first": f, "second": s, "case": tag}
+        for n, f, s in zip(indices, firsts, seconds)
+    ]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
@@ -244,27 +234,19 @@ def _run_reduce(config: RunConfig) -> tuple[int, str]:
     inv = spec.invariants(_regular_orbit(spec, params, ics, config.n_max))
     lin = linearize(inv)
     if config.fmt == "csv":
-        rows = [
-            [
-                str(n),
-                format_rational(inv.w[n]),
-                format_rational(inv.z[n]),
-                format_rational(lin.S[n]),
-                format_rational(lin.T[n]),
-            ]
-            for n in range(len(inv.w))
-        ]
-        return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], rows)
+        literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
+        columns = [map(str, range(len(inv.w))), *literals]
+        return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "reduce",
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n_max,
-        "w": _lits(inv.w),
-        "z": _lits(inv.z),
-        "S": _lits(lin.S),
-        "T": _lits(lin.T),
+        "w": format_sequence(inv.w),
+        "z": format_sequence(inv.z),
+        "S": format_sequence(lin.S),
+        "T": format_sequence(lin.T),
     }
     return EXIT_OK, _jdump(payload)
 
@@ -400,8 +382,8 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
                             "c1": format_rational(ch.c1),
                             "c2": format_rational(ch.c2),
                             "parity": parity,
-                            "point": _lits(point),
-                            "residuals": _lits(residuals),
+                            "point": format_sequence(point),
+                            "residuals": format_sequence(residuals),
                         }
                     )
     payload = {
@@ -672,8 +654,12 @@ def main(argv=None) -> int:
     code, text = run(config)
     if code in (EXIT_OK, EXIT_FORBIDDEN, EXIT_MISMATCH) and not text.startswith("error:"):
         if config.out:
-            with open(config.out, "w") as handle:
-                handle.write(text)
+            try:
+                with open(config.out, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                print(f"error: cannot write --out {config.out}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
         else:
             sys.stdout.write(text)
     else:

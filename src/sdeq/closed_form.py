@@ -209,11 +209,23 @@ def _unzip(pairs) -> tuple[list[Fraction], list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# pure-power cases: one point formula per index, no assembly
+# pure-power cases: point formulas, no assembly
 
 
-def _point_sweep(point, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    return _unzip(point(ics, n) for n in range(n_max + 1))
+def _point_sweep(case: Case, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Every exponent of a point formula is affine in n // period, so each
+    residue class k is a geometric sequence: past the first two periods,
+    entry[n] = entry[n - period] * (entry[k + period] / entry[k]).  The
+    first two periods raise the sweep's first ForbiddenInputError (see
+    _solve_index) and, when they do not, hold no zero entry."""
+    period = case.period
+    sweep = _unzip(case.point(ics, n) for n in range(min(n_max + 1, 2 * period)))
+    if n_max >= 2 * period:
+        for values in sweep:
+            ratios = [values[k + period] / values[k] for k in range(period)]
+            for n in range(2 * period, n_max + 1):
+                values.append(values[n - period] * ratios[n % period])
+    return sweep
 
 
 def _solve_index(case, sweep, tag: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
@@ -391,7 +403,7 @@ def solve_a_case_sweep(
 ) -> tuple[list[Fraction], list[Fraction]]:
     case = _check_case_a(tag, params, ics, n_max)
     if case.point is not None:
-        return _point_sweep(case.point, ics, n_max)
+        return _point_sweep(case, ics, n_max)
     if case.braces is None:
         return solve_a_product_sweep(params, ics, n_max)
     sb_fn, tb_fn, cu, cv = case.braces(params, ics)
@@ -635,7 +647,7 @@ def solve_b_case_sweep(
 ) -> tuple[list[Fraction], list[Fraction]]:
     case, (s0, s1, t0, t1) = _check_case_b(tag, params, ics, n_max)
     if case.point is not None:
-        return _point_sweep(case.point, ics, n_max)
+        return _point_sweep(case, ics, n_max)
     if case.braces is None:
         # the product sweep's auxiliary values; only the tie order differs
         sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))

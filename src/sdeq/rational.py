@@ -13,6 +13,7 @@ closed forms rely on silently:
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from fractions import Fraction
 
@@ -49,9 +50,24 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render ``value`` in the same grammar parse_rational accepts."""
-    if value.denominator == 1:
-        return _int_to_digits(value.numerator)
-    return f"{_int_to_digits(value.numerator)}/{_int_to_digits(value.denominator)}"
+    return format_sequence([value])[0]
+
+
+def format_sequence(values) -> list[str]:
+    """Render each of ``values`` exactly as format_rational does.
+
+    Long orbit entries two indices apart differ by a small factor (first[m+2]
+    = first[m]*T[m]/S[m+1], with S and T of O(n) bits against values of
+    about n**2 bits), so the digits of a long numerator or denominator are
+    derived from those of the entry two back instead of from scratch.
+    """
+    values = list(values)
+    numerators = _digit_strings([abs(v.numerator) for v in values])
+    denominators = _digit_strings([v.denominator for v in values])
+    return [
+        ("-" if v.numerator < 0 else "") + num + ("" if v.denominator == 1 else "/" + den)
+        for v, num, den in zip(values, numerators, denominators)
+    ]
 
 
 # str(int) and int(str) take quadratic time and refuse more than 4300
@@ -61,6 +77,10 @@ def format_rational(value: Fraction) -> str:
 _FORMAT_SPLIT_BITS = 12_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
+# a chained entry costs one gcd and two short-by-long Decimal operations;
+# the chain is taken while its cofactors stay this many times shorter than
+# the entry
+_CHAIN_RATIO = 8
 
 
 # _POW2[k] = 2**(_FORMAT_LEAF_BITS << k), exact, filled on demand: split
@@ -70,9 +90,51 @@ _PARSE_SPLIT_DIGITS = 3000
 _POW2: dict[int, decimal.Decimal] = {}
 
 
-def _int_to_digits(n: int) -> str:
-    if n.bit_length() < _FORMAT_SPLIT_BITS:
-        return str(n)
+# Every operation in this context is exact or raises: at MAX_PREC integer
+# sums, products and exact quotients need no rounding, and Inexact is
+# trapped, so a step that would round raises instead of losing digits.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def _digit_strings(ints: list[int]) -> list[str]:
+    """Decimal digits of each nonnegative int in ``ints``.
+
+    Entry i is x[i-2] // down * up with g = gcd(x[i-2], x[i]), down =
+    x[i-2] // g and up = x[i] // g, taken on the kept Decimal of entry i-2,
+    while those cofactors are short.  The first long entry whose cofactors
+    are not short ends the chaining for the rest of the sequence, so
+    unrelated values waste at most one gcd; they are converted by divide
+    and conquer.
+    """
+    texts = []
+    kept: list[decimal.Decimal | None] = [None, None]  # by index parity
+    chaining = True
+    for i, x in enumerate(ints):
+        if x.bit_length() < _FORMAT_SPLIT_BITS:
+            texts.append(str(x))
+            kept[i & 1] = None
+            continue
+        with decimal.localcontext(_EXACT):
+            base = kept[i & 1] if chaining else None
+            if base is not None:
+                g = math.gcd(ints[i - 2], x)
+                down, up = ints[i - 2] // g, x // g
+                if (down.bit_length() + up.bit_length()) * _CHAIN_RATIO >= x.bit_length():
+                    chaining = False
+                    base = None
+            digits = base // down * up if base is not None else _to_decimal(x)
+            texts.append(str(digits))
+        kept[i & 1] = digits if chaining else None
+    return texts
+
+
+def _to_decimal(n: int) -> decimal.Decimal:
+    """Exact Decimal of a nonnegative int by divide and conquer; call it
+    in the _EXACT context."""
 
     def convert(value: int, level: int) -> decimal.Decimal:
         # value < 2**(_FORMAT_LEAF_BITS << level); value = high * 2**half + low
@@ -85,15 +147,10 @@ def _int_to_digits(n: int) -> str:
 
     leaves = -(-n.bit_length() // _FORMAT_LEAF_BITS)
     level = (leaves - 1).bit_length()
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        for k in range(level):
-            if k not in _POW2:
-                _POW2[k] = _POW2[k - 1] ** 2 if k else decimal.Decimal(2) ** _FORMAT_LEAF_BITS
-        digits = str(convert(abs(n), level))
-    return "-" + digits if n < 0 else digits
+    for k in range(level):
+        if k not in _POW2:
+            _POW2[k] = _POW2[k - 1] ** 2 if k else decimal.Decimal(2) ** _FORMAT_LEAF_BITS
+    return convert(n, level)
 
 
 def _digits_to_int(digits: str) -> int:

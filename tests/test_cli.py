@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import subprocess
@@ -7,9 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdeq import cli, closed_form, sampling, systems
+from sdeq import cli, closed_form, reduction, sampling, systems
 from sdeq.cli import main
-from sdeq.rational import parse_rational
+from sdeq.rational import format_rational, parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -257,6 +259,13 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["first"][-1] == "2/3"
 
 
+def test_out_unwritable_exits_1(tmp_path, capsys):
+    argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "3", "--out", str(tmp_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+
 def test_no_floats_in_machine_output(capsys):
     code, out, _ = run_cli(capsys, ["iterate", "--system", "B", *B_FLAGS, "--n", "12"])
     payload = json.loads(out)
@@ -290,6 +299,8 @@ DEEP_A_FLAGS = [
     "--a", "2/3", "--b", "-5/7",
     "--u0", "3/5", "--u1", "-2/7", "--v0", "4/9", "--v1", "5/8",
 ]
+_DEEP_A_PARAMS = SystemAParams(F(2, 3), F(-5, 7))
+_DEEP_A_ICS = SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8))
 
 
 def test_iterate_past_the_digit_limit(capsys):
@@ -302,6 +313,58 @@ def test_iterate_past_the_digit_limit(capsys):
     trajectory = iterate_a(params, ics, 300)
     assert [parse_rational(v) for v in payload["first"]] == list(trajectory.first)
     assert [parse_rational(v) for v in payload["second"]] == list(trajectory.second)
+
+
+def test_iterate_csv_past_the_digit_limit(capsys):
+    argv = ["iterate", "--system", "A", *DEEP_A_FLAGS, "--n", "300", "--format", "csv"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "n,u,v"
+    rows = [line.split(",") for line in lines]
+    assert max(len(row[1]) for row in rows) > 4300
+    trajectory = iterate_a(_DEEP_A_PARAMS, _DEEP_A_ICS, 300)
+    assert [int(row[0]) for row in rows] == list(range(301))
+    assert [parse_rational(row[1]) for row in rows] == list(trajectory.first)
+    assert [parse_rational(row[2]) for row in rows] == list(trajectory.second)
+
+
+def _csv_writer_text(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def test_csv_matches_csv_writer(capsys):
+    # negative components and values past 12,000 bits
+    n = 160
+    t = iterate_a(_DEEP_A_PARAMS, _DEEP_A_ICS, n)
+
+    def lits(values):
+        return [format_rational(v) for v in values]
+
+    indices = [str(k) for k in range(n + 1)]
+    inv = reduction.invariants_a(t)
+    lin = reduction.linearize(inv)
+    expected = {
+        "iterate": _csv_writer_text(["n", "u", "v"], zip(indices, lits(t.first), lits(t.second))),
+        "solve": _csv_writer_text(
+            ["n", "first", "second", "case"],
+            zip(indices, lits(t.first), lits(t.second), ["ABneq1"] * (n + 1)),
+        ),
+        "reduce": _csv_writer_text(
+            ["n", "w", "z", "S", "T"],
+            zip(indices, *map(lits, (inv.w, inv.z, lin.S, lin.T))),
+        ),
+    }
+    assert max(v.numerator.bit_length() for v in t.first) > 12_000
+    for command, text in expected.items():
+        extra = ["--sweep"] if command == "solve" else []
+        argv = [command, "--system", "A", *DEEP_A_FLAGS, "--n", str(n), "--format", "csv", *extra]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, text), command
 
 
 def test_zero_initial_b_exits_3(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from sdeq.closed_form import (
     CASE_TAGS_A,
+    CASES,
     CASE_TAGS_B,
     CaseParamError,
     ForbiddenInputError,
@@ -403,8 +404,17 @@ def _outcome(evaluate):
         return exc.index, exc.detail
 
 
+def _pointwise(point, ics, n_max):
+    # the point formula at every index: the sweep's definition
+    pairs = [point(ics, n) for n in range(n_max + 1)]
+    return [first for first, _ in pairs], [second for _, second in pairs]
+
+
 def test_pure_power_point_matches_sweep():
-    # small components hit the vanishing factors (p, q, s, t in {0, +-1, 1/2})
+    # small components hit the vanishing factors (p, q, s, t in {0, +-1, 1/2});
+    # the sweep extends each residue class past two periods by its ratio, so
+    # it is compared with the point formula at every index up to 67, more
+    # than eight periods
     rng = random.Random(108)
     values = [F(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
     raised = 0
@@ -419,7 +429,9 @@ def test_pure_power_point_matches_sweep():
                     params = SystemBParams(*params)
                     ics = SystemBInitial(*(rng.choice(values) for _ in range(6)))
                     point, sweep = solve_b_case, solve_b_case_sweep
-                for n in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+                swept = _outcome(lambda: sweep(tag, params, ics, 67))
+                assert _outcome(lambda: _pointwise(CASES[system][tag].point, ics, 67)) == swept
+                for n in (0, 1, 2, 3, 5, 8, 13, 21, 40, 67):
                     swept = _outcome(lambda: sweep(tag, params, ics, n))
                     if isinstance(swept[1], str):
                         raised += 1

@@ -1,15 +1,26 @@
+import decimal
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sdeq import rational
 from sdeq.rational import (
     alternating_sign,
     format_rational,
+    format_sequence,
     geometric_sum,
     parity_selectors,
     parse_rational,
     rat,
+)
+from sdeq.systems import (
+    SystemAInitial,
+    SystemAParams,
+    SystemBInitial,
+    SystemBParams,
+    iterate_a,
+    iterate_b,
 )
 
 
@@ -57,6 +68,101 @@ def test_long_literals_round_trip():
     assert parse_rational("0" * 5000 + "7/" + "0" * 5000 + "21") == F(1, 3)
     with pytest.raises(ValueError):
         parse_rational("1/" + "0" * 5000)
+
+
+def _counting(monkeypatch, name: str, module=rational) -> list:
+    """Count the calls of ``module.name`` from here on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_format_sequence_chains_deep_orbits(monkeypatch):
+    # the deep-nonunit inputs at n = 300: System A reaches 49k bits, B 13k
+    a = iterate_a(
+        SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300
+    )
+    b = iterate_b(
+        SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+        SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
+        300,
+    )
+    for orbit in (a.first, a.second, b.first, b.second):
+        expected = [format_rational(v) for v in orbit]
+        long_ints = sum(n.bit_length() >= 12_000 for v in orbit for n in v.as_integer_ratio())
+        assert long_ints >= 20
+        converted = _counting(monkeypatch, "_to_decimal")
+        assert format_sequence(orbit) == expected
+        # one conversion from scratch per index parity, for numerators and
+        # denominators; every other long entry comes from the one two back
+        assert len(converted) <= 4
+        monkeypatch.undo()
+
+
+def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
+    rng = random.Random(11)
+    unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
+    chain = [F(3**20_000 * 5**k) for k in range(9)]
+    # a chained run, one unrelated value, then the rest of the run
+    mixed = chain[:6] + unrelated[:1] + chain[6:]
+    for values, expected_gcds, expected_converted in (
+        # the first chain attempt fails for numerators and for denominators
+        (unrelated, 2, 16),
+        # four chained entries and the failed attempt; from there on every
+        # long int is converted from scratch (the unrelated value's
+        # denominator is the only long one)
+        (mixed, 5, 7),
+    ):
+        expected = [format_rational(v) for v in values]
+        gcds = _counting(monkeypatch, "gcd", rational.math)
+        converted = _counting(monkeypatch, "_to_decimal")
+        assert format_sequence(values) == expected
+        assert (len(gcds), len(converted)) == (expected_gcds, expected_converted)
+        monkeypatch.undo()
+
+
+def test_format_sequence_signs_zeros_and_integers():
+    big = 7**9_000  # 25k bits
+    values = [F(0), F(-1), F(5), F(-big), F(big, 3), F(0), F(-big * 49), F(big * 343, 3),
+              F(-big * 7**4), F(-2, 9)]
+    texts = format_sequence(values)
+    assert texts == [format_rational(v) for v in values]
+    assert texts[:3] == ["0", "-1", "5"] and texts[-1] == "-2/9"
+    assert texts[3] == "-" + _reference_digits(big)
+
+
+def test_format_sequence_straddles_the_split():
+    # numerators 5**k grow by 46 bits per entry across 12,000 bits, signs
+    # alternate, denominators stay short; then lengths 11,999 to 12,001
+    values = [F((-1) ** k * 5**k, 3 ** (k // 2)) for k in range(5_050, 5_250, 20)]
+    values += [F((1 << bits) - 1, 7) for bits in (11_999, 12_000, 12_001)]
+    assert {v.numerator.bit_length() >= 12_000 for v in values} == {True, False}
+    assert format_sequence(values) == [format_rational(v) for v in values]
+
+
+def test_format_sequence_short_lists():
+    big = F(3**30_000, 2**20_000 + 1)
+    for values in ([], [big], [big, -big], [F(1, 2), big], (big, big * 9)):
+        assert format_sequence(values) == [format_rational(v) for v in values]
+
+
+def test_format_sequence_exact_in_any_decimal_context():
+    values = [F(3**k) for k in range(8_000, 8_100, 10)]  # 12.7k bits, chained
+    expected = [_reference_digits(v.numerator) for v in values]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        ctx.traps[decimal.Inexact] = False
+        assert format_sequence(values) == expected
+    # a step that would round raises instead
+    with decimal.localcontext(rational._EXACT):
+        with pytest.raises(decimal.Inexact):
+            decimal.Decimal("1.5").to_integral_exact()
 
 
 def test_rat_coercion():
