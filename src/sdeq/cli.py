@@ -11,21 +11,17 @@ regularity was required, 3 forbidden input, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
-import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from . import closed_form, forbidden, reduction, sampling, symmetry, systems
-from .closed_form import CaseParamError, ForbiddenInputError
+# the other layers are imported by the subcommands that use them
+from . import systems
 from .rational import format_rational, format_sequence, parse_rational
-from .reduction import ZeroInvariantError, linearize
-from .sampling import DISTRIBUTION_NOTE, RETRY_CAP, RetryCapError, draw_nonzero
-from .symmetry import Characteristic
 from .systems import Trajectory, ZeroInitialError
 
 SCHEMA_VERSION = 1
@@ -35,6 +31,19 @@ EXIT_USAGE = 1
 EXIT_SINGULAR = 2
 EXIT_FORBIDDEN = 3
 EXIT_MISMATCH = 4
+
+
+class _Late(NamedTuple):
+    """The function ``name`` of the layer ``module``: the layer is imported
+    on the first call and the name looked up at every call, so a substituted
+    function (a test double, a counting wrapper) is the one that runs."""
+
+    module: str
+    name: str
+
+    def __call__(self, *args):
+        layer = importlib.import_module(f"{__package__}.{self.module}")
+        return getattr(layer, self.name)(*args)
 
 
 class SystemSpec(NamedTuple):
@@ -65,13 +74,13 @@ SYSTEMS = {
         params=systems.SystemAParams,
         initial=systems.SystemAInitial,
         min_n=1,
-        iterate=systems.iterate_a,
-        check_forbidden=forbidden.check_forbidden_a,
-        invariants=reduction.invariants_a,
-        product_sweep=closed_form.solve_a_product_sweep,
-        case_sweep=closed_form.solve_a_case_sweep,
-        case_point=closed_form.solve_a_case,
-        residual=symmetry.slsc_residual_a,
+        iterate=_Late("systems", "iterate_a"),
+        check_forbidden=_Late("forbidden", "check_forbidden_a"),
+        invariants=_Late("reduction", "invariants_a"),
+        product_sweep=_Late("closed_form", "solve_a_product_sweep"),
+        case_sweep=_Late("closed_form", "solve_a_case_sweep"),
+        case_point=_Late("closed_form", "solve_a_case"),
+        residual=_Late("symmetry", "slsc_residual_a"),
         residual_admissible=lambda p, point: (
             p.a + point[0] * point[3] != 0 and p.b + point[2] * point[1] != 0
         ),
@@ -83,13 +92,13 @@ SYSTEMS = {
         params=systems.SystemBParams,
         initial=systems.SystemBInitial,
         min_n=2,
-        iterate=systems.iterate_b,
-        check_forbidden=forbidden.check_forbidden_b,
-        invariants=reduction.invariants_b,
-        product_sweep=closed_form.solve_b_product_sweep,
-        case_sweep=closed_form.solve_b_case_sweep,
-        case_point=closed_form.solve_b_case,
-        residual=symmetry.slsc_residual_b,
+        iterate=_Late("systems", "iterate_b"),
+        check_forbidden=_Late("forbidden", "check_forbidden_b"),
+        invariants=_Late("reduction", "invariants_b"),
+        product_sweep=_Late("closed_form", "solve_b_product_sweep"),
+        case_sweep=_Late("closed_form", "solve_b_case_sweep"),
+        case_point=_Late("closed_form", "solve_b_case"),
+        residual=_Late("symmetry", "slsc_residual_b"),
         residual_admissible=lambda p, point: (
             p.a + p.b * point[0] * point[4] != 0 and p.c + p.d * point[3] * point[1] != 0
         ),
@@ -108,8 +117,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed invocation: subcommand, system, rational literals, sizes,
     seed, and output format.  ``run`` is a pure function of this record."""
 
@@ -187,7 +195,9 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
 def _resolve_case(config: RunConfig, params) -> str:
     if config.case != "auto":
         return config.case
-    return closed_form.auto_case(config.system, params)
+    from .closed_form import auto_case
+
+    return auto_case(config.system, params)
 
 
 def _run_solve(config: RunConfig) -> tuple[int, str]:
@@ -229,6 +239,8 @@ def _regular_orbit(spec: SystemSpec, params, ics, n_max: int) -> Trajectory:
 
 
 def _run_reduce(config: RunConfig) -> tuple[int, str]:
+    from .reduction import linearize
+
     spec = SYSTEMS[config.system]
     params, ics = _build_inputs(config)
     inv = spec.invariants(_regular_orbit(spec, params, ics, config.n_max))
@@ -340,14 +352,16 @@ def _run_check_forbidden(config: RunConfig) -> tuple[int, str]:
     return code, _jdump(payload)
 
 
-def _sample_residual_input(rng: random.Random, system: str, fixed_params):
-    """Draw (params, point) with nonzero coordinates and nonzero update
-    denominators.  Parameters are redrawn with the point unless fixed;
-    fixed parameters may admit no point at all (e.g. a = b = 0 for
-    System B), in which case the retry cap trips."""
+def _sample_residual_input(rng, system: str, fixed_params):
+    """Draw (params, point) from the random.Random ``rng`` with nonzero
+    coordinates and nonzero update denominators.  Parameters are redrawn
+    with the point unless fixed; fixed parameters may admit no point at all
+    (e.g. a = b = 0 for System B), in which case the retry cap trips."""
+    from .sampling import RETRY_CAP, draw_nonzero, draw_params
+
     spec = SYSTEMS[system]
     for _ in range(RETRY_CAP):
-        params = fixed_params if fixed_params is not None else sampling.draw_params(rng, system)
+        params = fixed_params if fixed_params is not None else draw_params(rng, system)
         point = tuple(draw_nonzero(rng) for _ in spec.ic_flags)
         if spec.residual_admissible(params, point):
             return params, point
@@ -355,6 +369,10 @@ def _sample_residual_input(rng: random.Random, system: str, fixed_params):
 
 
 def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
+    import random
+
+    from .symmetry import Characteristic
+
     spec = SYSTEMS[config.system]
     rng = random.Random(config.seed)
     if config.c1 is not None and config.c2 is not None:
@@ -407,6 +425,11 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     Trials cycle through the system's parameter strata (for System B the
     geometric-ratio, unit-ratio, unit-b,d and all-ones families).
     """
+    import random
+
+    from .closed_form import auto_case
+    from .sampling import DISTRIBUTION_NOTE, draw_admissible
+
     spec = SYSTEMS[system]
     rng = random.Random(seed)
     skipped = 0
@@ -416,11 +439,11 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     strata_counts: dict[str, int] = {}
     for trial in range(trials):
         stratum, case = spec.strata[trial % len(spec.strata)]
-        params, ics, skipped_now = sampling.draw_admissible(rng, system, n_max, case)
+        params, ics, skipped_now = draw_admissible(rng, system, n_max, case)
         skipped += skipped_now
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
         trajectory = spec.iterate(params, ics, n_max)
-        inputs = {"params": _lit_map(vars(params)), "ics": _lit_map(vars(ics))}
+        inputs = {"params": _lit_map(params._asdict()), "ics": _lit_map(ics._asdict())}
         if trajectory.singular is not None:
             # admissible inputs cannot be singular; a hit here is a finding
             failures += 1
@@ -431,7 +454,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                     "step": trajectory.singular.step,
                 }
             continue
-        routes = _routes(spec, closed_form.auto_case(system, params), params, ics, n_max)
+        routes = _routes(spec, auto_case(system, params), params, ics, n_max)
         compared, failed, mismatch = compare_routes(routes, trajectory, n_max)
         comparisons += compared
         failures += failed
@@ -573,9 +596,11 @@ def _config_from_args(args) -> RunConfig:
     if command in ("iterate", "solve", "reduce", "verify") and n_max < spec.min_n:
         raise UsageError(f"--n must be >= {spec.min_n} for system {system}")
     case = getattr(args, "case", "auto")
-    tags = closed_form.CASES[system]
-    if command in ("solve", "verify") and case != "auto" and case not in tags:
-        raise UsageError(f"--case must be 'auto' or one of {', '.join(tags)}")
+    if command in ("solve", "verify") and case != "auto":
+        from .closed_form import CASES
+
+        if case not in CASES[system]:
+            raise UsageError(f"--case must be 'auto' or one of {', '.join(CASES[system])}")
     seed = _resolve_seed(args)
     if command in ("difftest", "symmetry-check") and seed is None:
         raise UsageError(f"{command} samples randomly; provide --seed or SDE_SEED")
@@ -631,16 +656,33 @@ _DISPATCH = {
 }
 
 
+def _documented_error(exc: Exception) -> Optional[tuple[int, str]]:
+    """(exit code, report text) of a library error with a documented exit
+    code, else None.  The layers that define these errors are imported
+    here, on the error path, so a successful run loads only the layers it
+    uses."""
+    from .closed_form import CaseParamError, ForbiddenInputError
+    from .reduction import ZeroInvariantError
+    from .sampling import RetryCapError
+
+    if isinstance(exc, (ForbiddenInputError, ZeroInitialError, ZeroInvariantError)):
+        return EXIT_FORBIDDEN, f"error: forbidden input: {exc}\n"
+    if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
+        return EXIT_USAGE, f"error: {exc}\n"
+    return None
+
+
 def run(config: RunConfig) -> tuple[int, str]:
     """Dispatch a parsed configuration; returns (exit code, report text)."""
     try:
         return _DISPATCH[config.command](config)
     except _Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
-    except (ForbiddenInputError, ZeroInitialError, ZeroInvariantError) as exc:
-        return EXIT_FORBIDDEN, f"error: forbidden input: {exc}\n"
-    except (CaseParamError, RetryCapError, UsageError) as exc:
-        return EXIT_USAGE, f"error: {exc}\n"
+    except (ValueError, RuntimeError) as exc:
+        documented = _documented_error(exc)
+        if documented is None:
+            raise
+        return documented
 
 
 def main(argv=None) -> int:

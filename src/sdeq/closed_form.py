@@ -25,7 +25,6 @@ identifying the first index at which the closed form breaks down.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -139,8 +138,7 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
     case = lookup_case(system, tag)
     if not case.applies(params):
         values = ", ".join(
-            f"{field.name}={format_rational(getattr(params, field.name))}"
-            for field in fields(params)
+            f"{name}={format_rational(value)}" for name, value in params._asdict().items()
         )
         raise CaseParamError(f"case {tag} is inconsistent with {values}")
     return case

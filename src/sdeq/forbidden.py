@@ -21,7 +21,6 @@ map itself, which stays defined on zero products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .reduction import solve_linear_a, solve_linear_b
@@ -30,19 +29,18 @@ from .systems import (
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    _Record,
     iterate_a,
     iterate_b,
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     restriction_id: str
     r: int
 
 
-@dataclass(frozen=True)
-class ForbiddenReport:
+class ForbiddenReport(_Record):
     violated: tuple[Violation, ...]
     predicted_singular_step: Optional[int]
 
@@ -55,8 +53,7 @@ class ForbiddenReport:
         return not self.violated
 
 
-@dataclass(frozen=True)
-class PredictVerdict:
+class PredictVerdict(_Record):
     kind: str  # "agree-regular" | "agree-singular" | "mismatch"
     step: Optional[int] = None
     details: Optional[dict] = None

@@ -25,7 +25,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # optional '-', digits, optionally '/' and digits (denominator nonzero)
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,8 +36,7 @@ def parse_rational(text: str) -> Fraction:
     whitespace.  Raises ValueError naming the offending token.  Literals
     of any length are accepted.
     """
-    match = _RATIONAL_RE.match(text)
-    if match is None:
+    if _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational literal: {text!r}")
     numer, _, denom = text.partition("/")
     den = _digits_to_int(denom) if denom else 1

@@ -17,21 +17,18 @@ analogue), so a trajectory round-trips exactly through its invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import geometric_sum, rat
-from .systems import SystemAParams, SystemBParams, Trajectory
+from .systems import SystemAParams, SystemBParams, Trajectory, _Record
 
 
-@dataclass(frozen=True)
-class InvariantSeq:
+class InvariantSeq(_Record):
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LinearSeq:
+class LinearSeq(_Record):
     S: tuple[Fraction, ...]
     T: tuple[Fraction, ...]
 

@@ -22,36 +22,31 @@ exchanges the component weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import ONE, alternating_sign, rat
-from .systems import SystemAParams, SystemBParams, Trajectory
+from .systems import SystemAParams, SystemBParams, Trajectory, _Exact, _Record
 
 VARIANTS = ("alternating", "frozen", "swapped")
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(_Exact):
     c1: Fraction
     c2: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", rat(self.c1))
-        object.__setattr__(self, "c2", rat(self.c2))
 
-
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Record):
     generator: str  # "X1" (reciprocal scaling) | "X2" (alternating scaling)
     scale: Fraction
 
-    def __post_init__(self):
-        if self.generator not in ("X1", "X2"):
-            raise ValueError(f"unknown generator {self.generator!r}")
-        object.__setattr__(self, "scale", rat(self.scale))
-        if self.scale == 0:
+    def _coerce(self, values):
+        generator, scale = values
+        if generator not in ("X1", "X2"):
+            raise ValueError(f"unknown generator {generator!r}")
+        scale = rat(scale)
+        if scale == 0:
             raise ValueError("group scale must be nonzero")
+        return generator, scale
 
 
 def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):

@@ -18,27 +18,99 @@ sit at negative indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .rational import rat
 
 
-class _Exact:
+class _Record:
+    """Base of the frozen records.
+
+    A subclass declares its fields as class annotations, in constructor
+    order, and their defaults as class attributes.  Instances cannot be
+    changed after construction; equality and hash compare the field values
+    of two records of the same class, and the repr, pickling and copying
+    follow the fields.  As on a NamedTuple, ``_fields`` names the fields
+    and ``_asdict()`` maps them to their values.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, self._coerce(args)))
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Field values in order from positional and keyword arguments and
+        the defaults, with the TypeErrors of a call that does not fit."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        values = {**self._defaults, **values}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return [values[field] for field in fields]
+
+    def _coerce(self, values):
+        """The values to store, in field order; subclasses coerce and validate."""
+        return values
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class _Exact(_Record):
     """Base of the frozen input records: every field becomes an exact rational."""
 
-    def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name, rat(getattr(self, field.name)))
+    def _coerce(self, values):
+        return map(rat, values)
 
 
-@dataclass(frozen=True)
 class SystemAParams(_Exact):
     a: Fraction
     b: Fraction
 
 
-@dataclass(frozen=True)
 class SystemBParams(_Exact):
     a: Fraction
     b: Fraction
@@ -46,7 +118,6 @@ class SystemBParams(_Exact):
     d: Fraction
 
 
-@dataclass(frozen=True)
 class SystemAInitial(_Exact):
     u0: Fraction
     u1: Fraction
@@ -54,7 +125,6 @@ class SystemAInitial(_Exact):
     v1: Fraction
 
 
-@dataclass(frozen=True)
 class SystemBInitial(_Exact):
     x0: Fraction
     x1: Fraction
@@ -64,8 +134,7 @@ class SystemBInitial(_Exact):
     y2: Fraction
 
 
-@dataclass(frozen=True)
-class Singularity:
+class Singularity(_Record):
     """First vanishing denominator: the step (array index) that failed,
     which component's update failed, and the denominator that was zero."""
 
@@ -74,8 +143,7 @@ class Singularity:
     denominator_expression: str
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """An exact orbit of one of the two systems.
 
     ``first``/``second`` hold entries for array indices 0..N (or 0..k-1
@@ -135,17 +203,20 @@ def iterate_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Traject
     y = [ics.y0, ics.y1, ics.y2]
     for n in range(n_max - 2):
         # nonzero initials keep every later entry nonzero, so only the
-        # parenthesized factors can vanish
-        den_x = y[n + 2] * (a + b * x[n] * y[n + 1])
+        # parenthesized factors can vanish; each invariant product is
+        # formed once and serves both its denominator and its numerator
+        w = x[n] * y[n + 1]
+        den_x = y[n + 2] * (a + b * w)
         if den_x == 0:
             sing = Singularity(n + 3, "first", f"y{n + 2}*(a + b*x{n}*y{n + 1}) = 0")
             return Trajectory(("x", "y"), tuple(x[: n + 3]), tuple(y[: n + 3]), sing)
-        den_y = x[n + 2] * (c + d * y[n] * x[n + 1])
+        z = y[n] * x[n + 1]
+        den_y = x[n + 2] * (c + d * z)
         if den_y == 0:
             sing = Singularity(n + 3, "second", f"x{n + 2}*(c + d*y{n}*x{n + 1}) = 0")
             return Trajectory(("x", "y"), tuple(x[: n + 3]), tuple(y[: n + 3]), sing)
-        x.append(x[n] * y[n + 1] / den_x)
-        y.append(y[n] * x[n + 1] / den_y)
+        x.append(w / den_x)
+        y.append(z / den_y)
     return Trajectory(("x", "y"), tuple(x), tuple(y))
 
 

@@ -32,7 +32,8 @@ def test_parse_rational_accepts_grammar():
 
 
 @pytest.mark.parametrize(
-    "bad", ["+3", "1.5", "3/0", "", "a/b", " 3", "3 ", "1/-2", "1e3", "--1", "1/2/3"]
+    "bad",
+    ["+3", "1.5", "3/0", "", "a/b", " 3", "3 ", "1/-2", "1e3", "--1", "1/2/3", "3\n", "-1/2\n"],
 )
 def test_parse_rational_rejects_non_grammar(bad):
     with pytest.raises(ValueError):
