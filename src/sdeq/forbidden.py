@@ -9,9 +9,12 @@ vanishes, and the iteration denominators factor through the same values:
 so with admissible (all-nonzero-product) initial conditions the first
 vanishing auxiliary index m forces the first iteration singularity at step
 m + 1 (S-side zeros break the first component for System A and the second
-for System B; T-side the other one).  The checker evaluates every
-restriction family by direct exact comparison for each r up to the
-horizon; ``predict_vs_observe`` closes the loop against the iterator.
+for System B; T-side the other one).  The checker runs the linear
+recursion of S and T on unreduced (numerator, denominator) pairs of ints
+and tests each numerator for zero, for each r up to the horizon: the
+denominators are products of the parameter denominators and the seed
+numerators, so they never vanish.  ``predict_vs_observe`` closes the loop
+against the iterator.
 
 Zero invariant products (for System A, a zero among u0*v1, v0*u1) make the
 closed forms inadmissible; they are reported as their own violations with
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .reduction import solve_linear_a, solve_linear_b
 from .systems import (
     SystemAInitial,
     SystemAParams,
@@ -59,27 +61,41 @@ class PredictVerdict(_Record):
     details: Optional[dict] = None
 
 
-def _check(params, products, horizon: int, solve_linear, residues) -> ForbiddenReport:
+def _affine(c, d):
+    """X -> c*X + d on unreduced (numerator, denominator) pairs."""
+    scale, shift = c.numerator * d.denominator, d.numerator * c.denominator
+    den = c.denominator * d.denominator
+    return lambda num, x_den: (scale * num + shift * x_den, den * x_den)
+
+
+def _check(products, horizon: int, rules, residues) -> ForbiddenReport:
     """Zero seed products by name; else the restriction families S_<residue>
-    and T_<residue>, with residues naming the index classes of one period,
-    evaluated from the linear recursion seeded with the reciprocal products."""
+    and T_<residue>, with residues naming the index classes of one period.
+
+    S and T start from the reciprocals of the products, the first half
+    seeding S and the second T, and follow S[n+lag] = c*T[n] + d and
+    T[n+lag] = c'*S[n] + d' for ``rules`` = ((c, d), (c', d')), with lag
+    the number of seeds per side; each value is an unreduced pair of ints."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     violated = [Violation(name, 0) for name, value in products if value == 0]
     if violated:
         return ForbiddenReport(tuple(violated), None)
+    next_s, next_t = (_affine(c, d) for c, d in rules)
+    seeds = [(value.denominator, value.numerator) for _, value in products]
+    lag = len(seeds) // 2
+    S, T = seeds[:lag], seeds[lag:]  # the pairs at indices m .. m + lag - 1
     period = len(residues)
-    seeds = (1 / value for _, value in products)
-    lin = solve_linear(params, *seeds, period * horizon + period - 1)
     predicted: Optional[int] = None
-    for r in range(horizon + 1):
-        for offset, residue in enumerate(residues):
-            m = period * r + offset
-            for side, values in (("S", lin.S), ("T", lin.T)):
-                if values[m] == 0:
-                    violated.append(Violation(f"{side}_{residue}", r))
-                    if predicted is None:
-                        predicted = m + 1
+    for m in range(period * (horizon + 1)):
+        s_pair, t_pair = S.pop(0), T.pop(0)
+        for side, (numerator, _) in (("S", s_pair), ("T", t_pair)):
+            if numerator == 0:
+                violated.append(Violation(f"{side}_{residues[m % period]}", m // period))
+                if predicted is None:
+                    predicted = m + 1
+        S.append(next_s(*t_pair))
+        T.append(next_t(*s_pair))
     return ForbiddenReport(tuple(violated), predicted)
 
 
@@ -89,7 +105,7 @@ def check_forbidden_a(
     """Evaluate the four restriction families (S and T, even and odd
     indices) for every r <= horizon; flag zero seed products separately."""
     products = (("w0_zero", ics.v0 * ics.u1), ("z0_zero", ics.u0 * ics.v1))
-    return _check(params, products, horizon, solve_linear_a, ("even", "odd"))
+    return _check(products, horizon, ((params.a, 1), (params.b, 1)), ("even", "odd"))
 
 
 def check_forbidden_b(
@@ -104,7 +120,7 @@ def check_forbidden_b(
         ("z1_zero", ics.y1 * ics.x2),
     )
     residues = ("mod4_0", "mod4_1", "mod4_2", "mod4_3")
-    return _check(params, products, horizon, solve_linear_b, residues)
+    return _check(products, horizon, ((params.c, params.d), (params.a, params.b)), residues)
 
 
 def _invariant_map_step_a(params: SystemAParams, ics: SystemAInitial, n_max: int):

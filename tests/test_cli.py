@@ -243,6 +243,49 @@ def test_symmetry_check_cli(capsys):
     assert payload["checked"] == 40  # both parities
 
 
+# symmetry-check --pairs 1 --samples 2 --seed 7 with the frozen coefficient
+# rule: (c1, c2, parity, point, residuals) of every reported residual
+FROZEN_NONZERO = {
+    "A": [
+        ("1/3", "3", 0, ["9", "7/4", "-4", "4/7"], ["1102248/75625", "21/8"]),
+        ("1/3", "3", 0, ["4", "9/2", "-2", "9/7"], ["96768/9025", "2187/1936"]),
+        ("1/3", "3", 1, ["-1", "4/3", "4", "9/5"], ["270/361", "162/25"]),
+        ("1/3", "3", 1, ["1", "4", "9", "-3/8"], ["-1296/3025", "864/529"]),
+    ],
+    "B": [
+        ("1/3", "3", 0, ["-4", "4/7", "-7/4", "-7/9", "4", "9/2"], ["-27648/18769", "-24/1369"]),
+        ("1/3", "3", 0, ["-1", "4/3", "4", "9/5", "8/3", "-3/2"], ["-448/361", "-432/961"]),
+        ("1/3", "3", 1, ["8/7", "1/8", "9/8", "2/5", "-2/3", "-1"], ["-6144/1849", "-128/2064969"]),
+        ("1/3", "3", 1, ["-2/3", "4/3", "1/3", "6/7", "-4", "4/3"], ["1575/961", "0"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+def test_symmetry_check_reports_nonzero_residuals(capsys, monkeypatch, system):
+    # the frozen characteristic breaks the identity, so every sample reaches
+    # the report path, which both the integer test and the exact residual feed
+    from sdeq import symmetry
+
+    coefficients = symmetry._coefficients
+    monkeypatch.setattr(
+        symmetry,
+        "_coefficients",
+        lambda ch, n_parity, shift, variant: coefficients(ch, n_parity, shift, "frozen"),
+    )
+    argv = ["symmetry-check", "--system", system, "--pairs", "1", "--samples", "2",
+            "--seed", "7"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (4, "")
+    payload = json.loads(out)
+    assert (payload["checked"], payload["all_zero"]) == (4, False)
+    reported = [
+        (entry["c1"], entry["c2"], entry["parity"], entry["point"], entry["residuals"])
+        for entry in payload["nonzero_residuals"]
+    ]
+    assert reported == FROZEN_NONZERO[system]
+
+
 def test_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("SDE_SEED", "17")
     code, out, _ = run_cli(capsys, ["difftest", "--system", "A", "--trials", "2", "--n", "6"])

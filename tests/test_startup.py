@@ -28,7 +28,7 @@ SUBCOMMANDS = {
     "verify": (["verify", "--system", "A", *A_FLAGS, "--n", "6"], {"closed_form", "reduction"}),
     "check-forbidden": (
         ["check-forbidden", "--system", "A", *A_FLAGS, "--horizon", "4"],
-        {"forbidden", "reduction"},
+        {"forbidden"},
     ),
     "difftest": (
         ["difftest", "--system", "A", "--trials", "2", "--n", "4", "--seed", "1"],
