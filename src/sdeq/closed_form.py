@@ -14,9 +14,10 @@ The product routes take S and T from the auxiliary closed forms; the
 enumerated parameter cases substitute them as simplified braces: a*b != 1
 (a = 1 and b = 1 are its special values) and a = b = 1 for A, a*c != 1
 and a*c = 1 (all ones is a special value) for B.  The sign-mixed pairs
-and a = b = -1 for A, and the unit-b,d family for B, collapse to pure
-powers split by residue mod 4, 2 and 8.  ``CASES`` holds, per system, each
-tag's predicate and route.
+and a = b = -1 for A, and the unit-b,d family for B, are pure powers:
+they assemble two periods of the route that covers their pinned parameters
+and extend each residue class by one ratio.  ``CASES`` holds, per system,
+each tag's predicate and route.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -78,15 +79,16 @@ def seeds_b(ics: SystemBInitial) -> tuple[Fraction, Fraction, Fraction, Fraction
 class Case(NamedTuple):
     """One enumerated parameter case.
 
-    The route is a point formula with its index period (the pure-power
-    cases), braces fed to the shared assembly, or, with neither, the
+    The route is braces fed to the shared assembly or, without them, the
     product sweep.  ``fixed`` holds the parameters of a case that admits
-    exactly one choice of them.
+    exactly one choice of them.  A pure-power case also has the period of
+    its auxiliary sequences (see _periodic_sweep) and the ``detail`` its
+    forbidden inputs report.
     """
 
     applies: Callable[[Any], bool]
     braces: Optional[Callable] = None
-    point: Optional[Callable] = None
+    detail: str = ""
     period: int = 0
     fixed: Any = None
 
@@ -207,17 +209,31 @@ def _unzip(pairs) -> tuple[list[Fraction], list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# pure-power cases: point formulas, no assembly
+# pure-power cases: two periods of the covering route, then one ratio per
+# residue class
+#
+# At a pure-power case's pinned parameters the auxiliary recursion is
+# exactly periodic with the case's period P: a = 1, b = -1 give
+# S[n+2] = 2 - S[n], so S[n+4] = S[n] (tests/test_certificates.py
+# certifies every case).  The braces repeat with it, so the ratio
+# entry[n+P]/entry[n] depends only on k = n mod P, and
+# entry[k + m*P] = entry[k] * rho_k**m with rho_k = entry[k+P]/entry[k].
+# A zero brace repeats a zero among braces 0..P-1, which the assembly of
+# the first two periods scans, so the first forbidden index is the full
+# sweep's.
 
 
-def _point_sweep(case: Case, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Every exponent of a point formula is affine in n // period, so each
-    residue class k is a geometric sequence: past the first two periods,
-    entry[n] = entry[n - period] * (entry[k + period] / entry[k]).  The
-    first two periods raise the sweep's first ForbiddenInputError (see
-    _solve_index) and, when they do not, hold no zero entry."""
+def _periodic_sweep(case: Case, route, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Entries 0..n_max of ``route(n_max)``, the case's route; a pure-power
+    case assembles at most two periods and extends each residue class by
+    its ratio."""
     period = case.period
-    sweep = _unzip(case.point(ics, n) for n in range(min(n_max + 1, 2 * period)))
+    if not period:
+        return route(n_max)
+    try:
+        sweep = route(min(n_max, 2 * period - 1))
+    except ForbiddenInputError as exc:
+        raise ForbiddenInputError(exc.index, case.detail) from None
     if n_max >= 2 * period:
         for values in sweep:
             ratios = [values[k + period] / values[k] for k in range(period)]
@@ -226,17 +242,17 @@ def _point_sweep(case: Case, ics, n_max: int) -> tuple[list[Fraction], list[Frac
     return sweep
 
 
-def _solve_index(case, sweep, tag: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
-    """Index n alone: the point formula of a pure-power case, else entry n
-    of the sweep.  Every factor of a point formula enters with a positive
-    exponent within the first two periods, so scanning those indices raises
-    the same first ForbiddenInputError as the sweep."""
-    if case.point is None:
-        first, second = sweep(tag, params, ics, n)
+def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
+    """Entry n alone: entry[k] * rho_k**m for n = k + m*period past the
+    first two periods of a pure-power case, else entry n of the sweep."""
+    period = case.period
+    if not period or n < 2 * period:
+        first, second = _periodic_sweep(case, route, n)
         return first[n], second[n]
-    for k in range(min(n, 2 * case.period)):
-        case.point(ics, k)
-    return case.point(ics, n)
+    m, k = divmod(n, period)
+    sweep = _periodic_sweep(case, route, 2 * period - 1)
+    first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -314,65 +330,7 @@ def _braces_ones(params: SystemAParams, ics: SystemAInitial):
     return sb, tb, ics.u1, ics.v1
 
 
-def _negneg_point(ics: SystemAInitial, n: int) -> tuple[Fraction, Fraction]:
-    """a = b = -1: the auxiliary pair is constant per parity class, so the
-    solution collapses to pure powers."""
-    p = ics.u0 * ics.v1
-    q = ics.v0 * ics.u1
-    m, parity = divmod(n, 2)
-    try:
-        if parity == 0:
-            u_val = ics.u0 / (p - 1) ** m
-            v_val = ics.v0 / (q - 1) ** m
-        else:
-            u_val = ics.u1 * (q - 1) ** m
-            v_val = ics.v1 * (p - 1) ** m
-    except ZeroDivisionError:
-        raise ForbiddenInputError(n, "u0*v1 = 1 or v0*u1 = 1") from None
-    if u_val == 0 or v_val == 0:
-        raise ForbiddenInputError(n, "u0*v1 = 1 or v0*u1 = 1")
-    return u_val, v_val
-
-
-def _a1_bneg1_point(ics: SystemAInitial, n: int) -> tuple[Fraction, Fraction]:
-    """a = 1, b = -1: residue-4 power formulas.
-
-    The odd-u branch at residue 3 carries both the leading u1 and an
-    alternating sign (-1)^m; the v branches at residues 2 and 3 are
-    negated.  All of it is oracle-checked in the tests.
-    """
-    u0, u1, v0, v1 = ics.u0, ics.u1, ics.v0, ics.v1
-    p = u0 * v1
-    q = v0 * u1
-    m, residue = divmod(n, 4)
-    sign = ONE if m % 2 == 0 else -ONE
-    try:
-        if residue == 0:
-            u_val = u0 / (1 - p * p) ** m
-            v_val = v0 * (1 - 2 * q) ** m / (1 - q) ** (2 * m)
-        elif residue == 1:
-            u_val = u1 * (1 - q) ** (2 * m) / (1 - 2 * q) ** m
-            v_val = v1 * (1 - p * p) ** m
-        elif residue == 2:
-            u_val = u0 / ((1 + p) * (1 - p * p) ** m)
-            v_val = -v0 * (1 - 2 * q) ** m / (1 - q) ** (2 * m + 1)
-        else:
-            u_val = u1 * sign * (q - 1) ** (2 * m + 1) / (2 * q - 1) ** (m + 1)
-            v_val = -v1 * (1 + p) * (1 - p * p) ** m
-    except ZeroDivisionError:
-        raise ForbiddenInputError(n, "vanishing residue-4 denominator") from None
-    if u_val == 0 or v_val == 0:
-        raise ForbiddenInputError(n, "vanishing residue-4 numerator")
-    return u_val, v_val
-
-
-def _b1_aneg1_point(ics: SystemAInitial, n: int) -> tuple[Fraction, Fraction]:
-    """b = 1, a = -1: the mirror of the a = 1, b = -1 family under the
-    simultaneous swap u <-> v, a <-> b."""
-    mirrored = SystemAInitial(ics.v0, ics.v1, ics.u0, ics.u1)
-    v_val, u_val = _a1_bneg1_point(mirrored, n)
-    return u_val, v_val
-
+_RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
 
 CASES_A = {
     "Product": Case(lambda params: True),
@@ -381,40 +339,43 @@ CASES_A = {
     # u1*(1 - ab), v1*(1 - ab) stay nonzero because ab != 1
     "Aeq1": Case(lambda params: params.a == 1 and params.b != 1, braces=_braces_ab_general),
     "Beq1": Case(lambda params: params.b == 1 and params.a != 1, braces=_braces_ab_general),
-    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), point=_a1_bneg1_point, period=4),
-    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), point=_b1_aneg1_point, period=4),
+    # the pure powers: the general braces at a*b = -1, the product route at
+    # a*b = 1
+    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), braces=_braces_ab_general, **_RESIDUE_4),
+    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), braces=_braces_ab_general, **_RESIDUE_4),
     "OnesOnes": _pinned(SystemAParams(1, 1), braces=_braces_ones),
-    "NegNeg": _pinned(SystemAParams(-1, -1), point=_negneg_point, period=2),
+    "NegNeg": _pinned(SystemAParams(-1, -1), detail="u0*v1 = 1 or v0*u1 = 1", period=2),
 }
 
 CASE_TAGS_A = tuple(CASES_A)
 
 
-def _check_case_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int) -> Case:
+def _case_route_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int):
+    """The validated case and its route; route(m) assembles entries 0..m."""
     case = _validated("A", tag, params, n_max)
     _require_nonzero_ics_a(ics)
-    return case
+
+    def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+        if case.braces is None:
+            return solve_a_product_sweep(params, ics, n_max)
+        sb_fn, tb_fn, cu, cv = case.braces(params, ics)
+        sb = [sb_fn(j) for j in range(n_max)]
+        tb = [tb_fn(j) for j in range(n_max)]
+        return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
+
+    return case, route
 
 
 def solve_a_case_sweep(
     tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    case = _check_case_a(tag, params, ics, n_max)
-    if case.point is not None:
-        return _point_sweep(case, ics, n_max)
-    if case.braces is None:
-        return solve_a_product_sweep(params, ics, n_max)
-    sb_fn, tb_fn, cu, cv = case.braces(params, ics)
-    sb = [sb_fn(j) for j in range(n_max)]
-    tb = [tb_fn(j) for j in range(n_max)]
-    return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
+    return _periodic_sweep(*_case_route_a(tag, params, ics, n_max), n_max)
 
 
 def solve_a_case(
     tag: str, params: SystemAParams, ics: SystemAInitial, n: int
 ) -> tuple[Fraction, Fraction]:
-    case = _check_case_a(tag, params, ics, n)
-    return _solve_index(case, solve_a_case_sweep, tag, params, ics, n)
+    return _solve_index(*_case_route_a(tag, params, ics, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -502,128 +463,14 @@ def _braces_b_ac_unit(params: SystemBParams, ics: SystemBInitial):
     return sb, tb, ONE
 
 
-def _unit_bd_point(ics: SystemBInitial, n: int) -> tuple[Fraction, Fraction]:
-    """a = b = d = 1, c = -1: residue-8 power formulas.
-
-    The auxiliary strands become 2-periodic up to sign, so each residue
-    class collapses to powers of the four seed products.
-    """
-    x0, x1, x2 = ics.x0, ics.x1, ics.x2
-    y0, y1, y2 = ics.y0, ics.y1, ics.y2
-    p = x0 * y1
-    q = y0 * x1
-    s = x1 * y2
-    t = y1 * x2
-    m, residue = divmod(n, 8)
-    try:
-        if residue == 0:
-            x_val = (
-                (x2 * y2) ** (2 * m) / (x0 ** (2 * m - 1) * y0 ** (2 * m))
-                * (1 - q) ** (2 * m)
-                / ((1 + s) ** m * (s - 1) ** m * (2 * t - 1) ** m)
-            )
-            y_val = (
-                (x2 * y2) ** (2 * m) / (x0 ** (2 * m) * y0 ** (2 * m - 1))
-                * (1 + p) ** m * (2 * q - 1) ** m * (p - 1) ** m
-                / (1 - t) ** (2 * m)
-            )
-        elif residue == 1:
-            x_val = (
-                x1 * (x0 * y0) ** (2 * m) / (x2 * y2) ** (2 * m)
-                * (1 - t) ** (2 * m)
-                / ((1 + p) ** m * (2 * q - 1) ** m * (p - 1) ** m)
-            )
-            y_val = (
-                y1 * (x0 * y0) ** (2 * m) / (x2 * y2) ** (2 * m)
-                * (1 + s) ** m * (s - 1) ** m * (2 * t - 1) ** m
-                / (1 - q) ** (2 * m)
-            )
-        elif residue == 2:
-            x_val = (
-                x2 ** (2 * m + 1) * y2 ** (2 * m) / (x0 * y0) ** (2 * m)
-                * (1 - q) ** (2 * m)
-                / ((1 + s) ** m * (s - 1) ** m * (2 * t - 1) ** m)
-            )
-            y_val = (
-                x2 ** (2 * m) * y2 ** (2 * m + 1) / (x0 * y0) ** (2 * m)
-                * (1 + p) ** m * (2 * q - 1) ** m * (p - 1) ** m
-                / (1 - t) ** (2 * m)
-            )
-        elif residue == 3:
-            x_val = (
-                y1 * x0 ** (2 * m + 1) * y0 ** (2 * m) / (x2 ** (2 * m) * y2 ** (2 * m + 1))
-                * (1 - t) ** (2 * m)
-                / ((1 + p) ** (m + 1) * (2 * q - 1) ** m * (p - 1) ** m)
-            )
-            y_val = (
-                x1 * x0 ** (2 * m) * y0 ** (2 * m + 1) / (x2 ** (2 * m + 1) * y2 ** (2 * m))
-                * (1 + s) ** m * (s - 1) ** m * (2 * t - 1) ** m
-                / (q - 1) ** (2 * m + 1)
-            )
-        elif residue == 4:
-            x_val = (
-                (x2 * y2) ** (2 * m + 1) * (q - 1) ** (2 * m + 1)
-                / (
-                    x0 ** (2 * m) * y0 ** (2 * m + 1)
-                    * (1 + s) ** (m + 1) * (s - 1) ** m * (2 * t - 1) ** m
-                )
-            )
-            y_val = (
-                (x2 * y2) ** (2 * m + 1)
-                * (1 + p) ** (m + 1) * (2 * q - 1) ** m * (p - 1) ** m
-                / (x0 ** (2 * m + 1) * y0 ** (2 * m) * (t - 1) ** (2 * m + 1))
-            )
-        elif residue == 5:
-            x_val = (
-                x1 * (x0 * y0) ** (2 * m + 1) * (t - 1) ** (2 * m + 1)
-                / (
-                    (x2 * y2) ** (2 * m + 1)
-                    * (1 + p) ** (m + 1) * (2 * q - 1) ** (m + 1) * (p - 1) ** m
-                )
-            )
-            y_val = (
-                y1 * (x0 * y0) ** (2 * m + 1)
-                * (1 + s) ** (m + 1) * (s - 1) ** m * (2 * t - 1) ** m
-                / ((x2 * y2) ** (2 * m + 1) * (1 - q) ** (2 * m + 1))
-            )
-        elif residue == 6:
-            x_val = (
-                x2 ** (2 * m + 2) * y2 ** (2 * m + 1) * (1 - q) ** (2 * m + 1)
-                / (
-                    x0 ** (2 * m + 1) * y0 ** (2 * m + 1)
-                    * (1 + s) ** (m + 1) * (s - 1) ** m * (2 * t - 1) ** (m + 1)
-                )
-            )
-            y_val = (
-                x2 ** (2 * m + 1) * y2 ** (2 * m + 2)
-                * (1 + p) ** (m + 1) * (2 * q - 1) ** (m + 1) * (p - 1) ** m
-                / (x0 ** (2 * m + 1) * y0 ** (2 * m + 1) * (1 - t) ** (2 * m + 1))
-            )
-        else:
-            x_val = (
-                y1 * x0 ** (2 * m + 2) * y0 ** (2 * m + 1) * (1 - t) ** (2 * m + 1)
-                / (
-                    x2 ** (2 * m + 1) * y2 ** (2 * m + 2)
-                    * (1 + p) ** (m + 1) * (2 * q - 1) ** (m + 1) * (p - 1) ** (m + 1)
-                )
-            )
-            y_val = (
-                x1 * x0 ** (2 * m + 1) * y0 ** (2 * m + 2)
-                * (1 + s) ** (m + 1) * (s - 1) ** m * (2 * t - 1) ** (m + 1)
-                / (x2 ** (2 * m + 2) * y2 ** (2 * m + 1) * (1 - q) ** (2 * m + 2))
-            )
-    except ZeroDivisionError:
-        raise ForbiddenInputError(n, "vanishing residue-8 denominator") from None
-    if x_val == 0 or y_val == 0:
-        raise ForbiddenInputError(n, "vanishing residue-8 numerator")
-    return x_val, y_val
-
+_RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
 
 CASES_B = {
     "Product": Case(lambda params: True),
     "ACneq1": Case(lambda params: params.a * params.c != 1, braces=_braces_b_ac_general),
     "ACeq1": Case(lambda params: params.a * params.c == 1, braces=_braces_b_ac_unit),
-    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), point=_unit_bd_point, period=8),
+    # a pure power: the a*c != 1 braces at a*c = -1
+    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), braces=_braces_b_ac_general, **_RESIDUE_8),
     # all ones is the a*c = 1 braces at a = b = c = d = 1
     "AllOnes": _pinned(SystemBParams(1, 1, 1, 1), braces=_braces_b_ac_unit),
 }
@@ -633,35 +480,35 @@ CASE_TAGS_B = tuple(CASES_B)
 CASES = {"A": CASES_A, "B": CASES_B}
 
 
-def _check_case_b(
-    tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
-) -> tuple[Case, tuple[Fraction, Fraction, Fraction, Fraction]]:
+def _case_route_b(tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int):
+    """The validated case and its route, as for System A."""
     case = _validated("B", tag, params, n_max)
-    return case, seeds_b(ics)  # rejects zero seed products up front
+    s0, s1, t0, t1 = seeds_b(ics)  # rejects zero seed products up front
+
+    def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+        if case.braces is None:
+            # the product sweep's auxiliary values; only the tie order differs
+            sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
+        else:
+            sb_fn, tb_fn, odd_factor = case.braces(params, ics)
+            # brace j is odd_factor * seed * S[j] with seeds (p, s, q, t) for S
+            # and (q, t, p, s) for T; dividing that scale out leaves S[j], T[j]
+            s_unscale = [seed / odd_factor for seed in (s0, s1, t0, t1)]
+            t_unscale = [seed / odd_factor for seed in (t0, t1, s0, s1)]
+            sb = [sb_fn(j) * s_unscale[j % 4] for j in range(n_max)]
+            tb = [tb_fn(j) * t_unscale[j % 4] for j in range(n_max)]
+        return _assemble_b(ics, sb, tb, n_max, ties="TS")
+
+    return case, route
 
 
 def solve_b_case_sweep(
     tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
-    case, (s0, s1, t0, t1) = _check_case_b(tag, params, ics, n_max)
-    if case.point is not None:
-        return _point_sweep(case, ics, n_max)
-    if case.braces is None:
-        # the product sweep's auxiliary values; only the tie order differs
-        sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
-    else:
-        sb_fn, tb_fn, odd_factor = case.braces(params, ics)
-        # brace j is odd_factor * seed * S[j] with seeds (p, s, q, t) for S
-        # and (q, t, p, s) for T; dividing that scale out leaves S[j], T[j]
-        s_unscale = [seed / odd_factor for seed in (s0, s1, t0, t1)]
-        t_unscale = [seed / odd_factor for seed in (t0, t1, s0, s1)]
-        sb = [sb_fn(j) * s_unscale[j % 4] for j in range(n_max)]
-        tb = [tb_fn(j) * t_unscale[j % 4] for j in range(n_max)]
-    return _assemble_b(ics, sb, tb, n_max, ties="TS")
+    return _periodic_sweep(*_case_route_b(tag, params, ics, n_max), n_max)
 
 
 def solve_b_case(
     tag: str, params: SystemBParams, ics: SystemBInitial, n: int
 ) -> tuple[Fraction, Fraction]:
-    case = _check_case_b(tag, params, ics, n)[0]
-    return _solve_index(case, solve_b_case_sweep, tag, params, ics, n)
+    return _solve_index(*_case_route_b(tag, params, ics, n), n)

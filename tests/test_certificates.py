@@ -9,7 +9,10 @@ boundary lets symbols through.
   both systems at both parities, and the frozen control does not;
 * the iteration denominators factor through the auxiliary sequences, as
   the docstring of ``sdeq.forbidden`` states, so a zero that the
-  restriction scan finds is a singular step.
+  restriction scan finds is a singular step;
+* at the pinned parameters of each pure-power case the auxiliary
+  recursion returns to free seeds after the case's period, which is what
+  lets ``sdeq.closed_form`` extend each residue class by one ratio.
 """
 
 from types import SimpleNamespace
@@ -18,7 +21,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from sdeq import reduction, symmetry, systems  # noqa: E402
+from sdeq import closed_form, reduction, symmetry, systems  # noqa: E402
 
 
 class Ratio(sympy.Symbol):
@@ -126,3 +129,24 @@ def test_denominator_factorization_b(symbolic):
     assert sympy.cancel(T[2] - recursion.T[2]) == 0
     assert sympy.cancel(a + b * x0 * y1 - T[2] / S[0]) == 0
     assert sympy.cancel(c + d * y0 * x1 - S[2] / T[0]) == 0
+
+
+@pytest.mark.parametrize(
+    "system, tag", [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
+)
+def test_pure_power_recursion_is_periodic(symbolic, system, tag):
+    case = closed_form.CASES[system][tag]
+    period = case.period
+    if system == "A":
+        S0, T0 = sympy.symbols("S0 T0")
+        lin = reduction.solve_linear_a(case.fixed, S0, T0, period)
+        returned = [lin.S[period] - S0, lin.T[period] - T0]
+    else:
+        S0, S1, T0, T1 = sympy.symbols("S0 S1 T0 T1")
+        lin = reduction.solve_linear_b(case.fixed, S0, S1, T0, T1, period + 1)
+        returned = [
+            lin.S[period] - S0, lin.S[period + 1] - S1,
+            lin.T[period] - T0, lin.T[period + 1] - T1,
+        ]
+    assert period > 0
+    assert [sympy.expand(r) for r in returned] == [0] * len(returned)

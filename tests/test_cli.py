@@ -447,7 +447,10 @@ def test_pure_power_point_solve_reports_first_break(capsys):
     ]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert "breaks closed form at index 2" in err
+    assert err == (
+        "error: forbidden input: forbidden input: u0*v1 = 1 or v0*u1 = 1"
+        " (breaks closed form at index 2)\n"
+    )
 
 
 # The mismatch payloads below are forced with a wrong auxiliary closed form

@@ -5,7 +5,6 @@ import pytest
 
 from sdeq.closed_form import (
     CASE_TAGS_A,
-    CASES,
     CASE_TAGS_B,
     CaseParamError,
     ForbiddenInputError,
@@ -220,7 +219,7 @@ def test_case_b_against_oracle_per_tag():
 
 
 def test_case_b_unit_bd_cross_check():
-    # the unit-b,d family sits inside a*c != 1, so its residue-8 powers
+    # the unit-b,d family sits inside a*c != 1, so its residue-8 extension
     # must reproduce the generic geometric-ratio products exactly
     rng = random.Random(106)
     for _ in range(10):
@@ -396,6 +395,20 @@ PURE_POWER = {
     "B": {"UnitBD": (1, 1, -1, 1)},
 }
 
+# the general route that covers each pure-power tag's pinned parameters
+COVERING_ROUTE = {
+    "NegNeg": "Product", "Aeq1Bneg1": "ABneq1", "Beq1Aneg1": "ABneq1", "UnitBD": "ACneq1",
+}
+
+
+def _pure_power_inputs(system, tag, ics):
+    """Params, ics, single-point and sweep evaluators of a pure-power tag."""
+    if system == "A":
+        params, ics = SystemAParams(*PURE_POWER["A"][tag]), SystemAInitial(*ics)
+        return params, ics, solve_a_case, solve_a_case_sweep
+    params, ics = SystemBParams(*PURE_POWER["B"][tag]), SystemBInitial(*ics)
+    return params, ics, solve_b_case, solve_b_case_sweep
+
 
 def _outcome(evaluate):
     try:
@@ -404,38 +417,58 @@ def _outcome(evaluate):
         return exc.index, exc.detail
 
 
-def _pointwise(point, ics, n_max):
-    # the point formula at every index: the sweep's definition
-    pairs = [point(ics, n) for n in range(n_max + 1)]
-    return [first for first, _ in pairs], [second for _, second in pairs]
+def _value_or_index(evaluate):
+    try:
+        return evaluate()
+    except ForbiddenInputError as exc:
+        return exc.index
 
 
 def test_pure_power_point_matches_sweep():
     # small components hit the vanishing factors (p, q, s, t in {0, +-1, 1/2});
-    # the sweep extends each residue class past two periods by its ratio, so
-    # it is compared with the point formula at every index up to 67, more
-    # than eight periods
+    # the pure-power sweep extends each residue class past two periods by
+    # its ratio, so it is compared with the covering route's full assembly
+    # at every index up to 67, more than eight periods, and so is the
+    # single point at each listed n
     rng = random.Random(108)
     values = [F(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
     raised = 0
     for _ in range(50):
         for system, tags in PURE_POWER.items():
-            for tag, params in tags.items():
-                if system == "A":
-                    params = SystemAParams(*params)
-                    ics = SystemAInitial(*(rng.choice(values) for _ in range(4)))
-                    point, sweep = solve_a_case, solve_a_case_sweep
-                else:
-                    params = SystemBParams(*params)
-                    ics = SystemBInitial(*(rng.choice(values) for _ in range(6)))
-                    point, sweep = solve_b_case, solve_b_case_sweep
-                swept = _outcome(lambda: sweep(tag, params, ics, 67))
-                assert _outcome(lambda: _pointwise(CASES[system][tag].point, ics, 67)) == swept
+            for tag in tags:
+                components = 4 if system == "A" else 6
+                params, ics, point, sweep = _pure_power_inputs(
+                    system, tag, (rng.choice(values) for _ in range(components))
+                )
+                route = COVERING_ROUTE[tag]
+                full = _value_or_index(lambda: sweep(route, params, ics, 67))
+                assert _value_or_index(lambda: sweep(tag, params, ics, 67)) == full
                 for n in (0, 1, 2, 3, 5, 8, 13, 21, 40, 67):
-                    swept = _outcome(lambda: sweep(tag, params, ics, n))
-                    if isinstance(swept[1], str):
+                    full = _value_or_index(lambda: sweep(route, params, ics, n))
+                    if isinstance(full, int):
                         raised += 1
                     else:
-                        swept = swept[0][n], swept[1][n]
-                    assert _outcome(lambda: point(tag, params, ics, n)) == swept
+                        full = full[0][n], full[1][n]
+                    assert _value_or_index(lambda: point(tag, params, ics, n)) == full
     assert raised > 50  # the forbidden branch is exercised too
+
+
+# one forbidden input per pure-power tag: (system, tag, ics, index, detail)
+FORBIDDEN_PURE_POWER = [
+    ("A", "NegNeg", ("3", "2/3", "3/2", "2/3"), 2, "u0*v1 = 1 or v0*u1 = 1"),
+    ("A", "Aeq1Bneg1", ("1", "1", "2/3", "1"), 4, "vanishing residue-4 denominator"),
+    ("A", "Beq1Aneg1", ("-1", "1/3", "-2/3", "-1/2"), 3, "vanishing residue-4 denominator"),
+    ("B", "UnitBD", ("-1", "3/2", "-1/3", "-2/3", "-1", "-1"), 7,
+     "vanishing residue-8 denominator"),
+]
+
+
+@pytest.mark.parametrize("system, tag, ics, index, detail", FORBIDDEN_PURE_POWER)
+def test_pure_power_forbidden_detail(system, tag, ics, index, detail):
+    params, ics, point, sweep = _pure_power_inputs(system, tag, ics)
+    sweep(tag, params, ics, index - 1)
+    point(tag, params, ics, index - 1)
+    # 40 lies past two periods of every tag, where the residue classes extend
+    for n in (index, 40):
+        assert _outcome(lambda: sweep(tag, params, ics, n)) == (index, detail)
+        assert _outcome(lambda: point(tag, params, ics, n)) == (index, detail)
