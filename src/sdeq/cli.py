@@ -683,7 +683,8 @@ def _documented_error(exc: Exception) -> Optional[tuple[int, str]]:
     from .sampling import RetryCapError
 
     if isinstance(exc, (ForbiddenInputError, ZeroInitialError, ZeroInvariantError)):
-        return EXIT_FORBIDDEN, f"error: forbidden input: {exc}\n"
+        text = str(exc).removeprefix("forbidden input: ")  # ForbiddenInputErrors start with it
+        return EXIT_FORBIDDEN, f"error: forbidden input: {text}\n"
     if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
         return EXIT_USAGE, f"error: {exc}\n"
     return None

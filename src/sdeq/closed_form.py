@@ -10,14 +10,14 @@ telescoped product, two indices at a time: u[n+2] = u[n]*T[n]/S[n+1] and
 v[n+2] = v[n]*S[n]/T[n+1] for System A (S[0] = 1/(v0*u1), T[0] =
 1/(u0*v1)), and the same with y in the role of u and x in that of v for
 System B (S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2)).
-The product routes take S and T from the auxiliary closed forms; the
-enumerated parameter cases substitute them as simplified braces: a*b != 1
-(a = 1 and b = 1 are its special values) and a = b = 1 for A, a*c != 1
-and a*c = 1 (all ones is a special value) for B.  The sign-mixed pairs
-and a = b = -1 for A, and the unit-b,d family for B, are pure powers:
-they assemble two periods of the route that covers their pinned parameters
-and extend each residue class by one ratio.  ``CASES`` holds, per system,
-each tag's predicate and route.
+The product routes sweep S and T from the closed-form tables; the cases
+substitute them as simplified brace tables, swept by the same integer kernel
+(``reduction.geometric_sweep``): a*b != 1 (a = 1 and b = 1 are its special
+values) and a = b = 1 for A, a*c != 1 and a*c = 1 (all ones is a special
+value) for B.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d
+family for B, are pure powers: they assemble two periods of the route that
+covers their pinned parameters and extend each residue class by one ratio.
+``CASES`` holds, per system, each tag's predicate and route.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
 from .rational import ONE, format_rational
-from .reduction import closed_ST_a, closed_ST_b
+from .reduction import closed_ST_sweep_a, closed_ST_sweep_b, geometric_sweep
 from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
 
@@ -80,7 +80,10 @@ class Case(NamedTuple):
     """One enumerated parameter case.
 
     The route is braces fed to the shared assembly or, without them, the
-    product sweep.  ``fixed`` holds the parameters of a case that admits
+    product sweep.  ``braces(params, ics)`` gives g, the (K, C) pair of each
+    residue class of S and T and, for System A, the start scales; brace
+    m*w + k is K_k*g**m + C_k, or K_k + C_k*m at g = 1 (the linear cases),
+    and ``geometric_sweep`` evaluates either.  ``fixed`` holds the parameters of a case that admits
     exactly one choice of them.  A pure-power case also has the period of
     its auxiliary sequences (see _periodic_sweep) and the ``detail`` its
     forbidden inputs report.
@@ -199,15 +202,6 @@ def _assemble_b(
     return xs, ys
 
 
-def _unzip(pairs) -> tuple[list[Fraction], list[Fraction]]:
-    firsts: list[Fraction] = []
-    seconds: list[Fraction] = []
-    for first, second in pairs:
-        firsts.append(first)
-        seconds.append(second)
-    return firsts, seconds
-
-
 # ---------------------------------------------------------------------------
 # pure-power cases: two periods of the covering route, then one ratio per
 # residue class
@@ -273,8 +267,7 @@ def solve_a_product_sweep(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _require_nonzero_ics_a(ics)
-    s_seed, t_seed = seeds_a(ics)
-    sb, tb = _unzip(closed_ST_a(params, s_seed, t_seed, j) for j in range(n_max))
+    sb, tb = closed_ST_sweep_a(params, *seeds_a(ics), n_max)
     return _assemble(ics.u0, ics.v0, 1 / ics.v0, 1 / ics.u0, sb, tb, n_max)
 
 
@@ -298,36 +291,18 @@ def _braces_ab_general(params: SystemAParams, ics: SystemAInitial):
     q = ics.v0 * ics.u1
     ku = 1 - ab - p * (1 + b)
     kv = 1 - ab - q * (1 + a)
-
-    def sb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return ab**r * kv + q * (1 + a)
-        return a * ab**r * ku + p * (1 + a)
-
-    def tb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        if parity == 0:
-            return ab**r * ku + p * (1 + b)
-        return b * ab**r * kv + q * (1 + b)
-
-    return sb, tb, ics.u1 * (1 - ab), ics.v1 * (1 - ab)
+    s_pairs = ((kv, q * (1 + a)), (a * ku, p * (1 + a)))
+    t_pairs = ((ku, p * (1 + b)), (b * kv, q * (1 + b)))
+    return ab, s_pairs, t_pairs, (ics.u1 * (1 - ab), ics.v1 * (1 - ab))
 
 
 def _braces_ones(params: SystemAParams, ics: SystemAInitial):
     """a = b = 1: auxiliary values grow linearly."""
     p = ics.u0 * ics.v1
     q = ics.v0 * ics.u1
-
-    def sb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        return 1 + 2 * r * q if parity == 0 else 1 + (2 * r + 1) * p
-
-    def tb(j: int) -> Fraction:
-        r, parity = divmod(j, 2)
-        return 1 + 2 * r * p if parity == 0 else 1 + (2 * r + 1) * q
-
-    return sb, tb, ics.u1, ics.v1
+    s_pairs = ((ONE, 2 * q), (1 + p, 2 * p))
+    t_pairs = ((ONE, 2 * p), (1 + q, 2 * q))
+    return ONE, s_pairs, t_pairs, (ics.u1, ics.v1)
 
 
 _RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
@@ -358,9 +333,8 @@ def _case_route_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: i
     def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
         if case.braces is None:
             return solve_a_product_sweep(params, ics, n_max)
-        sb_fn, tb_fn, cu, cv = case.braces(params, ics)
-        sb = [sb_fn(j) for j in range(n_max)]
-        tb = [tb_fn(j) for j in range(n_max)]
+        g, s_pairs, t_pairs, (cu, cv) = case.braces(params, ics)
+        sb, tb = (geometric_sweep(pairs, g, n_max, g == 1) for pairs in (s_pairs, t_pairs))
         return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
 
     return case, route
@@ -389,8 +363,7 @@ def solve_b_product_sweep(
     auxiliary values taken from the mod-4 closed form."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    s0, s1, t0, t1 = seeds_b(ics)
-    sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
+    sb, tb = closed_ST_sweep_b(params, *seeds_b(ics), n_max)
     return _assemble_b(ics, sb, tb, n_max, ties="ST")
 
 
@@ -401,66 +374,51 @@ def solve_b_product(
     return xs[n], ys[n]
 
 
+def _products_b(params: SystemBParams, ics: SystemBInitial):
+    """The seed products p, s, q, t = x0*y1, x1*y2, y0*x1, y1*x2 and the
+    constants d + b*c, b + a*d of the System B braces."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    return ics.x0 * ics.y1, ics.x1 * ics.y2, ics.y0 * ics.x1, ics.y1 * ics.x2, d + b * c, b + a * d
+
+
+def _unscaled(pairs, products, factor: Fraction):
+    """Brace k of a System B table is factor * products[k] * S (or T) at
+    the same index, products being the reciprocal seeds of its strand;
+    dividing that scale out leaves S and T themselves, whose start scales
+    are the product route's."""
+    return tuple((K / (factor * w), C / (factor * w)) for (K, C), w in zip(pairs, products))
+
+
 def _braces_b_ac_general(params: SystemBParams, ics: SystemBInitial):
     """a*c != 1 braces with the geometric sums expanded in closed form and
     cleared of their denominator 1 - a*c, which joins the brace scale."""
     a, b, c, d = params.a, params.b, params.c, params.d
     ac = a * c
-    p = ics.x0 * ics.y1
-    q = ics.y0 * ics.x1
-    s = ics.x1 * ics.y2
-    t = ics.y1 * ics.x2
-    dbc = d + b * c
-    bad = b + a * d
-
-    def sb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        if residue == 0:
-            return ac**r * (1 - ac - p * dbc) + p * dbc
-        if residue == 1:
-            return ac**r * (1 - ac - s * dbc) + s * dbc
-        seed = q if residue == 2 else t
-        return ac**r * (c - a * c * c - seed * (a * c * d + b * c)) + seed * dbc
-
-    def tb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        if residue == 0:
-            return ac**r * (1 - ac - q * bad) + q * bad
-        if residue == 1:
-            return ac**r * (1 - ac - t * bad) + t * bad
-        seed = p if residue == 2 else s
-        return ac**r * (a - a * a * c - seed * (a * b * c + a * d)) + seed * bad
-
-    return sb, tb, 1 - ac
+    p, s, q, t, dbc, bad = _products_b(params, ics)
+    s_odd, s_lead = c - a * c * c, a * c * d + b * c
+    t_odd, t_lead = a - a * a * c, a * b * c + a * d
+    s_pairs = (
+        (1 - ac - p * dbc, p * dbc),
+        (1 - ac - s * dbc, s * dbc),
+        (s_odd - q * s_lead, q * dbc),
+        (s_odd - t * s_lead, t * dbc),
+    )
+    t_pairs = (
+        (1 - ac - q * bad, q * bad),
+        (1 - ac - t * bad, t * bad),
+        (t_odd - p * t_lead, p * bad),
+        (t_odd - s * t_lead, s * bad),
+    )
+    return ac, _unscaled(s_pairs, (p, s, q, t), 1 - ac), _unscaled(t_pairs, (q, t, p, s), 1 - ac)
 
 
 def _braces_b_ac_unit(params: SystemBParams, ics: SystemBInitial):
     """a*c = 1 braces: the geometric sums degenerate to linear terms."""
     a, b, c, d = params.a, params.b, params.c, params.d
-    p = ics.x0 * ics.y1
-    q = ics.y0 * ics.x1
-    s = ics.x1 * ics.y2
-    t = ics.y1 * ics.x2
-
-    def sb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        if residue == 0:
-            return 1 + p * (d + b * c) * r
-        if residue == 1:
-            return 1 + s * (d + b * c) * r
-        seed = q if residue == 2 else t
-        return c + seed * (d * (r + 1) + b * c * r)
-
-    def tb(j: int) -> Fraction:
-        r, residue = divmod(j, 4)
-        if residue == 0:
-            return 1 + q * (b + a * d) * r
-        if residue == 1:
-            return 1 + t * (b + a * d) * r
-        seed = p if residue == 2 else s
-        return a + seed * (b * (r + 1) + a * d * r)
-
-    return sb, tb, ONE
+    p, s, q, t, dbc, bad = _products_b(params, ics)
+    s_pairs = ((ONE, p * dbc), (ONE, s * dbc), (c + q * d, q * dbc), (c + t * d, t * dbc))
+    t_pairs = ((ONE, q * bad), (ONE, t * bad), (a + p * b, p * bad), (a + s * b, s * bad))
+    return ONE, _unscaled(s_pairs, (p, s, q, t), ONE), _unscaled(t_pairs, (q, t, p, s), ONE)
 
 
 _RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
@@ -483,20 +441,15 @@ CASES = {"A": CASES_A, "B": CASES_B}
 def _case_route_b(tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int):
     """The validated case and its route, as for System A."""
     case = _validated("B", tag, params, n_max)
-    s0, s1, t0, t1 = seeds_b(ics)  # rejects zero seed products up front
+    seeds = seeds_b(ics)  # rejects zero seed products up front
 
     def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
         if case.braces is None:
             # the product sweep's auxiliary values; only the tie order differs
-            sb, tb = _unzip(closed_ST_b(params, s0, s1, t0, t1, j) for j in range(n_max))
+            sb, tb = closed_ST_sweep_b(params, *seeds, n_max)
         else:
-            sb_fn, tb_fn, odd_factor = case.braces(params, ics)
-            # brace j is odd_factor * seed * S[j] with seeds (p, s, q, t) for S
-            # and (q, t, p, s) for T; dividing that scale out leaves S[j], T[j]
-            s_unscale = [seed / odd_factor for seed in (s0, s1, t0, t1)]
-            t_unscale = [seed / odd_factor for seed in (t0, t1, s0, s1)]
-            sb = [sb_fn(j) * s_unscale[j % 4] for j in range(n_max)]
-            tb = [tb_fn(j) * t_unscale[j % 4] for j in range(n_max)]
+            g, s_pairs, t_pairs = case.braces(params, ics)
+            sb, tb = (geometric_sweep(pairs, g, n_max, g == 1) for pairs in (s_pairs, t_pairs))
         return _assemble_b(ics, sb, tb, n_max, ties="TS")
 
     return case, route

@@ -6,13 +6,15 @@ z[n] = u[n]*v[n+1] satisfy the first-order pair
     w[n+1] = z[n]/(a + z[n]),    z[n+1] = w[n]/(b + w[n]),
 
 and their reciprocals S[n] = 1/w[n], T[n] = 1/z[n] satisfy the linear
-system  S[n+1] = a*T[n] + 1,  T[n+1] = b*S[n] + 1,  which has an explicit
-closed form split by parity.  For System B the invariants are
-w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1]; the reciprocals satisfy
-S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b (two interleaved strands) with a
-closed form split by residue mod 4.  Reconstruction runs the reduction
-backwards: u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n]) (and the x/y
-analogue), so a trajectory round-trips exactly through its invariants.
+system  S[n+1] = a*T[n] + 1,  T[n+1] = b*S[n] + 1.  For System B the
+invariants are w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1]; the reciprocals
+satisfy S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b (two interleaved
+strands).  Reconstruction runs the reduction backwards:
+u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n]) (and the x/y analogue), so
+a trajectory round-trips exactly through its invariants.  Each closed
+form is one coefficient table, split by parity (A) or residue mod 4 (B),
+and ``geometric_sweep`` evaluates a whole sweep of it, or of the case
+braces of ``sdeq.closed_form``, from carried integer powers.
 """
 
 from __future__ import annotations
@@ -92,6 +94,39 @@ def linearize(invariants: InvariantSeq) -> LinearSeq:
     return LinearSeq(S, T)
 
 
+def geometric_sweep(classes, g: Fraction, count: int, summed: bool = True) -> list[Fraction]:
+    """Entries 0..count-1 of a table with w = len(classes) residue classes:
+    entry m*w + k is x_k*g**m + y_k*h_m for (x_k, y_k) = classes[k], with
+    h_m = sum_{i<m} g**i when ``summed`` and h_m = 1 otherwise.
+
+    With g = P/Q the sweep carries P**m, Q**m and H_m = Q**m*h_m as ints
+    (H_{m+1} = Q*(H_m + P**m), or Q**(m+1) when h_m = 1), so each entry
+    is a single Fraction(num, den) with den = xd*yd*Q**m.
+    """
+    terms = [
+        (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+        for x, y in classes
+    ]
+    P, Q = g.numerator, g.denominator
+    power, scale, inner = 1, 1, 0 if summed else 1
+    values = []
+    for start in range(0, count, len(terms)):
+        for x_num, y_num, den in terms[: count - start]:
+            values.append(Fraction(x_num * power + y_num * inner, den * scale))
+        inner = Q * (inner + power) if summed else Q * inner
+        power *= P
+        scale *= Q
+    return values
+
+
+def _table_entry(table, n: int) -> tuple[Fraction, Fraction]:
+    """Entry n of both sequences of a table (g, S classes, T classes)."""
+    g, s_classes, t_classes = table
+    m, k = divmod(n, len(s_classes))
+    power, inner = g**m, geometric_sum(g, m - 1)
+    return tuple(x * power + y * inner for x, y in (s_classes[k], t_classes[k]))
+
+
 def solve_linear_a(
     params: SystemAParams, S0: Fraction, T0: Fraction, n_max: int
 ) -> LinearSeq:
@@ -107,34 +142,35 @@ def solve_linear_a(
     return LinearSeq(tuple(S), tuple(T))
 
 
+def _closed_table_a(params: SystemAParams, S0: Fraction, T0: Fraction):
+    """The System A closed form split by parity, as (g, S classes, T classes):
+
+        S[2m]   = (ab)^m S0          + (1+a) * sum_{i<m} (ab)^i
+        S[2m+1] = (ab)^m (a*T0 + 1)  + (1+a) * sum_{i<m} (ab)^i
+        T[2m]   = (ab)^m T0          + (1+b) * sum_{i<m} (ab)^i
+        T[2m+1] = (ab)^m (b*S0 + 1)  + (1+b) * sum_{i<m} (ab)^i
+    """
+    a, b = params.a, params.b
+    S0, T0 = rat(S0), rat(T0)
+    return a * b, ((S0, 1 + a), (a * T0 + 1, 1 + a)), ((T0, 1 + b), (b * S0 + 1, 1 + b))
+
+
 def closed_ST_a(
     params: SystemAParams, S0: Fraction, T0: Fraction, n: int
 ) -> tuple[Fraction, Fraction]:
-    """Closed form of the System A auxiliary pair, split by parity.
-
-        S[2m]   = (ab)^m S0 + (1+a) * sum_{i<m} (ab)^i
-        T[2m]   = (ab)^m T0 + (1+b) * sum_{i<m} (ab)^i
-        S[2m+1] = a(ab)^m T0 + sum_{i<=m} (ab)^i + a * sum_{i<m} (ab)^i
-        T[2m+1] = b(ab)^m S0 + sum_{i<=m} (ab)^i + b * sum_{i<m} (ab)^i
-
-    Agrees entrywise with solve_linear_a; the sums are empty at the seeds.
-    """
+    """Entry n of the System A closed form; agrees entrywise with
+    solve_linear_a, and the sums are empty at the seeds."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b = params.a, params.b
-    S0, T0 = rat(S0), rat(T0)
-    ab = a * b
-    m, parity = divmod(n, 2)
-    if parity == 0:
-        inner = geometric_sum(ab, m - 1)
-        s_val = ab**m * S0 + inner + a * inner
-        t_val = ab**m * T0 + inner + b * inner
-    else:
-        full = geometric_sum(ab, m)
-        inner = geometric_sum(ab, m - 1)
-        s_val = a ** (m + 1) * b**m * T0 + full + a * inner
-        t_val = a**m * b ** (m + 1) * S0 + full + b * inner
-    return s_val, t_val
+    return _table_entry(_closed_table_a(params, S0, T0), n)
+
+
+def closed_ST_sweep_a(
+    params: SystemAParams, S0: Fraction, T0: Fraction, count: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Entries 0..count-1 of S and T from the System A closed form."""
+    g, s_classes, t_classes = _closed_table_a(params, S0, T0)
+    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
 def solve_linear_b(
@@ -157,6 +193,29 @@ def solve_linear_b(
     return LinearSeq(tuple(S), tuple(T))
 
 
+def _closed_table_b(
+    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction
+):
+    """The System B closed form split by residue mod 4, as (g, S classes,
+    T classes), with h = sum_{i<m} (ac)^i:
+
+        S[4m]   = (ac)^m S0          + (d + bc) h
+        S[4m+1] = (ac)^m S1          + (d + bc) h
+        S[4m+2] = (ac)^m (c*T0 + d)  + (d + bc) h
+        S[4m+3] = (ac)^m (c*T1 + d)  + (d + bc) h
+
+    and T mirrors S with (a <-> c, b <-> d, S <-> T).
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
+    S0, S1, T0, T1 = rat(S0), rat(S1), rat(T0), rat(T1)
+    dbc, bad = d + b * c, b + a * d
+    return (
+        a * c,
+        ((S0, dbc), (S1, dbc), (c * T0 + d, dbc), (c * T1 + d, dbc)),
+        ((T0, bad), (T1, bad), (a * S0 + b, bad), (a * S1 + b, bad)),
+    )
+
+
 def closed_ST_b(
     params: SystemBParams,
     S0: Fraction,
@@ -165,37 +224,24 @@ def closed_ST_b(
     T1: Fraction,
     n: int,
 ) -> tuple[Fraction, Fraction]:
-    """Closed form of the System B auxiliary pair, split by residue mod 4.
-
-    With g(m) = sum_{i=0}^{m} (ac)^i (empty when m < 0):
-
-        S[4m]   = (ac)^m S0 + (d + bc) g(m-1)
-        S[4m+1] = (ac)^m S1 + (d + bc) g(m-1)
-        S[4m+2] = a^m c^{m+1} T0 + d g(m) + bc g(m-1)
-        S[4m+3] = a^m c^{m+1} T1 + d g(m) + bc g(m-1)
-
-    and T mirrors S with (a <-> c, b <-> d, S <-> T).  Agrees entrywise
-    with solve_linear_b.
-    """
+    """Entry n of the System B closed form; agrees entrywise with
+    solve_linear_b."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b, c, d = params.a, params.b, params.c, params.d
-    S0, S1, T0, T1 = rat(S0), rat(S1), rat(T0), rat(T1)
-    ac = a * c
-    m, residue = divmod(n, 4)
-    inner = geometric_sum(ac, m - 1)
-    if residue == 0:
-        return ac**m * S0 + (d + b * c) * inner, ac**m * T0 + (b + a * d) * inner
-    if residue == 1:
-        return ac**m * S1 + (d + b * c) * inner, ac**m * T1 + (b + a * d) * inner
-    full = geometric_sum(ac, m)
-    if residue == 2:
-        s_val = a**m * c ** (m + 1) * T0 + d * full + b * c * inner
-        t_val = a ** (m + 1) * c**m * S0 + b * full + a * d * inner
-        return s_val, t_val
-    s_val = a**m * c ** (m + 1) * T1 + d * full + b * c * inner
-    t_val = a ** (m + 1) * c**m * S1 + b * full + a * d * inner
-    return s_val, t_val
+    return _table_entry(_closed_table_b(params, S0, S1, T0, T1), n)
+
+
+def closed_ST_sweep_b(
+    params: SystemBParams,
+    S0: Fraction,
+    S1: Fraction,
+    T0: Fraction,
+    T1: Fraction,
+    count: int,
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Entries 0..count-1 of S and T from the System B closed form."""
+    g, s_classes, t_classes = _closed_table_b(params, S0, S1, T0, T1)
+    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
 def _reconstruct(

@@ -1,0 +1,125 @@
+"""Property tests of the integer sweep kernel against the exact rationals it
+replaces, with numerators and denominators up to 2**64.
+
+* ``geometric_sweep`` equals its defining formula x_k*g**m + y_k*h_m in
+  both forms of h_m;
+* ``closed_ST_sweep_*`` equals ``closed_ST_*`` and ``solve_linear_*``
+  entry by entry, with ab = +-1 (A) or ac = +-1 (B), a unit parameter or
+  a case's pinned parameters in part of the examples;
+* every case route that applies gives the product route's sweep: the same
+  values, or a ForbiddenInputError at the same index.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from sdeq import closed_form, reduction  # noqa: E402
+from sdeq.systems import (  # noqa: E402
+    SystemAInitial,
+    SystemAParams,
+    SystemBInitial,
+    SystemBParams,
+)
+
+BIG = 2**64
+
+# small edge values mixed with long ones, so that zeros, unit products and
+# cancellations all occur
+rationals = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2), F(3, 5)]),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+nonzero = rationals.filter(lambda value: value != 0)
+
+# per system: params, initial values, the partner of a in the ratio g, the
+# number of seeds, the closed form per index and as a sweep, the linear
+# recursion, the product route and the case route
+SYSTEMS = {
+    "A": (
+        SystemAParams, SystemAInitial, "b", 2, reduction.closed_ST_a,
+        reduction.closed_ST_sweep_a, reduction.solve_linear_a,
+        closed_form.solve_a_product_sweep, closed_form.solve_a_case_sweep,
+    ),
+    "B": (
+        SystemBParams, SystemBInitial, "c", 4, reduction.closed_ST_b,
+        reduction.closed_ST_sweep_b, reduction.solve_linear_b,
+        closed_form.solve_b_product_sweep, closed_form.solve_b_case_sweep,
+    ),
+}
+SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _params(draw, system):
+    params_type, _, partner, *_ = SYSTEMS[system]
+    values = {name: draw(rationals) for name in params_type._fields}
+    choice = draw(st.sampled_from(["free", "ratio", "unit", "pinned"]))
+    if choice == "ratio":  # ab = +-1 (A) or ac = +-1 (B)
+        values["a"] = draw(nonzero)
+        values[partner] = draw(st.sampled_from([1, -1])) / values["a"]
+    elif choice == "unit":  # a or its partner is 1
+        values[draw(st.sampled_from(["a", partner]))] = F(1)
+    elif choice == "pinned":  # the pinned parameters of a case
+        pinned = [case.fixed for case in closed_form.CASES[system].values() if case.fixed]
+        return draw(st.sampled_from(pinned))
+    return params_type(**values)
+
+
+@SETTINGS
+@hypothesis.given(
+    st.lists(st.tuples(rationals, rationals), min_size=1, max_size=4),
+    rationals,
+    st.integers(0, 13),
+    st.booleans(),
+)
+def test_kernel_equals_formula(classes, g, count, summed):
+    expected = []
+    for j in range(count):
+        m, k = divmod(j, len(classes))
+        x, y = classes[k]
+        h = sum(g**i for i in range(m)) if summed else 1
+        expected.append(x * g**m + y * h)
+    assert reduction.geometric_sweep(classes, g, count, summed) == expected
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 14), st.data())
+def test_sweep_equals_closed_form_and_recursion(system, count, data):
+    _, _, _, n_seeds, closed_st, sweep, solve_linear, *_ = SYSTEMS[system]
+    params = _params(data.draw, system)
+    seeds = [data.draw(rationals) for _ in range(n_seeds)]
+    S, T = sweep(params, *seeds, count)
+    assert list(zip(S, T)) == [closed_st(params, *seeds, j) for j in range(count)]
+    lin = solve_linear(params, *seeds, max(count - 1, 1))
+    assert (S, T) == (list(lin.S[:count]), list(lin.T[:count]))
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except closed_form.ForbiddenInputError as exc:
+        return exc.index
+
+
+@st.composite
+def route_inputs(draw):
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    _, initial_type, *_ = SYSTEMS[system]
+    params = _params(draw, system)
+    ics = initial_type(*(draw(nonzero) for _ in initial_type._fields))
+    return system, params, ics, draw(st.integers(0, 20))
+
+
+@hypothesis.settings(SETTINGS, max_examples=300)
+@hypothesis.given(route_inputs())
+def test_case_routes_equal_product_route(inputs):
+    system, params, ics, n = inputs
+    *_, product_sweep, case_sweep = SYSTEMS[system]
+    expected = _outcome(product_sweep, params, ics, n)
+    for tag, case in closed_form.CASES[system].items():
+        if case.applies(params):
+            assert _outcome(case_sweep, tag, params, ics, n) == expected, tag

@@ -12,7 +12,11 @@ boundary lets symbols through.
   restriction scan finds is a singular step;
 * at the pinned parameters of each pure-power case the auxiliary
   recursion returns to free seeds after the case's period, which is what
-  lets ``sdeq.closed_form`` extend each residue class by one ratio.
+  lets ``sdeq.closed_form`` extend each residue class by one ratio;
+* the closed-form tables of ``sdeq.reduction`` solve the linear recursion
+  from their seeds, and every case's brace table gives the assembly the
+  same ratios and start values, each with g**m and the geometric sum as
+  atoms; a table with one wrong coefficient fails either certificate.
 """
 
 from types import SimpleNamespace
@@ -150,3 +154,146 @@ def test_pure_power_recursion_is_periodic(symbolic, system, tag):
         ]
     assert period > 0
     assert [sympy.expand(r) for r in returned] == [0] * len(returned)
+
+
+# closed-form and brace tables: entry m*w + k is x_k*G + y_k*h with G = g**m
+# and h = H = sum_{i<m} g**i (closed forms, and braces at g = 1) or h = 1
+# (braces at g != 1).  G and H are free atoms that advance as G' = g*G,
+# H' = 1 + g*H from block m to block m + 1.  They are tied by
+# G + (1 - g)*H = 1, which holds at m = 0 (G = 1, H = 0) and which the
+# advance preserves (test_geometric_atoms_stay_tied); an identity is
+# certified for every m once it holds with G eliminated through the tie.
+
+G, H = sympy.symbols("G H")
+
+
+def test_geometric_atoms_stay_tied():
+    g = sympy.Symbol("g")
+    tie = G + (1 - g) * H - 1
+    advanced = tie.subs({G: g * G, H: 1 + g * H}, simultaneous=True)
+    assert sympy.expand(advanced - g * tie) == 0
+
+
+def _two_blocks(g, classes, summed=True):
+    """Entries of blocks m and m + 1 of one sequence, in index order."""
+    h = H if summed else 1
+    block = [x * G + y * h for x, y in classes]
+    return block + [v.subs({G: g * G, H: 1 + g * H}, simultaneous=True) for v in block]
+
+
+def _vanish(residuals) -> bool:
+    return all(sympy.cancel(r) == 0 for r in residuals)
+
+
+def _nonzero_somewhere(residuals) -> bool:
+    """True when some residual is nonzero at one rational point off its
+    poles, which shows it is not identically zero far more cheaply than
+    cancelling it."""
+    symbols = sorted(set().union(*(r.free_symbols for r in residuals)), key=str)
+    point = {x: sympy.Rational(3 + 2 * i, 7 + 5 * i) for i, x in enumerate(symbols)}
+    values = [r.xreplace(point) for r in residuals]
+    return any(value.is_finite and value != 0 for value in values)
+
+
+def _perturbed(table):
+    """Every copy of a table with one coefficient increased by one."""
+    g, *sequences = table
+    for side, classes in enumerate(sequences):
+        for k, pair in enumerate(classes):
+            for slot in range(2):
+                wrong = list(pair)
+                wrong[slot] += 1
+                changed = list(sequences)
+                changed[side] = classes[:k] + (tuple(wrong),) + classes[k + 1:]
+                yield (g, *changed)
+
+
+def _table_residuals(system, table, params, seeds):
+    """A closed-form table against the linear recursion over one block and
+    its crossing into the next, and its first block against the seeds."""
+    g, s_classes, t_classes = table
+    S, T = _two_blocks(g, s_classes), _two_blocks(g, t_classes)
+    if system == "A":
+        lag, (cs, ds), (ct, dt) = 1, (params.a, 1), (params.b, 1)
+    else:
+        lag, (cs, ds), (ct, dt) = 2, (params.c, params.d), (params.a, params.b)
+    width = len(s_classes)
+    residuals = [S[j + lag] - (cs * T[j] + ds) for j in range(width)]
+    residuals += [T[j + lag] - (ct * S[j] + dt) for j in range(width)]
+    residuals = [r.subs(G, 1 - (1 - g) * H) for r in residuals]
+    starts = [v.subs({G: 1, H: 0}) for v in S[:lag] + T[:lag]]
+    return residuals + [start - seed for start, seed in zip(starts, seeds)]
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+def test_closed_table_solves_linear_recursion(symbolic, system):
+    names, seed_names = ("ab", "S0 T0") if system == "A" else ("abcd", "S0 S1 T0 T1")
+    params = SimpleNamespace(**dict(zip(names, sympy.symbols(" ".join(names)))))
+    seeds = sympy.symbols(seed_names)
+    table = getattr(reduction, f"_closed_table_{system.lower()}")(params, *seeds)
+    assert _vanish(_table_residuals(system, table, params, seeds))
+    for wrong in _perturbed(table):
+        assert _nonzero_somewhere(_table_residuals(system, wrong, params, seeds))
+
+
+# per tag with braces: its parameters, free where the case leaves them free
+a, b, c, d = sympy.symbols("a b c d")
+_BRACE_PARAMS = {
+    ("A", "ABneq1"): (a, b),
+    ("A", "Aeq1"): (1, b),
+    ("A", "Beq1"): (a, 1),
+    ("B", "ACneq1"): (a, b, c, d),
+    ("B", "ACeq1"): (a, b, 1 / a, d),
+}
+_BRACE_TAGS = [
+    (system, tag)
+    for system, cases in closed_form.CASES.items()
+    for tag, case in cases.items()
+    if case.braces is not None
+]
+
+
+def _brace_setup(system, tag):
+    """The case's brace table (g, S pairs, T pairs) at free initial values,
+    with its start scales, the closed-form table and the true first[1],
+    second[1] of the shared assembly."""
+    case = closed_form.CASES[system][tag]
+    values = _BRACE_PARAMS.get((system, tag)) or case.fixed._asdict().values()
+    names, ic_names = ("ab", "u0 u1 v0 v1") if system == "A" else ("abcd", "x0 x1 x2 y0 y1 y2")
+    params = SimpleNamespace(**dict(zip(names, map(sympy.sympify, values))))
+    ics = SimpleNamespace(**dict(zip(ic_names.split(), sympy.symbols(ic_names))))
+    if system == "A":
+        g, s_pairs, t_pairs, scales = case.braces(params, ics)
+        table = reduction._closed_table_a(params, *closed_form.seeds_a(ics))
+        starts = (ics.u1, ics.v1)  # first = u, second = v
+    else:
+        g, s_pairs, t_pairs = case.braces(params, ics)
+        table = reduction._closed_table_b(params, *closed_form.seeds_b(ics))
+        # first = y, second = x, with the start scales of _assemble_b
+        scales, starts = (1 / ics.x0, 1 / ics.y0), (ics.y1, ics.x1)
+    return (g, s_pairs, t_pairs), scales, table, starts
+
+
+def _brace_residuals(braces, scales, table, starts):
+    """The braces' assembly ratios tb[j]/sb[j+1] and sb[j]/tb[j+1] against
+    the closed-form table's, and their start values scale/brace[0] against
+    the orbit's."""
+    g, s_pairs, t_pairs = braces
+    sb, tb = (_two_blocks(g, pairs, summed=g == 1) for pairs in (s_pairs, t_pairs))
+    S, T = (_two_blocks(table[0], classes) for classes in table[1:])
+    width = len(s_pairs)
+    residuals = [tb[j] / sb[j + 1] - T[j] / S[j + 1] for j in range(width)]
+    residuals += [sb[j] / tb[j + 1] - S[j] / T[j + 1] for j in range(width)]
+    residuals = [r.subs(G, 1 - (1 - g) * H) for r in residuals]
+    return residuals + [
+        scale / brace.subs({G: 1, H: 0}) - start
+        for scale, brace, start in zip(scales, (sb[0], tb[0]), starts)
+    ]
+
+
+@pytest.mark.parametrize("system, tag", _BRACE_TAGS)
+def test_braces_give_assembly_ratios_and_starts(symbolic, system, tag):
+    braces, *rest = _brace_setup(system, tag)
+    assert _vanish(_brace_residuals(braces, *rest))
+    for wrong in _perturbed(braces):
+        assert _nonzero_somewhere(_brace_residuals(wrong, *rest))

@@ -448,24 +448,26 @@ def test_pure_power_point_solve_reports_first_break(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert err == (
-        "error: forbidden input: forbidden input: u0*v1 = 1 or v0*u1 = 1"
+        "error: forbidden input: u0*v1 = 1 or v0*u1 = 1"
         " (breaks closed form at index 2)\n"
     )
 
 
-# The mismatch payloads below are forced with a wrong auxiliary closed form
-# (the product route reads it) or with an iterator that reports every orbit
-# singular; both substitutions act where the library looks the names up.
+# The mismatch payloads below are forced with a wrong auxiliary closed-form
+# sweep (the product route reads it) or with an iterator that reports every
+# orbit singular; both substitutions act where the library looks the names up.
 
 
 def _wrong_st_a(monkeypatch):
-    real = closed_form.closed_ST_a
+    real = closed_form.closed_ST_sweep_a
 
-    def wrong(params, s0, t0, j):
-        s, t = real(params, s0, t0, j)
-        return (s + 1, t) if j == 3 else (s, t)
+    def wrong(params, s0, t0, count):
+        S, T = real(params, s0, t0, count)
+        if count > 3:
+            S[3] += 1
+        return S, T
 
-    monkeypatch.setattr(closed_form, "closed_ST_a", wrong)
+    monkeypatch.setattr(closed_form, "closed_ST_sweep_a", wrong)
 
 
 def test_verify_mismatch_payload(capsys, monkeypatch):
@@ -522,13 +524,15 @@ def test_difftest_value_mismatch_payload(monkeypatch):
 
 
 def test_difftest_value_mismatch_payload_b(monkeypatch):
-    real = closed_form.closed_ST_b
+    real = closed_form.closed_ST_sweep_b
 
-    def wrong(params, s0, s1, t0, t1, j):
-        s, t = real(params, s0, s1, t0, t1, j)
-        return (s, 2 * t) if j == 2 else (s, t)
+    def wrong(params, s0, s1, t0, t1, count):
+        S, T = real(params, s0, s1, t0, t1, count)
+        if count > 2:
+            T[2] *= 2
+        return S, T
 
-    monkeypatch.setattr(closed_form, "closed_ST_b", wrong)
+    monkeypatch.setattr(closed_form, "closed_ST_sweep_b", wrong)
     report = cli.difftest("B", 4, 5, 3)
     assert report["strata"] == {"ac-unit": 1, "all-ones": 1, "general": 1, "unit-bd": 1}
     assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 12)
