@@ -584,8 +584,8 @@ def _rational_arg(args, flag: str) -> Fraction:
         raise UsageError(f"--{flag} is required for system {args.system}")
     try:
         return parse_rational(raw)
-    except ValueError:
-        raise UsageError(f"--{flag}: not a rational literal: {raw!r}") from None
+    except ValueError as exc:
+        raise UsageError(f"--{flag}: {exc}") from None
 
 
 def _resolve_seed(args) -> Optional[int]:

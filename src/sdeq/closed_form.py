@@ -10,14 +10,15 @@ telescoped product, two indices at a time: u[n+2] = u[n]*T[n]/S[n+1] and
 v[n+2] = v[n]*S[n]/T[n+1] for System A (S[0] = 1/(v0*u1), T[0] =
 1/(u0*v1)), and the same with y in the role of u and x in that of v for
 System B (S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2)).
-The product routes sweep S and T from the closed-form tables; the cases
-substitute them as simplified brace tables, swept by the same integer kernel
-(``reduction.geometric_sweep``): a*b != 1 (a = 1 and b = 1 are its special
-values) and a = b = 1 for A, a*c != 1 and a*c = 1 (all ones is a special
-value) for B.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d
-family for B, are pure powers: they assemble two periods of the route that
-covers their pinned parameters and extend each residue class by one ratio.
-``CASES`` holds, per system, each tag's predicate and route.
+S and T come from one closed-form table per system
+(``reduction.closed_ST_sweep_a/b``), which covers every parameter value,
+g = ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
+a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
+case's parameters, so every case route is the product route; a System B
+case only reports T before S when both vanish at one index.  The
+sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B, are
+pure powers: they assemble two periods and extend each residue class by
+one ratio.  ``CASES`` holds, per system, each tag's predicate.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -27,10 +28,11 @@ identifying the first index at which the closed form breaks down.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
-from .rational import ONE, format_rational
-from .reduction import closed_ST_sweep_a, closed_ST_sweep_b, geometric_sweep
+from .rational import format_rational
+from .reduction import closed_ST_sweep_a, closed_ST_sweep_b
 from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
 
@@ -73,24 +75,20 @@ def seeds_b(ics: SystemBInitial) -> tuple[Fraction, Fraction, Fraction, Fraction
 
 
 # ---------------------------------------------------------------------------
-# case tables: per system, tag -> predicate and evaluation route
+# case tables: per system, tag -> predicate
 
 
 class Case(NamedTuple):
     """One enumerated parameter case.
 
-    The route is braces fed to the shared assembly or, without them, the
-    product sweep.  ``braces(params, ics)`` gives g, the (K, C) pair of each
-    residue class of S and T and, for System A, the start scales; brace
-    m*w + k is K_k*g**m + C_k, or K_k + C_k*m at g = 1 (the linear cases),
-    and ``geometric_sweep`` evaluates either.  ``fixed`` holds the parameters of a case that admits
-    exactly one choice of them.  A pure-power case also has the period of
-    its auxiliary sequences (see _periodic_sweep) and the ``detail`` its
-    forbidden inputs report.
+    Every case is evaluated by its system's product route; the case only
+    says where that is valid.  ``applies`` is its predicate and ``fixed``
+    holds the parameters of a case that admits exactly one choice of them.
+    A pure-power case also has the period of its auxiliary sequences (see
+    _periodic_sweep) and the ``detail`` its forbidden inputs report.
     """
 
     applies: Callable[[Any], bool]
-    braces: Optional[Callable] = None
     detail: str = ""
     period: int = 0
     fixed: Any = None
@@ -150,20 +148,18 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# shared assembly: the telescoped recurrence over auxiliary braces
+# shared assembly: the telescoped recurrence over the auxiliary values
 #
-# Both systems rebuild their orbit two indices at a time from the
-# auxiliary values (first, second = u, v for System A and y, x for B):
+# Both systems rebuild their orbit two indices at a time from S and T
+# (first, second = u, v for System A and y, x for B):
 #
-#   first[m+2]  = first[m]  * Tb[m] / Sb[m+1]
-#   second[m+2] = second[m] * Sb[m] / Tb[m+1]
+#   first[m+2]  = first[m]  * T[m] / S[m+1]
+#   second[m+2] = second[m] * S[m] / T[m+1]
 #
-# where Sb/Tb are S/T up to a nonzero scaling that is the same for Sb[j]
-# and Tb[j+1] (and for Tb[j] and Sb[j+1]), so it cancels in every ratio;
-# only the start values first[1] = cf/Sb[0] and second[1] = cs/Tb[0] carry
-# it.  Each step multiplies one big value by a small ratio, so assembly
-# costs about what one step of iteration costs.  A zero brace at
-# auxiliary index j makes every trajectory index >= j+1 forbidden.
+# from the start values first[1] = cf/S[0] and second[1] = cs/T[0].  Each
+# step multiplies one big value by a small ratio, so assembly costs about
+# what one step of iteration costs.  A zero S[j] or T[j] makes every
+# trajectory index >= j+1 forbidden.
 
 
 def _assemble(
@@ -176,12 +172,12 @@ def _assemble(
     n_max: int,
     ties: str = "ST",
 ) -> tuple[list[Fraction], list[Fraction]]:
-    """Orbit entries 0..n_max from braces 0..n_max-1; ``ties`` names the
-    brace reported first when S and T vanish at the same index."""
-    braces = {"S": sb, "T": tb}
+    """Orbit entries 0..n_max from S and T at 0..n_max-1; ``ties`` names the
+    sequence reported first when S and T vanish at the same index."""
+    auxiliary = {"S": sb, "T": tb}
     for j in range(n_max):
         for name in ties:
-            if braces[name][j] == 0:
+            if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
     first = [f0]
     second = [s0]
@@ -194,27 +190,18 @@ def _assemble(
     return first, second
 
 
-def _assemble_b(
-    ics: SystemBInitial, sb: list[Fraction], tb: list[Fraction], n_max: int, ties: str
-) -> tuple[list[Fraction], list[Fraction]]:
-    # y plays the first role and x the second in the shared assembly
-    ys, xs = _assemble(ics.y0, ics.x0, 1 / ics.x0, 1 / ics.y0, sb, tb, n_max, ties)
-    return xs, ys
-
-
 # ---------------------------------------------------------------------------
-# pure-power cases: two periods of the covering route, then one ratio per
+# pure-power cases: two periods of the product route, then one ratio per
 # residue class
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
 # exactly periodic with the case's period P: a = 1, b = -1 give
 # S[n+2] = 2 - S[n], so S[n+4] = S[n] (tests/test_certificates.py
-# certifies every case).  The braces repeat with it, so the ratio
-# entry[n+P]/entry[n] depends only on k = n mod P, and
-# entry[k + m*P] = entry[k] * rho_k**m with rho_k = entry[k+P]/entry[k].
-# A zero brace repeats a zero among braces 0..P-1, which the assembly of
-# the first two periods scans, so the first forbidden index is the full
-# sweep's.
+# certifies every case).  So the ratio entry[n+P]/entry[n] depends only
+# on k = n mod P, and entry[k + m*P] = entry[k] * rho_k**m with
+# rho_k = entry[k+P]/entry[k].  A zero S or T repeats a zero among
+# indices 0..P-1, which the assembly of the first two periods scans, so
+# the first forbidden index is the full sweep's.
 
 
 def _periodic_sweep(case: Case, route, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -278,47 +265,16 @@ def solve_a_product(
     return us[n], vs[n]
 
 
-def _braces_ab_general(params: SystemAParams, ics: SystemAInitial):
-    """Scaled auxiliary braces for the a*b != 1 product solution.
-
-    Even/odd S and T values, cleared of geometric-series denominators:
-    the scalings cancel inside the assembled ratios up to the constants
-    u1*(1-ab), v1*(1-ab) on the odd branches.
-    """
-    a, b = params.a, params.b
-    ab = a * b
-    p = ics.u0 * ics.v1
-    q = ics.v0 * ics.u1
-    ku = 1 - ab - p * (1 + b)
-    kv = 1 - ab - q * (1 + a)
-    s_pairs = ((kv, q * (1 + a)), (a * ku, p * (1 + a)))
-    t_pairs = ((ku, p * (1 + b)), (b * kv, q * (1 + b)))
-    return ab, s_pairs, t_pairs, (ics.u1 * (1 - ab), ics.v1 * (1 - ab))
-
-
-def _braces_ones(params: SystemAParams, ics: SystemAInitial):
-    """a = b = 1: auxiliary values grow linearly."""
-    p = ics.u0 * ics.v1
-    q = ics.v0 * ics.u1
-    s_pairs = ((ONE, 2 * q), (1 + p, 2 * p))
-    t_pairs = ((ONE, 2 * p), (1 + q, 2 * q))
-    return ONE, s_pairs, t_pairs, (ics.u1, ics.v1)
-
-
 _RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
 
 CASES_A = {
     "Product": Case(lambda params: True),
-    "ABneq1": Case(lambda params: params.a * params.b != 1, braces=_braces_ab_general),
-    # a = 1 and b = 1 are the general braces at that value; their scales
-    # u1*(1 - ab), v1*(1 - ab) stay nonzero because ab != 1
-    "Aeq1": Case(lambda params: params.a == 1 and params.b != 1, braces=_braces_ab_general),
-    "Beq1": Case(lambda params: params.b == 1 and params.a != 1, braces=_braces_ab_general),
-    # the pure powers: the general braces at a*b = -1, the product route at
-    # a*b = 1
-    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), braces=_braces_ab_general, **_RESIDUE_4),
-    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), braces=_braces_ab_general, **_RESIDUE_4),
-    "OnesOnes": _pinned(SystemAParams(1, 1), braces=_braces_ones),
+    "ABneq1": Case(lambda params: params.a * params.b != 1),
+    "Aeq1": Case(lambda params: params.a == 1 and params.b != 1),
+    "Beq1": Case(lambda params: params.b == 1 and params.a != 1),
+    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), **_RESIDUE_4),
+    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), **_RESIDUE_4),
+    "OnesOnes": _pinned(SystemAParams(1, 1)),
     "NegNeg": _pinned(SystemAParams(-1, -1), detail="u0*v1 = 1 or v0*u1 = 1", period=2),
 }
 
@@ -326,18 +282,12 @@ CASE_TAGS_A = tuple(CASES_A)
 
 
 def _case_route_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int):
-    """The validated case and its route; route(m) assembles entries 0..m."""
+    """The validated case and its route; route(m) assembles entries 0..m.
+    Zero initial values are rejected here, before a pure-power case could
+    give the error its own detail."""
     case = _validated("A", tag, params, n_max)
     _require_nonzero_ics_a(ics)
-
-    def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-        if case.braces is None:
-            return solve_a_product_sweep(params, ics, n_max)
-        g, s_pairs, t_pairs, (cu, cv) = case.braces(params, ics)
-        sb, tb = (geometric_sweep(pairs, g, n_max, g == 1) for pairs in (s_pairs, t_pairs))
-        return _assemble(ics.u0, ics.v0, cu, cv, sb, tb, n_max)
-
-    return case, route
+    return case, partial(solve_a_product_sweep, params, ics)
 
 
 def solve_a_case_sweep(
@@ -356,6 +306,15 @@ def solve_a_case(
 # System B
 
 
+def _sweep_b(
+    params: SystemBParams, ics: SystemBInitial, seeds, n_max: int, ties: str
+) -> tuple[list[Fraction], list[Fraction]]:
+    sb, tb = closed_ST_sweep_b(params, *seeds, n_max)
+    # y plays the first role and x the second in the shared assembly
+    ys, xs = _assemble(ics.y0, ics.x0, 1 / ics.x0, 1 / ics.y0, sb, tb, n_max, ties)
+    return xs, ys
+
+
 def solve_b_product_sweep(
     params: SystemBParams, ics: SystemBInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
@@ -363,8 +322,7 @@ def solve_b_product_sweep(
     auxiliary values taken from the mod-4 closed form."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    sb, tb = closed_ST_sweep_b(params, *seeds_b(ics), n_max)
-    return _assemble_b(ics, sb, tb, n_max, ties="ST")
+    return _sweep_b(params, ics, seeds_b(ics), n_max, ties="ST")
 
 
 def solve_b_product(
@@ -374,63 +332,14 @@ def solve_b_product(
     return xs[n], ys[n]
 
 
-def _products_b(params: SystemBParams, ics: SystemBInitial):
-    """The seed products p, s, q, t = x0*y1, x1*y2, y0*x1, y1*x2 and the
-    constants d + b*c, b + a*d of the System B braces."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    return ics.x0 * ics.y1, ics.x1 * ics.y2, ics.y0 * ics.x1, ics.y1 * ics.x2, d + b * c, b + a * d
-
-
-def _unscaled(pairs, products, factor: Fraction):
-    """Brace k of a System B table is factor * products[k] * S (or T) at
-    the same index, products being the reciprocal seeds of its strand;
-    dividing that scale out leaves S and T themselves, whose start scales
-    are the product route's."""
-    return tuple((K / (factor * w), C / (factor * w)) for (K, C), w in zip(pairs, products))
-
-
-def _braces_b_ac_general(params: SystemBParams, ics: SystemBInitial):
-    """a*c != 1 braces with the geometric sums expanded in closed form and
-    cleared of their denominator 1 - a*c, which joins the brace scale."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    ac = a * c
-    p, s, q, t, dbc, bad = _products_b(params, ics)
-    s_odd, s_lead = c - a * c * c, a * c * d + b * c
-    t_odd, t_lead = a - a * a * c, a * b * c + a * d
-    s_pairs = (
-        (1 - ac - p * dbc, p * dbc),
-        (1 - ac - s * dbc, s * dbc),
-        (s_odd - q * s_lead, q * dbc),
-        (s_odd - t * s_lead, t * dbc),
-    )
-    t_pairs = (
-        (1 - ac - q * bad, q * bad),
-        (1 - ac - t * bad, t * bad),
-        (t_odd - p * t_lead, p * bad),
-        (t_odd - s * t_lead, s * bad),
-    )
-    return ac, _unscaled(s_pairs, (p, s, q, t), 1 - ac), _unscaled(t_pairs, (q, t, p, s), 1 - ac)
-
-
-def _braces_b_ac_unit(params: SystemBParams, ics: SystemBInitial):
-    """a*c = 1 braces: the geometric sums degenerate to linear terms."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    p, s, q, t, dbc, bad = _products_b(params, ics)
-    s_pairs = ((ONE, p * dbc), (ONE, s * dbc), (c + q * d, q * dbc), (c + t * d, t * dbc))
-    t_pairs = ((ONE, q * bad), (ONE, t * bad), (a + p * b, p * bad), (a + s * b, s * bad))
-    return ONE, _unscaled(s_pairs, (p, s, q, t), ONE), _unscaled(t_pairs, (q, t, p, s), ONE)
-
-
 _RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
 
 CASES_B = {
     "Product": Case(lambda params: True),
-    "ACneq1": Case(lambda params: params.a * params.c != 1, braces=_braces_b_ac_general),
-    "ACeq1": Case(lambda params: params.a * params.c == 1, braces=_braces_b_ac_unit),
-    # a pure power: the a*c != 1 braces at a*c = -1
-    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), braces=_braces_b_ac_general, **_RESIDUE_8),
-    # all ones is the a*c = 1 braces at a = b = c = d = 1
-    "AllOnes": _pinned(SystemBParams(1, 1, 1, 1), braces=_braces_b_ac_unit),
+    "ACneq1": Case(lambda params: params.a * params.c != 1),
+    "ACeq1": Case(lambda params: params.a * params.c == 1),
+    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), **_RESIDUE_8),
+    "AllOnes": _pinned(SystemBParams(1, 1, 1, 1)),
 }
 
 CASE_TAGS_B = tuple(CASES_B)
@@ -439,20 +348,11 @@ CASES = {"A": CASES_A, "B": CASES_B}
 
 
 def _case_route_b(tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int):
-    """The validated case and its route, as for System A."""
+    """The validated case and its route, as for System A, except that T is
+    reported before S when both vanish at one index."""
     case = _validated("B", tag, params, n_max)
     seeds = seeds_b(ics)  # rejects zero seed products up front
-
-    def route(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-        if case.braces is None:
-            # the product sweep's auxiliary values; only the tie order differs
-            sb, tb = closed_ST_sweep_b(params, *seeds, n_max)
-        else:
-            g, s_pairs, t_pairs = case.braces(params, ics)
-            sb, tb = (geometric_sweep(pairs, g, n_max, g == 1) for pairs in (s_pairs, t_pairs))
-        return _assemble_b(ics, sb, tb, n_max, ties="TS")
-
-    return case, route
+    return case, partial(_sweep_b, params, ics, seeds, ties="TS")
 
 
 def solve_b_case_sweep(

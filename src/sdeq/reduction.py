@@ -13,8 +13,8 @@ strands).  Reconstruction runs the reduction backwards:
 u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n]) (and the x/y analogue), so
 a trajectory round-trips exactly through its invariants.  Each closed
 form is one coefficient table, split by parity (A) or residue mod 4 (B),
-and ``geometric_sweep`` evaluates a whole sweep of it, or of the case
-braces of ``sdeq.closed_form``, from carried integer powers.
+and ``geometric_sweep`` evaluates a whole sweep of it from carried
+integer powers; every route of ``sdeq.closed_form`` reads that sweep.
 """
 
 from __future__ import annotations
@@ -94,26 +94,26 @@ def linearize(invariants: InvariantSeq) -> LinearSeq:
     return LinearSeq(S, T)
 
 
-def geometric_sweep(classes, g: Fraction, count: int, summed: bool = True) -> list[Fraction]:
+def geometric_sweep(classes, g: Fraction, count: int) -> list[Fraction]:
     """Entries 0..count-1 of a table with w = len(classes) residue classes:
     entry m*w + k is x_k*g**m + y_k*h_m for (x_k, y_k) = classes[k], with
-    h_m = sum_{i<m} g**i when ``summed`` and h_m = 1 otherwise.
+    h_m = sum_{i<m} g**i.
 
     With g = P/Q the sweep carries P**m, Q**m and H_m = Q**m*h_m as ints
-    (H_{m+1} = Q*(H_m + P**m), or Q**(m+1) when h_m = 1), so each entry
-    is a single Fraction(num, den) with den = xd*yd*Q**m.
+    (H_{m+1} = Q*(H_m + P**m)), so each entry is a single Fraction(num, den)
+    with den = xd*yd*Q**m.
     """
     terms = [
         (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
         for x, y in classes
     ]
     P, Q = g.numerator, g.denominator
-    power, scale, inner = 1, 1, 0 if summed else 1
+    power, scale, inner = 1, 1, 0
     values = []
     for start in range(0, count, len(terms)):
         for x_num, y_num, den in terms[: count - start]:
             values.append(Fraction(x_num * power + y_num * inner, den * scale))
-        inner = Q * (inner + power) if summed else Q * inner
+        inner = Q * (inner + power)
         power *= P
         scale *= Q
     return values

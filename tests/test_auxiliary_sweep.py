@@ -1,13 +1,16 @@
 """Property tests of the integer sweep kernel against the exact rationals it
 replaces, with numerators and denominators up to 2**64.
 
-* ``geometric_sweep`` equals its defining formula x_k*g**m + y_k*h_m in
-  both forms of h_m;
+* ``geometric_sweep`` equals its defining formula x_k*g**m + y_k*h_m;
 * ``closed_ST_sweep_*`` equals ``closed_ST_*`` and ``solve_linear_*``
   entry by entry, with ab = +-1 (A) or ac = +-1 (B), a unit parameter or
   a case's pinned parameters in part of the examples;
 * every case route that applies gives the product route's sweep: the same
-  values, or a ForbiddenInputError at the same index.
+  values, or a ForbiddenInputError at the same index;
+* every case route that applies, as a sweep and at a single point, gives
+  the iterated orbit value for value, or, where the orbit is singular, a
+  ForbiddenInputError at the singular step.  The case routes all read the
+  closed-form table, so this is the check that does not rely on it.
 """
 
 from fractions import Fraction as F
@@ -23,6 +26,8 @@ from sdeq.systems import (  # noqa: E402
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    iterate_a,
+    iterate_b,
 )
 
 BIG = 2**64
@@ -74,16 +79,14 @@ def _params(draw, system):
     st.lists(st.tuples(rationals, rationals), min_size=1, max_size=4),
     rationals,
     st.integers(0, 13),
-    st.booleans(),
 )
-def test_kernel_equals_formula(classes, g, count, summed):
+def test_kernel_equals_formula(classes, g, count):
     expected = []
     for j in range(count):
         m, k = divmod(j, len(classes))
         x, y = classes[k]
-        h = sum(g**i for i in range(m)) if summed else 1
-        expected.append(x * g**m + y * h)
-    assert reduction.geometric_sweep(classes, g, count, summed) == expected
+        expected.append(x * g**m + y * sum(g**i for i in range(m)))
+    assert reduction.geometric_sweep(classes, g, count) == expected
 
 
 @SETTINGS
@@ -123,3 +126,59 @@ def test_case_routes_equal_product_route(inputs):
     for tag, case in closed_form.CASES[system].items():
         if case.applies(params):
             assert _outcome(case_sweep, tag, params, ics, n) == expected, tag
+
+
+# per system: the iterator, its smallest n and the single-point case route
+ITERATION = {
+    "A": (iterate_a, 1, closed_form.solve_a_case),
+    "B": (iterate_b, 2, closed_form.solve_b_case),
+}
+
+# initial values near the forbidden sets: with small components a
+# denominator a + u[n]*v[n+1] (or its System B analogue) often vanishes
+# within a few steps
+near_forbidden = st.one_of(
+    st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]),
+    st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    nonzero,
+)
+
+
+@st.composite
+def orbit_inputs(draw):
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    _, initial_type, *_ = SYSTEMS[system]
+    params = _params(draw, system)
+    ics = initial_type(*(draw(near_forbidden) for _ in initial_type._fields))
+    return system, params, ics, draw(st.integers(ITERATION[system][1], 12))
+
+
+def _check_against_iteration(system, params, ics, n) -> bool:
+    """Every applicable case route against the iterated orbit up to n;
+    True when the orbit is singular."""
+    iterate, _, case_point = ITERATION[system]
+    case_sweep = SYSTEMS[system][-1]
+    orbit = iterate(params, ics, n)
+    for tag, case in closed_form.CASES[system].items():
+        if not case.applies(params):
+            continue
+        if orbit.singular is None:
+            assert case_sweep(tag, params, ics, n) == (list(orbit.first), list(orbit.second)), tag
+            assert case_point(tag, params, ics, n) == (orbit.first[n], orbit.second[n]), tag
+        else:
+            step = orbit.singular.step
+            assert _outcome(case_sweep, tag, params, ics, n) == step, tag
+            assert _outcome(case_point, tag, params, ics, n) == step, tag
+    return orbit.singular is not None
+
+
+def test_case_routes_equal_iteration():
+    singular = []
+
+    @hypothesis.settings(SETTINGS, max_examples=600)
+    @hypothesis.given(orbit_inputs())
+    def check(inputs):
+        singular.append(_check_against_iteration(*inputs))
+
+    check()
+    assert sum(singular) >= 40  # the singular branch is exercised too (73 of 600)

@@ -10,13 +10,15 @@ boundary lets symbols through.
 * the iteration denominators factor through the auxiliary sequences, as
   the docstring of ``sdeq.forbidden`` states, so a zero that the
   restriction scan finds is a singular step;
+* the invariants of an orbit follow the first-order map that
+  ``predict_vs_observe`` runs, and a map with a and b swapped does not;
 * at the pinned parameters of each pure-power case the auxiliary
   recursion returns to free seeds after the case's period, which is what
   lets ``sdeq.closed_form`` extend each residue class by one ratio;
-* the closed-form tables of ``sdeq.reduction`` solve the linear recursion
-  from their seeds, and every case's brace table gives the assembly the
-  same ratios and start values, each with g**m and the geometric sum as
-  atoms; a table with one wrong coefficient fails either certificate.
+* the closed-form tables of ``sdeq.reduction``, which every route of
+  ``sdeq.closed_form`` reads, solve the linear recursion from their seeds,
+  with g**m and the geometric sum as atoms; a table with one wrong
+  coefficient fails the certificate.
 """
 
 from types import SimpleNamespace
@@ -135,6 +137,35 @@ def test_denominator_factorization_b(symbolic):
     assert sympy.cancel(c + d * y0 * x1 - S[2] / T[0]) == 0
 
 
+# per system: parameter and initial-value names, the lag and the invariant
+# map (w, z)[n] -> (w, z)[n + lag] that ``predict_vs_observe`` runs
+_INVARIANT_MAPS = {
+    "A": ("a b", "u0 u1 v0 v1", 1, lambda p, w, z: (z / (p.a + z), w / (p.b + w))),
+    "B": (
+        "a b c d", "x0 x1 x2 y0 y1 y2", 2,
+        lambda p, w, z: (z / (p.c + p.d * z), w / (p.a + p.b * w)),
+    ),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_INVARIANT_MAPS))
+def test_invariant_map(symbolic, system):
+    # index 0 of an orbit with free initial values stands for any index n
+    names, ic_names, lag, invariant_map = _INVARIANT_MAPS[system]
+    params = getattr(systems, f"System{system}Params")(*sympy.symbols(names))
+    ics = getattr(systems, f"System{system}Initial")(*sympy.symbols(ic_names))
+    orbit = getattr(systems, f"iterate_{system.lower()}")(params, ics, lag + 1)
+    inv = getattr(reduction, f"invariants_{system.lower()}")(orbit)
+
+    def residuals(p):
+        w, z = invariant_map(p, inv.w[0], inv.z[0])
+        return [sympy.cancel(inv.w[lag] - w), sympy.cancel(inv.z[lag] - z)]
+
+    assert residuals(params) == [0, 0]
+    swapped = SimpleNamespace(**{**params._asdict(), "a": params.b, "b": params.a})
+    assert residuals(swapped) != [0, 0]
+
+
 @pytest.mark.parametrize(
     "system, tag", [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
 )
@@ -156,9 +187,8 @@ def test_pure_power_recursion_is_periodic(symbolic, system, tag):
     assert [sympy.expand(r) for r in returned] == [0] * len(returned)
 
 
-# closed-form and brace tables: entry m*w + k is x_k*G + y_k*h with G = g**m
-# and h = H = sum_{i<m} g**i (closed forms, and braces at g = 1) or h = 1
-# (braces at g != 1).  G and H are free atoms that advance as G' = g*G,
+# closed-form tables: entry m*w + k is x_k*G + y_k*H with G = g**m and
+# H = sum_{i<m} g**i.  G and H are free atoms that advance as G' = g*G,
 # H' = 1 + g*H from block m to block m + 1.  They are tied by
 # G + (1 - g)*H = 1, which holds at m = 0 (G = 1, H = 0) and which the
 # advance preserves (test_geometric_atoms_stay_tied); an identity is
@@ -174,10 +204,9 @@ def test_geometric_atoms_stay_tied():
     assert sympy.expand(advanced - g * tie) == 0
 
 
-def _two_blocks(g, classes, summed=True):
+def _two_blocks(g, classes):
     """Entries of blocks m and m + 1 of one sequence, in index order."""
-    h = H if summed else 1
-    block = [x * G + y * h for x, y in classes]
+    block = [x * G + y * H for x, y in classes]
     return block + [v.subs({G: g * G, H: 1 + g * H}, simultaneous=True) for v in block]
 
 
@@ -234,66 +263,3 @@ def test_closed_table_solves_linear_recursion(symbolic, system):
     assert _vanish(_table_residuals(system, table, params, seeds))
     for wrong in _perturbed(table):
         assert _nonzero_somewhere(_table_residuals(system, wrong, params, seeds))
-
-
-# per tag with braces: its parameters, free where the case leaves them free
-a, b, c, d = sympy.symbols("a b c d")
-_BRACE_PARAMS = {
-    ("A", "ABneq1"): (a, b),
-    ("A", "Aeq1"): (1, b),
-    ("A", "Beq1"): (a, 1),
-    ("B", "ACneq1"): (a, b, c, d),
-    ("B", "ACeq1"): (a, b, 1 / a, d),
-}
-_BRACE_TAGS = [
-    (system, tag)
-    for system, cases in closed_form.CASES.items()
-    for tag, case in cases.items()
-    if case.braces is not None
-]
-
-
-def _brace_setup(system, tag):
-    """The case's brace table (g, S pairs, T pairs) at free initial values,
-    with its start scales, the closed-form table and the true first[1],
-    second[1] of the shared assembly."""
-    case = closed_form.CASES[system][tag]
-    values = _BRACE_PARAMS.get((system, tag)) or case.fixed._asdict().values()
-    names, ic_names = ("ab", "u0 u1 v0 v1") if system == "A" else ("abcd", "x0 x1 x2 y0 y1 y2")
-    params = SimpleNamespace(**dict(zip(names, map(sympy.sympify, values))))
-    ics = SimpleNamespace(**dict(zip(ic_names.split(), sympy.symbols(ic_names))))
-    if system == "A":
-        g, s_pairs, t_pairs, scales = case.braces(params, ics)
-        table = reduction._closed_table_a(params, *closed_form.seeds_a(ics))
-        starts = (ics.u1, ics.v1)  # first = u, second = v
-    else:
-        g, s_pairs, t_pairs = case.braces(params, ics)
-        table = reduction._closed_table_b(params, *closed_form.seeds_b(ics))
-        # first = y, second = x, with the start scales of _assemble_b
-        scales, starts = (1 / ics.x0, 1 / ics.y0), (ics.y1, ics.x1)
-    return (g, s_pairs, t_pairs), scales, table, starts
-
-
-def _brace_residuals(braces, scales, table, starts):
-    """The braces' assembly ratios tb[j]/sb[j+1] and sb[j]/tb[j+1] against
-    the closed-form table's, and their start values scale/brace[0] against
-    the orbit's."""
-    g, s_pairs, t_pairs = braces
-    sb, tb = (_two_blocks(g, pairs, summed=g == 1) for pairs in (s_pairs, t_pairs))
-    S, T = (_two_blocks(table[0], classes) for classes in table[1:])
-    width = len(s_pairs)
-    residuals = [tb[j] / sb[j + 1] - T[j] / S[j + 1] for j in range(width)]
-    residuals += [sb[j] / tb[j + 1] - S[j] / T[j + 1] for j in range(width)]
-    residuals = [r.subs(G, 1 - (1 - g) * H) for r in residuals]
-    return residuals + [
-        scale / brace.subs({G: 1, H: 0}) - start
-        for scale, brace, start in zip(scales, (sb[0], tb[0]), starts)
-    ]
-
-
-@pytest.mark.parametrize("system, tag", _BRACE_TAGS)
-def test_braces_give_assembly_ratios_and_starts(symbolic, system, tag):
-    braces, *rest = _brace_setup(system, tag)
-    assert _vanish(_brace_residuals(braces, *rest))
-    for wrong in _perturbed(braces):
-        assert _nonzero_somewhere(_brace_residuals(wrong, *rest))

@@ -440,6 +440,22 @@ def test_difftest_retry_cap_exits_1(capsys, monkeypatch):
     assert err.startswith("error: retry cap exhausted")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "--system", "A", *A_FLAGS[:2], "--b", "1/0", *A_FLAGS[4:], "--n", "4"],
+        ["symmetry-check", "--system", "A", *A_FLAGS[:4], "--c1", "1/0", "--c2", "1",
+         "--seed", "4"],
+    ],
+)
+def test_zero_denominator_flag_reports_parse_error(capsys, argv):
+    # the literal fits the grammar, so the error names its zero denominator
+    flag = argv[argv.index("1/0") - 1]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: zero denominator in rational literal: '1/0'\n"
+
+
 def test_pure_power_point_solve_reports_first_break(capsys):
     argv = [
         "solve", "--system", "A", "--a", "-1", "--b", "-1",
@@ -454,8 +470,10 @@ def test_pure_power_point_solve_reports_first_break(capsys):
 
 
 # The mismatch payloads below are forced with a wrong auxiliary closed-form
-# sweep (the product route reads it) or with an iterator that reports every
-# orbit singular; both substitutions act where the library looks the names up.
+# sweep or with an iterator that reports every orbit singular; both
+# substitutions act where the library looks the names up.  Every route reads
+# the wrong sweep, so the product and case routes both fail, and the case tag
+# is named because routes are compared in sorted order.
 
 
 def _wrong_st_a(monkeypatch):
@@ -481,7 +499,7 @@ def test_verify_mismatch_payload(capsys, monkeypatch):
     payload = json.loads(out)
     assert (payload["case"], payload["checked"], payload["equal"]) == ("ABneq1", 14, False)
     assert payload["first_mismatch"] == {
-        "route": "product",
+        "route": "ABneq1",
         "n": 4,
         "component": "first",
         "closed_form": "16/85",
@@ -508,10 +526,10 @@ def test_difftest_value_mismatch_payload(monkeypatch):
         "strata": {"general": 3},
         "skipped_draws": 0,
         "comparisons": 42,
-        "failures": 9,
+        "failures": 18,
         "first_counterexample": {
             "kind": "value-mismatch",
-            "route": "product",
+            "route": "ABneq1",
             "params": {"a": "-1/6", "b": "7"},
             "ics": {"u0": "5/4", "u1": "-8/3", "v0": "-1", "v1": "3/2"},
             "n": 4,
@@ -535,10 +553,10 @@ def test_difftest_value_mismatch_payload_b(monkeypatch):
     monkeypatch.setattr(closed_form, "closed_ST_sweep_b", wrong)
     report = cli.difftest("B", 4, 5, 3)
     assert report["strata"] == {"ac-unit": 1, "all-ones": 1, "general": 1, "unit-bd": 1}
-    assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 12)
+    assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 24)
     assert report["first_counterexample"] == {
         "kind": "value-mismatch",
-        "route": "product",
+        "route": "ACneq1",
         "params": {"a": "-2/9", "b": "-5/6", "c": "3", "d": "-9/8"},
         "ics": {"x0": "-1/9", "x1": "-1/2", "x2": "2/3", "y0": "1", "y1": "1", "y2": "-2/3"},
         "n": 3,

@@ -381,7 +381,7 @@ def test_kernel_forbidden_braces(system, route, params, ics, index, detail):
             return product(params, ics, n_max)
         return case(route, params, ics, n_max)
 
-    # the brace at j = index - 1 matters only once n_max reaches index
+    # S or T at j = index - 1 matters only once n_max reaches index
     t = iterate(params, ics, index - 1)
     assert evaluate(index - 1) == (list(t.first), list(t.second))
     for n_max in (index, index + 5):
@@ -394,12 +394,6 @@ PURE_POWER = {
     "A": {"NegNeg": (-1, -1), "Aeq1Bneg1": (1, -1), "Beq1Aneg1": (-1, 1)},
     "B": {"UnitBD": (1, 1, -1, 1)},
 }
-
-# the general route that covers each pure-power tag's pinned parameters
-COVERING_ROUTE = {
-    "NegNeg": "Product", "Aeq1Bneg1": "ABneq1", "Beq1Aneg1": "ABneq1", "UnitBD": "ACneq1",
-}
-
 
 def _pure_power_inputs(system, tag, ics):
     """Params, ics, single-point and sweep evaluators of a pure-power tag."""
@@ -427,9 +421,9 @@ def _value_or_index(evaluate):
 def test_pure_power_point_matches_sweep():
     # small components hit the vanishing factors (p, q, s, t in {0, +-1, 1/2});
     # the pure-power sweep extends each residue class past two periods by
-    # its ratio, so it is compared with the covering route's full assembly
-    # at every index up to 67, more than eight periods, and so is the
-    # single point at each listed n
+    # its ratio, so it is compared with the Product tag's full assembly at
+    # every index up to 67, more than eight periods, and so is the single
+    # point at each listed n
     rng = random.Random(108)
     values = [F(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
     raised = 0
@@ -440,11 +434,10 @@ def test_pure_power_point_matches_sweep():
                 params, ics, point, sweep = _pure_power_inputs(
                     system, tag, (rng.choice(values) for _ in range(components))
                 )
-                route = COVERING_ROUTE[tag]
-                full = _value_or_index(lambda: sweep(route, params, ics, 67))
+                full = _value_or_index(lambda: sweep("Product", params, ics, 67))
                 assert _value_or_index(lambda: sweep(tag, params, ics, 67)) == full
                 for n in (0, 1, 2, 3, 5, 8, 13, 21, 40, 67):
-                    full = _value_or_index(lambda: sweep(route, params, ics, n))
+                    full = _value_or_index(lambda: sweep("Product", params, ics, n))
                     if isinstance(full, int):
                         raised += 1
                     else:
