@@ -57,13 +57,9 @@ def _nonzero_update(c, d, x, y) -> bool:
 
 
 class SystemSpec(NamedTuple):
-    """Everything the subcommands need to know about one system."""
+    """The library functions the subcommands call for one system; its
+    flags, input records and smallest n come from ``systems.SHAPES``."""
 
-    param_flags: tuple[str, ...]
-    ic_flags: tuple[str, ...]
-    params: type
-    initial: type
-    min_n: int
     iterate: Callable
     check_forbidden: Callable
     invariants: Callable
@@ -73,19 +69,12 @@ class SystemSpec(NamedTuple):
     residual: Callable
     # the residual times a factor nonzero at admissible points, as two ints
     residual_kernel: Callable
-    # (params, point) -> the residual's update denominators are nonzero
-    residual_admissible: Callable
     # difftest trials cycle through these (stratum name, case tag or None)
     strata: tuple[tuple[str, Optional[str]], ...]
 
 
 SYSTEMS = {
     "A": SystemSpec(
-        param_flags=("a", "b"),
-        ic_flags=("u0", "u1", "v0", "v1"),
-        params=systems.SystemAParams,
-        initial=systems.SystemAInitial,
-        min_n=1,
         iterate=_Late("systems", "iterate_a"),
         check_forbidden=_Late("forbidden", "check_forbidden_a"),
         invariants=_Late("reduction", "invariants_a"),
@@ -94,18 +83,9 @@ SYSTEMS = {
         case_point=_Late("closed_form", "solve_a_case"),
         residual=_Late("symmetry", "slsc_residual_a"),
         residual_kernel=_Late("symmetry", "_residual_kernel_a"),
-        residual_admissible=lambda p, point: (
-            _nonzero_update(p.a, 1, point[0], point[3])
-            and _nonzero_update(p.b, 1, point[2], point[1])
-        ),
         strata=(("general", None),),
     ),
     "B": SystemSpec(
-        param_flags=("a", "b", "c", "d"),
-        ic_flags=("x0", "x1", "x2", "y0", "y1", "y2"),
-        params=systems.SystemBParams,
-        initial=systems.SystemBInitial,
-        min_n=2,
         iterate=_Late("systems", "iterate_b"),
         check_forbidden=_Late("forbidden", "check_forbidden_b"),
         invariants=_Late("reduction", "invariants_b"),
@@ -114,10 +94,6 @@ SYSTEMS = {
         case_point=_Late("closed_form", "solve_b_case"),
         residual=_Late("symmetry", "slsc_residual_b"),
         residual_kernel=_Late("symmetry", "_residual_kernel_b"),
-        residual_admissible=lambda p, point: (
-            _nonzero_update(p.a, p.b, point[0], point[4])
-            and _nonzero_update(p.c, p.d, point[3], point[1])
-        ),
         # the geometric-ratio, unit-ratio, unit-b,d and all-ones families
         strata=(
             ("general", None),
@@ -171,8 +147,8 @@ def _lit_map(values: dict) -> dict:
 
 
 def _build_inputs(config: RunConfig):
-    spec = SYSTEMS[config.system]
-    return spec.params(**config.params), spec.initial(**config.ics)
+    shape = systems.SHAPES[config.system]
+    return shape.params(**config.params), shape.initial(**config.ics)
 
 
 def _singular_json(trajectory: Trajectory):
@@ -375,11 +351,20 @@ def _sample_residual_input(rng, system: str, fixed_params):
     (e.g. a = b = 0 for System B), in which case the retry cap trips."""
     from .sampling import RETRY_CAP, draw_nonzero, draw_params
 
-    spec = SYSTEMS[system]
+    shape = systems.SHAPES[system]
+    fields = shape.initial._fields
+    # where the factors of z[0] = trail[0]*lead[1] and w[0] = lead[0]*trail[1]
+    # sit in a point, an initial-value tuple
+    lead, trail = shape.by_lead(*shape.split(range(len(fields))))
+    z0, w0 = (trail[0], lead[1]), (lead[0], trail[1])
     for _ in range(RETRY_CAP):
         params = fixed_params if fixed_params is not None else draw_params(rng, system)
-        point = tuple(draw_nonzero(rng) for _ in spec.ic_flags)
-        if spec.residual_admissible(params, point):
+        point = tuple(draw_nonzero(rng) for _ in fields)
+        # the residual's update denominators p + q*z[0] and r + s*w[0]
+        (p, q), (r, s) = shape.rule(params)
+        if _nonzero_update(p, q, point[z0[0]], point[z0[1]]) and _nonzero_update(
+            r, s, point[w0[0]], point[w0[1]]
+        ):
             return params, point
     raise UsageError("no admissible sample points for the given parameters")
 
@@ -401,7 +386,8 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
             )
             for _ in range(config.pairs)
         ]
-    fixed_params = None if config.params is None else spec.params(**config.params)
+    shape = systems.SHAPES[config.system]
+    fixed_params = None if config.params is None else shape.params(**config.params)
     checked = 0
     nonzero: list[dict] = []
     for ch in characteristics:
@@ -527,8 +513,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub, *, params=True, ics=True, n=True):
     sub.add_argument("--system", required=True, choices=tuple(SYSTEMS))
     # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
-    flags = [spec.param_flags for spec in SYSTEMS.values()] if params else []
-    flags += [spec.ic_flags for spec in SYSTEMS.values()] if ics else []
+    flags = [shape.params._fields for shape in systems.SHAPES.values()] if params else []
+    flags += [shape.initial._fields for shape in systems.SHAPES.values()] if ics else []
     for flag in dict.fromkeys(flag for group in flags for flag in group):
         sub.add_argument(f"--{flag}")
     if n:
@@ -588,39 +574,39 @@ def _rational_arg(args, flag: str) -> Fraction:
         raise UsageError(f"--{flag}: {exc}") from None
 
 
-def _resolve_seed(args) -> Optional[int]:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args) -> int:
+    """--seed, else SDE_SEED; only the sampling subcommands read either."""
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SDE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"SDE_SEED is not an integer: {env!r}") from None
-    return None
+    if env is None:
+        raise UsageError(f"{args.command} samples randomly; provide --seed or SDE_SEED")
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"SDE_SEED is not an integer: {env!r}") from None
 
 
 def _config_from_args(args) -> RunConfig:
     command = args.command
     system = args.system
-    spec = SYSTEMS[system]
+    shape = systems.SHAPES[system]
+    param_flags, ic_flags = shape.params._fields, shape.initial._fields
     params = None
     ics = None
     if command in ("iterate", "solve", "reduce", "verify", "check-forbidden"):
-        params = {flag: _rational_arg(args, flag) for flag in spec.param_flags}
-        ics = {flag: _rational_arg(args, flag) for flag in spec.ic_flags}
+        params = {flag: _rational_arg(args, flag) for flag in param_flags}
+        ics = {flag: _rational_arg(args, flag) for flag in ic_flags}
     n_max = getattr(args, "n", 0) or 0
-    if command in ("iterate", "solve", "reduce", "verify") and n_max < spec.min_n:
-        raise UsageError(f"--n must be >= {spec.min_n} for system {system}")
+    if command in ("iterate", "solve", "reduce", "verify") and n_max < shape.lag:
+        raise UsageError(f"--n must be >= {shape.lag} for system {system}")
     case = getattr(args, "case", "auto")
     if command in ("solve", "verify") and case != "auto":
         from .closed_form import CASES
 
         if case not in CASES[system]:
             raise UsageError(f"--case must be 'auto' or one of {', '.join(CASES[system])}")
-    seed = _resolve_seed(args)
-    if command in ("difftest", "symmetry-check") and seed is None:
-        raise UsageError(f"{command} samples randomly; provide --seed or SDE_SEED")
+    seed = _resolve_seed(args) if command in ("difftest", "symmetry-check") else None
     c1 = c2 = None
     if command == "symmetry-check":
         if (getattr(args, "c1", None) is None) != (getattr(args, "c2", None) is None):
@@ -628,11 +614,11 @@ def _config_from_args(args) -> RunConfig:
         if getattr(args, "c1", None) is not None:
             c1 = _rational_arg(args, "c1")
             c2 = _rational_arg(args, "c2")
-        given = [flag for flag in spec.param_flags if getattr(args, flag, None) is not None]
-        if given and len(given) != len(spec.param_flags):
+        given = [flag for flag in param_flags if getattr(args, flag, None) is not None]
+        if given and len(given) != len(param_flags):
             raise UsageError("give all parameter flags or none for symmetry-check")
         if given:
-            params = {flag: _rational_arg(args, flag) for flag in spec.param_flags}
+            params = {flag: _rational_arg(args, flag) for flag in param_flags}
         if args.samples < 1 or args.pairs < 1:
             raise UsageError("--samples and --pairs must be positive")
     if command == "check-forbidden" and args.horizon < 0:

@@ -1,24 +1,22 @@
 """Direct closed-form evaluators for both systems, case by case.
 
 Every evaluator here is an explicit function of the parameters, the initial
-conditions, and the index n alone; the forward iteration is never used.
-Each one is checkable against the forward iterator, and the test suite does
-exactly that over seeded random inputs.
+conditions, and the index n alone; the forward iteration is never used,
+and the test suite checks each evaluator against it.
 
 Both systems rebuild their orbit from the auxiliary values S and T by one
-telescoped product, two indices at a time: u[n+2] = u[n]*T[n]/S[n+1] and
-v[n+2] = v[n]*S[n]/T[n+1] for System A (S[0] = 1/(v0*u1), T[0] =
-1/(u0*v1)), and the same with y in the role of u and x in that of v for
-System B (S seeded as 1/(x0*y1), 1/(x1*y2) and T as 1/(y0*x1), 1/(y1*x2)).
-S and T come from one closed-form table per system
-(``reduction.closed_ST_sweep_a/b``), which covers every parameter value,
-g = ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
-a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
-case's parameters, so every case route is the product route; a System B
-case only reports T before S when both vanish at one index.  The
-sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B, are
-pure powers: they assemble two periods and extend each residue class by
-one ratio.  ``CASES`` holds, per system, each tag's predicate.
+telescoped product, two indices at a time: trail[n+2] =
+trail[n]*T[n]/S[n+1] and lead[n+2] = lead[n]*S[n]/T[n+1], with the
+components, lag and rule of the system's ``systems.SHAPES`` record and S,
+T seeded by the reciprocals of its seed products.  S and T come from one
+closed-form table (``reduction.closed_ST_sweep``), which covers every
+parameter value, g = ab or ac = 1 included.  Each enumerated case (a*b !=
+1, a = 1, b = 1, a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is
+that table at the case's parameters, so every case route is the product
+route; a System B case only reports T before S when both vanish at one
+index.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family
+for B, are pure powers: they assemble two periods and extend each residue
+class by one ratio.  ``CASES`` holds, per system, each tag's predicate.
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -32,8 +30,8 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
-from .reduction import closed_ST_sweep_a, closed_ST_sweep_b
-from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
+from .reduction import closed_ST_sweep
+from .systems import SHAPES, SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
 
 class ForbiddenInputError(ValueError):
@@ -49,29 +47,23 @@ class CaseParamError(ValueError):
     """The requested case tag is inconsistent with the parameters."""
 
 
+def _seeds(system: str, ics) -> tuple[Fraction, ...]:
+    """S[0..lag-1], then T[0..lag-1]: the reciprocals of the seed products."""
+    products = SHAPES[system].seed_products(ics)
+    for name, value in products:
+        if value == 0:
+            raise ForbiddenInputError(0, f"{name} = 0, auxiliary seeds undefined")
+    return tuple(1 / value for _, value in products)
+
+
 def seeds_a(ics: SystemAInitial) -> tuple[Fraction, Fraction]:
     """S[0] = 1/(v0*u1) and T[0] = 1/(u0*v1)."""
-    w0 = ics.v0 * ics.u1
-    z0 = ics.u0 * ics.v1
-    if w0 == 0:
-        raise ForbiddenInputError(0, "v0*u1 = 0, auxiliary seed S[0] undefined")
-    if z0 == 0:
-        raise ForbiddenInputError(0, "u0*v1 = 0, auxiliary seed T[0] undefined")
-    return 1 / w0, 1 / z0
+    return _seeds("A", ics)
 
 
 def seeds_b(ics: SystemBInitial) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """S[0], S[1] = 1/(x0*y1), 1/(x1*y2) and T[0], T[1] = 1/(y0*x1), 1/(y1*x2)."""
-    pairs = (
-        ("x0*y1", ics.x0 * ics.y1),
-        ("x1*y2", ics.x1 * ics.y2),
-        ("y0*x1", ics.y0 * ics.x1),
-        ("y1*x2", ics.y1 * ics.x2),
-    )
-    for name, value in pairs:
-        if value == 0:
-            raise ForbiddenInputError(0, f"{name} = 0, auxiliary seeds undefined")
-    return 1 / pairs[0][1], 1 / pairs[1][1], 1 / pairs[2][1], 1 / pairs[3][1]
+    return _seeds("B", ics)
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +142,45 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 # ---------------------------------------------------------------------------
 # shared assembly: the telescoped recurrence over the auxiliary values
 #
-# Both systems rebuild their orbit two indices at a time from S and T
-# (first, second = u, v for System A and y, x for B):
+# Both systems rebuild their orbit two indices at a time from S and T,
+# whose invariants w = lead*trail, z = trail*lead are built on the leading
+# and trailing components (v and u for System A, x and y for B):
 #
-#   first[m+2]  = first[m]  * T[m] / S[m+1]
-#   second[m+2] = second[m] * S[m] / T[m+1]
+#   trail[m+2] = trail[m] * T[m] / S[m+1]
+#   lead[m+2]  = lead[m]  * S[m] / T[m+1]
 #
-# from the start values first[1] = cf/S[0] and second[1] = cs/T[0].  Each
-# step multiplies one big value by a small ratio, so assembly costs about
-# what one step of iteration costs.  A zero S[j] or T[j] makes every
-# trajectory index >= j+1 forbidden.
+# from the start values trail[1] = 1/(lead[0]*S[0]) and
+# lead[1] = 1/(trail[0]*T[0]).  Each step multiplies one big value by a
+# small ratio, so assembly costs about what one step of iteration costs.
+# A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
 
 
-def _assemble(
-    f0: Fraction,
-    s0: Fraction,
-    cf: Fraction,
-    cs: Fraction,
-    sb: list[Fraction],
-    tb: list[Fraction],
-    n_max: int,
-    ties: str = "ST",
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Orbit entries 0..n_max from S and T at 0..n_max-1; ``ties`` names the
-    sequence reported first when S and T vanish at the same index."""
+def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
+    """Orbit entries 0..n_max, as (first, second), from the closed-form
+    sweep of S and T at ``seeds``; ``ties`` names the sequence reported
+    first when S and T vanish at the same index."""
+    sb, tb = closed_ST_sweep(system, params, seeds, n_max)
     auxiliary = {"S": sb, "T": tb}
     for j in range(n_max):
         for name in ties:
             if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
-    first = [f0]
-    second = [s0]
+    shape = SHAPES[system]
+    lead0, trail0 = (values[0] for values in shape.by_lead(*shape.split(ics._astuple())))
+    trail, lead = [trail0], [lead0]
     if n_max >= 1:
-        first.append(cf / sb[0])
-        second.append(cs / tb[0])
+        trail.append(1 / lead0 / sb[0])
+        lead.append(1 / trail0 / tb[0])
     for m in range(n_max - 1):
-        first.append(first[m] * (tb[m] / sb[m + 1]))
-        second.append(second[m] * (sb[m] / tb[m + 1]))
-    return first, second
+        trail.append(trail[m] * (tb[m] / sb[m + 1]))
+        lead.append(lead[m] * (sb[m] / tb[m + 1]))
+    return shape.by_lead(lead, trail)
+
+
+def _route(system: str, params, ics, ties: str = "ST"):
+    """route(m) assembles entries 0..m.  A zero seed product is reported
+    here, before a pure-power case could give the error its own detail."""
+    return partial(_sweep, system, params, ics, _seeds(system, ics), ties=ties)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +234,8 @@ def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
 
 
 def _require_nonzero_ics_a(ics: SystemAInitial) -> None:
-    for name in ("u0", "u1", "v0", "v1"):
-        if getattr(ics, name) == 0:
+    for name, value in ics._asdict().items():
+        if value == 0:
             raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
 
 
@@ -254,8 +247,7 @@ def solve_a_product_sweep(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _require_nonzero_ics_a(ics)
-    sb, tb = closed_ST_sweep_a(params, *seeds_a(ics), n_max)
-    return _assemble(ics.u0, ics.v0, 1 / ics.v0, 1 / ics.u0, sb, tb, n_max)
+    return _route("A", params, ics)(n_max)
 
 
 def solve_a_product(
@@ -287,7 +279,7 @@ def _case_route_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: i
     give the error its own detail."""
     case = _validated("A", tag, params, n_max)
     _require_nonzero_ics_a(ics)
-    return case, partial(solve_a_product_sweep, params, ics)
+    return case, _route("A", params, ics)
 
 
 def solve_a_case_sweep(
@@ -306,15 +298,6 @@ def solve_a_case(
 # System B
 
 
-def _sweep_b(
-    params: SystemBParams, ics: SystemBInitial, seeds, n_max: int, ties: str
-) -> tuple[list[Fraction], list[Fraction]]:
-    sb, tb = closed_ST_sweep_b(params, *seeds, n_max)
-    # y plays the first role and x the second in the shared assembly
-    ys, xs = _assemble(ics.y0, ics.x0, 1 / ics.x0, 1 / ics.y0, sb, tb, n_max, ties)
-    return xs, ys
-
-
 def solve_b_product_sweep(
     params: SystemBParams, ics: SystemBInitial, n_max: int
 ) -> tuple[list[Fraction], list[Fraction]]:
@@ -322,7 +305,7 @@ def solve_b_product_sweep(
     auxiliary values taken from the mod-4 closed form."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _sweep_b(params, ics, seeds_b(ics), n_max, ties="ST")
+    return _route("B", params, ics)(n_max)
 
 
 def solve_b_product(
@@ -350,9 +333,7 @@ CASES = {"A": CASES_A, "B": CASES_B}
 def _case_route_b(tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int):
     """The validated case and its route, as for System A, except that T is
     reported before S when both vanish at one index."""
-    case = _validated("B", tag, params, n_max)
-    seeds = seeds_b(ics)  # rejects zero seed products up front
-    return case, partial(_sweep_b, params, ics, seeds, ties="TS")
+    return _validated("B", tag, params, n_max), _route("B", params, ics, ties="TS")
 
 
 def solve_b_case_sweep(

@@ -1,20 +1,17 @@
 """Invariant-based order reduction and the linear auxiliary sequences.
 
-Along any System A orbit the products w[n] = v[n]*u[n+1] and
-z[n] = u[n]*v[n+1] satisfy the first-order pair
-
-    w[n+1] = z[n]/(a + z[n]),    z[n+1] = w[n]/(b + w[n]),
-
-and their reciprocals S[n] = 1/w[n], T[n] = 1/z[n] satisfy the linear
-system  S[n+1] = a*T[n] + 1,  T[n+1] = b*S[n] + 1.  For System B the
-invariants are w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1]; the reciprocals
-satisfy S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b (two interleaved
-strands).  Reconstruction runs the reduction backwards:
-u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n]) (and the x/y analogue), so
-a trajectory round-trips exactly through its invariants.  Each closed
-form is one coefficient table, split by parity (A) or residue mod 4 (B),
-and ``geometric_sweep`` evaluates a whole sweep of it from carried
-integer powers; every route of ``sdeq.closed_form`` reads that sweep.
+A system's record in ``systems.SHAPES`` states its whole reduction: along
+an orbit the invariant products w[n] = lead[n]*trail[n+1] and
+z[n] = trail[n]*lead[n+1] satisfy a first-order map whose reciprocals
+S = 1/w, T = 1/z are linear, S[n+lag] = p*T[n] + q and
+T[n+lag] = r*S[n] + s (System A: S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1;
+System B: two interleaved strands).  One recursion, one closed-form table
+split by residue mod 2*lag and one reconstruction, which runs the
+reduction backwards (trail[n+1] = 1/(S[n]*lead[n]),
+lead[n+1] = 1/(T[n]*trail[n])), serve both systems; the ``_a``/``_b``
+functions are thin wrappers.  ``geometric_sweep`` evaluates a whole sweep
+of a table from carried integer powers; every route of
+``sdeq.closed_form`` reads that sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rational import geometric_sum, rat
-from .systems import SystemAParams, SystemBParams, Trajectory, _Record
+from .systems import SHAPES, SystemAParams, SystemBParams, Trajectory, _Record
 
 
 class InvariantSeq(_Record):
@@ -62,10 +59,11 @@ def _require_regular(trajectory: Trajectory, min_len: int) -> None:
         raise ValueError(f"trajectory too short: need at least {min_len} entries")
 
 
-def _invariants(trajectory: Trajectory, lead, trail) -> InvariantSeq:
+def _invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
     """w[n] = lead[n]*trail[n+1], z[n] = trail[n]*lead[n+1] for n = 0..N-1,
-    where lead and trail are the trajectory's two components."""
+    with lead and trail the system's components in the order of SHAPES."""
     _require_regular(trajectory, 2)
+    lead, trail = SHAPES[system].by_lead(trajectory.first, trajectory.second)
     w = tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
     z = tuple(trail[n] * lead[n + 1] for n in range(len(lead) - 1))
     return InvariantSeq(w, z)
@@ -73,12 +71,12 @@ def _invariants(trajectory: Trajectory, lead, trail) -> InvariantSeq:
 
 def invariants_a(trajectory: Trajectory) -> InvariantSeq:
     """w[n] = v[n]*u[n+1], z[n] = u[n]*v[n+1] for n = 0..N-1."""
-    return _invariants(trajectory, trajectory.second, trajectory.first)
+    return _invariants("A", trajectory)
 
 
 def invariants_b(trajectory: Trajectory) -> InvariantSeq:
     """w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1] for n = 0..N-1."""
-    return _invariants(trajectory, trajectory.first, trajectory.second)
+    return _invariants("B", trajectory)
 
 
 def linearize(invariants: InvariantSeq) -> LinearSeq:
@@ -119,40 +117,67 @@ def geometric_sweep(classes, g: Fraction, count: int) -> list[Fraction]:
     return values
 
 
-def _table_entry(table, n: int) -> tuple[Fraction, Fraction]:
-    """Entry n of both sequences of a table (g, S classes, T classes)."""
-    g, s_classes, t_classes = table
+def _solve_linear(system: str, params, seeds, n_max: int) -> LinearSeq:
+    """Direct recursion of S[n+lag] = p*T[n] + q, T[n+lag] = r*S[n] + s up
+    to index n_max, from seeds = (S[0..lag-1], T[0..lag-1])."""
+    shape = SHAPES[system]
+    lag = shape.lag
+    if n_max < lag - 1:
+        raise ValueError(f"n_max must be >= {lag - 1}")
+    (p, q), (r, s) = shape.rule(params)
+    S = [rat(value) for value in seeds[:lag]]
+    T = [rat(value) for value in seeds[lag:]]
+    for n in range(n_max + 1 - lag):
+        S.append(p * T[n] + q)
+        T.append(r * S[n] + s)
+    return LinearSeq(tuple(S), tuple(T))
+
+
+def _closed_table(system: str, params, seeds):
+    """The closed form of the system's recursion, as (g, S classes,
+    T classes) split by residue mod 2*lag: for k < lag, with g = p*r and
+    h = sum_{i<m} g^i,
+
+        S[2*lag*m + k]       = g^m S[k]          + (p*s + q) h
+        S[2*lag*m + lag + k] = g^m (p*T[k] + q)  + (p*s + q) h
+
+    and T mirrors S with (p, q, S) <-> (r, s, T).  So System A
+    (g = ab) splits by parity and System B (g = ac) by residue mod 4.
+    """
+    shape = SHAPES[system]
+    (p, q), (r, s) = shape.rule(params)
+    start = [rat(value) for value in seeds]
+    head_s, head_t = start[: shape.lag], start[shape.lag :]
+    shift_s, shift_t = p * s + q, r * q + s
+    s_values = head_s + [p * t + q for t in head_t]
+    t_values = head_t + [r * x + s for x in head_s]
+    return (
+        p * r,
+        tuple((x, shift_s) for x in s_values),
+        tuple((x, shift_t) for x in t_values),
+    )
+
+
+def _closed_st(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
+    """Entry n of S and T from the system's closed form."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    g, s_classes, t_classes = _closed_table(system, params, seeds)
     m, k = divmod(n, len(s_classes))
     power, inner = g**m, geometric_sum(g, m - 1)
     return tuple(x * power + y * inner for x, y in (s_classes[k], t_classes[k]))
 
 
-def solve_linear_a(
-    params: SystemAParams, S0: Fraction, T0: Fraction, n_max: int
-) -> LinearSeq:
+def closed_ST_sweep(system: str, params, seeds, count: int):
+    """Entries 0..count-1 of S and T from the system's closed form, with
+    seeds = (S[0..lag-1], T[0..lag-1]); every closed-form route reads this."""
+    g, s_classes, t_classes = _closed_table(system, params, seeds)
+    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
+
+
+def solve_linear_a(params: SystemAParams, S0: Fraction, T0: Fraction, n_max: int) -> LinearSeq:
     """Direct recursion of S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    a, b = params.a, params.b
-    S = [rat(S0)]
-    T = [rat(T0)]
-    for n in range(n_max):
-        S.append(a * T[n] + 1)
-        T.append(b * S[n] + 1)
-    return LinearSeq(tuple(S), tuple(T))
-
-
-def _closed_table_a(params: SystemAParams, S0: Fraction, T0: Fraction):
-    """The System A closed form split by parity, as (g, S classes, T classes):
-
-        S[2m]   = (ab)^m S0          + (1+a) * sum_{i<m} (ab)^i
-        S[2m+1] = (ab)^m (a*T0 + 1)  + (1+a) * sum_{i<m} (ab)^i
-        T[2m]   = (ab)^m T0          + (1+b) * sum_{i<m} (ab)^i
-        T[2m+1] = (ab)^m (b*S0 + 1)  + (1+b) * sum_{i<m} (ab)^i
-    """
-    a, b = params.a, params.b
-    S0, T0 = rat(S0), rat(T0)
-    return a * b, ((S0, 1 + a), (a * T0 + 1, 1 + a)), ((T0, 1 + b), (b * S0 + 1, 1 + b))
+    return _solve_linear("A", params, (S0, T0), n_max)
 
 
 def closed_ST_a(
@@ -160,96 +185,45 @@ def closed_ST_a(
 ) -> tuple[Fraction, Fraction]:
     """Entry n of the System A closed form; agrees entrywise with
     solve_linear_a, and the sums are empty at the seeds."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _table_entry(_closed_table_a(params, S0, T0), n)
+    return _closed_st("A", params, (S0, T0), n)
 
 
 def closed_ST_sweep_a(
     params: SystemAParams, S0: Fraction, T0: Fraction, count: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Entries 0..count-1 of S and T from the System A closed form."""
-    g, s_classes, t_classes = _closed_table_a(params, S0, T0)
-    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
+    return closed_ST_sweep("A", params, (S0, T0), count)
 
 
 def solve_linear_b(
-    params: SystemBParams,
-    S0: Fraction,
-    S1: Fraction,
-    T0: Fraction,
-    T1: Fraction,
-    n_max: int,
+    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, n_max: int
 ) -> LinearSeq:
     """Direct recursion of S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    a, b, c, d = params.a, params.b, params.c, params.d
-    S = [rat(S0), rat(S1)]
-    T = [rat(T0), rat(T1)]
-    for n in range(n_max - 1):
-        S.append(c * T[n] + d)
-        T.append(a * S[n] + b)
-    return LinearSeq(tuple(S), tuple(T))
-
-
-def _closed_table_b(
-    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction
-):
-    """The System B closed form split by residue mod 4, as (g, S classes,
-    T classes), with h = sum_{i<m} (ac)^i:
-
-        S[4m]   = (ac)^m S0          + (d + bc) h
-        S[4m+1] = (ac)^m S1          + (d + bc) h
-        S[4m+2] = (ac)^m (c*T0 + d)  + (d + bc) h
-        S[4m+3] = (ac)^m (c*T1 + d)  + (d + bc) h
-
-    and T mirrors S with (a <-> c, b <-> d, S <-> T).
-    """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    S0, S1, T0, T1 = rat(S0), rat(S1), rat(T0), rat(T1)
-    dbc, bad = d + b * c, b + a * d
-    return (
-        a * c,
-        ((S0, dbc), (S1, dbc), (c * T0 + d, dbc), (c * T1 + d, dbc)),
-        ((T0, bad), (T1, bad), (a * S0 + b, bad), (a * S1 + b, bad)),
-    )
+    return _solve_linear("B", params, (S0, S1, T0, T1), n_max)
 
 
 def closed_ST_b(
-    params: SystemBParams,
-    S0: Fraction,
-    S1: Fraction,
-    T0: Fraction,
-    T1: Fraction,
-    n: int,
+    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, n: int
 ) -> tuple[Fraction, Fraction]:
     """Entry n of the System B closed form; agrees entrywise with
     solve_linear_b."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _table_entry(_closed_table_b(params, S0, S1, T0, T1), n)
+    return _closed_st("B", params, (S0, S1, T0, T1), n)
 
 
 def closed_ST_sweep_b(
-    params: SystemBParams,
-    S0: Fraction,
-    S1: Fraction,
-    T0: Fraction,
-    T1: Fraction,
-    count: int,
+    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, count: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Entries 0..count-1 of S and T from the System B closed form."""
-    g, s_classes, t_classes = _closed_table_b(params, S0, S1, T0, T1)
-    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
+    return closed_ST_sweep("B", params, (S0, S1, T0, T1), count)
 
 
-def _reconstruct(
-    labels: tuple[str, str], lin: LinearSeq, s_feeds_first: bool, first0, second0
-) -> Trajectory:
-    """first[n+1] = 1/(F[n]*second[n]), second[n+1] = 1/(G[n]*first[n]) with
-    (F, G) = (S, T) when ``s_feeds_first``, else (T, S).  Zero divisors are
-    reported in the order S, T, first, second."""
+def _reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
+    """trail[n+1] = 1/(S[n]*lead[n]), lead[n+1] = 1/(T[n]*trail[n]) from
+    (first0, second0).  Zero divisors are reported in the order S, T,
+    first, second."""
+    shape = SHAPES[system]
+    # the component names, ("u", "v") or ("x", "y")
+    labels = tuple(names[0].rstrip("0") for names in shape.split(shape.initial._fields))
     first = [rat(first0)]
     second = [rat(second0)]
     for n, (s_val, t_val) in enumerate(zip(lin.S, lin.T)):
@@ -261,7 +235,8 @@ def _reconstruct(
             raise ZeroDivisorError(labels[0], n)
         if second[n] == 0:
             raise ZeroDivisorError(labels[1], n)
-        f_val, g_val = (s_val, t_val) if s_feeds_first else (t_val, s_val)
+        # T feeds the lead and S the trail; by_lead puts them in component order
+        f_val, g_val = shape.by_lead(t_val, s_val)
         first.append(1 / (f_val * second[n]))
         second.append(1 / (g_val * first[n]))
     return Trajectory(labels, tuple(first), tuple(second))
@@ -270,9 +245,9 @@ def _reconstruct(
 def reconstruct_a(lin: LinearSeq, u0: Fraction, v0: Fraction) -> Trajectory:
     """Rebuild a System A orbit from its auxiliary pair and (u0, v0) via
     u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n])."""
-    return _reconstruct(("u", "v"), lin, True, u0, v0)
+    return _reconstruct("A", lin, u0, v0)
 
 
 def reconstruct_b(lin: LinearSeq, x0: Fraction, y0: Fraction) -> Trajectory:
     """System B analogue: x[n+1] = 1/(T[n]*y[n]), y[n+1] = 1/(S[n]*x[n])."""
-    return _reconstruct(("x", "y"), lin, False, x0, y0)
+    return _reconstruct("B", lin, x0, y0)

@@ -1,10 +1,11 @@
 """Seeded rational sampling shared by the differential driver and tests.
 
 Distribution: numerators uniform in [-9, 9], denominators uniform in
-[1, 9].  Draws that violate a constraint (zero where nonzero is required,
-a forbidden initial condition, a parameter predicate) are redrawn up to a
-documented retry cap; the small magnitudes keep the product formulas fast
-while still exercising every sign case.
+[1, 9], one draw per field of the system's input records
+(``systems.SHAPES``).  Draws that violate a constraint (zero where nonzero
+is required, a forbidden initial condition, a parameter predicate) are
+redrawn up to a documented retry cap; the small magnitudes keep the
+product formulas fast while still exercising every sign case.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .closed_form import lookup_case
 from .forbidden import check_forbidden_a, check_forbidden_b
-from .systems import SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
+from .systems import SHAPES, SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
 
 RETRY_CAP = 1000
 
@@ -40,21 +41,26 @@ def draw_nonzero(rng: random.Random) -> Fraction:
     raise RetryCapError("retry cap exhausted drawing a nonzero rational")
 
 
+def draw_ics(rng: random.Random, system: str):
+    """Every initial component nonzero, so every seed product is nonzero."""
+    initial = SHAPES[system].initial
+    return initial(*[draw_nonzero(rng) for _ in initial._fields])
+
+
 def draw_ics_a(rng: random.Random) -> SystemAInitial:
-    """All four components nonzero, so both seed products are nonzero."""
-    return SystemAInitial(*(draw_nonzero(rng) for _ in range(4)))
+    return draw_ics(rng, "A")
 
 
 def draw_ics_b(rng: random.Random) -> SystemBInitial:
-    return SystemBInitial(*(draw_nonzero(rng) for _ in range(6)))
+    return draw_ics(rng, "B")
 
 
 def draw_params_a(rng: random.Random) -> SystemAParams:
-    return SystemAParams(draw_rational(rng), draw_rational(rng))
+    return draw_params(rng, "A")
 
 
 def draw_params_b(rng: random.Random) -> SystemBParams:
-    return SystemBParams(*(draw_rational(rng) for _ in range(4)))
+    return draw_params(rng, "B")
 
 
 def _draw_ac_unit(rng: random.Random) -> SystemBParams:
@@ -62,60 +68,52 @@ def _draw_ac_unit(rng: random.Random) -> SystemBParams:
     return SystemBParams(a, draw_rational(rng), 1 / a, draw_rational(rng))
 
 
-# per system: the full parameter draw, the draws of the cases that pin some
-# parameters, the initial-condition draw, the name of the restriction check
-# and the index period that turns n_max into its horizon
+# per system: the draws of the cases that pin some parameters, and the name
+# of the restriction check
 _SYSTEMS = {
     "A": (
-        draw_params_a,
         {
             "Aeq1": lambda rng: SystemAParams(1, draw_rational(rng)),
             "Beq1": lambda rng: SystemAParams(draw_rational(rng), 1),
         },
-        draw_ics_a,
         "check_forbidden_a",
-        2,
     ),
-    "B": (draw_params_b, {"ACeq1": _draw_ac_unit}, draw_ics_b, "check_forbidden_b", 4),
+    "B": ({"ACeq1": _draw_ac_unit}, "check_forbidden_b"),
 }
+
+
+def _draw_all(rng: random.Random, system: str):
+    params = SHAPES[system].params
+    return params(*[draw_rational(rng) for _ in params._fields])
 
 
 def draw_params(rng: random.Random, system: str, tag: str | None = None):
     """Parameters of ``system``; with a case tag, parameters on which that
     case's formula is valid: its fixed ones, or draws redrawn until its
     predicate holds."""
-    draw_all, pinned, *_ = _SYSTEMS[system]
     if tag is None:
-        return draw_all(rng)
+        return _draw_all(rng, system)
     case = lookup_case(system, tag)
     if case.fixed is not None:
         return case.fixed
+    pinned = _SYSTEMS[system][0].get(tag)
     for _ in range(RETRY_CAP):
-        params = pinned.get(tag, draw_all)(rng)
+        params = pinned(rng) if pinned else _draw_all(rng, system)
         if case.applies(params):
             return params
     raise RetryCapError(f"retry cap exhausted drawing parameters for case {tag}")
 
 
-def draw_params_a_for_case(rng: random.Random, tag: str) -> SystemAParams:
-    return draw_params(rng, "A", tag)
-
-
-def draw_params_b_for_case(rng: random.Random, tag: str) -> SystemBParams:
-    return draw_params(rng, "B", tag)
-
-
 def draw_admissible(rng: random.Random, system: str, n_max: int, tag: str | None = None):
     """(params, ics, skipped): an input whose restriction check is clean up
     to n_max, and how many draws before it were not."""
-    _, _, draw_ics, check_name, period = _SYSTEMS[system]
     # looked up at call time, so a substituted check (a counting wrapper, a
     # test double) is the one that runs
-    check = globals()[check_name]
-    horizon = max(0, (n_max - 1) // period)
+    check = globals()[_SYSTEMS[system][1]]
+    horizon = max(0, (n_max - 1) // SHAPES[system].period)
     for skipped in range(RETRY_CAP):
         params = draw_params(rng, system, tag)
-        ics = draw_ics(rng)
+        ics = draw_ics(rng, system)
         if check(params, ics, horizon).clean:
             return params, ics, skipped
     raise RetryCapError(f"retry cap exhausted drawing admissible System {system} input")

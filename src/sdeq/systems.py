@@ -13,11 +13,13 @@ Iteration is exact; a vanishing denominator is recorded in-band as a
 singularity (it is data the forbidden-set analysis compares against, not a
 failure).  ``shift_back`` performs the index relabeling that identifies
 these sequences with the originally posed systems, whose initial conditions
-sit at negative indices.
+sit at negative indices.  ``SHAPES`` states, once per system, how it reduces
+to linear auxiliary sequences; every other layer reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from .rational import rat
@@ -132,6 +134,58 @@ class SystemBInitial(_Exact):
     y0: Fraction
     y1: Fraction
     y2: Fraction
+
+
+class SystemShape(_Record):
+    """How one system reduces to its linear auxiliary sequences.
+
+    The invariant products w[n] = lead[n]*trail[n+1] and
+    z[n] = trail[n]*lead[n+1] of the two components (``lead`` names the
+    leading one, "first" or "second") have reciprocals S = 1/w, T = 1/z
+    with S[n+lag] = p*T[n] + q, T[n+lag] = r*S[n] + s, where
+    ((p, q), (r, s)) = rule(params).  An initial record holds the first
+    component at indices 0..lag, then the second.  The layers derive the
+    rest: the closed form's period 2*lag, the smallest orbit index lag,
+    the seed products and the CLI flags (the records' ``_fields``).
+    """
+
+    params: type
+    initial: type
+    lag: int
+    lead: str
+    rule: Callable
+
+    @property
+    def period(self) -> int:
+        return 2 * self.lag
+
+    def split(self, values) -> tuple:
+        """(first, second): a sequence in initial-field order cut into the
+        two components' values at indices 0..lag."""
+        return values[: self.lag + 1], values[self.lag + 1 :]
+
+    def by_lead(self, first, second) -> tuple:
+        """(lead, trail) from (first, second); the reordering is its own
+        inverse, so it also turns (lead, trail) back into (first, second)."""
+        return (first, second) if self.lead == "first" else (second, first)
+
+    def seed_products(self, ics) -> list[tuple[str, Fraction]]:
+        """(name, value) of w[0..lag-1], then of z[0..lag-1], such as
+        ("v0*u1", v0*u1) for System A's w[0]."""
+        lead, trail = self.by_lead(*self.split(ics._fields))
+        pairs = [(lead[n], trail[n + 1]) for n in range(self.lag)]
+        pairs += [(trail[n], lead[n + 1]) for n in range(self.lag)]
+        return [(f"{x}*{y}", getattr(ics, x) * getattr(ics, y)) for x, y in pairs]
+
+
+# System A: S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1 with w[n] = v[n]*u[n+1];
+# System B: S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b with w[n] = x[n]*y[n+1]
+SHAPES = {
+    "A": SystemShape(SystemAParams, SystemAInitial, 1, "second", lambda p: ((p.a, 1), (p.b, 1))),
+    "B": SystemShape(
+        SystemBParams, SystemBInitial, 2, "first", lambda p: ((p.c, p.d), (p.a, p.b))
+    ),
+}
 
 
 class Singularity(_Record):

@@ -5,12 +5,13 @@ replaces, with numerators and denominators up to 2**64.
 * ``closed_ST_sweep_*`` equals ``closed_ST_*`` and ``solve_linear_*``
   entry by entry, with ab = +-1 (A) or ac = +-1 (B), a unit parameter or
   a case's pinned parameters in part of the examples;
-* every case route that applies gives the product route's sweep: the same
-  values, or a ForbiddenInputError at the same index;
 * every case route that applies, as a sweep and at a single point, gives
   the iterated orbit value for value, or, where the orbit is singular, a
   ForbiddenInputError at the singular step.  The case routes all read the
-  closed-form table, so this is the check that does not rely on it.
+  closed-form table, so this is the check that does not rely on it.  On a
+  pure-power case's pinned parameters the index reaches three periods,
+  past the two from which the sweep and the single point extend each
+  residue class by its ratio.
 """
 
 from fractions import Fraction as F
@@ -43,17 +44,15 @@ nonzero = rationals.filter(lambda value: value != 0)
 
 # per system: params, initial values, the partner of a in the ratio g, the
 # number of seeds, the closed form per index and as a sweep, the linear
-# recursion, the product route and the case route
+# recursion and the case route
 SYSTEMS = {
     "A": (
         SystemAParams, SystemAInitial, "b", 2, reduction.closed_ST_a,
-        reduction.closed_ST_sweep_a, reduction.solve_linear_a,
-        closed_form.solve_a_product_sweep, closed_form.solve_a_case_sweep,
+        reduction.closed_ST_sweep_a, reduction.solve_linear_a, closed_form.solve_a_case_sweep,
     ),
     "B": (
         SystemBParams, SystemBInitial, "c", 4, reduction.closed_ST_b,
-        reduction.closed_ST_sweep_b, reduction.solve_linear_b,
-        closed_form.solve_b_product_sweep, closed_form.solve_b_case_sweep,
+        reduction.closed_ST_sweep_b, reduction.solve_linear_b, closed_form.solve_b_case_sweep,
     ),
 }
 SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -108,30 +107,18 @@ def _outcome(route, *args):
         return exc.index
 
 
-@st.composite
-def route_inputs(draw):
-    system = draw(st.sampled_from(sorted(SYSTEMS)))
-    _, initial_type, *_ = SYSTEMS[system]
-    params = _params(draw, system)
-    ics = initial_type(*(draw(nonzero) for _ in initial_type._fields))
-    return system, params, ics, draw(st.integers(0, 20))
-
-
-@hypothesis.settings(SETTINGS, max_examples=300)
-@hypothesis.given(route_inputs())
-def test_case_routes_equal_product_route(inputs):
-    system, params, ics, n = inputs
-    *_, product_sweep, case_sweep = SYSTEMS[system]
-    expected = _outcome(product_sweep, params, ics, n)
-    for tag, case in closed_form.CASES[system].items():
-        if case.applies(params):
-            assert _outcome(case_sweep, tag, params, ics, n) == expected, tag
-
-
 # per system: the iterator, its smallest n and the single-point case route
 ITERATION = {
     "A": (iterate_a, 1, closed_form.solve_a_case),
     "B": (iterate_b, 2, closed_form.solve_b_case),
+}
+
+# the period of each pure-power case, by its pinned parameters
+PERIODS = {
+    case.fixed: case.period
+    for cases in closed_form.CASES.values()
+    for case in cases.values()
+    if case.period
 }
 
 # initial values near the forbidden sets: with small components a
@@ -150,12 +137,14 @@ def orbit_inputs(draw):
     _, initial_type, *_ = SYSTEMS[system]
     params = _params(draw, system)
     ics = initial_type(*(draw(near_forbidden) for _ in initial_type._fields))
-    return system, params, ics, draw(st.integers(ITERATION[system][1], 12))
+    top = max(12, 3 * PERIODS.get(params, 0))
+    return system, params, ics, draw(st.integers(ITERATION[system][1], top))
 
 
-def _check_against_iteration(system, params, ics, n) -> bool:
+def _check_against_iteration(system, params, ics, n):
     """Every applicable case route against the iterated orbit up to n;
-    True when the orbit is singular."""
+    returns whether the orbit is singular, and the pinned parameters of a
+    pure-power case that extended a regular orbit by its ratios, or None."""
     iterate, _, case_point = ITERATION[system]
     case_sweep = SYSTEMS[system][-1]
     orbit = iterate(params, ics, n)
@@ -169,16 +158,20 @@ def _check_against_iteration(system, params, ics, n) -> bool:
             step = orbit.singular.step
             assert _outcome(case_sweep, tag, params, ics, n) == step, tag
             assert _outcome(case_point, tag, params, ics, n) == step, tag
-    return orbit.singular is not None
+    extended = orbit.singular is None and n >= 2 * PERIODS.get(params, n + 1)
+    return orbit.singular is not None, params if extended else None
 
 
 def test_case_routes_equal_iteration():
-    singular = []
+    outcomes = []
 
     @hypothesis.settings(SETTINGS, max_examples=600)
     @hypothesis.given(orbit_inputs())
     def check(inputs):
-        singular.append(_check_against_iteration(*inputs))
+        outcomes.append(_check_against_iteration(*inputs))
 
     check()
-    assert sum(singular) >= 40  # the singular branch is exercised too (73 of 600)
+    singular, extended = zip(*outcomes)
+    assert sum(singular) >= 40  # the singular branch is exercised too
+    # and every pure-power case past its first two periods
+    assert set(PERIODS) <= set(extended)

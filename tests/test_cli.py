@@ -293,6 +293,17 @@ def test_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 17
 
 
+def test_bad_seed_environment_reaches_only_sampling(capsys, monkeypatch):
+    monkeypatch.delenv("SDE_SEED", raising=False)
+    argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "3"]
+    expected = run_cli(capsys, argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("SDE_SEED", "abc")
+    assert run_cli(capsys, argv) == expected
+    code, out, err = run_cli(capsys, ["difftest", "--system", "A", "--trials", "2", "--n", "6"])
+    assert (code, out, err) == (1, "", "error: SDE_SEED is not an integer: 'abc'\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "3", "--out", str(target)]
@@ -426,6 +437,11 @@ def test_zero_initial_b_exits_3(capsys):
         code, out, err = run_cli(capsys, [command, "--system", "B", *flags, "--n", "5"])
         assert (code, out) == (3, "")
         assert err.startswith("error: forbidden input:")
+    # solve reaches the closed form, which names the zero seed product
+    assert err == (
+        "error: forbidden input: x0*y1 = 0, auxiliary seeds undefined"
+        " (breaks closed form at index 0)\n"
+    )
 
 
 def test_difftest_retry_cap_exits_1(capsys, monkeypatch):
@@ -477,15 +493,15 @@ def test_pure_power_point_solve_reports_first_break(capsys):
 
 
 def _wrong_st_a(monkeypatch):
-    real = closed_form.closed_ST_sweep_a
+    real = closed_form.closed_ST_sweep
 
-    def wrong(params, s0, t0, count):
-        S, T = real(params, s0, t0, count)
-        if count > 3:
+    def wrong(system, params, seeds, count):
+        S, T = real(system, params, seeds, count)
+        if system == "A" and count > 3:
             S[3] += 1
         return S, T
 
-    monkeypatch.setattr(closed_form, "closed_ST_sweep_a", wrong)
+    monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
 
 
 def test_verify_mismatch_payload(capsys, monkeypatch):
@@ -542,15 +558,15 @@ def test_difftest_value_mismatch_payload(monkeypatch):
 
 
 def test_difftest_value_mismatch_payload_b(monkeypatch):
-    real = closed_form.closed_ST_sweep_b
+    real = closed_form.closed_ST_sweep
 
-    def wrong(params, s0, s1, t0, t1, count):
-        S, T = real(params, s0, s1, t0, t1, count)
-        if count > 2:
+    def wrong(system, params, seeds, count):
+        S, T = real(system, params, seeds, count)
+        if system == "B" and count > 2:
             T[2] *= 2
         return S, T
 
-    monkeypatch.setattr(closed_form, "closed_ST_sweep_b", wrong)
+    monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
     report = cli.difftest("B", 4, 5, 3)
     assert report["strata"] == {"ac-unit": 1, "all-ones": 1, "general": 1, "unit-bd": 1}
     assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 24)

@@ -16,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from sdeq import closed_form  # noqa: E402
-from sdeq.cli import SYSTEMS, main  # noqa: E402
+from sdeq.systems import SHAPES  # noqa: E402
+from sdeq.cli import main  # noqa: E402
 from sdeq.rational import format_rational, parse_rational  # noqa: E402
 
 LONG = "9" * 300 + "7"  # a numerator of 1,000 bits
@@ -33,7 +34,7 @@ def _inverse(literal: str) -> str:
 @st.composite
 def _params(draw, system: str) -> list[str]:
     """Parameter flags; a*b = 1 (A) or a*c = 1 (B) in a third of the draws."""
-    names = SYSTEMS[system].param_flags
+    names = SHAPES[system].params._fields
     values = {name: draw(edge) for name in names}
     if draw(st.integers(0, 2)) == 0:
         values["a"] = draw(nonzero)
@@ -42,12 +43,12 @@ def _params(draw, system: str) -> list[str]:
 
 
 def _ics(draw, system: str) -> list[str]:
-    return [item for name in SYSTEMS[system].ic_flags for item in (f"--{name}", draw(edge))]
+    return [item for name in SHAPES[system].initial._fields for item in (f"--{name}", draw(edge))]
 
 
 @st.composite
 def invocations(draw) -> list[str]:
-    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    system = draw(st.sampled_from(sorted(SHAPES)))
     command = draw(
         st.sampled_from(
             ["iterate", "solve", "reduce", "verify", "check-forbidden", "symmetry-check",

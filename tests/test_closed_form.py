@@ -44,6 +44,25 @@ def test_seeds():
         seeds_b(SystemBInitial(1, 1, 1, 1, 0, 1))
 
 
+# every seed product, zeroed by an initial value that no earlier product
+# holds: (system, the zero initial value, the product reported)
+@pytest.mark.parametrize(
+    "system, zero, product",
+    [
+        ("A", "v0", "v0*u1"), ("A", "u0", "u0*v1"),
+        ("B", "x0", "x0*y1"), ("B", "y2", "x1*y2"), ("B", "y0", "y0*x1"), ("B", "x2", "y1*x2"),
+    ],
+)
+def test_zero_seed_product_detail(system, zero, product):
+    initial, seeds = (SystemAInitial, seeds_a) if system == "A" else (SystemBInitial, seeds_b)
+    ics = initial(**{name: 0 if name == zero else 1 for name in initial._fields})
+    with pytest.raises(ForbiddenInputError) as info:
+        seeds(ics)
+    assert (info.value.index, info.value.detail) == (
+        0, f"{product} = 0, auxiliary seeds undefined"
+    )
+
+
 def test_product_a_examples():
     assert solve_a_product(SystemAParams(1, 1), ONES_A, 2) == (F(1, 2), F(1, 2))
     assert solve_a_product(SystemAParams(3, -2), SystemAInitial(2, 3, 5, 7), 0) == (2, 5)
