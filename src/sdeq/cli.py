@@ -264,12 +264,13 @@ class _Singular(Exception):
         )
 
 
-def _routes(spec: SystemSpec, tag: str, params, ics, n_max: int) -> dict:
-    """The product closed form and the closed form of case ``tag``."""
-    return {
-        "product": spec.product_sweep(params, ics, n_max),
-        tag: spec.case_sweep(tag, params, ics, n_max),
-    }
+def _routes(system: str, tag: str, params, ics, n_max: int) -> dict:
+    """Every route name, "product" and case ``tag``, from one sweep of the
+    table; only a pure-power case's ratio extension is evaluated apart."""
+    from .closed_form import case_routes
+
+    product = SYSTEMS[system].product_sweep(params, ics, n_max)
+    return case_routes(system, tag, params, product, n_max)
 
 
 def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
@@ -293,7 +294,7 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
     trajectory = _regular_orbit(spec, params, ics, config.n_max)
-    routes = _routes(spec, tag, params, ics, config.n_max)
+    routes = _routes(config.system, tag, params, ics, config.n_max)
     checked, _, mismatch = compare_routes(routes, trajectory, config.n_max)
     first_mismatch = None
     if mismatch is not None:
@@ -423,7 +424,8 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
 
 def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     """Sample admissible inputs, skip forbidden ones, and assert exact
-    agreement of the product and case closed forms with iteration.
+    agreement of the product and case closed forms with iteration; one
+    sweep of the closed-form table per trial serves both (see _routes).
 
     Trials cycle through the system's parameter strata (for System B the
     geometric-ratio, unit-ratio, unit-b,d and all-ones families).
@@ -457,7 +459,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                     "step": trajectory.singular.step,
                 }
             continue
-        routes = _routes(spec, auto_case(system, params), params, ics, n_max)
+        routes = _routes(system, auto_case(system, params), params, ics, n_max)
         compared, failed, mismatch = compare_routes(routes, trajectory, n_max)
         comparisons += compared
         failures += failed

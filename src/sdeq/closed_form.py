@@ -185,7 +185,7 @@ def _route(system: str, params, ics, ties: str = "ST"):
 
 # ---------------------------------------------------------------------------
 # pure-power cases: two periods of the product route, then one ratio per
-# residue class
+# residue class, the one case evaluator apart from the product route
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
 # exactly periodic with the case's period P: a = 1, b = -1 give
@@ -199,8 +199,8 @@ def _route(system: str, params, ics, ties: str = "ST"):
 
 def _periodic_sweep(case: Case, route, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
     """Entries 0..n_max of ``route(n_max)``, the case's route; a pure-power
-    case assembles at most two periods and extends each residue class by
-    its ratio."""
+    case takes at most two periods from it and extends each residue class
+    by its ratio."""
     period = case.period
     if not period:
         return route(n_max)
@@ -214,6 +214,14 @@ def _periodic_sweep(case: Case, route, n_max: int) -> tuple[list[Fraction], list
             for n in range(2 * period, n_max + 1):
                 values.append(values[n - period] * ratios[n % period])
     return sweep
+
+
+def case_routes(system: str, tag: str, params, product, n_max: int) -> dict:
+    """The routes ``verify`` and ``difftest`` compare with iteration, "product"
+    and case ``tag``, both read from ``product``, the product sweep of 0..n_max."""
+    case = _validated(system, tag, params, n_max)
+    sweep = _periodic_sweep(case, lambda m: tuple(values[: m + 1] for values in product), n_max)
+    return {"product": product, tag: sweep}
 
 
 def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:

@@ -210,6 +210,48 @@ def test_case_param_mismatch_exits_1(capsys):
     assert "inconsistent" in err
 
 
+VERIFY_A = [
+    "verify", "--system", "A", "--a", "2", "--b", "3",
+    "--u0", "1", "--u1", "2", "--v0", "3", "--v1", "1/2", "--n", "6",
+]
+VERIFY_B = [
+    "verify", "--system", "B", "--a", "2", "--b", "3", "--c", "5", "--d", "7",
+    "--x0", "1", "--x1", "2", "--x2", "3", "--y0", "1/2", "--y1", "1/3", "--y2", "5", "--n", "6",
+]
+
+
+def _with(argv, **flags):
+    """``argv`` with the value of each given --flag replaced."""
+    argv = list(argv)
+    for flag, value in flags.items():
+        argv[argv.index(f"--{flag}") + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, zero, err, zero_err",
+    [
+        (
+            [*VERIFY_A, "--case", "Aeq1"], "u0",
+            "error: case Aeq1 is inconsistent with a=2, b=3\n",
+            "error: forbidden input: u0 = 0, closed forms undefined"
+            " (breaks closed form at index 0)\n",
+        ),
+        (
+            [*VERIFY_B, "--case", "UnitBD"], "x0",
+            "error: case UnitBD is inconsistent with a=2, b=3, c=5, d=7\n",
+            "error: forbidden input: System B initial components must all be nonzero\n",
+        ),
+    ],
+    ids=["A", "B"],
+)
+def test_verify_inconsistent_tag_after_forbidden_input(capsys, argv, zero, err, zero_err):
+    # the tag is validated after the iteration and the product route, so
+    # their errors win over an inconsistent tag
+    assert run_cli(capsys, argv) == (1, "", err)
+    assert run_cli(capsys, _with(argv, **{zero: "0"})) == (3, "", zero_err)
+
+
 def test_difftest_zero_trials_vacuous_pass(capsys):
     code, out, _ = run_cli(
         capsys, ["difftest", "--system", "A", "--trials", "0", "--n", "5", "--seed", "1"]
@@ -581,6 +623,72 @@ def test_difftest_value_mismatch_payload_b(monkeypatch):
         "iterated_first": "-9/7",
         "iterated_second": "-4/19",
     }
+
+
+def _counted_sweeps(monkeypatch) -> list:
+    """The systems of the closed-form table sweeps made from now on."""
+    real, calls = closed_form.closed_ST_sweep, []
+
+    def counted(system, params, seeds, count):
+        calls.append(system)
+        return real(system, params, seeds, count)
+
+    monkeypatch.setattr(closed_form, "closed_ST_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "tag, argv",
+    [
+        ("ABneq1", _with(VERIFY_A, n="20")),
+        ("NegNeg", _with(VERIFY_A, a="-1", b="-1", n="20")),
+        ("ACneq1", _with(VERIFY_B, n="20")),
+        (
+            "UnitBD",
+            _with(
+                VERIFY_B, a="1", b="1", c="-1", d="1",
+                x0="2", x1="3", x2="5", y0="7", y1="11", y2="13", n="40",
+            ),
+        ),
+    ],
+)
+def test_verify_sweeps_the_table_once(capsys, monkeypatch, tag, argv):
+    # past two periods of a pure-power case, so its ratio extension runs
+    calls = _counted_sweeps(monkeypatch)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["case"] == tag
+    assert calls == [argv[2]]
+
+
+def test_verify_pure_power_route_extends_two_periods(capsys, monkeypatch):
+    # a wrong S past two periods reaches only the product route: the NegNeg
+    # route reads entries 0..3 of the same sweep and extends them by ratios
+    real = closed_form.closed_ST_sweep
+
+    def wrong(system, params, seeds, count):
+        S, T = real(system, params, seeds, count)
+        if count > 10:
+            S[10] += 1
+        return S, T
+
+    monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
+    code, out, _ = run_cli(capsys, _with(VERIFY_A, a="-1", b="-1", n="20"))
+    payload = json.loads(out)
+    assert (code, payload["case"], payload["checked"]) == (4, "NegNeg", 42)
+    assert (payload["first_mismatch"]["route"], payload["first_mismatch"]["n"]) == ("product", 11)
+
+
+@pytest.mark.parametrize("system, n", [("A", 20), ("B", 20)])
+def test_difftest_sweeps_the_table_once_per_trial(monkeypatch, system, n):
+    calls = _counted_sweeps(monkeypatch)
+    trials = 8
+    report = cli.difftest(system, trials, n, 7)
+    assert report["failures"] == 0
+    assert report["comparisons"] == trials * 2 * (n + 1)
+    assert sum(report["strata"].values()) == trials
+    assert len(report["strata"]) == len(cli.SYSTEMS[system].strata)
+    assert calls == [system] * trials
 
 
 def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
