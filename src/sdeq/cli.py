@@ -11,13 +11,12 @@ regularity was required, 3 forbidden input, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 # the other layers are imported by the subcommands that use them
 from . import systems
@@ -33,19 +32,6 @@ EXIT_FORBIDDEN = 3
 EXIT_MISMATCH = 4
 
 
-class _Late(NamedTuple):
-    """The function ``name`` of the layer ``module``: the layer is imported
-    on the first call and the name looked up at every call, so a substituted
-    function (a test double, a counting wrapper) is the one that runs."""
-
-    module: str
-    name: str
-
-    def __call__(self, *args):
-        layer = importlib.import_module(f"{__package__}.{self.module}")
-        return getattr(layer, self.name)(*args)
-
-
 def _nonzero_update(c, d, x, y) -> bool:
     """c + d*x*y != 0 for rationals, tested on the numerator of the sum
     over the product of the four denominators."""
@@ -56,52 +42,10 @@ def _nonzero_update(c, d, x, y) -> bool:
     )
 
 
-class SystemSpec(NamedTuple):
-    """The library functions the subcommands call for one system; its
-    flags, input records and smallest n come from ``systems.SHAPES``."""
-
-    iterate: Callable
-    check_forbidden: Callable
-    invariants: Callable
-    product_sweep: Callable
-    case_sweep: Callable
-    case_point: Callable
-    residual: Callable
-    # the residual times a factor nonzero at admissible points, as two ints
-    residual_kernel: Callable
-    # difftest trials cycle through these (stratum name, case tag or None)
-    strata: tuple[tuple[str, Optional[str]], ...]
-
-
-SYSTEMS = {
-    "A": SystemSpec(
-        iterate=_Late("systems", "iterate_a"),
-        check_forbidden=_Late("forbidden", "check_forbidden_a"),
-        invariants=_Late("reduction", "invariants_a"),
-        product_sweep=_Late("closed_form", "solve_a_product_sweep"),
-        case_sweep=_Late("closed_form", "solve_a_case_sweep"),
-        case_point=_Late("closed_form", "solve_a_case"),
-        residual=_Late("symmetry", "slsc_residual_a"),
-        residual_kernel=_Late("symmetry", "_residual_kernel_a"),
-        strata=(("general", None),),
-    ),
-    "B": SystemSpec(
-        iterate=_Late("systems", "iterate_b"),
-        check_forbidden=_Late("forbidden", "check_forbidden_b"),
-        invariants=_Late("reduction", "invariants_b"),
-        product_sweep=_Late("closed_form", "solve_b_product_sweep"),
-        case_sweep=_Late("closed_form", "solve_b_case_sweep"),
-        case_point=_Late("closed_form", "solve_b_case"),
-        residual=_Late("symmetry", "slsc_residual_b"),
-        residual_kernel=_Late("symmetry", "_residual_kernel_b"),
-        # the geometric-ratio, unit-ratio, unit-b,d and all-ones families
-        strata=(
-            ("general", None),
-            ("ac-unit", "ACeq1"),
-            ("unit-bd", "UnitBD"),
-            ("all-ones", "AllOnes"),
-        ),
-    ),
+# per system, the (stratum name, case tag or None) difftest trials cycle through
+STRATA = {
+    "A": (("general", None),),
+    "B": (("general", None), ("ac-unit", "ACeq1"), ("unit-bd", "UnitBD"), ("all-ones", "AllOnes")),
 }
 
 
@@ -163,7 +107,7 @@ def _singular_json(trajectory: Trajectory):
 
 def _run_iterate(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
-    trajectory = SYSTEMS[config.system].iterate(params, ics, config.n_max)
+    trajectory = systems.iterate(config.system, params, ics, config.n_max)
     if config.fmt == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
         columns = [
@@ -193,14 +137,15 @@ def _resolve_case(config: RunConfig, params) -> str:
 
 
 def _run_solve(config: RunConfig) -> tuple[int, str]:
-    spec = SYSTEMS[config.system]
+    from .closed_form import case_point, case_sweep
+
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
     if config.sweep:
-        first, second = spec.case_sweep(tag, params, ics, config.n_max)
+        first, second = case_sweep(config.system, tag, params, ics, config.n_max)
         indices = range(config.n_max + 1)
     else:
-        point = spec.case_point(tag, params, ics, config.n_max)
+        point = case_point(config.system, tag, params, ics, config.n_max)
         first, second = [point[0]], [point[1]]
         indices = [config.n_max]
     firsts, seconds = format_sequence(first), format_sequence(second)
@@ -223,19 +168,18 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
     return EXIT_OK, _jdump(payload)
 
 
-def _regular_orbit(spec: SystemSpec, params, ics, n_max: int) -> Trajectory:
-    trajectory = spec.iterate(params, ics, n_max)
+def _regular_orbit(system: str, params, ics, n_max: int) -> Trajectory:
+    trajectory = systems.iterate(system, params, ics, n_max)
     if trajectory.singular is not None:
         raise _Singular(trajectory)
     return trajectory
 
 
 def _run_reduce(config: RunConfig) -> tuple[int, str]:
-    from .reduction import linearize
+    from .reduction import invariants, linearize
 
-    spec = SYSTEMS[config.system]
     params, ics = _build_inputs(config)
-    inv = spec.invariants(_regular_orbit(spec, params, ics, config.n_max))
+    inv = invariants(config.system, _regular_orbit(config.system, params, ics, config.n_max))
     lin = linearize(inv)
     if config.fmt == "csv":
         literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
@@ -267,9 +211,9 @@ class _Singular(Exception):
 def _routes(system: str, tag: str, params, ics, n_max: int) -> dict:
     """Every route name, "product" and case ``tag``, from one sweep of the
     table; only a pure-power case's ratio extension is evaluated apart."""
-    from .closed_form import case_routes
+    from .closed_form import case_routes, product_sweep
 
-    product = SYSTEMS[system].product_sweep(params, ics, n_max)
+    product = product_sweep(system, params, ics, n_max)
     return case_routes(system, tag, params, product, n_max)
 
 
@@ -290,10 +234,9 @@ def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:
-    spec = SYSTEMS[config.system]
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
-    trajectory = _regular_orbit(spec, params, ics, config.n_max)
+    trajectory = _regular_orbit(config.system, params, ics, config.n_max)
     routes = _routes(config.system, tag, params, ics, config.n_max)
     checked, _, mismatch = compare_routes(routes, trajectory, config.n_max)
     first_mismatch = None
@@ -326,8 +269,10 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_check_forbidden(config: RunConfig) -> tuple[int, str]:
+    from .forbidden import check_forbidden
+
     params, ics = _build_inputs(config)
-    report = SYSTEMS[config.system].check_forbidden(params, ics, config.horizon)
+    report = check_forbidden(config.system, params, ics, config.horizon)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "check-forbidden",
@@ -373,9 +318,8 @@ def _sample_residual_input(rng, system: str, fixed_params):
 def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
     import random
 
-    from .symmetry import Characteristic
+    from .symmetry import Characteristic, residual, residual_kernel
 
-    spec = SYSTEMS[config.system]
     rng = random.Random(config.seed)
     if config.c1 is not None and config.c2 is not None:
         characteristics = [Characteristic(config.c1, config.c2)]
@@ -397,8 +341,8 @@ def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
                 params, point = _sample_residual_input(rng, config.system, fixed_params)
                 checked += 1
                 # the exact residual is built only to report a nonzero one
-                if spec.residual_kernel(ch, params, parity, point) != (0, 0):
-                    residuals = spec.residual(ch, params, parity, point)
+                if residual_kernel(config.system, ch, params, parity, point) != (0, 0):
+                    residuals = residual(config.system, ch, params, parity, point)
                     nonzero.append(
                         {
                             "c1": format_rational(ch.c1),
@@ -435,7 +379,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     from .closed_form import auto_case
     from .sampling import DISTRIBUTION_NOTE, draw_admissible
 
-    spec = SYSTEMS[system]
+    strata = STRATA[system]
     rng = random.Random(seed)
     skipped = 0
     comparisons = 0
@@ -443,11 +387,11 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     first_counterexample = None
     strata_counts: dict[str, int] = {}
     for trial in range(trials):
-        stratum, case = spec.strata[trial % len(spec.strata)]
+        stratum, case = strata[trial % len(strata)]
         params, ics, skipped_now = draw_admissible(rng, system, n_max, case)
         skipped += skipped_now
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
-        trajectory = spec.iterate(params, ics, n_max)
+        trajectory = systems.iterate(system, params, ics, n_max)
         inputs = {"params": _lit_map(params._asdict()), "ics": _lit_map(ics._asdict())}
         if trajectory.singular is not None:
             # admissible inputs cannot be singular; a hit here is a finding
@@ -513,7 +457,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub, *, params=True, ics=True, n=True):
-    sub.add_argument("--system", required=True, choices=tuple(SYSTEMS))
+    sub.add_argument("--system", required=True, choices=tuple(systems.SHAPES))
     # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
     flags = [shape.params._fields for shape in systems.SHAPES.values()] if params else []
     flags += [shape.initial._fields for shape in systems.SHAPES.values()] if ics else []

@@ -5,18 +5,19 @@ conditions, and the index n alone; the forward iteration is never used,
 and the test suite checks each evaluator against it.
 
 Both systems rebuild their orbit from the auxiliary values S and T by one
-telescoped product, two indices at a time: trail[n+2] =
-trail[n]*T[n]/S[n+1] and lead[n+2] = lead[n]*S[n]/T[n+1], with the
-components, lag and rule of the system's ``systems.SHAPES`` record and S,
-T seeded by the reciprocals of its seed products.  S and T come from one
-closed-form table (``reduction.closed_ST_sweep``), which covers every
-parameter value, g = ab or ac = 1 included.  Each enumerated case (a*b !=
-1, a = 1, b = 1, a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is
-that table at the case's parameters, so every case route is the product
-route; a System B case only reports T before S when both vanish at one
-index.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family
+telescoped product, two indices at a time (``reduction.assemble``), with S
+and T seeded by the reciprocals of the seed products of the system's
+``systems.SHAPES`` record.  S and T come from one closed-form table
+(``reduction.closed_ST_sweep``), which covers every parameter value, g =
+ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
+a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
+case's parameters, so every case route is the product route; a System B
+case only reports T before S when both vanish at one index.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family
 for B, are pure powers: they assemble two periods and extend each residue
 class by one ratio.  ``CASES`` holds, per system, each tag's predicate.
+Each evaluator is one function keyed by the system ("A" or "B");
+``system_aliases`` generates its per-system names (``solve_a_case`` is
+``case_point("A", ...)``).
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -30,8 +31,8 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
-from .reduction import closed_ST_sweep
-from .systems import SHAPES, SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
+from .reduction import assemble, closed_ST_sweep
+from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -47,8 +48,9 @@ class CaseParamError(ValueError):
     """The requested case tag is inconsistent with the parameters."""
 
 
-def _seeds(system: str, ics) -> tuple[Fraction, ...]:
-    """S[0..lag-1], then T[0..lag-1]: the reciprocals of the seed products."""
+def seeds(system: str, ics) -> tuple[Fraction, ...]:
+    """S[0..lag-1], then T[0..lag-1]: the reciprocals of the seed products
+    (System A: S[0] = 1/(v0*u1), T[0] = 1/(u0*v1))."""
     products = SHAPES[system].seed_products(ics)
     for name, value in products:
         if value == 0:
@@ -56,14 +58,7 @@ def _seeds(system: str, ics) -> tuple[Fraction, ...]:
     return tuple(1 / value for _, value in products)
 
 
-def seeds_a(ics: SystemAInitial) -> tuple[Fraction, Fraction]:
-    """S[0] = 1/(v0*u1) and T[0] = 1/(u0*v1)."""
-    return _seeds("A", ics)
-
-
-def seeds_b(ics: SystemBInitial) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """S[0], S[1] = 1/(x0*y1), 1/(x1*y2) and T[0], T[1] = 1/(y0*x1), 1/(y1*x2)."""
-    return _seeds("B", ics)
+seeds_a, seeds_b = system_aliases("seeds_{}", seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +85,32 @@ def _pinned(fixed, **route) -> Case:
     return Case(lambda params: params == fixed, fixed=fixed, **route)
 
 
+_RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
+_RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
+
+CASES = {
+    "A": {
+        "Product": Case(lambda params: True),
+        "ABneq1": Case(lambda params: params.a * params.b != 1),
+        "Aeq1": Case(lambda params: params.a == 1 and params.b != 1),
+        "Beq1": Case(lambda params: params.b == 1 and params.a != 1),
+        "Aeq1Bneg1": _pinned(SystemAParams(1, -1), **_RESIDUE_4),
+        "Beq1Aneg1": _pinned(SystemAParams(-1, 1), **_RESIDUE_4),
+        "OnesOnes": _pinned(SystemAParams(1, 1)),
+        "NegNeg": _pinned(SystemAParams(-1, -1), detail="u0*v1 = 1 or v0*u1 = 1", period=2),
+    },
+    "B": {
+        "Product": Case(lambda params: True),
+        "ACneq1": Case(lambda params: params.a * params.c != 1),
+        "ACeq1": Case(lambda params: params.a * params.c == 1),
+        "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), **_RESIDUE_8),
+        "AllOnes": _pinned(SystemBParams(1, 1, 1, 1)),
+    },
+}
+
+CASE_TAGS_A, CASE_TAGS_B = tuple(CASES["A"]), tuple(CASES["B"])
+
+
 def lookup_case(system: str, tag: str) -> Case:
     """The table entry of a case tag; CaseParamError for an unknown tag."""
     try:
@@ -98,12 +119,11 @@ def lookup_case(system: str, tag: str) -> Case:
         raise CaseParamError(f"unknown System {system} case tag: {tag!r}") from None
 
 
-def case_a_applies(tag: str, params: SystemAParams) -> bool:
-    return lookup_case("A", tag).applies(params)
+def case_applies(system: str, tag: str, params) -> bool:
+    return lookup_case(system, tag).applies(params)
 
 
-def case_b_applies(tag: str, params: SystemBParams) -> bool:
-    return lookup_case("B", tag).applies(params)
+case_a_applies, case_b_applies = system_aliases("case_{}_applies", case_applies)
 
 
 # most specific first; the scan order makes auto selection deterministic
@@ -119,12 +139,7 @@ def auto_case(system: str, params) -> str:
     return next(tag for tag in _AUTO_ORDER[system] if CASES[system][tag].applies(params))
 
 
-def auto_case_a(params: SystemAParams) -> str:
-    return auto_case("A", params)
-
-
-def auto_case_b(params: SystemBParams) -> str:
-    return auto_case("B", params)
+auto_case_a, auto_case_b = system_aliases("auto_case_{}", auto_case)
 
 
 def _validated(system: str, tag: str, params, n_max: int) -> Case:
@@ -140,19 +155,13 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# shared assembly: the telescoped recurrence over the auxiliary values
-#
-# Both systems rebuild their orbit two indices at a time from S and T,
-# whose invariants w = lead*trail, z = trail*lead are built on the leading
-# and trailing components (v and u for System A, x and y for B):
-#
-#   trail[m+2] = trail[m] * T[m] / S[m+1]
-#   lead[m+2]  = lead[m]  * S[m] / T[m+1]
-#
-# from the start values trail[1] = 1/(lead[0]*S[0]) and
-# lead[1] = 1/(trail[0]*T[0]).  Each step multiplies one big value by a
-# small ratio, so assembly costs about what one step of iteration costs.
-# A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
+# the product route: reduction.assemble over the closed-form sweep of S and
+# T.  A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
+
+# per system: whether a zero initial value leaves every route undefined
+# (System A; System B reports its zero seed product), and which of S and T
+# a case route reports first when both vanish at one index
+_ROUTE_RULES = {"A": (True, "ST"), "B": (False, "TS")}
 
 
 def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
@@ -165,22 +174,38 @@ def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
         for name in ties:
             if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
-    shape = SHAPES[system]
-    lead0, trail0 = (values[0] for values in shape.by_lead(*shape.split(ics._astuple())))
-    trail, lead = [trail0], [lead0]
-    if n_max >= 1:
-        trail.append(1 / lead0 / sb[0])
-        lead.append(1 / trail0 / tb[0])
-    for m in range(n_max - 1):
-        trail.append(trail[m] * (tb[m] / sb[m + 1]))
-        lead.append(lead[m] * (sb[m] / tb[m + 1]))
-    return shape.by_lead(lead, trail)
+    first0, second0 = (values[0] for values in SHAPES[system].split(ics._astuple()))
+    return assemble(system, sb, tb, first0, second0, n_max)
 
 
 def _route(system: str, params, ics, ties: str = "ST"):
-    """route(m) assembles entries 0..m.  A zero seed product is reported
-    here, before a pure-power case could give the error its own detail."""
-    return partial(_sweep, system, params, ics, _seeds(system, ics), ties=ties)
+    """route(m) assembles entries 0..m.  A zero initial value (System A) or
+    seed product is reported here, before a pure-power case could give the
+    error its own detail."""
+    if _ROUTE_RULES[system][0]:
+        for name, value in ics._asdict().items():
+            if value == 0:
+                raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
+    return partial(_sweep, system, params, ics, seeds(system, ics), ties=ties)
+
+
+def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """General product solution: the telescoped assembly over auxiliary
+    values taken from the closed form (not from recursion)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return _route(system, params, ics)(n_max)
+
+
+def product_point(system: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
+    first, second = product_sweep(system, params, ics, n)
+    return first[n], second[n]
+
+
+solve_a_product_sweep, solve_b_product_sweep = system_aliases(
+    "solve_{}_product_sweep", product_sweep
+)
+solve_a_product, solve_b_product = system_aliases("solve_{}_product", product_point)
 
 
 # ---------------------------------------------------------------------------
@@ -238,119 +263,24 @@ def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# System A
+# case routes
 
 
-def _require_nonzero_ics_a(ics: SystemAInitial) -> None:
-    for name, value in ics._asdict().items():
-        if value == 0:
-            raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
+def _case_route(system: str, tag: str, params, ics, n_max: int):
+    """The validated case and its route; route(m) assembles entries 0..m."""
+    case = _validated(system, tag, params, n_max)
+    return case, _route(system, params, ics, _ROUTE_RULES[system][1])
 
 
-def solve_a_product_sweep(
-    params: SystemAParams, ics: SystemAInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """General product solution: the telescoped assembly over auxiliary
-    values taken from the closed form (not from recursion)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _require_nonzero_ics_a(ics)
-    return _route("A", params, ics)(n_max)
+def case_sweep(system: str, tag: str, params, ics, n_max: int):
+    """Entries 0..n_max of case ``tag``, as (first, second)."""
+    return _periodic_sweep(*_case_route(system, tag, params, ics, n_max), n_max)
 
 
-def solve_a_product(
-    params: SystemAParams, ics: SystemAInitial, n: int
-) -> tuple[Fraction, Fraction]:
-    us, vs = solve_a_product_sweep(params, ics, n)
-    return us[n], vs[n]
+def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
+    """Entry n of case ``tag``; see _solve_index."""
+    return _solve_index(*_case_route(system, tag, params, ics, n), n)
 
 
-_RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
-
-CASES_A = {
-    "Product": Case(lambda params: True),
-    "ABneq1": Case(lambda params: params.a * params.b != 1),
-    "Aeq1": Case(lambda params: params.a == 1 and params.b != 1),
-    "Beq1": Case(lambda params: params.b == 1 and params.a != 1),
-    "Aeq1Bneg1": _pinned(SystemAParams(1, -1), **_RESIDUE_4),
-    "Beq1Aneg1": _pinned(SystemAParams(-1, 1), **_RESIDUE_4),
-    "OnesOnes": _pinned(SystemAParams(1, 1)),
-    "NegNeg": _pinned(SystemAParams(-1, -1), detail="u0*v1 = 1 or v0*u1 = 1", period=2),
-}
-
-CASE_TAGS_A = tuple(CASES_A)
-
-
-def _case_route_a(tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int):
-    """The validated case and its route; route(m) assembles entries 0..m.
-    Zero initial values are rejected here, before a pure-power case could
-    give the error its own detail."""
-    case = _validated("A", tag, params, n_max)
-    _require_nonzero_ics_a(ics)
-    return case, _route("A", params, ics)
-
-
-def solve_a_case_sweep(
-    tag: str, params: SystemAParams, ics: SystemAInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    return _periodic_sweep(*_case_route_a(tag, params, ics, n_max), n_max)
-
-
-def solve_a_case(
-    tag: str, params: SystemAParams, ics: SystemAInitial, n: int
-) -> tuple[Fraction, Fraction]:
-    return _solve_index(*_case_route_a(tag, params, ics, n), n)
-
-
-# ---------------------------------------------------------------------------
-# System B
-
-
-def solve_b_product_sweep(
-    params: SystemBParams, ics: SystemBInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """General product solution for System B: the telescoped assembly over
-    auxiliary values taken from the mod-4 closed form."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _route("B", params, ics)(n_max)
-
-
-def solve_b_product(
-    params: SystemBParams, ics: SystemBInitial, n: int
-) -> tuple[Fraction, Fraction]:
-    xs, ys = solve_b_product_sweep(params, ics, n)
-    return xs[n], ys[n]
-
-
-_RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
-
-CASES_B = {
-    "Product": Case(lambda params: True),
-    "ACneq1": Case(lambda params: params.a * params.c != 1),
-    "ACeq1": Case(lambda params: params.a * params.c == 1),
-    "UnitBD": _pinned(SystemBParams(1, 1, -1, 1), **_RESIDUE_8),
-    "AllOnes": _pinned(SystemBParams(1, 1, 1, 1)),
-}
-
-CASE_TAGS_B = tuple(CASES_B)
-
-CASES = {"A": CASES_A, "B": CASES_B}
-
-
-def _case_route_b(tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int):
-    """The validated case and its route, as for System A, except that T is
-    reported before S when both vanish at one index."""
-    return _validated("B", tag, params, n_max), _route("B", params, ics, ties="TS")
-
-
-def solve_b_case_sweep(
-    tag: str, params: SystemBParams, ics: SystemBInitial, n_max: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    return _periodic_sweep(*_case_route_b(tag, params, ics, n_max), n_max)
-
-
-def solve_b_case(
-    tag: str, params: SystemBParams, ics: SystemBInitial, n: int
-) -> tuple[Fraction, Fraction]:
-    return _solve_index(*_case_route_b(tag, params, ics, n), n)
+solve_a_case_sweep, solve_b_case_sweep = system_aliases("solve_{}_case_sweep", case_sweep)
+solve_a_case, solve_b_case = system_aliases("solve_{}_case", case_point)

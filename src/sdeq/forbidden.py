@@ -25,16 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .systems import (
-    SHAPES,
-    SystemAInitial,
-    SystemAParams,
-    SystemBInitial,
-    SystemBParams,
-    _Record,
-    iterate_a,
-    iterate_b,
-)
+from .systems import SHAPES, _Record, iterate, system_aliases
 
 
 class Violation(_Record):
@@ -68,10 +59,11 @@ def _affine(c, d):
     return lambda num, x_den: (scale * num + shift * x_den, den * x_den)
 
 
-def _check(system: str, params, ics, horizon: int) -> ForbiddenReport:
+def check_forbidden(system: str, params, ics, horizon: int) -> ForbiddenReport:
     """Zero seed products w<n>_zero, z<n>_zero; else the restriction
     families S_<residue> and T_<residue> over the index classes of one
-    period.
+    period (System A: S and T, even and odd; System B: mod 4) for every
+    r <= horizon.
 
     S and T start from the reciprocals of the seed products and follow the
     system's rule S[n+lag] = p*T[n] + q, T[n+lag] = r*S[n] + s; each value
@@ -102,20 +94,7 @@ def _check(system: str, params, ics, horizon: int) -> ForbiddenReport:
     return ForbiddenReport(tuple(violated), predicted)
 
 
-def check_forbidden_a(
-    params: SystemAParams, ics: SystemAInitial, horizon: int
-) -> ForbiddenReport:
-    """Evaluate the four restriction families (S and T, even and odd
-    indices) for every r <= horizon; flag zero seed products separately."""
-    return _check("A", params, ics, horizon)
-
-
-def check_forbidden_b(
-    params: SystemBParams, ics: SystemBInitial, horizon: int
-) -> ForbiddenReport:
-    """Evaluate the eight mod-4 restriction families for every r <= horizon
-    plus the four nonzero-product admissibility conditions."""
-    return _check("B", params, ics, horizon)
+check_forbidden_a, check_forbidden_b = system_aliases("check_forbidden_{}", check_forbidden)
 
 
 def _invariant_map_step(system: str, params, ics, n_max: int) -> Optional[int]:
@@ -137,10 +116,6 @@ def _invariant_map_step(system: str, params, ics, n_max: int) -> Optional[int]:
     return None
 
 
-# per system: restriction check and iterator
-_PREDICT = {"A": (check_forbidden_a, iterate_a), "B": (check_forbidden_b, iterate_b)}
-
-
 def predict_vs_observe(
     system: str,
     params,
@@ -153,16 +128,13 @@ def predict_vs_observe(
     seed product is predicted from the invariant map instead; only System A
     gets there, since System B rejects zero initial components outright.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if system not in _PREDICT:
+    if system not in SHAPES:
         raise ValueError(f"unknown system {system!r}")
-    check, iterate = _PREDICT[system]
     shape = SHAPES[system]
     if n_max < shape.lag:
         raise ValueError(f"n_max must be >= {shape.lag} for System {system}")
-    report = check(params, ics, max(0, (n_max - 1) // shape.period))
-    trajectory = iterate(params, ics, n_max)  # System B rejects zero initials
+    report = check_forbidden(system, params, ics, max(0, (n_max - 1) // shape.period))
+    trajectory = iterate(system, params, ics, n_max)  # System B rejects zero initials
     predicted = report.predicted_singular_step
     if report.closed_form_inadmissible:
         predicted = _invariant_map_step(system, params, ics, n_max)

@@ -8,10 +8,12 @@ T[n+lag] = r*S[n] + s (System A: S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1;
 System B: two interleaved strands).  One recursion, one closed-form table
 split by residue mod 2*lag and one reconstruction, which runs the
 reduction backwards (trail[n+1] = 1/(S[n]*lead[n]),
-lead[n+1] = 1/(T[n]*trail[n])), serve both systems; the ``_a``/``_b``
-functions are thin wrappers.  ``geometric_sweep`` evaluates a whole sweep
-of a table from carried integer powers; every route of
-``sdeq.closed_form`` reads that sweep.
+lead[n+1] = 1/(T[n]*trail[n])), serve both systems.  Each operation is
+one function keyed by the system ("A" or "B"); ``system_aliases`` generates
+its per-system names (``invariants_a`` is ``invariants("A", ...)``).
+``geometric_sweep`` evaluates a whole sweep of a table from carried integer
+powers; every route of ``sdeq.closed_form`` reads that sweep, and
+``assemble`` rebuilds an orbit from S and T two indices at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rational import geometric_sum, rat
-from .systems import SHAPES, SystemAParams, SystemBParams, Trajectory, _Record
+from .systems import SHAPES, Trajectory, _Record, system_aliases
 
 
 class InvariantSeq(_Record):
@@ -59,9 +61,10 @@ def _require_regular(trajectory: Trajectory, min_len: int) -> None:
         raise ValueError(f"trajectory too short: need at least {min_len} entries")
 
 
-def _invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
+def invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
     """w[n] = lead[n]*trail[n+1], z[n] = trail[n]*lead[n+1] for n = 0..N-1,
-    with lead and trail the system's components in the order of SHAPES."""
+    with lead and trail the system's components in the order of SHAPES
+    (System A: w[n] = v[n]*u[n+1]; System B: w[n] = x[n]*y[n+1])."""
     _require_regular(trajectory, 2)
     lead, trail = SHAPES[system].by_lead(trajectory.first, trajectory.second)
     w = tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
@@ -69,14 +72,7 @@ def _invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
     return InvariantSeq(w, z)
 
 
-def invariants_a(trajectory: Trajectory) -> InvariantSeq:
-    """w[n] = v[n]*u[n+1], z[n] = u[n]*v[n+1] for n = 0..N-1."""
-    return _invariants("A", trajectory)
-
-
-def invariants_b(trajectory: Trajectory) -> InvariantSeq:
-    """w[n] = x[n]*y[n+1], z[n] = y[n]*x[n+1] for n = 0..N-1."""
-    return _invariants("B", trajectory)
+invariants_a, invariants_b = system_aliases("invariants_{}", invariants)
 
 
 def linearize(invariants: InvariantSeq) -> LinearSeq:
@@ -117,7 +113,21 @@ def geometric_sweep(classes, g: Fraction, count: int) -> list[Fraction]:
     return values
 
 
-def _solve_linear(system: str, params, seeds, n_max: int) -> LinearSeq:
+def _spread(keyed):
+    """``keyed`` with its tuple of seeds S[0..lag-1], T[0..lag-1] given one
+    by one before the last argument, as in closed_ST_a(params, S0, T0, n)."""
+
+    def spread(system: str, params, *args):
+        *seeds, last = args
+        if len(seeds) != 2 * SHAPES[system].lag:
+            raise TypeError(f"System {system} takes {2 * SHAPES[system].lag} seeds")
+        return keyed(system, params, tuple(seeds), last)
+
+    spread.__name__ = keyed.__name__
+    return spread
+
+
+def solve_linear(system: str, params, seeds, n_max: int) -> LinearSeq:
     """Direct recursion of S[n+lag] = p*T[n] + q, T[n+lag] = r*S[n] + s up
     to index n_max, from seeds = (S[0..lag-1], T[0..lag-1])."""
     shape = SHAPES[system]
@@ -131,6 +141,9 @@ def _solve_linear(system: str, params, seeds, n_max: int) -> LinearSeq:
         S.append(p * T[n] + q)
         T.append(r * S[n] + s)
     return LinearSeq(tuple(S), tuple(T))
+
+
+solve_linear_a, solve_linear_b = system_aliases("solve_linear_{}", _spread(solve_linear))
 
 
 def _closed_table(system: str, params, seeds):
@@ -158,14 +171,18 @@ def _closed_table(system: str, params, seeds):
     )
 
 
-def _closed_st(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
-    """Entry n of S and T from the system's closed form."""
+def closed_ST(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
+    """Entry n of S and T from the system's closed form; agrees entrywise
+    with solve_linear, and the sums are empty at the seeds."""
     if n < 0:
         raise ValueError("n must be >= 0")
     g, s_classes, t_classes = _closed_table(system, params, seeds)
     m, k = divmod(n, len(s_classes))
     power, inner = g**m, geometric_sum(g, m - 1)
     return tuple(x * power + y * inner for x, y in (s_classes[k], t_classes[k]))
+
+
+closed_ST_a, closed_ST_b = system_aliases("closed_ST_{}", _spread(closed_ST))
 
 
 def closed_ST_sweep(system: str, params, seeds, count: int):
@@ -175,79 +192,53 @@ def closed_ST_sweep(system: str, params, seeds, count: int):
     return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
-def solve_linear_a(params: SystemAParams, S0: Fraction, T0: Fraction, n_max: int) -> LinearSeq:
-    """Direct recursion of S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1."""
-    return _solve_linear("A", params, (S0, T0), n_max)
+def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int):
+    """Orbit entries 0..count, as lists (first, second), from the auxiliary
+    values S[0..count-1], T[0..count-1], which the caller has checked are
+    nonzero, and nonzero start values (first0, second0).
+
+    The orbit is the telescoped product, two indices at a time,
+
+        trail[m+2] = trail[m] * T[m] / S[m+1]
+        lead[m+2]  = lead[m]  * S[m] / T[m+1]
+
+    from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
+    lead and trail the components in the order of SHAPES.  Each step
+    multiplies one big value by a small ratio, so assembly costs about what
+    one step of iteration costs.
+    """
+    shape = SHAPES[system]
+    lead0, trail0 = shape.by_lead(first0, second0)
+    trail, lead = [trail0], [lead0]
+    if count >= 1:
+        trail.append(1 / lead0 / S[0])
+        lead.append(1 / trail0 / T[0])
+    for m in range(count - 1):
+        trail.append(trail[m] * (T[m] / S[m + 1]))
+        lead.append(lead[m] * (S[m] / T[m + 1]))
+    return shape.by_lead(lead, trail)
 
 
-def closed_ST_a(
-    params: SystemAParams, S0: Fraction, T0: Fraction, n: int
-) -> tuple[Fraction, Fraction]:
-    """Entry n of the System A closed form; agrees entrywise with
-    solve_linear_a, and the sums are empty at the seeds."""
-    return _closed_st("A", params, (S0, T0), n)
-
-
-def closed_ST_sweep_a(
-    params: SystemAParams, S0: Fraction, T0: Fraction, count: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Entries 0..count-1 of S and T from the System A closed form."""
-    return closed_ST_sweep("A", params, (S0, T0), count)
-
-
-def solve_linear_b(
-    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, n_max: int
-) -> LinearSeq:
-    """Direct recursion of S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b."""
-    return _solve_linear("B", params, (S0, S1, T0, T1), n_max)
-
-
-def closed_ST_b(
-    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, n: int
-) -> tuple[Fraction, Fraction]:
-    """Entry n of the System B closed form; agrees entrywise with
-    solve_linear_b."""
-    return _closed_st("B", params, (S0, S1, T0, T1), n)
-
-
-def closed_ST_sweep_b(
-    params: SystemBParams, S0: Fraction, S1: Fraction, T0: Fraction, T1: Fraction, count: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Entries 0..count-1 of S and T from the System B closed form."""
-    return closed_ST_sweep("B", params, (S0, S1, T0, T1), count)
-
-
-def _reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
-    """trail[n+1] = 1/(S[n]*lead[n]), lead[n+1] = 1/(T[n]*trail[n]) from
-    (first0, second0).  Zero divisors are reported in the order S, T,
-    first, second."""
+def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
+    """Run the reduction backwards: the orbit with auxiliary pair ``lin``
+    from (first0, second0), by trail[n+1] = 1/(S[n]*lead[n]) and
+    lead[n+1] = 1/(T[n]*trail[n]) (System A: u[n+1] = 1/(S[n]*v[n]);
+    System B: x[n+1] = 1/(T[n]*y[n])).  Zero divisors are reported by
+    index, S before T, and at index 0 then first0 before second0."""
     shape = SHAPES[system]
     # the component names, ("u", "v") or ("x", "y")
     labels = tuple(names[0].rstrip("0") for names in shape.split(shape.initial._fields))
-    first = [rat(first0)]
-    second = [rat(second0)]
-    for n, (s_val, t_val) in enumerate(zip(lin.S, lin.T)):
-        if s_val == 0:
-            raise ZeroDivisorError("S", n)
-        if t_val == 0:
-            raise ZeroDivisorError("T", n)
-        if first[n] == 0:
-            raise ZeroDivisorError(labels[0], n)
-        if second[n] == 0:
-            raise ZeroDivisorError(labels[1], n)
-        # T feeds the lead and S the trail; by_lead puts them in component order
-        f_val, g_val = shape.by_lead(t_val, s_val)
-        first.append(1 / (f_val * second[n]))
-        second.append(1 / (g_val * first[n]))
+    starts = (rat(first0), rat(second0))
+    count = min(len(lin.S), len(lin.T))
+    # exact, so that T[m]/S[m+1] of two ints is no float
+    S, T = (tuple(map(rat, values[:count])) for values in (lin.S, lin.T))
+    for n in range(count):
+        divisors = [("S", S[n]), ("T", T[n]), *(zip(labels, starts) if n == 0 else ())]
+        for what, value in divisors:
+            if value == 0:
+                raise ZeroDivisorError(what, n)
+    first, second = assemble(system, S, T, *starts, count)
     return Trajectory(labels, tuple(first), tuple(second))
 
 
-def reconstruct_a(lin: LinearSeq, u0: Fraction, v0: Fraction) -> Trajectory:
-    """Rebuild a System A orbit from its auxiliary pair and (u0, v0) via
-    u[n+1] = 1/(S[n]*v[n]), v[n+1] = 1/(T[n]*u[n])."""
-    return _reconstruct("A", lin, u0, v0)
-
-
-def reconstruct_b(lin: LinearSeq, x0: Fraction, y0: Fraction) -> Trajectory:
-    """System B analogue: x[n+1] = 1/(T[n]*y[n]), y[n+1] = 1/(S[n]*x[n])."""
-    return _reconstruct("B", lin, x0, y0)
+reconstruct_a, reconstruct_b = system_aliases("reconstruct_{}", reconstruct)

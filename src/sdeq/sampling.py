@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .closed_form import lookup_case
 from .forbidden import check_forbidden_a, check_forbidden_b
-from .systems import SHAPES, SystemAInitial, SystemAParams, SystemBInitial, SystemBParams
+from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
 
 RETRY_CAP = 1000
 
@@ -47,38 +47,18 @@ def draw_ics(rng: random.Random, system: str):
     return initial(*[draw_nonzero(rng) for _ in initial._fields])
 
 
-def draw_ics_a(rng: random.Random) -> SystemAInitial:
-    return draw_ics(rng, "A")
-
-
-def draw_ics_b(rng: random.Random) -> SystemBInitial:
-    return draw_ics(rng, "B")
-
-
-def draw_params_a(rng: random.Random) -> SystemAParams:
-    return draw_params(rng, "A")
-
-
-def draw_params_b(rng: random.Random) -> SystemBParams:
-    return draw_params(rng, "B")
-
-
 def _draw_ac_unit(rng: random.Random) -> SystemBParams:
     a = draw_nonzero(rng)
     return SystemBParams(a, draw_rational(rng), 1 / a, draw_rational(rng))
 
 
-# per system: the draws of the cases that pin some parameters, and the name
-# of the restriction check
-_SYSTEMS = {
-    "A": (
-        {
-            "Aeq1": lambda rng: SystemAParams(1, draw_rational(rng)),
-            "Beq1": lambda rng: SystemAParams(draw_rational(rng), 1),
-        },
-        "check_forbidden_a",
-    ),
-    "B": ({"ACeq1": _draw_ac_unit}, "check_forbidden_b"),
+# per system: the draws of the cases that pin some parameters
+_PINNED = {
+    "A": {
+        "Aeq1": lambda rng: SystemAParams(1, draw_rational(rng)),
+        "Beq1": lambda rng: SystemAParams(draw_rational(rng), 1),
+    },
+    "B": {"ACeq1": _draw_ac_unit},
 }
 
 
@@ -96,7 +76,7 @@ def draw_params(rng: random.Random, system: str, tag: str | None = None):
     case = lookup_case(system, tag)
     if case.fixed is not None:
         return case.fixed
-    pinned = _SYSTEMS[system][0].get(tag)
+    pinned = _PINNED[system].get(tag)
     for _ in range(RETRY_CAP):
         params = pinned(rng) if pinned else _draw_all(rng, system)
         if case.applies(params):
@@ -107,9 +87,9 @@ def draw_params(rng: random.Random, system: str, tag: str | None = None):
 def draw_admissible(rng: random.Random, system: str, n_max: int, tag: str | None = None):
     """(params, ics, skipped): an input whose restriction check is clean up
     to n_max, and how many draws before it were not."""
-    # looked up at call time, so a substituted check (a counting wrapper, a
-    # test double) is the one that runs
-    check = globals()[_SYSTEMS[system][1]]
+    # check_forbidden_a or _b, looked up at call time, so a substituted check
+    # (a counting wrapper, a test double) is the one that runs
+    check = globals()[f"check_forbidden_{system.lower()}"]
     horizon = max(0, (n_max - 1) // SHAPES[system].period)
     for skipped in range(RETRY_CAP):
         params = draw_params(rng, system, tag)
@@ -119,14 +99,9 @@ def draw_admissible(rng: random.Random, system: str, n_max: int, tag: str | None
     raise RetryCapError(f"retry cap exhausted drawing admissible System {system} input")
 
 
-def draw_admissible_a(
-    rng: random.Random, n_max: int, tag: str | None = None
-) -> tuple[SystemAParams, SystemAInitial]:
-    """A (params, ics) pair whose restriction check is clean up to n_max."""
-    return draw_admissible(rng, "A", n_max, tag)[:2]
+def admissible_pair(system: str, rng: random.Random, n_max: int, tag: str | None = None):
+    """(params, ics) of draw_admissible."""
+    return draw_admissible(rng, system, n_max, tag)[:2]
 
 
-def draw_admissible_b(
-    rng: random.Random, n_max: int, tag: str | None = None
-) -> tuple[SystemBParams, SystemBInitial]:
-    return draw_admissible(rng, "B", n_max, tag)[:2]
+draw_admissible_a, draw_admissible_b = system_aliases("draw_admissible_{}", admissible_pair)

@@ -24,9 +24,8 @@ zero exactly where its residual is, for every variant.
 
 The infinitesimal parameter is never exponentiated; the finite group
 parameter lam is a nonzero rational, so the group orbit stays inside exact
-arithmetic.  ``variant`` selects deliberately broken characteristics for
-negative controls: "frozen" ignores the parity alternation, "swapped"
-exchanges the component weights.
+arithmetic.  ``variant`` "frozen" ignores the parity alternation: a
+deliberately broken characteristic for negative controls.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from fractions import Fraction
 from .rational import alternating_sign, rat
 from .systems import SystemAParams, SystemBParams, Trajectory, _Exact, _Record
 
-VARIANTS = ("alternating", "frozen", "swapped")
+VARIANTS = ("alternating", "frozen")
 
 
 class Characteristic(_Exact):
@@ -67,11 +66,7 @@ def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):
     c2 = ch.c2.numerator * ch.c1.denominator
     if variant != "frozen" and (n_parity + shift) % 2:
         c2 = -c2
-    coeff_1 = c2 - c1
-    coeff_2 = c1 + c2
-    if variant == "swapped":
-        coeff_1, coeff_2 = coeff_2, coeff_1
-    return coeff_1, coeff_2, ch.c1.denominator * ch.c2.denominator
+    return c2 - c1, c1 + c2, ch.c1.denominator * ch.c2.denominator
 
 
 def _coefficient_values(ch: Characteristic, n_parity: int, shift: int, variant: str):
@@ -190,6 +185,23 @@ def _residual_kernel_b(ch, params, n_parity, point, variant="alternating") -> tu
         q2_3 * den_y - cn * dd * yd * x1d * q2_0 - cn * dd * yd * x1d * q1_1 + q1_2 * den_y
     )
     return r1, r2
+
+
+_RESIDUALS = {
+    "A": (slsc_residual_a, _residual_kernel_a),
+    "B": (slsc_residual_b, _residual_kernel_b),
+}
+
+
+def residual(system: str, ch, params, n_parity, point, variant="alternating"):
+    """The system's linearized-symmetry-condition residuals, slsc_residual_a or _b."""
+    return _RESIDUALS[system][0](ch, params, n_parity, point, variant)
+
+
+def residual_kernel(system: str, ch, params, n_parity, point, variant="alternating"):
+    """The system's residuals times a factor nonzero at admissible points,
+    as two ints: _residual_kernel_a or _b."""
+    return _RESIDUALS[system][1](ch, params, n_parity, point, variant)
 
 
 def _parts(values) -> list:

@@ -220,8 +220,8 @@ class Trajectory(_Record):
 
 
 class ZeroInitialError(ValueError):
-    """System B is undefined on zero initial components (it divides by
-    them); distinct from a runtime singularity."""
+    """``iterate_b`` refuses System B initial components that are zero;
+    distinct from a runtime singularity."""
 
 
 def iterate_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Trajectory:
@@ -292,3 +292,29 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
         trajectory.singular,
         trajectory.origin - offset,
     )
+
+
+_ITERATORS = {"A": iterate_a, "B": iterate_b}
+
+
+def iterate(system: str, params, ics, n_max: int) -> Trajectory:
+    """Iterate ``system`` exactly up to index ``n_max`` (inclusive)."""
+    return _ITERATORS[system](params, ics, n_max)
+
+
+def system_aliases(template: str, keyed: Callable) -> tuple:
+    """The per-system names of the system-keyed function ``keyed``, one per
+    system of SHAPES: ``template`` filled with the lower-case system letter
+    ("check_forbidden_{}" gives check_forbidden_a, check_forbidden_b), each
+    calling keyed(system, *args, **kwargs)."""
+
+    def alias(system: str):
+        def call(*args, **kwargs):
+            return keyed(system, *args, **kwargs)
+
+        call.__name__ = call.__qualname__ = template.format(system.lower())
+        call.__module__ = keyed.__module__
+        call.__doc__ = f"{keyed.__name__}({system!r}, ...)"
+        return call
+
+    return tuple(alias(system) for system in SHAPES)

@@ -27,11 +27,9 @@ from sdeq.reduction import (
 from sdeq.sampling import (
     draw_admissible_a,
     draw_admissible_b,
-    draw_ics_a,
-    draw_ics_b,
+    draw_ics,
     draw_nonzero,
-    draw_params_a,
-    draw_params_b,
+    draw_params,
     draw_rational,
 )
 from sdeq.symmetry import (
@@ -106,13 +104,13 @@ def test_auxiliary_sequence_equivalence():
     with criterion("auxiliary-closed-forms (n <= 200, 100 draws per system)"):
         rng = random.Random(13)
         for _ in range(100):
-            params_a = draw_params_a(rng)
+            params_a = draw_params(rng, "A")
             s0, t0 = draw_rational(rng), draw_rational(rng)
             lin = solve_linear_a(params_a, s0, t0, 200)
             for n in range(201):
                 assert closed_ST_a(params_a, s0, t0, n) == (lin.S[n], lin.T[n])
         for _ in range(100):
-            params_b = draw_params_b(rng)
+            params_b = draw_params(rng, "B")
             seeds = [draw_rational(rng) for _ in range(4)]
             lin = solve_linear_b(params_b, *seeds, 200)
             for n in range(201):
@@ -166,11 +164,11 @@ def test_symmetry_identity():
             ch = Characteristic(draw_rational(rng), draw_rational(rng))
             for parity in (0, 1):
                 for _ in range(100):
-                    params = draw_params_a(rng)
+                    params = draw_params(rng, "A")
                     point = _admissible_point_a(rng, params)
                     assert slsc_residual_a(ch, params, parity, point) == (0, 0)
                 for _ in range(100):
-                    params = draw_params_b(rng)
+                    params = draw_params(rng, "B")
                     if (params.a == 0 and params.b == 0) or (
                         params.c == 0 and params.d == 0
                     ):
@@ -182,14 +180,14 @@ def test_symmetry_identity():
         broken = 0
         for _ in range(50):
             ch = Characteristic(draw_rational(rng), draw_nonzero(rng))
-            params = draw_params_a(rng)
+            params = draw_params(rng, "A")
             point = _admissible_point_a(rng, params)
             if slsc_residual_a(ch, params, 0, point, variant="frozen") != (0, 0):
                 broken += 1
         assert broken > 40
         r = slsc_residual_b(
             Characteristic(0, 1),
-            draw_params_b(random.Random(0)),
+            draw_params(random.Random(0), "B"),
             0,
             (1, 2, 3, 4, 5, 6),
             variant="frozen",
@@ -249,16 +247,16 @@ def test_forbidden_soundness_completeness():
         rng = random.Random(17)
         singular = 0
         for _ in range(1000):
-            params = draw_params_a(rng)
-            ics = draw_ics_a(rng)
+            params = draw_params(rng, "A")
+            ics = draw_ics(rng, "A")
             verdict = predict_vs_observe("A", params, ics, 40)
             assert verdict.kind != "mismatch", verdict.details
             singular += verdict.kind == "agree-singular"
         assert singular > 0
         singular = 0
         for _ in range(1000):
-            params = draw_params_b(rng)
-            ics = draw_ics_b(rng)
+            params = draw_params(rng, "B")
+            ics = draw_ics(rng, "B")
             verdict = predict_vs_observe("B", params, ics, 40)
             assert verdict.kind != "mismatch", verdict.details
             singular += verdict.kind == "agree-singular"

@@ -2,7 +2,7 @@
 replaces, with numerators and denominators up to 2**64.
 
 * ``geometric_sweep`` equals its defining formula x_k*g**m + y_k*h_m;
-* ``closed_ST_sweep_*`` equals ``closed_ST_*`` and ``solve_linear_*``
+* ``closed_ST_sweep`` equals ``closed_ST_*`` and ``solve_linear_*``
   entry by entry, with ab = +-1 (A) or ac = +-1 (B), a unit parameter or
   a case's pinned parameters in part of the examples;
 * every case route that applies, as a sweep and at a single point, gives
@@ -43,16 +43,16 @@ rationals = st.one_of(
 nonzero = rationals.filter(lambda value: value != 0)
 
 # per system: params, initial values, the partner of a in the ratio g, the
-# number of seeds, the closed form per index and as a sweep, the linear
-# recursion and the case route
+# number of seeds, the closed form per index, the linear recursion and the
+# case route
 SYSTEMS = {
     "A": (
         SystemAParams, SystemAInitial, "b", 2, reduction.closed_ST_a,
-        reduction.closed_ST_sweep_a, reduction.solve_linear_a, closed_form.solve_a_case_sweep,
+        reduction.solve_linear_a, closed_form.solve_a_case_sweep,
     ),
     "B": (
         SystemBParams, SystemBInitial, "c", 4, reduction.closed_ST_b,
-        reduction.closed_ST_sweep_b, reduction.solve_linear_b, closed_form.solve_b_case_sweep,
+        reduction.solve_linear_b, closed_form.solve_b_case_sweep,
     ),
 }
 SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -91,10 +91,10 @@ def test_kernel_equals_formula(classes, g, count):
 @SETTINGS
 @hypothesis.given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 14), st.data())
 def test_sweep_equals_closed_form_and_recursion(system, count, data):
-    _, _, _, n_seeds, closed_st, sweep, solve_linear, *_ = SYSTEMS[system]
+    _, _, _, n_seeds, closed_st, solve_linear, _ = SYSTEMS[system]
     params = _params(data.draw, system)
     seeds = [data.draw(rationals) for _ in range(n_seeds)]
-    S, T = sweep(params, *seeds, count)
+    S, T = reduction.closed_ST_sweep(system, params, seeds, count)
     assert list(zip(S, T)) == [closed_st(params, *seeds, j) for j in range(count)]
     lin = solve_linear(params, *seeds, max(count - 1, 1))
     assert (S, T) == (list(lin.S[:count]), list(lin.T[:count]))

@@ -687,7 +687,7 @@ def test_difftest_sweeps_the_table_once_per_trial(monkeypatch, system, n):
     assert report["failures"] == 0
     assert report["comparisons"] == trials * 2 * (n + 1)
     assert sum(report["strata"].values()) == trials
-    assert len(report["strata"]) == len(cli.SYSTEMS[system].strata)
+    assert len(report["strata"]) == len(cli.STRATA[system])
     assert calls == [system] * trials
 
 

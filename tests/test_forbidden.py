@@ -8,7 +8,7 @@ from sdeq.forbidden import (
     check_forbidden_b,
     predict_vs_observe,
 )
-from sdeq.sampling import draw_ics_a, draw_ics_b, draw_params_a, draw_params_b, draw_rational
+from sdeq.sampling import draw_ics, draw_params, draw_rational
 from sdeq.systems import (
     SystemAInitial,
     SystemAParams,
@@ -106,8 +106,8 @@ def test_predict_vs_observe_soundness_sample():
     rng = random.Random(301)
     singular_seen = 0
     for _ in range(400):
-        params = draw_params_a(rng)
-        ics = draw_ics_a(rng)
+        params = draw_params(rng, "A")
+        ics = draw_ics(rng, "A")
         verdict = predict_vs_observe("A", params, ics, 30)
         assert verdict.kind != "mismatch", verdict.details
         if verdict.kind == "agree-singular":
@@ -115,8 +115,8 @@ def test_predict_vs_observe_soundness_sample():
     assert singular_seen > 0  # the suite actually exercises singular orbits
     singular_seen = 0
     for _ in range(300):
-        params = draw_params_b(rng)
-        ics = draw_ics_b(rng)
+        params = draw_params(rng, "B")
+        ics = draw_ics(rng, "B")
         verdict = predict_vs_observe("B", params, ics, 25)
         assert verdict.kind != "mismatch", verdict.details
         if verdict.kind == "agree-singular":

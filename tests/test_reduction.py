@@ -5,6 +5,7 @@ import pytest
 
 from sdeq.reduction import (
     InvariantSeq,
+    LinearSeq,
     ZeroDivisorError,
     ZeroInvariantError,
     closed_ST_a,
@@ -166,11 +167,34 @@ def test_reconstruct_a_constant_fixed_point():
     assert all(value == 1 for value in t.second)
 
 
-def test_reconstruct_a_zero_divisor():
-    lin = solve_linear_a(SystemAParams(1, 1), 0, 1, 1)  # S[0] = 0
+# (reconstruct, S, T, first0, second0, the (what, index) reported, or None
+# when the pair rebuilds without a zero divisor); per index, S is reported
+# before T, and at index 0 both before the first and then the second start
+ZERO_DIVISORS = [
+    pytest.param(reconstruct_a, (0, 1), (1, 1), 1, 1, ("S", 0), id="S0"),
+    pytest.param(reconstruct_a, (0, 1), (0, 1), 1, 1, ("S", 0), id="S0-and-T0"),
+    pytest.param(reconstruct_a, (1, 2, 3), (1, 1, 0), 1, 1, ("T", 2), id="later-T"),
+    pytest.param(reconstruct_a, (1, 0, 2), (1, 0, 2), 1, 1, ("S", 1), id="tie-reports-S"),
+    pytest.param(reconstruct_a, (1, 2), (1, 2), 0, 0, ("u", 0), id="u0-and-v0"),
+    pytest.param(reconstruct_a, (1, 0), (1, 1), 0, 1, ("u", 0), id="u0-before-later-S"),
+    pytest.param(reconstruct_a, (1, 2), (0, 2), 0, 0, ("T", 0), id="T0-before-u0"),
+    pytest.param(reconstruct_b, (1, 2), (3, 4), 0, 0, ("x", 0), id="x0-and-y0"),
+    pytest.param(reconstruct_b, (1, 2), (3, 4), 2, 0, ("y", 0), id="y0"),
+    pytest.param(reconstruct_a, (), (), 0, 0, None, id="empty"),
+]
+
+
+@pytest.mark.parametrize("reconstruct, S, T, first0, second0, error", ZERO_DIVISORS)
+def test_reconstruct_a_zero_divisor(reconstruct, S, T, first0, second0, error):
+    lin = LinearSeq(tuple(map(F, S)), tuple(map(F, T)))
+    if error is None:
+        t = reconstruct(lin, first0, second0)
+        assert (t.labels, t.first, t.second) == (("u", "v"), (first0,), (second0,))
+        return
     with pytest.raises(ZeroDivisorError) as info:
-        reconstruct_a(lin, 1, 1)
-    assert info.value.what == "S" and info.value.index == 0
+        reconstruct(lin, first0, second0)
+    assert (info.value.what, info.value.index) == error
+
 
 
 def test_reconstruct_defining_identity():
