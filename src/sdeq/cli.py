@@ -32,16 +32,6 @@ EXIT_FORBIDDEN = 3
 EXIT_MISMATCH = 4
 
 
-def _nonzero_update(c, d, x, y) -> bool:
-    """c + d*x*y != 0 for rationals, tested on the numerator of the sum
-    over the product of the four denominators."""
-    return (
-        c.numerator * d.denominator * x.denominator * y.denominator
-        + c.denominator * d.numerator * x.numerator * y.numerator
-        != 0
-    )
-
-
 # per system, the (stratum name, case tag or None) difftest trials cycle through
 STRATA = {
     "A": (("general", None),),
@@ -292,25 +282,17 @@ def _run_check_forbidden(config: RunConfig) -> tuple[int, str]:
 
 def _sample_residual_input(rng, system: str, fixed_params):
     """Draw (params, point) from the random.Random ``rng`` with nonzero
-    coordinates and nonzero update denominators.  Parameters are redrawn
+    coordinates at which the residuals are defined.  Parameters are redrawn
     with the point unless fixed; fixed parameters may admit no point at all
     (e.g. a = b = 0 for System B), in which case the retry cap trips."""
     from .sampling import RETRY_CAP, draw_nonzero, draw_params
+    from .symmetry import defined_at
 
-    shape = systems.SHAPES[system]
-    fields = shape.initial._fields
-    # where the factors of z[0] = trail[0]*lead[1] and w[0] = lead[0]*trail[1]
-    # sit in a point, an initial-value tuple
-    lead, trail = shape.by_lead(*shape.split(range(len(fields))))
-    z0, w0 = (trail[0], lead[1]), (lead[0], trail[1])
+    fields = systems.SHAPES[system].initial._fields
     for _ in range(RETRY_CAP):
         params = fixed_params if fixed_params is not None else draw_params(rng, system)
         point = tuple(draw_nonzero(rng) for _ in fields)
-        # the residual's update denominators p + q*z[0] and r + s*w[0]
-        (p, q), (r, s) = shape.rule(params)
-        if _nonzero_update(p, q, point[z0[0]], point[z0[1]]) and _nonzero_update(
-            r, s, point[w0[0]], point[w0[1]]
-        ):
+        if defined_at(system, params, point):
             return params, point
     raise UsageError("no admissible sample points for the given parameters")
 

@@ -13,14 +13,28 @@ rational points (zero residual at independently random points certifies
 the identity at desk scale), checks that the invariant products are
 annihilated, and applies the finite group actions to whole trajectories.
 
-Only whether a residual is zero matters to a check, so the residual
-kernels (``_residual_kernel_a/b``) return each residual multiplied by a
-named factor that is nonzero at every admissible point, as an integer
-polynomial in the numerators and denominators of the inputs: the same
-formula with the denominators cleared, so no ``Fraction`` is normalized
-on the way.  The symbolic certificate in the tests expands kernel minus
-factor times residual to 0 with every coefficient free, so a kernel is
-zero exactly where its residual is, for every variant.
+Both systems update each component X (Y is the other one) by the shape
+that ``systems.SHAPES`` records, with (alpha, beta) the rule pair of X's
+update, (p, q) for the trailing component and (r, s) for the leading one:
+
+    X[n+lag+1] = P / (Y[n+lag] * (alpha + beta*P)),    P = X[n]*Y[n+1];
+
+for lag = 1, P/Y[n+lag] is X[n], as in System A.  With c_X(k), c_Y(k) the
+characteristic's coefficients at index n + k, the linearized symmetry
+condition leaves one residual per component of either system:
+
+    R_X = ((c_X(lag+1) + c_Y(lag))*(alpha + beta*P) - (c_X(0) + c_Y(1))*alpha)
+          * P / (Y[n+lag] * (alpha + beta*P)**2).
+
+Only whether a residual is zero matters to a check, so ``residual_kernel``
+returns R_X times the named factor K*s*d*(alpha + beta*P)**2, nonzero at
+every admissible point: K is the coefficients' common denominator,
+s = alpha_den*beta_den*X[n]_den*Y[n+1]_den, and d = X[n]_den for lag = 1,
+else X[n]_den*Y[n+1]_den*Y[n+lag].  The product is an integer polynomial
+in the inputs' numerators and denominators, so no ``Fraction`` is
+normalized on the way; ``residual`` divides it by the factor.  The tests
+certify symbolically that the residual is the linearized condition of
+the map ``systems.iterate`` runs, and that the factor is this one.
 
 The infinitesimal parameter is never exponentiated; the finite group
 parameter lam is a nonzero rational, so the group orbit stays inside exact
@@ -33,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rational import alternating_sign, rat
-from .systems import SystemAParams, SystemBParams, Trajectory, _Exact, _Record
+from .systems import SHAPES, Trajectory, _Exact, _Record, system_aliases
 
 VARIANTS = ("alternating", "frozen")
 
@@ -69,148 +83,98 @@ def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):
     return c2 - c1, c1 + c2, ch.c1.denominator * ch.c2.denominator
 
 
-def _coefficient_values(ch: Characteristic, n_parity: int, shift: int, variant: str):
-    """The coefficient pair of _coefficients as rationals."""
-    coeff_1, coeff_2, den = _coefficients(ch, n_parity, shift, variant)
-    return rat(coeff_1) / den, rat(coeff_2) / den
+def _layout(shape) -> tuple:
+    """Per component X, first then second, with Y the other component: the
+    point positions of X[n], Y[n+1] and Y[n+lag] (None when lag = 1, where
+    Y[n+lag] is Y[n+1]) and the index of X's update pair in
+    shape.rule(params), 0 for the trailing component."""
+    first, second = shape.split(range(len(shape.initial._fields)))
+    _, trail = shape.by_lead(first, second)
+    return tuple(
+        (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
+        for x, y in ((first, second), (second, first))
+    )
 
 
-def slsc_residual_a(
-    ch: Characteristic,
-    params: SystemAParams,
-    n_parity: int,
-    point: tuple[Fraction, Fraction, Fraction, Fraction],
-    variant: str = "alternating",
-) -> tuple[Fraction, Fraction]:
-    """Both linearized-symmetry-condition residuals for System A.
+_LAYOUTS = {system: _layout(shape) for system, shape in SHAPES.items()}
 
-    ``point`` is (u_n, u_{n+1}, v_n, v_{n+1}).  For the alternating
-    characteristic family (any C1, C2) the residuals are identically
-    (0, 0) at every admissible point.
+
+def _updates(system: str, params, point):
+    """Per component, first then second, the integers of its residual:
+    (share, base, den, s, d_num, d_den), or None where a denominator of the
+    residual vanishes.
+
+    ``den`` is (alpha + beta*P)*s and ``base`` is alpha*s, with s of the
+    named factor.  ``share`` is the numerator the kernel uses of
+    P/Y[n+lag], and d = d_num/d_den its denominator, as in the factor.
     """
-    u_n, u_n1, v_n, v_n1 = (rat(value) for value in point)
-    a, b = params.a, params.b
-    den_u = a + u_n * v_n1
-    den_v = b + v_n * u_n1
-    if den_u == 0 or den_v == 0:
+    fields = SHAPES[system].initial._fields
+    if len(point) != len(fields):
+        raise ValueError(f"a System {system} point has {len(fields)} values, not {len(point)}")
+    parts = [(value.numerator, value.denominator) for value in map(rat, point)]
+    pairs = SHAPES[system].rule(params)
+    updates = []
+    for x, y1, y_lag, pair in _LAYOUTS[system]:
+        (xn, xd), (y1n, y1d) = parts[x], parts[y1]
+        alpha, beta = pairs[pair]
+        s = alpha.denominator * beta.denominator * xd * y1d
+        base = alpha.numerator * beta.denominator * xd * y1d
+        den = base + alpha.denominator * beta.numerator * xn * y1n
+        if y_lag is None:
+            share, d_num, d_den = xn, xd, 1
+        else:
+            (d_num, d_den), share = parts[y_lag], xn * y1n
+            d_num *= xd * y1d
+        if den == 0 or d_num == 0:
+            return None
+        updates.append((share, base, den, s, d_num, d_den))
+    return updates
+
+
+def defined_at(system: str, params, point) -> bool:
+    """Whether both residuals of ``system`` are defined at ``point``: no
+    update denominator p + q*z[n], r + s*w[n] and no Y[n+lag] vanishes."""
+    return _updates(system, params, point) is not None
+
+
+def _kernels(system, ch, params, n_parity, point, variant):
+    """(kernels, _updates, K) of both residuals."""
+    updates = _updates(system, params, point)
+    if updates is None:
         raise ValueError("zero denominator at sample point")
-    omega_1 = u_n / den_u
-    omega_2 = v_n / den_v
-    q1_0, q2_0 = _coefficient_values(ch, n_parity, 0, variant)
-    q1_1, q2_1 = _coefficient_values(ch, n_parity, 1, variant)
-    q1_2, q2_2 = _coefficient_values(ch, n_parity, 2, variant)
-    r1 = q1_2 * omega_1 - a * (q1_0 * u_n) / den_u**2 + u_n**2 * (q2_1 * v_n1) / den_u**2
-    r2 = q2_2 * omega_2 - b * (q2_0 * v_n) / den_v**2 + v_n**2 * (q1_1 * u_n1) / den_v**2
-    return r1, r2
-
-
-def _residual_kernel_a(ch, params, n_parity, point, variant="alternating") -> tuple[int, int]:
-    """slsc_residual_a with the denominators cleared, as two ints.
-
-    Writing x = x_num/x_den for every input and K for the coefficients'
-    common denominator, the first int is r1 * K * a_den * u_den^2 *
-    v1_den * (a + u*v1)^2 and the second r2 * K * b_den * v_den^2 *
-    u1_den * (b + v*u1)^2, with (u, u1, v, v1) = ``point``.
-    """
-    un, ud, u1n, u1d, vn, vd, v1n, v1d = _parts(point)
-    an, ad, bn, bd = _parts((params.a, params.b))
-    den_u = an * ud * v1d + ad * un * v1n  # (a + u*v1) * a_den * u_den * v1_den
-    den_v = bn * vd * u1d + bd * vn * u1n
-    if den_u == 0 or den_v == 0:
-        raise ValueError("zero denominator at sample point")
-    q1_0, q2_0, _ = _coefficients(ch, n_parity, 0, variant)
-    q1_1, q2_1, _ = _coefficients(ch, n_parity, 1, variant)
-    q1_2, q2_2, _ = _coefficients(ch, n_parity, 2, variant)
-    r1 = q1_2 * un * den_u - an * q1_0 * un * ud * v1d + ad * un**2 * q2_1 * v1n
-    r2 = q2_2 * vn * den_v - bn * q2_0 * vn * vd * u1d + bd * vn**2 * q1_1 * u1n
-    return r1, r2
-
-
-def slsc_residual_b(
-    ch: Characteristic,
-    params: SystemBParams,
-    n_parity: int,
-    point: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction],
-    variant: str = "alternating",
-) -> tuple[Fraction, Fraction]:
-    """System B analogue; ``point`` is (x_n, x_{n+1}, x_{n+2}, y_n, y_{n+1}, y_{n+2})."""
-    x_n, x_n1, x_n2, y_n, y_n1, y_n2 = (rat(value) for value in point)
-    a, b, c, d = params.a, params.b, params.c, params.d
-    den_x = a + b * x_n * y_n1
-    den_y = c + d * y_n * x_n1
-    if den_x == 0 or den_y == 0 or x_n2 == 0 or y_n2 == 0:
-        raise ValueError("zero denominator at sample point")
-    omega_1 = x_n * y_n1 / (y_n2 * den_x)
-    omega_2 = y_n * x_n1 / (x_n2 * den_y)
-    q1_0, q2_0 = _coefficient_values(ch, n_parity, 0, variant)
-    q1_1, q2_1 = _coefficient_values(ch, n_parity, 1, variant)
-    q1_2, q2_2 = _coefficient_values(ch, n_parity, 2, variant)
-    q1_3, q2_3 = _coefficient_values(ch, n_parity, 3, variant)
-    # exact partials of omega_1 in its three live arguments
-    r1 = q1_3 * omega_1 - (
-        (q1_0 * x_n) * a * y_n1 / (y_n2 * den_x**2)
-        + (q2_1 * y_n1) * a * x_n / (y_n2 * den_x**2)
-        - (q2_2 * y_n2) * x_n * y_n1 / (y_n2**2 * den_x)
+    lag = SHAPES[system].lag
+    c = [_coefficients(ch, n_parity, shift, variant) for shift in range(lag + 2)]
+    # per component X: c_X(lag+1) + c_Y(lag) and c_X(0) + c_Y(1)
+    late = (c[lag + 1][0] + c[lag][1], c[lag + 1][1] + c[lag][0])
+    early = (c[0][0] + c[1][1], c[0][1] + c[1][0])
+    kernels = tuple(
+        [
+            (late[x] * den - early[x] * base) * share
+            for x, (share, base, den, *_) in enumerate(updates)
+        ]
     )
-    r2 = q2_3 * omega_2 - (
-        (q2_0 * y_n) * c * x_n1 / (x_n2 * den_y**2)
-        + (q1_1 * x_n1) * c * y_n / (x_n2 * den_y**2)
-        - (q1_2 * x_n2) * y_n * x_n1 / (x_n2**2 * den_y)
-    )
-    return r1, r2
-
-
-def _residual_kernel_b(ch, params, n_parity, point, variant="alternating") -> tuple[int, int]:
-    """slsc_residual_b with the denominators cleared, as two ints.
-
-    In the notation of _residual_kernel_a, with (x, x1, x2, y, y1, y2) =
-    ``point``, the first int is r1 * K * a_den * b_den * x_den^2 *
-    y1_den^2 * y2 * (a + b*x*y1)^2 and the second r2 * K * c_den * d_den *
-    y_den^2 * x1_den^2 * x2 * (c + d*y*x1)^2.
-    """
-    xn, xd, x1n, x1d, x2n, _, yn, yd, y1n, y1d, y2n, _ = _parts(point)
-    an, ad, bn, bd, cn, cd, dn, dd = _parts((params.a, params.b, params.c, params.d))
-    den_x = an * bd * xd * y1d + ad * bn * xn * y1n  # (a + b*x*y1) * a_den * b_den * x_den * y1_den
-    den_y = cn * dd * yd * x1d + cd * dn * yn * x1n
-    if den_x == 0 or den_y == 0 or x2n == 0 or y2n == 0:
-        raise ValueError("zero denominator at sample point")
-    q1_0, q2_0, _ = _coefficients(ch, n_parity, 0, variant)
-    q1_1, q2_1, _ = _coefficients(ch, n_parity, 1, variant)
-    q1_2, q2_2, _ = _coefficients(ch, n_parity, 2, variant)
-    q1_3, q2_3, _ = _coefficients(ch, n_parity, 3, variant)
-    r1 = xn * y1n * (
-        q1_3 * den_x - an * bd * xd * y1d * q1_0 - an * bd * xd * y1d * q2_1 + q2_2 * den_x
-    )
-    r2 = yn * x1n * (
-        q2_3 * den_y - cn * dd * yd * x1d * q2_0 - cn * dd * yd * x1d * q1_1 + q1_2 * den_y
-    )
-    return r1, r2
-
-
-_RESIDUALS = {
-    "A": (slsc_residual_a, _residual_kernel_a),
-    "B": (slsc_residual_b, _residual_kernel_b),
-}
-
-
-def residual(system: str, ch, params, n_parity, point, variant="alternating"):
-    """The system's linearized-symmetry-condition residuals, slsc_residual_a or _b."""
-    return _RESIDUALS[system][0](ch, params, n_parity, point, variant)
+    return kernels, updates, c[0][2]
 
 
 def residual_kernel(system: str, ch, params, n_parity, point, variant="alternating"):
-    """The system's residuals times a factor nonzero at admissible points,
-    as two ints: _residual_kernel_a or _b."""
-    return _RESIDUALS[system][1](ch, params, n_parity, point, variant)
+    """Both residuals of ``system`` times their named factors, as two ints."""
+    return _kernels(system, ch, params, n_parity, point, variant)[0]
 
 
-def _parts(values) -> list:
-    """Numerator and denominator of each value, flattened in order."""
-    parts = []
-    for value in values:
-        value = rat(value)
-        parts += (value.numerator, value.denominator)
-    return parts
+def residual(system: str, ch, params, n_parity, point, variant="alternating"):
+    """Both linearized-symmetry-condition residuals of ``system`` at
+    ``point``, an initial-value tuple such as (u_n, u_{n+1}, v_n, v_{n+1}):
+    each kernel divided by its named factor.  For the alternating
+    characteristic family (any C1, C2) they are identically (0, 0) at every
+    admissible point."""
+    kernels, updates, K = _kernels(system, ch, params, n_parity, point, variant)
+    return tuple(
+        rat(kernel * s * d_den) / (K * d_num * den**2)
+        for kernel, (_, _, den, s, d_num, d_den) in zip(kernels, updates)
+    )
+
+
+slsc_residual_a, slsc_residual_b = system_aliases("slsc_residual_{}", residual)
 
 
 def invariant_annihilation(
@@ -225,16 +189,16 @@ def invariant_annihilation(
     For "w" the point is (second_n, first_{n+1}) and the value is
     Q2(n)*first_{n+1} + Q1(n+1)*second_n; for "z" the point is
     (first_n, second_{n+1}) with the mirrored expression.  Exactly zero
-    for every characteristic in the alternating family.
+    for every characteristic in the alternating family.  "w" and "z"
+    follow System A's naming (w[n] = v[n]*u[n+1]), so this "w" is the z
+    of System B in ``reduction.invariants``, and this "z" its w.
     """
     lead, trail = (rat(value) for value in point)
-    q1_0, q2_0 = _coefficient_values(ch, n_parity, 0, variant)
-    q1_1, q2_1 = _coefficient_values(ch, n_parity, 1, variant)
-    if which == "w":
-        return (q2_0 * lead) * trail + (q1_1 * trail) * lead
-    if which == "z":
-        return (q1_0 * lead) * trail + (q2_1 * trail) * lead
-    raise ValueError(f"unknown invariant {which!r}")
+    c = _coefficients(ch, n_parity, 0, variant), _coefficients(ch, n_parity, 1, variant)
+    if which not in ("w", "z"):
+        raise ValueError(f"unknown invariant {which!r}")
+    own = 1 if which == "w" else 0  # the slot of the point's first factor
+    return rat(c[0][own] + c[1][1 - own]) / c[0][2] * lead * trail
 
 
 def group_transform(action: GroupAction, trajectory: Trajectory) -> Trajectory:

@@ -11,11 +11,11 @@ import types
 import pytest
 
 import sdeq
-from sdeq import closed_form, forbidden, reduction, sampling, systems
+from sdeq import closed_form, forbidden, reduction, sampling, symmetry, systems
 from sdeq.sampling import draw_params, draw_rational
 
 # the names that stay written out per system: the systems' own equations
-PER_SYSTEM = {"iterate_a", "iterate_b", "slsc_residual_a", "slsc_residual_b"}
+PER_SYSTEM = {"iterate_a", "iterate_b"}
 
 ALIASES = sorted(
     {name for name in sdeq.__all__ if re.search(r"_[ab](_|$)", name)} - PER_SYSTEM
@@ -79,6 +79,20 @@ def _point(rng, system):
     return _tag(rng, system), draw_params(rng, system), _ics(rng, system), rng.randint(-1, 9)
 
 
+def _residual(rng, system):
+    """Values that are often 0, 1 or -1, so zero components and vanishing
+    update denominators occur."""
+    shape = systems.SHAPES[system]
+
+    def draw():
+        return rng.choice([0, 1, -1, draw_rational(rng)])
+
+    ch = symmetry.Characteristic(draw_rational(rng), draw_rational(rng))
+    params = shape.params(*(draw() for _ in shape.params._fields))
+    point = tuple(draw() for _ in shape.initial._fields)
+    return ch, params, rng.randint(0, 1), point, rng.choice(symmetry.VARIANTS)
+
+
 def _reconstruct(rng, system):
     lin = reduction.LinearSeq(*(tuple(_seeds(rng, system)) for _ in "ST"))
     return lin, draw_rational(rng), draw_rational(rng)
@@ -107,6 +121,7 @@ BUILDERS = {
     "invariants_{}": _plain(reduction.invariants, lambda rng, s: (_orbit(rng, s),)),
     "reconstruct_{}": _plain(reduction.reconstruct, _reconstruct),
     "draw_admissible_{}": _admissible,
+    "slsc_residual_{}": _plain(symmetry.residual, _residual),
 }
 
 def _outcome(call):
@@ -132,5 +147,5 @@ def test_alias_equals_its_keyed_call(name):
         got = _outcome(lambda: call_alias(alias))
         assert got == _outcome(call_keyed)
         outcomes.add(got[0])
-    if name.startswith(("solve_", "check_", "seeds_", "reconstruct_")):
+    if name.startswith(("solve_", "check_", "seeds_", "reconstruct_", "slsc_")):
         assert outcomes == {"value", "raised"}  # both paths ran

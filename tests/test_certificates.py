@@ -2,8 +2,12 @@
 symbols, with ``rat`` patched to the identity so that the exact-rational
 boundary lets symbols through.
 
-* the residual kernels equal the named factor times the residual with
-  every coefficient free, so an integer kernel is zero exactly where the
+* the residual of each system is the linearized symmetry condition of its
+  one-step map, taken from ``systems.iterate`` with ``sympy.diff``: with
+  every coefficient free, and for the characteristics of both variants at
+  both parities;
+* each residual kernel is the residual times the factor the docstring of
+  ``sdeq.symmetry`` names, so an integer kernel is zero exactly where the
   exact residual is, for every variant;
 * the alternating characteristics annihilate the residuals of
   both systems at both parities, and the frozen control does not;
@@ -61,12 +65,77 @@ def _free_coefficients(ch, n_parity, shift, variant):
     return sympy.Symbol(f"q1_{shift}"), sympy.Symbol(f"q2_{shift}"), sympy.Symbol("K")
 
 
+# per system: the names of the parameters and of a point, the initial
+# record of an orbit whose index 0 stands for any index n
+_NAMES = {"A": ("a b", "u u1 v v1"), "B": ("a b c d", "x x1 x2 y y1 y2")}
+
+
+def _symbolic_inputs(system):
+    shape = systems.SHAPES[system]
+    params, point = (_ratios(names) for names in _NAMES[system])
+    return shape.params(*params), point, params + point
+
+
+def _linearized_condition(system, params, point, coefficient):
+    """Both residuals of the linearized symmetry condition of the one-step
+    map that ``systems.iterate`` runs, for the characteristic whose
+    component i (0 first, 1 second) at index n + k is coefficient(k)[i]
+    times that component."""
+    shape = systems.SHAPES[system]
+    lag = shape.lag
+    orbit = systems.iterate(system, params, shape.initial(*point), lag + 1)
+    components = shape.split(point)
+    residuals = []
+    for own, updated in enumerate((orbit.first[lag + 1], orbit.second[lag + 1])):
+        residual = coefficient(lag + 1)[own] * updated
+        for i, values in enumerate(components):
+            for k, value in enumerate(values):
+                residual -= coefficient(k)[i] * value * sympy.diff(updated, value)
+        residuals.append(residual)
+    return residuals
+
+
+def _equal(residuals, expected, ratios) -> bool:
+    return all(
+        sympy.cancel(r - _split(e, ratios)) == 0 for r, e in zip(residuals, expected)
+    )
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+def test_residual_is_linearized_condition_with_free_coefficients(symbolic, monkeypatch, system):
+    monkeypatch.setattr(symmetry, "_coefficients", _free_coefficients)
+    params, point, ratios = _symbolic_inputs(system)
+    K = sympy.Symbol("K")
+    expected = _linearized_condition(
+        system, params, point, lambda k: (sympy.Symbol(f"q1_{k}") / K, sympy.Symbol(f"q2_{k}") / K)
+    )
+    assert _equal(symmetry.residual(system, None, params, 0, point), expected, ratios)
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("variant", symmetry.VARIANTS)
+def test_residual_is_linearized_condition(symbolic, system, parity, variant):
+    params, point, ratios = _symbolic_inputs(system)
+    C1, C2 = ratios_ch = _ratios("C1 C2")
+
+    def coefficient(k):
+        # Q1(n) = (C2*(-1)^n - C1)*first, Q2(n) = (C1 + C2*(-1)^n)*second
+        sign = (-1) ** (parity + k) if variant == "alternating" else 1
+        return sign * C2 - C1, C1 + sign * C2
+
+    expected = _linearized_condition(system, params, point, coefficient)
+    ch = SimpleNamespace(c1=C1, c2=C2)
+    got = symmetry.residual(system, ch, params, parity, point, variant)
+    assert _equal(got, expected, ratios + ratios_ch)
+
+
 def test_kernel_a_is_named_multiple_of_residual(symbolic, monkeypatch):
     monkeypatch.setattr(symmetry, "_coefficients", _free_coefficients)
     a, b, u, u1, v, v1 = ratios = _ratios("a b u u1 v v1")
     params = SimpleNamespace(a=a, b=b)
-    kernel = symmetry._residual_kernel_a(None, params, 0, (u, u1, v, v1))
-    residual = symmetry.slsc_residual_a(None, params, 0, (u, u1, v, v1))
+    kernel = symmetry.residual_kernel("A", None, params, 0, (u, u1, v, v1))
+    residual = symmetry.residual("A", None, params, 0, (u, u1, v, v1))
     K = sympy.Symbol("K")
     factors = (
         K * a.denominator * u.denominator**2 * v1.denominator * (a + u * v1) ** 2,
@@ -81,8 +150,8 @@ def test_kernel_b_is_named_multiple_of_residual(symbolic, monkeypatch):
     a, b, c, d, x, x1, x2, y, y1, y2 = ratios = _ratios("a b c d x x1 x2 y y1 y2")
     params = SimpleNamespace(a=a, b=b, c=c, d=d)
     point = (x, x1, x2, y, y1, y2)
-    kernel = symmetry._residual_kernel_b(None, params, 1, point)
-    residual = symmetry.slsc_residual_b(None, params, 1, point)
+    kernel = symmetry.residual_kernel("B", None, params, 1, point)
+    residual = symmetry.residual("B", None, params, 1, point)
     K = sympy.Symbol("K")
     factors = (
         K * a.denominator * b.denominator * x.denominator**2 * y1.denominator**2
@@ -98,15 +167,10 @@ def test_kernel_b_is_named_multiple_of_residual(symbolic, monkeypatch):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_slsc_identity(symbolic, system, parity):
     ch = SimpleNamespace(c1=Ratio("C1"), c2=Ratio("C2"))
-    if system == "A":
-        params = SimpleNamespace(**dict(zip("ab", _ratios("a b"))))
-        point, residual = _ratios("u u1 v v1"), symmetry.slsc_residual_a
-    else:
-        params = SimpleNamespace(**dict(zip("abcd", _ratios("a b c d"))))
-        point, residual = _ratios("x x1 x2 y y1 y2"), symmetry.slsc_residual_b
-    alternating = residual(ch, params, parity, point, "alternating")
+    params, point, _ = _symbolic_inputs(system)
+    alternating = symmetry.residual(system, ch, params, parity, point, "alternating")
     assert [sympy.cancel(r) for r in alternating] == [0, 0]
-    frozen = residual(ch, params, parity, point, "frozen")
+    frozen = symmetry.residual(system, ch, params, parity, point, "frozen")
     assert all(sympy.cancel(r) != 0 for r in frozen)
 
 

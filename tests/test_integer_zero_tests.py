@@ -37,17 +37,17 @@ rationals = st.one_of(
 )
 nonzero = rationals.filter(lambda value: value != 0)
 
-# per system: params, initial values, residual, kernel, restriction check,
-# the reference linear recursion, residue names and the seed products
+# per system: params, initial values, restriction check, the reference
+# linear recursion, residue names and the seed products
 SYSTEMS = {
     "A": (
-        SystemAParams, SystemAInitial, symmetry.slsc_residual_a, symmetry._residual_kernel_a,
-        forbidden.check_forbidden_a, solve_linear_a, ("even", "odd"),
+        SystemAParams, SystemAInitial, forbidden.check_forbidden_a, solve_linear_a,
+        ("even", "odd"),
         lambda ics: (("w0_zero", ics.v0 * ics.u1), ("z0_zero", ics.u0 * ics.v1)),
     ),
     "B": (
-        SystemBParams, SystemBInitial, symmetry.slsc_residual_b, symmetry._residual_kernel_b,
-        forbidden.check_forbidden_b, solve_linear_b, ("mod4_0", "mod4_1", "mod4_2", "mod4_3"),
+        SystemBParams, SystemBInitial, forbidden.check_forbidden_b, solve_linear_b,
+        ("mod4_0", "mod4_1", "mod4_2", "mod4_3"),
         lambda ics: (
             ("w0_zero", ics.x0 * ics.y1),
             ("w1_zero", ics.x1 * ics.y2),
@@ -76,11 +76,11 @@ def _outcome(function, *args):
     st.data(),
 )
 def test_kernel_zero_pattern_matches_residual(system, variant, parity, c1, c2, data):
-    params_type, initial_type, residual, kernel, *_ = SYSTEMS[system]
+    params_type, initial_type, *_ = SYSTEMS[system]
     params = params_type(*(data.draw(rationals) for _ in params_type._fields))
     point = tuple(data.draw(rationals) for _ in initial_type._fields)
-    args = (symmetry.Characteristic(c1, c2), params, parity, point, variant)
-    assert _outcome(kernel, *args) == _outcome(residual, *args)
+    args = (system, symmetry.Characteristic(c1, c2), params, parity, point, variant)
+    assert _outcome(symmetry.residual_kernel, *args) == _outcome(symmetry.residual, *args)
 
 
 def _reference(system, params, ics, horizon):
@@ -157,5 +157,5 @@ def restriction_inputs(draw):
 @hypothesis.given(restriction_inputs())
 def test_integer_scan_matches_fraction_recursion(inputs):
     system, params, ics, horizon = inputs
-    check = SYSTEMS[system][4]
+    check = SYSTEMS[system][2]
     assert check(params, ics, horizon) == _reference(system, params, ics, horizon)

@@ -10,10 +10,13 @@ from sdeq.symmetry import (
     GroupAction,
     group_transform,
     invariant_annihilation,
+    residual,
+    residual_kernel,
     slsc_residual_a,
     slsc_residual_b,
 )
 from sdeq.systems import (
+    SHAPES,
     SystemAInitial,
     SystemAParams,
     SystemBInitial,
@@ -64,6 +67,16 @@ def test_residual_a_identity_by_sampling():
 def test_residual_a_zero_denominator_rejected():
     with pytest.raises(ValueError):
         slsc_residual_a(Characteristic(1, 1), SystemAParams(1, 1), 0, (1, 2, 3, -1))
+
+
+@pytest.mark.parametrize("system, other", [("A", "B"), ("B", "A")])
+def test_residual_rejects_point_of_other_system(system, other):
+    # a point of the wrong length is refused, not cut into components
+    params = SHAPES[system].params(*(1 for _ in SHAPES[system].params._fields))
+    point = tuple(range(1, len(SHAPES[other].initial._fields) + 1))
+    for function in (residual, residual_kernel):
+        with pytest.raises(ValueError, match=f"System {system} point has"):
+            function(system, Characteristic(1, 2), params, 0, point)
 
 
 def test_residual_b_examples():
