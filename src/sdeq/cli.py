@@ -158,18 +158,20 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
     return EXIT_OK, _jdump(payload)
 
 
-def _regular_orbit(system: str, params, ics, n_max: int) -> Trajectory:
-    trajectory = systems.iterate(system, params, ics, n_max)
-    if trajectory.singular is not None:
-        raise _Singular(trajectory)
-    return trajectory
+def _regular_orbit(system: str, params, ics, n_max: int) -> systems.Orbit:
+    orbit = systems.orbit(system, params, ics, n_max)
+    if orbit.trajectory.singular is not None:
+        raise _Singular(orbit.trajectory)
+    return orbit
 
 
 def _run_reduce(config: RunConfig) -> tuple[int, str]:
-    from .reduction import invariants, linearize
+    from .reduction import InvariantSeq, linearize
 
     params, ics = _build_inputs(config)
-    inv = invariants(config.system, _regular_orbit(config.system, params, ics, config.n_max))
+    # the invariant products the iteration carried, w[0..N-1] and z[0..N-1]
+    orbit = _regular_orbit(config.system, params, ics, config.n_max)
+    inv = InvariantSeq(orbit.w, orbit.z)
     lin = linearize(inv)
     if config.fmt == "csv":
         literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
@@ -226,7 +228,7 @@ def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
 def _run_verify(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
-    trajectory = _regular_orbit(config.system, params, ics, config.n_max)
+    trajectory = _regular_orbit(config.system, params, ics, config.n_max).trajectory
     routes = _routes(config.system, tag, params, ics, config.n_max)
     checked, _, mismatch = compare_routes(routes, trajectory, config.n_max)
     first_mismatch = None

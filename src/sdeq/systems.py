@@ -11,9 +11,12 @@ and System B the third-order pair
 
 Iteration is exact; a vanishing denominator is recorded in-band as a
 singularity (it is data the forbidden-set analysis compares against, not a
-failure).  ``shift_back`` performs the index relabeling that identifies
-these sequences with the originally posed systems, whose initial conditions
-sit at negative indices.  ``SHAPES`` states, once per system, how it reduces
+failure).  The loops ``orbit_a/b`` carry the invariant products and
+advance them by exact identities of the map, so no step multiplies two
+long entries; ``iterate`` returns an orbit's trajectory.  ``shift_back``
+performs the index relabeling that identifies these sequences with the
+originally posed systems, whose initial conditions sit at negative
+indices.  ``SHAPES`` states, once per system, how it reduces
 to linear auxiliary sequences; every other layer reads it.
 """
 
@@ -224,29 +227,58 @@ class ZeroInitialError(ValueError):
     distinct from a runtime singularity."""
 
 
-def iterate_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Trajectory:
-    """Iterate System A exactly up to index ``n_max`` (inclusive)."""
+class Orbit(_Record):
+    """A trajectory and the invariant products its iteration carried,
+    w[n] = lead[n]*trail[n+1] and z[n] = trail[n]*lead[n+1] for
+    n = 0..len(trajectory)-2, with lead and trail as in SHAPES."""
+
+    trajectory: Trajectory
+    w: tuple[Fraction, ...]
+    z: tuple[Fraction, ...]
+
+
+def orbit_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Orbit:
+    """Iterate System A exactly up to index ``n_max`` (inclusive).
+
+    The step carries z[n] = u[n]*v[n+1] and w[n] = v[n]*u[n+1], which the
+    map itself advances: z[n+1] = w[n]/(b + w[n]) and
+    w[n+1] = z[n]/(a + z[n]).  They are O(n)-bit values, so each new entry
+    costs one operation between a long value and a short one, not the
+    product of two long ones.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1 for System A")
     a, b = params.a, params.b
     u = [ics.u0, ics.u1]
     v = [ics.v0, ics.v1]
+    z = [ics.u0 * ics.v1]
+    w = [ics.v0 * ics.u1]
+
+    def stop(singular=None):
+        return Orbit(Trajectory(("u", "v"), tuple(u), tuple(v), singular), tuple(w), tuple(z))
+
     for n in range(n_max - 1):
-        den_u = a + u[n] * v[n + 1]
+        den_u = a + z[n]
         if den_u == 0:
-            sing = Singularity(n + 2, "first", f"a + u{n}*v{n + 1} = 0")
-            return Trajectory(("u", "v"), tuple(u[: n + 2]), tuple(v[: n + 2]), sing)
-        den_v = b + v[n] * u[n + 1]
+            return stop(Singularity(n + 2, "first", f"a + u{n}*v{n + 1} = 0"))
+        den_v = b + w[n]
         if den_v == 0:
-            sing = Singularity(n + 2, "second", f"b + v{n}*u{n + 1} = 0")
-            return Trajectory(("u", "v"), tuple(u[: n + 2]), tuple(v[: n + 2]), sing)
+            return stop(Singularity(n + 2, "second", f"b + v{n}*u{n + 1} = 0"))
         u.append(u[n] / den_u)
         v.append(v[n] / den_v)
-    return Trajectory(("u", "v"), tuple(u), tuple(v))
+        z.append(w[n] / den_v)
+        w.append(z[n] / den_u)
+    return stop()
 
 
-def iterate_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Trajectory:
-    """Iterate System B exactly up to index ``n_max`` (inclusive)."""
+def orbit_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Orbit:
+    """Iterate System B exactly up to index ``n_max`` (inclusive).
+
+    The step carries w[n] = x[n]*y[n+1] and z[n] = y[n]*x[n+1], which the
+    map advances two indices at a time: z[n+2] = w[n]/(a + b*w[n]) and
+    w[n+2] = z[n]/(c + d*z[n]).  Then x[n+3] = z[n+2]/y[n+2] and
+    y[n+3] = w[n+2]/x[n+2], one operation with a long value each.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 for System B")
     initials = (ics.x0, ics.x1, ics.x2, ics.y0, ics.y1, ics.y2)
@@ -255,23 +287,27 @@ def iterate_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Traject
     a, b, c, d = params.a, params.b, params.c, params.d
     x = [ics.x0, ics.x1, ics.x2]
     y = [ics.y0, ics.y1, ics.y2]
+    w = [ics.x0 * ics.y1, ics.x1 * ics.y2]
+    z = [ics.y0 * ics.x1, ics.y1 * ics.x2]
+
+    def stop(singular=None):
+        return Orbit(Trajectory(("x", "y"), tuple(x), tuple(y), singular), tuple(w), tuple(z))
+
     for n in range(n_max - 2):
-        # nonzero initials keep every later entry nonzero, so only the
-        # parenthesized factors can vanish; each invariant product is
-        # formed once and serves both its denominator and its numerator
-        w = x[n] * y[n + 1]
-        den_x = y[n + 2] * (a + b * w)
+        # nonzero initials keep every later entry nonzero, so of the
+        # denominators y[n+2]*(a + b*w[n]) and x[n+2]*(c + d*z[n]) only the
+        # parenthesized factors can vanish
+        den_x = a + b * w[n]
         if den_x == 0:
-            sing = Singularity(n + 3, "first", f"y{n + 2}*(a + b*x{n}*y{n + 1}) = 0")
-            return Trajectory(("x", "y"), tuple(x[: n + 3]), tuple(y[: n + 3]), sing)
-        z = y[n] * x[n + 1]
-        den_y = x[n + 2] * (c + d * z)
+            return stop(Singularity(n + 3, "first", f"y{n + 2}*(a + b*x{n}*y{n + 1}) = 0"))
+        den_y = c + d * z[n]
         if den_y == 0:
-            sing = Singularity(n + 3, "second", f"x{n + 2}*(c + d*y{n}*x{n + 1}) = 0")
-            return Trajectory(("x", "y"), tuple(x[: n + 3]), tuple(y[: n + 3]), sing)
-        x.append(w / den_x)
-        y.append(z / den_y)
-    return Trajectory(("x", "y"), tuple(x), tuple(y))
+            return stop(Singularity(n + 3, "second", f"x{n + 2}*(c + d*y{n}*x{n + 1}) = 0"))
+        z.append(w[n] / den_x)
+        w.append(z[n] / den_y)
+        x.append(z[n + 2] / y[n + 2])
+        y.append(w[n + 2] / x[n + 2])
+    return stop()
 
 
 def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
@@ -294,12 +330,28 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-_ITERATORS = {"A": iterate_a, "B": iterate_b}
+_ORBITS = {"A": orbit_a, "B": orbit_b}
+
+
+def orbit(system: str, params, ics, n_max: int) -> Orbit:
+    """Iterate ``system`` exactly up to index ``n_max`` (inclusive), with
+    the invariant products the iteration carried."""
+    return _ORBITS[system](params, ics, n_max)
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive)."""
-    return _ITERATORS[system](params, ics, n_max)
+    return orbit(system, params, ics, n_max).trajectory
+
+
+def iterate_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Trajectory:
+    """Iterate System A exactly up to index ``n_max`` (inclusive)."""
+    return orbit_a(params, ics, n_max).trajectory
+
+
+def iterate_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Trajectory:
+    """Iterate System B exactly up to index ``n_max`` (inclusive)."""
+    return orbit_b(params, ics, n_max).trajectory
 
 
 def system_aliases(template: str, keyed: Callable) -> tuple:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sdeq import forbidden
 from sdeq.forbidden import (
     check_forbidden_a,
     check_forbidden_b,
@@ -100,6 +101,26 @@ def test_predict_vs_observe_inadmissible_regular():
     # stays regular, so the verdict is agreement on regularity
     verdict = predict_vs_observe("A", SystemAParams(1, 1), SystemAInitial(1, 1, 1, 0), 12)
     assert verdict.kind == "agree-regular"
+
+
+@pytest.mark.parametrize(
+    "params, ics, wrong",
+    [
+        (SystemAParams(1, 1), SystemAInitial(1, 1, 1, 0), 5),  # regular, z0 = 0
+        (SystemAParams(1, -1), SystemAInitial(0, 1, 1, 1), None),  # singular at 2, z0 = 0
+    ],
+)
+def test_predict_vs_observe_zero_product_sides_are_independent(monkeypatch, params, ics, wrong):
+    # a zero seed product is predicted by the invariant map and observed by
+    # iteration; a wrong map step must show as a mismatch, so iteration
+    # cannot be reading the prediction's own steps
+    verdict = predict_vs_observe("A", params, ics, 12)
+    assert verdict.kind != "mismatch"
+    observed = verdict.step
+    monkeypatch.setattr(forbidden, "_invariant_map_step", lambda *args: wrong)
+    verdict = predict_vs_observe("A", params, ics, 12)
+    assert verdict.kind == "mismatch"
+    assert (verdict.details["predicted"], verdict.details["observed"]) == (wrong, observed)
 
 
 def test_predict_vs_observe_soundness_sample():

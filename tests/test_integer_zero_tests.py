@@ -2,8 +2,9 @@
 replace, with numerators and denominators up to 2**64.
 
 * the residual kernels of ``sdeq.symmetry`` vanish on exactly the
-  components where the ``Fraction`` residuals do, for every variant,
-  parity and system, and raise where they raise;
+  components where the residual formula R_X of the ``symmetry`` module
+  docstring, evaluated here in ``Fraction`` arithmetic, does, for every
+  variant, parity and system, and raise where it is undefined;
 * the integer restriction scan of ``sdeq.forbidden`` reports what a scan
   of ``solve_linear_*`` reports, including inputs tuned so that S[m] or
   T[m] vanishes at a chosen m, and ab = +-1 (A) or ac = +-1 (B), where
@@ -66,6 +67,41 @@ def _outcome(function, *args):
         return str(exc)
 
 
+def _formula_residuals(system, ch, params, parity, point, variant):
+    """R_X for X = first, then second, straight from the formula
+
+        R_X = ((c_X(lag+1) + c_Y(lag))*(alpha + beta*P) - (c_X(0) + c_Y(1))*alpha)
+              * P / (Y[n+lag] * (alpha + beta*P)**2),    P = X[n]*Y[n+1],
+
+    with P/Y[n+lag] read as X[n] for System A (lag 1), (alpha, beta) the
+    rule pair of X's update (System A: u by (a, 1), v by (b, 1); System B:
+    x by (a, b), y by (c, d)) and c_first(k) = C2*sign - C1,
+    c_second(k) = C1 + C2*sign the characteristic at index n + k, where
+    sign = (-1)**(n + k), or 1 for the frozen variant."""
+    lag = 1 if system == "A" else 2
+    first, second = point[: lag + 1], point[lag + 1 :]
+    if system == "A":
+        pairs = ((params.a, 1), (params.b, 1))
+    else:
+        pairs = ((params.a, params.b), (params.c, params.d))
+
+    def c(k):
+        sign = 1 if variant == "frozen" else (-1) ** (parity + k)
+        return (ch.c2 * sign - ch.c1, ch.c1 + ch.c2 * sign)
+
+    residuals = []
+    for own, (X, Y) in enumerate(((first, second), (second, first))):
+        (alpha, beta), other = pairs[own], 1 - own
+        P = X[0] * Y[1]
+        den = alpha + beta * P
+        if den == 0 or (lag > 1 and Y[lag] == 0):
+            raise ValueError("zero denominator at sample point")
+        share = X[0] if lag == 1 else P / Y[lag]
+        late, early = c(lag + 1)[own] + c(lag)[other], c(0)[own] + c(1)[other]
+        residuals.append((late * den - early * alpha) * share / den**2)
+    return residuals
+
+
 @SETTINGS
 @hypothesis.given(
     st.sampled_from(sorted(SYSTEMS)),
@@ -80,7 +116,7 @@ def test_kernel_zero_pattern_matches_residual(system, variant, parity, c1, c2, d
     params = params_type(*(data.draw(rationals) for _ in params_type._fields))
     point = tuple(data.draw(rationals) for _ in initial_type._fields)
     args = (system, symmetry.Characteristic(c1, c2), params, parity, point, variant)
-    assert _outcome(symmetry.residual_kernel, *args) == _outcome(symmetry.residual, *args)
+    assert _outcome(symmetry.residual_kernel, *args) == _outcome(_formula_residuals, *args)
 
 
 def _reference(system, params, ics, horizon):
