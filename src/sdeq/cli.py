@@ -97,22 +97,23 @@ def _singular_json(trajectory: Trajectory):
 
 def _run_iterate(config: RunConfig) -> tuple[int, str]:
     params, ics = _build_inputs(config)
-    trajectory = systems.iterate(config.system, params, ics, config.n_max)
+    orbit = systems.orbit(config.system, params, ics, config.n_max)
+    trajectory = orbit.trajectory
+    # each long entry's digits come from the entry two back and the factor
+    # the iteration built it with
+    ratios = systems.step_ratios(config.system, params, orbit)
+    firsts, seconds = map(format_sequence, (trajectory.first, trajectory.second), ratios)
     if config.fmt == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
-        columns = [
-            map(str, range(len(trajectory))),
-            format_sequence(trajectory.first),
-            format_sequence(trajectory.second),
-        ]
+        columns = [map(str, range(len(trajectory))), firsts, seconds]
         return EXIT_OK, _csv_table(header, columns)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n_max,
-        "first": format_sequence(trajectory.first),
-        "second": format_sequence(trajectory.second),
+        "first": firsts,
+        "second": seconds,
         "singular": _singular_json(trajectory),
     }
     return EXIT_OK, _jdump(payload)
@@ -127,18 +128,20 @@ def _resolve_case(config: RunConfig, params) -> str:
 
 
 def _run_solve(config: RunConfig) -> tuple[int, str]:
-    from .closed_form import case_point, case_sweep
+    from .closed_form import case_point, case_sweep_ratios
 
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
+    ratios = None
     if config.sweep:
-        first, second = case_sweep(config.system, tag, params, ics, config.n_max)
+        # the factors the sweep's assembly multiplied by, None for a pure power
+        first, second, ratios = case_sweep_ratios(config.system, tag, params, ics, config.n_max)
         indices = range(config.n_max + 1)
     else:
         point = case_point(config.system, tag, params, ics, config.n_max)
         first, second = [point[0]], [point[1]]
         indices = [config.n_max]
-    firsts, seconds = format_sequence(first), format_sequence(second)
+    firsts, seconds = map(format_sequence, (first, second), ratios or (None, None))
     if config.fmt == "csv":
         columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
         return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)

@@ -12,9 +12,11 @@ and T seeded by the reciprocals of the seed products of the system's
 ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
 a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
 case's parameters, so every case route is the product route; a System B
-case only reports T before S when both vanish at one index.  The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family
-for B, are pure powers: they assemble two periods and extend each residue
-class by one ratio.  ``CASES`` holds, per system, each tag's predicate.
+case only reports T before S when both vanish at one index.
+
+The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
+are pure powers: they assemble two periods and extend each residue class
+by one ratio.  ``CASES`` holds, per system, each tag's predicate.
 Each evaluator is one function keyed by the system ("A" or "B");
 ``system_aliases`` generates its per-system names (``solve_a_case`` is
 ``case_point("A", ...)``).
@@ -31,7 +33,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
-from .reduction import assemble, closed_ST_sweep
+from .reduction import assemble, assembly_ratios, closed_ST_sweep
 from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
 
 
@@ -165,9 +167,11 @@ _ROUTE_RULES = {"A": (True, "ST"), "B": (False, "TS")}
 
 
 def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
-    """Orbit entries 0..n_max, as (first, second), from the closed-form
-    sweep of S and T at ``seeds``; ``ties`` names the sequence reported
-    first when S and T vanish at the same index."""
+    """Orbit entries 0..n_max, as (first, second, ratios), from the
+    closed-form sweep of S and T at ``seeds``, with ratios the step factors
+    the assembly multiplied by (``reduction.assembly_ratios``); ``ties``
+    names the sequence reported first when S and T vanish at the same
+    index."""
     sb, tb = closed_ST_sweep(system, params, seeds, n_max)
     auxiliary = {"S": sb, "T": tb}
     for j in range(n_max):
@@ -175,13 +179,14 @@ def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
             if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
     first0, second0 = (values[0] for values in SHAPES[system].split(ics._astuple()))
-    return assemble(system, sb, tb, first0, second0, n_max)
+    first, second = assemble(system, sb, tb, first0, second0, n_max)
+    return first, second, assembly_ratios(system, sb, tb)
 
 
 def _route(system: str, params, ics, ties: str = "ST"):
-    """route(m) assembles entries 0..m.  A zero initial value (System A) or
-    seed product is reported here, before a pure-power case could give the
-    error its own detail."""
+    """route(m) assembles entries 0..m, with their step ratios (see
+    _sweep).  A zero initial value (System A) or seed product is reported
+    here, before a pure-power case could give the error its own detail."""
     if _ROUTE_RULES[system][0]:
         for name, value in ics._asdict().items():
             if value == 0:
@@ -194,7 +199,8 @@ def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction],
     values taken from the closed form (not from recursion)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _route(system, params, ics)(n_max)
+    first, second, _ = _route(system, params, ics)(n_max)
+    return first, second
 
 
 def product_point(system: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
@@ -222,31 +228,34 @@ solve_a_product, solve_b_product = system_aliases("solve_{}_product", product_po
 # the first forbidden index is the full sweep's.
 
 
-def _periodic_sweep(case: Case, route, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Entries 0..n_max of ``route(n_max)``, the case's route; a pure-power
-    case takes at most two periods from it and extends each residue class
-    by its ratio."""
+def _periodic_sweep(case: Case, route, n_max: int):
+    """Entries 0..n_max of ``route(n_max)``, the case's route, as (first,
+    second, step ratios); a pure-power case takes at most two periods from
+    it and extends each residue class by its ratio, and gives no step
+    ratios (None)."""
     period = case.period
     if not period:
         return route(n_max)
     try:
-        sweep = route(min(n_max, 2 * period - 1))
+        first, second, _ = route(min(n_max, 2 * period - 1))
     except ForbiddenInputError as exc:
         raise ForbiddenInputError(exc.index, case.detail) from None
     if n_max >= 2 * period:
-        for values in sweep:
+        for values in (first, second):
             ratios = [values[k + period] / values[k] for k in range(period)]
             for n in range(2 * period, n_max + 1):
                 values.append(values[n - period] * ratios[n % period])
-    return sweep
+    return first, second, None
 
 
 def case_routes(system: str, tag: str, params, product, n_max: int) -> dict:
     """The routes ``verify`` and ``difftest`` compare with iteration, "product"
     and case ``tag``, both read from ``product``, the product sweep of 0..n_max."""
     case = _validated(system, tag, params, n_max)
-    sweep = _periodic_sweep(case, lambda m: tuple(values[: m + 1] for values in product), n_max)
-    return {"product": product, tag: sweep}
+    first, second, _ = _periodic_sweep(
+        case, lambda m: (*(values[: m + 1] for values in product), None), n_max
+    )
+    return {"product": product, tag: (first, second)}
 
 
 def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
@@ -254,10 +263,10 @@ def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
     first two periods of a pure-power case, else entry n of the sweep."""
     period = case.period
     if not period or n < 2 * period:
-        first, second = _periodic_sweep(case, route, n)
+        first, second, _ = _periodic_sweep(case, route, n)
         return first[n], second[n]
     m, k = divmod(n, period)
-    sweep = _periodic_sweep(case, route, 2 * period - 1)
+    sweep = _periodic_sweep(case, route, 2 * period - 1)[:2]
     first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
     return first, second
 
@@ -274,6 +283,14 @@ def _case_route(system: str, tag: str, params, ics, n_max: int):
 
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
     """Entries 0..n_max of case ``tag``, as (first, second)."""
+    first, second, _ = case_sweep_ratios(system, tag, params, ics, n_max)
+    return first, second
+
+
+def case_sweep_ratios(system: str, tag: str, params, ics, n_max: int):
+    """case_sweep, with the step ratios its assembly multiplied by: (first,
+    second, ratios), ratios as from ``reduction.assembly_ratios``, or None
+    for a pure-power case, whose entries come from the period extension."""
     return _periodic_sweep(*_case_route(system, tag, params, ics, n_max), n_max)
 
 

@@ -52,17 +52,34 @@ def format_rational(value: Fraction) -> str:
     return format_sequence([value])[0]
 
 
-def format_sequence(values) -> list[str]:
+def format_sequence(values, ratio=None) -> list[str]:
     """Render each of ``values`` exactly as format_rational does.
 
-    Long orbit entries two indices apart differ by a small factor (first[m+2]
+    Long orbit entries two indices apart differ by a short factor (first[m+2]
     = first[m]*T[m]/S[m+1], with S and T of O(n) bits against values of
     about n**2 bits), so the digits of a long numerator or denominator are
     derived from those of the entry two back instead of from scratch.
+
+    ``ratio``, when given, is ratio(i) = values[i]/values[i-2] = +-p/q
+    (i >= 2), the factor the caller built entry i with; it is called only
+    for entries that chain.  Then G = den[i-2]*q/den[i] is an exact integer
+    of at most bits(p) + bits(q) bits, read from leading bits, and the
+    digits are num[i-2]*|p|/G and den[i-2]*q/G: no gcd and no long
+    division.  An unreduced p/q works too, since G absorbs the common
+    factor.  An entry whose two sides give no G or different ones, or whose
+    divisions are not exact, is converted from scratch.  That guard catches
+    a misused ratio but does not prove the digits right: they are exact
+    because ratio(i) is the factor entry i was built with.  Without
+    ``ratio`` the factors come from a gcd of the entries two apart.
     """
     values = list(values)
-    numerators = _digit_strings([abs(v.numerator) for v in values])
-    denominators = _digit_strings([v.denominator for v in values])
+    numerators = [abs(v.numerator) for v in values]
+    denominators = [v.denominator for v in values]
+    if ratio is None:
+        steps = _gcd_step(numerators), _gcd_step(denominators)
+    else:
+        steps = _ratio_steps(numerators, denominators, ratio)
+    numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
     return [
         ("-" if v.numerator < 0 else "") + num + ("" if v.denominator == 1 else "/" + den)
         for v, num, den in zip(values, numerators, denominators)
@@ -76,9 +93,9 @@ def format_sequence(values) -> list[str]:
 _FORMAT_SPLIT_BITS = 12_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
-# a chained entry costs one gcd and two short-by-long Decimal operations;
-# the chain is taken while its cofactors stay this many times shorter than
-# the entry
+# a chained entry of the gcd path costs one gcd and two short-by-long
+# Decimal operations; the chain is taken while its cofactors stay this many
+# times shorter than the entry
 _CHAIN_RATIO = 8
 
 
@@ -99,36 +116,98 @@ _EXACT = decimal.Context(
 )
 
 
-def _digit_strings(ints: list[int]) -> list[str]:
+def _digit_strings(ints: list[int], step) -> list[str]:
     """Decimal digits of each nonnegative int in ``ints``.
 
-    Entry i is x[i-2] // down * up with g = gcd(x[i-2], x[i]), down =
-    x[i-2] // g and up = x[i] // g, taken on the kept Decimal of entry i-2,
-    while those cofactors are short.  The first long entry whose cofactors
-    are not short ends the chaining for the rest of the sequence, so
-    unrelated values waste at most one gcd; they are converted by divide
-    and conquer.
+    A long entry i is x[i-2]*up/down, taken on the kept Decimal of entry
+    i-2, when entry i-2 was long too and step(i) gives (up, down); an entry
+    without them, or whose division leaves a remainder, is converted by
+    divide and conquer.
     """
     texts = []
     kept: list[decimal.Decimal | None] = [None, None]  # by index parity
-    chaining = True
     for i, x in enumerate(ints):
         if x.bit_length() < _FORMAT_SPLIT_BITS:
             texts.append(str(x))
             kept[i & 1] = None
             continue
         with decimal.localcontext(_EXACT):
-            base = kept[i & 1] if chaining else None
-            if base is not None:
-                g = math.gcd(ints[i - 2], x)
-                down, up = ints[i - 2] // g, x // g
-                if (down.bit_length() + up.bit_length()) * _CHAIN_RATIO >= x.bit_length():
-                    chaining = False
-                    base = None
-            digits = base // down * up if base is not None else _to_decimal(x)
+            base = kept[i & 1]
+            factors = step(i) if base is not None else None
+            digits = None
+            if factors is not None:
+                quotient, rest = divmod(base * factors[0], factors[1])
+                digits = None if rest else quotient
+            if digits is None:
+                digits = _to_decimal(x)
             texts.append(str(digits))
-        kept[i & 1] = digits if chaining else None
+        kept[i & 1] = digits
     return texts
+
+
+def _gcd_step(ints: list[int]):
+    """step(i) for _digit_strings from g = gcd(x[i-2], x[i]): up = x[i]/g
+    and down = x[i-2]/g, read from leading bits, while those cofactors are
+    short.  The first long entry whose cofactors are not short ends the
+    chaining for the rest of the sequence, so unrelated values waste at
+    most one gcd; they are converted by divide and conquer."""
+    chaining = True
+
+    def step(i: int):
+        nonlocal chaining
+        if chaining:
+            before, x = ints[i - 2], ints[i]
+            g = math.gcd(before, x)
+            # a quotient by g is at least bits(g) shorter than the dividend
+            bound = before.bit_length() + x.bit_length() - 2 * g.bit_length()
+            if bound * _CHAIN_RATIO < x.bit_length():
+                up, down = _exact_quotient(x, g), _exact_quotient(before, g)
+                if (down.bit_length() + up.bit_length()) * _CHAIN_RATIO < x.bit_length():
+                    return up, down
+            chaining = False
+        return None
+
+    return step
+
+
+def _ratio_steps(numerators: list[int], denominators: list[int], ratio):
+    """(numerator step, denominator step) for _digit_strings from
+    ratio(i) = +-p/q: (|p|, G) and (q, G), with G read from leading bits of
+    each side (see format_sequence); None when the sides disagree."""
+    factors: dict[int, tuple] = {}
+
+    def both(i: int) -> tuple:
+        if i not in factors:
+            value = ratio(i)
+            p, q = abs(value.numerator), value.denominator
+            g = _exact_quotient(denominators[i - 2], denominators[i], q)
+            same = g is not None and g == _exact_quotient(numerators[i - 2], numerators[i], p)
+            factors[i] = ((p, g), (q, g)) if same else (None, None)
+        return factors[i]
+
+    return (lambda i: both(i)[0]), (lambda i: both(i)[1])
+
+
+def _exact_quotient(a: int, b: int, factor: int = 1) -> int | None:
+    """a*factor/b, read from leading bits when it is a positive int; None
+    when it is not (or b is 0), save for a rare quotient within 2**-32 of
+    an int.
+
+    Both operands are cut by one shift that leaves b 64 bits more than the
+    quotient and factor have, so the cut moves the quotient by less than
+    2**-61.  A cut quotient farther than 2**-32 from an int is therefore no
+    int; a nearer one is taken as the int, which is right whenever b is
+    known to divide a*factor.
+    """
+    width = a.bit_length() + factor.bit_length() - b.bit_length() + 1  # >= bits of the quotient
+    if width < 1 or not b:
+        return None  # a*factor < b, or b = 0
+    shift = max(0, b.bit_length() - width - factor.bit_length() - 64)
+    top, bottom = (a >> shift) * factor, b >> shift
+    quotient, rest = divmod(top, bottom)
+    if 2 * rest > bottom:
+        quotient, rest = quotient + 1, bottom - rest
+    return quotient if quotient and rest << 32 < bottom else None
 
 
 def _to_decimal(n: int) -> decimal.Decimal:

@@ -219,6 +219,14 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
     return shape.by_lead(lead, trail)
 
 
+def assembly_ratios(system: str, S, T) -> tuple:
+    """(first, second): per component, ratio(i) = entry i / entry i-2 of
+    the orbit ``assemble`` builds from S and T, for i >= 2: the factors it
+    multiplied by, T[i-2]/S[i-1] for trail and S[i-2]/T[i-1] for lead.
+    Each ratio is formed when called."""
+    return SHAPES[system].by_lead(lambda i: S[i - 2] / T[i - 1], lambda i: T[i - 2] / S[i - 1])
+
+
 def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
     """Run the reduction backwards: the orbit with auxiliary pair ``lin``
     from (first0, second0), by trail[n+1] = 1/(S[n]*lead[n]) and

@@ -332,11 +332,33 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
 
 _ORBITS = {"A": orbit_a, "B": orbit_b}
 
+# per system, from (params, w, z): the ratios entry[i]/entry[i-2] of the
+# first and the second component.  System A's are the map's own factors
+# 1/(a + z[i-2]) and 1/(b + w[i-2]), defined where a component is zero;
+# System B's entries are never zero, and x[i]/x[i-2] = z[i-1]/w[i-2],
+# y[i]/y[i-2] = w[i-1]/z[i-2].
+_STEP_RATIOS = {
+    "A": lambda params, w, z: (
+        lambda i: 1 / (params.a + z[i - 2]),
+        lambda i: 1 / (params.b + w[i - 2]),
+    ),
+    "B": lambda params, w, z: (lambda i: z[i - 1] / w[i - 2], lambda i: w[i - 1] / z[i - 2]),
+}
+
 
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive), with
     the invariant products the iteration carried."""
     return _ORBITS[system](params, ics, n_max)
+
+
+def step_ratios(system: str, params, orbit: Orbit) -> tuple[Callable, Callable]:
+    """(first, second): per component, ratio(i) = entry i / entry i-2 of the
+    orbit's trajectory for 2 <= i < len(trajectory), the short factor the
+    iteration's identities build entry i with, from the carried w and z.
+    Each ratio is formed when called (rational.format_sequence calls it for
+    long entries only)."""
+    return _STEP_RATIOS[system](params, orbit.w, orbit.z)
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:

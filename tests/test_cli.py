@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdeq import cli, closed_form, reduction, sampling, systems
+from sdeq import cli, closed_form, rational, reduction, sampling, systems
 from sdeq.cli import main
-from sdeq.rational import format_rational, parse_rational
+from sdeq.rational import format_rational, format_sequence, parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -712,3 +713,37 @@ def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
     )
     assert code == 4
     assert json.loads(out) == report
+
+
+DEEP_A = [
+    "--system", "A", "--a", "2/3", "--b", "-5/7",
+    "--u0", "3/5", "--u1", "-2/7", "--v0", "4/9", "--v1", "5/8", "--n", "300",
+]
+
+
+def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
+    # entries reach 49k bits; each long one is printed from the entry two
+    # back and the factor it was built with, so rational computes no gcd
+    params = SystemAParams(F(2, 3), F(-5, 7))
+    orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
+    assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
+    first, second = ([format_rational(v) for v in values] for values in (orbit.first, orbit.second))
+    gcds = []
+
+    def gcd(*args):
+        gcds.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(rational, "math", SimpleNamespace(gcd=gcd))
+    sweeps = _counted_sweeps(monkeypatch)
+    code, out, _ = run_cli(capsys, ["iterate", *DEEP_A])
+    assert code == 0 and (json.loads(out)["first"], json.loads(out)["second"]) == (first, second)
+    code, out, _ = run_cli(capsys, ["iterate", *DEEP_A, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and [row[1:] for row in rows] == [list(pair) for pair in zip(first, second)]
+    code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
+    assert (gcds, sweeps) == ([], ["A"])
+    # without the factors the same orbit needs a gcd per chained entry
+    assert format_sequence(orbit.first) == first and len(gcds) > 100

@@ -1,10 +1,12 @@
 import decimal
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from sdeq import rational
+from sdeq import closed_form, rational, systems
 from sdeq.rational import (
     alternating_sign,
     format_rational,
@@ -22,6 +24,12 @@ from sdeq.systems import (
     iterate_a,
     iterate_b,
 )
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis
+    given = None
 
 
 def test_parse_rational_accepts_grammar():
@@ -84,6 +92,19 @@ def _counting(monkeypatch, name: str, module=rational) -> list:
     return calls
 
 
+def _rational_gcds(monkeypatch) -> list:
+    """Count the calls of math.gcd made by the rational module itself, not
+    by Fraction arithmetic."""
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(rational, "math", SimpleNamespace(gcd=gcd))
+    return calls
+
+
 def test_format_sequence_chains_deep_orbits(monkeypatch):
     # the deep-nonunit inputs at n = 300: System A reaches 49k bits, B 13k
     a = iterate_a(
@@ -126,6 +147,143 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
         assert format_sequence(values) == expected
         assert (len(gcds), len(converted)) == (expected_gcds, expected_converted)
         monkeypatch.undo()
+
+
+DEEP_A = (
+    SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8))
+)
+DEEP_B = (
+    SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+    SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
+)
+
+
+def _sequences(system: str, params, ics, n: int) -> list:
+    """(values, ratio) of both components of the orbit and, unless the
+    closed forms are undefined there, of the product-route sweep."""
+    orbit = systems.orbit(system, params, ics, n)
+    components = (orbit.trajectory.first, orbit.trajectory.second)
+    sequences = list(zip(components, systems.step_ratios(system, params, orbit)))
+    try:
+        first, second, ratios = closed_form.case_sweep_ratios(system, "Product", params, ics, n)
+    except closed_form.ForbiddenInputError:
+        return sequences
+    return sequences + list(zip((first, second), ratios))
+
+
+def _chained(ints: list) -> set:
+    """Indices of the long ints of ``ints`` whose entry two back is long:
+    the ones a chain derives from that entry."""
+    long = [x.bit_length() >= rational._FORMAT_SPLIT_BITS for x in ints]
+    return {i for i in range(2, len(ints)) if long[i] and long[i - 2]}
+
+
+def _sides(values) -> tuple:
+    return [abs(v.numerator) for v in values], [v.denominator for v in values]
+
+
+@pytest.mark.parametrize("system, inputs", [("A", DEEP_A), ("B", DEEP_B)])
+def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inputs):
+    # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
+    for values, ratio in _sequences(system, *inputs, 300):
+        expected = [format_rational(v) for v in values]
+        gcds = _rational_gcds(monkeypatch)
+        converted = _counting(monkeypatch, "_to_decimal")
+        called = []
+        assert format_sequence(values, lambda i: called.append(i) or ratio(i)) == expected
+        # the first long entry of each parity, numerators and denominators
+        assert (len(gcds), len(converted)) == (0, 4)
+        # a ratio is formed once for each entry that chains, and for no other
+        numerators, denominators = _sides(values)
+        assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "corrupt, fallbacks",
+    [
+        # the numerators' G is three times the denominators'
+        (lambda ratio, i: ratio(i) * 3 if i == 201 else ratio(i), 2),
+        # absolute values are unchanged, so no entry falls back
+        (lambda ratio, i: -ratio(i), 0),
+        # two entries built with each other's factor
+        (lambda ratio, i: ratio({201: 203, 203: 201}.get(i, i)), 4),
+    ],
+)
+def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallbacks):
+    orbit = systems.orbit("A", *DEEP_A, 300)
+    ratio = systems.step_ratios("A", DEEP_A[0], orbit)[0]
+    values = orbit.trajectory.first
+    assert values[201].numerator.bit_length() >= 12_000
+    expected = [format_rational(v) for v in values]
+    converted = _counting(monkeypatch, "_to_decimal")
+    assert format_sequence(values, lambda i: corrupt(ratio, i)) == expected
+    assert len(converted) == 4 + fallbacks
+
+
+def test_exact_quotient_from_leading_bits():
+    rng = random.Random(5)
+    for _ in range(300):
+        # a*f = b*q with f = f1*f2, b = f1*b1, q = f2*q1 and a = b1*q1
+        widths = (400, 400, 30_000, 2_000)
+        f1, f2, b1, q1 = (rng.getrandbits(rng.randint(1, bits)) | 1 for bits in widths)
+        a, b, f, q = b1 * q1, f1 * b1, f1 * f2, f2 * q1
+        assert rational._exact_quotient(a, b, f) == q
+        assert rational._exact_quotient(a * f, b) == q
+        # q is odd, so a*f/(2*b) ends in one half
+        assert rational._exact_quotient(a, 2 * b, f) is None
+    assert rational._exact_quotient(5, 7) is None
+    assert rational._exact_quotient(5, 0) is None
+
+
+def test_format_sequence_with_unreduced_ratios(monkeypatch):
+    # values[i]/values[i-2] = 441/25, given as 4851/275: G absorbs the 11
+    values = [F(21**k, 5**k) for k in range(7_000, 7_020)]  # 31k and 16k bits
+    unreduced = SimpleNamespace(numerator=441 * 11, denominator=25 * 11)
+    expected = [format_rational(v) for v in values]
+    converted = _counting(monkeypatch, "_to_decimal")
+    assert format_sequence(values, lambda i: unreduced) == expected
+    assert len(converted) == 4
+
+
+if given is not None:
+    # small values, often 0 and +-1, so that zero components of System A
+    # and vanishing denominators occur, mixed with long ones
+    _values = st.one_of(
+        st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2)]),
+        st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+    )
+
+    @st.composite
+    def _inputs(draw):
+        system = draw(st.sampled_from("AB"))
+        shape = systems.SHAPES[system]
+        values = _values if system == "A" else _values.filter(bool)
+        params = shape.params(*(draw(_values) for _ in shape.params._fields))
+        ics = shape.initial(*(draw(values) for _ in shape.initial._fields))
+        return system, params, ics, draw(st.integers(2, 30)), draw(st.sampled_from([2, 8, 64]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_inputs())
+    # u1 = 0 and v0 = 0 zero every other entry of a component and of w
+    @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), 0, F(4, 9), F(5, 8)), 30, 2))
+    @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), F(-2, 7), 0, F(5, 8)), 30, 2))
+    def test_format_sequence_with_step_ratios_on_draws(inputs):
+        # every int at or past ``split`` bits is long, so short orbits chain;
+        # 0 and 1 stay short
+        system, params, ics, n, split = inputs
+        for values, ratio in _sequences(system, params, ics, n):
+            expected = [format_rational(v) for v in values]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rational, "_FORMAT_SPLIT_BITS", split)
+                converted = []
+                real = rational._to_decimal
+                patch.setattr(rational, "_to_decimal", lambda x: converted.append(x) or real(x))
+                assert format_sequence(values, ratio) == expected
+                # no entry that chains falls back
+                long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
+                assert len(converted) == long - sum(len(_chained(side)) for side in _sides(values))
 
 
 def test_format_sequence_signs_zeros_and_integers():
