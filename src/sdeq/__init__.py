@@ -12,9 +12,8 @@ import importlib
 _EXPORTS = {
     "closed_form": (
         "CASE_TAGS_A CASE_TAGS_B CaseParamError ForbiddenInputError auto_case_a auto_case_b "
-        "case_a_applies case_b_applies seeds_a seeds_b solve_a_case solve_a_case_sweep "
-        "solve_a_product solve_a_product_sweep solve_b_case solve_b_case_sweep "
-        "solve_b_product solve_b_product_sweep"
+        "seeds_a seeds_b solve_a_case solve_a_case_sweep solve_a_product_sweep solve_b_case "
+        "solve_b_case_sweep solve_b_product_sweep"
     ).split(),
     "forbidden": (
         "ForbiddenReport PredictVerdict Violation check_forbidden_a check_forbidden_b "

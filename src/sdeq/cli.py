@@ -132,16 +132,16 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
 
     params, ics = _build_inputs(config)
     tag = _resolve_case(config, params)
-    ratios = None
     if config.sweep:
-        # the factors the sweep's assembly multiplied by, None for a pure power
+        # each long entry is printed from the entry two back and the factor
+        # the sweep built it with
         first, second, ratios = case_sweep_ratios(config.system, tag, params, ics, config.n_max)
+        firsts, seconds = map(format_sequence, (first, second), ratios)
         indices = range(config.n_max + 1)
     else:
         point = case_point(config.system, tag, params, ics, config.n_max)
-        first, second = [point[0]], [point[1]]
+        firsts, seconds = ([format_rational(value)] for value in point)
         indices = [config.n_max]
-    firsts, seconds = map(format_sequence, (first, second), ratios or (None, None))
     if config.fmt == "csv":
         columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
         return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
@@ -205,7 +205,7 @@ class _Singular(Exception):
 
 def _routes(system: str, tag: str, params, ics, n_max: int) -> dict:
     """Every route name, "product" and case ``tag``, from one sweep of the
-    table; only a pure-power case's ratio extension is evaluated apart."""
+    table; only a pure-power case's periodic extension is evaluated apart."""
     from .closed_form import case_routes, product_sweep
 
     product = product_sweep(system, params, ics, n_max)

@@ -15,11 +15,12 @@ case's parameters, so every case route is the product route; a System B
 case only reports T before S when both vanish at one index.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
-are pure powers: they assemble two periods and extend each residue class
-by one ratio.  ``CASES`` holds, per system, each tag's predicate.
-Each evaluator is one function keyed by the system ("A" or "B");
-``system_aliases`` generates its per-system names (``solve_a_case`` is
-``case_point("A", ...)``).
+are pure powers: they assemble two periods and extend the orbit two
+indices at a time by a factor that repeats with the period, so every
+sweep comes with the step factors that built it.  ``CASES`` holds, per
+system, each tag's predicate.  Each evaluator is one function keyed by
+the system ("A" or "B"); ``system_aliases`` generates its per-system
+names (``solve_a_case`` is ``case_point("A", ...)``).
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -121,13 +122,6 @@ def lookup_case(system: str, tag: str) -> Case:
         raise CaseParamError(f"unknown System {system} case tag: {tag!r}") from None
 
 
-def case_applies(system: str, tag: str, params) -> bool:
-    return lookup_case(system, tag).applies(params)
-
-
-case_a_applies, case_b_applies = system_aliases("case_{}_applies", case_applies)
-
-
 # most specific first; the scan order makes auto selection deterministic
 # (Product always applies to A; ACeq1/ACneq1 partition the B parameters)
 _AUTO_ORDER = {
@@ -203,36 +197,31 @@ def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction],
     return first, second
 
 
-def product_point(system: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
-    first, second = product_sweep(system, params, ics, n)
-    return first[n], second[n]
-
-
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(
     "solve_{}_product_sweep", product_sweep
 )
-solve_a_product, solve_b_product = system_aliases("solve_{}_product", product_point)
 
 
 # ---------------------------------------------------------------------------
-# pure-power cases: two periods of the product route, then one ratio per
-# residue class, the one case evaluator apart from the product route
+# pure-power cases: two periods of the product route, then one step factor
+# per residue class, the one case evaluator apart from the product route
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
 # exactly periodic with the case's period P: a = 1, b = -1 give
 # S[n+2] = 2 - S[n], so S[n+4] = S[n] (tests/test_certificates.py
-# certifies every case).  So the ratio entry[n+P]/entry[n] depends only
-# on k = n mod P, and entry[k + m*P] = entry[k] * rho_k**m with
-# rho_k = entry[k+P]/entry[k].  A zero S or T repeats a zero among
-# indices 0..P-1, which the assembly of the first two periods scans, so
-# the first forbidden index is the full sweep's.
+# certifies every case).  So the assembly's two-step factor
+# entry[i]/entry[i-2] (i >= 2) depends only on i mod P, and each entry
+# past the first two periods is the entry two back times that factor, as
+# in the assembly.  A zero S or T repeats a zero among indices 0..P-1,
+# which the assembly of the first two periods scans, so the first
+# forbidden index is the full sweep's.
 
 
 def _periodic_sweep(case: Case, route, n_max: int):
     """Entries 0..n_max of ``route(n_max)``, the case's route, as (first,
     second, step ratios); a pure-power case takes at most two periods from
-    it and extends each residue class by its ratio, and gives no step
-    ratios (None)."""
+    it and builds each later entry n as entry n-2 times f[n mod P], f read
+    from those periods, and its step ratios are ratio(i) = f[i mod P]."""
     period = case.period
     if not period:
         return route(n_max)
@@ -240,12 +229,13 @@ def _periodic_sweep(case: Case, route, n_max: int):
         first, second, _ = route(min(n_max, 2 * period - 1))
     except ForbiddenInputError as exc:
         raise ForbiddenInputError(exc.index, case.detail) from None
-    if n_max >= 2 * period:
-        for values in (first, second):
-            ratios = [values[k + period] / values[k] for k in range(period)]
-            for n in range(2 * period, n_max + 1):
-                values.append(values[n - period] * ratios[n % period])
-    return first, second, None
+    ratios = []
+    for values in (first, second):
+        factors = {i % period: values[i] / values[i - 2] for i in range(2, len(values))}
+        for n in range(len(values), n_max + 1):
+            values.append(values[n - 2] * factors[n % period])
+        ratios.append(lambda i, factors=factors: factors[i % period])
+    return first, second, tuple(ratios)
 
 
 def case_routes(system: str, tag: str, params, product, n_max: int) -> dict:
@@ -260,7 +250,8 @@ def case_routes(system: str, tag: str, params, product, n_max: int) -> dict:
 
 def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
     """Entry n alone: entry[k] * rho_k**m for n = k + m*period past the
-    first two periods of a pure-power case, else entry n of the sweep."""
+    first two periods of a pure-power case, with rho_k = entry[k+period] /
+    entry[k], else entry n of the sweep."""
     period = case.period
     if not period or n < 2 * period:
         first, second, _ = _periodic_sweep(case, route, n)
@@ -288,9 +279,10 @@ def case_sweep(system: str, tag: str, params, ics, n_max: int):
 
 
 def case_sweep_ratios(system: str, tag: str, params, ics, n_max: int):
-    """case_sweep, with the step ratios its assembly multiplied by: (first,
-    second, ratios), ratios as from ``reduction.assembly_ratios``, or None
-    for a pure-power case, whose entries come from the period extension."""
+    """case_sweep, with the step ratios that built its entries: (first,
+    second, ratios), ratios as from ``reduction.assembly_ratios`` or, for a
+    pure-power case, the periodic factors of its extension (see
+    _periodic_sweep)."""
     return _periodic_sweep(*_case_route(system, tag, params, ics, n_max), n_max)
 
 

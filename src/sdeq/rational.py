@@ -13,7 +13,6 @@ closed forms rely on silently:
 from __future__ import annotations
 
 import decimal
-import math
 import re
 from fractions import Fraction
 
@@ -57,8 +56,9 @@ def format_sequence(values, ratio=None) -> list[str]:
 
     Long orbit entries two indices apart differ by a short factor (first[m+2]
     = first[m]*T[m]/S[m+1], with S and T of O(n) bits against values of
-    about n**2 bits), so the digits of a long numerator or denominator are
-    derived from those of the entry two back instead of from scratch.
+    about n**2 bits), so, given that factor, the digits of a long numerator
+    or denominator are derived from those of the entry two back instead of
+    from scratch.
 
     ``ratio``, when given, is ratio(i) = values[i]/values[i-2] = +-p/q
     (i >= 2), the factor the caller built entry i with; it is called only
@@ -70,13 +70,13 @@ def format_sequence(values, ratio=None) -> list[str]:
     divisions are not exact, is converted from scratch.  That guard catches
     a misused ratio but does not prove the digits right: they are exact
     because ratio(i) is the factor entry i was built with.  Without
-    ``ratio`` the factors come from a gcd of the entries two apart.
+    ``ratio`` every long entry is converted from scratch.
     """
     values = list(values)
     numerators = [abs(v.numerator) for v in values]
     denominators = [v.denominator for v in values]
     if ratio is None:
-        steps = _gcd_step(numerators), _gcd_step(denominators)
+        steps = (lambda i: None,) * 2
     else:
         steps = _ratio_steps(numerators, denominators, ratio)
     numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
@@ -93,10 +93,6 @@ def format_sequence(values, ratio=None) -> list[str]:
 _FORMAT_SPLIT_BITS = 12_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
-# a chained entry of the gcd path costs one gcd and two short-by-long
-# Decimal operations; the chain is taken while its cofactors stay this many
-# times shorter than the entry
-_CHAIN_RATIO = 8
 
 
 # _POW2[k] = 2**(_FORMAT_LEAF_BITS << k), exact, filled on demand: split
@@ -143,31 +139,6 @@ def _digit_strings(ints: list[int], step) -> list[str]:
             texts.append(str(digits))
         kept[i & 1] = digits
     return texts
-
-
-def _gcd_step(ints: list[int]):
-    """step(i) for _digit_strings from g = gcd(x[i-2], x[i]): up = x[i]/g
-    and down = x[i-2]/g, read from leading bits, while those cofactors are
-    short.  The first long entry whose cofactors are not short ends the
-    chaining for the rest of the sequence, so unrelated values waste at
-    most one gcd; they are converted by divide and conquer."""
-    chaining = True
-
-    def step(i: int):
-        nonlocal chaining
-        if chaining:
-            before, x = ints[i - 2], ints[i]
-            g = math.gcd(before, x)
-            # a quotient by g is at least bits(g) shorter than the dividend
-            bound = before.bit_length() + x.bit_length() - 2 * g.bit_length()
-            if bound * _CHAIN_RATIO < x.bit_length():
-                up, down = _exact_quotient(x, g), _exact_quotient(before, g)
-                if (down.bit_length() + up.bit_length()) * _CHAIN_RATIO < x.bit_length():
-                    return up, down
-            chaining = False
-        return None
-
-    return step
 
 
 def _ratio_steps(numerators: list[int], denominators: list[int], ratio):

@@ -366,16 +366,6 @@ def iterate(system: str, params, ics, n_max: int) -> Trajectory:
     return orbit(system, params, ics, n_max).trajectory
 
 
-def iterate_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Trajectory:
-    """Iterate System A exactly up to index ``n_max`` (inclusive)."""
-    return orbit_a(params, ics, n_max).trajectory
-
-
-def iterate_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Trajectory:
-    """Iterate System B exactly up to index ``n_max`` (inclusive)."""
-    return orbit_b(params, ics, n_max).trajectory
-
-
 def system_aliases(template: str, keyed: Callable) -> tuple:
     """The per-system names of the system-keyed function ``keyed``, one per
     system of SHAPES: ``template`` filled with the lower-case system letter
@@ -392,3 +382,6 @@ def system_aliases(template: str, keyed: Callable) -> tuple:
         return call
 
     return tuple(alias(system) for system in SHAPES)
+
+
+iterate_a, iterate_b = system_aliases("iterate_{}", iterate)

@@ -14,11 +14,8 @@ import sdeq
 from sdeq import closed_form, forbidden, reduction, sampling, symmetry, systems
 from sdeq.sampling import draw_params, draw_rational
 
-# the names that stay written out per system: the systems' own equations
-PER_SYSTEM = {"iterate_a", "iterate_b"}
-
 ALIASES = sorted(
-    {name for name in sdeq.__all__ if re.search(r"_[ab](_|$)", name)} - PER_SYSTEM
+    {name for name in sdeq.__all__ if re.search(r"_[ab](_|$)", name)}
     | {"draw_admissible_a", "draw_admissible_b"}
 )
 
@@ -102,13 +99,9 @@ def _reconstruct(rng, system):
 # keyed function on the same draws
 BUILDERS = {
     "auto_case_{}": _plain(closed_form.auto_case, lambda rng, s: (draw_params(rng, s),)),
-    "case_{}_applies": _plain(
-        closed_form.case_applies, lambda rng, s: (_tag(rng, s), draw_params(rng, s))
-    ),
     "seeds_{}": _plain(closed_form.seeds, lambda rng, s: (_ics(rng, s),)),
     "solve_{}_case": _plain(closed_form.case_point, _point),
     "solve_{}_case_sweep": _plain(closed_form.case_sweep, _point),
-    "solve_{}_product": _plain(closed_form.product_point, lambda rng, s: _point(rng, s)[1:]),
     "solve_{}_product_sweep": _plain(
         closed_form.product_sweep, lambda rng, s: _point(rng, s)[1:]
     ),
@@ -118,6 +111,10 @@ BUILDERS = {
     ),
     "closed_ST_{}": _spread(reduction.closed_ST, 9),
     "solve_linear_{}": _spread(reduction.solve_linear, 9),
+    "iterate_{}": _plain(
+        systems.iterate,
+        lambda rng, s: (draw_params(rng, s), _ics(rng, s), rng.randint(-1, 8)),
+    ),
     "invariants_{}": _plain(reduction.invariants, lambda rng, s: (_orbit(rng, s),)),
     "reconstruct_{}": _plain(reduction.reconstruct, _reconstruct),
     "draw_admissible_{}": _admissible,
@@ -147,5 +144,5 @@ def test_alias_equals_its_keyed_call(name):
         got = _outcome(lambda: call_alias(alias))
         assert got == _outcome(call_keyed)
         outcomes.add(got[0])
-    if name.startswith(("solve_", "check_", "seeds_", "reconstruct_", "slsc_")):
+    if name.startswith(("solve_", "check_", "seeds_", "reconstruct_", "slsc_", "iterate_")):
         assert outcomes == {"value", "raised"}  # both paths ran

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import re
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import pytest
 
 from sdeq import cli, closed_form, rational, reduction, sampling, systems
 from sdeq.cli import main
-from sdeq.rational import format_rational, format_sequence, parse_rational
+from sdeq.rational import format_rational, parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -721,20 +720,23 @@ DEEP_A = [
 ]
 
 
+def _counted_conversions(monkeypatch) -> list:
+    """The ints rational converts from scratch from now on."""
+    real, calls = rational._to_decimal, []
+    monkeypatch.setattr(rational, "_to_decimal", lambda x: calls.append(x) or real(x))
+    return calls
+
+
 def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     # entries reach 49k bits; each long one is printed from the entry two
-    # back and the factor it was built with, so rational computes no gcd
+    # back and the factor it was built with, so each output converts only
+    # the first long numerator and denominator of each index parity, for
+    # each component, from scratch
     params = SystemAParams(F(2, 3), F(-5, 7))
     orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
     assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
     first, second = ([format_rational(v) for v in values] for values in (orbit.first, orbit.second))
-    gcds = []
-
-    def gcd(*args):
-        gcds.append(args)
-        return math.gcd(*args)
-
-    monkeypatch.setattr(rational, "math", SimpleNamespace(gcd=gcd))
+    converted = _counted_conversions(monkeypatch)
     sweeps = _counted_sweeps(monkeypatch)
     code, out, _ = run_cli(capsys, ["iterate", *DEEP_A])
     assert code == 0 and (json.loads(out)["first"], json.loads(out)["second"]) == (first, second)
@@ -744,6 +746,52 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
-    assert (gcds, sweeps) == ([], ["A"])
-    # without the factors the same orbit needs a gcd per chained entry
-    assert format_sequence(orbit.first) == first and len(gcds) > 100
+    assert (len(converted), sweeps) == (3 * 8, ["A"])
+
+
+def _flags(record) -> list:
+    return [
+        item
+        for name, value in record._asdict().items()
+        for item in (f"--{name}", format_rational(value))
+    ]
+
+
+PURE_POWER_ICS = {
+    "A": SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)),
+    "B": systems.SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
+}
+
+
+@pytest.mark.parametrize(
+    "system, tag", [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
+)
+def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, tag):
+    # with the split lowered to 64 bits most entries at n = 120 are long;
+    # each is printed from the entry two back and the factor the period
+    # extension built it with
+    params, ics = closed_form.CASES[system][tag].fixed, PURE_POWER_ICS[system]
+    sweep = closed_form.case_sweep(system, tag, params, ics, 120)
+    expected = [[format_rational(v) for v in values] for values in sweep]
+    argv = ["solve", "--sweep", "--system", system, *_flags(params), *_flags(ics), "--n", "120"]
+    monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+    converted = _counted_conversions(monkeypatch)
+    per_component = []
+    real_format = cli.format_sequence
+
+    def counted(values, ratio=None):
+        start = len(converted)
+        texts = real_format(values, ratio)
+        per_component.append(len(converted) - start)
+        return texts
+
+    monkeypatch.setattr(cli, "format_sequence", counted)
+    code, out, _ = run_cli(capsys, argv)
+    records = json.loads(out)["records"]
+    assert code == 0 and [[r["first"] for r in records], [r["second"] for r in records]] == expected
+    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(*expected)]
+    # one conversion from scratch per index parity, for numerators and
+    # denominators, in each component of each output
+    assert len(per_component) == 4 and max(per_component) <= 4

@@ -10,15 +10,14 @@ from sdeq.closed_form import (
     ForbiddenInputError,
     auto_case_a,
     auto_case_b,
+    product_sweep,
     seeds_a,
     seeds_b,
     solve_a_case,
     solve_a_case_sweep,
-    solve_a_product,
     solve_a_product_sweep,
     solve_b_case,
     solve_b_case_sweep,
-    solve_b_product,
     solve_b_product_sweep,
 )
 from sdeq.sampling import draw_admissible_a, draw_admissible_b
@@ -33,6 +32,12 @@ from sdeq.systems import (
 
 ONES_A = SystemAInitial(1, 1, 1, 1)
 ONES_B = SystemBInitial(1, 1, 1, 1, 1, 1)
+
+
+def _product_entry(system, params, ics, n):
+    """Entry n of the product route, from the keyed sweep."""
+    first, second = product_sweep(system, params, ics, n)
+    return first[n], second[n]
 
 
 def test_seeds():
@@ -64,10 +69,10 @@ def test_zero_seed_product_detail(system, zero, product):
 
 
 def test_product_a_examples():
-    assert solve_a_product(SystemAParams(1, 1), ONES_A, 2) == (F(1, 2), F(1, 2))
-    assert solve_a_product(SystemAParams(3, -2), SystemAInitial(2, 3, 5, 7), 0) == (2, 5)
-    assert solve_a_product(SystemAParams(3, -2), SystemAInitial(2, 3, 5, 7), 1) == (3, 7)
-    assert solve_a_product(SystemAParams(2, 1), ONES_A, 2)[0] == F(1, 3)
+    assert _product_entry("A", SystemAParams(1, 1), ONES_A, 2) == (F(1, 2), F(1, 2))
+    assert _product_entry("A", SystemAParams(3, -2), SystemAInitial(2, 3, 5, 7), 0) == (2, 5)
+    assert _product_entry("A", SystemAParams(3, -2), SystemAInitial(2, 3, 5, 7), 1) == (3, 7)
+    assert _product_entry("A", SystemAParams(2, 1), ONES_A, 2)[0] == F(1, 3)
 
 
 def test_product_a_equals_iteration():
@@ -178,18 +183,18 @@ def test_case_a_forbidden_input():
         solve_a_case_sweep("OnesOnes", params, ics, 5)
     assert info.value.index == 3
     with pytest.raises(ForbiddenInputError):
-        solve_a_product(params, ics, 5)
+        _product_entry("A", params, ics, 5)
     with pytest.raises(ForbiddenInputError):
-        solve_a_product(params, SystemAInitial(0, 1, 1, 1), 3)
+        _product_entry("A", params, SystemAInitial(0, 1, 1, 1), 3)
 
 
 def test_product_b_examples():
     params = SystemBParams(1, 1, 1, 1)
-    assert solve_b_product(params, ONES_B, 3)[0] == F(1, 2)
-    assert solve_b_product(params, ONES_B, 5)[0] == F(1, 3)
+    assert _product_entry("B", params, ONES_B, 3)[0] == F(1, 2)
+    assert _product_entry("B", params, ONES_B, 5)[0] == F(1, 3)
     ics = SystemBInitial(2, 3, 5, 7, F(1, 2), F(-2, 3))
     for n in range(3):
-        xs, ys = solve_b_product(SystemBParams(4, -1, 2, 3), ics, n)
+        xs, ys = _product_entry("B", SystemBParams(4, -1, 2, 3), ics, n)
         assert xs == (ics.x0, ics.x1, ics.x2)[n]
         assert ys == (ics.y0, ics.y1, ics.y2)[n]
 

@@ -1,5 +1,4 @@
 import decimal
-import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -22,7 +21,6 @@ from sdeq.systems import (
     SystemBInitial,
     SystemBParams,
     iterate_a,
-    iterate_b,
 )
 
 try:
@@ -79,74 +77,17 @@ def test_long_literals_round_trip():
         parse_rational("1/" + "0" * 5000)
 
 
-def _counting(monkeypatch, name: str, module=rational) -> list:
-    """Count the calls of ``module.name`` from here on."""
+def _counting(monkeypatch, name: str) -> list:
+    """Count the calls of ``rational.name`` from here on."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(rational, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(rational, name, counted)
     return calls
-
-
-def _rational_gcds(monkeypatch) -> list:
-    """Count the calls of math.gcd made by the rational module itself, not
-    by Fraction arithmetic."""
-    calls = []
-
-    def gcd(*args):
-        calls.append(args)
-        return math.gcd(*args)
-
-    monkeypatch.setattr(rational, "math", SimpleNamespace(gcd=gcd))
-    return calls
-
-
-def test_format_sequence_chains_deep_orbits(monkeypatch):
-    # the deep-nonunit inputs at n = 300: System A reaches 49k bits, B 13k
-    a = iterate_a(
-        SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300
-    )
-    b = iterate_b(
-        SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
-        SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
-        300,
-    )
-    for orbit in (a.first, a.second, b.first, b.second):
-        expected = [format_rational(v) for v in orbit]
-        long_ints = sum(n.bit_length() >= 12_000 for v in orbit for n in v.as_integer_ratio())
-        assert long_ints >= 20
-        converted = _counting(monkeypatch, "_to_decimal")
-        assert format_sequence(orbit) == expected
-        # one conversion from scratch per index parity, for numerators and
-        # denominators; every other long entry comes from the one two back
-        assert len(converted) <= 4
-        monkeypatch.undo()
-
-
-def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
-    rng = random.Random(11)
-    unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
-    chain = [F(3**20_000 * 5**k) for k in range(9)]
-    # a chained run, one unrelated value, then the rest of the run
-    mixed = chain[:6] + unrelated[:1] + chain[6:]
-    for values, expected_gcds, expected_converted in (
-        # the first chain attempt fails for numerators and for denominators
-        (unrelated, 2, 16),
-        # four chained entries and the failed attempt; from there on every
-        # long int is converted from scratch (the unrelated value's
-        # denominator is the only long one)
-        (mixed, 5, 7),
-    ):
-        expected = [format_rational(v) for v in values]
-        gcds = _counting(monkeypatch, "gcd", rational.math)
-        converted = _counting(monkeypatch, "_to_decimal")
-        assert format_sequence(values) == expected
-        assert (len(gcds), len(converted)) == (expected_gcds, expected_converted)
-        monkeypatch.undo()
 
 
 DEEP_A = (
@@ -156,6 +97,45 @@ DEEP_B = (
     SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
     SystemBInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
 )
+# (system, tag) of every pure-power case
+PURE_POWER = [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
+
+
+def test_format_sequence_chains_deep_orbits(monkeypatch):
+    # pure-power sweeps grow by 1 to 3 bits per index, so with the split
+    # lowered to 64 bits most entries at n = 120 are long and chain
+    # from the entry two back by the factor the period extension used
+    monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+    converted = _counting(monkeypatch, "_to_decimal")
+    for system, tag in PURE_POWER:
+        params = closed_form.CASES[system][tag].fixed
+        ics = (DEEP_A if system == "A" else DEEP_B)[1]
+        first, second, ratios = closed_form.case_sweep_ratios(system, tag, params, ics, 120)
+        for values, ratio in zip((first, second), ratios):
+            # the factors are the extension's steps at every index
+            assert all(ratio(i) == values[i] / values[i - 2] for i in range(2, len(values)))
+            expected = [format_rational(v) for v in values]
+            assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
+            converted.clear()
+            assert format_sequence(values, ratio) == expected
+            # one conversion from scratch per index parity, for numerators
+            # and denominators
+            assert len(converted) <= 4
+
+
+def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
+    rng = random.Random(11)
+    unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
+    orbit = iterate_a(*DEEP_A, 300).first
+    converted = _counting(monkeypatch, "_to_decimal")
+    # a ratio that built none of the entries, and no ratio at all
+    for values, ratio in ((unrelated, lambda i: F(3, 5)), (unrelated, None), (orbit, None)):
+        expected = [format_rational(v) for v in values]
+        converted.clear()
+        assert format_sequence(values, ratio) == expected
+        # every long int is converted from scratch
+        long = sum(x.bit_length() >= 12_000 for side in _sides(values) for x in side)
+        assert len(converted) == long
 
 
 def _sequences(system: str, params, ics, n: int) -> list:
@@ -187,12 +167,11 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
     # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
     for values, ratio in _sequences(system, *inputs, 300):
         expected = [format_rational(v) for v in values]
-        gcds = _rational_gcds(monkeypatch)
         converted = _counting(monkeypatch, "_to_decimal")
         called = []
         assert format_sequence(values, lambda i: called.append(i) or ratio(i)) == expected
         # the first long entry of each parity, numerators and denominators
-        assert (len(gcds), len(converted)) == (0, 4)
+        assert len(converted) == 4
         # a ratio is formed once for each entry that chains, and for no other
         numerators, denominators = _sides(values)
         assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
@@ -312,12 +291,14 @@ def test_format_sequence_short_lists():
 
 
 def test_format_sequence_exact_in_any_decimal_context():
-    values = [F(3**k) for k in range(8_000, 8_100, 10)]  # 12.7k bits, chained
+    values = [F(3**k) for k in range(8_000, 8_100, 10)]  # 12.7k bits
     expected = [_reference_digits(v.numerator) for v in values]
     with decimal.localcontext() as ctx:
         ctx.prec = 6
         ctx.traps[decimal.Inexact] = False
         assert format_sequence(values) == expected
+        # chained, from the entry two back times 3**20
+        assert format_sequence(values, lambda i: F(3**20)) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):

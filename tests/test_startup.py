@@ -44,9 +44,8 @@ SUBCOMMANDS = {
 EXPORTS = {
     "closed_form": [
         "CASE_TAGS_A", "CASE_TAGS_B", "CaseParamError", "ForbiddenInputError",
-        "auto_case_a", "auto_case_b", "case_a_applies", "case_b_applies", "seeds_a",
-        "seeds_b", "solve_a_case", "solve_a_case_sweep", "solve_a_product",
-        "solve_a_product_sweep", "solve_b_case", "solve_b_case_sweep", "solve_b_product",
+        "auto_case_a", "auto_case_b", "seeds_a", "seeds_b", "solve_a_case",
+        "solve_a_case_sweep", "solve_a_product_sweep", "solve_b_case", "solve_b_case_sweep",
         "solve_b_product_sweep",
     ],
     "forbidden": [
@@ -118,7 +117,7 @@ def test_subcommand_loads_only_its_layers(command):
 
 def test_package_exports_every_public_name():
     expected = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
-    assert len(expected) == 67
+    assert len(expected) == 63
     assert sdeq.__all__ == expected
     for module, names in EXPORTS.items():
         layer = importlib.import_module(f"sdeq.{module}")
