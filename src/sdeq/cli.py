@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 # the other layers are imported by the subcommands that use them
 from . import systems
@@ -43,28 +43,6 @@ class UsageError(ValueError):
     pass
 
 
-class RunConfig(NamedTuple):
-    """Parsed invocation: subcommand, system, rational literals, sizes,
-    seed, and output format.  ``run`` is a pure function of this record."""
-
-    command: str
-    system: str = "A"
-    params: dict | None = None
-    ics: dict | None = None
-    n_max: int = 0
-    case: str = "auto"
-    sweep: bool = False
-    horizon: int = 0
-    trials: int = 0
-    samples: int = 100
-    pairs: int = 10
-    seed: Optional[int] = None
-    c1: Optional[Fraction] = None
-    c2: Optional[Fraction] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-
-
 def _jdump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -76,13 +54,8 @@ def _csv_table(header: list[str], columns) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def _lit_map(values: dict) -> dict:
-    return {k: format_rational(v) for k, v in values.items()}
-
-
-def _build_inputs(config: RunConfig):
-    shape = systems.SHAPES[config.system]
-    return shape.params(**config.params), shape.initial(**config.ics)
+def _lit_map(record) -> dict:
+    return {k: format_rational(v) for k, v in record._asdict().items()}
 
 
 def _singular_json(trajectory: Trajectory):
@@ -95,15 +68,14 @@ def _singular_json(trajectory: Trajectory):
 # subcommand implementations
 
 
-def _run_iterate(config: RunConfig) -> tuple[int, str]:
-    params, ics = _build_inputs(config)
-    orbit = systems.orbit(config.system, params, ics, config.n_max)
+def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
+    orbit = systems.orbit(config.system, config.params, config.ics, config.n)
     trajectory = orbit.trajectory
     # each long entry's digits come from the entry two back and the factor
     # the iteration built it with
-    ratios = systems.step_ratios(config.system, params, orbit)
+    ratios = systems.step_ratios(config.system, config.params, orbit)
     firsts, seconds = map(format_sequence, (trajectory.first, trajectory.second), ratios)
-    if config.fmt == "csv":
+    if config.format == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
         columns = [map(str, range(len(trajectory))), firsts, seconds]
         return EXIT_OK, _csv_table(header, columns)
@@ -111,7 +83,7 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
         "schema_version": SCHEMA_VERSION,
         "system": config.system,
         "params": _lit_map(config.params),
-        "N": config.n_max,
+        "N": config.n,
         "first": firsts,
         "second": seconds,
         "singular": _singular_json(trajectory),
@@ -119,30 +91,22 @@ def _run_iterate(config: RunConfig) -> tuple[int, str]:
     return EXIT_OK, _jdump(payload)
 
 
-def _resolve_case(config: RunConfig, params) -> str:
-    if config.case != "auto":
-        return config.case
-    from .closed_form import auto_case
-
-    return auto_case(config.system, params)
-
-
-def _run_solve(config: RunConfig) -> tuple[int, str]:
+def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
     from .closed_form import case_point, case_sweep_ratios
 
-    params, ics = _build_inputs(config)
-    tag = _resolve_case(config, params)
+    system, params, ics = config.system, config.params, config.ics
+    tag = config.case
     if config.sweep:
         # each long entry is printed from the entry two back and the factor
         # the sweep built it with
-        first, second, ratios = case_sweep_ratios(config.system, tag, params, ics, config.n_max)
+        first, second, ratios = case_sweep_ratios(system, tag, params, ics, config.n)
         firsts, seconds = map(format_sequence, (first, second), ratios)
-        indices = range(config.n_max + 1)
+        indices = range(config.n + 1)
     else:
-        point = case_point(config.system, tag, params, ics, config.n_max)
+        point = case_point(system, tag, params, ics, config.n)
         firsts, seconds = ([format_rational(value)] for value in point)
-        indices = [config.n_max]
-    if config.fmt == "csv":
+        indices = [config.n]
+    if config.format == "csv":
         columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
         return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
     records = [
@@ -152,10 +116,10 @@ def _run_solve(config: RunConfig) -> tuple[int, str]:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
-        "system": config.system,
+        "system": system,
         "case": tag,
-        "params": _lit_map(config.params),
-        "ics": _lit_map(config.ics),
+        "params": _lit_map(params),
+        "ics": _lit_map(ics),
         "records": records,
     }
     return EXIT_OK, _jdump(payload)
@@ -168,15 +132,14 @@ def _regular_orbit(system: str, params, ics, n_max: int) -> systems.Orbit:
     return orbit
 
 
-def _run_reduce(config: RunConfig) -> tuple[int, str]:
+def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
     from .reduction import InvariantSeq, linearize
 
-    params, ics = _build_inputs(config)
     # the invariant products the iteration carried, w[0..N-1] and z[0..N-1]
-    orbit = _regular_orbit(config.system, params, ics, config.n_max)
+    orbit = _regular_orbit(config.system, config.params, config.ics, config.n)
     inv = InvariantSeq(orbit.w, orbit.z)
     lin = linearize(inv)
-    if config.fmt == "csv":
+    if config.format == "csv":
         literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
         columns = [map(str, range(len(inv.w))), *literals]
         return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
@@ -185,7 +148,7 @@ def _run_reduce(config: RunConfig) -> tuple[int, str]:
         "command": "reduce",
         "system": config.system,
         "params": _lit_map(config.params),
-        "N": config.n_max,
+        "N": config.n,
         "w": format_sequence(inv.w),
         "z": format_sequence(inv.z),
         "S": format_sequence(lin.S),
@@ -228,12 +191,12 @@ def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
     return len(routes) * (n_max + 1), failures, first_mismatch
 
 
-def _run_verify(config: RunConfig) -> tuple[int, str]:
-    params, ics = _build_inputs(config)
-    tag = _resolve_case(config, params)
-    trajectory = _regular_orbit(config.system, params, ics, config.n_max).trajectory
-    routes = _routes(config.system, tag, params, ics, config.n_max)
-    checked, _, mismatch = compare_routes(routes, trajectory, config.n_max)
+def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
+    system, params, ics = config.system, config.params, config.ics
+    tag = config.case
+    trajectory = _regular_orbit(system, params, ics, config.n).trajectory
+    routes = _routes(system, tag, params, ics, config.n)
+    checked, _, mismatch = compare_routes(routes, trajectory, config.n)
     first_mismatch = None
     if mismatch is not None:
         route, n = mismatch
@@ -252,9 +215,9 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "system": config.system,
+        "system": system,
         "case": tag,
-        "N": config.n_max,
+        "N": config.n,
         "checked": checked,
         "equal": first_mismatch is None,
         "first_mismatch": first_mismatch,
@@ -263,11 +226,10 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     return code, _jdump(payload)
 
 
-def _run_check_forbidden(config: RunConfig) -> tuple[int, str]:
+def _run_check_forbidden(config: argparse.Namespace) -> tuple[int, str]:
     from .forbidden import check_forbidden
 
-    params, ics = _build_inputs(config)
-    report = check_forbidden(config.system, params, ics, config.horizon)
+    report = check_forbidden(config.system, config.params, config.ics, config.horizon)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "check-forbidden",
@@ -302,30 +264,25 @@ def _sample_residual_input(rng, system: str, fixed_params):
     raise UsageError("no admissible sample points for the given parameters")
 
 
-def _run_symmetry_check(config: RunConfig) -> tuple[int, str]:
+def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
     import random
 
+    from .sampling import draw_rational
     from .symmetry import Characteristic, residual, residual_kernel
 
     rng = random.Random(config.seed)
-    if config.c1 is not None and config.c2 is not None:
+    if config.c1 is not None:
         characteristics = [Characteristic(config.c1, config.c2)]
     else:
         characteristics = [
-            Characteristic(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            )
-            for _ in range(config.pairs)
+            Characteristic(draw_rational(rng), draw_rational(rng)) for _ in range(config.pairs)
         ]
-    shape = systems.SHAPES[config.system]
-    fixed_params = None if config.params is None else shape.params(**config.params)
     checked = 0
     nonzero: list[dict] = []
     for ch in characteristics:
         for parity in (0, 1):
             for _ in range(config.samples):
-                params, point = _sample_residual_input(rng, config.system, fixed_params)
+                params, point = _sample_residual_input(rng, config.system, config.params)
                 checked += 1
                 # the exact residual is built only to report a nonzero one
                 if residual_kernel(config.system, ch, params, parity, point) != (0, 0):
@@ -379,7 +336,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
         skipped += skipped_now
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
         trajectory = systems.iterate(system, params, ics, n_max)
-        inputs = {"params": _lit_map(params._asdict()), "ics": _lit_map(ics._asdict())}
+        inputs = {"params": _lit_map(params), "ics": _lit_map(ics)}
         if trajectory.singular is not None:
             # admissible inputs cannot be singular; a hit here is a finding
             failures += 1
@@ -423,8 +380,8 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     }
 
 
-def _run_difftest(config: RunConfig) -> tuple[int, str]:
-    report = difftest(config.system, config.trials, config.n_max, config.seed)
+def _run_difftest(config: argparse.Namespace) -> tuple[int, str]:
+    report = difftest(config.system, config.trials, config.n, config.seed)
     code = EXIT_OK if report["failures"] == 0 else EXIT_MISMATCH
     return code, _jdump(report)
 
@@ -443,68 +400,93 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, *, params=True, ics=True, n=True):
-    sub.add_argument("--system", required=True, choices=tuple(systems.SHAPES))
-    # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
-    flags = [shape.params._fields for shape in systems.SHAPES.values()] if params else []
-    flags += [shape.initial._fields for shape in systems.SHAPES.values()] if ics else []
-    for flag in dict.fromkeys(flag for group in flags for flag in group):
-        sub.add_argument(f"--{flag}")
-    if n:
-        sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--out")
+class Subcommand(NamedTuple):
+    """One subcommand: its runner, its --help line, the input groups it
+    takes ("params" and "ics", the systems' literal flags; "n", --n) and
+    its own flags with their argparse options, in --help order.  Every
+    subcommand also takes --system and --out."""
+
+    runner: Callable
+    help: str
+    takes: tuple
+    flags: tuple
+
+
+_ORBIT = ("params", "ics", "n")
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+_CASE = ("--case", {"default": "auto"})
+_SEED = ("--seed", {"type": int})
+
+SUBCOMMANDS = {
+    "iterate": Subcommand(_run_iterate, "iterate a system exactly", _ORBIT, (_FORMAT,)),
+    "solve": Subcommand(
+        _run_solve,
+        "evaluate a closed-form solution",
+        _ORBIT,
+        (_CASE, ("--sweep", {"action": "store_true"}), _FORMAT),
+    ),
+    "reduce": Subcommand(_run_reduce, "invariants and auxiliary sequences", _ORBIT, (_FORMAT,)),
+    "verify": Subcommand(_run_verify, "closed forms vs iteration", _ORBIT, (_CASE,)),
+    "symmetry-check": Subcommand(
+        _run_symmetry_check,
+        "residual identity check",
+        ("params",),
+        (
+            ("--c1", {}),
+            ("--c2", {}),
+            ("--samples", {"type": int, "default": 100}),
+            ("--pairs", {"type": int, "default": 10}),
+            _SEED,
+        ),
+    ),
+    "check-forbidden": Subcommand(
+        _run_check_forbidden,
+        "restriction-set report",
+        ("params", "ics"),
+        (("--horizon", {"type": int, "required": True}),),
+    ),
+    "difftest": Subcommand(
+        _run_difftest,
+        "differential test driver",
+        ("n",),
+        (("--trials", {"type": int, "required": True}), _SEED),
+    ),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdeq", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser("iterate", help="iterate a system exactly")
-    _add_common(sub)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sub = subparsers.add_parser("solve", help="evaluate a closed-form solution")
-    _add_common(sub)
-    sub.add_argument("--case", default="auto")
-    sub.add_argument("--sweep", action="store_true")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sub = subparsers.add_parser("reduce", help="invariants and auxiliary sequences")
-    _add_common(sub)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sub = subparsers.add_parser("verify", help="closed forms vs iteration")
-    _add_common(sub)
-    sub.add_argument("--case", default="auto")
-
-    sub = subparsers.add_parser("symmetry-check", help="residual identity check")
-    _add_common(sub, ics=False, n=False)
-    sub.add_argument("--c1")
-    sub.add_argument("--c2")
-    sub.add_argument("--samples", type=int, default=100)
-    sub.add_argument("--pairs", type=int, default=10)
-    sub.add_argument("--seed", type=int)
-
-    sub = subparsers.add_parser("check-forbidden", help="restriction-set report")
-    _add_common(sub, n=False)
-    sub.add_argument("--horizon", type=int, required=True)
-
-    sub = subparsers.add_parser("difftest", help="differential test driver")
-    _add_common(sub, params=False, ics=False)
-    sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=int)
-
+    shapes = systems.SHAPES.values()
+    for name, command in SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        sub.add_argument("--system", required=True, choices=tuple(systems.SHAPES))
+        # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
+        flags = [shape.params._fields for shape in shapes] if "params" in command.takes else []
+        flags += [shape.initial._fields for shape in shapes] if "ics" in command.takes else []
+        for flag in dict.fromkeys(flag for group in flags for flag in group):
+            sub.add_argument(f"--{flag}")
+        if "n" in command.takes:
+            sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--out")
+        for flag, options in command.flags:
+            sub.add_argument(flag, **options)
     return parser
 
 
 def _rational_arg(args, flag: str) -> Fraction:
-    raw = getattr(args, flag, None)
+    raw = getattr(args, flag)
     if raw is None:
         raise UsageError(f"--{flag} is required for system {args.system}")
     try:
         return parse_rational(raw)
     except ValueError as exc:
         raise UsageError(f"--{flag}: {exc}") from None
+
+
+def _record(args, record: type):
+    """The input ``record`` of the system, from its flags' rational literals."""
+    return record(*(_rational_arg(args, flag) for flag in record._fields))
 
 
 def _resolve_seed(args) -> int:
@@ -520,76 +502,50 @@ def _resolve_seed(args) -> int:
         raise UsageError(f"SDE_SEED is not an integer: {env!r}") from None
 
 
-def _config_from_args(args) -> RunConfig:
-    command = args.command
-    system = args.system
-    shape = systems.SHAPES[system]
-    param_flags, ic_flags = shape.params._fields, shape.initial._fields
-    params = None
-    ics = None
-    if command in ("iterate", "solve", "reduce", "verify", "check-forbidden"):
-        params = {flag: _rational_arg(args, flag) for flag in param_flags}
-        ics = {flag: _rational_arg(args, flag) for flag in ic_flags}
-    n_max = getattr(args, "n", 0) or 0
-    if command in ("iterate", "solve", "reduce", "verify") and n_max < shape.lag:
-        raise UsageError(f"--n must be >= {shape.lag} for system {system}")
-    case = getattr(args, "case", "auto")
-    if command in ("solve", "verify") and case != "auto":
-        from .closed_form import CASES
+def _config_from_args(args) -> argparse.Namespace:
+    """Check the parsed arguments and make them the run's configuration in
+    place: ``params`` and ``ics`` become the system's input records (None
+    where the subcommand takes none), --case the case tag, --c1 and --c2
+    rationals, and --seed the seed a sampling subcommand draws with.  The
+    check of an option runs where the subcommand has that option."""
+    shape = systems.SHAPES[args.system]
+    takes, options = SUBCOMMANDS[args.command].takes, vars(args)
+    args.params = args.ics = None
+    if "ics" in takes:  # an orbit's inputs: every parameter and initial value
+        args.params = _record(args, shape.params)
+        args.ics = _record(args, shape.initial)
+        if "n" in takes and args.n < shape.lag:
+            raise UsageError(f"--n must be >= {shape.lag} for system {args.system}")
+    if "case" in options:
+        from .closed_form import CASES, auto_case
 
-        if case not in CASES[system]:
-            raise UsageError(f"--case must be 'auto' or one of {', '.join(CASES[system])}")
-    seed = _resolve_seed(args) if command in ("difftest", "symmetry-check") else None
-    c1 = c2 = None
-    if command == "symmetry-check":
-        if (getattr(args, "c1", None) is None) != (getattr(args, "c2", None) is None):
+        if args.case == "auto":
+            args.case = auto_case(args.system, args.params)
+        elif args.case not in CASES[args.system]:
+            raise UsageError(f"--case must be 'auto' or one of {', '.join(CASES[args.system])}")
+    if "seed" in options:
+        args.seed = _resolve_seed(args)
+    if "c1" in options:
+        if (args.c1 is None) != (args.c2 is None):
             raise UsageError("--c1 and --c2 must be given together")
-        if getattr(args, "c1", None) is not None:
-            c1 = _rational_arg(args, "c1")
-            c2 = _rational_arg(args, "c2")
-        given = [flag for flag in param_flags if getattr(args, flag, None) is not None]
-        if given and len(given) != len(param_flags):
+        if args.c1 is not None:
+            args.c1 = _rational_arg(args, "c1")
+            args.c2 = _rational_arg(args, "c2")
+        given = [flag for flag in shape.params._fields if options[flag] is not None]
+        if given and len(given) != len(shape.params._fields):
             raise UsageError("give all parameter flags or none for symmetry-check")
         if given:
-            params = {flag: _rational_arg(args, flag) for flag in param_flags}
+            args.params = _record(args, shape.params)
         if args.samples < 1 or args.pairs < 1:
             raise UsageError("--samples and --pairs must be positive")
-    if command == "check-forbidden" and args.horizon < 0:
+    if "horizon" in options and args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
-    if command == "difftest":
+    if "trials" in options:
         if args.trials < 0:
             raise UsageError("--trials must be >= 0")
-        if n_max < 2:
+        if args.n < 2:
             raise UsageError("--n must be >= 2 for difftest")
-    return RunConfig(
-        command=command,
-        system=system,
-        params=params,
-        ics=ics,
-        n_max=n_max,
-        case=case,
-        sweep=getattr(args, "sweep", False),
-        horizon=getattr(args, "horizon", 0) or 0,
-        trials=getattr(args, "trials", 0) or 0,
-        samples=getattr(args, "samples", 100),
-        pairs=getattr(args, "pairs", 10),
-        seed=seed,
-        c1=c1,
-        c2=c2,
-        fmt=getattr(args, "format", "json"),
-        out=args.out,
-    )
-
-
-_DISPATCH = {
-    "iterate": _run_iterate,
-    "solve": _run_solve,
-    "reduce": _run_reduce,
-    "verify": _run_verify,
-    "symmetry-check": _run_symmetry_check,
-    "check-forbidden": _run_check_forbidden,
-    "difftest": _run_difftest,
-}
+    return args
 
 
 def _documented_error(exc: Exception) -> Optional[tuple[int, str]]:
@@ -609,10 +565,11 @@ def _documented_error(exc: Exception) -> Optional[tuple[int, str]]:
     return None
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a parsed configuration; returns (exit code, report text)."""
+def run(config: argparse.Namespace) -> tuple[int, str]:
+    """Run the subcommand of a configuration from ``_config_from_args``;
+    returns (exit code, report text)."""
     try:
-        return _DISPATCH[config.command](config)
+        return SUBCOMMANDS[config.command].runner(config)
     except _Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
     except (ValueError, RuntimeError) as exc:

@@ -1,13 +1,20 @@
-"""Exact rational scalars and shared algebraic helpers.
+"""Exact rational scalars: the literal grammar, printing, and small helpers.
 
 Every value handled by this package is an arbitrary-precision rational
 (`fractions.Fraction`); floats are rejected at the boundary so no rounding
-can creep into a computation.  The helpers here codify two conventions the
-closed forms rely on silently:
+can creep into a computation.
 
-* empty sums are 0 and empty products are 1 (so every formula returns the
-  initial conditions unchanged at the first indices), and
-* parity dispatch is done with exact 0/1 selectors rather than powers of -1.
+* `parse_rational` reads the one literal grammar (``-1/2``) of the CLI
+  flags, and `format_rational` and `format_sequence` write it in every
+  report; `format_sequence` derives the digits of a long entry from the
+  entry two back when given the step factor that built it.
+* `rat` coerces an int, literal or Fraction and refuses floats.
+* `geometric_sum` is the exact sum of a geometric series, empty for a
+  negative upper index (`reduction.closed_ST` evaluates S and T with it),
+  and `alternating_sign` is (-1)**n, read at orbit labels by the symmetry
+  group's X2 action.
+* `parity_selectors` gives the exact 0/1 parity selectors of the paper's
+  formulas; no layer calls it, and it stays in the public API.
 """
 
 from __future__ import annotations

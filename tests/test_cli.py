@@ -164,38 +164,152 @@ def test_solve_forbidden_exits_3(capsys):
     assert "forbidden" in err
 
 
-def test_usage_errors(capsys):
-    # malformed rational literal names the offending token
-    code, _, err = run_cli(
-        capsys,
-        ["iterate", "--system", "A", "--a", "1.5", "--b", "1",
-         "--u0", "1", "--u1", "1", "--v0", "1", "--v1", "1", "--n", "4"],
-    )
-    assert code == 1
-    assert "1.5" in err
-    # missing initial condition flag
-    code, _, err = run_cli(
-        capsys, ["iterate", "--system", "A", "--a", "1", "--b", "1", "--n", "4"]
-    )
-    assert code == 1
-    assert "--u0" in err
-    # n too small for the system order
-    code, _, err = run_cli(capsys, ["iterate", "--system", "B", *B_FLAGS, "--n", "1"])
-    assert code == 1
-    # unknown case tag
-    code, _, err = run_cli(
-        capsys, ["solve", "--system", "A", *A_FLAGS, "--case", "Bogus", "--n", "3"]
-    )
-    assert code == 1
-    # sampling without a seed
-    code, _, err = run_cli(capsys, ["difftest", "--system", "A", "--trials", "2", "--n", "5"])
-    assert code == 1
-    assert "seed" in err
-    # c1 without c2
-    code, _, err = run_cli(
-        capsys, ["symmetry-check", "--system", "A", "--c1", "1", "--seed", "4"]
-    )
-    assert code == 1
+SYMMETRY_A = ["symmetry-check", "--system", "A"]
+DIFFTEST_A = ["difftest", "--system", "A"]
+
+# (argv, SDE_SEED or None, the error) for each usage error of
+# cli._config_from_args; the "-before-" cases fail two checks and pin
+# which one is reported
+USAGE_ERRORS = {
+    "malformed-literal": (
+        ["iterate", "--system", "A", "--a", "1.5", *A_FLAGS[2:], "--n", "4"], None,
+        "--a: not a rational literal: '1.5'",
+    ),
+    "missing-flag": (
+        ["iterate", "--system", "A", *A_FLAGS[:4], "--n", "4"], None,
+        "--u0 is required for system A",
+    ),
+    "n-below-lag": (
+        ["iterate", "--system", "B", *B_FLAGS, "--n", "1"], None,
+        "--n must be >= 2 for system B",
+    ),
+    "unknown-case": (
+        ["solve", "--system", "A", *A_FLAGS, "--case", "Bogus", "--n", "3"], None,
+        "--case must be 'auto' or one of Product, ABneq1, Aeq1, Beq1, Aeq1Bneg1,"
+        " Beq1Aneg1, OnesOnes, NegNeg",
+    ),
+    "no-seed": (
+        [*DIFFTEST_A, "--trials", "2", "--n", "5"], None,
+        "difftest samples randomly; provide --seed or SDE_SEED",
+    ),
+    "bad-seed-environment": (
+        [*DIFFTEST_A, "--trials", "2", "--n", "5"], "abc",
+        "SDE_SEED is not an integer: 'abc'",
+    ),
+    "c1-without-c2": (
+        [*SYMMETRY_A, "--c1", "1", "--seed", "4"], None,
+        "--c1 and --c2 must be given together",
+    ),
+    "some-parameter-flags": (
+        [*SYMMETRY_A, "--a", "2", "--seed", "4"], None,
+        "give all parameter flags or none for symmetry-check",
+    ),
+    "zero-samples": (
+        [*SYMMETRY_A, "--samples", "0", "--seed", "4"], None,
+        "--samples and --pairs must be positive",
+    ),
+    "zero-pairs": (
+        [*SYMMETRY_A, "--pairs", "0", "--seed", "4"], None,
+        "--samples and --pairs must be positive",
+    ),
+    "negative-horizon": (
+        ["check-forbidden", "--system", "A", *A_FLAGS, "--horizon", "-1"], None,
+        "--horizon must be >= 0",
+    ),
+    "negative-trials": (
+        [*DIFFTEST_A, "--trials", "-1", "--n", "5", "--seed", "1"], None,
+        "--trials must be >= 0",
+    ),
+    "difftest-n-below-2": (
+        [*DIFFTEST_A, "--trials", "1", "--n", "1", "--seed", "1"], None,
+        "--n must be >= 2 for difftest",
+    ),
+    "missing-flag-before-n-bound": (
+        ["iterate", "--system", "A", *A_FLAGS[:4], "--n", "0"], None,
+        "--u0 is required for system A",
+    ),
+    "seed-environment-before-c1-c2-pairing": (
+        [*SYMMETRY_A, "--c1", "1"], "abc",
+        "SDE_SEED is not an integer: 'abc'",
+    ),
+    "trials-before-difftest-n": (
+        [*DIFFTEST_A, "--trials", "-1", "--n", "1", "--seed", "1"], None,
+        "--trials must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, seed, err", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors(capsys, monkeypatch, argv, seed, err):
+    if seed is None:
+        monkeypatch.delenv("SDE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SDE_SEED", seed)
+    assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
+
+
+def _literal_flags(*names):
+    # a rational-literal flag: optional, no default, no choices, read as text
+    return [((f"--{name}",), False, None, None, None) for name in names]
+
+
+# per subcommand: its --help line and, for each option in --help order, its
+# (option strings, required, default, choices, type)
+_HELP = (("-h", "--help"), False, "==SUPPRESS==", None, None)
+_SYSTEM = (("--system",), True, None, ("A", "B"), None)
+_PARAMS = _literal_flags("a", "b", "c", "d")
+_ICS = _literal_flags("u0", "u1", "v0", "v1", "x0", "x1", "x2", "y0", "y1", "y2")
+_ORBIT = [_HELP, _SYSTEM, *_PARAMS, *_ICS, (("--n",), True, None, None, int)]
+_OUT = (("--out",), False, None, None, None)
+_FORMAT = (("--format",), False, "json", ("json", "csv"), None)
+_CASE = (("--case",), False, "auto", None, None)
+_SEED = (("--seed",), False, None, None, int)
+ARGUMENT_SURFACE = {
+    "iterate": ("iterate a system exactly", [*_ORBIT, _OUT, _FORMAT]),
+    "solve": (
+        "evaluate a closed-form solution",
+        [*_ORBIT, _OUT, _CASE, (("--sweep",), False, False, None, None), _FORMAT],
+    ),
+    "reduce": ("invariants and auxiliary sequences", [*_ORBIT, _OUT, _FORMAT]),
+    "verify": ("closed forms vs iteration", [*_ORBIT, _OUT, _CASE]),
+    "symmetry-check": (
+        "residual identity check",
+        [
+            _HELP, _SYSTEM, *_PARAMS, _OUT, *_literal_flags("c1", "c2"),
+            (("--samples",), False, 100, None, int),
+            (("--pairs",), False, 10, None, int),
+            _SEED,
+        ],
+    ),
+    "check-forbidden": (
+        "restriction-set report",
+        [_HELP, _SYSTEM, *_PARAMS, *_ICS, _OUT, (("--horizon",), True, None, None, int)],
+    ),
+    "difftest": (
+        "differential test driver",
+        [
+            _HELP, _SYSTEM, (("--n",), True, None, None, int), _OUT,
+            (("--trials",), True, None, None, int), _SEED,
+        ],
+    ),
+}
+
+
+def test_argument_surface():
+    (subparsers,) = cli.build_parser()._subparsers._group_actions
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    surface = {
+        name: (
+            helps[name],
+            [
+                (tuple(a.option_strings), a.required, a.default, a.choices, a.type)
+                for a in sub._actions
+            ],
+        )
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == ARGUMENT_SURFACE
+    assert list(surface) == list(ARGUMENT_SURFACE)
 
 
 def test_case_param_mismatch_exits_1(capsys):
