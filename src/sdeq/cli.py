@@ -166,15 +166,6 @@ class _Singular(Exception):
         )
 
 
-def _routes(system: str, tag: str, params, ics, n_max: int) -> dict:
-    """Every route name, "product" and case ``tag``, from one sweep of the
-    table; only a pure-power case's periodic extension is evaluated apart."""
-    from .closed_form import case_routes, product_sweep
-
-    product = product_sweep(system, params, ics, n_max)
-    return case_routes(system, tag, params, product, n_max)
-
-
 def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
     """Compare each route with the iterated orbit at indices 0..n_max,
     routes in sorted order.  Returns (comparisons, failures, the first
@@ -192,10 +183,12 @@ def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
 
 
 def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
+    from .closed_form import routes as closed_routes
+
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
     trajectory = _regular_orbit(system, params, ics, config.n).trajectory
-    routes = _routes(system, tag, params, ics, config.n)
+    routes = closed_routes(system, tag, params, ics, config.n)
     checked, _, mismatch = compare_routes(routes, trajectory, config.n)
     first_mismatch = None
     if mismatch is not None:
@@ -313,14 +306,15 @@ def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
 def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     """Sample admissible inputs, skip forbidden ones, and assert exact
     agreement of the product and case closed forms with iteration; one
-    sweep of the closed-form table per trial serves both (see _routes).
+    sweep of the closed-form table per trial serves both
+    (``closed_form.routes``).
 
     Trials cycle through the system's parameter strata (for System B the
     geometric-ratio, unit-ratio, unit-b,d and all-ones families).
     """
     import random
 
-    from .closed_form import auto_case
+    from .closed_form import auto_case, routes as closed_routes
     from .sampling import DISTRIBUTION_NOTE, draw_admissible
 
     strata = STRATA[system]
@@ -347,7 +341,7 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                     "step": trajectory.singular.step,
                 }
             continue
-        routes = _routes(system, auto_case(system, params), params, ics, n_max)
+        routes = closed_routes(system, auto_case(system, params), params, ics, n_max)
         compared, failed, mismatch = compare_routes(routes, trajectory, n_max)
         comparisons += compared
         failures += failed
@@ -506,10 +500,17 @@ def _config_from_args(args) -> argparse.Namespace:
     """Check the parsed arguments and make them the run's configuration in
     place: ``params`` and ``ics`` become the system's input records (None
     where the subcommand takes none), --case the case tag, --c1 and --c2
-    rationals, and --seed the seed a sampling subcommand draws with.  The
-    check of an option runs where the subcommand has that option."""
+    rationals, and --seed the seed a sampling subcommand draws with.  A
+    literal flag of the other system is refused first; the check of an
+    option runs where the subcommand has that option."""
     shape = systems.SHAPES[args.system]
     takes, options = SUBCOMMANDS[args.command].takes, vars(args)
+    # every subparser has both systems' literal flags; a subcommand's groups only
+    own = (*shape.params._fields, *shape.initial._fields)
+    for other in systems.SHAPES.values():
+        for flag in (*other.params._fields, *other.initial._fields):
+            if flag not in own and options.get(flag) is not None:
+                raise UsageError(f"--{flag} is not a flag of system {args.system}")
     args.params = args.ics = None
     if "ics" in takes:  # an orbit's inputs: every parameter and initial value
         args.params = _record(args, shape.params)

@@ -11,8 +11,8 @@ and T seeded by the reciprocals of the seed products of the system's
 (``reduction.closed_ST_sweep``), which covers every parameter value, g =
 ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
 a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
-case's parameters, so every case route is the product route; a System B
-case only reports T before S when both vanish at one index.
+case's parameters, and the product solution is the case ``Product``, so
+one sweep (``_sweep``) evaluates every case.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
 are pure powers: they assemble two periods and extend the orbit two
@@ -24,13 +24,15 @@ names (``solve_a_case`` is ``case_point("A", ...)``).
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
-identifying the first index at which the closed form breaks down.
+identifying the first index at which the closed form breaks down.  Where
+S and T vanish at one index, the error names the auxiliary that the
+orbit's first component divides by there (S for System A's u, T for
+System B's x), the component whose update the iteration finds singular.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
@@ -71,11 +73,12 @@ seeds_a, seeds_b = system_aliases("seeds_{}", seeds)
 class Case(NamedTuple):
     """One enumerated parameter case.
 
-    Every case is evaluated by its system's product route; the case only
-    says where that is valid.  ``applies`` is its predicate and ``fixed``
-    holds the parameters of a case that admits exactly one choice of them.
-    A pure-power case also has the period of its auxiliary sequences (see
-    _periodic_sweep) and the ``detail`` its forbidden inputs report.
+    Every case is evaluated by the one sweep of its system's closed-form
+    table; the case only says where that is valid.  ``applies`` is its
+    predicate and ``fixed`` holds the parameters of a case that admits
+    exactly one choice of them.  A pure-power case also has the period of
+    its auxiliary sequences (see _sweep) and the ``detail`` its forbidden
+    inputs report.
     """
 
     applies: Callable[[Any], bool]
@@ -151,60 +154,8 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# the product route: reduction.assemble over the closed-form sweep of S and
+# the one case sweep: reduction.assemble over the closed-form sweep of S and
 # T.  A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
-
-# per system: whether a zero initial value leaves every route undefined
-# (System A; System B reports its zero seed product), and which of S and T
-# a case route reports first when both vanish at one index
-_ROUTE_RULES = {"A": (True, "ST"), "B": (False, "TS")}
-
-
-def _sweep(system: str, params, ics, seeds, n_max: int, ties: str = "ST"):
-    """Orbit entries 0..n_max, as (first, second, ratios), from the
-    closed-form sweep of S and T at ``seeds``, with ratios the step factors
-    the assembly multiplied by (``reduction.assembly_ratios``); ``ties``
-    names the sequence reported first when S and T vanish at the same
-    index."""
-    sb, tb = closed_ST_sweep(system, params, seeds, n_max)
-    auxiliary = {"S": sb, "T": tb}
-    for j in range(n_max):
-        for name in ties:
-            if auxiliary[name][j] == 0:
-                raise ForbiddenInputError(j + 1, f"auxiliary {name}[{j}] = 0")
-    first0, second0 = (values[0] for values in SHAPES[system].split(ics._astuple()))
-    first, second = assemble(system, sb, tb, first0, second0, n_max)
-    return first, second, assembly_ratios(system, sb, tb)
-
-
-def _route(system: str, params, ics, ties: str = "ST"):
-    """route(m) assembles entries 0..m, with their step ratios (see
-    _sweep).  A zero initial value (System A) or seed product is reported
-    here, before a pure-power case could give the error its own detail."""
-    if _ROUTE_RULES[system][0]:
-        for name, value in ics._asdict().items():
-            if value == 0:
-                raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
-    return partial(_sweep, system, params, ics, seeds(system, ics), ties=ties)
-
-
-def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
-    """General product solution: the telescoped assembly over auxiliary
-    values taken from the closed form (not from recursion)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    first, second, _ = _route(system, params, ics)(n_max)
-    return first, second
-
-
-solve_a_product_sweep, solve_b_product_sweep = system_aliases(
-    "solve_{}_product_sweep", product_sweep
-)
-
-
-# ---------------------------------------------------------------------------
-# pure-power cases: two periods of the product route, then one step factor
-# per residue class, the one case evaluator apart from the product route
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
 # exactly periodic with the case's period P: a = 1, b = -1 give
@@ -213,63 +164,49 @@ solve_a_product_sweep, solve_b_product_sweep = system_aliases(
 # entry[i]/entry[i-2] (i >= 2) depends only on i mod P, and each entry
 # past the first two periods is the entry two back times that factor, as
 # in the assembly.  A zero S or T repeats a zero among indices 0..P-1,
-# which the assembly of the first two periods scans, so the first
-# forbidden index is the full sweep's.
+# which the scan of the first two periods finds, so the first forbidden
+# index is the full sweep's.
+
+# per system: whether a zero initial value leaves every case undefined
+# (System A; System B reports its zero seed product)
+_ZERO_INITIAL_FORBIDDEN = {"A": True, "B": False}
 
 
-def _periodic_sweep(case: Case, route, n_max: int):
-    """Entries 0..n_max of ``route(n_max)``, the case's route, as (first,
-    second, step ratios); a pure-power case takes at most two periods from
-    it and builds each later entry n as entry n-2 times f[n mod P], f read
-    from those periods, and its step ratios are ratio(i) = f[i mod P]."""
-    period = case.period
+def _extend(period: int, values: list, n_max: int):
+    """Extend ``values``, entries 0..2*period-1 at most, in place to
+    0..n_max by entry n = entry n-2 times f[n mod period], f read from the
+    given entries; returns their step ratios ratio(i) = f[i mod period]."""
+    factors = {i % period: values[i] / values[i - 2] for i in range(2, len(values))}
+    for n in range(len(values), n_max + 1):
+        values.append(values[n - 2] * factors[n % period])
+    return lambda i: factors[i % period]
+
+
+def _sweep(case: Case, system: str, params, ics, n_max: int):
+    """Entries 0..n_max of ``case`` as (first, second, ratios), with ratios
+    the step factors that built them: ``reduction.assembly_ratios``, or for
+    a pure-power case, which assembles at most two periods, those of its
+    extension.  A zero initial value (System A) or seed product is reported
+    before a pure-power case can give the error its own detail; where S and
+    T vanish at one index, the auxiliary of the first component's update is
+    named."""
+    if _ZERO_INITIAL_FORBIDDEN[system]:
+        for name, value in ics._asdict().items():
+            if value == 0:
+                raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
+    shape, period = SHAPES[system], case.period
+    count = min(n_max, 2 * period - 1) if period else n_max
+    sb, tb = closed_ST_sweep(system, params, seeds(system, ics), count)
+    auxiliary = {"S": sb, "T": tb}
+    for j in range(count):
+        for name in shape.by_lead("T", "S"):
+            if auxiliary[name][j] == 0:
+                raise ForbiddenInputError(j + 1, case.detail or f"auxiliary {name}[{j}] = 0")
+    first0, second0 = (values[0] for values in shape.split(ics._astuple()))
+    first, second = assemble(system, sb, tb, first0, second0, count)
     if not period:
-        return route(n_max)
-    try:
-        first, second, _ = route(min(n_max, 2 * period - 1))
-    except ForbiddenInputError as exc:
-        raise ForbiddenInputError(exc.index, case.detail) from None
-    ratios = []
-    for values in (first, second):
-        factors = {i % period: values[i] / values[i - 2] for i in range(2, len(values))}
-        for n in range(len(values), n_max + 1):
-            values.append(values[n - 2] * factors[n % period])
-        ratios.append(lambda i, factors=factors: factors[i % period])
-    return first, second, tuple(ratios)
-
-
-def case_routes(system: str, tag: str, params, product, n_max: int) -> dict:
-    """The routes ``verify`` and ``difftest`` compare with iteration, "product"
-    and case ``tag``, both read from ``product``, the product sweep of 0..n_max."""
-    case = _validated(system, tag, params, n_max)
-    first, second, _ = _periodic_sweep(
-        case, lambda m: (*(values[: m + 1] for values in product), None), n_max
-    )
-    return {"product": product, tag: (first, second)}
-
-
-def _solve_index(case: Case, route, n: int) -> tuple[Fraction, Fraction]:
-    """Entry n alone: entry[k] * rho_k**m for n = k + m*period past the
-    first two periods of a pure-power case, with rho_k = entry[k+period] /
-    entry[k], else entry n of the sweep."""
-    period = case.period
-    if not period or n < 2 * period:
-        first, second, _ = _periodic_sweep(case, route, n)
-        return first[n], second[n]
-    m, k = divmod(n, period)
-    sweep = _periodic_sweep(case, route, 2 * period - 1)[:2]
-    first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# case routes
-
-
-def _case_route(system: str, tag: str, params, ics, n_max: int):
-    """The validated case and its route; route(m) assembles entries 0..m."""
-    case = _validated(system, tag, params, n_max)
-    return case, _route(system, params, ics, _ROUTE_RULES[system][1])
+        return first, second, assembly_ratios(system, sb, tb)
+    return first, second, tuple(_extend(period, values, n_max) for values in (first, second))
 
 
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
@@ -280,16 +217,49 @@ def case_sweep(system: str, tag: str, params, ics, n_max: int):
 
 def case_sweep_ratios(system: str, tag: str, params, ics, n_max: int):
     """case_sweep, with the step ratios that built its entries: (first,
-    second, ratios), ratios as from ``reduction.assembly_ratios`` or, for a
-    pure-power case, the periodic factors of its extension (see
-    _periodic_sweep)."""
-    return _periodic_sweep(*_case_route(system, tag, params, ics, n_max), n_max)
+    second, ratios) as from _sweep."""
+    return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
+
+
+def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
+    """General product solution: the telescoped assembly over auxiliary
+    values taken from the closed form (not from recursion), the sweep of
+    the case ``Product``."""
+    return case_sweep(system, "Product", params, ics, n_max)
 
 
 def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fraction]:
-    """Entry n of case ``tag``; see _solve_index."""
-    return _solve_index(*_case_route(system, tag, params, ics, n), n)
+    """Entry n of case ``tag``: entry[k] * rho_k**m for n = k + m*period
+    past the first two periods of a pure-power case, with rho_k =
+    entry[k+period] / entry[k], else entry n of the sweep."""
+    case = _validated(system, tag, params, n)
+    period = case.period
+    if not period or n < 2 * period:
+        first, second, _ = _sweep(case, system, params, ics, n)
+        return first[n], second[n]
+    m, k = divmod(n, period)
+    sweep = _sweep(case, system, params, ics, 2 * period - 1)[:2]
+    first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
+    return first, second
 
 
+def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
+    """The routes ``verify`` and ``difftest`` compare with iteration,
+    "product" and case ``tag``, over entries 0..n_max, from one sweep of the
+    table: the product sweep, which runs before the tag is checked.  A
+    pure-power case extends its first two periods by its own factors."""
+    product = product_sweep(system, params, ics, n_max)
+    period = _validated(system, tag, params, n_max).period
+    own = product
+    if period:
+        own = tuple(values[: 2 * period] for values in product)
+        for values in own:
+            _extend(period, values, n_max)
+    return {"product": product, tag: own}
+
+
+solve_a_product_sweep, solve_b_product_sweep = system_aliases(
+    "solve_{}_product_sweep", product_sweep
+)
 solve_a_case_sweep, solve_b_case_sweep = system_aliases("solve_{}_case_sweep", case_sweep)
 solve_a_case, solve_b_case = system_aliases("solve_{}_case", case_point)

@@ -248,6 +248,29 @@ def test_usage_errors(capsys, monkeypatch, argv, seed, err):
     assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
 
 
+# (argv, the flag refused, the system): a literal flag of the other system
+# only, refused before its value is read; every subparser takes both
+# systems' flags, so only the check refuses it
+FOREIGN_FLAGS = {
+    "iterate": (["iterate", "--system", "A", *A_FLAGS, "--n", "4", "--c", "1/0"], "--c", "A"),
+    "solve": (["solve", "--system", "B", *B_FLAGS, "--n", "4", "--u0", "1"], "--u0", "B"),
+    "reduce": (["reduce", "--system", "A", *A_FLAGS, "--n", "4", "--y2", "2"], "--y2", "A"),
+    "verify": (["verify", "--system", "B", *B_FLAGS, "--n", "4", "--v1", "x"], "--v1", "B"),
+    "check-forbidden": (
+        ["check-forbidden", "--system", "A", *A_FLAGS, "--horizon", "3", "--d", "1"], "--d", "A"
+    ),
+    "symmetry-check": ([*SYMMETRY_A, "--c", "1", "--seed", "4"], "--c", "A"),
+    # refused before a flag of the system's own is found missing
+    "before-missing-flag": (["iterate", "--system", "A", "--x0", "1", "--n", "4"], "--x0", "A"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, system", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS)
+def test_foreign_flags(capsys, argv, flag, system):
+    err = f"error: {flag} is not a flag of system {system}\n"
+    assert run_cli(capsys, argv) == (1, "", err)
+
+
 def _literal_flags(*names):
     # a rational-literal flag: optional, no default, no choices, read as text
     return [((f"--{name}",), False, None, None, None) for name in names]
@@ -598,6 +621,38 @@ def test_zero_initial_b_exits_3(capsys):
         "error: forbidden input: x0*y1 = 0, auxiliary seeds undefined"
         " (breaks closed form at index 0)\n"
     )
+
+
+# a zero initial value on a pure-power tag: the error is the zero input's,
+# not the detail the tag gives its own forbidden inputs, at a single point
+# and in a sweep, within and past the tag's first two periods
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["point", "sweep"])
+@pytest.mark.parametrize("n", ["2", "20"])
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (
+            ["--system", "A", *_with(A_FLAGS, a="-1", b="-1", u0="0"), "--case", "NegNeg"],
+            "u0 = 0, closed forms undefined",
+        ),
+        (
+            ["--system", "A", *_with(A_FLAGS, a="1", b="-1", u0="0"), "--case", "Aeq1Bneg1"],
+            "u0 = 0, closed forms undefined",
+        ),
+        (
+            ["--system", "A", *_with(A_FLAGS, a="-1", b="1", u0="0"), "--case", "Beq1Aneg1"],
+            "u0 = 0, closed forms undefined",
+        ),
+        (
+            ["--system", "B", *_with(B_FLAGS, c="-1", x0="0"), "--case", "UnitBD"],
+            "x0*y1 = 0, auxiliary seeds undefined",
+        ),
+    ],
+    ids=["NegNeg", "Aeq1Bneg1", "Beq1Aneg1", "UnitBD"],
+)
+def test_pure_power_zero_input_detail(capsys, argv, detail, n, sweep):
+    err = f"error: forbidden input: {detail} (breaks closed form at index 0)\n"
+    assert run_cli(capsys, ["solve", *argv, "--n", n, *sweep]) == (3, "", err)
 
 
 def test_difftest_retry_cap_exits_1(capsys, monkeypatch):

@@ -10,7 +10,9 @@ from sdeq.closed_form import (
     ForbiddenInputError,
     auto_case_a,
     auto_case_b,
+    case_sweep,
     product_sweep,
+    seeds,
     seeds_a,
     seeds_b,
     solve_a_case,
@@ -20,12 +22,15 @@ from sdeq.closed_form import (
     solve_b_case_sweep,
     solve_b_product_sweep,
 )
+from sdeq.reduction import closed_ST_sweep
 from sdeq.sampling import draw_admissible_a, draw_admissible_b
 from sdeq.systems import (
+    SHAPES,
     SystemAInitial,
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    iterate,
     iterate_a,
     iterate_b,
 )
@@ -348,7 +353,8 @@ def test_kernel_equals_iteration_deep():
 
 # (system, route, params, ics, index, detail): "sweep" is the product sweep,
 # any other route the case sweep of that tag.  Where S and T vanish at the
-# same index the product sweeps report S and the System B case sweeps T.
+# same index every route names the auxiliary of the first component's
+# update: S for System A, T for System B (see test_one_tie_rule).
 FORBIDDEN_BRACES = [
     ("A", "sweep", ("1", "2"), ("-2", "-1", "-2", "1/2"), 2, "auxiliary S[1] = 0"),
     ("A", "sweep", ("-1/2", "-1"), ("-1/3", "1/3", "-1", "1"), 5, "auxiliary S[4] = 0"),
@@ -378,14 +384,14 @@ FORBIDDEN_BRACES = [
      9, "auxiliary S[8] = 0"),
     # S[4] = T[4] = 0
     ("B", "sweep", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
-     5, "auxiliary S[4] = 0"),
+     5, "auxiliary T[4] = 0"),
     ("B", "Product", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
      5, "auxiliary T[4] = 0"),
     ("B", "ACneq1", ("1", "1", "3", "-2"), ("-3", "3/4", "-3", "4", "1", "-1"),
      5, "auxiliary T[4] = 0"),
     # S[5] = T[5] = 0
     ("B", "sweep", ("-1/2", "2", "-2", "3"), ("-4/3", "-1/2", "1", "1/2", "-2", "-2"),
-     6, "auxiliary S[5] = 0"),
+     6, "auxiliary T[5] = 0"),
     ("B", "ACeq1", ("-1/2", "2", "-2", "3"), ("-4/3", "-1/2", "1", "1/2", "-2", "-2"),
      6, "auxiliary T[5] = 0"),
 ]
@@ -412,6 +418,43 @@ def test_kernel_forbidden_braces(system, route, params, ics, index, detail):
         with pytest.raises(ForbiddenInputError) as info:
             evaluate(n_max)
         assert (info.value.index, info.value.detail) == (index, detail)
+
+
+def _tie_inputs():
+    """(system, params, ics, index) of each input of FORBIDDEN_BRACES at
+    which S and T both vanish at index - 1, once."""
+    ties = {}
+    for system, _, params, ics, index, _ in FORBIDDEN_BRACES:
+        shape = SHAPES[system]
+        params, ics = shape.params(*params), shape.initial(*ics)
+        S, T = closed_ST_sweep(system, params, seeds(system, ics), index)
+        if S[index - 1] == T[index - 1] == 0:
+            ties[system, params, ics, index] = None
+    return list(ties)
+
+
+TIE_INPUTS = _tie_inputs()
+
+
+def test_tie_inputs_cover_both_systems():
+    assert [system for system, *_ in TIE_INPUTS] == ["A", "A", "B", "B"]
+
+
+@pytest.mark.parametrize("system, params, ics, index", TIE_INPUTS)
+def test_one_tie_rule(system, params, ics, index):
+    # the product sweep is the Product case's sweep, and both name the
+    # auxiliary the iteration's singular component divides by: S for the
+    # trailing component, T for the leading one
+    singular = iterate(system, params, ics, index).singular
+    assert singular.step == index
+    trailing = SHAPES[system].by_lead("first", "second")[1]
+    name = "S" if singular.component == trailing else "T"
+    with pytest.raises(ForbiddenInputError) as product:
+        product_sweep(system, params, ics, index)
+    with pytest.raises(ForbiddenInputError) as case:
+        case_sweep(system, "Product", params, ics, index)
+    for info in (product, case):
+        assert (info.value.index, info.value.detail) == (index, f"auxiliary {name}[{index - 1}] = 0")
 
 
 PURE_POWER = {
