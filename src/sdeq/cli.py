@@ -11,7 +11,6 @@ regularity was required, 3 forbidden input, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -43,8 +42,69 @@ class UsageError(ValueError):
     pass
 
 
+class _Literals(list):
+    """Rational literals from format_sequence.  They hold only digits, '-'
+    and '/', which JSON never escapes, so _jdump writes them as they are."""
+
+
+class _Literal(NamedTuple):
+    """One rational literal that _jdump writes as it is (see _Literals)."""
+
+    text: str
+
+
 def _jdump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", byte for byte, for a payload
+    of dicts with str keys, lists, tuples, str, int, bool and None, and of
+    the marked literals (_Literals, _Literal), which are not scanned: a
+    _Literals list is written by one join.  Every other string is escaped
+    as json escapes it, and json is imported only for a string that needs
+    escaping."""
+    chunks: list[str] = []
+    _json_chunks(payload, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, chunks: list) -> None:
+    """Append the JSON of ``value``, whose lines start at ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, _Literal):
+        chunks += ('"', value.text, '"')
+    elif isinstance(value, str):
+        chunks.append(_json_string(value))
+    elif value is None or isinstance(value, bool):
+        chunks.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        opener = "{"
+        for key, item in value.items():
+            chunks += (opener, inner, _json_string(key), ": ")
+            _json_chunks(item, inner, chunks)
+            opener = ","
+        chunks.append(newline + "}" if value else "{}")
+    elif isinstance(value, _Literals):
+        separator = '",' + inner + '"'
+        chunks += ("[", inner, '"', separator.join(value), '"', newline, "]") if value else ("[]",)
+    elif isinstance(value, (list, tuple)):
+        opener = "["
+        for item in value:
+            chunks += (opener, inner)
+            _json_chunks(item, inner, chunks)
+            opener = ","
+        chunks.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _json_string(text: str) -> str:
+    # printable ASCII other than '"' and '\\' is what json writes as it is
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    import json
+
+    return json.dumps(text)
 
 
 def _csv_table(header: list[str], columns) -> str:
@@ -84,8 +144,8 @@ def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n,
-        "first": firsts,
-        "second": seconds,
+        "first": _Literals(firsts),
+        "second": _Literals(seconds),
         "singular": _singular_json(trajectory),
     }
     return EXIT_OK, _jdump(payload)
@@ -110,7 +170,7 @@ def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
         columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
         return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
     records = [
-        {"n": n, "first": f, "second": s, "case": tag}
+        {"n": n, "first": _Literal(f), "second": _Literal(s), "case": tag}
         for n, f, s in zip(indices, firsts, seconds)
     ]
     payload = {
@@ -125,19 +185,15 @@ def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, _jdump(payload)
 
 
-def _regular_orbit(system: str, params, ics, n_max: int) -> systems.Orbit:
-    orbit = systems.orbit(system, params, ics, n_max)
-    if orbit.trajectory.singular is not None:
-        raise _Singular(orbit.trajectory)
-    return orbit
-
-
 def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
     from .reduction import InvariantSeq, linearize
 
-    # the invariant products the iteration carried, w[0..N-1] and z[0..N-1]
-    orbit = _regular_orbit(config.system, config.params, config.ics, config.n)
-    inv = InvariantSeq(orbit.w, orbit.z)
+    # the invariant recursion alone, w[0..N-1] and z[0..N-1]: no long entry
+    # of the orbit is built
+    carried = systems.carry(config.system, config.params, config.ics, config.n)
+    if carried.singular is not None:
+        raise _Singular(carried.singular)
+    inv = InvariantSeq(carried.w, carried.z)
     lin = linearize(inv)
     if config.format == "csv":
         literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
@@ -149,18 +205,16 @@ def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n,
-        "w": format_sequence(inv.w),
-        "z": format_sequence(inv.z),
-        "S": format_sequence(lin.S),
-        "T": format_sequence(lin.T),
+        "w": _Literals(format_sequence(inv.w)),
+        "z": _Literals(format_sequence(inv.z)),
+        "S": _Literals(format_sequence(lin.S)),
+        "T": _Literals(format_sequence(lin.T)),
     }
     return EXIT_OK, _jdump(payload)
 
 
 class _Singular(Exception):
-    def __init__(self, trajectory: Trajectory):
-        self.trajectory = trajectory
-        sing = trajectory.singular
+    def __init__(self, sing: systems.Singularity):
         super().__init__(
             f"singular trajectory at step {sing.step} ({sing.denominator_expression})"
         )
@@ -187,7 +241,9 @@ def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
 
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
-    trajectory = _regular_orbit(system, params, ics, config.n).trajectory
+    trajectory = systems.iterate(system, params, ics, config.n)
+    if trajectory.singular is not None:
+        raise _Singular(trajectory.singular)
     routes = closed_routes(system, tag, params, ics, config.n)
     checked, _, mismatch = compare_routes(routes, trajectory, config.n)
     first_mismatch = None
@@ -285,8 +341,8 @@ def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
                             "c1": format_rational(ch.c1),
                             "c2": format_rational(ch.c2),
                             "parity": parity,
-                            "point": format_sequence(point),
-                            "residuals": format_sequence(residuals),
+                            "point": _Literals(format_sequence(point)),
+                            "residuals": _Literals(format_sequence(residuals)),
                         }
                     )
     payload = {

@@ -96,8 +96,11 @@ def format_sequence(values, ratio=None) -> list[str]:
 # str(int) and int(str) take quadratic time and refuse more than 4300
 # digits by default.  Past the sizes below, both conversions split the
 # number in halves and recombine the halves (the divide and conquer of
-# CPython 3.12's _pylong); leaves stay under the limit.
-_FORMAT_SPLIT_BITS = 12_000
+# CPython 3.12's _pylong); leaves stay under the limit.  An int of
+# _FORMAT_SPLIT_BITS or more is long: it chains from the entry two back
+# when it can.  str() takes about 6 us at 2,000 bits and 25 us at 4,000,
+# a chained step 4 to 6 us, so chaining pays from about 2,000 bits.
+_FORMAT_SPLIT_BITS = 2_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
 

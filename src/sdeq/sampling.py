@@ -29,8 +29,13 @@ class RetryCapError(RuntimeError):
     """Every draw up to the retry cap violated its constraint."""
 
 
+# every value of draw_rational, at [numerator + 9][denominator - 1]
+_RATIONALS = tuple(tuple(Fraction(p, q) for q in range(1, 10)) for p in range(-9, 10))
+
+
 def draw_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    # the numerator's draw comes first, as in Fraction(numerator, denominator)
+    return _RATIONALS[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
 
 
 def draw_nonzero(rng: random.Random) -> Fraction:

@@ -11,9 +11,12 @@ and System B the third-order pair
 
 Iteration is exact; a vanishing denominator is recorded in-band as a
 singularity (it is data the forbidden-set analysis compares against, not a
-failure).  The loops ``orbit_a/b`` carry the invariant products and
-advance them by exact identities of the map, so no step multiplies two
-long entries; ``iterate`` returns an orbit's trajectory.  ``shift_back``
+failure).  Iteration runs in two parts.  ``carry`` runs the invariant
+recursion alone: it advances the invariant products w and z by exact
+identities of the map and records each step's divisors and the first
+singular step, all O(n)-bit values; ``reduce`` reads nothing else.
+``orbit`` then builds the long entries from them, so no step multiplies
+two long entries; ``iterate`` returns an orbit's trajectory.  ``shift_back``
 performs the index relabeling that identifies these sequences with the
 originally posed systems, whose initial conditions sit at negative
 indices.  ``SHAPES`` states, once per system, how it reduces
@@ -237,25 +240,37 @@ class Orbit(_Record):
     z: tuple[Fraction, ...]
 
 
-def orbit_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Orbit:
-    """Iterate System A exactly up to index ``n_max`` (inclusive).
+class Carried(_Record):
+    """The short values an orbit's iteration carries: the invariant
+    products w and z (as in Orbit), per component the short divisors of
+    the completed steps (System A's a + z[n] and b + w[n]; System B's steps
+    divide by entries, so it has none) and the first singular step.  Each
+    holds O(n) bits; ``orbit`` builds the long entries from them and the
+    initial values alone."""
+
+    w: tuple[Fraction, ...]
+    z: tuple[Fraction, ...]
+    divisors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    singular: Singularity | None
+
+
+def carry_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Carried:
+    """System A's carried values up to index ``n_max`` (inclusive).
 
     The step carries z[n] = u[n]*v[n+1] and w[n] = v[n]*u[n+1], which the
     map itself advances: z[n+1] = w[n]/(b + w[n]) and
-    w[n+1] = z[n]/(a + z[n]).  They are O(n)-bit values, so each new entry
-    costs one operation between a long value and a short one, not the
-    product of two long ones.
+    w[n+1] = z[n]/(a + z[n]).  The divisors a + z[n] and b + w[n] are those
+    of u[n+2] = u[n]/(a + z[n]) and v[n+2] = v[n]/(b + w[n]).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1 for System A")
     a, b = params.a, params.b
-    u = [ics.u0, ics.u1]
-    v = [ics.v0, ics.v1]
     z = [ics.u0 * ics.v1]
     w = [ics.v0 * ics.u1]
+    dens_u, dens_v = [], []
 
     def stop(singular=None):
-        return Orbit(Trajectory(("u", "v"), tuple(u), tuple(v), singular), tuple(w), tuple(z))
+        return Carried(tuple(w), tuple(z), (tuple(dens_u), tuple(dens_v)), singular)
 
     for n in range(n_max - 1):
         den_u = a + z[n]
@@ -264,20 +279,20 @@ def orbit_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Orbit:
         den_v = b + w[n]
         if den_v == 0:
             return stop(Singularity(n + 2, "second", f"b + v{n}*u{n + 1} = 0"))
-        u.append(u[n] / den_u)
-        v.append(v[n] / den_v)
+        dens_u.append(den_u)
+        dens_v.append(den_v)
         z.append(w[n] / den_v)
         w.append(z[n] / den_u)
     return stop()
 
 
-def orbit_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Orbit:
-    """Iterate System B exactly up to index ``n_max`` (inclusive).
+def carry_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Carried:
+    """System B's carried values up to index ``n_max`` (inclusive).
 
     The step carries w[n] = x[n]*y[n+1] and z[n] = y[n]*x[n+1], which the
     map advances two indices at a time: z[n+2] = w[n]/(a + b*w[n]) and
     w[n+2] = z[n]/(c + d*z[n]).  Then x[n+3] = z[n+2]/y[n+2] and
-    y[n+3] = w[n+2]/x[n+2], one operation with a long value each.
+    y[n+3] = w[n+2]/x[n+2], so the entries need no divisor of their own.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 for System B")
@@ -285,13 +300,11 @@ def orbit_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Orbit:
     if any(value == 0 for value in initials):
         raise ZeroInitialError("System B initial components must all be nonzero")
     a, b, c, d = params.a, params.b, params.c, params.d
-    x = [ics.x0, ics.x1, ics.x2]
-    y = [ics.y0, ics.y1, ics.y2]
     w = [ics.x0 * ics.y1, ics.x1 * ics.y2]
     z = [ics.y0 * ics.x1, ics.y1 * ics.x2]
 
     def stop(singular=None):
-        return Orbit(Trajectory(("x", "y"), tuple(x), tuple(y), singular), tuple(w), tuple(z))
+        return Carried(tuple(w), tuple(z), ((), ()), singular)
 
     for n in range(n_max - 2):
         # nonzero initials keep every later entry nonzero, so of the
@@ -305,9 +318,30 @@ def orbit_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Orbit:
             return stop(Singularity(n + 3, "second", f"x{n + 2}*(c + d*y{n}*x{n + 1}) = 0"))
         z.append(w[n] / den_x)
         w.append(z[n] / den_y)
-        x.append(z[n + 2] / y[n + 2])
-        y.append(w[n + 2] / x[n + 2])
     return stop()
+
+
+def _entries_a(ics: SystemAInitial, carried: Carried) -> Trajectory:
+    """u[n+2] = u[n]/(a + z[n]), v[n+2] = v[n]/(b + w[n]): one long value
+    by a carried divisor per entry."""
+    u = [ics.u0, ics.u1]
+    v = [ics.v0, ics.v1]
+    for n, (den_u, den_v) in enumerate(zip(*carried.divisors)):
+        u.append(u[n] / den_u)
+        v.append(v[n] / den_v)
+    return Trajectory(("u", "v"), tuple(u), tuple(v), carried.singular)
+
+
+def _entries_b(ics: SystemBInitial, carried: Carried) -> Trajectory:
+    """x[n+3] = z[n+2]/y[n+2], y[n+3] = w[n+2]/x[n+2]: a carried product by
+    one long value per entry."""
+    x = [ics.x0, ics.x1, ics.x2]
+    y = [ics.y0, ics.y1, ics.y2]
+    w, z = carried.w, carried.z
+    for n in range(2, len(w)):
+        x.append(z[n] / y[n])
+        y.append(w[n] / x[n])
+    return Trajectory(("x", "y"), tuple(x), tuple(y), carried.singular)
 
 
 def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
@@ -330,7 +364,8 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-_ORBITS = {"A": orbit_a, "B": orbit_b}
+# per system: (carried values, long entries from the initial values and them)
+_ITERATION = {"A": (carry_a, _entries_a), "B": (carry_b, _entries_b)}
 
 # per system, from (params, w, z): the ratios entry[i]/entry[i-2] of the
 # first and the second component.  System A's are the map's own factors
@@ -346,10 +381,18 @@ _STEP_RATIOS = {
 }
 
 
+def carry(system: str, params, ics, n_max: int) -> Carried:
+    """The values that iterating ``system`` up to index ``n_max``
+    (inclusive) carries, without its long entries: what ``reduce`` reads."""
+    return _ITERATION[system][0](params, ics, n_max)
+
+
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive), with
     the invariant products the iteration carried."""
-    return _ORBITS[system](params, ics, n_max)
+    carry_values, entries = _ITERATION[system]
+    carried = carry_values(params, ics, n_max)
+    return Orbit(entries(ics, carried), carried.w, carried.z)
 
 
 def step_ratios(system: str, params, orbit: Orbit) -> tuple[Callable, Callable]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -465,6 +466,17 @@ def test_symmetry_check_reports_nonzero_residuals(capsys, monkeypatch, system):
     assert reported == FROZEN_NONZERO[system]
 
 
+def test_draw_rational_keeps_the_seeded_stream():
+    # the table lookup makes the two randint draws of
+    # Fraction(randint(-9, 9), randint(1, 9)), in that order, so every
+    # seeded report keeps its bytes
+    drawn, reference = random.Random(3), random.Random(3)
+    for _ in range(5_000):
+        expected = F(reference.randint(-9, 9), reference.randint(1, 9))
+        assert sampling.draw_rational(drawn) == expected
+    assert drawn.random() == reference.random()
+
+
 def test_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("SDE_SEED", "17")
     code, out, _ = run_cli(capsys, ["difftest", "--system", "A", "--trials", "2", "--n", "6"])
@@ -571,7 +583,7 @@ def _csv_writer_text(header, rows) -> str:
 
 
 def test_csv_matches_csv_writer(capsys):
-    # negative components and values past 12,000 bits
+    # negative components and values past the chaining split
     n = 160
     t = iterate_a(_DEEP_A_PARAMS, _DEEP_A_ICS, n)
 
@@ -592,7 +604,7 @@ def test_csv_matches_csv_writer(capsys):
             zip(indices, *map(lits, (inv.w, inv.z, lin.S, lin.T))),
         ),
     }
-    assert max(v.numerator.bit_length() for v in t.first) > 12_000
+    assert max(v.numerator.bit_length() for v in t.first) > rational._FORMAT_SPLIT_BITS
     for command, text in expected.items():
         extra = ["--sweep"] if command == "solve" else []
         argv = [command, "--system", "A", *DEEP_A_FLAGS, "--n", str(n), "--format", "csv", *extra]
@@ -964,3 +976,143 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     # one conversion from scratch per index parity, for numerators and
     # denominators, in each component of each output
     assert len(per_component) == 4 and max(per_component) <= 4
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+DEEP_B_FLAGS = [
+    "--system", "B", "--a", "2/3", "--b", "-5/7", "--c", "3/5", "--d", "4/9",
+    "--x0", "3/5", "--x1", "-2/7", "--x2", "4/9", "--y0", "5/8", "--y1", "-3/4", "--y2", "7/6",
+]
+
+
+def _json_dumps(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_writer_equals_json_dumps_on_the_cli_corpus(capsys):
+    from test_acceptance import _CLI_CONFIGS
+
+    deep_b = [*DEEP_B_FLAGS, "--n", "300"]
+    commands = ("iterate", "solve", "reduce")
+    deep = [[command, *flags] for command in commands for flags in (DEEP_A, deep_b)]
+    deep += [["solve", "--sweep", *flags] for flags in (DEEP_A, deep_b)]
+    reports = 0
+    for argv in [*_CLI_CONFIGS, *deep]:
+        code, out, _ = run_cli(capsys, argv)
+        if "csv" not in argv:
+            assert out == _json_dumps(json.loads(out)), argv
+            reports += 1
+    assert reports == 12 + len(deep)
+
+
+def test_json_writer_escapes_as_json_does():
+    payload = {
+        "quote": 'say "1/2"',
+        "backslash": "a\\b",
+        "control": "tab\there\nbell\x07 del\x7f",
+        "non-ascii": "u₀ = ½, \U0001d54c",
+        "": "",
+        "empty": [],
+        "nothing": {},
+        "nested": {"none": None, "flags": [True, False, None], "ints": (0, -7, 2**70)},
+        "deep": [[], [[None]], {"0": {}}],
+        'key "quoted"\n': [{"x": 1}, {}, [{}]],
+    }
+    assert cli._jdump(payload) == _json_dumps(payload)
+    literals = ["0", "-1", "3/5", "-" + "7" * 5000 + "/9"]
+    marked = {
+        "list": cli._Literals(literals),
+        "none": cli._Literals([]),
+        "one": cli._Literal(literals[3]),
+        "records": [{"n": k, "first": cli._Literal(text)} for k, text in enumerate(literals)],
+    }
+    plain = {
+        "list": literals,
+        "none": [],
+        "one": literals[3],
+        "records": [{"n": k, "first": text} for k, text in enumerate(literals)],
+    }
+    assert cli._jdump(marked) == _json_dumps(plain)
+    with pytest.raises(TypeError):
+        cli._jdump({"float": 0.5})
+
+
+def test_successful_run_imports_no_json(tmp_path):
+    probe = (
+        "import sys\n"
+        "from sdeq import cli\n"
+        f"code = cli.main(['iterate', '--system', 'A', *{A_FLAGS!r}, '--n', '4',"
+        f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print(code, 'json' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.stdout == "0 False\n", result.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["first"] == ["1", "1", "1/2", "2/3", "3/8"]
+
+
+# ---------------------------------------------------------------------------
+# reduce runs the invariant recursion alone
+
+
+def _no_long_entries(monkeypatch, system: str) -> None:
+    """Make building the long entries of ``system``'s orbits raise."""
+
+    def refuse(*args):
+        raise AssertionError("reduce built the long entries of an orbit")
+
+    carry_values, _ = systems._ITERATION[system]
+    monkeypatch.setitem(systems._ITERATION, system, (carry_values, refuse))
+
+
+@pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])
+def test_reduce_builds_no_long_entry(capsys, monkeypatch, argv):
+    system = argv[1]
+    config = cli._config_from_args(cli.build_parser().parse_args(["reduce", *argv]))
+    trajectory = systems.iterate(system, config.params, config.ics, config.n)
+    inv = reduction.invariants(system, trajectory)
+    lin = reduction.linearize(inv)
+    columns = (("w", inv.w), ("z", inv.z), ("S", lin.S), ("T", lin.T))
+    expected = {name: [format_rational(v) for v in values] for name, values in columns}
+    _no_long_entries(monkeypatch, system)
+    with pytest.raises(AssertionError, match="long entries"):
+        systems.orbit(system, config.params, config.ics, config.n)
+    code, out, _ = run_cli(capsys, ["reduce", *argv])
+    payload = json.loads(out)
+    assert code == 0 and {name: payload[name] for name in expected} == expected
+    code, out, _ = run_cli(capsys, ["reduce", *argv, "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows[0] == ["n", "w", "z", "S", "T"]
+    assert [list(row) for row in zip(*expected.values())] == [row[1:] for row in rows[1:]]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("--system A --a 1 --b 1 --u0 1 --u1 5 --v0 7 --v1 -1", 2,
+         "error: singular trajectory at step 2 (a + u0*v1 = 0)\n"),
+        ("--system A --a 1 --b 1 --u0 1 --u1 -1 --v0 1 --v1 2", 2,
+         "error: singular trajectory at step 2 (b + v0*u1 = 0)\n"),
+        ("--system A --a -1/2 --b 1 --u0 1 --u1 1 --v0 1 --v1 1", 2,
+         "error: singular trajectory at step 3 (a + u1*v2 = 0)\n"),
+        ("--system A --a 1 --b -1/2 --u0 1 --u1 1 --v0 1 --v1 1", 2,
+         "error: singular trajectory at step 3 (b + v1*u2 = 0)\n"),
+        ("--system A --a 1 --b 1 --u0 2 --u1 0 --v0 3 --v1 1/2", 3,
+         "error: forbidden input: invariant w[0] is zero; reciprocal transform undefined\n"),
+        ("--system B --a 1 --b -1 --c 1 --d -1 --x0 1 --x1 1 --x2 1 --y0 1 --y1 1 --y2 1", 2,
+         "error: singular trajectory at step 3 (y2*(a + b*x0*y1) = 0)\n"),
+        ("--system B --a 1 --b 1 --c 1 --d -1 --x0 1 --x1 1 --x2 1 --y0 1 --y1 1 --y2 1", 2,
+         "error: singular trajectory at step 3 (x2*(c + d*y0*x1) = 0)\n"),
+        ("--system B --a 2 --b -1 --c 3 --d 1 --x0 1 --x1 2 --x2 1 --y0 1 --y1 1 --y2 1", 2,
+         "error: singular trajectory at step 4 (y3*(a + b*x1*y2) = 0)\n"),
+        ("--system B --a 1 --b 1 --c 1 --d 1 --x0 1 --x1 1 --x2 1 --y0 1 --y1 1 --y2 0", 3,
+         "error: forbidden input: System B initial components must all be nonzero\n"),
+    ],
+)
+def test_reduce_refusals_without_long_entries(capsys, monkeypatch, argv, code, err):
+    _no_long_entries(monkeypatch, argv.split()[1])
+    for fmt in ([], ["--format", "csv"]):
+        assert run_cli(capsys, ["reduce", *argv.split(), "--n", "9", *fmt]) == (code, "", err)

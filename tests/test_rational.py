@@ -134,7 +134,8 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
         converted.clear()
         assert format_sequence(values, ratio) == expected
         # every long int is converted from scratch
-        long = sum(x.bit_length() >= 12_000 for side in _sides(values) for x in side)
+        split = rational._FORMAT_SPLIT_BITS
+        long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
         assert len(converted) == long
 
 
@@ -193,7 +194,7 @@ def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallb
     orbit = systems.orbit("A", *DEEP_A, 300)
     ratio = systems.step_ratios("A", DEEP_A[0], orbit)[0]
     values = orbit.trajectory.first
-    assert values[201].numerator.bit_length() >= 12_000
+    assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
     assert format_sequence(values, lambda i: corrupt(ratio, i)) == expected
@@ -276,11 +277,13 @@ def test_format_sequence_signs_zeros_and_integers():
 
 
 def test_format_sequence_straddles_the_split():
-    # numerators 5**k grow by 46 bits per entry across 12,000 bits, signs
-    # alternate, denominators stay short; then lengths 11,999 to 12,001
-    values = [F((-1) ** k * 5**k, 3 ** (k // 2)) for k in range(5_050, 5_250, 20)]
-    values += [F((1 << bits) - 1, 7) for bits in (11_999, 12_000, 12_001)]
-    assert {v.numerator.bit_length() >= 12_000 for v in values} == {True, False}
+    # numerators 5**k grow by 46 bits per entry across the split, signs
+    # alternate, denominators stay short; then lengths split - 1 to split + 1
+    split = rational._FORMAT_SPLIT_BITS
+    start = split * 1000 // 2322 - 100  # 5**start has about split - 232 bits
+    values = [F((-1) ** k * 5**k, 3 ** (k // 2)) for k in range(start, start + 200, 20)]
+    values += [F((1 << bits) - 1, 7) for bits in (split - 1, split, split + 1)]
+    assert {v.numerator.bit_length() >= split for v in values} == {True, False}
     assert format_sequence(values) == [format_rational(v) for v in values]
 
 
@@ -368,3 +371,23 @@ def test_alternating_sign():
     assert alternating_sign(1) == -1
     assert alternating_sign(-1) == -1  # shifted-back labels may be negative
     assert alternating_sign(-2) == 1
+
+
+def test_unit_orbit_chains_past_the_split(monkeypatch):
+    # System A with a = b = 1 grows linearly, to about 4,200 bits at
+    # n = 2000; entries past the split chain, so with the step ratios each
+    # component converts only its first long numerator and denominator of
+    # each index parity from scratch
+    params = SystemAParams(1, 1)
+    orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
+    components = (orbit.trajectory.first, orbit.trajectory.second)
+    for values, ratio in zip(components, systems.step_ratios("A", params, orbit)):
+        numerators, denominators = _sides(values)
+        longest = max(x.bit_length() for x in numerators + denominators)
+        assert rational._FORMAT_SPLIT_BITS < longest < 5_000
+        expected = [format_rational(v) for v in values]
+        converted = _counting(monkeypatch, "_to_decimal")
+        assert format_sequence(values, ratio) == expected
+        assert len(converted) == 4
+        assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
+        monkeypatch.undo()
