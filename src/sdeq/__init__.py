@@ -21,7 +21,7 @@ _EXPORTS = {
     ).split(),
     "rational": (
         "ExactScalar alternating_sign format_rational format_sequence geometric_sum "
-        "parity_selectors parse_rational rat"
+        "parse_rational rat"
     ).split(),
     "reduction": (
         "InvariantSeq LinearSeq ZeroDivisorError ZeroInvariantError closed_ST_a closed_ST_b "

@@ -131,10 +131,9 @@ def _singular_json(trajectory: Trajectory):
 def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
     orbit = systems.orbit(config.system, config.params, config.ics, config.n)
     trajectory = orbit.trajectory
-    # each long entry's digits come from the entry two back and the factor
+    # each long entry's digits come from the entry two back and the divisor
     # the iteration built it with
-    ratios = systems.step_ratios(config.system, config.params, orbit)
-    firsts, seconds = map(format_sequence, (trajectory.first, trajectory.second), ratios)
+    firsts, seconds = map(format_sequence, (trajectory.first, trajectory.second), orbit.divisors)
     if config.format == "csv":
         header = ["n", trajectory.labels[0], trajectory.labels[1]]
         columns = [map(str, range(len(trajectory))), firsts, seconds]
@@ -152,15 +151,15 @@ def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
-    from .closed_form import case_point, case_sweep_ratios
+    from .closed_form import case_point, case_sweep_divisors
 
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
     if config.sweep:
-        # each long entry is printed from the entry two back and the factor
+        # each long entry is printed from the entry two back and the divisor
         # the sweep built it with
-        first, second, ratios = case_sweep_ratios(system, tag, params, ics, config.n)
-        firsts, seconds = map(format_sequence, (first, second), ratios)
+        first, second, divisors = case_sweep_divisors(system, tag, params, ics, config.n)
+        firsts, seconds = map(format_sequence, (first, second), divisors)
         indices = range(config.n + 1)
     else:
         point = case_point(system, tag, params, ics, config.n)

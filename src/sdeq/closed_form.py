@@ -15,9 +15,10 @@ case's parameters, and the product solution is the case ``Product``, so
 one sweep (``_sweep``) evaluates every case.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
-are pure powers: they assemble two periods and extend the orbit two
-indices at a time by a factor that repeats with the period, so every
-sweep comes with the step factors that built it.  ``CASES`` holds, per
+are pure powers: they assemble one period and two entries, and extend
+the orbit two indices at a time by a divisor that repeats with the
+period.  Assembly and extension both run ``systems.telescope``, so every
+sweep comes with the divisors that built it.  ``CASES`` holds, per
 system, each tag's predicate.  Each evaluator is one function keyed by
 the system ("A" or "B"); ``system_aliases`` generates its per-system
 names (``solve_a_case`` is ``case_point("A", ...)``).
@@ -36,8 +37,8 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
-from .reduction import assemble, assembly_ratios, closed_ST_sweep
-from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
+from .reduction import assemble, closed_ST_sweep
+from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases, telescope
 
 
 class ForbiddenInputError(ValueError):
@@ -160,42 +161,39 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 # At a pure-power case's pinned parameters the auxiliary recursion is
 # exactly periodic with the case's period P: a = 1, b = -1 give
 # S[n+2] = 2 - S[n], so S[n+4] = S[n] (tests/test_certificates.py
-# certifies every case).  So the assembly's two-step factor
-# entry[i]/entry[i-2] (i >= 2) depends only on i mod P, and each entry
-# past the first two periods is the entry two back times that factor, as
-# in the assembly.  A zero S or T repeats a zero among indices 0..P-1,
-# which the scan of the first two periods finds, so the first forbidden
-# index is the full sweep's.
+# certifies every case).  So the assembly's divisor at i, which reads
+# S[i-1] and T[i-2], depends only on i mod P: the assembly of entries
+# 0..P+1 gives every divisor, and systems.telescope extends the orbit by
+# them.  A zero S or T repeats a zero among indices 0..P-1, which the scan
+# of S and T up to index P finds, so the first forbidden index is the full
+# sweep's.
 
 # per system: whether a zero initial value leaves every case undefined
 # (System A; System B reports its zero seed product)
 _ZERO_INITIAL_FORBIDDEN = {"A": True, "B": False}
 
 
-def _extend(period: int, values: list, n_max: int):
-    """Extend ``values``, entries 0..2*period-1 at most, in place to
-    0..n_max by entry n = entry n-2 times f[n mod period], f read from the
-    given entries; returns their step ratios ratio(i) = f[i mod period]."""
-    factors = {i % period: values[i] / values[i - 2] for i in range(2, len(values))}
-    for n in range(len(values), n_max + 1):
-        values.append(values[n - 2] * factors[n % period])
+def _periodic(period: int, divisor):
+    """The divisors of a pure-power extension: divisor(i) for
+    i = 2..period+1, repeated with the period."""
+    factors = {i % period: divisor(i) for i in range(2, period + 2)}
     return lambda i: factors[i % period]
 
 
 def _sweep(case: Case, system: str, params, ics, n_max: int):
-    """Entries 0..n_max of ``case`` as (first, second, ratios), with ratios
-    the step factors that built them: ``reduction.assembly_ratios``, or for
-    a pure-power case, which assembles at most two periods, those of its
-    extension.  A zero initial value (System A) or seed product is reported
-    before a pure-power case can give the error its own detail; where S and
-    T vanish at one index, the auxiliary of the first component's update is
-    named."""
+    """Entries 0..n_max of ``case`` as (first, second, divisors), with
+    divisors those that ``systems.telescope`` built them with: the
+    assembly's, or for a pure-power case, which assembles entries 0..P+1 at
+    most, those of its period extension.  A zero initial value (System A)
+    or seed product is reported before a pure-power case can give the
+    error its own detail; where S and T vanish at one index, the auxiliary
+    of the first component's update is named."""
     if _ZERO_INITIAL_FORBIDDEN[system]:
         for name, value in ics._asdict().items():
             if value == 0:
                 raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
     shape, period = SHAPES[system], case.period
-    count = min(n_max, 2 * period - 1) if period else n_max
+    count = min(n_max, period + 1) if period else n_max
     sb, tb = closed_ST_sweep(system, params, seeds(system, ics), count)
     auxiliary = {"S": sb, "T": tb}
     for j in range(count):
@@ -203,21 +201,24 @@ def _sweep(case: Case, system: str, params, ics, n_max: int):
             if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, case.detail or f"auxiliary {name}[{j}] = 0")
     first0, second0 = (values[0] for values in shape.split(ics._astuple()))
-    first, second = assemble(system, sb, tb, first0, second0, count)
-    if not period:
-        return first, second, assembly_ratios(system, sb, tb)
-    return first, second, tuple(_extend(period, values, n_max) for values in (first, second))
+    first, second, divisors = assemble(system, sb, tb, first0, second0, count)
+    if count < n_max:
+        divisors = tuple(
+            telescope(values, _periodic(period, divisor), n_max)
+            for values, divisor in zip((first, second), divisors)
+        )
+    return first, second, divisors
 
 
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
     """Entries 0..n_max of case ``tag``, as (first, second)."""
-    first, second, _ = case_sweep_ratios(system, tag, params, ics, n_max)
+    first, second, _ = case_sweep_divisors(system, tag, params, ics, n_max)
     return first, second
 
 
-def case_sweep_ratios(system: str, tag: str, params, ics, n_max: int):
-    """case_sweep, with the step ratios that built its entries: (first,
-    second, ratios) as from _sweep."""
+def case_sweep_divisors(system: str, tag: str, params, ics, n_max: int):
+    """case_sweep, with the divisors that built its entries: (first,
+    second, divisors) as from _sweep."""
     return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
 
 
@@ -247,15 +248,16 @@ def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
     """The routes ``verify`` and ``difftest`` compare with iteration,
     "product" and case ``tag``, over entries 0..n_max, from one sweep of the
     table: the product sweep, which runs before the tag is checked.  A
-    pure-power case extends its first two periods by its own factors."""
-    product = product_sweep(system, params, ics, n_max)
+    pure-power case extends the sweep's entries 0..P+1 by the divisors
+    that built them, repeated with its period P."""
+    *product, divisors = case_sweep_divisors(system, "Product", params, ics, n_max)
     period = _validated(system, tag, params, n_max).period
     own = product
-    if period:
-        own = tuple(values[: 2 * period] for values in product)
-        for values in own:
-            _extend(period, values, n_max)
-    return {"product": product, tag: own}
+    if period and period + 1 < n_max:
+        own = [values[: period + 2] for values in product]
+        for values, divisor in zip(own, divisors):
+            telescope(values, _periodic(period, divisor), n_max)
+    return {"product": tuple(product), tag: tuple(own)}
 
 
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(

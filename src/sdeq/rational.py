@@ -7,14 +7,13 @@ can creep into a computation.
 * `parse_rational` reads the one literal grammar (``-1/2``) of the CLI
   flags, and `format_rational` and `format_sequence` write it in every
   report; `format_sequence` derives the digits of a long entry from the
-  entry two back when given the step factor that built it.
+  entry two back when given the divisors `systems.telescope` built the
+  list with.
 * `rat` coerces an int, literal or Fraction and refuses floats.
 * `geometric_sum` is the exact sum of a geometric series, empty for a
   negative upper index (`reduction.closed_ST` evaluates S and T with it),
   and `alternating_sign` is (-1)**n, read at orbit labels by the symmetry
   group's X2 action.
-* `parity_selectors` gives the exact 0/1 parity selectors of the paper's
-  formulas; no layer calls it, and it stays in the public API.
 """
 
 from __future__ import annotations
@@ -58,34 +57,35 @@ def format_rational(value: Fraction) -> str:
     return format_sequence([value])[0]
 
 
-def format_sequence(values, ratio=None) -> list[str]:
+def format_sequence(values, divisor=None) -> list[str]:
     """Render each of ``values`` exactly as format_rational does.
 
-    Long orbit entries two indices apart differ by a short factor (first[m+2]
-    = first[m]*T[m]/S[m+1], with S and T of O(n) bits against values of
+    Long orbit entries two indices apart differ by a short factor (System
+    A's u[n+2] = u[n]/(a + z[n]), with z of O(n) bits against values of
     about n**2 bits), so, given that factor, the digits of a long numerator
     or denominator are derived from those of the entry two back instead of
     from scratch.
 
-    ``ratio``, when given, is ratio(i) = values[i]/values[i-2] = +-p/q
-    (i >= 2), the factor the caller built entry i with; it is called only
-    for entries that chain.  Then G = den[i-2]*q/den[i] is an exact integer
-    of at most bits(p) + bits(q) bits, read from leading bits, and the
-    digits are num[i-2]*|p|/G and den[i-2]*q/G: no gcd and no long
-    division.  An unreduced p/q works too, since G absorbs the common
-    factor.  An entry whose two sides give no G or different ones, or whose
-    divisions are not exact, is converted from scratch.  That guard catches
-    a misused ratio but does not prove the digits right: they are exact
-    because ratio(i) is the factor entry i was built with.  Without
-    ``ratio`` every long entry is converted from scratch.
+    ``divisor``, when given, is what ``systems.telescope`` returned for the
+    list: divisor(i) = values[i-2]/values[i] = +-q/p (i >= 2), the value
+    entry i was built by dividing by; it is called only for entries that
+    chain.  Then G = den[i-2]*q/den[i] is an exact integer of at most
+    bits(p) + bits(q) bits, read from leading bits, and the digits are
+    num[i-2]*p/G and den[i-2]*q/G: no gcd and no long division.  An
+    unreduced q/p works too, since G absorbs the common factor.  The digits
+    are exact by construction, because the kernel divided entry i-2 by
+    divisor(i) to build entry i.  A divisor that built no entry is caught:
+    an entry whose two sides give no G or different ones, or whose
+    divisions are not exact, is converted from scratch.  Without
+    ``divisor`` every long entry is converted from scratch.
     """
     values = list(values)
     numerators = [abs(v.numerator) for v in values]
     denominators = [v.denominator for v in values]
-    if ratio is None:
+    if divisor is None:
         steps = (lambda i: None,) * 2
     else:
-        steps = _ratio_steps(numerators, denominators, ratio)
+        steps = _divisor_steps(numerators, denominators, divisor)
     numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
     return [
         ("-" if v.numerator < 0 else "") + num + ("" if v.denominator == 1 else "/" + den)
@@ -151,16 +151,16 @@ def _digit_strings(ints: list[int], step) -> list[str]:
     return texts
 
 
-def _ratio_steps(numerators: list[int], denominators: list[int], ratio):
+def _divisor_steps(numerators: list[int], denominators: list[int], divisor):
     """(numerator step, denominator step) for _digit_strings from
-    ratio(i) = +-p/q: (|p|, G) and (q, G), with G read from leading bits of
+    divisor(i) = +-q/p: (p, G) and (q, G), with G read from leading bits of
     each side (see format_sequence); None when the sides disagree."""
     factors: dict[int, tuple] = {}
 
     def both(i: int) -> tuple:
         if i not in factors:
-            value = ratio(i)
-            p, q = abs(value.numerator), value.denominator
+            value = divisor(i)
+            p, q = value.denominator, abs(value.numerator)
             g = _exact_quotient(denominators[i - 2], denominators[i], q)
             same = g is not None and g == _exact_quotient(numerators[i - 2], numerators[i], p)
             factors[i] = ((p, g), (q, g)) if same else (None, None)
@@ -264,20 +264,6 @@ def geometric_sum(q: int | Fraction, m: int) -> Fraction:
     if q == 1:
         return Fraction(m + 1)
     return (q ** (m + 1) - 1) / (q - 1)
-
-
-def parity_selectors(r: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact 0/1 selectors (alpha, beta, gamma, lam) for the parity of r.
-
-    alpha = lam = 1 and beta = gamma = 0 when r is even; the complement when
-    r is odd.  Hence alpha + beta = gamma + lam = 1 and alpha*beta =
-    gamma*lam = 0 always.
-    """
-    if r < 0:
-        raise ValueError("parity selectors are defined for nonnegative r")
-    if r % 2 == 0:
-        return (ONE, ZERO, ZERO, ONE)
-    return (ZERO, ONE, ONE, ZERO)
 
 
 def alternating_sign(n: int) -> Fraction:

@@ -13,7 +13,8 @@ one function keyed by the system ("A" or "B"); ``system_aliases`` generates
 its per-system names (``invariants_a`` is ``invariants("A", ...)``).
 ``geometric_sweep`` evaluates a whole sweep of a table from carried integer
 powers; every route of ``sdeq.closed_form`` reads that sweep, and
-``assemble`` rebuilds an orbit from S and T two indices at a time.
+``assemble`` rebuilds an orbit from S and T two indices at a time with
+``systems.telescope``, returning the divisors it divided by.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rational import geometric_sum, rat
-from .systems import SHAPES, Trajectory, _Record, system_aliases
+from .systems import SHAPES, Trajectory, _Record, system_aliases, telescope
 
 
 class InvariantSeq(_Record):
@@ -193,19 +194,20 @@ def closed_ST_sweep(system: str, params, seeds, count: int):
 
 
 def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int):
-    """Orbit entries 0..count, as lists (first, second), from the auxiliary
-    values S[0..count-1], T[0..count-1], which the caller has checked are
-    nonzero, and nonzero start values (first0, second0).
+    """Orbit entries 0..count, as lists, and the divisors they were built
+    with, (first, second, divisors), from the auxiliary values
+    S[0..count-1], T[0..count-1], which the caller has checked are nonzero,
+    and nonzero start values (first0, second0).
 
     The orbit is the telescoped product, two indices at a time,
 
-        trail[m+2] = trail[m] * T[m] / S[m+1]
-        lead[m+2]  = lead[m]  * S[m] / T[m+1]
+        trail[i] = trail[i-2] / (S[i-1]/T[i-2])
+        lead[i]  = lead[i-2]  / (T[i-1]/S[i-2])
 
     from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
-    lead and trail the components in the order of SHAPES.  Each step
-    multiplies one big value by a small ratio, so assembly costs about what
-    one step of iteration costs.
+    lead and trail the components in the order of SHAPES, built by
+    ``systems.telescope``: each step divides one long value by a short
+    one, so assembly costs about what one step of iteration costs.
     """
     shape = SHAPES[system]
     lead0, trail0 = shape.by_lead(first0, second0)
@@ -213,18 +215,11 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
     if count >= 1:
         trail.append(1 / lead0 / S[0])
         lead.append(1 / trail0 / T[0])
-    for m in range(count - 1):
-        trail.append(trail[m] * (T[m] / S[m + 1]))
-        lead.append(lead[m] * (S[m] / T[m + 1]))
-    return shape.by_lead(lead, trail)
-
-
-def assembly_ratios(system: str, S, T) -> tuple:
-    """(first, second): per component, ratio(i) = entry i / entry i-2 of
-    the orbit ``assemble`` builds from S and T, for i >= 2: the factors it
-    multiplied by, T[i-2]/S[i-1] for trail and S[i-2]/T[i-1] for lead.
-    Each ratio is formed when called."""
-    return SHAPES[system].by_lead(lambda i: S[i - 2] / T[i - 1], lambda i: T[i - 2] / S[i - 1])
+    divisors = (
+        telescope(lead, lambda i: T[i - 1] / S[i - 2], count),
+        telescope(trail, lambda i: S[i - 1] / T[i - 2], count),
+    )
+    return (*shape.by_lead(lead, trail), shape.by_lead(*divisors))
 
 
 def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
@@ -234,19 +229,17 @@ def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
     System B: x[n+1] = 1/(T[n]*y[n])).  Zero divisors are reported by
     index, S before T, and at index 0 then first0 before second0."""
     shape = SHAPES[system]
-    # the component names, ("u", "v") or ("x", "y")
-    labels = tuple(names[0].rstrip("0") for names in shape.split(shape.initial._fields))
     starts = (rat(first0), rat(second0))
     count = min(len(lin.S), len(lin.T))
-    # exact, so that T[m]/S[m+1] of two ints is no float
+    # exact, so that S[i-1]/T[i-2] of two ints is no float
     S, T = (tuple(map(rat, values[:count])) for values in (lin.S, lin.T))
     for n in range(count):
-        divisors = [("S", S[n]), ("T", T[n]), *(zip(labels, starts) if n == 0 else ())]
+        divisors = [("S", S[n]), ("T", T[n]), *(zip(shape.labels, starts) if n == 0 else ())]
         for what, value in divisors:
             if value == 0:
                 raise ZeroDivisorError(what, n)
-    first, second = assemble(system, S, T, *starts, count)
-    return Trajectory(labels, tuple(first), tuple(second))
+    first, second, _ = assemble(system, S, T, *starts, count)
+    return Trajectory(shape.labels, tuple(first), tuple(second))
 
 
 reconstruct_a, reconstruct_b = system_aliases("reconstruct_{}", reconstruct)

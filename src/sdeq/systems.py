@@ -15,8 +15,10 @@ failure).  Iteration runs in two parts.  ``carry`` runs the invariant
 recursion alone: it advances the invariant products w and z by exact
 identities of the map and records each step's divisors and the first
 singular step, all O(n)-bit values; ``reduce`` reads nothing else.
-``orbit`` then builds the long entries from them, so no step multiplies
-two long entries; ``iterate`` returns an orbit's trajectory.  ``shift_back``
+``orbit`` then builds the long entries from them with ``telescope``, the
+one loop that divides an entry two back by a short divisor, and keeps the
+divisors it used for printing; ``iterate`` returns an orbit's trajectory.
+The closed forms build their orbits with ``telescope`` too.  ``shift_back``
 performs the index relabeling that identifies these sequences with the
 originally posed systems, whose initial conditions sit at negative
 indices.  ``SHAPES`` states, once per system, how it reduces
@@ -165,6 +167,11 @@ class SystemShape(_Record):
     def period(self) -> int:
         return 2 * self.lag
 
+    @property
+    def labels(self) -> tuple[str, str]:
+        """The component names, ("u", "v") or ("x", "y")."""
+        return tuple(names[0].rstrip("0") for names in self.split(self.initial._fields))
+
     def split(self, values) -> tuple:
         """(first, second): a sequence in initial-field order cut into the
         two components' values at indices 0..lag."""
@@ -231,22 +238,23 @@ class ZeroInitialError(ValueError):
 
 
 class Orbit(_Record):
-    """A trajectory and the invariant products its iteration carried,
+    """A trajectory, the invariant products its iteration carried,
     w[n] = lead[n]*trail[n+1] and z[n] = trail[n]*lead[n+1] for
-    n = 0..len(trajectory)-2, with lead and trail as in SHAPES."""
+    n = 0..len(trajectory)-2 with lead and trail as in SHAPES, and the
+    divisors ``telescope`` built (first, second) with."""
 
     trajectory: Trajectory
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
+    divisors: tuple[Callable, Callable]
 
 
 class Carried(_Record):
     """The short values an orbit's iteration carries: the invariant
     products w and z (as in Orbit), per component the short divisors of
-    the completed steps (System A's a + z[n] and b + w[n]; System B's steps
-    divide by entries, so it has none) and the first singular step.  Each
-    holds O(n) bits; ``orbit`` builds the long entries from them and the
-    initial values alone."""
+    the completed steps (System A's a + z[n] and b + w[n]; System B has
+    none, see carry_b) and the first singular step.  Each holds O(n) bits;
+    ``orbit`` builds the long entries from them and the initial values."""
 
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
@@ -291,8 +299,8 @@ def carry_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Carried:
 
     The step carries w[n] = x[n]*y[n+1] and z[n] = y[n]*x[n+1], which the
     map advances two indices at a time: z[n+2] = w[n]/(a + b*w[n]) and
-    w[n+2] = z[n]/(c + d*z[n]).  Then x[n+3] = z[n+2]/y[n+2] and
-    y[n+3] = w[n+2]/x[n+2], so the entries need no divisor of their own.
+    w[n+2] = z[n]/(c + d*z[n]).  Then x[i-2]/x[i] = w[i-2]/z[i-1] and
+    y[i-2]/y[i] = z[i-2]/w[i-1], so no divisor needs carrying.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 for System B")
@@ -321,29 +329,6 @@ def carry_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Carried:
     return stop()
 
 
-def _entries_a(ics: SystemAInitial, carried: Carried) -> Trajectory:
-    """u[n+2] = u[n]/(a + z[n]), v[n+2] = v[n]/(b + w[n]): one long value
-    by a carried divisor per entry."""
-    u = [ics.u0, ics.u1]
-    v = [ics.v0, ics.v1]
-    for n, (den_u, den_v) in enumerate(zip(*carried.divisors)):
-        u.append(u[n] / den_u)
-        v.append(v[n] / den_v)
-    return Trajectory(("u", "v"), tuple(u), tuple(v), carried.singular)
-
-
-def _entries_b(ics: SystemBInitial, carried: Carried) -> Trajectory:
-    """x[n+3] = z[n+2]/y[n+2], y[n+3] = w[n+2]/x[n+2]: a carried product by
-    one long value per entry."""
-    x = [ics.x0, ics.x1, ics.x2]
-    y = [ics.y0, ics.y1, ics.y2]
-    w, z = carried.w, carried.z
-    for n in range(2, len(w)):
-        x.append(z[n] / y[n])
-        y.append(w[n] / x[n])
-    return Trajectory(("x", "y"), tuple(x), tuple(y), carried.singular)
-
-
 def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     """Relabel indices so entry i carries label origin - offset + i.
 
@@ -364,44 +349,50 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-# per system: (carried values, long entries from the initial values and them)
-_ITERATION = {"A": (carry_a, _entries_a), "B": (carry_b, _entries_b)}
+def telescope(values: list, divisor: Callable, last: int) -> Callable:
+    """Extend ``values`` in place to entries 0..last by
+    entry i = entry i-2 / divisor(i), one long entry by a short divisor per
+    step, and return ``divisor``, which rational.format_sequence prints the
+    list from.  The one loop that builds an entry from the entry two back:
+    the orbit, the closed forms' assembly and their extension run it."""
+    for i in range(len(values), last + 1):
+        values.append(values[i - 2] / divisor(i))
+    return divisor
 
-# per system, from (params, w, z): the ratios entry[i]/entry[i-2] of the
-# first and the second component.  System A's are the map's own factors
-# 1/(a + z[i-2]) and 1/(b + w[i-2]), defined where a component is zero;
-# System B's entries are never zero, and x[i]/x[i-2] = z[i-1]/w[i-2],
-# y[i]/y[i-2] = w[i-1]/z[i-2].
-_STEP_RATIOS = {
-    "A": lambda params, w, z: (
-        lambda i: 1 / (params.a + z[i - 2]),
-        lambda i: 1 / (params.b + w[i - 2]),
+
+# per system: the loop that carries its short values, and from those its
+# divisor rule, the divisors of the first and the second component.
+# System A divides by its map's own factors a + z[i-2] and b + w[i-2],
+# defined where a component is zero; System B by quotients of w and z
+# (carry_b), as its entries are never zero.
+_ITERATES = {
+    "A": (carry_a, lambda c: (lambda i: c.divisors[0][i - 2], lambda i: c.divisors[1][i - 2])),
+    "B": (
+        carry_b,
+        lambda c: (lambda i: c.w[i - 2] / c.z[i - 1], lambda i: c.z[i - 2] / c.w[i - 1]),
     ),
-    "B": lambda params, w, z: (lambda i: z[i - 1] / w[i - 2], lambda i: w[i - 1] / z[i - 2]),
 }
 
 
 def carry(system: str, params, ics, n_max: int) -> Carried:
     """The values that iterating ``system`` up to index ``n_max``
     (inclusive) carries, without its long entries: what ``reduce`` reads."""
-    return _ITERATION[system][0](params, ics, n_max)
+    return _ITERATES[system][0](params, ics, n_max)
 
 
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
-    """Iterate ``system`` exactly up to index ``n_max`` (inclusive), with
-    the invariant products the iteration carried."""
-    carry_values, entries = _ITERATION[system]
-    carried = carry_values(params, ics, n_max)
-    return Orbit(entries(ics, carried), carried.w, carried.z)
-
-
-def step_ratios(system: str, params, orbit: Orbit) -> tuple[Callable, Callable]:
-    """(first, second): per component, ratio(i) = entry i / entry i-2 of the
-    orbit's trajectory for 2 <= i < len(trajectory), the short factor the
-    iteration's identities build entry i with, from the carried w and z.
-    Each ratio is formed when called (rational.format_sequence calls it for
-    long entries only)."""
-    return _STEP_RATIOS[system](params, orbit.w, orbit.z)
+    """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
+    carried values, then each component's long entries by ``telescope``
+    from its initial values and the system's divisor rule."""
+    shape = SHAPES[system]
+    carried = carry(system, params, ics, n_max)
+    entries = [list(values) for values in shape.split(ics._astuple())]
+    divisors = tuple(
+        telescope(values, divisor, len(carried.w))
+        for values, divisor in zip(entries, _ITERATES[system][1](carried))
+    )
+    trajectory = Trajectory(shape.labels, *map(tuple, entries), carried.singular)
+    return Orbit(trajectory, carried.w, carried.z, divisors)
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:

@@ -10,8 +10,8 @@ replaces, with numerators and denominators up to 2**64.
   ForbiddenInputError at the singular step.  The case routes all read the
   closed-form table, so this is the check that does not rely on it.  On a
   pure-power case's pinned parameters the index reaches three periods,
-  past the two from which the sweep and the single point extend each
-  residue class by its ratio.
+  past the entries from which the sweep and the single point extend the
+  orbit by its period.
 """
 
 from fractions import Fraction as F
@@ -144,7 +144,7 @@ def orbit_inputs(draw):
 def _check_against_iteration(system, params, ics, n):
     """Every applicable case route against the iterated orbit up to n;
     returns whether the orbit is singular, and the pinned parameters of a
-    pure-power case that extended a regular orbit by its ratios, or None."""
+    pure-power case that extended a regular orbit by its period, or None."""
     iterate, _, case_point = ITERATION[system]
     case_sweep = SYSTEMS[system][-1]
     orbit = iterate(params, ics, n)

@@ -844,7 +844,8 @@ def test_verify_sweeps_the_table_once(capsys, monkeypatch, tag, argv):
 
 def test_verify_pure_power_route_extends_two_periods(capsys, monkeypatch):
     # a wrong S past two periods reaches only the product route: the NegNeg
-    # route reads entries 0..3 of the same sweep and extends them by ratios
+    # route reads entries 0..3 of the same sweep and extends them by the
+    # divisors that built them
     real = closed_form.closed_ST_sweep
 
     def wrong(system, params, seeds, count):
@@ -910,7 +911,7 @@ def _counted_conversions(monkeypatch) -> list:
 
 def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     # entries reach 49k bits; each long one is printed from the entry two
-    # back and the factor it was built with, so each output converts only
+    # back and the divisor it was built with, so each output converts only
     # the first long numerator and denominator of each index parity, for
     # each component, from scratch
     params = SystemAParams(F(2, 3), F(-5, 7))
@@ -949,7 +950,7 @@ PURE_POWER_ICS = {
 )
 def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, tag):
     # with the split lowered to 64 bits most entries at n = 120 are long;
-    # each is printed from the entry two back and the factor the period
+    # each is printed from the entry two back and the divisor the period
     # extension built it with
     params, ics = closed_form.CASES[system][tag].fixed, PURE_POWER_ICS[system]
     sweep = closed_form.case_sweep(system, tag, params, ics, 120)
@@ -960,9 +961,9 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     per_component = []
     real_format = cli.format_sequence
 
-    def counted(values, ratio=None):
+    def counted(values, divisor=None):
         start = len(converted)
-        texts = real_format(values, ratio)
+        texts = real_format(values, divisor)
         per_component.append(len(converted) - start)
         return texts
 
@@ -1058,14 +1059,13 @@ def test_successful_run_imports_no_json(tmp_path):
 # reduce runs the invariant recursion alone
 
 
-def _no_long_entries(monkeypatch, system: str) -> None:
-    """Make building the long entries of ``system``'s orbits raise."""
+def _no_long_entries(monkeypatch) -> None:
+    """Make the kernel that builds every long entry, systems.telescope, raise."""
 
     def refuse(*args):
         raise AssertionError("reduce built the long entries of an orbit")
 
-    carry_values, _ = systems._ITERATION[system]
-    monkeypatch.setitem(systems._ITERATION, system, (carry_values, refuse))
+    monkeypatch.setattr(systems, "telescope", refuse)
 
 
 @pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])
@@ -1077,7 +1077,7 @@ def test_reduce_builds_no_long_entry(capsys, monkeypatch, argv):
     lin = reduction.linearize(inv)
     columns = (("w", inv.w), ("z", inv.z), ("S", lin.S), ("T", lin.T))
     expected = {name: [format_rational(v) for v in values] for name, values in columns}
-    _no_long_entries(monkeypatch, system)
+    _no_long_entries(monkeypatch)
     with pytest.raises(AssertionError, match="long entries"):
         systems.orbit(system, config.params, config.ics, config.n)
     code, out, _ = run_cli(capsys, ["reduce", *argv])
@@ -1113,6 +1113,6 @@ def test_reduce_builds_no_long_entry(capsys, monkeypatch, argv):
     ],
 )
 def test_reduce_refusals_without_long_entries(capsys, monkeypatch, argv, code, err):
-    _no_long_entries(monkeypatch, argv.split()[1])
+    _no_long_entries(monkeypatch)
     for fmt in ([], ["--format", "csv"]):
         assert run_cli(capsys, ["reduce", *argv.split(), "--n", "9", *fmt]) == (code, "", err)

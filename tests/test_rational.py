@@ -11,7 +11,6 @@ from sdeq.rational import (
     format_rational,
     format_sequence,
     geometric_sum,
-    parity_selectors,
     parse_rational,
     rat,
 )
@@ -104,20 +103,20 @@ PURE_POWER = [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "Un
 def test_format_sequence_chains_deep_orbits(monkeypatch):
     # pure-power sweeps grow by 1 to 3 bits per index, so with the split
     # lowered to 64 bits most entries at n = 120 are long and chain
-    # from the entry two back by the factor the period extension used
+    # from the entry two back by the divisor the period extension used
     monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
     converted = _counting(monkeypatch, "_to_decimal")
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
         ics = (DEEP_A if system == "A" else DEEP_B)[1]
-        first, second, ratios = closed_form.case_sweep_ratios(system, tag, params, ics, 120)
-        for values, ratio in zip((first, second), ratios):
-            # the factors are the extension's steps at every index
-            assert all(ratio(i) == values[i] / values[i - 2] for i in range(2, len(values)))
+        first, second, divisors = closed_form.case_sweep_divisors(system, tag, params, ics, 120)
+        for values, divisor in zip((first, second), divisors):
+            # the divisors are the extension's steps at every index
+            assert all(divisor(i) == values[i - 2] / values[i] for i in range(2, len(values)))
             expected = [format_rational(v) for v in values]
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
-            assert format_sequence(values, ratio) == expected
+            assert format_sequence(values, divisor) == expected
             # one conversion from scratch per index parity, for numerators
             # and denominators
             assert len(converted) <= 4
@@ -128,11 +127,11 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
     unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
     orbit = iterate_a(*DEEP_A, 300).first
     converted = _counting(monkeypatch, "_to_decimal")
-    # a ratio that built none of the entries, and no ratio at all
-    for values, ratio in ((unrelated, lambda i: F(3, 5)), (unrelated, None), (orbit, None)):
+    # a divisor that built none of the entries, and no divisor at all
+    for values, divisor in ((unrelated, lambda i: F(5, 3)), (unrelated, None), (orbit, None)):
         expected = [format_rational(v) for v in values]
         converted.clear()
-        assert format_sequence(values, ratio) == expected
+        assert format_sequence(values, divisor) == expected
         # every long int is converted from scratch
         split = rational._FORMAT_SPLIT_BITS
         long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
@@ -140,16 +139,16 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
 
 
 def _sequences(system: str, params, ics, n: int) -> list:
-    """(values, ratio) of both components of the orbit and, unless the
+    """(values, divisor) of both components of the orbit and, unless the
     closed forms are undefined there, of the product-route sweep."""
     orbit = systems.orbit(system, params, ics, n)
     components = (orbit.trajectory.first, orbit.trajectory.second)
-    sequences = list(zip(components, systems.step_ratios(system, params, orbit)))
+    sequences = list(zip(components, orbit.divisors))
     try:
-        first, second, ratios = closed_form.case_sweep_ratios(system, "Product", params, ics, n)
+        *sweep, divisors = closed_form.case_sweep_divisors(system, "Product", params, ics, n)
     except closed_form.ForbiddenInputError:
         return sequences
-    return sequences + list(zip((first, second), ratios))
+    return sequences + list(zip(sweep, divisors))
 
 
 def _chained(ints: list) -> set:
@@ -166,14 +165,14 @@ def _sides(values) -> tuple:
 @pytest.mark.parametrize("system, inputs", [("A", DEEP_A), ("B", DEEP_B)])
 def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inputs):
     # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
-    for values, ratio in _sequences(system, *inputs, 300):
+    for values, divisor in _sequences(system, *inputs, 300):
         expected = [format_rational(v) for v in values]
         converted = _counting(monkeypatch, "_to_decimal")
         called = []
-        assert format_sequence(values, lambda i: called.append(i) or ratio(i)) == expected
+        assert format_sequence(values, lambda i: called.append(i) or divisor(i)) == expected
         # the first long entry of each parity, numerators and denominators
         assert len(converted) == 4
-        # a ratio is formed once for each entry that chains, and for no other
+        # a divisor is formed once for each entry that chains, and for no other
         numerators, denominators = _sides(values)
         assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
         monkeypatch.undo()
@@ -183,21 +182,21 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
     "corrupt, fallbacks",
     [
         # the numerators' G is three times the denominators'
-        (lambda ratio, i: ratio(i) * 3 if i == 201 else ratio(i), 2),
+        (lambda divisor, i: divisor(i) / 3 if i == 201 else divisor(i), 2),
         # absolute values are unchanged, so no entry falls back
-        (lambda ratio, i: -ratio(i), 0),
-        # two entries built with each other's factor
-        (lambda ratio, i: ratio({201: 203, 203: 201}.get(i, i)), 4),
+        (lambda divisor, i: -divisor(i), 0),
+        # two entries built with each other's divisor
+        (lambda divisor, i: divisor({201: 203, 203: 201}.get(i, i)), 4),
     ],
 )
 def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallbacks):
     orbit = systems.orbit("A", *DEEP_A, 300)
-    ratio = systems.step_ratios("A", DEEP_A[0], orbit)[0]
+    divisor = orbit.divisors[0]
     values = orbit.trajectory.first
     assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
-    assert format_sequence(values, lambda i: corrupt(ratio, i)) == expected
+    assert format_sequence(values, lambda i: corrupt(divisor, i)) == expected
     assert len(converted) == 4 + fallbacks
 
 
@@ -217,9 +216,9 @@ def test_exact_quotient_from_leading_bits():
 
 
 def test_format_sequence_with_unreduced_ratios(monkeypatch):
-    # values[i]/values[i-2] = 441/25, given as 4851/275: G absorbs the 11
+    # values[i-2]/values[i] = 25/441, given as 275/4851: G absorbs the 11
     values = [F(21**k, 5**k) for k in range(7_000, 7_020)]  # 31k and 16k bits
-    unreduced = SimpleNamespace(numerator=441 * 11, denominator=25 * 11)
+    unreduced = SimpleNamespace(numerator=25 * 11, denominator=441 * 11)
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
     assert format_sequence(values, lambda i: unreduced) == expected
@@ -253,14 +252,14 @@ if given is not None:
         # every int at or past ``split`` bits is long, so short orbits chain;
         # 0 and 1 stay short
         system, params, ics, n, split = inputs
-        for values, ratio in _sequences(system, params, ics, n):
+        for values, divisor in _sequences(system, params, ics, n):
             expected = [format_rational(v) for v in values]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(rational, "_FORMAT_SPLIT_BITS", split)
                 converted = []
                 real = rational._to_decimal
                 patch.setattr(rational, "_to_decimal", lambda x: converted.append(x) or real(x))
-                assert format_sequence(values, ratio) == expected
+                assert format_sequence(values, divisor) == expected
                 # no entry that chains falls back
                 long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
                 assert len(converted) == long - sum(len(_chained(side)) for side in _sides(values))
@@ -300,8 +299,8 @@ def test_format_sequence_exact_in_any_decimal_context():
         ctx.prec = 6
         ctx.traps[decimal.Inexact] = False
         assert format_sequence(values) == expected
-        # chained, from the entry two back times 3**20
-        assert format_sequence(values, lambda i: F(3**20)) == expected
+        # chained, from the entry two back divided by 1/3**20
+        assert format_sequence(values, lambda i: F(1, 3**20)) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):
@@ -349,23 +348,6 @@ def test_geometric_sum_telescoping_identity():
         assert geometric_sum(q, m) * (q - 1) == q ** (m + 1) - 1
 
 
-def test_parity_selectors_examples():
-    assert parity_selectors(0) == (1, 0, 0, 1)
-    assert parity_selectors(1) == (0, 1, 1, 0)
-    assert parity_selectors(7) == (0, 1, 1, 0)
-
-
-def test_parity_selectors_properties():
-    for r in range(40):
-        alpha, beta, gamma, lam = parity_selectors(r)
-        assert alpha + beta == 1
-        assert gamma + lam == 1
-        assert alpha * beta == 0
-        assert gamma * lam == 0
-    with pytest.raises(ValueError):
-        parity_selectors(-1)
-
-
 def test_alternating_sign():
     assert alternating_sign(0) == 1
     assert alternating_sign(1) == -1
@@ -375,19 +357,19 @@ def test_alternating_sign():
 
 def test_unit_orbit_chains_past_the_split(monkeypatch):
     # System A with a = b = 1 grows linearly, to about 4,200 bits at
-    # n = 2000; entries past the split chain, so with the step ratios each
-    # component converts only its first long numerator and denominator of
-    # each index parity from scratch
+    # n = 2000; entries past the split chain, so with the orbit's divisors
+    # each component converts only its first long numerator and denominator
+    # of each index parity from scratch
     params = SystemAParams(1, 1)
     orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
     components = (orbit.trajectory.first, orbit.trajectory.second)
-    for values, ratio in zip(components, systems.step_ratios("A", params, orbit)):
+    for values, divisor in zip(components, orbit.divisors):
         numerators, denominators = _sides(values)
         longest = max(x.bit_length() for x in numerators + denominators)
         assert rational._FORMAT_SPLIT_BITS < longest < 5_000
         expected = [format_rational(v) for v in values]
         converted = _counting(monkeypatch, "_to_decimal")
-        assert format_sequence(values, ratio) == expected
+        assert format_sequence(values, divisor) == expected
         assert len(converted) == 4
         assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
         monkeypatch.undo()

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sdeq.sampling import draw_admissible_a, draw_admissible_b
+from sdeq import closed_form, rational, reduction, systems
+from sdeq.rational import format_rational, format_sequence
+from sdeq.sampling import draw_admissible_a, draw_admissible_b, draw_params
 from sdeq.systems import (
     SHAPES,
     Singularity,
@@ -21,7 +23,7 @@ from sdeq.systems import (
 )
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # only the property test needs hypothesis
     given = None
@@ -269,3 +271,76 @@ if given is not None:
     @given(_inputs())
     def test_literal_map_on_draws(inputs):
         _assert_literal(*inputs)
+
+    @st.composite
+    def _case_inputs(draw):
+        """_inputs with a case tag of the system: drawn parameters for
+        Product, else the tag's fixed or pinned ones (sampling.draw_params)."""
+        system, params, ics, _ = draw(_inputs())
+        tag = draw(st.sampled_from(sorted(closed_form.CASES[system])))
+        if tag != "Product":
+            params = draw_params(random.Random(draw(st.integers(0, 2**32))), system, tag)
+        return system, tag, params, ics, draw(st.integers(2, 30))
+
+    def _assert_built_with(values, divisor) -> None:
+        """entry[i-2] == entry[i]*divisor(i) for i >= 2, and printing from
+        the divisors is printing value by value, with every int of 64 bits
+        or more chaining where it can."""
+        assert all(values[i - 2] == values[i] * divisor(i) for i in range(2, len(values)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+            assert format_sequence(values, divisor) == [format_rational(v) for v in values]
+
+    _LONG_A = SystemAInitial(F(3**25, 2**39 + 1), F(-(2**40) + 7, 9), F(4, 9), F(5, 8))
+    _LONG_B = SystemBInitial(F(3, 5), F(-(2**40) + 7, 9), F(4, 9), F(5, 8), F(-3, 4), F(3**25, 7))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_case_inputs())
+    # every pure-power tag, extended past its assembled entries, on long values
+    @example(("A", "NegNeg", SystemAParams(-1, -1), _LONG_A, 30))
+    @example(("A", "Aeq1Bneg1", SystemAParams(1, -1), _LONG_A, 30))
+    @example(("A", "Beq1Aneg1", SystemAParams(-1, 1), _LONG_A, 30))
+    @example(("B", "UnitBD", SystemBParams(1, 1, -1, 1), _LONG_B, 30))
+    # u1 = 0 zeroes every other entry of u
+    @example(("A", "Product", SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(3, 0, 4, 5), 30))
+    def test_every_list_is_built_by_the_kernel_with_its_divisors(inputs):
+        # the orbit, the case sweep, both routes and the reconstruction are
+        # each built by systems.telescope, and the divisors handed out for
+        # printing are the ones it divided by
+        system, tag, params, ics, n = inputs
+        built = {}  # id -> every list the kernel extended, checked as it returns
+        real = systems.telescope
+
+        def kernel(values, divisor, last):
+            assert real(values, divisor, last) is divisor
+            _assert_built_with(values, divisor)
+            built[id(values)] = values
+            return divisor
+
+        with pytest.MonkeyPatch.context() as patch:
+            for layer in (systems, reduction, closed_form):
+                patch.setattr(layer, "telescope", kernel)
+            iterated = orbit(system, params, ics, n)
+            trajectory = iterated.trajectory
+            for values, divisor in zip((trajectory.first, trajectory.second), iterated.divisors):
+                _assert_built_with(values, divisor)
+            try:
+                *sweep, divisors = closed_form.case_sweep_divisors(system, tag, params, ics, n)
+                routes = closed_form.routes(system, tag, params, ics, n)
+            except closed_form.ForbiddenInputError:
+                pass
+            else:
+                for values, divisor in zip(sweep, divisors):
+                    _assert_built_with(values, divisor)
+                assert routes.keys() == {"product", tag}
+                assert all(id(values) in built for route in routes.values() for values in route)
+            before = len(built)
+            try:
+                lin = reduction.linearize(reduction.InvariantSeq(iterated.w, iterated.z))
+                starts = (values[0] for values in SHAPES[system].split(ics._astuple()))
+                rebuilt = reduction.reconstruct(system, lin, *starts)
+            except (reduction.ZeroInvariantError, reduction.ZeroDivisorError):
+                pass
+            else:
+                assert len(built) == before + 2
+                assert (rebuilt.first, rebuilt.second) == (trajectory.first, trajectory.second)
