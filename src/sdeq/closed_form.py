@@ -168,11 +168,6 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 # of S and T up to index P finds, so the first forbidden index is the full
 # sweep's.
 
-# per system: whether a zero initial value leaves every case undefined
-# (System A; System B reports its zero seed product)
-_ZERO_INITIAL_FORBIDDEN = {"A": True, "B": False}
-
-
 def _periodic(period: int, divisor):
     """The divisors of a pure-power extension: divisor(i) for
     i = 2..period+1, repeated with the period."""
@@ -184,15 +179,17 @@ def _sweep(case: Case, system: str, params, ics, n_max: int):
     """Entries 0..n_max of ``case`` as (first, second, divisors), with
     divisors those that ``systems.telescope`` built them with: the
     assembly's, or for a pure-power case, which assembles entries 0..P+1 at
-    most, those of its period extension.  A zero initial value (System A)
+    most, those of its period extension.  A zero initial value (lag 1)
     or seed product is reported before a pure-power case can give the
     error its own detail; where S and T vanish at one index, the auxiliary
     of the first component's update is named."""
-    if _ZERO_INITIAL_FORBIDDEN[system]:
+    shape, period = SHAPES[system], case.period
+    # only lag-1 iteration admits zero components (a longer lag refuses
+    # them), so only there must the closed forms name the zero
+    if shape.lag == 1:
         for name, value in ics._asdict().items():
             if value == 0:
                 raise ForbiddenInputError(0, f"{name} = 0, closed forms undefined")
-    shape, period = SHAPES[system], case.period
     count = min(n_max, period + 1) if period else n_max
     sb, tb = closed_ST_sweep(system, params, seeds(system, ics), count)
     auxiliary = {"S": sb, "T": tb}

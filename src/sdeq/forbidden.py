@@ -101,7 +101,10 @@ def _invariant_map_step(system: str, params, ics, n_max: int) -> Optional[int]:
     """First singular step by the invariant map w[n+lag] = z[n]/(p + q*z[n]),
     z[n+lag] = w[n]/(r + s*w[n]) from the seed products, which stays defined
     on zero products: step n + lag + 1 divides by p + q*z[n] and r + s*w[n]
-    (see the module docstring), so it is singular iff one of them vanishes."""
+    (see the module docstring), so it is singular iff one of them vanishes.
+    It repeats ``systems.carry``'s recursion on purpose: a prediction that
+    read the iterator's own steps would agree with a wrong step
+    (test_predict_vs_observe_zero_product_sides_are_independent)."""
     shape = SHAPES[system]
     lag = shape.lag
     (p, q), (r, s) = shape.rule(params)
@@ -125,8 +128,8 @@ def predict_vs_observe(
     """Compare the restriction-based singularity prediction with iteration.
 
     The restrictions need nonzero seed products.  An input with a zero
-    seed product is predicted from the invariant map instead; only System A
-    gets there, since System B rejects zero initial components outright.
+    seed product is predicted from the invariant map instead; only lag 1
+    gets there, since a longer lag refuses zero initial components.
     """
     if system not in SHAPES:
         raise ValueError(f"unknown system {system!r}")
@@ -134,7 +137,7 @@ def predict_vs_observe(
     if n_max < shape.lag:
         raise ValueError(f"n_max must be >= {shape.lag} for System {system}")
     report = check_forbidden(system, params, ics, max(0, (n_max - 1) // shape.period))
-    trajectory = iterate(system, params, ics, n_max)  # System B rejects zero initials
+    trajectory = iterate(system, params, ics, n_max)  # lag >= 2 rejects zero initials
     predicted = report.predicted_singular_step
     if report.closed_form_inadmissible:
         predicted = _invariant_map_step(system, params, ics, n_max)

@@ -99,8 +99,11 @@ def format_sequence(values, divisor=None) -> list[str]:
 # CPython 3.12's _pylong); leaves stay under the limit.  An int of
 # _FORMAT_SPLIT_BITS or more is long: it chains from the entry two back
 # when it can.  str() takes about 6 us at 2,000 bits and 25 us at 4,000,
-# a chained step 4 to 6 us, so chaining pays from about 2,000 bits.
+# a chained step 4 to 6 us, so chaining pays from about 2,000 bits.  A long
+# int that does not chain takes str() below _FORMAT_STR_BITS (3,600 digits),
+# where it beats the divide and conquer.
 _FORMAT_SPLIT_BITS = 2_000
+_FORMAT_STR_BITS = 12_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
 
@@ -125,13 +128,13 @@ _EXACT = decimal.Context(
 def _digit_strings(ints: list[int], step) -> list[str]:
     """Decimal digits of each nonnegative int in ``ints``.
 
-    A long entry i is x[i-2]*up/down, taken on the kept Decimal of entry
+    A long entry i is x[i-2]*up/down, taken on the kept digits of entry
     i-2, when entry i-2 was long too and step(i) gives (up, down); an entry
-    without them, or whose division leaves a remainder, is converted by
-    divide and conquer.
+    without them, or whose division leaves a remainder, is converted from
+    scratch; digits from str() are read into a Decimal only to chain.
     """
     texts = []
-    kept: list[decimal.Decimal | None] = [None, None]  # by index parity
+    kept: list[decimal.Decimal | str | None] = [None, None]  # by index parity
     for i, x in enumerate(ints):
         if x.bit_length() < _FORMAT_SPLIT_BITS:
             texts.append(str(x))
@@ -142,10 +145,10 @@ def _digit_strings(ints: list[int], step) -> list[str]:
             factors = step(i) if base is not None else None
             digits = None
             if factors is not None:
-                quotient, rest = divmod(base * factors[0], factors[1])
+                quotient, rest = divmod(decimal.Decimal(base) * factors[0], factors[1])
                 digits = None if rest else quotient
             if digits is None:
-                digits = _to_decimal(x)
+                digits = str(x) if x.bit_length() < _FORMAT_STR_BITS else _to_decimal(x)
             texts.append(str(digits))
         kept[i & 1] = digits
     return texts

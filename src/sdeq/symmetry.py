@@ -83,20 +83,23 @@ def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):
     return c2 - c1, c1 + c2, ch.c1.denominator * ch.c2.denominator
 
 
+_layouts: dict[int, tuple] = {}  # id(shape) -> (shape, layout), built on lookup
+
+
 def _layout(shape) -> tuple:
     """Per component X, first then second, with Y the other component: the
     point positions of X[n], Y[n+1] and Y[n+lag] (None when lag = 1, where
     Y[n+lag] is Y[n+1]) and the index of X's update pair in
-    shape.rule(params), 0 for the trailing component."""
-    first, second = shape.split(range(len(shape.initial._fields)))
-    _, trail = shape.by_lead(first, second)
-    return tuple(
-        (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
-        for x, y in ((first, second), (second, first))
-    )
-
-
-_LAYOUTS = {system: _layout(shape) for system, shape in SHAPES.items()}
+    shape.rule(params), 0 for the trailing component.  Cached per shape
+    object, which the cache keeps, so that its id stays unique."""
+    if id(shape) not in _layouts:
+        first, second = shape.split(range(len(shape.initial._fields)))
+        _, trail = shape.by_lead(first, second)
+        _layouts[id(shape)] = shape, tuple(
+            (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
+            for x, y in ((first, second), (second, first))
+        )
+    return _layouts[id(shape)][1]
 
 
 def _updates(system: str, params, point):
@@ -108,13 +111,14 @@ def _updates(system: str, params, point):
     named factor.  ``share`` is the numerator the kernel uses of
     P/Y[n+lag], and d = d_num/d_den its denominator, as in the factor.
     """
-    fields = SHAPES[system].initial._fields
+    shape = SHAPES[system]
+    fields = shape.initial._fields
     if len(point) != len(fields):
         raise ValueError(f"a System {system} point has {len(fields)} values, not {len(point)}")
     parts = [(value.numerator, value.denominator) for value in map(rat, point)]
-    pairs = SHAPES[system].rule(params)
+    pairs = shape.rule(params)
     updates = []
-    for x, y1, y_lag, pair in _LAYOUTS[system]:
+    for x, y1, y_lag, pair in _layout(shape):
         (xn, xd), (y1n, y1d) = parts[x], parts[y1]
         alpha, beta = pairs[pair]
         s = alpha.denominator * beta.denominator * xd * y1d

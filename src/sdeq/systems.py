@@ -11,18 +11,19 @@ and System B the third-order pair
 
 Iteration is exact; a vanishing denominator is recorded in-band as a
 singularity (it is data the forbidden-set analysis compares against, not a
-failure).  Iteration runs in two parts.  ``carry`` runs the invariant
-recursion alone: it advances the invariant products w and z by exact
-identities of the map and records each step's divisors and the first
-singular step, all O(n)-bit values; ``reduce`` reads nothing else.
+failure).  Both are X[n+lag+1] = P/(Y[n+lag]*(alpha + beta*P)) with
+P = X[n]*Y[n+1] (X[n]/(alpha + beta*P) at lag 1); ``SHAPES`` states each
+system's lag, rule and reduction once, and every layer reads it.
+Iteration runs in two parts.  ``carry``, one loop for every lag, runs the
+invariant recursion alone: it advances the invariant products w and z by
+exact identities of the map and records each step's divisors and the
+first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
 ``orbit`` then builds the long entries from them with ``telescope``, the
-one loop that divides an entry two back by a short divisor, and keeps the
-divisors it used for printing; ``iterate`` returns an orbit's trajectory.
-The closed forms build their orbits with ``telescope`` too.  ``shift_back``
-performs the index relabeling that identifies these sequences with the
-originally posed systems, whose initial conditions sit at negative
-indices.  ``SHAPES`` states, once per system, how it reduces
-to linear auxiliary sequences; every other layer reads it.
+one loop that divides an entry two back by a short divisor (the closed
+forms build theirs with it too); ``iterate`` returns its trajectory.
+``shift_back`` performs the index relabeling that identifies these
+sequences with the originally posed systems, whose initial conditions
+sit at negative indices.
 """
 
 from __future__ import annotations
@@ -152,9 +153,11 @@ class SystemShape(_Record):
     leading one, "first" or "second") have reciprocals S = 1/w, T = 1/z
     with S[n+lag] = p*T[n] + q, T[n+lag] = r*S[n] + s, where
     ((p, q), (r, s)) = rule(params).  An initial record holds the first
-    component at indices 0..lag, then the second.  The layers derive the
-    rest: the closed form's period 2*lag, the smallest orbit index lag,
-    the seed products and the CLI flags (the records' ``_fields``).
+    component at indices 0..lag, then the second.  ``denominators`` are
+    the texts of the first and the second component's vanishing update
+    denominator at step n+lag+1, formatted with (n, n+1, n+lag).  The
+    layers derive the rest: the closed form's period 2*lag, the smallest
+    orbit index lag, the seed products and the CLI flags (``_fields``).
     """
 
     params: type
@@ -162,6 +165,7 @@ class SystemShape(_Record):
     lag: int
     lead: str
     rule: Callable
+    denominators: tuple[str, str]
 
     @property
     def period(self) -> int:
@@ -194,9 +198,13 @@ class SystemShape(_Record):
 # System A: S[n+1] = a*T[n] + 1, T[n+1] = b*S[n] + 1 with w[n] = v[n]*u[n+1];
 # System B: S[n+2] = c*T[n] + d, T[n+2] = a*S[n] + b with w[n] = x[n]*y[n+1]
 SHAPES = {
-    "A": SystemShape(SystemAParams, SystemAInitial, 1, "second", lambda p: ((p.a, 1), (p.b, 1))),
+    "A": SystemShape(
+        SystemAParams, SystemAInitial, 1, "second", lambda p: ((p.a, 1), (p.b, 1)),
+        ("a + u{0}*v{1} = 0", "b + v{0}*u{1} = 0"),
+    ),
     "B": SystemShape(
-        SystemBParams, SystemBInitial, 2, "first", lambda p: ((p.c, p.d), (p.a, p.b))
+        SystemBParams, SystemBInitial, 2, "first", lambda p: ((p.c, p.d), (p.a, p.b)),
+        ("y{2}*(a + b*x{0}*y{1}) = 0", "x{2}*(c + d*y{0}*x{1}) = 0"),
     ),
 }
 
@@ -233,8 +241,9 @@ class Trajectory(_Record):
 
 
 class ZeroInitialError(ValueError):
-    """``iterate_b`` refuses System B initial components that are zero;
-    distinct from a runtime singularity."""
+    """``carry`` refuses zero initial components of a system of lag 2 or
+    more, whose divisors are quotients of the invariant products; distinct
+    from a runtime singularity."""
 
 
 class Orbit(_Record):
@@ -250,11 +259,10 @@ class Orbit(_Record):
 
 
 class Carried(_Record):
-    """The short values an orbit's iteration carries: the invariant
-    products w and z (as in Orbit), per component the short divisors of
-    the completed steps (System A's a + z[n] and b + w[n]; System B has
-    none, see carry_b) and the first singular step.  Each holds O(n) bits;
-    ``orbit`` builds the long entries from them and the initial values."""
+    """The short values an orbit's iteration carries, O(n) bits each: the
+    invariant products w and z (as in Orbit), per component (first,
+    second) the divisors of its entries 2.. indexed by i - 2 (see carry),
+    and the first singular step.  ``orbit`` builds the long entries."""
 
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
@@ -262,70 +270,50 @@ class Carried(_Record):
     singular: Singularity | None
 
 
-def carry_a(params: SystemAParams, ics: SystemAInitial, n_max: int) -> Carried:
-    """System A's carried values up to index ``n_max`` (inclusive).
+def carry(system: str, params, ics, n_max: int) -> Carried:
+    """The values that iterating ``system`` up to index ``n_max``
+    (inclusive) carries, without its long entries: what ``reduce`` reads.
 
-    The step carries z[n] = u[n]*v[n+1] and w[n] = v[n]*u[n+1], which the
-    map itself advances: z[n+1] = w[n]/(b + w[n]) and
-    w[n+1] = z[n]/(a + z[n]).  The divisors a + z[n] and b + w[n] are those
-    of u[n+2] = u[n]/(a + z[n]) and v[n+2] = v[n]/(b + w[n]).
+    With ((p, q), (r, s)) = rule(params), step n + lag + 1 advances
+    w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n]); it is
+    singular where the trailing component's p + q*z[n] or the leading
+    one's r + s*w[n] vanishes, the first component checked first (the
+    factor Y[n+lag] of a longer lag never does).  Entry i is entry i-2 /
+    divisor(i): at lag 1 that factor at n = i-2, defined on zero
+    components too; at a longer lag w[i-2]/z[i-1] (leading) or
+    z[i-2]/w[i-1] (trailing), from i = 2 on, so zero initials are refused.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1 for System A")
-    a, b = params.a, params.b
-    z = [ics.u0 * ics.v1]
-    w = [ics.v0 * ics.u1]
-    dens_u, dens_v = [], []
+    shape = SHAPES[system]
+    lag = shape.lag
+    if n_max < lag:
+        raise ValueError(f"n_max must be >= {lag} for System {system}")
+    if lag > 1 and not all(ics._astuple()):
+        raise ZeroInitialError(f"System {system} initial components must all be nonzero")
+    (p, q), (r, s) = shape.rule(params)
+    # a unit coefficient is left unmultiplied: 1*z costs as much as the sum
+    unit_q, unit_s = q == 1, s == 1
+    products = [value for _, value in shape.seed_products(ics)]
+    w, z = products[:lag], products[lag:]
+    lead_dens, trail_dens = [], []
 
     def stop(singular=None):
-        return Carried(tuple(w), tuple(z), (tuple(dens_u), tuple(dens_v)), singular)
+        divisors = lead_dens, trail_dens
+        if lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
+            rest = range(2, len(w) + 1)
+            divisors = [w[i - 2] / z[i - 1] for i in rest], [z[i - 2] / w[i - 1] for i in rest]
+        return Carried(tuple(w), tuple(z), shape.by_lead(*map(tuple, divisors)), singular)
 
-    for n in range(n_max - 1):
-        den_u = a + z[n]
-        if den_u == 0:
-            return stop(Singularity(n + 2, "first", f"a + u{n}*v{n + 1} = 0"))
-        den_v = b + w[n]
-        if den_v == 0:
-            return stop(Singularity(n + 2, "second", f"b + v{n}*u{n + 1} = 0"))
-        dens_u.append(den_u)
-        dens_v.append(den_v)
-        z.append(w[n] / den_v)
-        w.append(z[n] / den_u)
-    return stop()
-
-
-def carry_b(params: SystemBParams, ics: SystemBInitial, n_max: int) -> Carried:
-    """System B's carried values up to index ``n_max`` (inclusive).
-
-    The step carries w[n] = x[n]*y[n+1] and z[n] = y[n]*x[n+1], which the
-    map advances two indices at a time: z[n+2] = w[n]/(a + b*w[n]) and
-    w[n+2] = z[n]/(c + d*z[n]).  Then x[i-2]/x[i] = w[i-2]/z[i-1] and
-    y[i-2]/y[i] = z[i-2]/w[i-1], so no divisor needs carrying.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2 for System B")
-    initials = (ics.x0, ics.x1, ics.x2, ics.y0, ics.y1, ics.y2)
-    if any(value == 0 for value in initials):
-        raise ZeroInitialError("System B initial components must all be nonzero")
-    a, b, c, d = params.a, params.b, params.c, params.d
-    w = [ics.x0 * ics.y1, ics.x1 * ics.y2]
-    z = [ics.y0 * ics.x1, ics.y1 * ics.x2]
-
-    def stop(singular=None):
-        return Carried(tuple(w), tuple(z), ((), ()), singular)
-
-    for n in range(n_max - 2):
-        # nonzero initials keep every later entry nonzero, so of the
-        # denominators y[n+2]*(a + b*w[n]) and x[n+2]*(c + d*z[n]) only the
-        # parenthesized factors can vanish
-        den_x = a + b * w[n]
-        if den_x == 0:
-            return stop(Singularity(n + 3, "first", f"y{n + 2}*(a + b*x{n}*y{n + 1}) = 0"))
-        den_y = c + d * z[n]
-        if den_y == 0:
-            return stop(Singularity(n + 3, "second", f"x{n + 2}*(c + d*y{n}*x{n + 1}) = 0"))
-        z.append(w[n] / den_x)
-        w.append(z[n] / den_y)
+    for n in range(n_max - lag):
+        den_lead = r + (w[n] if unit_s else s * w[n])
+        den_trail = p + (z[n] if unit_q else q * z[n])
+        if not (den_lead and den_trail):
+            k = shape.by_lead(den_lead, den_trail).index(0)
+            text = shape.denominators[k].format(n, n + 1, n + lag)
+            return stop(Singularity(n + lag + 1, ("first", "second")[k], text))
+        lead_dens.append(den_lead)
+        trail_dens.append(den_trail)
+        w.append(z[n] / den_trail)
+        z.append(w[n] / den_lead)
     return stop()
 
 
@@ -341,11 +329,7 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
         raise ValueError("shift_back offset must be 1 or 2")
     labels = ("x", "y") if trajectory.labels == ("u", "v") else trajectory.labels
     return Trajectory(
-        labels,
-        trajectory.first,
-        trajectory.second,
-        trajectory.singular,
-        trajectory.origin - offset,
+        labels, trajectory.first, trajectory.second, trajectory.singular, trajectory.origin - offset
     )
 
 
@@ -360,38 +344,19 @@ def telescope(values: list, divisor: Callable, last: int) -> Callable:
     return divisor
 
 
-# per system: the loop that carries its short values, and from those its
-# divisor rule, the divisors of the first and the second component.
-# System A divides by its map's own factors a + z[i-2] and b + w[i-2],
-# defined where a component is zero; System B by quotients of w and z
-# (carry_b), as its entries are never zero.
-_ITERATES = {
-    "A": (carry_a, lambda c: (lambda i: c.divisors[0][i - 2], lambda i: c.divisors[1][i - 2])),
-    "B": (
-        carry_b,
-        lambda c: (lambda i: c.w[i - 2] / c.z[i - 1], lambda i: c.z[i - 2] / c.w[i - 1]),
-    ),
-}
-
-
-def carry(system: str, params, ics, n_max: int) -> Carried:
-    """The values that iterating ``system`` up to index ``n_max``
-    (inclusive) carries, without its long entries: what ``reduce`` reads."""
-    return _ITERATES[system][0](params, ics, n_max)
-
-
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
     carried values, then each component's long entries by ``telescope``
-    from its initial values and the system's divisor rule."""
+    from its initial values and the divisors ``carry`` recorded."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
-    entries = [list(values) for values in shape.split(ics._astuple())]
-    divisors = tuple(
-        telescope(values, divisor, len(carried.w))
-        for values, divisor in zip(entries, _ITERATES[system][1](carried))
+    first, second = (list(values) for values in shape.split(ics._astuple()))
+    of_first, of_second = carried.divisors
+    divisors = (
+        telescope(first, lambda i: of_first[i - 2], len(carried.w)),
+        telescope(second, lambda i: of_second[i - 2], len(carried.w)),
     )
-    trajectory = Trajectory(shape.labels, *map(tuple, entries), carried.singular)
+    trajectory = Trajectory(shape.labels, tuple(first), tuple(second), carried.singular)
     return Orbit(trajectory, carried.w, carried.z, divisors)
 
 

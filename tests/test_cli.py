@@ -913,7 +913,9 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     # entries reach 49k bits; each long one is printed from the entry two
     # back and the divisor it was built with, so each output converts only
     # the first long numerator and denominator of each index parity, for
-    # each component, from scratch
+    # each component, from scratch, and those have under
+    # rational._FORMAT_STR_BITS bits: str() converts them, divide and
+    # conquer nothing
     params = SystemAParams(F(2, 3), F(-5, 7))
     orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
     assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
@@ -928,7 +930,7 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
-    assert (len(converted), sweeps) == (3 * 8, ["A"])
+    assert (len(converted), sweeps) == (0, ["A"])
 
 
 def _flags(record) -> list:
@@ -951,12 +953,14 @@ PURE_POWER_ICS = {
 def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, tag):
     # with the split lowered to 64 bits most entries at n = 120 are long;
     # each is printed from the entry two back and the divisor the period
-    # extension built it with
+    # extension built it with.  The str() bound is lowered too, so every
+    # long int that does not chain is converted by divide and conquer
     params, ics = closed_form.CASES[system][tag].fixed, PURE_POWER_ICS[system]
     sweep = closed_form.case_sweep(system, tag, params, ics, 120)
     expected = [[format_rational(v) for v in values] for values in sweep]
     argv = ["solve", "--sweep", "--system", system, *_flags(params), *_flags(ics), "--n", "120"]
     monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     converted = _counted_conversions(monkeypatch)
     per_component = []
     real_format = cli.format_sequence

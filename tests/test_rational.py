@@ -103,8 +103,11 @@ PURE_POWER = [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "Un
 def test_format_sequence_chains_deep_orbits(monkeypatch):
     # pure-power sweeps grow by 1 to 3 bits per index, so with the split
     # lowered to 64 bits most entries at n = 120 are long and chain
-    # from the entry two back by the divisor the period extension used
+    # from the entry two back by the divisor the period extension used;
+    # with the str() bound lowered too, every long int that does not chain
+    # is converted by divide and conquer, and counted
     monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     converted = _counting(monkeypatch, "_to_decimal")
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
@@ -132,9 +135,10 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
         expected = [format_rational(v) for v in values]
         converted.clear()
         assert format_sequence(values, divisor) == expected
-        # every long int is converted from scratch
-        split = rational._FORMAT_SPLIT_BITS
-        long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
+        # every long int is converted from scratch, by divide and conquer
+        # from _FORMAT_STR_BITS on
+        bound = rational._FORMAT_STR_BITS
+        long = sum(x.bit_length() >= bound for side in _sides(values) for x in side)
         assert len(converted) == long
 
 
@@ -170,8 +174,10 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
         converted = _counting(monkeypatch, "_to_decimal")
         called = []
         assert format_sequence(values, lambda i: called.append(i) or divisor(i)) == expected
-        # the first long entry of each parity, numerators and denominators
-        assert len(converted) == 4
+        # only the first long entry of each parity, numerators and
+        # denominators, is converted from scratch; it has under
+        # _FORMAT_STR_BITS bits, so str() converts it
+        assert len(converted) == 0
         # a divisor is formed once for each entry that chains, and for no other
         numerators, denominators = _sides(values)
         assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
@@ -193,11 +199,14 @@ def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallb
     orbit = systems.orbit("A", *DEEP_A, 300)
     divisor = orbit.divisors[0]
     values = orbit.trajectory.first
-    assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
+    # entries 201 and 203 fall back to divide and conquer; the first long
+    # entries of each parity, under _FORMAT_STR_BITS, are converted by str()
+    shortest = min(x for side in _sides(values[201:204]) for x in side)
+    assert shortest.bit_length() >= rational._FORMAT_STR_BITS
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
     assert format_sequence(values, lambda i: corrupt(divisor, i)) == expected
-    assert len(converted) == 4 + fallbacks
+    assert len(converted) == fallbacks
 
 
 def test_exact_quotient_from_leading_bits():
@@ -249,13 +258,15 @@ if given is not None:
     @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), 0, F(4, 9), F(5, 8)), 30, 2))
     @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), F(-2, 7), 0, F(5, 8)), 30, 2))
     def test_format_sequence_with_step_ratios_on_draws(inputs):
-        # every int at or past ``split`` bits is long, so short orbits chain;
-        # 0 and 1 stay short
+        # every int at or past ``split`` bits is long, so short orbits chain,
+        # and every long int that does not chain is converted by divide and
+        # conquer; 0 and 1 stay short
         system, params, ics, n, split = inputs
         for values, divisor in _sequences(system, params, ics, n):
             expected = [format_rational(v) for v in values]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(rational, "_FORMAT_SPLIT_BITS", split)
+                patch.setattr(rational, "_FORMAT_STR_BITS", split)
                 converted = []
                 real = rational._to_decimal
                 patch.setattr(rational, "_to_decimal", lambda x: converted.append(x) or real(x))
@@ -359,7 +370,8 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
     # System A with a = b = 1 grows linearly, to about 4,200 bits at
     # n = 2000; entries past the split chain, so with the orbit's divisors
     # each component converts only its first long numerator and denominator
-    # of each index parity from scratch
+    # of each index parity from scratch, all by str() as they stay under
+    # _FORMAT_STR_BITS
     params = SystemAParams(1, 1)
     orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
     components = (orbit.trajectory.first, orbit.trajectory.second)
@@ -370,6 +382,6 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
         expected = [format_rational(v) for v in values]
         converted = _counting(monkeypatch, "_to_decimal")
         assert format_sequence(values, divisor) == expected
-        assert len(converted) == 4
+        assert len(converted) == 0
         assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
         monkeypatch.undo()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sdeq import closed_form, rational, reduction, systems
+from sdeq import closed_form, forbidden, rational, reduction, symmetry, systems
 from sdeq.rational import format_rational, format_sequence
 from sdeq.sampling import draw_admissible_a, draw_admissible_b, draw_params
 from sdeq.systems import (
@@ -13,6 +13,7 @@ from sdeq.systems import (
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    SystemShape,
     Trajectory,
     ZeroInitialError,
     iterate,
@@ -344,3 +345,201 @@ if given is not None:
             else:
                 assert len(built) == before + 2
                 assert (rebuilt.first, rebuilt.second) == (trajectory.first, trajectory.second)
+
+
+# ---------------------------------------------------------------------------
+# shapes nobody wrote code for: members of the family
+#
+#     X[n+lag+1] = P/(Y[n+lag]*(alpha + beta*P)),  P = X[n]*Y[n+1]
+#
+# (for lag 1, X[n]/(alpha + beta*P)), registered in SHAPES for a test only.
+# Every layer must carry them from the shape record alone.
+
+
+def _family_step(lag, alpha, beta, x, y1, y_lag):
+    """One update of the family as written: (numerator, denominator)."""
+    product = x * y1
+    if lag == 1:
+        return x, alpha + beta * product
+    return product, y_lag * (alpha + beta * product)
+
+
+def _family_map(shape, params, ics, n_max):
+    """The family's map as written, for any lag, from the shape's lag, lead
+    and rule alone: (first, second, (step, component) or None).  The
+    trailing component updates with the rule pair (p, q), the leading one
+    with (r, s)."""
+    lag = shape.lag
+    first, second = (list(values) for values in shape.split(ics._astuple()))
+    (p, q), (r, s) = shape.rule(params)
+    pairs = ((r, s), (p, q)) if shape.lead == "first" else ((p, q), (r, s))
+    for n in range(n_max - lag):
+        new = []
+        for k, (x, y) in enumerate(((first, second), (second, first))):
+            numerator, denominator = _family_step(lag, *pairs[k], x[n], y[n + 1], y[n + lag])
+            if denominator == 0:
+                return first, second, (n + lag + 1, ("first", "second")[k])
+            new.append(numerator / denominator)
+        first.append(new[0])
+        second.append(new[1])
+    return first, second, None
+
+
+class _Dual:
+    """value + slope*eps with eps**2 = 0: a derivative along one direction."""
+
+    def __init__(self, value, slope=0):
+        self.value, self.slope = value, slope
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Dual) else _Dual(other)
+        return _Dual(self.value + other.value, self.slope + other.slope)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = other if isinstance(other, _Dual) else _Dual(other)
+        return _Dual(self.value * other.value, self.value * other.slope + self.slope * other.value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        value = self.value / other.value
+        return _Dual(value, (self.slope - value * other.slope) / other.value)
+
+
+def _family_residual(shape, ch, params, n_parity, point, variant):
+    """The linearized symmetry condition of the map as written at
+    ``point``, per component X: c_X(lag+1)*F - dF, with dF the derivative
+    of X's update F along (c_X(0)*X[n], c_Y(1)*Y[n+1], c_Y(lag)*Y[n+lag])."""
+    lag = shape.lag
+    (p, q), (r, s) = shape.rule(params)
+    pairs = ((r, s), (p, q)) if shape.lead == "first" else ((p, q), (r, s))
+
+    def coefficients(k):  # (first's, second's) coefficient at index n + k
+        sign = 1 if variant == "frozen" else (-1) ** (n_parity + k)
+        return ch.c2 * sign - ch.c1, ch.c1 + ch.c2 * sign
+
+    first, second = shape.split(tuple(point))
+    residuals = []
+    for k, (x, y) in enumerate(((first, second), (second, first))):
+        direction = [_Dual(x[0], coefficients(0)[k] * x[0])]
+        direction += [_Dual(y[i], coefficients(i)[1 - k] * y[i]) for i in (1, lag)]
+        numerator, denominator = _family_step(lag, *pairs[k], *direction)
+        update = numerator / denominator
+        residuals.append(coefficients(lag + 1)[k] * update.value - update.slope)
+    return tuple(residuals)
+
+
+def _lag_shape(lag: int, lead: str) -> SystemShape:
+    initial = type(
+        f"Lag{lag}Initial",
+        (systems._Exact,),
+        {"__annotations__": {f"{c}{k}": F for c in "xy" for k in range(lag + 1)}},
+    )
+    return SystemShape(
+        SystemBParams,
+        initial,
+        lag,
+        lead,
+        lambda p: ((p.c, p.d), (p.a, p.b)) if lead == "first" else ((p.a, p.b), (p.c, p.d)),
+        ("y{2}*(a + b*x{0}*y{1}) = 0", "x{2}*(c + d*y{0}*x{1}) = 0"),
+    )
+
+
+_POOL = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(-1, 3)]
+
+
+def _family_draws(shape, count: int, seed: int, pool=_POOL):
+    """(params, ics, n): small values, so that denominators vanish often."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        params = shape.params(*(rng.choice(_POOL) for _ in shape.params._fields))
+        ics = shape.initial(*(rng.choice(pool) for _ in shape.initial._fields))
+        yield params, ics, rng.randint(shape.lag, 16)
+
+
+def test_family_map_is_the_literal_map_at_lags_1_and_2():
+    for system, pool in (("A", [F(0), *_POOL]), ("B", _POOL)):
+        shape = SHAPES[system]
+        singular = 0
+        for params, ics, n in _family_draws(shape, 300, 1, pool):
+            literal = _literal_map(system, params, ics, n)
+            first, second, stop = _family_map(shape, params, ics, n)
+            assert (tuple(first), tuple(second)) == (literal.first, literal.second)
+            sing = literal.singular
+            assert stop == (sing and (sing.step, sing.component))
+            singular += stop is not None
+        assert singular > 20
+
+
+def _agrees(system: str, truth: SystemShape, params, ics, n: int) -> bool:
+    """Whether the layers, carrying ``system`` as registered in SHAPES,
+    agree with the map of ``truth`` as written: the orbit and its singular
+    step, the reduction, the product route, the forbidden-set prediction
+    and both symmetry residuals."""
+    first, second, stop = _family_map(truth, params, ics, n)
+    iterated = orbit(system, params, ics, n)
+    trajectory = iterated.trajectory
+    singular = trajectory.singular and (trajectory.singular.step, trajectory.singular.component)
+    if (trajectory.first, trajectory.second, singular) != (tuple(first), tuple(second), stop):
+        return False
+    lead, trail = truth.by_lead(first, second)
+    lin = reduction.linearize(reduction.InvariantSeq(iterated.w, iterated.z))
+    if lin.S != tuple(1 / (lead[k] * trail[k + 1]) for k in range(len(lead) - 1)):
+        return False
+    if lin.T != tuple(1 / (trail[k] * lead[k + 1]) for k in range(len(lead) - 1)):
+        return False
+    try:
+        sweep = closed_form.case_sweep(system, "Product", params, ics, n)
+    except closed_form.ForbiddenInputError as error:
+        if stop is None or error.index != stop[0]:
+            return False
+    else:
+        if stop is not None or sweep != (first, second):
+            return False
+    period = SHAPES[system].period
+    predicted = forbidden.check_forbidden(system, params, ics, (n - 1) // period)
+    step = predicted.predicted_singular_step
+    if (step if step is not None and step <= n else None) != (stop and stop[0]):
+        return False
+    point, ch = ics._astuple(), symmetry.Characteristic(F(2, 3), F(-5, 7))
+    for parity in (0, 1):
+        for variant in symmetry.VARIANTS:
+            try:
+                expected = _family_residual(truth, ch, params, parity, point, variant)
+            except ZeroDivisionError:
+                expected = None
+            actual = None
+            if symmetry.defined_at(system, params, point):
+                actual = symmetry.residual(system, ch, params, parity, point, variant)
+            if actual != expected:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("lag, lead", [(3, "first"), (4, "second")])
+def test_shapes_nobody_wrote_code_for(monkeypatch, lag, lead):
+    truth = _lag_shape(lag, lead)
+    system = f"L{lag}"
+    monkeypatch.setitem(SHAPES, system, truth)
+    monkeypatch.setitem(closed_form.CASES, system, {"Product": closed_form.Case(lambda p: True)})
+    draws = list(_family_draws(truth, 150, lag))
+    singular = 0
+    for params, ics, n in draws:
+        assert _agrees(system, truth, params, ics, n)
+        singular += _family_map(truth, params, ics, n)[2] is not None
+    assert singular > 10
+    # x updates with (a, b) in both shapes, so a + b*x0*y1 = 0 stops the
+    # first step, named by the shape's template
+    params = SystemBParams(1, -1, 1, 1)
+    ones = truth.initial(*[1] * len(truth.initial._fields))
+    expected = Singularity(lag + 1, "first", f"y{lag}*(a + b*x0*y1) = 0")
+    assert orbit(system, params, ones, lag + 1).trajectory.singular == expected
+    with pytest.raises(ZeroInitialError, match=f"System {system} initial components"):
+        orbit(system, params, truth.initial(*[0] * len(truth.initial._fields)), lag + 1)
+    # control: the same shape with its rule's pairs swapped disagrees
+    swapped = SystemShape(*truth._astuple()[:4], lambda p: truth.rule(p)[::-1], truth.denominators)
+    monkeypatch.setitem(SHAPES, system, swapped)
+    failed = sum(not _agrees(system, truth, *draw) for draw in draws)
+    assert failed > len(draws) // 2
