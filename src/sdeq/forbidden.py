@@ -133,11 +133,10 @@ def predict_vs_observe(
     """
     if system not in SHAPES:
         raise ValueError(f"unknown system {system!r}")
+    # iteration refuses an n_max under the lag and, at lag >= 2, zero initials
+    trajectory = iterate(system, params, ics, n_max)
     shape = SHAPES[system]
-    if n_max < shape.lag:
-        raise ValueError(f"n_max must be >= {shape.lag} for System {system}")
     report = check_forbidden(system, params, ics, max(0, (n_max - 1) // shape.period))
-    trajectory = iterate(system, params, ics, n_max)  # lag >= 2 rejects zero initials
     predicted = report.predicted_singular_step
     if report.closed_form_inadmissible:
         predicted = _invariant_map_step(system, params, ics, n_max)

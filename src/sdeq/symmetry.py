@@ -45,6 +45,7 @@ deliberately broken characteristic for negative controls.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .rational import alternating_sign, rat
 from .systems import SHAPES, Trajectory, _Exact, _Record, system_aliases
@@ -83,23 +84,18 @@ def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):
     return c2 - c1, c1 + c2, ch.c1.denominator * ch.c2.denominator
 
 
-_layouts: dict[int, tuple] = {}  # id(shape) -> (shape, layout), built on lookup
-
-
+@cache
 def _layout(shape) -> tuple:
     """Per component X, first then second, with Y the other component: the
     point positions of X[n], Y[n+1] and Y[n+lag] (None when lag = 1, where
     Y[n+lag] is Y[n+1]) and the index of X's update pair in
-    shape.rule(params), 0 for the trailing component.  Cached per shape
-    object, which the cache keeps, so that its id stays unique."""
-    if id(shape) not in _layouts:
-        first, second = shape.split(range(len(shape.initial._fields)))
-        _, trail = shape.by_lead(first, second)
-        _layouts[id(shape)] = shape, tuple(
-            (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
-            for x, y in ((first, second), (second, first))
-        )
-    return _layouts[id(shape)][1]
+    shape.rule(params), 0 for the trailing component."""
+    first, second = shape.split(range(len(shape.initial._fields)))
+    _, trail = shape.by_lead(first, second)
+    return tuple(
+        (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
+        for x, y in ((first, second), (second, first))
+    )
 
 
 def _updates(system: str, params, point):

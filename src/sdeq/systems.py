@@ -16,7 +16,7 @@ P = X[n]*Y[n+1] (X[n]/(alpha + beta*P) at lag 1); ``SHAPES`` states each
 system's lag, rule and reduction once, and every layer reads it.
 Iteration runs in two parts.  ``carry``, one loop for every lag, runs the
 invariant recursion alone: it advances the invariant products w and z by
-exact identities of the map and records each step's divisors and the
+exact identities of the map and records each step's factors and the
 first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
 ``orbit`` then builds the long entries from them with ``telescope``, the
 one loop that divides an entry two back by a short divisor (the closed
@@ -167,6 +167,10 @@ class SystemShape(_Record):
     rule: Callable
     denominators: tuple[str, str]
 
+    # compared by identity, as its rule is anyway, so that a cache keyed
+    # by the shape (symmetry._layout) hashes it cheaply
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     @property
     def period(self) -> int:
         return 2 * self.lag
@@ -261,12 +265,13 @@ class Orbit(_Record):
 class Carried(_Record):
     """The short values an orbit's iteration carries, O(n) bits each: the
     invariant products w and z (as in Orbit), per component (first,
-    second) the divisors of its entries 2.. indexed by i - 2 (see carry),
-    and the first singular step.  ``orbit`` builds the long entries."""
+    second) the factor alpha + beta*P of each completed step n (see
+    carry), and the first singular step.  ``orbit`` builds the long
+    entries."""
 
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
-    divisors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    factors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     singular: Singularity | None
 
 
@@ -278,10 +283,8 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
     w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n]); it is
     singular where the trailing component's p + q*z[n] or the leading
     one's r + s*w[n] vanishes, the first component checked first (the
-    factor Y[n+lag] of a longer lag never does).  Entry i is entry i-2 /
-    divisor(i): at lag 1 that factor at n = i-2, defined on zero
-    components too; at a longer lag w[i-2]/z[i-1] (leading) or
-    z[i-2]/w[i-1] (trailing), from i = 2 on, so zero initials are refused.
+    factor Y[n+lag] of a longer lag never does).  At a longer lag ``orbit``
+    divides by quotients of w and z, so zero initials are refused.
     """
     shape = SHAPES[system]
     lag = shape.lag
@@ -297,11 +300,8 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
     lead_dens, trail_dens = [], []
 
     def stop(singular=None):
-        divisors = lead_dens, trail_dens
-        if lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
-            rest = range(2, len(w) + 1)
-            divisors = [w[i - 2] / z[i - 1] for i in rest], [z[i - 2] / w[i - 1] for i in rest]
-        return Carried(tuple(w), tuple(z), shape.by_lead(*map(tuple, divisors)), singular)
+        factors = shape.by_lead(tuple(lead_dens), tuple(trail_dens))
+        return Carried(tuple(w), tuple(z), factors, singular)
 
     for n in range(n_max - lag):
         den_lead = r + (w[n] if unit_s else s * w[n])
@@ -329,7 +329,11 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
         raise ValueError("shift_back offset must be 1 or 2")
     labels = ("x", "y") if trajectory.labels == ("u", "v") else trajectory.labels
     return Trajectory(
-        labels, trajectory.first, trajectory.second, trajectory.singular, trajectory.origin - offset
+        labels,
+        trajectory.first,
+        trajectory.second,
+        trajectory.singular,
+        trajectory.origin - offset,
     )
 
 
@@ -347,17 +351,26 @@ def telescope(values: list, divisor: Callable, last: int) -> Callable:
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
     carried values, then each component's long entries by ``telescope``
-    from its initial values and the divisors ``carry`` recorded."""
+    from its initial values.  Entry i is entry i-2 / divisor(i), read from
+    a list indexed by i - 2: at lag 1 the factor ``carry`` recorded at
+    n = i-2, defined on zero components too; at a longer lag the quotient
+    w[i-2]/z[i-1] (leading) or z[i-2]/w[i-1] (trailing), from i = 2 on."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
+    w, z = carried.w, carried.z
+    of_first, of_second = carried.factors
+    if shape.lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
+        rest = range(2, len(w) + 1)
+        of_first, of_second = shape.by_lead(
+            [w[i - 2] / z[i - 1] for i in rest], [z[i - 2] / w[i - 1] for i in rest]
+        )
     first, second = (list(values) for values in shape.split(ics._astuple()))
-    of_first, of_second = carried.divisors
     divisors = (
-        telescope(first, lambda i: of_first[i - 2], len(carried.w)),
-        telescope(second, lambda i: of_second[i - 2], len(carried.w)),
+        telescope(first, lambda i: of_first[i - 2], len(w)),
+        telescope(second, lambda i: of_second[i - 2], len(w)),
     )
     trajectory = Trajectory(shape.labels, tuple(first), tuple(second), carried.singular)
-    return Orbit(trajectory, carried.w, carried.z, divisors)
+    return Orbit(trajectory, w, z, divisors)
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:

@@ -913,13 +913,13 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     # entries reach 49k bits; each long one is printed from the entry two
     # back and the divisor it was built with, so each output converts only
     # the first long numerator and denominator of each index parity, for
-    # each component, from scratch, and those have under
-    # rational._FORMAT_STR_BITS bits: str() converts them, divide and
-    # conquer nothing
+    # each component, from scratch (counted with the str() bound lowered
+    # to the split, so every such int goes through rational._to_decimal)
     params = SystemAParams(F(2, 3), F(-5, 7))
     orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
     assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
     first, second = ([format_rational(v) for v in values] for values in (orbit.first, orbit.second))
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", rational._FORMAT_SPLIT_BITS)
     converted = _counted_conversions(monkeypatch)
     sweeps = _counted_sweeps(monkeypatch)
     code, out, _ = run_cli(capsys, ["iterate", *DEEP_A])
@@ -930,7 +930,7 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
-    assert (len(converted), sweeps) == (0, ["A"])
+    assert (len(converted), sweeps) == (3 * 8, ["A"])
 
 
 def _flags(record) -> list:

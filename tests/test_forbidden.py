@@ -15,6 +15,7 @@ from sdeq.systems import (
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    ZeroInitialError,
     iterate_a,
     iterate_b,
 )
@@ -94,6 +95,24 @@ def test_predict_vs_observe_examples():
     # b + v0*u1 = -1 + 1 = 0 forces step 2
     verdict = predict_vs_observe("A", SystemAParams(1, -1), ONES_A, 5)
     assert verdict.kind == "agree-singular" and verdict.step == 2
+
+
+@pytest.mark.parametrize(
+    "system, params, ics, n_max, error, text",
+    [
+        ("A", SystemAParams(1, 1), ONES_A, 0, ValueError, "n_max must be >= 1 for System A"),
+        ("B", SystemBParams(1, 1, 1, 1), ONES_B, 1, ValueError, "n_max must be >= 2 for System B"),
+        (
+            "B", SystemBParams(1, 1, 1, 1), SystemBInitial(0, 1, 1, 1, 1, 1), 8,
+            ZeroInitialError, "System B initial components must all be nonzero",
+        ),
+        ("C", SystemAParams(1, 1), ONES_A, 8, ValueError, "unknown system 'C'"),
+    ],
+)
+def test_predict_vs_observe_refusals(system, params, ics, n_max, error, text):
+    with pytest.raises(error) as raised:
+        predict_vs_observe(system, params, ics, n_max)
+    assert str(raised.value) == text
 
 
 def test_predict_vs_observe_inadmissible_regular():

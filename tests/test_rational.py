@@ -89,6 +89,14 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
+def _from_scratch(monkeypatch) -> list:
+    """Count the long ints converted from scratch from here on: with the
+    str() bound lowered to the split, every long int that does not chain
+    goes through _to_decimal."""
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", rational._FORMAT_SPLIT_BITS)
+    return _counting(monkeypatch, "_to_decimal")
+
+
 DEEP_A = (
     SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8))
 )
@@ -107,8 +115,7 @@ def test_format_sequence_chains_deep_orbits(monkeypatch):
     # with the str() bound lowered too, every long int that does not chain
     # is converted by divide and conquer, and counted
     monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
-    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
-    converted = _counting(monkeypatch, "_to_decimal")
+    converted = _from_scratch(monkeypatch)
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
         ics = (DEEP_A if system == "A" else DEEP_B)[1]
@@ -129,16 +136,15 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
     rng = random.Random(11)
     unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
     orbit = iterate_a(*DEEP_A, 300).first
-    converted = _counting(monkeypatch, "_to_decimal")
+    converted = _from_scratch(monkeypatch)
     # a divisor that built none of the entries, and no divisor at all
     for values, divisor in ((unrelated, lambda i: F(5, 3)), (unrelated, None), (orbit, None)):
         expected = [format_rational(v) for v in values]
         converted.clear()
         assert format_sequence(values, divisor) == expected
-        # every long int is converted from scratch, by divide and conquer
-        # from _FORMAT_STR_BITS on
-        bound = rational._FORMAT_STR_BITS
-        long = sum(x.bit_length() >= bound for side in _sides(values) for x in side)
+        # every long int is converted from scratch
+        split = rational._FORMAT_SPLIT_BITS
+        long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
         assert len(converted) == long
 
 
@@ -171,13 +177,11 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
     # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
     for values, divisor in _sequences(system, *inputs, 300):
         expected = [format_rational(v) for v in values]
-        converted = _counting(monkeypatch, "_to_decimal")
+        converted = _from_scratch(monkeypatch)
         called = []
         assert format_sequence(values, lambda i: called.append(i) or divisor(i)) == expected
-        # only the first long entry of each parity, numerators and
-        # denominators, is converted from scratch; it has under
-        # _FORMAT_STR_BITS bits, so str() converts it
-        assert len(converted) == 0
+        # the first long entry of each parity, numerators and denominators
+        assert len(converted) == 4
         # a divisor is formed once for each entry that chains, and for no other
         numerators, denominators = _sides(values)
         assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
@@ -199,14 +203,30 @@ def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallb
     orbit = systems.orbit("A", *DEEP_A, 300)
     divisor = orbit.divisors[0]
     values = orbit.trajectory.first
-    # entries 201 and 203 fall back to divide and conquer; the first long
-    # entries of each parity, under _FORMAT_STR_BITS, are converted by str()
-    shortest = min(x for side in _sides(values[201:204]) for x in side)
-    assert shortest.bit_length() >= rational._FORMAT_STR_BITS
+    assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
+    expected = [format_rational(v) for v in values]
+    converted = _from_scratch(monkeypatch)
+    assert format_sequence(values, lambda i: corrupt(divisor, i)) == expected
+    assert len(converted) == 4 + fallbacks
+
+
+def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
+    # a long int that does not chain is converted by str() under
+    # _FORMAT_STR_BITS and by divide and conquer from there on; the deep
+    # orbit's first long entries of each parity are under the bound, and
+    # every later entry chains, from str()'s digits or from a chained one
+    orbit = systems.orbit("A", *DEEP_A, 300)
+    values, divisor = orbit.trajectory.first, orbit.divisors[0]
+    ints = [x for side in _sides(values) for x in side]
+    split, bound = rational._FORMAT_SPLIT_BITS, rational._FORMAT_STR_BITS
+    assert sum(split <= x.bit_length() < bound for x in ints) > 4
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
-    assert format_sequence(values, lambda i: corrupt(divisor, i)) == expected
-    assert len(converted) == fallbacks
+    assert format_sequence(values) == expected
+    assert len(converted) == sum(x.bit_length() >= bound for x in ints) > 0
+    converted.clear()
+    assert format_sequence(values, divisor) == expected
+    assert converted == []
 
 
 def test_exact_quotient_from_leading_bits():
@@ -370,8 +390,7 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
     # System A with a = b = 1 grows linearly, to about 4,200 bits at
     # n = 2000; entries past the split chain, so with the orbit's divisors
     # each component converts only its first long numerator and denominator
-    # of each index parity from scratch, all by str() as they stay under
-    # _FORMAT_STR_BITS
+    # of each index parity from scratch
     params = SystemAParams(1, 1)
     orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
     components = (orbit.trajectory.first, orbit.trajectory.second)
@@ -380,8 +399,8 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
         longest = max(x.bit_length() for x in numerators + denominators)
         assert rational._FORMAT_SPLIT_BITS < longest < 5_000
         expected = [format_rational(v) for v in values]
-        converted = _counting(monkeypatch, "_to_decimal")
+        converted = _from_scratch(monkeypatch)
         assert format_sequence(values, divisor) == expected
-        assert len(converted) == 0
+        assert len(converted) == 4
         assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
         monkeypatch.undo()
