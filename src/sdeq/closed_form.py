@@ -16,12 +16,13 @@ one sweep (``_sweep``) evaluates every case.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
 are pure powers: they assemble one period and two entries, and extend
-the orbit two indices at a time by a divisor that repeats with the
-period.  Assembly and extension both run ``systems.telescope``, so every
-sweep comes with the divisors that built it.  ``CASES`` holds, per
-system, each tag's predicate.  Each evaluator is one function keyed by
-the system ("A" or "B"); ``system_aliases`` generates its per-system
-names (``solve_a_case`` is ``case_point("A", ...)``).
+the orbit two indices at a time by the assembly's first P divisors,
+repeated with the period P.  Assembly and extension both run
+``systems.telescope``, so every sweep comes with its divisor lists.
+``CASES`` holds, per system, each tag's predicate.  Each evaluator is
+one function keyed by the system ("A" or "B"); ``system_aliases``
+generates its per-system names (``solve_a_case`` is
+``case_point("A", ...)``).
 
 A vanishing auxiliary value means the requested index lies beyond a
 forbidden initial condition; evaluators raise ForbiddenInputError
@@ -163,21 +164,23 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 # S[n+2] = 2 - S[n], so S[n+4] = S[n] (tests/test_certificates.py
 # certifies every case).  So the assembly's divisor at i, which reads
 # S[i-1] and T[i-2], depends only on i mod P: the assembly of entries
-# 0..P+1 gives every divisor, and systems.telescope extends the orbit by
-# them.  A zero S or T repeats a zero among indices 0..P-1, which the scan
-# of S and T up to index P finds, so the first forbidden index is the full
-# sweep's.
+# 0..P+1 gives every divisor, and _extend repeats them.  A zero S or T
+# repeats a zero among indices 0..P-1, which the scan of S and T up to
+# index P finds, so the first forbidden index is the full sweep's.
 
-def _periodic(period: int, divisor):
-    """The divisors of a pure-power extension: divisor(i) for
-    i = 2..period+1, repeated with the period."""
-    factors = {i % period: divisor(i) for i in range(2, period + 2)}
-    return lambda i: factors[i % period]
+def _extend(period: int, lists, divisors, last: int) -> tuple:
+    """Extend each of ``lists`` (first, second) in place to entries 0..last
+    by the first ``period`` entries of its list in ``divisors``, repeated;
+    return the divisor lists ``systems.telescope`` built them with."""
+    return tuple(
+        telescope(values, [steps[j % period] for j in range(last - 1)], last)
+        for values, steps in zip(lists, divisors)
+    )
 
 
 def _sweep(case: Case, system: str, params, ics, n_max: int):
     """Entries 0..n_max of ``case`` as (first, second, divisors), with
-    divisors those that ``systems.telescope`` built them with: the
+    divisors the lists that ``systems.telescope`` built them with: the
     assembly's, or for a pure-power case, which assembles entries 0..P+1 at
     most, those of its period extension.  A zero initial value (lag 1)
     or seed product is reported before a pure-power case can give the
@@ -200,10 +203,7 @@ def _sweep(case: Case, system: str, params, ics, n_max: int):
     first0, second0 = (values[0] for values in shape.split(ics._astuple()))
     first, second, divisors = assemble(system, sb, tb, first0, second0, count)
     if count < n_max:
-        divisors = tuple(
-            telescope(values, _periodic(period, divisor), n_max)
-            for values, divisor in zip((first, second), divisors)
-        )
+        divisors = _extend(period, (first, second), divisors, n_max)
     return first, second, divisors
 
 
@@ -214,7 +214,7 @@ def case_sweep(system: str, tag: str, params, ics, n_max: int):
 
 
 def case_sweep_divisors(system: str, tag: str, params, ics, n_max: int):
-    """case_sweep, with the divisors that built its entries: (first,
+    """case_sweep, with the divisor lists that built its entries: (first,
     second, divisors) as from _sweep."""
     return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
 
@@ -245,15 +245,14 @@ def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
     """The routes ``verify`` and ``difftest`` compare with iteration,
     "product" and case ``tag``, over entries 0..n_max, from one sweep of the
     table: the product sweep, which runs before the tag is checked.  A
-    pure-power case extends the sweep's entries 0..P+1 by the divisors
-    that built them, repeated with its period P."""
+    pure-power case extends the sweep's entries 0..P+1 by the sweep's
+    first P divisors, repeated with its period P."""
     *product, divisors = case_sweep_divisors(system, "Product", params, ics, n_max)
     period = _validated(system, tag, params, n_max).period
     own = product
     if period and period + 1 < n_max:
         own = [values[: period + 2] for values in product]
-        for values, divisor in zip(own, divisors):
-            telescope(values, _periodic(period, divisor), n_max)
+        _extend(period, own, divisors, n_max)
     return {"product": tuple(product), tag: tuple(own)}
 
 

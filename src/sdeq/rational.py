@@ -7,8 +7,8 @@ can creep into a computation.
 * `parse_rational` reads the one literal grammar (``-1/2``) of the CLI
   flags, and `format_rational` and `format_sequence` write it in every
   report; `format_sequence` derives the digits of a long entry from the
-  entry two back when given the divisors `systems.telescope` built the
-  list with.
+  entry two back when given the divisor list `systems.telescope` built
+  the list with.
 * `rat` coerces an int, literal or Fraction and refuses floats.
 * `geometric_sum` is the exact sum of a geometric series, empty for a
   negative upper index (`reduction.closed_ST` evaluates S and T with it),
@@ -57,7 +57,7 @@ def format_rational(value: Fraction) -> str:
     return format_sequence([value])[0]
 
 
-def format_sequence(values, divisor=None) -> list[str]:
+def format_sequence(values, divisors=None) -> list[str]:
     """Render each of ``values`` exactly as format_rational does.
 
     Long orbit entries two indices apart differ by a short factor (System
@@ -66,26 +66,26 @@ def format_sequence(values, divisor=None) -> list[str]:
     or denominator are derived from those of the entry two back instead of
     from scratch.
 
-    ``divisor``, when given, is what ``systems.telescope`` returned for the
-    list: divisor(i) = values[i-2]/values[i] = +-q/p (i >= 2), the value
-    entry i was built by dividing by; it is called only for entries that
-    chain.  Then G = den[i-2]*q/den[i] is an exact integer of at most
-    bits(p) + bits(q) bits, read from leading bits, and the digits are
-    num[i-2]*p/G and den[i-2]*q/G: no gcd and no long division.  An
-    unreduced q/p works too, since G absorbs the common factor.  The digits
-    are exact by construction, because the kernel divided entry i-2 by
-    divisor(i) to build entry i.  A divisor that built no entry is caught:
-    an entry whose two sides give no G or different ones, or whose
-    divisions are not exact, is converted from scratch.  Without
-    ``divisor`` every long entry is converted from scratch.
+    ``divisors``, when given, is the list ``systems.telescope`` returned
+    for ``values``: divisors[i-2] = values[i-2]/values[i] = +-q/p (i >= 2),
+    the value entry i was built by dividing by.  Then G = den[i-2]*q/den[i]
+    is an exact integer of at most bits(p) + bits(q) bits, read from
+    leading bits, and the digits are num[i-2]*p/G and den[i-2]*q/G: no gcd
+    and no long division.  An unreduced q/p works too, since G absorbs the
+    common factor.  The digits are exact by construction, because the
+    kernel divided entry i-2 by divisors[i-2] to build entry i.  A divisor
+    that built no entry is caught: an entry whose two sides give no G or
+    different ones, or whose divisions are not exact, is converted from
+    scratch.  Without ``divisors`` every long entry is converted from
+    scratch.
     """
     values = list(values)
     numerators = [abs(v.numerator) for v in values]
     denominators = [v.denominator for v in values]
-    if divisor is None:
+    if divisors is None:
         steps = (lambda i: None,) * 2
     else:
-        steps = _divisor_steps(numerators, denominators, divisor)
+        steps = _divisor_steps(numerators, denominators, divisors)
     numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
     return [
         ("-" if v.numerator < 0 else "") + num + ("" if v.denominator == 1 else "/" + den)
@@ -154,15 +154,15 @@ def _digit_strings(ints: list[int], step) -> list[str]:
     return texts
 
 
-def _divisor_steps(numerators: list[int], denominators: list[int], divisor):
+def _divisor_steps(numerators: list[int], denominators: list[int], divisors):
     """(numerator step, denominator step) for _digit_strings from
-    divisor(i) = +-q/p: (p, G) and (q, G), with G read from leading bits of
-    each side (see format_sequence); None when the sides disagree."""
+    divisors[i-2] = +-q/p: (p, G) and (q, G), with G read from leading bits
+    of each side (see format_sequence); None when the sides disagree."""
     factors: dict[int, tuple] = {}
 
     def both(i: int) -> tuple:
         if i not in factors:
-            value = divisor(i)
+            value = divisors[i - 2]
             p, q = value.denominator, abs(value.numerator)
             g = _exact_quotient(denominators[i - 2], denominators[i], q)
             same = g is not None and g == _exact_quotient(numerators[i - 2], numerators[i], p)

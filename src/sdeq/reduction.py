@@ -14,7 +14,7 @@ its per-system names (``invariants_a`` is ``invariants("A", ...)``).
 ``geometric_sweep`` evaluates a whole sweep of a table from carried integer
 powers; every route of ``sdeq.closed_form`` reads that sweep, and
 ``assemble`` rebuilds an orbit from S and T two indices at a time with
-``systems.telescope``, returning the divisors it divided by.
+``systems.telescope``, returning the divisor lists it divided by.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def closed_ST_sweep(system: str, params, seeds, count: int):
 
 
 def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int):
-    """Orbit entries 0..count, as lists, and the divisors they were built
-    with, (first, second, divisors), from the auxiliary values
+    """Orbit entries 0..count, as lists, and the divisor lists they were
+    built with, (first, second, divisors), from the auxiliary values
     S[0..count-1], T[0..count-1], which the caller has checked are nonzero,
     and nonzero start values (first0, second0).
 
@@ -215,9 +215,10 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
     if count >= 1:
         trail.append(1 / lead0 / S[0])
         lead.append(1 / trail0 / T[0])
+    rest = range(2, count + 1)
     divisors = (
-        telescope(lead, lambda i: T[i - 1] / S[i - 2], count),
-        telescope(trail, lambda i: S[i - 1] / T[i - 2], count),
+        telescope(lead, [T[i - 1] / S[i - 2] for i in rest], count),
+        telescope(trail, [S[i - 1] / T[i - 2] for i in rest], count),
     )
     return (*shape.by_lead(lead, trail), shape.by_lead(*divisors))
 

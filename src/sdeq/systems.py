@@ -19,8 +19,8 @@ invariant recursion alone: it advances the invariant products w and z by
 exact identities of the map and records each step's factors and the
 first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
 ``orbit`` then builds the long entries from them with ``telescope``, the
-one loop that divides an entry two back by a short divisor (the closed
-forms build theirs with it too); ``iterate`` returns its trajectory.
+one loop that divides an entry two back by a short listed divisor (the
+closed forms build theirs with it too); ``iterate`` returns its trajectory.
 ``shift_back`` performs the index relabeling that identifies these
 sequences with the originally posed systems, whose initial conditions
 sit at negative indices.
@@ -254,12 +254,12 @@ class Orbit(_Record):
     """A trajectory, the invariant products its iteration carried,
     w[n] = lead[n]*trail[n+1] and z[n] = trail[n]*lead[n+1] for
     n = 0..len(trajectory)-2 with lead and trail as in SHAPES, and the
-    divisors ``telescope`` built (first, second) with."""
+    divisor lists ``telescope`` built (first, second) with."""
 
     trajectory: Trajectory
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
-    divisors: tuple[Callable, Callable]
+    divisors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
 class Carried(_Record):
@@ -337,38 +337,37 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-def telescope(values: list, divisor: Callable, last: int) -> Callable:
+def telescope(values: list, divisors, last: int):
     """Extend ``values`` in place to entries 0..last by
-    entry i = entry i-2 / divisor(i), one long entry by a short divisor per
-    step, and return ``divisor``, which rational.format_sequence prints the
-    list from.  The one loop that builds an entry from the entry two back:
-    the orbit, the closed forms' assembly and their extension run it."""
+    entry i = entry i-2 / divisors[i-2], one long entry by a short divisor
+    per step, and return ``divisors``, the list rational.format_sequence
+    prints the entries from.  The one loop that builds an entry from the
+    entry two back: the orbit, the closed forms' assembly and their
+    extension run it."""
     for i in range(len(values), last + 1):
-        values.append(values[i - 2] / divisor(i))
-    return divisor
+        values.append(values[i - 2] / divisors[i - 2])
+    return divisors
 
 
 def orbit(system: str, params, ics, n_max: int) -> Orbit:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
     carried values, then each component's long entries by ``telescope``
-    from its initial values.  Entry i is entry i-2 / divisor(i), read from
-    a list indexed by i - 2: at lag 1 the factor ``carry`` recorded at
-    n = i-2, defined on zero components too; at a longer lag the quotient
-    w[i-2]/z[i-1] (leading) or z[i-2]/w[i-1] (trailing), from i = 2 on."""
+    from its initial values.  Entry i is entry i-2 divided by entry i-2 of
+    a divisor list: at lag 1 the factors ``carry`` recorded, defined on
+    zero components too; at a longer lag the quotients w[i-2]/z[i-1]
+    (leading) and z[i-2]/w[i-1] (trailing), from i = 2 on."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
     w, z = carried.w, carried.z
-    of_first, of_second = carried.factors
+    divisors = carried.factors
     if shape.lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
         rest = range(2, len(w) + 1)
-        of_first, of_second = shape.by_lead(
-            [w[i - 2] / z[i - 1] for i in rest], [z[i - 2] / w[i - 1] for i in rest]
+        divisors = shape.by_lead(
+            tuple(w[i - 2] / z[i - 1] for i in rest), tuple(z[i - 2] / w[i - 1] for i in rest)
         )
     first, second = (list(values) for values in shape.split(ics._astuple()))
-    divisors = (
-        telescope(first, lambda i: of_first[i - 2], len(w)),
-        telescope(second, lambda i: of_second[i - 2], len(w)),
-    )
+    for values, steps in zip((first, second), divisors):
+        telescope(values, steps, len(w))
     trajectory = Trajectory(shape.labels, tuple(first), tuple(second), carried.singular)
     return Orbit(trajectory, w, z, divisors)
 

@@ -902,6 +902,12 @@ DEEP_A = [
 ]
 
 
+DEEP_B_FLAGS = [
+    "--system", "B", "--a", "2/3", "--b", "-5/7", "--c", "3/5", "--d", "4/9",
+    "--x0", "3/5", "--x1", "-2/7", "--x2", "4/9", "--y0", "5/8", "--y1", "-3/4", "--y2", "7/6",
+]
+
+
 def _counted_conversions(monkeypatch) -> list:
     """The ints rational converts from scratch from now on."""
     real, calls = rational._to_decimal, []
@@ -965,9 +971,9 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     per_component = []
     real_format = cli.format_sequence
 
-    def counted(values, divisor=None):
+    def counted(values, divisors=None):
         start = len(converted)
-        texts = real_format(values, divisor)
+        texts = real_format(values, divisors)
         per_component.append(len(converted) - start)
         return texts
 
@@ -983,14 +989,37 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     assert len(per_component) == 4 and max(per_component) <= 4
 
 
+@pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])
+def test_sweep_prints_from_divisors_without_dividing(capsys, monkeypatch, argv):
+    # the assembly forms each divisor once, into the list it returns, and
+    # the printer reads that list: printing makes no Fraction division
+    divisions, printed = [], []
+    printing = False
+    real_divide, real_format = F.__truediv__, cli.format_sequence
+
+    def divide(x, y):
+        if printing:
+            divisions.append(y)
+        return real_divide(x, y)
+
+    def counted(values, divisors=None):
+        nonlocal printing
+        printed.append((len(values), divisors is not None))
+        printing = True
+        try:
+            return real_format(values, divisors)
+        finally:
+            printing = False
+
+    monkeypatch.setattr(F, "__truediv__", divide)
+    monkeypatch.setattr(cli, "format_sequence", counted)
+    code, _, _ = run_cli(capsys, ["solve", "--sweep", *argv])
+    assert code == 0 and printed == [(301, True)] * 2
+    assert divisions == []
+
+
 # ---------------------------------------------------------------------------
 # the report writer
-
-
-DEEP_B_FLAGS = [
-    "--system", "B", "--a", "2/3", "--b", "-5/7", "--c", "3/5", "--d", "4/9",
-    "--x0", "3/5", "--x1", "-2/7", "--x2", "4/9", "--y0", "5/8", "--y1", "-3/4", "--y2", "7/6",
-]
 
 
 def _json_dumps(payload) -> str:

@@ -119,14 +119,15 @@ def test_format_sequence_chains_deep_orbits(monkeypatch):
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
         ics = (DEEP_A if system == "A" else DEEP_B)[1]
-        first, second, divisors = closed_form.case_sweep_divisors(system, tag, params, ics, 120)
-        for values, divisor in zip((first, second), divisors):
+        first, second, lists = closed_form.case_sweep_divisors(system, tag, params, ics, 120)
+        for values, divisors in zip((first, second), lists):
             # the divisors are the extension's steps at every index
-            assert all(divisor(i) == values[i - 2] / values[i] for i in range(2, len(values)))
+            assert len(divisors) == len(values) - 2
+            assert all(divisors[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
             expected = [format_rational(v) for v in values]
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
-            assert format_sequence(values, divisor) == expected
+            assert format_sequence(values, divisors) == expected
             # one conversion from scratch per index parity, for numerators
             # and denominators
             assert len(converted) <= 4
@@ -137,11 +138,11 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
     unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
     orbit = iterate_a(*DEEP_A, 300).first
     converted = _from_scratch(monkeypatch)
-    # a divisor that built none of the entries, and no divisor at all
-    for values, divisor in ((unrelated, lambda i: F(5, 3)), (unrelated, None), (orbit, None)):
+    # divisors that built none of the entries, and no divisors at all
+    for values, divisors in ((unrelated, [F(5, 3)] * 6), (unrelated, None), (orbit, None)):
         expected = [format_rational(v) for v in values]
         converted.clear()
-        assert format_sequence(values, divisor) == expected
+        assert format_sequence(values, divisors) == expected
         # every long int is converted from scratch
         split = rational._FORMAT_SPLIT_BITS
         long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
@@ -149,7 +150,7 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
 
 
 def _sequences(system: str, params, ics, n: int) -> list:
-    """(values, divisor) of both components of the orbit and, unless the
+    """(values, divisors) of both components of the orbit and, unless the
     closed forms are undefined there, of the product-route sweep."""
     orbit = systems.orbit(system, params, ics, n)
     components = (orbit.trajectory.first, orbit.trajectory.second)
@@ -172,19 +173,32 @@ def _sides(values) -> tuple:
     return [abs(v.numerator) for v in values], [v.denominator for v in values]
 
 
+class _Reads(list):
+    """A divisor list that records the entry index i of each divisor read,
+    divisors[i-2]."""
+
+    def __init__(self, divisors):
+        super().__init__(divisors)
+        self.read = []
+
+    def __getitem__(self, index):
+        self.read.append(index + 2)
+        return super().__getitem__(index)
+
+
 @pytest.mark.parametrize("system, inputs", [("A", DEEP_A), ("B", DEEP_B)])
 def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inputs):
     # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
-    for values, divisor in _sequences(system, *inputs, 300):
+    for values, divisors in _sequences(system, *inputs, 300):
         expected = [format_rational(v) for v in values]
         converted = _from_scratch(monkeypatch)
-        called = []
-        assert format_sequence(values, lambda i: called.append(i) or divisor(i)) == expected
+        reads = _Reads(divisors)
+        assert format_sequence(values, reads) == expected
         # the first long entry of each parity, numerators and denominators
         assert len(converted) == 4
-        # a divisor is formed once for each entry that chains, and for no other
+        # a divisor is read once for each entry that chains, and for no other
         numerators, denominators = _sides(values)
-        assert sorted(called) == sorted(_chained(numerators) | _chained(denominators))
+        assert sorted(reads.read) == sorted(_chained(numerators) | _chained(denominators))
         monkeypatch.undo()
 
 
@@ -192,21 +206,24 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
     "corrupt, fallbacks",
     [
         # the numerators' G is three times the denominators'
-        (lambda divisor, i: divisor(i) / 3 if i == 201 else divisor(i), 2),
+        (lambda divisors: {201: divisors[199] / 3}, 2),
         # absolute values are unchanged, so no entry falls back
-        (lambda divisor, i: -divisor(i), 0),
+        (lambda divisors: {i: -value for i, value in enumerate(divisors, 2)}, 0),
         # two entries built with each other's divisor
-        (lambda divisor, i: divisor({201: 203, 203: 201}.get(i, i)), 4),
+        (lambda divisors: {201: divisors[201], 203: divisors[199]}, 4),
     ],
 )
 def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallbacks):
+    # ``corrupt`` maps entry indices i to the wrong divisors[i-2]
     orbit = systems.orbit("A", *DEEP_A, 300)
-    divisor = orbit.divisors[0]
+    divisors = list(orbit.divisors[0])
+    for i, value in corrupt(orbit.divisors[0]).items():
+        divisors[i - 2] = value
     values = orbit.trajectory.first
     assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
     expected = [format_rational(v) for v in values]
     converted = _from_scratch(monkeypatch)
-    assert format_sequence(values, lambda i: corrupt(divisor, i)) == expected
+    assert format_sequence(values, divisors) == expected
     assert len(converted) == 4 + fallbacks
 
 
@@ -216,7 +233,7 @@ def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
     # orbit's first long entries of each parity are under the bound, and
     # every later entry chains, from str()'s digits or from a chained one
     orbit = systems.orbit("A", *DEEP_A, 300)
-    values, divisor = orbit.trajectory.first, orbit.divisors[0]
+    values, divisors = orbit.trajectory.first, orbit.divisors[0]
     ints = [x for side in _sides(values) for x in side]
     split, bound = rational._FORMAT_SPLIT_BITS, rational._FORMAT_STR_BITS
     assert sum(split <= x.bit_length() < bound for x in ints) > 4
@@ -225,7 +242,7 @@ def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
     assert format_sequence(values) == expected
     assert len(converted) == sum(x.bit_length() >= bound for x in ints) > 0
     converted.clear()
-    assert format_sequence(values, divisor) == expected
+    assert format_sequence(values, divisors) == expected
     assert converted == []
 
 
@@ -250,7 +267,7 @@ def test_format_sequence_with_unreduced_ratios(monkeypatch):
     unreduced = SimpleNamespace(numerator=25 * 11, denominator=441 * 11)
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
-    assert format_sequence(values, lambda i: unreduced) == expected
+    assert format_sequence(values, [unreduced] * (len(values) - 2)) == expected
     assert len(converted) == 4
 
 
@@ -282,7 +299,7 @@ if given is not None:
         # and every long int that does not chain is converted by divide and
         # conquer; 0 and 1 stay short
         system, params, ics, n, split = inputs
-        for values, divisor in _sequences(system, params, ics, n):
+        for values, divisors in _sequences(system, params, ics, n):
             expected = [format_rational(v) for v in values]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(rational, "_FORMAT_SPLIT_BITS", split)
@@ -290,7 +307,7 @@ if given is not None:
                 converted = []
                 real = rational._to_decimal
                 patch.setattr(rational, "_to_decimal", lambda x: converted.append(x) or real(x))
-                assert format_sequence(values, divisor) == expected
+                assert format_sequence(values, divisors) == expected
                 # no entry that chains falls back
                 long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
                 assert len(converted) == long - sum(len(_chained(side)) for side in _sides(values))
@@ -331,7 +348,7 @@ def test_format_sequence_exact_in_any_decimal_context():
         ctx.traps[decimal.Inexact] = False
         assert format_sequence(values) == expected
         # chained, from the entry two back divided by 1/3**20
-        assert format_sequence(values, lambda i: F(1, 3**20)) == expected
+        assert format_sequence(values, [F(1, 3**20)] * (len(values) - 2)) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):
@@ -394,13 +411,13 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
     params = SystemAParams(1, 1)
     orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
     components = (orbit.trajectory.first, orbit.trajectory.second)
-    for values, divisor in zip(components, orbit.divisors):
+    for values, divisors in zip(components, orbit.divisors):
         numerators, denominators = _sides(values)
         longest = max(x.bit_length() for x in numerators + denominators)
         assert rational._FORMAT_SPLIT_BITS < longest < 5_000
         expected = [format_rational(v) for v in values]
         converted = _from_scratch(monkeypatch)
-        assert format_sequence(values, divisor) == expected
+        assert format_sequence(values, divisors) == expected
         assert len(converted) == 4
         assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
         monkeypatch.undo()

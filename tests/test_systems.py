@@ -283,14 +283,16 @@ if given is not None:
             params = draw_params(random.Random(draw(st.integers(0, 2**32))), system, tag)
         return system, tag, params, ics, draw(st.integers(2, 30))
 
-    def _assert_built_with(values, divisor) -> None:
-        """entry[i-2] == entry[i]*divisor(i) for i >= 2, and printing from
-        the divisors is printing value by value, with every int of 64 bits
-        or more chaining where it can."""
-        assert all(values[i - 2] == values[i] * divisor(i) for i in range(2, len(values)))
+    def _assert_built_with(values, divisors) -> None:
+        """One divisor per entry from index 2 on, entry[i-2] ==
+        entry[i]*divisors[i-2] for i >= 2, and printing from the divisors is
+        printing value by value, with every int of 64 bits or more chaining
+        where it can."""
+        assert len(divisors) == len(values) - 2
+        assert all(values[i - 2] == values[i] * divisors[i - 2] for i in range(2, len(values)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
-            assert format_sequence(values, divisor) == [format_rational(v) for v in values]
+            assert format_sequence(values, divisors) == [format_rational(v) for v in values]
 
     _LONG_A = SystemAInitial(F(3**25, 2**39 + 1), F(-(2**40) + 7, 9), F(4, 9), F(5, 8))
     _LONG_B = SystemBInitial(F(3, 5), F(-(2**40) + 7, 9), F(4, 9), F(5, 8), F(-3, 4), F(3**25, 7))
@@ -312,27 +314,31 @@ if given is not None:
         built = {}  # id -> every list the kernel extended, checked as it returns
         real = systems.telescope
 
-        def kernel(values, divisor, last):
-            assert real(values, divisor, last) is divisor
-            _assert_built_with(values, divisor)
+        def kernel(values, divisors, last):
+            assert real(values, divisors, last) is divisors
+            _assert_built_with(values, divisors)
             built[id(values)] = values
-            return divisor
+            return divisors
 
         with pytest.MonkeyPatch.context() as patch:
             for layer in (systems, reduction, closed_form):
                 patch.setattr(layer, "telescope", kernel)
             iterated = orbit(system, params, ics, n)
             trajectory = iterated.trajectory
-            for values, divisor in zip((trajectory.first, trajectory.second), iterated.divisors):
-                _assert_built_with(values, divisor)
+            for values, divisors in zip((trajectory.first, trajectory.second), iterated.divisors):
+                _assert_built_with(values, divisors)
             try:
-                *sweep, divisors = closed_form.case_sweep_divisors(system, tag, params, ics, n)
+                *sweep, lists = closed_form.case_sweep_divisors(system, tag, params, ics, n)
                 routes = closed_form.routes(system, tag, params, ics, n)
             except closed_form.ForbiddenInputError:
                 pass
             else:
-                for values, divisor in zip(sweep, divisors):
-                    _assert_built_with(values, divisor)
+                period = closed_form.CASES[system][tag].period
+                for values, divisors in zip(sweep, lists):
+                    _assert_built_with(values, divisors)
+                    # a pure-power sweep's list repeats its first P entries
+                    if period:
+                        assert all(d is divisors[j % period] for j, d in enumerate(divisors))
                 assert routes.keys() == {"product", tag}
                 assert all(id(values) in built for route in routes.values() for values in route)
             before = len(built)
