@@ -4,8 +4,16 @@ check-forbidden, and the differential-test driver.
 All machine output is JSON (CSV on request for the sequence-producing
 subcommands) with every scalar rendered as a rational literal; output is
 byte-deterministic given the configuration, including the seed.  Exit
-codes: 0 success/clean, 1 usage error, 2 singular trajectory where
-regularity was required, 3 forbidden input, 4 verification mismatch.
+codes: 0 success/clean, 1 usage error or a report that cannot be written,
+2 singular trajectory where regularity was required, 3 forbidden input,
+4 verification mismatch.
+
+``iterate``, ``solve --sweep`` and ``verify`` raise every error from the
+short values first, and then build (and print or compare) each
+component's long entries on its own; where those are long and a second
+CPU is free, the second component's job runs in a forked child process
+(``systems.both``), which sends back only its literals or its failing
+indices.  The other subcommands and point solves run in one process.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 # the other layers are imported by the subcommands that use them
 from . import systems
 from .rational import format_rational, format_sequence, parse_rational
-from .systems import Trajectory, ZeroInitialError
+from .systems import ZeroInitialError
 
 SCHEMA_VERSION = 1
 
@@ -118,10 +126,22 @@ def _lit_map(record) -> dict:
     return {k: format_rational(v) for k, v in record._asdict().items()}
 
 
-def _singular_json(trajectory: Trajectory):
-    if trajectory.singular is None:
+def _singular_json(singular: Optional[systems.Singularity]):
+    if singular is None:
         return None
-    return {"step": trajectory.singular.step, "component": trajectory.singular.component}
+    return {"step": singular.step, "component": singular.component}
+
+
+def _component_literals(built: systems.Telescoping) -> tuple[list[str], list[str]]:
+    """Each component's literals: each long entry's digits come from the
+    entry two back and the divisor it was built with.  The second
+    component is built and printed in a child process where it is long
+    (systems.both)."""
+
+    def literals(k: int) -> list[str]:
+        return format_sequence(built.entries(k), built.divisors[k])
+
+    return systems.both(literals, built.bits())
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +149,12 @@ def _singular_json(trajectory: Trajectory):
 
 
 def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
-    orbit = systems.orbit(config.system, config.params, config.ics, config.n)
-    trajectory = orbit.trajectory
-    # each long entry's digits come from the entry two back and the divisor
-    # the iteration built it with
-    firsts, seconds = map(format_sequence, (trajectory.first, trajectory.second), orbit.divisors)
+    carried, built = systems.orbit_telescoping(config.system, config.params, config.ics, config.n)
+    firsts, seconds = _component_literals(built)
+    labels = systems.SHAPES[config.system].labels
     if config.format == "csv":
-        header = ["n", trajectory.labels[0], trajectory.labels[1]]
-        columns = [map(str, range(len(trajectory))), firsts, seconds]
-        return EXIT_OK, _csv_table(header, columns)
+        columns = [map(str, range(len(firsts))), firsts, seconds]
+        return EXIT_OK, _csv_table(["n", *labels], columns)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "system": config.system,
@@ -145,21 +162,18 @@ def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
         "N": config.n,
         "first": _Literals(firsts),
         "second": _Literals(seconds),
-        "singular": _singular_json(trajectory),
+        "singular": _singular_json(carried.singular),
     }
     return EXIT_OK, _jdump(payload)
 
 
 def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
-    from .closed_form import case_point, case_sweep_divisors
+    from .closed_form import case_point, case_telescoping
 
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
     if config.sweep:
-        # each long entry is printed from the entry two back and the divisor
-        # the sweep built it with
-        first, second, divisors = case_sweep_divisors(system, tag, params, ics, config.n)
-        firsts, seconds = map(format_sequence, (first, second), divisors)
+        firsts, seconds = _component_literals(case_telescoping(system, tag, params, ics, config.n))
         indices = range(config.n + 1)
     else:
         point = case_point(system, tag, params, ics, config.n)
@@ -219,46 +233,69 @@ class _Singular(Exception):
         )
 
 
-def compare_routes(routes: dict, trajectory: Trajectory, n_max: int):
-    """Compare each route with the iterated orbit at indices 0..n_max,
-    routes in sorted order.  Returns (comparisons, failures, the first
-    mismatching (route, n) or None); a failure is an index where either
-    component differs."""
-    failures = 0
-    first_mismatch = None
-    for route, (first, second) in sorted(routes.items()):
-        for n in range(n_max + 1):
-            if first[n] != trajectory.first[n] or second[n] != trajectory.second[n]:
-                failures += 1
-                if first_mismatch is None:
-                    first_mismatch = (route, n)
-    return len(routes) * (n_max + 1), failures, first_mismatch
+def _mismatches(iterated, routes: dict) -> dict:
+    """route -> the indices at which one component's entries on the route
+    differ from ``iterated``; routes that share one list are compared once."""
+    distinct = {id(values): values for values in routes.values()}
+    failing = {
+        key: [n for n, (closed, value) in enumerate(zip(values, iterated)) if closed != value]
+        for key, values in distinct.items()
+    }
+    return {route: failing[id(values)] for route, values in routes.items()}
+
+
+def _first_failure(failing: tuple[dict, dict]) -> tuple[int, Optional[tuple]]:
+    """(failures, the first (route, n, component) or None) from each
+    component's _mismatches, routes in sorted order; a failure is an index
+    where either component differs, counted once per route."""
+    failures, first = 0, None
+    for route in sorted(failing[0]):
+        indices = [found[route] for found in failing]
+        either = set(indices[0]).union(indices[1])
+        failures += len(either)
+        if either and first is None:
+            n = min(either)
+            first = (route, n, 0 if n in indices[0] else 1)
+    return failures, first
 
 
 def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
-    from .closed_form import routes as closed_routes
+    from .closed_form import route_entries, route_telescopings
 
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
-    trajectory = systems.iterate(system, params, ics, config.n)
-    if trajectory.singular is not None:
-        raise _Singular(trajectory.singular)
-    routes = closed_routes(system, tag, params, ics, config.n)
-    checked, _, mismatch = compare_routes(routes, trajectory, config.n)
+    carried, orbit = systems.orbit_telescoping(system, params, ics, config.n)
+    if carried.singular is not None:
+        raise _Singular(carried.singular)
+    routes = route_telescopings(system, tag, params, ics, config.n)
+
+    def compared(k: int) -> dict:
+        # route -> (the indices where component k fails, and the literals
+        # of the closed form and of iteration at the first of them or None)
+        iterated = orbit.entries(k)
+        entries = route_entries(routes, k)
+        found = {}
+        for route, indices in _mismatches(iterated, entries).items():
+            literals = None
+            if indices:
+                at = indices[0]
+                literals = (format_rational(entries[route][at]), format_rational(iterated[at]))
+            found[route] = (indices, literals)
+        return found
+
+    # each component's orbit and routes in a process of its own where long
+    results = systems.both(compared, orbit.bits())
+    _, first = _first_failure(tuple({r: i for r, (i, _) in found.items()} for found in results))
     first_mismatch = None
-    if mismatch is not None:
-        route, n = mismatch
-        first, second = routes[route]
-        if first[n] != trajectory.first[n]:
-            component, closed, iterated = "first", first[n], trajectory.first[n]
-        else:
-            component, closed, iterated = "second", second[n], trajectory.second[n]
+    if first is not None:
+        route, n, k = first
+        closed, iterated = results[k][route][1]
         first_mismatch = {
             "route": route,
             "n": n,
-            "component": component,
-            "closed_form": format_rational(closed),
-            "iterated": format_rational(iterated),
+            "component": ("first", "second")[k],
+            "closed_form": closed,
+            "iterated": iterated,
         }
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -266,7 +303,7 @@ def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
         "system": system,
         "case": tag,
         "N": config.n,
-        "checked": checked,
+        "checked": len(routes) * (config.n + 1),
         "equal": first_mismatch is None,
         "first_mismatch": first_mismatch,
     }
@@ -397,11 +434,16 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
                 }
             continue
         routes = closed_routes(system, auto_case(system, params), params, ics, n_max)
-        compared, failed, mismatch = compare_routes(routes, trajectory, n_max)
-        comparisons += compared
+        components = (trajectory.first, trajectory.second)
+        failing = tuple(
+            _mismatches(iterated, {route: values[k] for route, values in routes.items()})
+            for k, iterated in enumerate(components)
+        )
+        failed, mismatch = _first_failure(failing)
+        comparisons += len(routes) * (n_max + 1)
         failures += failed
         if mismatch is not None and first_counterexample is None:
-            route, n = mismatch
+            route, n, _ = mismatch
             first, second = routes[route]
             first_counterexample = {
                 "kind": "value-mismatch",
@@ -653,7 +695,15 @@ def main(argv=None) -> int:
                 print(f"error: cannot write --out {config.out}: {exc.strerror}", file=sys.stderr)
                 return EXIT_USAGE
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:  # a closed pipe or a full device
+                # what the buffer still holds goes to the null device, so
+                # the flush at exit cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
     else:
         sys.stderr.write(text)
     return code

@@ -17,8 +17,11 @@ one sweep (``_sweep``) evaluates every case.
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
 are pure powers: they assemble one period and two entries, and extend
 the orbit two indices at a time by the assembly's first P divisors,
-repeated with the period P.  Assembly and extension both run
-``systems.telescope``, so every sweep comes with its divisor lists.
+repeated with the period P.  A sweep is a ``systems.Telescoping``: the
+short values, validation, the S and T sweep, its zero scan and the
+divisor lists, come first and raise every error, and then
+``systems.telescope`` builds each component's long entries on its own,
+so the CLI can build the two in two processes.
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is
@@ -39,7 +42,7 @@ from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
 from .reduction import assemble, closed_ST_sweep
-from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases, telescope
+from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -168,24 +171,21 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 # repeats a zero among indices 0..P-1, which the scan of S and T up to
 # index P finds, so the first forbidden index is the full sweep's.
 
-def _extend(period: int, lists, divisors, last: int) -> tuple:
-    """Extend each of ``lists`` (first, second) in place to entries 0..last
-    by the first ``period`` entries of its list in ``divisors``, repeated;
-    return the divisor lists ``systems.telescope`` built them with."""
-    return tuple(
-        telescope(values, [steps[j % period] for j in range(last - 1)], last)
-        for values, steps in zip(lists, divisors)
-    )
+def _extend(period: int, built: Telescoping, last: int) -> Telescoping:
+    """``built`` extended to entry ``last`` by the first ``period`` entries
+    of each of its divisor lists, repeated."""
+    divisors = tuple([steps[j % period] for j in range(last - 1)] for steps in built.divisors)
+    return Telescoping(built.starts, divisors, last)
 
 
-def _sweep(case: Case, system: str, params, ics, n_max: int):
-    """Entries 0..n_max of ``case`` as (first, second, divisors), with
-    divisors the lists that ``systems.telescope`` built them with: the
-    assembly's, or for a pure-power case, which assembles entries 0..P+1 at
-    most, those of its period extension.  A zero initial value (lag 1)
-    or seed product is reported before a pure-power case can give the
-    error its own detail; where S and T vanish at one index, the auxiliary
-    of the first component's update is named."""
+def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
+    """How ``systems.telescope`` builds entries 0..n_max of ``case``: by
+    the assembly, or for a pure-power case, which assembles entries
+    0..P+1 at most, by its period extension.  Every error is raised here,
+    before a long entry is built.  A zero initial value (lag 1) or seed
+    product is reported before a pure-power case can give the error its
+    own detail; where S and T vanish at one index, the auxiliary of the
+    first component's update is named."""
     shape, period = SHAPES[system], case.period
     # only lag-1 iteration admits zero components (a longer lag refuses
     # them), so only there must the closed forms name the zero
@@ -201,10 +201,14 @@ def _sweep(case: Case, system: str, params, ics, n_max: int):
             if auxiliary[name][j] == 0:
                 raise ForbiddenInputError(j + 1, case.detail or f"auxiliary {name}[{j}] = 0")
     first0, second0 = (values[0] for values in shape.split(ics._astuple()))
-    first, second, divisors = assemble(system, sb, tb, first0, second0, count)
-    if count < n_max:
-        divisors = _extend(period, (first, second), divisors, n_max)
-    return first, second, divisors
+    built = assemble(system, sb, tb, first0, second0, count)
+    return _extend(period, built, n_max) if count < n_max else built
+
+
+def case_telescoping(system: str, tag: str, params, ics, n_max: int) -> Telescoping:
+    """How ``systems.telescope`` builds entries 0..n_max of case ``tag``;
+    every error of the case sweep is raised here."""
+    return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
 
 
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
@@ -215,8 +219,9 @@ def case_sweep(system: str, tag: str, params, ics, n_max: int):
 
 def case_sweep_divisors(system: str, tag: str, params, ics, n_max: int):
     """case_sweep, with the divisor lists that built its entries: (first,
-    second, divisors) as from _sweep."""
-    return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
+    second, divisors)."""
+    built = case_telescoping(system, tag, params, ics, n_max)
+    return built.entries(0), built.entries(1), built.divisors
 
 
 def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -233,27 +238,42 @@ def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fr
     case = _validated(system, tag, params, n)
     period = case.period
     if not period or n < 2 * period:
-        first, second, _ = _sweep(case, system, params, ics, n)
-        return first[n], second[n]
+        built = _sweep(case, system, params, ics, n)
+        return built.entries(0)[n], built.entries(1)[n]
     m, k = divmod(n, period)
-    sweep = _sweep(case, system, params, ics, 2 * period - 1)[:2]
+    built = _sweep(case, system, params, ics, 2 * period - 1)
+    sweep = map(built.entries, (0, 1))
     first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
     return first, second
 
 
-def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
+def route_telescopings(system: str, tag: str, params, ics, n_max: int) -> dict:
     """The routes ``verify`` and ``difftest`` compare with iteration,
-    "product" and case ``tag``, over entries 0..n_max, from one sweep of the
-    table: the product sweep, which runs before the tag is checked.  A
-    pure-power case extends the sweep's entries 0..P+1 by the sweep's
-    first P divisors, repeated with its period P."""
-    *product, divisors = case_sweep_divisors(system, "Product", params, ics, n_max)
+    "product" and case ``tag``, over entries 0..n_max, as telescopings
+    from one sweep of the table: the product sweep, which runs before the
+    tag is checked.  A pure-power case extends the sweep's first two
+    entries by the sweep's first P divisors, repeated with its period P;
+    any other tag is the product's telescoping itself."""
+    product = case_telescoping(system, "Product", params, ics, n_max)
     period = _validated(system, tag, params, n_max).period
     own = product
     if period and period + 1 < n_max:
-        own = [values[: period + 2] for values in product]
-        _extend(period, own, divisors, n_max)
-    return {"product": tuple(product), tag: tuple(own)}
+        own = _extend(period, product, n_max)
+    return {"product": product, tag: own}
+
+
+def route_entries(routes: dict, k: int) -> dict:
+    """Component k of each route's entries, from route_telescopings;
+    routes that share a telescoping share one list."""
+    built = {telescoping: telescoping.entries(k) for telescoping in dict.fromkeys(routes.values())}
+    return {route: built[telescoping] for route, telescoping in routes.items()}
+
+
+def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
+    """route_telescopings built: route -> (first, second)."""
+    telescopings = route_telescopings(system, tag, params, ics, n_max)
+    first, second = (route_entries(telescopings, k) for k in (0, 1))
+    return {route: (first[route], second[route]) for route in telescopings}
 
 
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(

@@ -13,8 +13,8 @@ one function keyed by the system ("A" or "B"); ``system_aliases`` generates
 its per-system names (``invariants_a`` is ``invariants("A", ...)``).
 ``geometric_sweep`` evaluates a whole sweep of a table from carried integer
 powers; every route of ``sdeq.closed_form`` reads that sweep, and
-``assemble`` rebuilds an orbit from S and T two indices at a time with
-``systems.telescope``, returning the divisor lists it divided by.
+``assemble`` states how ``systems.telescope`` rebuilds an orbit from S and
+T two indices at a time: the start entries and the divisor lists.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rational import geometric_sum, rat
-from .systems import SHAPES, Trajectory, _Record, system_aliases, telescope
+from .systems import SHAPES, Telescoping, Trajectory, _Record, system_aliases
 
 
 class InvariantSeq(_Record):
@@ -193,11 +193,10 @@ def closed_ST_sweep(system: str, params, seeds, count: int):
     return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
-def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int):
-    """Orbit entries 0..count, as lists, and the divisor lists they were
-    built with, (first, second, divisors), from the auxiliary values
-    S[0..count-1], T[0..count-1], which the caller has checked are nonzero,
-    and nonzero start values (first0, second0).
+def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int) -> Telescoping:
+    """How ``systems.telescope`` builds orbit entries 0..count from the
+    auxiliary values S[0..count-1], T[0..count-1], which the caller has
+    checked are nonzero, and nonzero start values (first0, second0).
 
     The orbit is the telescoped product, two indices at a time,
 
@@ -205,9 +204,9 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
         lead[i]  = lead[i-2]  / (T[i-1]/S[i-2])
 
     from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
-    lead and trail the components in the order of SHAPES, built by
-    ``systems.telescope``: each step divides one long value by a short
-    one, so assembly costs about what one step of iteration costs.
+    lead and trail the components in the order of SHAPES: each step
+    divides one long value by a short one, so assembly costs about what
+    one step of iteration costs.
     """
     shape = SHAPES[system]
     lead0, trail0 = shape.by_lead(first0, second0)
@@ -216,11 +215,8 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
         trail.append(1 / lead0 / S[0])
         lead.append(1 / trail0 / T[0])
     rest = range(2, count + 1)
-    divisors = (
-        telescope(lead, [T[i - 1] / S[i - 2] for i in rest], count),
-        telescope(trail, [S[i - 1] / T[i - 2] for i in rest], count),
-    )
-    return (*shape.by_lead(lead, trail), shape.by_lead(*divisors))
+    divisors = [T[i - 1] / S[i - 2] for i in rest], [S[i - 1] / T[i - 2] for i in rest]
+    return Telescoping(shape.by_lead(tuple(lead), tuple(trail)), shape.by_lead(*divisors), count)
 
 
 def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
@@ -239,8 +235,8 @@ def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
         for what, value in divisors:
             if value == 0:
                 raise ZeroDivisorError(what, n)
-    first, second, _ = assemble(system, S, T, *starts, count)
-    return Trajectory(shape.labels, tuple(first), tuple(second))
+    built = assemble(system, S, T, *starts, count)
+    return Trajectory(shape.labels, *(tuple(built.entries(k)) for k in (0, 1)))
 
 
 reconstruct_a, reconstruct_b = system_aliases("reconstruct_{}", reconstruct)

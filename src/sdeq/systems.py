@@ -21,6 +21,10 @@ first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
 ``orbit`` then builds the long entries from them with ``telescope``, the
 one loop that divides an entry two back by a short listed divisor (the
 closed forms build theirs with it too); ``iterate`` returns its trajectory.
+A ``Telescoping`` states what ``telescope`` builds a pair of components
+from, so each component is built on its own, and ``both`` runs the two
+components' jobs, the second in a forked child process (``sdeq.fork``)
+where the entries are long enough to pay for it.
 ``shift_back`` performs the index relabeling that identifies these
 sequences with the originally posed systems, whose initial conditions
 sit at negative indices.
@@ -343,15 +347,50 @@ def telescope(values: list, divisors, last: int):
     per step, and return ``divisors``, the list rational.format_sequence
     prints the entries from.  The one loop that builds an entry from the
     entry two back: the orbit, the closed forms' assembly and their
-    extension run it."""
+    extension run it (``Telescoping.entries``)."""
     for i in range(len(values), last + 1):
         values.append(values[i - 2] / divisors[i - 2])
     return divisors
 
 
-def orbit(system: str, params, ics, n_max: int) -> Orbit:
-    """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
-    carried values, then each component's long entries by ``telescope``
+class Telescoping(_Record):
+    """What ``telescope`` builds a pair of components' entries 0..last
+    from: per component (first, second) its first entries and its divisor
+    list, all short values.  Each component is built on its own, so the
+    two can be built in two processes (``both``).  Compared by identity:
+    routes that share one telescoping share its entries."""
+
+    starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    divisors: tuple
+    last: int
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def entries(self, k: int) -> list[Fraction]:
+        """Entries 0..last of component k (0 first, 1 second)."""
+        values = list(self.starts[k])
+        telescope(values, self.divisors[k], self.last)
+        return values
+
+    def bits(self) -> int:
+        """A bound of the second component's numerator and denominator
+        bits, summed over its entries, which building and printing them
+        take time about in proportion to: entry i = entry i-2 / divisor
+        has at most the bits of both."""
+        sizes = [_bits(value) for value in self.starts[1]]
+        divisors = self.divisors[1]
+        for i in range(len(sizes), self.last + 1):
+            sizes.append(sizes[i - 2] + _bits(divisors[i - 2]))
+        return sum(sizes)
+
+
+def _bits(value: Fraction) -> int:
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Telescoping]:
+    """The short part of ``orbit``, shared by its two components: the
+    carried values, and how ``telescope`` builds each component's entries
     from its initial values.  Entry i is entry i-2 divided by entry i-2 of
     a divisor list: at lag 1 the factors ``carry`` recorded, defined on
     zero components too; at a longer lag the quotients w[i-2]/z[i-1]
@@ -365,11 +404,42 @@ def orbit(system: str, params, ics, n_max: int) -> Orbit:
         divisors = shape.by_lead(
             tuple(w[i - 2] / z[i - 1] for i in rest), tuple(z[i - 2] / w[i - 1] for i in rest)
         )
-    first, second = (list(values) for values in shape.split(ics._astuple()))
-    for values, steps in zip((first, second), divisors):
-        telescope(values, steps, len(w))
-    trajectory = Trajectory(shape.labels, tuple(first), tuple(second), carried.singular)
-    return Orbit(trajectory, w, z, divisors)
+    return carried, Telescoping(shape.split(ics._astuple()), divisors, len(w))
+
+
+def orbit(system: str, params, ics, n_max: int) -> Orbit:
+    """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
+    carried values, then each component's long entries by ``telescope``
+    (see orbit_telescoping)."""
+    carried, built = orbit_telescoping(system, params, ics, n_max)
+    first, second = (tuple(built.entries(k)) for k in (0, 1))
+    trajectory = Trajectory(SHAPES[system].labels, first, second, carried.singular)
+    return Orbit(trajectory, carried.w, carried.z, built.divisors)
+
+
+# The second process pays where the entries it builds are long.  Measured
+# in fresh processes on a 2 vCPU Xeon VM (Python 3.11): a fork takes about
+# 1 ms, loading pickle 3 ms and reaping the child 2 ms, and the literals'
+# trip through the pipe about 0.7 ns per bit of the entries printed (14 MB
+# in 30 ms), against 5-8 ns per bit to build and print them.  With the
+# parent's copy-on-write faults on top, forking saved nothing measurable
+# at 3.9M bits (System A at n = 220), 48 ms at 10M (n = 300) and 30 % at
+# 46M (n = 500).  The bound overstates entries that cancel, as with unit
+# parameters, by 2-3 times: at A's a = b = 1 and n = 1500 (12.6M bits by
+# the bound) forking was as fast as not.
+_FORK_BITS = 4_000_000
+
+
+def both(job: Callable, bits: int) -> tuple:
+    """(job(0), job(1)), one job per component.  Where ``bits``, the size
+    of job(1)'s work (Telescoping.bits), exceeds _FORK_BITS, job(1) runs
+    in a forked child while this process runs job(0) (``sdeq.fork.run``,
+    loaded only then); otherwise both run here, in order."""
+    if bits <= _FORK_BITS:
+        return job(0), job(1)
+    from . import fork
+
+    return fork.run(job)
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:

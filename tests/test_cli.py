@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -873,6 +874,52 @@ def test_difftest_sweeps_the_table_once_per_trial(monkeypatch, system, n):
     assert calls == [system] * trials
 
 
+def _one_process(monkeypatch) -> None:
+    """Run every job of a run in this process, so that the counters patched
+    in here see it: a forked child's calls do not reach them."""
+    monkeypatch.setattr(systems, "_FORK_BITS", float("inf"))
+
+
+def _counted_comparisons(monkeypatch) -> list:
+    """The Fraction comparisons made from now on while cli._mismatches
+    compares routes with iteration."""
+    calls, comparing = [], False
+    real_eq, real_mismatches = F.__eq__, cli._mismatches
+
+    def eq(x, y):
+        if comparing:
+            calls.append(1)
+        return real_eq(x, y)
+
+    def mismatches(*args):
+        nonlocal comparing
+        comparing = True
+        try:
+            return real_mismatches(*args)
+        finally:
+            comparing = False
+
+    monkeypatch.setattr(F, "__eq__", eq)
+    monkeypatch.setattr(cli, "_mismatches", mismatches)
+    return calls
+
+
+def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
+    # System A's general stratum has no period, so its case route is the
+    # product's list and is compared once; its counts are per route
+    _one_process(monkeypatch)
+    calls = _counted_comparisons(monkeypatch)
+    trials, n = 6, 20
+    report = cli.difftest("A", trials, n, 7)
+    assert (report["comparisons"], report["failures"]) == (trials * 2 * (n + 1), 0)
+    assert len(calls) == trials * 2 * (n + 1)
+    # NegNeg's route extends the sweep by its period: two lists, each compared
+    calls.clear()
+    code, out, _ = run_cli(capsys, _with(VERIFY_A, a="-1", b="-1", n="20"))
+    assert (code, json.loads(out)["case"], json.loads(out)["checked"]) == (0, "NegNeg", 42)
+    assert len(calls) == 2 * 2 * 21
+
+
 def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
     real = systems.Trajectory
 
@@ -925,6 +972,7 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
     assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
     first, second = ([format_rational(v) for v in values] for values in (orbit.first, orbit.second))
+    _one_process(monkeypatch)
     monkeypatch.setattr(rational, "_FORMAT_STR_BITS", rational._FORMAT_SPLIT_BITS)
     converted = _counted_conversions(monkeypatch)
     sweeps = _counted_sweeps(monkeypatch)
@@ -965,6 +1013,7 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     sweep = closed_form.case_sweep(system, tag, params, ics, 120)
     expected = [[format_rational(v) for v in values] for values in sweep]
     argv = ["solve", "--sweep", "--system", system, *_flags(params), *_flags(ics), "--n", "120"]
+    _one_process(monkeypatch)
     monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
     monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     converted = _counted_conversions(monkeypatch)
@@ -1011,6 +1060,7 @@ def test_sweep_prints_from_divisors_without_dividing(capsys, monkeypatch, argv):
         finally:
             printing = False
 
+    _one_process(monkeypatch)
     monkeypatch.setattr(F, "__truediv__", divide)
     monkeypatch.setattr(cli, "format_sequence", counted)
     code, _, _ = run_cli(capsys, ["solve", "--sweep", *argv])
@@ -1086,6 +1136,28 @@ def test_successful_run_imports_no_json(tmp_path):
     assert result.stdout == "0 False\n", result.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["first"] == ["1", "1", "1/2", "2/3", "3/8"]
+
+
+def _sdeq(argv, **streams) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "sdeq", *argv], stderr=subprocess.PIPE, **streams)
+
+
+def test_a_closed_pipe_is_a_report_error():
+    # as in `sdeq iterate ... | true`: the reader is gone before the report
+    # (17 MB at n = 400) is written
+    process = _sdeq(["iterate", *DEEP_A[:-1], "400"], stdout=subprocess.PIPE)
+    process.stdout.close()
+    err = process.stderr.read()
+    assert (process.wait(timeout=300), err) == (1, b"error: cannot write the report: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device")
+def test_a_full_device_is_a_report_error():
+    with open("/dev/full", "w") as full:
+        process = _sdeq(["iterate", "--system", "A", *A_FLAGS, "--n", "5"], stdout=full)
+        err = process.stderr.read()
+    expected = b"error: cannot write the report: No space left on device\n"
+    assert (process.wait(timeout=300), err) == (1, expected)
 
 
 # ---------------------------------------------------------------------------
