@@ -8,12 +8,13 @@ codes: 0 success/clean, 1 usage error or a report that cannot be written,
 2 singular trajectory where regularity was required, 3 forbidden input,
 4 verification mismatch.
 
-``iterate``, ``solve --sweep`` and ``verify`` raise every error from the
-short values first, and then build (and print or compare) each
-component's long entries on its own; where those are long and a second
-CPU is free, the second component's job runs in a forked child process
-(``systems.both``), which sends back only its literals or its failing
-indices.  The other subcommands and point solves run in one process.
+``iterate``, ``solve --sweep``, ``verify`` and each ``difftest`` trial
+raise every error from the short values first, and then build (and
+print, or compare by the one ``_compare``) each component's long entries
+on its own; where those are long and a second CPU is free, the second
+component's job runs in a forked child process (``systems.both``), which
+sends back only its literals or its failing indices.  The other
+subcommands and point solves run in one process.
 """
 
 from __future__ import annotations
@@ -233,75 +234,70 @@ class _Singular(Exception):
         )
 
 
-def _mismatches(iterated, routes: dict) -> dict:
-    """route -> the indices at which one component's entries on the route
-    differ from ``iterated``; routes that share one list are compared once."""
-    distinct = {id(values): values for values in routes.values()}
-    failing = {
-        key: [n for n, (closed, value) in enumerate(zip(values, iterated)) if closed != value]
-        for key, values in distinct.items()
-    }
-    return {route: failing[id(values)] for route, values in routes.items()}
+def _compare(system: str, tag: str, params, ics, n: int):
+    """The one comparison of closed forms with iteration over entries 0..n:
+    the orbit's Singularity, or (orbit, routes, failures, first) with the
+    telescopings of the orbit and of case ``tag``'s routes
+    (closed_form.route_telescopings).  A failure is an index where either
+    component differs, counted once per route; ``first`` is the first
+    (route, n, component) in sorted route order, or None.  Where long,
+    each component is built and compared in a process of its own
+    (systems.both), which sends back only its failing indices."""
+    from .closed_form import route_telescopings
 
-
-def _first_failure(failing: tuple[dict, dict]) -> tuple[int, Optional[tuple]]:
-    """(failures, the first (route, n, component) or None) from each
-    component's _mismatches, routes in sorted order; a failure is an index
-    where either component differs, counted once per route."""
+    carried, orbit = systems.orbit_telescoping(system, params, ics, n)
+    if carried.singular is not None:
+        return carried.singular
+    routes = route_telescopings(system, tag, params, ics, n)
+    failing = systems.both(lambda k: _mismatches(orbit, routes, k), orbit.bits())
     failures, first = 0, None
-    for route in sorted(failing[0]):
+    for route in sorted(routes):
         indices = [found[route] for found in failing]
         either = set(indices[0]).union(indices[1])
         failures += len(either)
         if either and first is None:
-            n = min(either)
-            first = (route, n, 0 if n in indices[0] else 1)
-    return failures, first
+            at = min(either)
+            first = (route, at, 0 if at in indices[0] else 1)
+    return orbit, routes, failures, first
+
+
+def _mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
+    """route -> the indices at which component k of the route's entries
+    differs from the orbit's; each distinct telescoping is built and
+    compared once."""
+    iterated = orbit.entries(k)
+    failing = {}
+    for built in dict.fromkeys(routes.values()):
+        pairs = enumerate(zip(built.entries(k), iterated))
+        failing[built] = [n for n, (closed, value) in pairs if closed != value]
+    return {route: failing[built] for route, built in routes.items()}
+
+
+def _literal(built: systems.Telescoping, k: int, n: int) -> str:
+    """Entry n of component k of ``built``, built up to n only."""
+    return format_rational(systems.Telescoping(built.starts, built.divisors, n).entries(k)[n])
 
 
 def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
-    from .closed_form import route_entries, route_telescopings
-
-    system, params, ics = config.system, config.params, config.ics
-    tag = config.case
-    carried, orbit = systems.orbit_telescoping(system, params, ics, config.n)
-    if carried.singular is not None:
-        raise _Singular(carried.singular)
-    routes = route_telescopings(system, tag, params, ics, config.n)
-
-    def compared(k: int) -> dict:
-        # route -> (the indices where component k fails, and the literals
-        # of the closed form and of iteration at the first of them or None)
-        iterated = orbit.entries(k)
-        entries = route_entries(routes, k)
-        found = {}
-        for route, indices in _mismatches(iterated, entries).items():
-            literals = None
-            if indices:
-                at = indices[0]
-                literals = (format_rational(entries[route][at]), format_rational(iterated[at]))
-            found[route] = (indices, literals)
-        return found
-
-    # each component's orbit and routes in a process of its own where long
-    results = systems.both(compared, orbit.bits())
-    _, first = _first_failure(tuple({r: i for r, (i, _) in found.items()} for found in results))
+    compared = _compare(config.system, config.case, config.params, config.ics, config.n)
+    if isinstance(compared, systems.Singularity):
+        raise _Singular(compared)
+    orbit, routes, _, first = compared
     first_mismatch = None
     if first is not None:
         route, n, k = first
-        closed, iterated = results[k][route][1]
         first_mismatch = {
             "route": route,
             "n": n,
             "component": ("first", "second")[k],
-            "closed_form": closed,
-            "iterated": iterated,
+            "closed_form": _literal(routes[route], k, n),
+            "iterated": _literal(orbit, k, n),
         }
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "system": system,
-        "case": tag,
+        "system": config.system,
+        "case": config.case,
         "N": config.n,
         "checked": len(routes) * (config.n + 1),
         "equal": first_mismatch is None,
@@ -397,16 +393,15 @@ def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
 
 def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
     """Sample admissible inputs, skip forbidden ones, and assert exact
-    agreement of the product and case closed forms with iteration; one
-    sweep of the closed-form table per trial serves both
-    (``closed_form.routes``).
+    agreement of the product and case closed forms with iteration, by the
+    comparison ``verify`` makes (``_compare``) at the auto-selected case.
 
     Trials cycle through the system's parameter strata (for System B the
     geometric-ratio, unit-ratio, unit-b,d and all-ones families).
     """
     import random
 
-    from .closed_form import auto_case, routes as closed_routes
+    from .closed_form import auto_case
     from .sampling import DISTRIBUTION_NOTE, draw_admissible
 
     strata = STRATA[system]
@@ -421,39 +416,33 @@ def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
         params, ics, skipped_now = draw_admissible(rng, system, n_max, case)
         skipped += skipped_now
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
-        trajectory = systems.iterate(system, params, ics, n_max)
+        compared = _compare(system, auto_case(system, params), params, ics, n_max)
         inputs = {"params": _lit_map(params), "ics": _lit_map(ics)}
-        if trajectory.singular is not None:
+        if isinstance(compared, systems.Singularity):
             # admissible inputs cannot be singular; a hit here is a finding
             failures += 1
             if first_counterexample is None:
                 first_counterexample = {
                     "kind": "unexpected-singularity",
                     **inputs,
-                    "step": trajectory.singular.step,
+                    "step": compared.step,
                 }
             continue
-        routes = closed_routes(system, auto_case(system, params), params, ics, n_max)
-        components = (trajectory.first, trajectory.second)
-        failing = tuple(
-            _mismatches(iterated, {route: values[k] for route, values in routes.items()})
-            for k, iterated in enumerate(components)
-        )
-        failed, mismatch = _first_failure(failing)
+        orbit, routes, failed, mismatch = compared
         comparisons += len(routes) * (n_max + 1)
         failures += failed
         if mismatch is not None and first_counterexample is None:
             route, n, _ = mismatch
-            first, second = routes[route]
+            closed = routes[route]
             first_counterexample = {
                 "kind": "value-mismatch",
                 "route": route,
                 **inputs,
                 "n": n,
-                "closed_first": format_rational(first[n]),
-                "closed_second": format_rational(second[n]),
-                "iterated_first": format_rational(trajectory.first[n]),
-                "iterated_second": format_rational(trajectory.second[n]),
+                "closed_first": _literal(closed, 0, n),
+                "closed_second": _literal(closed, 1, n),
+                "iterated_first": _literal(orbit, 0, n),
+                "iterated_second": _literal(orbit, 1, n),
             }
     return {
         "schema_version": SCHEMA_VERSION,

@@ -21,7 +21,8 @@ repeated with the period P.  A sweep is a ``systems.Telescoping``: the
 short values, validation, the S and T sweep, its zero scan and the
 divisor lists, come first and raise every error, and then
 ``systems.telescope`` builds each component's long entries on its own,
-so the CLI can build the two in two processes.
+so the CLI can build, print or compare (``route_telescopings``) the
+two in two processes.
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is
@@ -213,15 +214,8 @@ def case_telescoping(system: str, tag: str, params, ics, n_max: int) -> Telescop
 
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
     """Entries 0..n_max of case ``tag``, as (first, second)."""
-    first, second, _ = case_sweep_divisors(system, tag, params, ics, n_max)
-    return first, second
-
-
-def case_sweep_divisors(system: str, tag: str, params, ics, n_max: int):
-    """case_sweep, with the divisor lists that built its entries: (first,
-    second, divisors)."""
     built = case_telescoping(system, tag, params, ics, n_max)
-    return built.entries(0), built.entries(1), built.divisors
+    return built.entries(0), built.entries(1)
 
 
 def product_sweep(system: str, params, ics, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -248,32 +242,18 @@ def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fr
 
 
 def route_telescopings(system: str, tag: str, params, ics, n_max: int) -> dict:
-    """The routes ``verify`` and ``difftest`` compare with iteration,
-    "product" and case ``tag``, over entries 0..n_max, as telescopings
-    from one sweep of the table: the product sweep, which runs before the
-    tag is checked.  A pure-power case extends the sweep's first two
-    entries by the sweep's first P divisors, repeated with its period P;
-    any other tag is the product's telescoping itself."""
+    """The routes that ``verify`` and ``difftest`` compare with iteration
+    (``cli._compare``), "product" and case ``tag``, over entries 0..n_max,
+    as telescopings from one sweep of the table: the product sweep, which
+    runs before the tag is checked.  A pure-power case extends the sweep's
+    first two entries by the sweep's first P divisors, repeated with its
+    period P; any other tag is the product's telescoping itself."""
     product = case_telescoping(system, "Product", params, ics, n_max)
     period = _validated(system, tag, params, n_max).period
     own = product
     if period and period + 1 < n_max:
         own = _extend(period, product, n_max)
     return {"product": product, tag: own}
-
-
-def route_entries(routes: dict, k: int) -> dict:
-    """Component k of each route's entries, from route_telescopings;
-    routes that share a telescoping share one list."""
-    built = {telescoping: telescoping.entries(k) for telescoping in dict.fromkeys(routes.values())}
-    return {route: built[telescoping] for route, telescoping in routes.items()}
-
-
-def routes(system: str, tag: str, params, ics, n_max: int) -> dict:
-    """route_telescopings built: route -> (first, second)."""
-    telescopings = route_telescopings(system, tag, params, ics, n_max)
-    first, second = (route_entries(telescopings, k) for k in (0, 1))
-    return {route: (first[route], second[route]) for route in telescopings}
 
 
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(

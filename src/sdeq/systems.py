@@ -18,13 +18,13 @@ Iteration runs in two parts.  ``carry``, one loop for every lag, runs the
 invariant recursion alone: it advances the invariant products w and z by
 exact identities of the map and records each step's factors and the
 first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
-``orbit`` then builds the long entries from them with ``telescope``, the
-one loop that divides an entry two back by a short listed divisor (the
-closed forms build theirs with it too); ``iterate`` returns its trajectory.
-A ``Telescoping`` states what ``telescope`` builds a pair of components
-from, so each component is built on its own, and ``both`` runs the two
-components' jobs, the second in a forked child process (``sdeq.fork``)
-where the entries are long enough to pay for it.
+``orbit_telescoping`` then states, as a ``Telescoping``, how ``telescope``
+builds each component's long entries from them: the one loop that
+divides an entry two back by a short listed divisor (the closed forms
+build theirs with it too).  Each component is built on its own, and
+``both`` runs the two components' jobs, the second in a forked child
+process (``sdeq.fork``) where the entries are long enough to pay for it;
+``iterate`` builds both here and returns the trajectory.
 ``shift_back`` performs the index relabeling that identifies these
 sequences with the originally posed systems, whose initial conditions
 sit at negative indices.
@@ -254,24 +254,14 @@ class ZeroInitialError(ValueError):
     from a runtime singularity."""
 
 
-class Orbit(_Record):
-    """A trajectory, the invariant products its iteration carried,
-    w[n] = lead[n]*trail[n+1] and z[n] = trail[n]*lead[n+1] for
-    n = 0..len(trajectory)-2 with lead and trail as in SHAPES, and the
-    divisor lists ``telescope`` built (first, second) with."""
-
-    trajectory: Trajectory
-    w: tuple[Fraction, ...]
-    z: tuple[Fraction, ...]
-    divisors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-
 class Carried(_Record):
     """The short values an orbit's iteration carries, O(n) bits each: the
-    invariant products w and z (as in Orbit), per component (first,
-    second) the factor alpha + beta*P of each completed step n (see
-    carry), and the first singular step.  ``orbit`` builds the long
-    entries."""
+    invariant products w[n] = lead[n]*trail[n+1] and
+    z[n] = trail[n]*lead[n+1] for n = 0..len(orbit)-2, with lead and
+    trail as in SHAPES, per component (first, second) the factor
+    alpha + beta*P of each completed step n (see carry), and the first
+    singular step.  ``orbit_telescoping`` says how the long entries are
+    built from them."""
 
     w: tuple[Fraction, ...]
     z: tuple[Fraction, ...]
@@ -287,7 +277,7 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
     w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n]); it is
     singular where the trailing component's p + q*z[n] or the leading
     one's r + s*w[n] vanishes, the first component checked first (the
-    factor Y[n+lag] of a longer lag never does).  At a longer lag ``orbit``
+    factor Y[n+lag] of a longer lag never does).  At a longer lag the orbit
     divides by quotients of w and z, so zero initials are refused.
     """
     shape = SHAPES[system]
@@ -389,12 +379,13 @@ def _bits(value: Fraction) -> int:
 
 
 def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Telescoping]:
-    """The short part of ``orbit``, shared by its two components: the
-    carried values, and how ``telescope`` builds each component's entries
-    from its initial values.  Entry i is entry i-2 divided by entry i-2 of
-    a divisor list: at lag 1 the factors ``carry`` recorded, defined on
-    zero components too; at a longer lag the quotients w[i-2]/z[i-1]
-    (leading) and z[i-2]/w[i-1] (trailing), from i = 2 on."""
+    """The short part of iterating ``system`` up to index ``n_max``,
+    shared by its two components: the carried values, and how
+    ``telescope`` builds each component's entries from its initial
+    values.  Entry i is entry i-2 divided by entry i-2 of a divisor list:
+    at lag 1 the factors ``carry`` recorded, defined on zero components
+    too; at a longer lag the quotients w[i-2]/z[i-1] (leading) and
+    z[i-2]/w[i-1] (trailing), from i = 2 on."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
     w, z = carried.w, carried.z
@@ -405,16 +396,6 @@ def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Te
             tuple(w[i - 2] / z[i - 1] for i in rest), tuple(z[i - 2] / w[i - 1] for i in rest)
         )
     return carried, Telescoping(shape.split(ics._astuple()), divisors, len(w))
-
-
-def orbit(system: str, params, ics, n_max: int) -> Orbit:
-    """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
-    carried values, then each component's long entries by ``telescope``
-    (see orbit_telescoping)."""
-    carried, built = orbit_telescoping(system, params, ics, n_max)
-    first, second = (tuple(built.entries(k)) for k in (0, 1))
-    trajectory = Trajectory(SHAPES[system].labels, first, second, carried.singular)
-    return Orbit(trajectory, carried.w, carried.z, built.divisors)
 
 
 # The second process pays where the entries it builds are long.  Measured
@@ -443,8 +424,12 @@ def both(job: Callable, bits: int) -> tuple:
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:
-    """Iterate ``system`` exactly up to index ``n_max`` (inclusive)."""
-    return orbit(system, params, ics, n_max).trajectory
+    """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
+    carried values, then each component's long entries by ``telescope``
+    (see orbit_telescoping)."""
+    carried, built = orbit_telescoping(system, params, ics, n_max)
+    first, second = (tuple(built.entries(k)) for k in (0, 1))
+    return Trajectory(SHAPES[system].labels, first, second, carried.singular)
 
 
 def system_aliases(template: str, keyed: Callable) -> tuple:

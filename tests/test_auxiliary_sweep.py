@@ -174,6 +174,15 @@ PURE_POWER_EXAMPLES = [
     ("A", SystemAParams(-1, 1), _UNIT_A, 12),
     ("B", SystemBParams(1, 1, -1, 1), _UNIT_B, 24),
 ]
+# for each system, an orbit whose first and one whose second component's
+# update is singular first, as (inputs, the singular component)
+_ONES_B = SystemBInitial(1, 1, 1, 1, 1, 1)
+SINGULAR_EXAMPLES = [
+    (("A", SystemAParams(1, 1), SystemAInitial(1, 5, 7, -1), 6), "first"),  # a + u0*v1 = 0
+    (("A", SystemAParams(1, 1), SystemAInitial(1, -1, 1, 2), 6), "second"),  # b + v0*u1 = 0
+    (("B", SystemBParams(1, -1, 1, -1), _ONES_B, 6), "first"),  # a + b*x0*y1 = 0
+    (("B", SystemBParams(1, 1, 1, -1), _ONES_B, 6), "second"),  # c + d*y0*x1 = 0
+]
 
 
 def test_case_routes_equal_iteration():
@@ -185,6 +194,10 @@ def test_case_routes_equal_iteration():
         outcomes.append(_check_against_iteration(*inputs))
 
     for inputs in PURE_POWER_EXAMPLES:
+        check = hypothesis.example(inputs)(check)
+    for inputs, component in SINGULAR_EXAMPLES:
+        system, params, ics, n = inputs
+        assert ITERATION[system][0](params, ics, n).singular.component == component
         check = hypothesis.example(inputs)(check)
     check()
     singular, extended = zip(*outcomes)

@@ -710,7 +710,7 @@ def test_pure_power_point_solve_reports_first_break(capsys):
 
 
 # The mismatch payloads below are forced with a wrong auxiliary closed-form
-# sweep or with an iterator that reports every orbit singular; both
+# sweep or with an invariant carry that reports every orbit singular; both
 # substitutions act where the library looks the names up.  Every route reads
 # the wrong sweep, so the product and case routes both fail, and the case tag
 # is named because routes are compared in sorted order.
@@ -906,7 +906,7 @@ def _counted_comparisons(monkeypatch) -> list:
 
 def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
     # System A's general stratum has no period, so its case route is the
-    # product's list and is compared once; its counts are per route
+    # product's telescoping and is built and compared once; its counts are per route
     _one_process(monkeypatch)
     calls = _counted_comparisons(monkeypatch)
     trials, n = 6, 20
@@ -921,13 +921,14 @@ def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
 
 
 def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
-    real = systems.Trajectory
+    real = systems.carry
 
-    def always_singular(labels, first, second, singular=None, origin=0):
-        forced = singular or systems.Singularity(4, "second", "forced")
-        return real(labels, first, second, forced, origin)
+    def always_singular(system, params, ics, n_max):
+        carried = real(system, params, ics, n_max)
+        forced = carried.singular or systems.Singularity(4, "second", "forced")
+        return systems.Carried(carried.w, carried.z, carried.factors, forced)
 
-    monkeypatch.setattr(systems, "Trajectory", always_singular)
+    monkeypatch.setattr(systems, "carry", always_singular)
     report = cli.difftest("A", 3, 6, 5)
     assert (report["comparisons"], report["failures"]) == (0, 3)
     assert report["first_counterexample"] == {
@@ -1184,7 +1185,7 @@ def test_reduce_builds_no_long_entry(capsys, monkeypatch, argv):
     expected = {name: [format_rational(v) for v in values] for name, values in columns}
     _no_long_entries(monkeypatch)
     with pytest.raises(AssertionError, match="long entries"):
-        systems.orbit(system, config.params, config.ics, config.n)
+        systems.iterate(system, config.params, config.ics, config.n)
     code, out, _ = run_cli(capsys, ["reduce", *argv])
     payload = json.loads(out)
     assert code == 0 and {name: payload[name] for name in expected} == expected

@@ -1,8 +1,10 @@
-"""The two-process path of ``iterate``, ``solve --sweep`` and ``verify``.
+"""The two-process path of ``iterate``, ``solve --sweep``, ``verify`` and
+``difftest``.
 
 With the size bar of ``systems.both`` lowered to nothing and two CPUs
-granted, each of these runs forks one child, and its stdout, stderr and
-exit code equal those of the same run on one process.  When the fork
+granted, each of these runs forks one child (``difftest`` one per
+trial), and its stdout, stderr and exit code equal those of the same run
+on one process.  When the fork
 fails, the child exits nonzero or its data is short, the parent builds
 the second component itself, with the same bytes.  The other subcommands
 and point solves never fork, nor does a process on one CPU or with a
@@ -56,6 +58,9 @@ RUNS = {
     "verify-UnitBD": (["verify", *UNIT_BD, "--n", "40"], 1),
     # exit 2 before any long entry is built
     "verify-singular-A": (["verify", *SINGULAR_A, "--n", "9"], 0),
+    # one child per trial
+    "difftest-A": (["difftest", "--system", "A", "--trials", "3", "--n", "20", "--seed", "1"], 3),
+    "difftest-B": (["difftest", "--system", "B", "--trials", "4", "--n", "20", "--seed", "1"], 4),
 }
 
 
@@ -119,10 +124,8 @@ def test_two_processes_print_the_one_process_bytes(capsys, monkeypatch, argv, fo
     assert set(built) == ({0} if forks else set())
 
 
-@pytest.mark.parametrize("sequence, component", [("S", "first"), ("T", "second")])
-def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, component):
-    # a wrong S[3] first breaks the first component at index 4, a wrong
-    # T[3] the second one, whose literals come from the child
+def _wrong(monkeypatch, sequence: str) -> None:
+    """Add 1 to entry 3 of the closed-form sweep's S or T from now on."""
     real = closed_form.closed_ST_sweep
 
     def wrong(system, params, seeds, count):
@@ -132,6 +135,14 @@ def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, comp
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
+
+
+@pytest.mark.parametrize("sequence, component", [("S", "first"), ("T", "second")])
+def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, component):
+    # a wrong S[3] first breaks the first component at index 4, a wrong
+    # T[3] the second one; the child sends back only the failing indices,
+    # and this process builds the literals of either component up to n
+    _wrong(monkeypatch, sequence)
     argv = [
         "verify", "--system", "A", "--a", "2", "--b", "3",
         "--u0", "1", "--u1", "2", "--v0", "3", "--v1", "1/2", "--n", "6",
@@ -140,8 +151,23 @@ def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, comp
     mismatch = json.loads(expected[1])["first_mismatch"]
     assert expected[0] == 4 and (mismatch["n"], mismatch["component"]) == (4, component)
     children = _two_processes(monkeypatch)
+    built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == 1
+    assert len(children) == 1 and (1 in built) == (component == "second")
+
+
+def test_difftest_mismatch_payload_from_two_processes(capsys, monkeypatch):
+    # both components' literals of the counterexample come from this
+    # process, the second one's too, although each child compared it
+    _wrong(monkeypatch, "S")
+    argv = ["difftest", "--system", "A", "--trials", "3", "--n", "6", "--seed", "5"]
+    expected = _one_process(capsys, monkeypatch, argv)
+    counterexample = json.loads(expected[1])["first_counterexample"]
+    assert expected[0] == 4 and counterexample["kind"] == "value-mismatch"
+    children = _two_processes(monkeypatch)
+    built = _built_here(monkeypatch)
+    assert _run(capsys, argv) == expected
+    assert len(children) == 3 and 1 in built
 
 
 def _broken_dump(obj, file, protocol):
@@ -149,18 +175,22 @@ def _broken_dump(obj, file, protocol):
 
 
 def _short_dump(obj, file, protocol):
-    file.write(pickle.dumps(obj, protocol=protocol)[:40])
+    file.write(pickle.dumps(obj, protocol=protocol)[:-1])
 
 
 @pytest.mark.parametrize("dump", [_broken_dump, _short_dump], ids=["exits-nonzero", "short-data"])
-@pytest.mark.parametrize("argv", [RUNS["iterate-A"][0], RUNS["verify-B"][0]], ids=["iterate", "verify"])
-def test_a_failed_child_is_replaced_here(capsys, monkeypatch, argv, dump):
+@pytest.mark.parametrize(
+    "argv, forks",
+    [RUNS["iterate-A"], RUNS["verify-B"], RUNS["difftest-B"]],
+    ids=["iterate", "verify", "difftest"],
+)
+def test_a_failed_child_is_replaced_here(capsys, monkeypatch, argv, forks, dump):
     expected = _one_process(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
     monkeypatch.setattr(pickle, "dump", dump)
     built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == 1 and 1 in built
+    assert len(children) == forks and 1 in built
 
 
 def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
@@ -201,14 +231,13 @@ def test_one_cpu_or_a_second_thread_keeps_one_process(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["difftest", "--system", "B", "--trials", "4", "--n", "20", "--seed", "1"],
         ["reduce", *A, "--n", "40"],
         ["symmetry-check", "--system", "A", "--pairs", "1", "--samples", "3", "--seed", "1"],
         ["check-forbidden", *A, "--horizon", "20"],
         ["solve", *NEGNEG, "--n", "40"],
         ["solve", *A, "--n", "40"],
     ],
-    ids=["difftest", "reduce", "symmetry-check", "check-forbidden", "point-NegNeg", "point-A"],
+    ids=["reduce", "symmetry-check", "check-forbidden", "point-NegNeg", "point-A"],
 )
 def test_other_runs_stay_on_one_process(capsys, monkeypatch, argv):
     children = _two_processes(monkeypatch)

@@ -119,8 +119,8 @@ def test_format_sequence_chains_deep_orbits(monkeypatch):
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
         ics = (DEEP_A if system == "A" else DEEP_B)[1]
-        first, second, lists = closed_form.case_sweep_divisors(system, tag, params, ics, 120)
-        for values, divisors in zip((first, second), lists):
+        built = closed_form.case_telescoping(system, tag, params, ics, 120)
+        for values, divisors in zip(map(built.entries, (0, 1)), built.divisors):
             # the divisors are the extension's steps at every index
             assert len(divisors) == len(values) - 2
             assert all(divisors[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
@@ -152,14 +152,13 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
 def _sequences(system: str, params, ics, n: int) -> list:
     """(values, divisors) of both components of the orbit and, unless the
     closed forms are undefined there, of the product-route sweep."""
-    orbit = systems.orbit(system, params, ics, n)
-    components = (orbit.trajectory.first, orbit.trajectory.second)
-    sequences = list(zip(components, orbit.divisors))
+    _, orbit = systems.orbit_telescoping(system, params, ics, n)
+    sequences = [(orbit.entries(k), orbit.divisors[k]) for k in (0, 1)]
     try:
-        *sweep, divisors = closed_form.case_sweep_divisors(system, "Product", params, ics, n)
+        sweep = closed_form.case_telescoping(system, "Product", params, ics, n)
     except closed_form.ForbiddenInputError:
         return sequences
-    return sequences + list(zip(sweep, divisors))
+    return sequences + [(sweep.entries(k), sweep.divisors[k]) for k in (0, 1)]
 
 
 def _chained(ints: list) -> set:
@@ -215,11 +214,11 @@ def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inpu
 )
 def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallbacks):
     # ``corrupt`` maps entry indices i to the wrong divisors[i-2]
-    orbit = systems.orbit("A", *DEEP_A, 300)
+    _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
     divisors = list(orbit.divisors[0])
     for i, value in corrupt(orbit.divisors[0]).items():
         divisors[i - 2] = value
-    values = orbit.trajectory.first
+    values = orbit.entries(0)
     assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
     expected = [format_rational(v) for v in values]
     converted = _from_scratch(monkeypatch)
@@ -232,8 +231,8 @@ def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
     # _FORMAT_STR_BITS and by divide and conquer from there on; the deep
     # orbit's first long entries of each parity are under the bound, and
     # every later entry chains, from str()'s digits or from a chained one
-    orbit = systems.orbit("A", *DEEP_A, 300)
-    values, divisors = orbit.trajectory.first, orbit.divisors[0]
+    _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
+    values, divisors = orbit.entries(0), orbit.divisors[0]
     ints = [x for side in _sides(values) for x in side]
     split, bound = rational._FORMAT_SPLIT_BITS, rational._FORMAT_STR_BITS
     assert sum(split <= x.bit_length() < bound for x in ints) > 4
@@ -409,9 +408,9 @@ def test_unit_orbit_chains_past_the_split(monkeypatch):
     # each component converts only its first long numerator and denominator
     # of each index parity from scratch
     params = SystemAParams(1, 1)
-    orbit = systems.orbit("A", params, SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000)
-    components = (orbit.trajectory.first, orbit.trajectory.second)
-    for values, divisors in zip(components, orbit.divisors):
+    ics = SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8))
+    _, orbit = systems.orbit_telescoping("A", params, ics, 2000)
+    for values, divisors in zip(map(orbit.entries, (0, 1)), orbit.divisors):
         numerators, denominators = _sides(values)
         longest = max(x.bit_length() for x in numerators + denominators)
         assert rational._FORMAT_SPLIT_BITS < longest < 5_000

@@ -19,7 +19,6 @@ from sdeq.systems import (
     iterate,
     iterate_a,
     iterate_b,
-    orbit,
     shift_back,
 )
 
@@ -195,7 +194,7 @@ def _assert_literal(system, params, ics, n_max):
     trail[n]*lead[n+1] of that orbit; returns the orbit."""
     expected = _literal_map(system, params, ics, n_max)
     assert iterate(system, params, ics, n_max) == expected
-    carried = orbit(system, params, ics, n_max)
+    carried = systems.carry(system, params, ics, n_max)
     lead, trail = SHAPES[system].by_lead(expected.first, expected.second)
     assert carried.w == tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
     assert carried.z == tuple(trail[n] * lead[n + 1] for n in range(len(lead) - 1))
@@ -322,34 +321,35 @@ if given is not None:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(systems, "telescope", kernel)
-            iterated = orbit(system, params, ics, n)
-            trajectory = iterated.trajectory
-            for values, divisors in zip((trajectory.first, trajectory.second), iterated.divisors):
+            carried, iterated = systems.orbit_telescoping(system, params, ics, n)
+            trajectory = [iterated.entries(k) for k in (0, 1)]
+            for values, divisors in zip(trajectory, iterated.divisors):
                 _assert_built_with(values, divisors)
             try:
-                *sweep, lists = closed_form.case_sweep_divisors(system, tag, params, ics, n)
-                routes = closed_form.routes(system, tag, params, ics, n)
+                sweep = closed_form.case_telescoping(system, tag, params, ics, n)
+                routes = closed_form.route_telescopings(system, tag, params, ics, n)
             except closed_form.ForbiddenInputError:
                 pass
             else:
                 period = closed_form.CASES[system][tag].period
-                for values, divisors in zip(sweep, lists):
-                    _assert_built_with(values, divisors)
+                for k, divisors in enumerate(sweep.divisors):
+                    _assert_built_with(sweep.entries(k), divisors)
                     # a pure-power sweep's list repeats its first P entries
                     if period:
                         assert all(d is divisors[j % period] for j, d in enumerate(divisors))
                 assert routes.keys() == {"product", tag}
-                assert all(id(values) in built for route in routes.values() for values in route)
+                lists = [route.entries(k) for route in routes.values() for k in (0, 1)]
+                assert all(id(values) in built for values in lists)
             before = len(built)
             try:
-                lin = reduction.linearize(reduction.InvariantSeq(iterated.w, iterated.z))
+                lin = reduction.linearize(reduction.InvariantSeq(carried.w, carried.z))
                 starts = (values[0] for values in SHAPES[system].split(ics._astuple()))
                 rebuilt = reduction.reconstruct(system, lin, *starts)
             except (reduction.ZeroInvariantError, reduction.ZeroDivisorError):
                 pass
             else:
                 assert len(built) == before + 2
-                assert (rebuilt.first, rebuilt.second) == (trajectory.first, trajectory.second)
+                assert [list(rebuilt.first), list(rebuilt.second)] == trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +484,13 @@ def _agrees(system: str, truth: SystemShape, params, ics, n: int) -> bool:
     step, the reduction, the product route, the forbidden-set prediction
     and both symmetry residuals."""
     first, second, stop = _family_map(truth, params, ics, n)
-    iterated = orbit(system, params, ics, n)
-    trajectory = iterated.trajectory
+    trajectory = iterate(system, params, ics, n)
     singular = trajectory.singular and (trajectory.singular.step, trajectory.singular.component)
     if (trajectory.first, trajectory.second, singular) != (tuple(first), tuple(second), stop):
         return False
     lead, trail = truth.by_lead(first, second)
-    lin = reduction.linearize(reduction.InvariantSeq(iterated.w, iterated.z))
+    carried = systems.carry(system, params, ics, n)
+    lin = reduction.linearize(reduction.InvariantSeq(carried.w, carried.z))
     if lin.S != tuple(1 / (lead[k] * trail[k + 1]) for k in range(len(lead) - 1)):
         return False
     if lin.T != tuple(1 / (trail[k] * lead[k + 1]) for k in range(len(lead) - 1)):
@@ -540,9 +540,9 @@ def test_shapes_nobody_wrote_code_for(monkeypatch, lag, lead):
     params = SystemBParams(1, -1, 1, 1)
     ones = truth.initial(*[1] * len(truth.initial._fields))
     expected = Singularity(lag + 1, "first", f"y{lag}*(a + b*x0*y1) = 0")
-    assert orbit(system, params, ones, lag + 1).trajectory.singular == expected
+    assert iterate(system, params, ones, lag + 1).singular == expected
     with pytest.raises(ZeroInitialError, match=f"System {system} initial components"):
-        orbit(system, params, truth.initial(*[0] * len(truth.initial._fields)), lag + 1)
+        iterate(system, params, truth.initial(*[0] * len(truth.initial._fields)), lag + 1)
     # control: the same shape with its rule's pairs swapped disagrees
     swapped = SystemShape(*truth._astuple()[:4], lambda p: truth.rule(p)[::-1], truth.denominators)
     monkeypatch.setitem(SHAPES, system, swapped)
