@@ -9,12 +9,15 @@ codes: 0 success/clean, 1 usage error or a report that cannot be written,
 4 verification mismatch.
 
 ``iterate``, ``solve --sweep``, ``verify`` and each ``difftest`` trial
-raise every error from the short values first, and then build (and
-print, or compare by the one ``_compare``) each component's long entries
-on its own; where those are long and a second CPU is free, the second
+raise every error from the short values first.  ``iterate`` and
+``solve --sweep`` then build and print each component's long entries on
+its own; where those are long and a second CPU is free, the second
 component's job runs in a forked child process (``systems.both``), which
-sends back only its literals or its failing indices.  The other
-subcommands and point solves run in one process.
+sends back only its literals.  ``verify`` and ``difftest`` compare by
+the one ``_compare``, which reads the short divisor lists: a passing run
+builds no long entry, and a mismatch builds its literals up to the
+failing index only.  Every subcommand but ``iterate`` and
+``solve --sweep`` runs in one process.
 """
 
 from __future__ import annotations
@@ -240,16 +243,16 @@ def _compare(system: str, tag: str, params, ics, n: int):
     telescopings of the orbit and of case ``tag``'s routes
     (closed_form.route_telescopings).  A failure is an index where either
     component differs, counted once per route; ``first`` is the first
-    (route, n, component) in sorted route order, or None.  Where long,
-    each component is built and compared in a process of its own
-    (systems.both), which sends back only its failing indices."""
+    (route, n, component) in sorted route order, or None.  The comparison
+    reads the short starts and divisor lists (``_mismatches``), so a
+    passing run builds no long entry."""
     from .closed_form import route_telescopings
 
     carried, orbit = systems.orbit_telescoping(system, params, ics, n)
     if carried.singular is not None:
         return carried.singular
     routes = route_telescopings(system, tag, params, ics, n)
-    failing = systems.both(lambda k: _mismatches(orbit, routes, k), orbit.bits())
+    failing = [_mismatches(orbit, routes, k) for k in (0, 1)]
     failures, first = 0, None
     for route in sorted(routes):
         indices = [found[route] for found in failing]
@@ -263,13 +266,10 @@ def _compare(system: str, tag: str, params, ics, n: int):
 
 def _mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
     """route -> the indices at which component k of the route's entries
-    differs from the orbit's; each distinct telescoping is built and
-    compared once."""
-    iterated = orbit.entries(k)
-    failing = {}
-    for built in dict.fromkeys(routes.values()):
-        pairs = enumerate(zip(built.entries(k), iterated))
-        failing[built] = [n for n, (closed, value) in pairs if closed != value]
+    differs from the orbit's, read from the start values and divisor
+    lists (Telescoping.mismatches), so a passing comparison builds no
+    long entry; each distinct telescoping is compared once."""
+    failing = {built: orbit.mismatches(built, k) for built in dict.fromkeys(routes.values())}
     return {route: failing[built] for route, built in routes.items()}
 
 

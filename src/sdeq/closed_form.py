@@ -21,8 +21,8 @@ repeated with the period P.  A sweep is a ``systems.Telescoping``: the
 short values, validation, the S and T sweep, its zero scan and the
 divisor lists, come first and raise every error, and then
 ``systems.telescope`` builds each component's long entries on its own,
-so the CLI can build, print or compare (``route_telescopings``) the
-two in two processes.
+so the CLI can build and print the two in two processes, or compare the
+divisor lists with the orbit's (``route_telescopings``) and build none.
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is

@@ -2,8 +2,11 @@
 
 ``systems.both`` loads this module only for a job long enough to pay for
 a second process, so a run that does not fork loads neither it nor
-pickle.  The child builds and sends back only what the report needs, and
-whatever goes wrong with it, the parent gets the same result.
+pickle.  Only ``iterate`` and ``solve --sweep`` reach it: ``verify`` and
+``difftest`` compare divisor lists and build no long entry where they
+agree.  The child builds and prints its component and sends back only
+its literals, and whatever goes wrong with it, the parent gets the same
+result.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
 builds each component's long entries from them: the one loop that
 divides an entry two back by a short listed divisor (the closed forms
 build theirs with it too).  Each component is built on its own, and
-``both`` runs the two components' jobs, the second in a forked child
-process (``sdeq.fork``) where the entries are long enough to pay for it;
-``iterate`` builds both here and returns the trajectory.
+``both`` runs the two components' jobs of ``iterate`` and
+``solve --sweep`` in the CLI, the second in a forked child process
+(``sdeq.fork``) where the entries are long enough to pay for it;
+``verify`` and ``difftest`` compare telescopings by their divisor lists
+and build no long entry where they agree.  ``iterate`` builds both
+components here and returns the trajectory.
 ``shift_back`` performs the index relabeling that identifies these
 sequences with the originally posed systems, whose initial conditions
 sit at negative indices.
@@ -347,8 +350,9 @@ class Telescoping(_Record):
     """What ``telescope`` builds a pair of components' entries 0..last
     from: per component (first, second) its first entries and its divisor
     list, all short values.  Each component is built on its own, so the
-    two can be built in two processes (``both``).  Compared by identity:
-    routes that share one telescoping share its entries."""
+    two can be built in two processes (``both``), and two telescopings
+    are compared by those short values (``mismatches``).  Compared by
+    identity: routes that share one telescoping are compared once."""
 
     starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     divisors: tuple
@@ -361,6 +365,36 @@ class Telescoping(_Record):
         values = list(self.starts[k])
         telescope(values, self.divisors[k], self.last)
         return values
+
+    def mismatches(self, other: Telescoping, k: int) -> list[int]:
+        """The indices 0..last at which component k of ``other``'s entries
+        differs from this one's, without building the long entries.
+
+        Both build entry i as entry i-2 / divisors[i-2], and every start
+        value and divisor of the two is nonzero here (on the comparison
+        path a zero initial value, S or T is a forbidden input, a zero
+        factor a singularity, and a longer lag refuses zero initials).  So
+        past the start values, which are built and compared as they are
+        (at most 3 entries), other[i] = self[i] exactly when the ratio
+        other[i]/self[i], carried along each parity chain by this divisor
+        over the other's, is 1.  Where the divisors agree the ratio does
+        not change: a passing comparison costs one equality of two short
+        values per index."""
+        size = min(max(len(self.starts[k]), len(other.starts[k])), self.last + 1)
+        heads = [
+            Telescoping(side.starts, side.divisors, size - 1).entries(k) for side in (self, other)
+        ]
+        found = [i for i in range(size) if heads[0][i] != heads[1][i]]
+        ratio = [None, None]  # ratio[i % 2]: other[i]/self[i] at the last i of that parity
+        for i in (size - 2, size - 1):
+            ratio[i % 2] = heads[1][i] / heads[0][i]
+        mine, theirs = self.divisors[k], other.divisors[k]
+        for i in range(size, self.last + 1):
+            if mine[i - 2] != theirs[i - 2]:
+                ratio[i % 2] = ratio[i % 2] * mine[i - 2] / theirs[i - 2]
+            if ratio[i % 2] != 1:
+                found.append(i)
+        return found
 
     def bits(self) -> int:
         """A bound of the second component's numerator and denominator
@@ -412,10 +446,12 @@ _FORK_BITS = 4_000_000
 
 
 def both(job: Callable, bits: int) -> tuple:
-    """(job(0), job(1)), one job per component.  Where ``bits``, the size
-    of job(1)'s work (Telescoping.bits), exceeds _FORK_BITS, job(1) runs
-    in a forked child while this process runs job(0) (``sdeq.fork.run``,
-    loaded only then); otherwise both run here, in order."""
+    """(job(0), job(1)), one job per component: building and printing
+    the entries of ``iterate`` and ``solve --sweep``, the only callers.
+    Where ``bits``, the size of job(1)'s work (Telescoping.bits), exceeds
+    _FORK_BITS, job(1) runs in a forked child while this process runs
+    job(0) (``sdeq.fork.run``, loaded only then); otherwise both run
+    here, in order."""
     if bits <= _FORK_BITS:
         return job(0), job(1)
     from . import fork

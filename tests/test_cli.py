@@ -880,44 +880,33 @@ def _one_process(monkeypatch) -> None:
     monkeypatch.setattr(systems, "_FORK_BITS", float("inf"))
 
 
-def _counted_comparisons(monkeypatch) -> list:
-    """The Fraction comparisons made from now on while cli._mismatches
-    compares routes with iteration."""
-    calls, comparing = [], False
-    real_eq, real_mismatches = F.__eq__, cli._mismatches
+def _compared_telescopings(monkeypatch) -> list:
+    """The component of each comparison of a route telescoping with the
+    orbit made from now on."""
+    real, calls = systems.Telescoping.mismatches, []
 
-    def eq(x, y):
-        if comparing:
-            calls.append(1)
-        return real_eq(x, y)
+    def mismatches(self, other, k):
+        calls.append(k)
+        return real(self, other, k)
 
-    def mismatches(*args):
-        nonlocal comparing
-        comparing = True
-        try:
-            return real_mismatches(*args)
-        finally:
-            comparing = False
-
-    monkeypatch.setattr(F, "__eq__", eq)
-    monkeypatch.setattr(cli, "_mismatches", mismatches)
+    monkeypatch.setattr(systems.Telescoping, "mismatches", mismatches)
     return calls
 
 
 def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
     # System A's general stratum has no period, so its case route is the
-    # product's telescoping and is built and compared once; its counts are per route
-    _one_process(monkeypatch)
-    calls = _counted_comparisons(monkeypatch)
+    # product's telescoping and is compared once per component; its counts
+    # are per route
+    calls = _compared_telescopings(monkeypatch)
     trials, n = 6, 20
     report = cli.difftest("A", trials, n, 7)
     assert (report["comparisons"], report["failures"]) == (trials * 2 * (n + 1), 0)
-    assert len(calls) == trials * 2 * (n + 1)
-    # NegNeg's route extends the sweep by its period: two lists, each compared
+    assert calls == [0, 1] * trials
+    # NegNeg's route extends the sweep by its period: two telescopings
     calls.clear()
     code, out, _ = run_cli(capsys, _with(VERIFY_A, a="-1", b="-1", n="20"))
     assert (code, json.loads(out)["case"], json.loads(out)["checked"]) == (0, "NegNeg", 42)
-    assert len(calls) == 2 * 2 * 21
+    assert calls == [0, 0, 1, 1]
 
 
 def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):

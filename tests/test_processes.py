@@ -1,20 +1,23 @@
-"""The two-process path of ``iterate``, ``solve --sweep``, ``verify`` and
-``difftest``.
+"""The two-process path of ``iterate`` and ``solve --sweep``.
 
 With the size bar of ``systems.both`` lowered to nothing and two CPUs
-granted, each of these runs forks one child (``difftest`` one per
-trial), and its stdout, stderr and exit code equal those of the same run
-on one process.  When the fork
+granted, each of these runs forks one child, and its stdout, stderr and
+exit code equal those of the same run on one process.  When the fork
 fails, the child exits nonzero or its data is short, the parent builds
 the second component itself, with the same bytes.  The other subcommands
 and point solves never fork, nor does a process on one CPU or with a
-second thread.  After every test no child process is left.
+second thread: ``verify`` and ``difftest`` compare the short divisor
+lists, and build long entries only for a mismatch's literals.  After
+every test no child process is left.
 """
 
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -38,30 +41,47 @@ SINGULAR_A = [
 ]
 CSV = ["--format", "csv"]
 
-# name -> (argv, forks on the two-process path); the pure-power tags run
-# past two periods, so their sweeps extend by the period
+# name -> argv of the runs that fork one child on the two-process path;
+# the pure-power tags run past two periods, so their sweeps extend by the
+# period
 RUNS = {
-    "iterate-A": (["iterate", *A, "--n", "40"], 1),
-    "iterate-A-csv": (["iterate", *A, "--n", "40", *CSV], 1),
-    "iterate-B": (["iterate", *B, "--n", "40"], 1),
-    "iterate-B-csv": (["iterate", *B, "--n", "40", *CSV], 1),
-    "iterate-singular-A": (["iterate", *SINGULAR_A, "--n", "9"], 1),
-    "solve-A": (["solve", "--sweep", *A, "--n", "40"], 1),
-    "solve-A-csv": (["solve", "--sweep", *A, "--n", "40", *CSV], 1),
-    "solve-B": (["solve", "--sweep", *B, "--n", "40"], 1),
-    "solve-B-csv": (["solve", "--sweep", *B, "--n", "40", *CSV], 1),
-    "solve-NegNeg": (["solve", "--sweep", *NEGNEG, "--n", "20"], 1),
-    "solve-UnitBD-csv": (["solve", "--sweep", *UNIT_BD, "--n", "40", *CSV], 1),
-    "verify-A": (["verify", *A, "--n", "40"], 1),
-    "verify-B": (["verify", *B, "--n", "40"], 1),
-    "verify-NegNeg": (["verify", *NEGNEG, "--n", "20"], 1),
-    "verify-UnitBD": (["verify", *UNIT_BD, "--n", "40"], 1),
-    # exit 2 before any long entry is built
-    "verify-singular-A": (["verify", *SINGULAR_A, "--n", "9"], 0),
-    # one child per trial
-    "difftest-A": (["difftest", "--system", "A", "--trials", "3", "--n", "20", "--seed", "1"], 3),
-    "difftest-B": (["difftest", "--system", "B", "--trials", "4", "--n", "20", "--seed", "1"], 4),
+    "iterate-A": ["iterate", *A, "--n", "40"],
+    "iterate-A-csv": ["iterate", *A, "--n", "40", *CSV],
+    "iterate-B": ["iterate", *B, "--n", "40"],
+    "iterate-B-csv": ["iterate", *B, "--n", "40", *CSV],
+    "iterate-singular-A": ["iterate", *SINGULAR_A, "--n", "9"],
+    "solve-A": ["solve", "--sweep", *A, "--n", "40"],
+    "solve-A-csv": ["solve", "--sweep", *A, "--n", "40", *CSV],
+    "solve-B": ["solve", "--sweep", *B, "--n", "40"],
+    "solve-B-csv": ["solve", "--sweep", *B, "--n", "40", *CSV],
+    "solve-NegNeg": ["solve", "--sweep", *NEGNEG, "--n", "20"],
+    "solve-UnitBD-csv": ["solve", "--sweep", *UNIT_BD, "--n", "40", *CSV],
 }
+
+# name -> (argv, exit code) of the runs that stay on one process with two
+# CPUs granted
+ONE_PROCESS = {
+    "reduce": (["reduce", *A, "--n", "40"], 0),
+    "symmetry-check": (
+        ["symmetry-check", "--system", "A", "--pairs", "1", "--samples", "3", "--seed", "1"],
+        0,
+    ),
+    "check-forbidden": (["check-forbidden", *A, "--horizon", "20"], 0),
+    "point-NegNeg": (["solve", *NEGNEG, "--n", "40"], 0),
+    "point-A": (["solve", *A, "--n", "40"], 0),
+    "verify-A": (["verify", *A, "--n", "40"], 0),
+    "verify-B": (["verify", *B, "--n", "40"], 0),
+    "verify-NegNeg": (["verify", *NEGNEG, "--n", "20"], 0),
+    "verify-UnitBD": (["verify", *UNIT_BD, "--n", "40"], 0),
+    # exit 2 before any long entry is built
+    "verify-singular-A": (["verify", *SINGULAR_A, "--n", "9"], 2),
+    "difftest-A": (["difftest", "--system", "A", "--trials", "3", "--n", "20", "--seed", "1"], 0),
+    "difftest-B": (["difftest", "--system", "B", "--trials", "4", "--n", "20", "--seed", "1"], 0),
+}
+
+# entries 0..PREFIX of a component are its start values or built from
+# them: System B's orbit starts with 3 entries
+PREFIX = 2
 
 
 @pytest.fixture(autouse=True)
@@ -113,15 +133,29 @@ def _built_here(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("argv, forks", RUNS.values(), ids=RUNS.keys())
-def test_two_processes_print_the_one_process_bytes(capsys, monkeypatch, argv, forks):
+def _built_past_prefix(monkeypatch) -> set:
+    """The (component, last index) of each build past entry PREFIX that
+    this process makes from now on."""
+    real, built = systems.Telescoping.entries, set()
+
+    def entries(self, k):
+        if self.last > PREFIX:
+            built.add((k, self.last))
+        return real(self, k)
+
+    monkeypatch.setattr(systems.Telescoping, "entries", entries)
+    return built
+
+
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS.keys())
+def test_two_processes_print_the_one_process_bytes(capsys, monkeypatch, argv):
     expected = _one_process(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
     built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == forks
+    assert len(children) == 1
     # the child builds the second component: this process builds only the first
-    assert set(built) == ({0} if forks else set())
+    assert set(built) == {0}
 
 
 def _wrong(monkeypatch, sequence: str) -> None:
@@ -138,10 +172,10 @@ def _wrong(monkeypatch, sequence: str) -> None:
 
 
 @pytest.mark.parametrize("sequence, component", [("S", "first"), ("T", "second")])
-def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, component):
+def test_mismatch_payload_on_one_process(capsys, monkeypatch, sequence, component):
     # a wrong S[3] first breaks the first component at index 4, a wrong
-    # T[3] the second one; the child sends back only the failing indices,
-    # and this process builds the literals of either component up to n
+    # T[3] the second one; the comparison reads the divisor lists, and
+    # only that component's literals are built, up to index 4
     _wrong(monkeypatch, sequence)
     argv = [
         "verify", "--system", "A", "--a", "2", "--b", "3",
@@ -149,25 +183,26 @@ def test_mismatch_payload_from_two_processes(capsys, monkeypatch, sequence, comp
     ]
     expected = _one_process(capsys, monkeypatch, argv)
     mismatch = json.loads(expected[1])["first_mismatch"]
-    assert expected[0] == 4 and (mismatch["n"], mismatch["component"]) == (4, component)
+    assert expected[0] == 4
+    assert (mismatch["n"], mismatch["component"]) == (4, component)
     children = _two_processes(monkeypatch)
-    built = _built_here(monkeypatch)
+    built = _built_past_prefix(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == 1 and (1 in built) == (component == "second")
+    assert children == [] and built == {(("first", "second").index(component), 4)}
 
 
-def test_difftest_mismatch_payload_from_two_processes(capsys, monkeypatch):
-    # both components' literals of the counterexample come from this
-    # process, the second one's too, although each child compared it
+def test_difftest_mismatch_payload_on_one_process(capsys, monkeypatch):
+    # both components' literals of the counterexample are built up to its
+    # index, and no other entry past the start values
     _wrong(monkeypatch, "S")
     argv = ["difftest", "--system", "A", "--trials", "3", "--n", "6", "--seed", "5"]
     expected = _one_process(capsys, monkeypatch, argv)
     counterexample = json.loads(expected[1])["first_counterexample"]
     assert expected[0] == 4 and counterexample["kind"] == "value-mismatch"
     children = _two_processes(monkeypatch)
-    built = _built_here(monkeypatch)
+    built = _built_past_prefix(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == 3 and 1 in built
+    assert children == [] and built == {(0, counterexample["n"]), (1, counterexample["n"])}
 
 
 def _broken_dump(obj, file, protocol):
@@ -179,22 +214,18 @@ def _short_dump(obj, file, protocol):
 
 
 @pytest.mark.parametrize("dump", [_broken_dump, _short_dump], ids=["exits-nonzero", "short-data"])
-@pytest.mark.parametrize(
-    "argv, forks",
-    [RUNS["iterate-A"], RUNS["verify-B"], RUNS["difftest-B"]],
-    ids=["iterate", "verify", "difftest"],
-)
-def test_a_failed_child_is_replaced_here(capsys, monkeypatch, argv, forks, dump):
+@pytest.mark.parametrize("argv", [RUNS["iterate-A"]], ids=["iterate"])
+def test_a_failed_child_is_replaced_here(capsys, monkeypatch, argv, dump):
     expected = _one_process(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
     monkeypatch.setattr(pickle, "dump", dump)
     built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == forks and 1 in built
+    assert len(children) == 1 and 1 in built
 
 
 def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
-    argv = RUNS["solve-B-csv"][0]
+    argv = RUNS["solve-B-csv"]
     expected = _one_process(capsys, monkeypatch, argv)
     _two_processes(monkeypatch)
     attempts = []
@@ -210,7 +241,7 @@ def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
 
 
 def test_one_cpu_or_a_second_thread_keeps_one_process(capsys, monkeypatch):
-    argv = RUNS["iterate-B"][0]
+    argv = RUNS["iterate-B"]
     expected = _one_process(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
     with monkeypatch.context() as patch:
@@ -228,19 +259,47 @@ def test_one_cpu_or_a_second_thread_keeps_one_process(capsys, monkeypatch):
     assert children == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["reduce", *A, "--n", "40"],
-        ["symmetry-check", "--system", "A", "--pairs", "1", "--samples", "3", "--seed", "1"],
-        ["check-forbidden", *A, "--horizon", "20"],
-        ["solve", *NEGNEG, "--n", "40"],
-        ["solve", *A, "--n", "40"],
-    ],
-    ids=["reduce", "symmetry-check", "check-forbidden", "point-NegNeg", "point-A"],
-)
-def test_other_runs_stay_on_one_process(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, code", ONE_PROCESS.values(), ids=ONE_PROCESS.keys())
+def test_other_runs_stay_on_one_process(capsys, monkeypatch, argv, code):
+    expected = _one_process(capsys, monkeypatch, argv)
+    assert (expected[0], bool(expected[1]), bool(expected[2])) == (code, code == 0, code != 0)
     children = _two_processes(monkeypatch)
-    code, out, err = _run(capsys, argv)
-    assert (code, err) == (0, "") and out
+    built = _built_past_prefix(monkeypatch)
+    assert _run(capsys, argv) == expected
     assert children == []
+    if argv[0] in ("verify", "difftest"):  # a passing comparison builds no long entry
+        assert built == set()
+
+
+# deep inputs: the entries of A at n = 300 reach 49k bits, and the size
+# bound of their second component passes systems._FORK_BITS
+PASSING = {
+    "verify-A": ["verify", *A, "--n", "300"],
+    "verify-B": ["verify", *B, "--n", "300"],
+    "difftest-A": ["difftest", "--system", "A", "--trials", "3", "--n", "300", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", PASSING.values(), ids=PASSING.keys())
+def test_a_passing_comparison_builds_only_the_start_values(argv):
+    # a fresh interpreter, so that no other test has loaded sdeq.fork
+    probe = (
+        "import os, sys\n"
+        "from sdeq import cli, systems\n"
+        "real, lasts = systems.telescope, []\n"
+        "def telescope(values, divisors, last):\n"
+        "    lasts.append(last)\n"
+        "    return real(values, divisors, last)\n"
+        "systems.telescope = telescope\n"
+        f"code = cli.main([*{argv!r}, '--out', os.devnull])\n"
+        f"print(code, max(lasts) <= {PREFIX}, 'sdeq.fork' in sys.modules)\n"
+    )
+    src = str(Path(systems.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["0", "True", "False"]
