@@ -329,27 +329,24 @@ def _run_check_forbidden(config: argparse.Namespace) -> tuple[int, str]:
 
 
 def _sample_residual_input(rng, system: str, fixed_params):
-    """Draw (params, point) from the random.Random ``rng`` with nonzero
-    coordinates at which the residuals are defined.  Parameters are redrawn
-    with the point unless fixed; fixed parameters may admit no point at all
-    (e.g. a = b = 0 for System B), in which case the retry cap trips."""
-    from .sampling import RETRY_CAP, draw_nonzero, draw_params
-    from .symmetry import defined_at
+    """(params, point) of the random.Random ``rng``, as a params record and
+    a tuple of Fractions: the draw of ``symmetry.sampler``, which
+    symmetry-check makes for every sample.  The benchmark's replay
+    (perfbench/replay.py) draws its samples here."""
+    from .sampling import pair_value
+    from .symmetry import sampler
 
-    fields = systems.SHAPES[system].initial._fields
-    for _ in range(RETRY_CAP):
-        params = fixed_params if fixed_params is not None else draw_params(rng, system)
-        point = tuple(draw_nonzero(rng) for _ in fields)
-        if defined_at(system, params, point):
-            return params, point
-    raise UsageError("no admissible sample points for the given parameters")
+    drawn, point, _ = sampler(system, fixed_params)(rng)
+    if fixed_params is None:
+        fixed_params = systems.SHAPES[system].params(*map(pair_value, drawn))
+    return fixed_params, tuple(map(pair_value, point))
 
 
 def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
     import random
 
     from .sampling import draw_rational
-    from .symmetry import Characteristic, residual, residual_kernel
+    from .symmetry import Characteristic, check
 
     rng = random.Random(config.seed)
     if config.c1 is not None:
@@ -358,25 +355,19 @@ def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
         characteristics = [
             Characteristic(draw_rational(rng), draw_rational(rng)) for _ in range(config.pairs)
         ]
-    checked = 0
-    nonzero: list[dict] = []
-    for ch in characteristics:
-        for parity in (0, 1):
-            for _ in range(config.samples):
-                params, point = _sample_residual_input(rng, config.system, config.params)
-                checked += 1
-                # the exact residual is built only to report a nonzero one
-                if residual_kernel(config.system, ch, params, parity, point) != (0, 0):
-                    residuals = residual(config.system, ch, params, parity, point)
-                    nonzero.append(
-                        {
-                            "c1": format_rational(ch.c1),
-                            "c2": format_rational(ch.c2),
-                            "parity": parity,
-                            "point": _Literals(format_sequence(point)),
-                            "residuals": _Literals(format_sequence(residuals)),
-                        }
-                    )
+    nonzero = [
+        {
+            "c1": format_rational(ch.c1),
+            "c2": format_rational(ch.c2),
+            "parity": parity,
+            "point": _Literals(format_sequence(point)),
+            "residuals": _Literals(format_sequence(residuals)),
+        }
+        for ch, parity, point, residuals in check(
+            config.system, rng, characteristics, config.samples, config.params
+        )
+    ]
+    checked = 2 * config.samples * len(characteristics)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "symmetry-check",

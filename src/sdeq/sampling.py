@@ -1,4 +1,4 @@
-"""Seeded rational sampling shared by the differential driver and tests.
+"""Seeded rational sampling shared by difftest, symmetry-check and the tests.
 
 Distribution: numerators uniform in [-9, 9], denominators uniform in
 [1, 9], one draw per field of the system's input records
@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .closed_form import lookup_case
-from .forbidden import check_forbidden_a, check_forbidden_b
 from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
 
 RETRY_CAP = 1000
@@ -29,21 +27,61 @@ class RetryCapError(RuntimeError):
     """Every draw up to the retry cap violated its constraint."""
 
 
-# every value of draw_rational, at [numerator + 9][denominator - 1]
+def __getattr__(name: str):
+    # the restriction checks are imported on first use, so that a process
+    # that only draws (symmetry-check) loads neither forbidden nor
+    # closed_form; once read they are plain module attributes, which a
+    # counting wrapper or a test double may replace
+    if name in ("check_forbidden_a", "check_forbidden_b"):
+        from . import forbidden
+
+        globals()[name] = value = getattr(forbidden, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# every value of draw_rational, at [numerator + 9][denominator - 1], as a
+# Fraction and as its (numerator, denominator) pair in lowest terms
 _RATIONALS = tuple(tuple(Fraction(p, q) for q in range(1, 10)) for p in range(-9, 10))
+_PAIRS = tuple(tuple((value.numerator, value.denominator) for value in row) for row in _RATIONALS)
+
+
+def draw_pairs(rng: random.Random, count: int, nonzero: bool = False) -> list[tuple[int, int]]:
+    """The (numerator, denominator) pairs of ``count`` values of
+    Fraction(randint(-9, 9), randint(1, 9)), each redrawn while zero when
+    ``nonzero``.  They are drawn as randint draws them: the numerator
+    first, each by getrandbits of its range's bit length, redrawn past the
+    range's end.  So the generator moves exactly as under the randint
+    calls, and every seeded report keeps its bytes."""
+    getrandbits = rng.getrandbits
+    pairs = []
+    for _ in range(count):
+        for _ in range(RETRY_CAP):
+            numerator = getrandbits(5)
+            while numerator >= 19:
+                numerator = getrandbits(5)
+            denominator = getrandbits(4)
+            while denominator >= 9:
+                denominator = getrandbits(4)
+            if numerator != 9 or not nonzero:  # index 9 is the numerator 0
+                break
+        else:
+            raise RetryCapError("retry cap exhausted drawing a nonzero rational")
+        pairs.append(_PAIRS[numerator][denominator])
+    return pairs
+
+
+def pair_value(pair: tuple[int, int]) -> Fraction:
+    """The Fraction of a drawn pair, from the table."""
+    return _RATIONALS[pair[0] + 9][pair[1] - 1]
 
 
 def draw_rational(rng: random.Random) -> Fraction:
-    # the numerator's draw comes first, as in Fraction(numerator, denominator)
-    return _RATIONALS[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
+    return pair_value(draw_pairs(rng, 1)[0])
 
 
 def draw_nonzero(rng: random.Random) -> Fraction:
-    for _ in range(RETRY_CAP):
-        value = draw_rational(rng)
-        if value != 0:
-            return value
-    raise RetryCapError("retry cap exhausted drawing a nonzero rational")
+    return pair_value(draw_pairs(rng, 1, nonzero=True)[0])
 
 
 def draw_ics(rng: random.Random, system: str):
@@ -78,6 +116,8 @@ def draw_params(rng: random.Random, system: str, tag: str | None = None):
     predicate holds."""
     if tag is None:
         return _draw_all(rng, system)
+    from .closed_form import lookup_case
+
     case = lookup_case(system, tag)
     if case.fixed is not None:
         return case.fixed
@@ -94,7 +134,8 @@ def draw_admissible(rng: random.Random, system: str, n_max: int, tag: str | None
     to n_max, and how many draws before it were not."""
     # check_forbidden_a or _b, looked up at call time, so a substituted check
     # (a counting wrapper, a test double) is the one that runs
-    check = globals()[f"check_forbidden_{system.lower()}"]
+    name = f"check_forbidden_{system.lower()}"
+    check = globals()[name] if name in globals() else __getattr__(name)
     horizon = max(0, (n_max - 1) // SHAPES[system].period)
     for skipped in range(RETRY_CAP):
         params = draw_params(rng, system, tag)

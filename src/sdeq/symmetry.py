@@ -36,6 +36,14 @@ normalized on the way; ``residual`` divides it by the factor.  The tests
 certify symbolically that the residual is the linearized condition of
 the map ``systems.iterate`` runs, and that the factor is this one.
 
+One integer core, ``_terms``, computes the integers of both kernels from
+(numerator, denominator) pairs, and ``defined_at``, ``residual_kernel``
+and ``residual`` all read it.  ``check`` is the loop of symmetry-check:
+``sampler`` draws each point as int pairs (``sampling.draw_pairs``), one
+evaluation of ``_terms`` serves both the point's admissibility test and
+its kernel, and the coefficient sums are formed once per characteristic
+and parity.
+
 The infinitesimal parameter is never exponentiated; the finite group
 parameter lam is a nonzero rational, so the group orbit stays inside exact
 arithmetic.  ``variant`` "frozen" ignores the parity alternation: a
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 from .rational import alternating_sign, rat
 from .systems import SHAPES, Trajectory, _Exact, _Record, system_aliases
@@ -86,74 +95,115 @@ def _coefficients(ch: Characteristic, n_parity: int, shift: int, variant: str):
 
 @cache
 def _layout(shape) -> tuple:
-    """Per component X, first then second, with Y the other component: the
-    point positions of X[n], Y[n+1] and Y[n+lag] (None when lag = 1, where
-    Y[n+lag] is Y[n+1]) and the index of X's update pair in
-    shape.rule(params), 0 for the trailing component."""
+    """(components, constants).  Per component X, first then second, with
+    Y the other component: the point positions of X[n], Y[n+1] and
+    Y[n+lag] (None when lag = 1, where Y[n+lag] is Y[n+1]), then the
+    positions of X's update pair (alpha, beta) among the parameters
+    followed by ``constants``: the (numerator, denominator) pairs of the
+    numbers that shape.rule(params) holds as they are, such as System A's
+    1s."""
     first, second = shape.split(range(len(shape.initial._fields)))
     _, trail = shape.by_lead(first, second)
-    return tuple(
-        (x[0], y[1], y[shape.lag] if shape.lag > 1 else None, 0 if x == trail else 1)
+    names = shape.params._fields
+    # the rule of a record whose fields hold their own names
+    rule = shape.rule(SimpleNamespace(**{name: name for name in names}))
+    numbers = [entry for pair in rule for entry in pair if not isinstance(entry, str)]
+
+    def position(entry) -> int:
+        return names.index(entry) if isinstance(entry, str) else len(names) + numbers.index(entry)
+
+    components = tuple(
+        (x[0], y[1], y[shape.lag] if shape.lag > 1 else None,
+         *map(position, rule[0 if x == trail else 1]))
         for x, y in ((first, second), (second, first))
     )
+    return components, tuple((number.numerator, number.denominator) for number in numbers)
 
 
-def _updates(system: str, params, point):
+def _terms(components, values, point):
     """Per component, first then second, the integers of its residual:
     (share, base, den, s, d_num, d_den), or None where a denominator of the
-    residual vanishes.
+    residual vanishes.  ``values`` (the parameters, then the rule's
+    constants) and ``point`` hold (numerator, denominator) pairs.
 
     ``den`` is (alpha + beta*P)*s and ``base`` is alpha*s, with s of the
     named factor.  ``share`` is the numerator the kernel uses of
     P/Y[n+lag], and d = d_num/d_den its denominator, as in the factor.
     """
+    terms = []
+    for x, y1, y_lag, alpha, beta in components:
+        (xn, xd), (y1n, y1d) = point[x], point[y1]
+        (an, ad), (bn, bd) = values[alpha], values[beta]
+        s = ad * bd * xd * y1d
+        base = an * bd * xd * y1d
+        den = base + ad * bn * xn * y1n
+        if y_lag is None:
+            share, d_num, d_den = xn, xd, 1
+        else:
+            (d_num, d_den), share = point[y_lag], xn * y1n
+            d_num *= xd * y1d
+        if den == 0 or d_num == 0:
+            return None
+        terms.append((share, base, den, s, d_num, d_den))
+    return terms
+
+
+def _point_terms(system: str, params, point):
+    """_terms of ``system`` at a params record and a point of rationals."""
     shape = SHAPES[system]
     fields = shape.initial._fields
     if len(point) != len(fields):
         raise ValueError(f"a System {system} point has {len(fields)} values, not {len(point)}")
-    parts = [(value.numerator, value.denominator) for value in map(rat, point)]
-    pairs = shape.rule(params)
-    updates = []
-    for x, y1, y_lag, pair in _layout(shape):
-        (xn, xd), (y1n, y1d) = parts[x], parts[y1]
-        alpha, beta = pairs[pair]
-        s = alpha.denominator * beta.denominator * xd * y1d
-        base = alpha.numerator * beta.denominator * xd * y1d
-        den = base + alpha.denominator * beta.numerator * xn * y1n
-        if y_lag is None:
-            share, d_num, d_den = xn, xd, 1
-        else:
-            (d_num, d_den), share = parts[y_lag], xn * y1n
-            d_num *= xd * y1d
-        if den == 0 or d_num == 0:
-            return None
-        updates.append((share, base, den, s, d_num, d_den))
-    return updates
+    components, constants = _layout(shape)
+    point = [(value.numerator, value.denominator) for value in map(rat, point)]
+    return _terms(components, [*_parameter_pairs(shape, params), *constants], point)
+
+
+def _parameter_pairs(shape, params) -> tuple:
+    values = (getattr(params, name) for name in shape.params._fields)
+    return tuple((value.numerator, value.denominator) for value in values)
 
 
 def defined_at(system: str, params, point) -> bool:
     """Whether both residuals of ``system`` are defined at ``point``: no
     update denominator p + q*z[n], r + s*w[n] and no Y[n+lag] vanishes."""
-    return _updates(system, params, point) is not None
+    return _point_terms(system, params, point) is not None
+
+
+def _sums(ch, n_parity, variant, lag) -> tuple:
+    """(late, early, K): per component X the coefficient sums
+    c_X(lag+1) + c_Y(lag) and c_X(0) + c_Y(1), and their common
+    denominator, with ``_coefficients`` looked up at call time."""
+    c = [_coefficients(ch, n_parity, shift, variant) for shift in range(lag + 2)]
+    late = (c[lag + 1][0] + c[lag][1], c[lag + 1][1] + c[lag][0])
+    early = (c[0][0] + c[1][1], c[0][1] + c[1][0])
+    return late, early, c[0][2]
+
+
+def _kernel(terms, late, early) -> tuple:
+    """Both kernels, from their terms and the coefficient sums of _sums."""
+    (share0, base0, den0, *_), (share1, base1, den1, *_) = terms
+    return (
+        (late[0] * den0 - early[0] * base0) * share0,
+        (late[1] * den1 - early[1] * base1) * share1,
+    )
+
+
+def _residuals(kernels, terms, K) -> tuple:
+    """Each kernel divided by its named factor."""
+    return tuple(
+        rat(kernel * s * d_den) / (K * d_num * den**2)
+        for kernel, (_, _, den, s, d_num, d_den) in zip(kernels, terms)
+    )
 
 
 def _kernels(system, ch, params, n_parity, point, variant):
-    """(kernels, _updates, K) of both residuals."""
-    updates = _updates(system, params, point)
-    if updates is None:
+    """(kernels, _point_terms, K) of both residuals."""
+    terms = _point_terms(system, params, point)
+    if terms is None:
         raise ValueError("zero denominator at sample point")
-    lag = SHAPES[system].lag
-    c = [_coefficients(ch, n_parity, shift, variant) for shift in range(lag + 2)]
-    # per component X: c_X(lag+1) + c_Y(lag) and c_X(0) + c_Y(1)
-    late = (c[lag + 1][0] + c[lag][1], c[lag + 1][1] + c[lag][0])
-    early = (c[0][0] + c[1][1], c[0][1] + c[1][0])
-    kernels = tuple(
-        [
-            (late[x] * den - early[x] * base) * share
-            for x, (share, base, den, *_) in enumerate(updates)
-        ]
-    )
-    return kernels, updates, c[0][2]
+    late, early, K = _sums(ch, n_parity, variant, SHAPES[system].lag)
+    return _kernel(terms, late, early), terms, K
 
 
 def residual_kernel(system: str, ch, params, n_parity, point, variant="alternating"):
@@ -167,11 +217,56 @@ def residual(system: str, ch, params, n_parity, point, variant="alternating"):
     each kernel divided by its named factor.  For the alternating
     characteristic family (any C1, C2) they are identically (0, 0) at every
     admissible point."""
-    kernels, updates, K = _kernels(system, ch, params, n_parity, point, variant)
-    return tuple(
-        rat(kernel * s * d_den) / (K * d_num * den**2)
-        for kernel, (_, _, den, s, d_num, d_den) in zip(kernels, updates)
-    )
+    return _residuals(*_kernels(system, ch, params, n_parity, point, variant))
+
+
+def sampler(system: str, params=None):
+    """A draw of ``system``'s residual inputs from a random.Random: it
+    returns (params, point, terms), the parameters (drawn unless ``params``
+    fixes them) and the point as (numerator, denominator) pairs, with every
+    coordinate nonzero, and the point's ``_terms``.  Parameters are redrawn
+    with the point unless fixed, until both residuals are defined; fixed
+    parameters may admit no point at all (e.g. a = b = 0 for System B), in
+    which case the retry cap trips."""
+    from .sampling import RETRY_CAP, RetryCapError, draw_pairs
+
+    shape = SHAPES[system]
+    components, constants = _layout(shape)
+    n_params, n_point = len(shape.params._fields), len(shape.initial._fields)
+    fixed = None if params is None else _parameter_pairs(shape, params)
+
+    def draw(rng):
+        for _ in range(RETRY_CAP):
+            values = fixed or draw_pairs(rng, n_params)
+            point = draw_pairs(rng, n_point, nonzero=True)
+            terms = _terms(components, [*values, *constants], point)
+            if terms is not None:
+                return values, point, terms
+        raise RetryCapError("no admissible sample points for the given parameters")
+
+    return draw
+
+
+def check(system: str, rng, characteristics, samples: int, params=None) -> list:
+    """The residual identity of ``system`` at ``samples`` points per
+    characteristic and parity, drawn in turn by ``sampler(system,
+    params)``: (ch, parity, point, residuals) of every point whose kernel
+    is not (0, 0), in draw order.  Each point's terms serve its
+    admissibility test and its kernel; the exact residual is built only
+    for such a point."""
+    draw = sampler(system, params)
+    lag = SHAPES[system].lag
+    nonzero = []
+    for ch in characteristics:
+        for parity in (0, 1):
+            late, early, K = _sums(ch, parity, "alternating", lag)
+            for _ in range(samples):
+                _, point, terms = draw(rng)
+                kernels = _kernel(terms, late, early)
+                if kernels != (0, 0):
+                    point = tuple(Fraction(*pair) for pair in point)
+                    nonzero.append((ch, parity, point, _residuals(kernels, terms, K)))
+    return nonzero
 
 
 slsc_residual_a, slsc_residual_b = system_aliases("slsc_residual_{}", residual)

@@ -174,14 +174,20 @@ PURE_POWER_EXAMPLES = [
     ("A", SystemAParams(-1, 1), _UNIT_A, 12),
     ("B", SystemBParams(1, 1, -1, 1), _UNIT_B, 24),
 ]
-# for each system, an orbit whose first and one whose second component's
-# update is singular first, as (inputs, the singular component)
+# for each system, orbits whose first and whose second component's update
+# is singular first, as (inputs, the singular component): ten of each kind,
+# so that the singular branch runs at least forty times whatever Hypothesis
+# draws
 _ONES_B = SystemBInitial(1, 1, 1, 1, 1, 1)
 SINGULAR_EXAMPLES = [
-    (("A", SystemAParams(1, 1), SystemAInitial(1, 5, 7, -1), 6), "first"),  # a + u0*v1 = 0
-    (("A", SystemAParams(1, 1), SystemAInitial(1, -1, 1, 2), 6), "second"),  # b + v0*u1 = 0
-    (("B", SystemBParams(1, -1, 1, -1), _ONES_B, 6), "first"),  # a + b*x0*y1 = 0
-    (("B", SystemBParams(1, 1, 1, -1), _ONES_B, 6), "second"),  # c + d*y0*x1 = 0
+    example
+    for k in range(1, 11)
+    for example in (
+        (("A", SystemAParams(k, 1), SystemAInitial(1, 5, 7, -k), 1 + k), "first"),  # a + u0*v1
+        (("A", SystemAParams(1, k), SystemAInitial(1, -k, 1, 2), 1 + k), "second"),  # b + v0*u1
+        (("B", SystemBParams(k, -k, 1, 1), _ONES_B, 2 + k), "first"),  # a + b*x0*y1
+        (("B", SystemBParams(1, 1, k, -k), _ONES_B, 2 + k), "second"),  # c + d*y0*x1
+    )
 ]
 
 

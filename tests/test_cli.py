@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdeq import cli, closed_form, rational, reduction, sampling, systems
+from sdeq import cli, closed_form, rational, reduction, sampling, symmetry, systems
 from sdeq.cli import main
 from sdeq.rational import format_rational, parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
@@ -476,6 +476,116 @@ def test_draw_rational_keeps_the_seeded_stream():
         expected = F(reference.randint(-9, 9), reference.randint(1, 9))
         assert sampling.draw_rational(drawn) == expected
     assert drawn.random() == reference.random()
+
+
+def _randint_sample(rng, system, fixed_params):
+    """The draw of symmetry-check as first written: Fraction(randint(-9, 9),
+    randint(1, 9)) per parameter (unless fixed) and per point coordinate,
+    the coordinate redrawn while zero, the whole draw redrawn until the
+    residuals are defined."""
+    shape = systems.SHAPES[system]
+
+    def value():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for _ in range(sampling.RETRY_CAP):
+        params = fixed_params or shape.params(*(value() for _ in shape.params._fields))
+        point = []
+        for _ in shape.initial._fields:
+            point.append(value())
+            while point[-1] == 0:
+                point[-1] = value()
+        if symmetry.defined_at(system, params, point):
+            return params, tuple(point)
+    raise AssertionError("no admissible sample point")
+
+
+# fixed parameters of each system, for the symmetry-check draw tests
+FIXED_PARAMS = {
+    "A": SystemAParams(F(2, 3), F(-5, 7)),
+    "B": systems.SystemBParams(2, 3, F(1, 2), -1),
+}
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_sample_residual_input_keeps_the_seeded_stream(system, fixed):
+    fixed_params = FIXED_PARAMS[system] if fixed else None
+    drawn, reference = random.Random(5), random.Random(5)
+    for _ in range(60):
+        params, point = cli._sample_residual_input(drawn, system, fixed_params)
+        assert (params, point) == _randint_sample(reference, system, fixed_params)
+        assert type(params) is systems.SHAPES[system].params
+        assert type(point) is tuple and {type(value) for value in point} == {F}
+    assert drawn.random() == reference.random()
+
+
+def _replayed(system, rng, characteristics, samples, fixed_params):
+    """Per sample what the benchmark's replay computes,
+    cli._sample_residual_input and then residual_kernel: the drawn
+    (params, point) pairs, and (ch, parity, point, residuals) of every
+    nonzero kernel."""
+    drawn, nonzero = [], []
+    for ch in characteristics:
+        for parity in (0, 1):
+            for _ in range(samples):
+                params, point = cli._sample_residual_input(rng, system, fixed_params)
+                drawn.append((params, point))
+                if symmetry.residual_kernel(system, ch, params, parity, point) != (0, 0):
+                    residuals = symmetry.residual(system, ch, params, parity, point)
+                    nonzero.append((ch, parity, point, residuals))
+    return drawn, nonzero
+
+
+def _characteristics(rng, inputs):
+    if inputs == "fixed pair":
+        return [symmetry.Characteristic(F(1, 2), -3)]
+    draw = sampling.draw_rational
+    return [symmetry.Characteristic(draw(rng), draw(rng)) for _ in range(3)]
+
+
+# per broken coefficient rule: the parities of n at which it is frozen
+FROZEN_AT = {"frozen": (0, 1), "frozen at odd n": (1,)}
+
+
+@pytest.mark.parametrize("system", ["A", "B"])
+@pytest.mark.parametrize(
+    "inputs", ["drawn", "fixed params", "fixed pair", "frozen", "frozen at odd n"]
+)
+def test_symmetry_check_loop_equals_replayed_samples(monkeypatch, system, inputs):
+    if inputs in FROZEN_AT:  # the seam test_symmetry_check_reports_nonzero_residuals uses
+        coefficients = symmetry._coefficients
+
+        def broken(ch, n_parity, shift, variant):
+            frozen = n_parity in FROZEN_AT[inputs]
+            return coefficients(ch, n_parity, shift, "frozen" if frozen else variant)
+
+        monkeypatch.setattr(symmetry, "_coefficients", broken)
+    params = FIXED_PARAMS[system] if inputs.startswith("fixed") else None
+    rng, reference = random.Random(11), random.Random(11)
+    characteristics = _characteristics(rng, inputs)
+    assert _characteristics(reference, inputs) == characteristics
+    expected_draws, expected = _replayed(system, reference, characteristics, 20, params)
+
+    draws = []
+    sampler = symmetry.sampler
+
+    def recording(system, params=None):
+        draw = sampler(system, params)
+
+        def recorded(rng):
+            sample = draw(rng)
+            drawn, point = (tuple(map(sampling.pair_value, pairs)) for pairs in sample[:2])
+            draws.append((params or systems.SHAPES[system].params(*drawn), point))
+            return sample
+
+        return recorded
+
+    monkeypatch.setattr(symmetry, "sampler", recording)
+    assert symmetry.check(system, rng, characteristics, 20, params) == expected
+    assert draws == expected_draws
+    assert rng.random() == reference.random()
+    assert {parity for _, parity, _, _ in expected} == set(FROZEN_AT.get(inputs, ()))
 
 
 def test_seed_from_environment(capsys, monkeypatch):

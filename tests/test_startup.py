@@ -36,7 +36,7 @@ SUBCOMMANDS = {
     ),
     "symmetry-check": (
         ["symmetry-check", "--system", "A", "--pairs", "1", "--samples", "2", "--seed", "1"],
-        {"symmetry", "sampling", "closed_form", "forbidden", "reduction"},
+        {"symmetry", "sampling"},
     ),
 }
 
@@ -113,6 +113,18 @@ def test_subcommand_loads_only_its_layers(command):
     added = _added_modules(code)
     assert _sdeq_modules(added) == BASE | {f"sdeq.{layer}" for layer in layers}
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_sampling_imports_its_restriction_checks_on_first_use():
+    code = (
+        "import sdeq.sampling as sampling\n"
+        "assert 'sdeq.forbidden' not in sys.modules\n"
+        "assert not hasattr(sampling, 'check_forbidden_c')\n"
+        "check = sampling.check_forbidden_b\n"
+        "assert check is sys.modules['sdeq.forbidden'].check_forbidden_b\n"
+        "assert vars(sampling)['check_forbidden_b'] is check\n"
+    )
+    assert "sdeq.forbidden" in _added_modules(code)
 
 
 def test_package_exports_every_public_name():
