@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 
 # the other layers are imported by the subcommands that use them
 from . import systems
-from .rational import format_rational, format_sequence, parse_rational
+from .rational import format_pairs, format_rational, format_sequence, parse_rational
 from .systems import ZeroInitialError
 
 SCHEMA_VERSION = 1
@@ -203,18 +203,18 @@ def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
-    from .reduction import InvariantSeq, linearize
+    from .reduction import reciprocals
 
-    # the invariant recursion alone, w[0..N-1] and z[0..N-1]: no long entry
-    # of the orbit is built
+    # the invariant recursion alone, w[0..N-1] and z[0..N-1] as reduced
+    # pairs, and S = 1/w, T = 1/z by turning them over: no long entry of
+    # the orbit is built, and no Fraction per index
     carried = systems.carry(config.system, config.params, config.ics, config.n)
     if carried.singular is not None:
         raise _Singular(carried.singular)
-    inv = InvariantSeq(carried.w, carried.z)
-    lin = linearize(inv)
+    sequences = (carried.w, carried.z, *reciprocals(carried.w, carried.z))
+    w, z, S, T = map(format_pairs, sequences)
     if config.format == "csv":
-        literals = map(format_sequence, (inv.w, inv.z, lin.S, lin.T))
-        columns = [map(str, range(len(inv.w))), *literals]
+        columns = [map(str, range(len(w))), w, z, S, T]
         return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -222,10 +222,10 @@ def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n,
-        "w": _Literals(format_sequence(inv.w)),
-        "z": _Literals(format_sequence(inv.z)),
-        "S": _Literals(format_sequence(lin.S)),
-        "T": _Literals(format_sequence(lin.T)),
+        "w": _Literals(w),
+        "z": _Literals(z),
+        "S": _Literals(S),
+        "T": _Literals(T),
     }
     return EXIT_OK, _jdump(payload)
 

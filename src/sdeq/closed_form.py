@@ -19,7 +19,8 @@ are pure powers: they assemble one period and two entries, and extend
 the orbit two indices at a time by the assembly's first P divisors,
 repeated with the period P.  A sweep is a ``systems.Telescoping``: the
 short values, validation, the S and T sweep, its zero scan and the
-divisor lists, come first and raise every error, and then
+divisor lists, all on reduced int pairs (the scan reads numerators),
+come first and raise every error, and then
 ``systems.telescope`` builds each component's long entries on its own,
 so the CLI can build and print the two in two processes, or compare the
 divisor lists with the orbit's (``route_telescopings``) and build none.
@@ -199,7 +200,7 @@ def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
     auxiliary = {"S": sb, "T": tb}
     for j in range(count):
         for name in shape.by_lead("T", "S"):
-            if auxiliary[name][j] == 0:
+            if auxiliary[name][j][0] == 0:
                 raise ForbiddenInputError(j + 1, case.detail or f"auxiliary {name}[{j}] = 0")
     first0, second0 = (values[0] for values in shape.split(ics._astuple()))
     built = assemble(system, sb, tb, first0, second0, count)

@@ -1,15 +1,21 @@
 """Exact rational scalars: the literal grammar, printing, and small helpers.
 
 Every value handled by this package is an arbitrary-precision rational
-(`fractions.Fraction`); floats are rejected at the boundary so no rounding
-can creep into a computation.
+(`fractions.Fraction`, or on the comparison path a reduced pair of ints);
+floats are rejected at the boundary so no rounding can creep into a
+computation.
 
 * `parse_rational` reads the one literal grammar (``-1/2``) of the CLI
-  flags, and `format_rational` and `format_sequence` write it in every
-  report; `format_sequence` derives the digits of a long entry from the
+  flags, and `format_rational`, `format_sequence` and `format_pairs` write
+  it in every report; they derive the digits of a long entry from the
   entry two back when given the divisor list `systems.telescope` built
   the list with.
 * `rat` coerces an int, literal or Fraction and refuses floats.
+* `pair_quotients` divides rationals held as reduced
+  (numerator, denominator) pairs of ints with a positive denominator, the
+  form in which the comparison path carries its short values: a pair
+  costs no `Fraction` construction, whose per-operation overhead exceeds
+  the arithmetic on values of up to a few thousand bits.
 * `geometric_sum` is the exact sum of a geometric series, empty for a
   negative upper index (`reduction.closed_ST` evaluates S and T with it),
   and `alternating_sign` is (-1)**n, read at orbit labels by the symmetry
@@ -21,6 +27,7 @@ from __future__ import annotations
 import decimal
 import re
 from fractions import Fraction
+from math import gcd
 
 # The universal scalar type.  Stored reduced with positive denominator,
 # value equality -- Fraction guarantees all of it.
@@ -67,29 +74,35 @@ def format_sequence(values, divisors=None) -> list[str]:
     from scratch.
 
     ``divisors``, when given, is the list ``systems.telescope`` returned
-    for ``values``: divisors[i-2] = values[i-2]/values[i] = +-q/p (i >= 2),
-    the value entry i was built by dividing by.  Then G = den[i-2]*q/den[i]
-    is an exact integer of at most bits(p) + bits(q) bits, read from
-    leading bits, and the digits are num[i-2]*p/G and den[i-2]*q/G: no gcd
-    and no long division.  An unreduced q/p works too, since G absorbs the
-    common factor.  The digits are exact by construction, because the
-    kernel divided entry i-2 by divisors[i-2] to build entry i.  A divisor
-    that built no entry is caught: an entry whose two sides give no G or
-    different ones, or whose divisions are not exact, is converted from
-    scratch.  Without ``divisors`` every long entry is converted from
-    scratch.
+    for ``values``: divisors[i-2] = (+-q, p), the reduced pair of
+    values[i-2]/values[i] (i >= 2), the value entry i was built by dividing
+    by.  Then G = den[i-2]*q/den[i] is an exact integer of at most
+    bits(p) + bits(q) bits, read from leading bits, and the digits are
+    num[i-2]*p/G and den[i-2]*q/G: no gcd and no long division.  An
+    unreduced q/p works too, since G absorbs the common factor.  The digits
+    are exact by construction, because the kernel divided entry i-2 by
+    divisors[i-2] to build entry i.  A divisor that built no entry is
+    caught: an entry whose two sides give no G or different ones, or whose
+    divisions are not exact, is converted from scratch.  Without
+    ``divisors`` every long entry is converted from scratch.
     """
-    values = list(values)
-    numerators = [abs(v.numerator) for v in values]
-    denominators = [v.denominator for v in values]
+    return format_pairs([value.as_integer_ratio() for value in values], divisors)
+
+
+def format_pairs(pairs, divisors=None) -> list[str]:
+    """format_sequence of the values held as reduced (numerator,
+    denominator) pairs with a positive denominator."""
+    pairs = list(pairs)
+    numerators = [abs(num) for num, _ in pairs]
+    denominators = [den for _, den in pairs]
     if divisors is None:
         steps = (lambda i: None,) * 2
     else:
         steps = _divisor_steps(numerators, denominators, divisors)
     numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
     return [
-        ("-" if v.numerator < 0 else "") + num + ("" if v.denominator == 1 else "/" + den)
-        for v, num, den in zip(values, numerators, denominators)
+        ("-" if num < 0 else "") + digits + ("" if den == 1 else "/" + den_digits)
+        for (num, den), digits, den_digits in zip(pairs, numerators, denominators)
     ]
 
 
@@ -156,14 +169,14 @@ def _digit_strings(ints: list[int], step) -> list[str]:
 
 def _divisor_steps(numerators: list[int], denominators: list[int], divisors):
     """(numerator step, denominator step) for _digit_strings from
-    divisors[i-2] = +-q/p: (p, G) and (q, G), with G read from leading bits
+    divisors[i-2] = (+-q, p): (p, G) and (q, G), with G read from leading bits
     of each side (see format_sequence); None when the sides disagree."""
     factors: dict[int, tuple] = {}
 
     def both(i: int) -> tuple:
         if i not in factors:
-            value = divisors[i - 2]
-            p, q = value.denominator, abs(value.numerator)
+            num, p = divisors[i - 2]
+            q = abs(num)
             g = _exact_quotient(denominators[i - 2], denominators[i], q)
             same = g is not None and g == _exact_quotient(numerators[i - 2], numerators[i], p)
             factors[i] = ((p, g), (q, g)) if same else (None, None)
@@ -237,6 +250,21 @@ def _digits_to_int(digits: str) -> int:
         return ((convert(start, mid) * pow5(width)) << width) + convert(mid, stop)
 
     return convert(0, len(digits))
+
+
+def pair_quotients(tops, bottoms) -> list[tuple[int, int]]:
+    """tops[i]/bottoms[i] for reduced (numerator, denominator) pairs with
+    positive denominators, bottoms nonzero, as such pairs.  As Fraction
+    divides, two cross gcds reduce each quotient: gcd(top_num, bottom_num)
+    and gcd(top_den, bottom_den), each on values of the operands' size,
+    where one gcd of the cross products would run on values twice as
+    long."""
+    quotients = []
+    for (a_num, a_den), (b_num, b_den) in zip(tops, bottoms):
+        g, h = gcd(a_num, b_num), gcd(a_den, b_den)
+        num, den = (a_num // g) * (b_den // h), (a_den // h) * (b_num // g)
+        quotients.append((num, den) if den > 0 else (-num, -den))
+    return quotients
 
 
 def rat(value: int | str | Fraction) -> Fraction:

@@ -14,14 +14,18 @@ its per-system names (``invariants_a`` is ``invariants("A", ...)``).
 ``geometric_sweep`` evaluates a whole sweep of a table from carried integer
 powers; every route of ``sdeq.closed_form`` reads that sweep, and
 ``assemble`` states how ``systems.telescope`` rebuilds an orbit from S and
-T two indices at a time: the start entries and the divisor lists.
+T two indices at a time: the start entries and the divisor lists.  The
+sweep, the divisors and ``reciprocals`` hold reduced (numerator,
+denominator) pairs of ints, as ``systems.carry`` does; the public
+functions take and return Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .rational import geometric_sum, rat
+from .rational import geometric_sum, pair_quotients, rat
 from .systems import SHAPES, Telescoping, Trajectory, _Record, system_aliases
 
 
@@ -76,27 +80,40 @@ def invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
 invariants_a, invariants_b = system_aliases("invariants_{}", invariants)
 
 
+def _require_nonzero(w, z, zero) -> None:
+    """ZeroInvariantError for the first entry of w, then of z, equal to
+    ``zero``."""
+    for name, values in (("w", w), ("z", z)):
+        for n, value in enumerate(values):
+            if value == zero:
+                raise ZeroInvariantError(name, n)
+
+
 def linearize(invariants: InvariantSeq) -> LinearSeq:
     """S[n] = 1/w[n], T[n] = 1/z[n]; rejects zero entries by index."""
-    for n, value in enumerate(invariants.w):
-        if value == 0:
-            raise ZeroInvariantError("w", n)
-    for n, value in enumerate(invariants.z):
-        if value == 0:
-            raise ZeroInvariantError("z", n)
+    _require_nonzero(invariants.w, invariants.z, 0)
     S = tuple(1 / value for value in invariants.w)
     T = tuple(1 / value for value in invariants.z)
     return LinearSeq(S, T)
 
 
-def geometric_sweep(classes, g: Fraction, count: int) -> list[Fraction]:
+def reciprocals(w, z) -> tuple[list, list]:
+    """linearize on reduced pairs (systems.Carried): (S, T), each pair
+    of w and z turned over."""
+    _require_nonzero(w, z, (0, 1))
+    return tuple(
+        [(den, num) if num > 0 else (-den, -num) for num, den in values] for values in (w, z)
+    )
+
+
+def geometric_sweep(classes, g: Fraction, count: int) -> list[tuple[int, int]]:
     """Entries 0..count-1 of a table with w = len(classes) residue classes:
     entry m*w + k is x_k*g**m + y_k*h_m for (x_k, y_k) = classes[k], with
-    h_m = sum_{i<m} g**i.
+    h_m = sum_{i<m} g**i, as reduced (numerator, denominator) pairs.
 
     With g = P/Q the sweep carries P**m, Q**m and H_m = Q**m*h_m as ints
-    (H_{m+1} = Q*(H_m + P**m)), so each entry is a single Fraction(num, den)
-    with den = xd*yd*Q**m.
+    (H_{m+1} = Q*(H_m + P**m)), so each entry is num/den with
+    den = xd*yd*Q**m, reduced by one gcd.
     """
     terms = [
         (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
@@ -107,7 +124,9 @@ def geometric_sweep(classes, g: Fraction, count: int) -> list[Fraction]:
     values = []
     for start in range(0, count, len(terms)):
         for x_num, y_num, den in terms[: count - start]:
-            values.append(Fraction(x_num * power + y_num * inner, den * scale))
+            num, den = x_num * power + y_num * inner, den * scale
+            common = gcd(num, den)
+            values.append((num // common, den // common))
         inner = Q * (inner + power)
         power *= P
         scale *= Q
@@ -187,16 +206,18 @@ closed_ST_a, closed_ST_b = system_aliases("closed_ST_{}", _spread(closed_ST))
 
 
 def closed_ST_sweep(system: str, params, seeds, count: int):
-    """Entries 0..count-1 of S and T from the system's closed form, with
-    seeds = (S[0..lag-1], T[0..lag-1]); every closed-form route reads this."""
+    """Entries 0..count-1 of S and T from the system's closed form, as
+    reduced pairs, with seeds = (S[0..lag-1], T[0..lag-1]); every
+    closed-form route reads this."""
     g, s_classes, t_classes = _closed_table(system, params, seeds)
     return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
 def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int) -> Telescoping:
     """How ``systems.telescope`` builds orbit entries 0..count from the
-    auxiliary values S[0..count-1], T[0..count-1], which the caller has
-    checked are nonzero, and nonzero start values (first0, second0).
+    auxiliary values S[0..count-1], T[0..count-1], reduced pairs which the
+    caller has checked are nonzero, and nonzero start values (first0,
+    second0), Fractions.
 
     The orbit is the telescoped product, two indices at a time,
 
@@ -206,16 +227,19 @@ def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int)
     from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
     lead and trail the components in the order of SHAPES: each step
     divides one long value by a short one, so assembly costs about what
-    one step of iteration costs.
+    one step of iteration costs.  The divisors are pairs, formed from the
+    four ints of S and T.
     """
     shape = SHAPES[system]
     lead0, trail0 = shape.by_lead(first0, second0)
     trail, lead = [trail0], [lead0]
     if count >= 1:
-        trail.append(1 / lead0 / S[0])
-        lead.append(1 / trail0 / T[0])
-    rest = range(2, count + 1)
-    divisors = [T[i - 1] / S[i - 2] for i in rest], [S[i - 1] / T[i - 2] for i in rest]
+        trail.append(1 / lead0 / Fraction(*S[0]))
+        lead.append(1 / trail0 / Fraction(*T[0]))
+    divisors = (
+        pair_quotients(T[1:count], S[: count - 1]),
+        pair_quotients(S[1:count], T[: count - 1]),
+    )
     return Telescoping(shape.by_lead(tuple(lead), tuple(trail)), shape.by_lead(*divisors), count)
 
 
@@ -228,10 +252,11 @@ def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
     shape = SHAPES[system]
     starts = (rat(first0), rat(second0))
     count = min(len(lin.S), len(lin.T))
-    # exact, so that S[i-1]/T[i-2] of two ints is no float
-    S, T = (tuple(map(rat, values[:count])) for values in (lin.S, lin.T))
+    S, T = ([rat(x).as_integer_ratio() for x in values[:count]] for values in (lin.S, lin.T))
     for n in range(count):
-        divisors = [("S", S[n]), ("T", T[n]), *(zip(shape.labels, starts) if n == 0 else ())]
+        divisors = [("S", S[n][0]), ("T", T[n][0])]  # by their numerators
+        if n == 0:
+            divisors += zip(shape.labels, starts)
         for what, value in divisors:
             if value == 0:
                 raise ZeroDivisorError(what, n)

@@ -17,28 +17,31 @@ system's lag, rule and reduction once, and every layer reads it.
 Iteration runs in two parts.  ``carry``, one loop for every lag, runs the
 invariant recursion alone: it advances the invariant products w and z by
 exact identities of the map and records each step's factors and the
-first singular step, all O(n)-bit values; ``reduce`` reads nothing else.
-``orbit_telescoping`` then states, as a ``Telescoping``, how ``telescope``
-builds each component's long entries from them: the one loop that
-divides an entry two back by a short listed divisor (the closed forms
-build theirs with it too).  Each component is built on its own, and
-``both`` runs the two components' jobs of ``iterate`` and
-``solve --sweep`` in the CLI, the second in a forked child process
-(``sdeq.fork``) where the entries are long enough to pay for it;
-``verify`` and ``difftest`` compare telescopings by their divisor lists
-and build no long entry where they agree.  ``iterate`` builds both
-components here and returns the trajectory.
-``shift_back`` performs the index relabeling that identifies these
-sequences with the originally posed systems, whose initial conditions
-sit at negative indices.
+first singular step, all O(n)-bit values, held as reduced
+(numerator, denominator) pairs of ints: on values this short a step
+costs a few int operations, and Fraction operators several times more.
+``reduce`` reads nothing else.  ``orbit_telescoping`` then states, as a
+``Telescoping``, how ``telescope`` builds each component's long entries
+from them: the one loop that divides an entry two back by a short listed
+divisor, made a Fraction there (the closed forms build theirs with it
+too).  Each component is built on its own, and ``both`` runs the two
+components' jobs of ``iterate`` and ``solve --sweep`` in the CLI, the
+second in a forked child process (``sdeq.fork``) where the entries are
+long enough to pay for it; ``verify`` and ``difftest`` compare
+telescopings by their divisor lists and build no long entry, and past
+the start values no Fraction, where they agree.  ``iterate`` builds both
+components here and returns the trajectory.  ``shift_back`` performs the
+index relabeling that identifies these sequences with the originally
+posed systems, whose initial conditions sit at negative indices.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from math import gcd
 
-from .rational import rat
+from .rational import pair_quotients, rat
 
 
 class _Record:
@@ -257,19 +260,51 @@ class ZeroInitialError(ValueError):
     from a runtime singularity."""
 
 
+Pair = tuple[int, int]
+
+
 class Carried(_Record):
     """The short values an orbit's iteration carries, O(n) bits each: the
     invariant products w[n] = lead[n]*trail[n+1] and
     z[n] = trail[n]*lead[n+1] for n = 0..len(orbit)-2, with lead and
     trail as in SHAPES, per component (first, second) the factor
     alpha + beta*P of each completed step n (see carry), and the first
-    singular step.  ``orbit_telescoping`` says how the long entries are
-    built from them."""
+    singular step.  Each value is a reduced (numerator, denominator) pair
+    of ints with a positive denominator.  ``orbit_telescoping`` says how
+    the long entries are built from them."""
 
-    w: tuple[Fraction, ...]
-    z: tuple[Fraction, ...]
-    factors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    w: tuple[Pair, ...]
+    z: tuple[Pair, ...]
+    factors: tuple[tuple[Pair, ...], tuple[Pair, ...]]
     singular: Singularity | None
+
+
+def _step(c: Fraction, d: Fraction) -> Callable:
+    """x -> (f, x/f) for f = c + d*x, on reduced pairs (see Carried); None
+    where f vanishes.
+
+    With c = cn/cd, d = dn/dd and K = cd*dd, a value x = xn/xd gives
+    f = D/(K*xd) and x/f = xn*K/D, where D = cn*dd*xd + dn*cd*xn.  As xn
+    and xd are coprime, gcd(D, xd) = gcd(dn*cd, xd) and
+    gcd(D, xn) = gcd(cn*dd, xn), so each result is reduced by gcds that
+    have a short operand, none of two long values: one each where c and d
+    are ints (K = 1), two where they are not."""
+    cn, cd = c.as_integer_ratio()
+    dn, dd = d.as_integer_ratio()
+    scale, shift, unit = cn * dd, dn * cd, cd * dd
+
+    def step(xn: int, xd: int):
+        den = scale * xd + shift * xn
+        if not den:
+            return None
+        g, h = gcd(shift, xd), gcd(scale, xn)
+        f_num, f_den, num, den = den // g, xd // g, xn // h, den // h
+        if unit != 1:
+            g, h = gcd(unit, f_num), gcd(unit, den)
+            f_num, f_den, num, den = f_num // g, unit // g * f_den, num * (unit // h), den // h
+        return (f_num, f_den), ((num, den) if den > 0 else (-num, -den))
+
+    return step
 
 
 def carry(system: str, params, ics, n_max: int) -> Carried:
@@ -277,11 +312,12 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
     (inclusive) carries, without its long entries: what ``reduce`` reads.
 
     With ((p, q), (r, s)) = rule(params), step n + lag + 1 advances
-    w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n]); it is
-    singular where the trailing component's p + q*z[n] or the leading
-    one's r + s*w[n] vanishes, the first component checked first (the
-    factor Y[n+lag] of a longer lag never does).  At a longer lag the orbit
-    divides by quotients of w and z, so zero initials are refused.
+    w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n]) (on
+    pairs, by ``_step``); it is singular where the trailing component's
+    p + q*z[n] or the leading one's r + s*w[n] vanishes, the first
+    component checked first (the factor Y[n+lag] of a longer lag never
+    does).  At a longer lag the orbit divides by quotients of w and z, so
+    zero initials are refused.
     """
     shape = SHAPES[system]
     lag = shape.lag
@@ -290,9 +326,8 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
     if lag > 1 and not all(ics._astuple()):
         raise ZeroInitialError(f"System {system} initial components must all be nonzero")
     (p, q), (r, s) = shape.rule(params)
-    # a unit coefficient is left unmultiplied: 1*z costs as much as the sum
-    unit_q, unit_s = q == 1, s == 1
-    products = [value for _, value in shape.seed_products(ics)]
+    trail_step, lead_step = _step(p, q), _step(r, s)
+    products = [value.as_integer_ratio() for _, value in shape.seed_products(ics)]
     w, z = products[:lag], products[lag:]
     lead_dens, trail_dens = [], []
 
@@ -301,16 +336,15 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
         return Carried(tuple(w), tuple(z), factors, singular)
 
     for n in range(n_max - lag):
-        den_lead = r + (w[n] if unit_s else s * w[n])
-        den_trail = p + (z[n] if unit_q else q * z[n])
-        if not (den_lead and den_trail):
-            k = shape.by_lead(den_lead, den_trail).index(0)
+        lead, trail = lead_step(*w[n]), trail_step(*z[n])
+        if lead is None or trail is None:
+            k = shape.by_lead(lead, trail).index(None)
             text = shape.denominators[k].format(n, n + 1, n + lag)
             return stop(Singularity(n + lag + 1, ("first", "second")[k], text))
-        lead_dens.append(den_lead)
-        trail_dens.append(den_trail)
-        w.append(z[n] / den_trail)
-        z.append(w[n] / den_lead)
+        lead_dens.append(lead[0])
+        trail_dens.append(trail[0])
+        w.append(trail[1])
+        z.append(lead[1])
     return stop()
 
 
@@ -338,21 +372,25 @@ def telescope(values: list, divisors, last: int):
     """Extend ``values`` in place to entries 0..last by
     entry i = entry i-2 / divisors[i-2], one long entry by a short divisor
     per step, and return ``divisors``, the list rational.format_sequence
-    prints the entries from.  The one loop that builds an entry from the
-    entry two back: the orbit, the closed forms' assembly and their
+    prints the entries from.  Each divisor is a reduced pair (see
+    Carried), made a Fraction for its division, so that a long entry
+    costs Fraction's two gcds with a short operand; a Fraction of two long
+    ints would cost a gcd of both.  The one loop that builds an entry from
+    the entry two back: the orbit, the closed forms' assembly and their
     extension run it (``Telescoping.entries``)."""
     for i in range(len(values), last + 1):
-        values.append(values[i - 2] / divisors[i - 2])
+        values.append(values[i - 2] / Fraction(*divisors[i - 2]))
     return divisors
 
 
 class Telescoping(_Record):
     """What ``telescope`` builds a pair of components' entries 0..last
-    from: per component (first, second) its first entries and its divisor
-    list, all short values.  Each component is built on its own, so the
-    two can be built in two processes (``both``), and two telescopings
-    are compared by those short values (``mismatches``).  Compared by
-    identity: routes that share one telescoping are compared once."""
+    from: per component (first, second) its first entries, Fractions, and
+    its divisor list of reduced pairs (see Carried), all short values.
+    Each component is built on its own, so the two can be built in two
+    processes (``both``), and two telescopings are compared by those short
+    values (``mismatches``).  Compared by identity: routes that share one
+    telescoping are compared once."""
 
     starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     divisors: tuple
@@ -379,7 +417,8 @@ class Telescoping(_Record):
         other[i]/self[i], carried along each parity chain by this divisor
         over the other's, is 1.  Where the divisors agree the ratio does
         not change: a passing comparison costs one equality of two short
-        values per index."""
+        pairs per index, and the ratio becomes a Fraction only where two
+        divisors differ."""
         size = min(max(len(self.starts[k]), len(other.starts[k])), self.last + 1)
         heads = [
             Telescoping(side.starts, side.divisors, size - 1).entries(k) for side in (self, other)
@@ -388,11 +427,13 @@ class Telescoping(_Record):
         ratio = [None, None]  # ratio[i % 2]: other[i]/self[i] at the last i of that parity
         for i in (size - 2, size - 1):
             ratio[i % 2] = heads[1][i] / heads[0][i]
+        differ = [value != 1 for value in ratio]
         mine, theirs = self.divisors[k], other.divisors[k]
         for i in range(size, self.last + 1):
             if mine[i - 2] != theirs[i - 2]:
-                ratio[i % 2] = ratio[i % 2] * mine[i - 2] / theirs[i - 2]
-            if ratio[i % 2] != 1:
+                ratio[i % 2] *= Fraction(*mine[i - 2]) / Fraction(*theirs[i - 2])
+                differ[i % 2] = ratio[i % 2] != 1
+            if differ[i % 2]:
                 found.append(i)
         return found
 
@@ -401,15 +442,15 @@ class Telescoping(_Record):
         bits, summed over its entries, which building and printing them
         take time about in proportion to: entry i = entry i-2 / divisor
         has at most the bits of both."""
-        sizes = [_bits(value) for value in self.starts[1]]
+        sizes = [_bits(*value.as_integer_ratio()) for value in self.starts[1]]
         divisors = self.divisors[1]
         for i in range(len(sizes), self.last + 1):
-            sizes.append(sizes[i - 2] + _bits(divisors[i - 2]))
+            sizes.append(sizes[i - 2] + _bits(*divisors[i - 2]))
         return sum(sizes)
 
 
-def _bits(value: Fraction) -> int:
-    return value.numerator.bit_length() + value.denominator.bit_length()
+def _bits(num: int, den: int) -> int:
+    return num.bit_length() + den.bit_length()
 
 
 def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Telescoping]:
@@ -419,15 +460,15 @@ def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Te
     values.  Entry i is entry i-2 divided by entry i-2 of a divisor list:
     at lag 1 the factors ``carry`` recorded, defined on zero components
     too; at a longer lag the quotients w[i-2]/z[i-1] (leading) and
-    z[i-2]/w[i-1] (trailing), from i = 2 on."""
+    z[i-2]/w[i-1] (trailing), from i = 2 on, formed from the four ints of
+    the two pairs."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
     w, z = carried.w, carried.z
     divisors = carried.factors
     if shape.lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
-        rest = range(2, len(w) + 1)
         divisors = shape.by_lead(
-            tuple(w[i - 2] / z[i - 1] for i in rest), tuple(z[i - 2] / w[i - 1] for i in rest)
+            tuple(pair_quotients(w[:-1], z[1:])), tuple(pair_quotients(z[:-1], w[1:]))
         )
     return carried, Telescoping(shape.split(ics._astuple()), divisors, len(w))
 

@@ -21,6 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from fraction_kernels import fractions  # noqa: E402
 from sdeq import closed_form, reduction  # noqa: E402
 from sdeq.systems import (  # noqa: E402
     SystemAInitial,
@@ -85,7 +86,7 @@ def test_kernel_equals_formula(classes, g, count):
         m, k = divmod(j, len(classes))
         x, y = classes[k]
         expected.append(x * g**m + y * sum(g**i for i in range(m)))
-    assert reduction.geometric_sweep(classes, g, count) == expected
+    assert fractions(reduction.geometric_sweep(classes, g, count)) == expected
 
 
 @SETTINGS
@@ -94,7 +95,7 @@ def test_sweep_equals_closed_form_and_recursion(system, count, data):
     _, _, _, n_seeds, closed_st, solve_linear, _ = SYSTEMS[system]
     params = _params(data.draw, system)
     seeds = [data.draw(rationals) for _ in range(n_seeds)]
-    S, T = reduction.closed_ST_sweep(system, params, seeds, count)
+    S, T = map(fractions, reduction.closed_ST_sweep(system, params, seeds, count))
     assert list(zip(S, T)) == [closed_st(params, *seeds, j) for j in range(count)]
     lin = solve_linear(params, *seeds, max(count - 1, 1))
     assert (S, T) == (list(lin.S[:count]), list(lin.T[:count]))

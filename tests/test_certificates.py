@@ -3,9 +3,11 @@ symbols, with ``rat`` patched to the identity so that the exact-rational
 boundary lets symbols through.
 
 * the residual of each system is the linearized symmetry condition of its
-  one-step map, taken from ``systems.iterate`` with ``sympy.diff``: with
-  every coefficient free, and for the characteristics of both variants at
-  both parities;
+  one-step map, taken with ``sympy.diff`` from the iteration of
+  ``tests/fraction_kernels.py``: with every coefficient free, and for the
+  characteristics of both variants at both parities.  ``systems.iterate``
+  runs on int pairs, which symbols are not; ``tests/test_pair_kernels.py``
+  checks that it equals those Fraction kernels;
 * each residual kernel is the residual times the factor the docstring of
   ``sdeq.symmetry`` names, so an integer kernel is zero exactly where the
   exact residual is, for every variant;
@@ -31,6 +33,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from fraction_kernels import iterate  # noqa: E402
 from sdeq import closed_form, reduction, symmetry, systems  # noqa: E402
 
 
@@ -78,12 +81,12 @@ def _symbolic_inputs(system):
 
 def _linearized_condition(system, params, point, coefficient):
     """Both residuals of the linearized symmetry condition of the one-step
-    map that ``systems.iterate`` runs, for the characteristic whose
-    component i (0 first, 1 second) at index n + k is coefficient(k)[i]
-    times that component."""
+    map that the iteration runs, for the characteristic whose component i
+    (0 first, 1 second) at index n + k is coefficient(k)[i] times that
+    component."""
     shape = systems.SHAPES[system]
     lag = shape.lag
-    orbit = systems.iterate(system, params, shape.initial(*point), lag + 1)
+    orbit = iterate(system, params, shape.initial(*point), lag + 1)
     components = shape.split(point)
     residuals = []
     for own, updated in enumerate((orbit.first[lag + 1], orbit.second[lag + 1])):
@@ -178,7 +181,7 @@ def test_denominator_factorization_a(symbolic):
     # index 0 of an orbit with free initial values stands for any index n
     a, b, u0, u1, v0, v1 = sympy.symbols("a b u0 u1 v0 v1")
     params = systems.SystemAParams(a, b)
-    orbit = systems.iterate_a(params, systems.SystemAInitial(u0, u1, v0, v1), 2)
+    orbit = iterate("A", params, systems.SystemAInitial(u0, u1, v0, v1), 2)
     lin = reduction.linearize(reduction.invariants_a(orbit))
     S, T = lin.S, lin.T
     recursion = reduction.solve_linear_a(params, S[0], T[0], 1)
@@ -192,7 +195,7 @@ def test_denominator_factorization_b(symbolic):
     a, b, c, d, x0, x1, x2, y0, y1, y2 = sympy.symbols("a b c d x0 x1 x2 y0 y1 y2")
     params = systems.SystemBParams(a, b, c, d)
     ics = systems.SystemBInitial(x0, x1, x2, y0, y1, y2)
-    lin = reduction.linearize(reduction.invariants_b(systems.iterate_b(params, ics, 3)))
+    lin = reduction.linearize(reduction.invariants_b(iterate("B", params, ics, 3)))
     S, T = lin.S, lin.T
     recursion = reduction.solve_linear_b(params, S[0], S[1], T[0], T[1], 2)
     assert sympy.cancel(S[2] - recursion.S[2]) == 0
@@ -218,7 +221,7 @@ def test_invariant_map(symbolic, system):
     names, ic_names, lag, invariant_map = _INVARIANT_MAPS[system]
     params = getattr(systems, f"System{system}Params")(*sympy.symbols(names))
     ics = getattr(systems, f"System{system}Initial")(*sympy.symbols(ic_names))
-    orbit = getattr(systems, f"iterate_{system.lower()}")(params, ics, lag + 1)
+    orbit = iterate(system, params, ics, lag + 1)
     inv = getattr(reduction, f"invariants_{system.lower()}")(orbit)
 
     def residuals(p):

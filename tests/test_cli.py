@@ -832,7 +832,7 @@ def _wrong_st_a(monkeypatch):
     def wrong(system, params, seeds, count):
         S, T = real(system, params, seeds, count)
         if system == "A" and count > 3:
-            S[3] += 1
+            S[3] = (F(*S[3]) + 1).as_integer_ratio()
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
@@ -897,7 +897,7 @@ def test_difftest_value_mismatch_payload_b(monkeypatch):
     def wrong(system, params, seeds, count):
         S, T = real(system, params, seeds, count)
         if system == "B" and count > 2:
-            T[2] *= 2
+            T[2] = (F(*T[2]) * 2).as_integer_ratio()
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
@@ -962,7 +962,7 @@ def test_verify_pure_power_route_extends_two_periods(capsys, monkeypatch):
     def wrong(system, params, seeds, count):
         S, T = real(system, params, seeds, count)
         if count > 10:
-            S[10] += 1
+            S[10] = (F(*S[10]) + 1).as_integer_ratio()
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)

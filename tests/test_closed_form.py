@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_kernels import fractions
 from sdeq.closed_form import (
     CASE_TAGS_A,
     CASE_TAGS_B,
@@ -427,7 +428,7 @@ def _tie_inputs():
     for system, _, params, ics, index, _ in FORBIDDEN_BRACES:
         shape = SHAPES[system]
         params, ics = shape.params(*params), shape.initial(*ics)
-        S, T = closed_ST_sweep(system, params, seeds(system, ics), index)
+        S, T = map(fractions, closed_ST_sweep(system, params, seeds(system, ics), index))
         if S[index - 1] == T[index - 1] == 0:
             ties[system, params, ics, index] = None
     return list(ties)

@@ -69,11 +69,13 @@ class Corruption(NamedTuple):
             values = starts[self.k]
             values[self.at % len(values)] *= self.factor
         elif self.kind != "clean":
+            # the divisors are reduced pairs: each changed one is written back as one
             values = divisors[self.k]
             at = self.at % len(values)
-            values[at] *= self.factor
+            values[at] = (F(*values[at]) * self.factor).as_integer_ratio()
             if self.kind == "undone" and at + 2 * self.gap < len(values):
-                values[at + 2 * self.gap] /= self.factor
+                later = at + 2 * self.gap
+                values[later] = (F(*values[later]) / self.factor).as_integer_ratio()
         return systems.Telescoping(tuple(map(tuple, starts)), tuple(divisors), built.last)
 
 

@@ -18,6 +18,7 @@ import pickle
 import subprocess
 import sys
 import threading
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -170,7 +171,8 @@ def _wrong(monkeypatch, sequence: str) -> None:
     def wrong(system, params, seeds, count):
         S, T = real(system, params, seeds, count)
         if count > 3:
-            {"S": S, "T": T}[sequence][3] += 1
+            values = {"S": S, "T": T}[sequence]
+            values[3] = (F(*values[3]) + 1).as_integer_ratio()
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
@@ -307,3 +309,40 @@ def test_a_passing_comparison_builds_only_the_start_values(argv):
         check=True,
     )
     assert result.stdout.split() == ["0", "True", "False"]
+
+
+# unit and non-unit parameters of both systems: the deep-unit and
+# deep-nonunit inputs of perfbench/workloads.py
+COMPARED = {
+    "A-OnesOnes": ("A", (1, 1), (F(3, 5), F(2, 7), F(4, 9), F(5, 8))),
+    "A-ABneq1": ("A", (F(2, 3), F(-5, 7)), (F(3, 5), F(-2, 7), F(4, 9), F(5, 8))),
+    "B-UnitBD": ("B", (1, 1, -1, 1), (F(3, 5), F(2, 7), F(4, 9), F(5, 8), F(3, 4), F(7, 6))),
+    "B-ACneq1": (
+        "B",
+        (F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+        (F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("system, params, ics", COMPARED.values(), ids=COMPARED.keys())
+def test_a_passing_comparison_builds_no_fraction_per_index(monkeypatch, system, params, ics):
+    # past the start values the comparison runs on int pairs, so the
+    # Fractions it constructs do not grow in number with n
+    shape = systems.SHAPES[system]
+    params, ics = shape.params(*params), shape.initial(*ics)
+    tag = closed_form.auto_case(system, params)
+    real, built = F.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    counts = []
+    for n in (200, 2000):
+        built.clear()
+        assert cli._compare(system, tag, params, ics, n)[2] == 0
+        counts.append(len(built))
+    monkeypatch.undo()
+    assert counts[0] == counts[1] > 0

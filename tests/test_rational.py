@@ -1,10 +1,10 @@
 import decimal
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
+from fraction_kernels import fractions
 from sdeq import closed_form, rational, systems
 from sdeq.rational import (
     alternating_sign,
@@ -123,7 +123,8 @@ def test_format_sequence_chains_deep_orbits(monkeypatch):
         for values, divisors in zip(map(built.entries, (0, 1)), built.divisors):
             # the divisors are the extension's steps at every index
             assert len(divisors) == len(values) - 2
-            assert all(divisors[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
+            steps = fractions(divisors)
+            assert all(steps[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
             expected = [format_rational(v) for v in values]
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
@@ -139,7 +140,7 @@ def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
     orbit = iterate_a(*DEEP_A, 300).first
     converted = _from_scratch(monkeypatch)
     # divisors that built none of the entries, and no divisors at all
-    for values, divisors in ((unrelated, [F(5, 3)] * 6), (unrelated, None), (orbit, None)):
+    for values, divisors in ((unrelated, [(5, 3)] * 6), (unrelated, None), (orbit, None)):
         expected = [format_rational(v) for v in values]
         converted.clear()
         assert format_sequence(values, divisors) == expected
@@ -216,8 +217,8 @@ def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallb
     # ``corrupt`` maps entry indices i to the wrong divisors[i-2]
     _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
     divisors = list(orbit.divisors[0])
-    for i, value in corrupt(orbit.divisors[0]).items():
-        divisors[i - 2] = value
+    for i, value in corrupt(fractions(orbit.divisors[0])).items():
+        divisors[i - 2] = value.as_integer_ratio()
     values = orbit.entries(0)
     assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
     expected = [format_rational(v) for v in values]
@@ -263,7 +264,7 @@ def test_exact_quotient_from_leading_bits():
 def test_format_sequence_with_unreduced_ratios(monkeypatch):
     # values[i-2]/values[i] = 25/441, given as 275/4851: G absorbs the 11
     values = [F(21**k, 5**k) for k in range(7_000, 7_020)]  # 31k and 16k bits
-    unreduced = SimpleNamespace(numerator=25 * 11, denominator=441 * 11)
+    unreduced = (25 * 11, 441 * 11)
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
     assert format_sequence(values, [unreduced] * (len(values) - 2)) == expected
@@ -347,7 +348,7 @@ def test_format_sequence_exact_in_any_decimal_context():
         ctx.traps[decimal.Inexact] = False
         assert format_sequence(values) == expected
         # chained, from the entry two back divided by 1/3**20
-        assert format_sequence(values, [F(1, 3**20)] * (len(values) - 2)) == expected
+        assert format_sequence(values, [(1, 3**20)] * (len(values) - 2)) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_kernels import fractions
 from sdeq import closed_form, forbidden, rational, reduction, symmetry, systems
 from sdeq.rational import format_rational, format_sequence
 from sdeq.sampling import draw_admissible_a, draw_admissible_b, draw_params
@@ -196,8 +197,8 @@ def _assert_literal(system, params, ics, n_max):
     assert iterate(system, params, ics, n_max) == expected
     carried = systems.carry(system, params, ics, n_max)
     lead, trail = SHAPES[system].by_lead(expected.first, expected.second)
-    assert carried.w == tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
-    assert carried.z == tuple(trail[n] * lead[n + 1] for n in range(len(lead) - 1))
+    assert fractions(carried.w) == [lead[n] * trail[n + 1] for n in range(len(lead) - 1)]
+    assert fractions(carried.z) == [trail[n] * lead[n + 1] for n in range(len(lead) - 1)]
     return expected
 
 
@@ -288,7 +289,8 @@ if given is not None:
         printing value by value, with every int of 64 bits or more chaining
         where it can."""
         assert len(divisors) == len(values) - 2
-        assert all(values[i - 2] == values[i] * divisors[i - 2] for i in range(2, len(values)))
+        steps = fractions(divisors)
+        assert all(values[i - 2] == values[i] * steps[i - 2] for i in range(2, len(values)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
             assert format_sequence(values, divisors) == [format_rational(v) for v in values]
@@ -342,7 +344,8 @@ if given is not None:
                 assert all(id(values) in built for values in lists)
             before = len(built)
             try:
-                lin = reduction.linearize(reduction.InvariantSeq(carried.w, carried.z))
+                invariants = map(fractions, (carried.w, carried.z))
+                lin = reduction.linearize(reduction.InvariantSeq(*invariants))
                 starts = (values[0] for values in SHAPES[system].split(ics._astuple()))
                 rebuilt = reduction.reconstruct(system, lin, *starts)
             except (reduction.ZeroInvariantError, reduction.ZeroDivisorError):
@@ -490,7 +493,8 @@ def _agrees(system: str, truth: SystemShape, params, ics, n: int) -> bool:
         return False
     lead, trail = truth.by_lead(first, second)
     carried = systems.carry(system, params, ics, n)
-    lin = reduction.linearize(reduction.InvariantSeq(carried.w, carried.z))
+    invariants = map(fractions, (carried.w, carried.z))
+    lin = reduction.linearize(reduction.InvariantSeq(*invariants))
     if lin.S != tuple(1 / (lead[k] * trail[k + 1]) for k in range(len(lead) - 1)):
         return False
     if lin.T != tuple(1 / (trail[k] * lead[k + 1]) for k in range(len(lead) - 1)):
