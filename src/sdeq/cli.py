@@ -55,7 +55,7 @@ class UsageError(ValueError):
 
 
 class _Literals(list):
-    """Rational literals from format_sequence.  They hold only digits, '-'
+    """Rational literals from rational's formatters.  They hold only digits, '-'
     and '/', which JSON never escapes, so _jdump writes them as they are."""
 
 
@@ -137,15 +137,10 @@ def _singular_json(singular: Optional[systems.Singularity]):
 
 
 def _component_literals(built: systems.Telescoping) -> tuple[list[str], list[str]]:
-    """Each component's literals: each long entry's digits come from the
-    entry two back and the divisor it was built with.  The second
-    component is built and printed in a child process where it is long
-    (systems.both)."""
-
-    def literals(k: int) -> list[str]:
-        return format_sequence(built.entries(k), built.divisors[k])
-
-    return systems.both(literals, built.bits())
+    """Each component's literals, built in decimal from the short starts
+    and divisors (Telescoping.literals); the second component is printed
+    in a child process where it is long (systems.both)."""
+    return systems.both(built.literals, built.bits())
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ the orbit two indices at a time by the assembly's first P divisors,
 repeated with the period P.  A sweep is a ``systems.Telescoping``: the
 short values, validation, the S and T sweep, its zero scan and the
 divisor lists, all on reduced int pairs (the scan reads numerators),
-come first and raise every error, and then
-``systems.telescope`` builds each component's long entries on its own,
-so the CLI can build and print the two in two processes, or compare the
-divisor lists with the orbit's (``route_telescopings``) and build none.
+come first and raise every error, and then each component's long
+entries are built on their own, as Fractions or as the printed literals,
+so the CLI can print the two in two processes, or compare the divisor
+lists with the orbit's (``route_telescopings``) and build none.
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is

@@ -7,9 +7,10 @@ computation.
 
 * `parse_rational` reads the one literal grammar (``-1/2``) of the CLI
   flags, and `format_rational`, `format_sequence` and `format_pairs` write
-  it in every report; they derive the digits of a long entry from the
-  entry two back when given the divisor list `systems.telescope` built
-  the list with.
+  it in every report.  `format_telescoping` writes the long entries of an
+  orbit or a sweep: it builds each one in decimal from the entry two back
+  and the short divisor ``systems.telescope`` divides by, so that no long
+  int is built in binary or converted.
 * `rat` coerces an int, literal or Fraction and refuses floats.
 * `pair_quotients` divides rationals held as reduced
   (numerator, denominator) pairs of ints with a positive denominator, the
@@ -64,58 +65,75 @@ def format_rational(value: Fraction) -> str:
     return format_sequence([value])[0]
 
 
-def format_sequence(values, divisors=None) -> list[str]:
-    """Render each of ``values`` exactly as format_rational does.
-
-    Long orbit entries two indices apart differ by a short factor (System
-    A's u[n+2] = u[n]/(a + z[n]), with z of O(n) bits against values of
-    about n**2 bits), so, given that factor, the digits of a long numerator
-    or denominator are derived from those of the entry two back instead of
-    from scratch.
-
-    ``divisors``, when given, is the list ``systems.telescope`` returned
-    for ``values``: divisors[i-2] = (+-q, p), the reduced pair of
-    values[i-2]/values[i] (i >= 2), the value entry i was built by dividing
-    by.  Then G = den[i-2]*q/den[i] is an exact integer of at most
-    bits(p) + bits(q) bits, read from leading bits, and the digits are
-    num[i-2]*p/G and den[i-2]*q/G: no gcd and no long division.  An
-    unreduced q/p works too, since G absorbs the common factor.  The digits
-    are exact by construction, because the kernel divided entry i-2 by
-    divisors[i-2] to build entry i.  A divisor that built no entry is
-    caught: an entry whose two sides give no G or different ones, or whose
-    divisions are not exact, is converted from scratch.  Without
-    ``divisors`` every long entry is converted from scratch.
-    """
-    return format_pairs([value.as_integer_ratio() for value in values], divisors)
+def format_sequence(values) -> list[str]:
+    """Render each of ``values`` exactly as format_rational does: short
+    ints by str(), long ones by divide and conquer (see _digits)."""
+    return format_pairs(value.as_integer_ratio() for value in values)
 
 
-def format_pairs(pairs, divisors=None) -> list[str]:
+def format_pairs(pairs) -> list[str]:
     """format_sequence of the values held as reduced (numerator,
     denominator) pairs with a positive denominator."""
-    pairs = list(pairs)
-    numerators = [abs(num) for num, _ in pairs]
-    denominators = [den for _, den in pairs]
-    if divisors is None:
-        steps = (lambda i: None,) * 2
-    else:
-        steps = _divisor_steps(numerators, denominators, divisors)
-    numerators, denominators = map(_digit_strings, (numerators, denominators), steps)
     return [
-        ("-" if num < 0 else "") + digits + ("" if den == 1 else "/" + den_digits)
-        for (num, den), digits, den_digits in zip(pairs, numerators, denominators)
+        ("-" if num < 0 else "") + _digits(abs(num)) + ("" if den == 1 else "/" + _digits(den))
+        for num, den in pairs
     ]
+
+
+def format_telescoping(starts, divisors, last: int) -> list[str]:
+    """The literals of entries 0..last of one component of a
+    ``systems.Telescoping``: its first entries ``starts``, Fractions, then
+    entry i = entry i-2 / divisors[i-2], each divisor a reduced pair
+    (dn, dd) with dd > 0 (all of ``starts`` when there are more).
+
+    The entries are built in decimal, never in binary, so no long int is
+    converted: each parity chain keeps its entry as a sign and Decimal
+    integers N/D, reduced.  As Fraction divides, two gcds with a short
+    operand reduce each step, g = gcd(N mod |dn|, |dn|) and
+    h = gcd(D mod dd, dd), and the entry becomes
+    (N/g * dd/h) / (D/h * |dn|/g), reduced because N/D and dn/dd are: two
+    remainders by short ints, two exact divisions and two multiplications,
+    each skipped where its factor is 1.  Every operation runs in the
+    _EXACT context, so no ambient context can round it, and a zero
+    divisor raises (decimal.InvalidOperation) instead of printing.
+    """
+    texts = []
+    chains: list = [None, None]  # (negative, N, D) of the last entry of each index parity
+    with decimal.localcontext(_EXACT):
+        for i in range(max(len(starts), last + 1)):
+            if i < len(starts):
+                num, den = starts[i].as_integer_ratio()
+                negative = num < 0
+                num, den = decimal.Decimal(_digits(abs(num))), decimal.Decimal(_digits(den))
+            else:
+                negative, num, den = chains[i & 1]
+                dn, dd = divisors[i - 2]
+                negative ^= dn < 0
+                down, up = abs(dn), dd
+                if down != 1:
+                    g = gcd(int(num % down), down)
+                    if g != 1:
+                        num, down = num // g, down // g
+                if up != 1:
+                    h = gcd(int(den % up), up)
+                    if h != 1:
+                        den, up = den // h, up // h
+                    if up != 1:
+                        num *= up
+                if down != 1:
+                    den *= down
+            chains[i & 1] = negative, num, den
+            texts.append(
+                ("-" if negative and num else "") + str(num) + ("" if den == 1 else "/" + str(den))
+            )
+    return texts
 
 
 # str(int) and int(str) take quadratic time and refuse more than 4300
 # digits by default.  Past the sizes below, both conversions split the
 # number in halves and recombine the halves (the divide and conquer of
-# CPython 3.12's _pylong); leaves stay under the limit.  An int of
-# _FORMAT_SPLIT_BITS or more is long: it chains from the entry two back
-# when it can.  str() takes about 6 us at 2,000 bits and 25 us at 4,000,
-# a chained step 4 to 6 us, so chaining pays from about 2,000 bits.  A long
-# int that does not chain takes str() below _FORMAT_STR_BITS (3,600 digits),
-# where it beats the divide and conquer.
-_FORMAT_SPLIT_BITS = 2_000
+# CPython 3.12's _pylong); leaves stay under the limit.  Below
+# _FORMAT_STR_BITS (3,600 digits) str() beats the divide and conquer.
 _FORMAT_STR_BITS = 12_000
 _FORMAT_LEAF_BITS = 2048
 _PARSE_SPLIT_DIGITS = 3000
@@ -138,73 +156,12 @@ _EXACT = decimal.Context(
 )
 
 
-def _digit_strings(ints: list[int], step) -> list[str]:
-    """Decimal digits of each nonnegative int in ``ints``.
-
-    A long entry i is x[i-2]*up/down, taken on the kept digits of entry
-    i-2, when entry i-2 was long too and step(i) gives (up, down); an entry
-    without them, or whose division leaves a remainder, is converted from
-    scratch; digits from str() are read into a Decimal only to chain.
-    """
-    texts = []
-    kept: list[decimal.Decimal | str | None] = [None, None]  # by index parity
-    for i, x in enumerate(ints):
-        if x.bit_length() < _FORMAT_SPLIT_BITS:
-            texts.append(str(x))
-            kept[i & 1] = None
-            continue
-        with decimal.localcontext(_EXACT):
-            base = kept[i & 1]
-            factors = step(i) if base is not None else None
-            digits = None
-            if factors is not None:
-                quotient, rest = divmod(decimal.Decimal(base) * factors[0], factors[1])
-                digits = None if rest else quotient
-            if digits is None:
-                digits = str(x) if x.bit_length() < _FORMAT_STR_BITS else _to_decimal(x)
-            texts.append(str(digits))
-        kept[i & 1] = digits
-    return texts
-
-
-def _divisor_steps(numerators: list[int], denominators: list[int], divisors):
-    """(numerator step, denominator step) for _digit_strings from
-    divisors[i-2] = (+-q, p): (p, G) and (q, G), with G read from leading bits
-    of each side (see format_sequence); None when the sides disagree."""
-    factors: dict[int, tuple] = {}
-
-    def both(i: int) -> tuple:
-        if i not in factors:
-            num, p = divisors[i - 2]
-            q = abs(num)
-            g = _exact_quotient(denominators[i - 2], denominators[i], q)
-            same = g is not None and g == _exact_quotient(numerators[i - 2], numerators[i], p)
-            factors[i] = ((p, g), (q, g)) if same else (None, None)
-        return factors[i]
-
-    return (lambda i: both(i)[0]), (lambda i: both(i)[1])
-
-
-def _exact_quotient(a: int, b: int, factor: int = 1) -> int | None:
-    """a*factor/b, read from leading bits when it is a positive int; None
-    when it is not (or b is 0), save for a rare quotient within 2**-32 of
-    an int.
-
-    Both operands are cut by one shift that leaves b 64 bits more than the
-    quotient and factor have, so the cut moves the quotient by less than
-    2**-61.  A cut quotient farther than 2**-32 from an int is therefore no
-    int; a nearer one is taken as the int, which is right whenever b is
-    known to divide a*factor.
-    """
-    width = a.bit_length() + factor.bit_length() - b.bit_length() + 1  # >= bits of the quotient
-    if width < 1 or not b:
-        return None  # a*factor < b, or b = 0
-    shift = max(0, b.bit_length() - width - factor.bit_length() - 64)
-    top, bottom = (a >> shift) * factor, b >> shift
-    quotient, rest = divmod(top, bottom)
-    if 2 * rest > bottom:
-        quotient, rest = quotient + 1, bottom - rest
-    return quotient if quotient and rest << 32 < bottom else None
+def _digits(n: int) -> str:
+    """The decimal digits of a nonnegative int."""
+    if n.bit_length() < _FORMAT_STR_BITS:
+        return str(n)
+    with decimal.localcontext(_EXACT):
+        return str(_to_decimal(n))
 
 
 def _to_decimal(n: int) -> decimal.Decimal:

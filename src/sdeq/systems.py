@@ -21,11 +21,12 @@ first singular step, all O(n)-bit values, held as reduced
 (numerator, denominator) pairs of ints: on values this short a step
 costs a few int operations, and Fraction operators several times more.
 ``reduce`` reads nothing else.  ``orbit_telescoping`` then states, as a
-``Telescoping``, how ``telescope`` builds each component's long entries
-from them: the one loop that divides an entry two back by a short listed
-divisor, made a Fraction there (the closed forms build theirs with it
-too).  Each component is built on its own, and ``both`` runs the two
-components' jobs of ``iterate`` and ``solve --sweep`` in the CLI, the
+``Telescoping``, how each component's long entries are built from
+them: each divides the entry two back by a short listed divisor, as
+Fractions in ``telescope`` (the closed forms build theirs with it too),
+or in decimal, as the literals printed (``Telescoping.literals``).  Each
+component is built on its own, and ``both`` runs the two components'
+printing jobs of ``iterate`` and ``solve --sweep`` in the CLI, the
 second in a forked child process (``sdeq.fork``) where the entries are
 long enough to pay for it; ``verify`` and ``difftest`` compare
 telescopings by their divisor lists and build no long entry, and past
@@ -41,7 +42,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
 
-from .rational import pair_quotients, rat
+from .rational import format_telescoping, pair_quotients, rat
 
 
 class _Record:
@@ -368,29 +369,29 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-def telescope(values: list, divisors, last: int):
+def telescope(values: list, divisors, last: int) -> None:
     """Extend ``values`` in place to entries 0..last by
     entry i = entry i-2 / divisors[i-2], one long entry by a short divisor
-    per step, and return ``divisors``, the list rational.format_sequence
-    prints the entries from.  Each divisor is a reduced pair (see
-    Carried), made a Fraction for its division, so that a long entry
-    costs Fraction's two gcds with a short operand; a Fraction of two long
-    ints would cost a gcd of both.  The one loop that builds an entry from
-    the entry two back: the orbit, the closed forms' assembly and their
-    extension run it (``Telescoping.entries``)."""
+    per step.  Each divisor is a reduced pair (see Carried), made a
+    Fraction for its division, so that a long entry costs Fraction's two
+    gcds with a short operand; a Fraction of two long ints would cost a
+    gcd of both.  The one loop that builds an entry from the entry two
+    back as a Fraction (``Telescoping.entries``);
+    rational.format_telescoping runs the same step in decimal to print."""
     for i in range(len(values), last + 1):
         values.append(values[i - 2] / Fraction(*divisors[i - 2]))
-    return divisors
 
 
 class Telescoping(_Record):
-    """What ``telescope`` builds a pair of components' entries 0..last
-    from: per component (first, second) its first entries, Fractions, and
-    its divisor list of reduced pairs (see Carried), all short values.
-    Each component is built on its own, so the two can be built in two
-    processes (``both``), and two telescopings are compared by those short
-    values (``mismatches``).  Compared by identity: routes that share one
-    telescoping are compared once."""
+    """What a pair of components' entries 0..last are built from: per
+    component (first, second) its first entries, Fractions, and its
+    divisor list of reduced pairs (see Carried), all short values; entry
+    i is entry i-2 / divisors[i-2].  Each component is built on its own,
+    as Fractions (``entries``) or as printed literals (``literals``), so
+    the two can be printed in two processes (``both``), and two
+    telescopings are compared by those short values (``mismatches``).
+    Compared by identity: routes that share one telescoping are compared
+    once."""
 
     starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     divisors: tuple
@@ -403,6 +404,12 @@ class Telescoping(_Record):
         values = list(self.starts[k])
         telescope(values, self.divisors[k], self.last)
         return values
+
+    def literals(self, k: int) -> list[str]:
+        """The rational literals of entries 0..last of component k, built
+        in decimal with no Fraction entry (rational.format_telescoping):
+        format_rational of each of entries(k)."""
+        return format_telescoping(self.starts[k], self.divisors[k], self.last)
 
     def mismatches(self, other: Telescoping, k: int) -> list[int]:
         """The indices 0..last at which component k of ``other``'s entries
@@ -473,16 +480,18 @@ def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Te
     return carried, Telescoping(shape.split(ics._astuple()), divisors, len(w))
 
 
-# The second process pays where the entries it builds are long.  Measured
+# The second process pays where the entries it prints are long.  Measured
 # in fresh processes on a 2 vCPU Xeon VM (Python 3.11): a fork takes about
 # 1 ms, loading pickle 3 ms and reaping the child 2 ms, and the literals'
 # trip through the pipe about 0.7 ns per bit of the entries printed (14 MB
-# in 30 ms), against 5-8 ns per bit to build and print them.  With the
-# parent's copy-on-write faults on top, forking saved nothing measurable
-# at 3.9M bits (System A at n = 220), 48 ms at 10M (n = 300) and 30 % at
-# 46M (n = 500).  The bound overstates entries that cancel, as with unit
-# parameters, by 2-3 times: at A's a = b = 1 and n = 1500 (12.6M bits by
-# the bound) forking was as fast as not.
+# in 30 ms), against 2-6 ns per bit to build and print them in decimal
+# (1.8 at A's a = b = 1 and n = 2000, 5.6 at A's non-unit input at
+# n = 500).  Forking an ``iterate`` cost 5-15 % at 0.1-1.7M bits, and
+# saved 3 % at 5.7M (System A at n = 250), 11 % at 12.7M (System B at
+# n = 500) and 26 % at 46M (A at n = 500).  The bound overstates entries
+# that cancel, as with unit parameters, by up to 3 times: on the six
+# unit-parameter inputs at n = 2000 (8-23M bits by the bound, 5-10M built)
+# forking was within 4 % of one process either way.
 _FORK_BITS = 4_000_000
 
 

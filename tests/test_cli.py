@@ -694,7 +694,7 @@ def _csv_writer_text(header, rows) -> str:
 
 
 def test_csv_matches_csv_writer(capsys):
-    # negative components and values past the chaining split
+    # negative components and values past the divide and conquer bound
     n = 160
     t = iterate_a(_DEEP_A_PARAMS, _DEEP_A_ICS, n)
 
@@ -715,7 +715,7 @@ def test_csv_matches_csv_writer(capsys):
             zip(indices, *map(lits, (inv.w, inv.z, lin.S, lin.T))),
         ),
     }
-    assert max(v.numerator.bit_length() for v in t.first) > rational._FORMAT_SPLIT_BITS
+    assert max(v.numerator.bit_length() for v in t.first) > rational._FORMAT_STR_BITS
     for command, text in expected.items():
         extra = ["--sweep"] if command == "solve" else []
         argv = [command, "--system", "A", *DEEP_A_FLAGS, "--n", str(n), "--format", "csv", *extra]
@@ -1055,26 +1055,52 @@ DEEP_B_FLAGS = [
 ]
 
 
-def _counted_conversions(monkeypatch) -> list:
-    """The ints rational converts from scratch from now on."""
-    real, calls = rational._to_decimal, []
-    monkeypatch.setattr(rational, "_to_decimal", lambda x: calls.append(x) or real(x))
+def _print_path(monkeypatch) -> list:
+    """Per Telescoping.literals call made from now on: (component, last
+    index, Fraction divisions, ints converted from scratch) inside it.
+    With the str() bound lowered to 64 bits, every int of 64 bits or more
+    that is converted from scratch goes through rational._to_decimal."""
+    real_literals, real_divide, real_convert = (
+        systems.Telescoping.literals, F.__truediv__, rational._to_decimal,
+    )
+    calls, counts = [], None
+
+    def divide(x, y):
+        if counts is not None:
+            counts[0] += 1
+        return real_divide(x, y)
+
+    def convert(x):
+        if counts is not None:
+            counts[1] += 1
+        return real_convert(x)
+
+    def literals(self, k):
+        nonlocal counts
+        counts = [0, 0]
+        try:
+            return real_literals(self, k)
+        finally:
+            calls.append((k, self.last, *counts))
+            counts = None
+
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
+    monkeypatch.setattr(F, "__truediv__", divide)
+    monkeypatch.setattr(rational, "_to_decimal", convert)
+    monkeypatch.setattr(systems.Telescoping, "literals", literals)
     return calls
 
 
 def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
-    # entries reach 49k bits; each long one is printed from the entry two
-    # back and the divisor it was built with, so each output converts only
-    # the first long numerator and denominator of each index parity, for
-    # each component, from scratch (counted with the str() bound lowered
-    # to the split, so every such int goes through rational._to_decimal)
+    # entries reach 49k bits; each is printed from the entry two back and
+    # the divisor it was built with, in decimal, so no output converts a
+    # long int from scratch or divides a Fraction while printing
     params = SystemAParams(F(2, 3), F(-5, 7))
     orbit = iterate_a(params, SystemAInitial(F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 300)
     assert max(v.numerator.bit_length() for v in orbit.first) > 40_000
     first, second = ([format_rational(v) for v in values] for values in (orbit.first, orbit.second))
     _one_process(monkeypatch)
-    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", rational._FORMAT_SPLIT_BITS)
-    converted = _counted_conversions(monkeypatch)
+    printed = _print_path(monkeypatch)
     sweeps = _counted_sweeps(monkeypatch)
     code, out, _ = run_cli(capsys, ["iterate", *DEEP_A])
     assert code == 0 and (json.loads(out)["first"], json.loads(out)["second"]) == (first, second)
@@ -1084,7 +1110,7 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
-    assert (len(converted), sweeps) == (3 * 8, ["A"])
+    assert (printed, sweeps) == ([(0, 300, 0, 0), (1, 300, 0, 0)] * 3, ["A"])
 
 
 def _flags(record) -> list:
@@ -1105,67 +1131,35 @@ PURE_POWER_ICS = {
     "system, tag", [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
 )
 def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, tag):
-    # with the split lowered to 64 bits most entries at n = 120 are long;
-    # each is printed from the entry two back and the divisor the period
-    # extension built it with.  The str() bound is lowered too, so every
-    # long int that does not chain is converted by divide and conquer
+    # most entries at n = 120 have 64 bits or more; each is printed from
+    # the entry two back and the divisor the period extension built it
+    # with, so, with the str() bound lowered to 64 bits, no int is
+    # converted from scratch and no Fraction is divided while printing
     params, ics = closed_form.CASES[system][tag].fixed, PURE_POWER_ICS[system]
     sweep = closed_form.case_sweep(system, tag, params, ics, 120)
     expected = [[format_rational(v) for v in values] for values in sweep]
     argv = ["solve", "--sweep", "--system", system, *_flags(params), *_flags(ics), "--n", "120"]
     _one_process(monkeypatch)
-    monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
-    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
-    converted = _counted_conversions(monkeypatch)
-    per_component = []
-    real_format = cli.format_sequence
-
-    def counted(values, divisors=None):
-        start = len(converted)
-        texts = real_format(values, divisors)
-        per_component.append(len(converted) - start)
-        return texts
-
-    monkeypatch.setattr(cli, "format_sequence", counted)
+    printed = _print_path(monkeypatch)
     code, out, _ = run_cli(capsys, argv)
     records = json.loads(out)["records"]
     assert code == 0 and [[r["first"] for r in records], [r["second"] for r in records]] == expected
     code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(*expected)]
-    # one conversion from scratch per index parity, for numerators and
-    # denominators, in each component of each output
-    assert len(per_component) == 4 and max(per_component) <= 4
+    # each component of each output, printed with no conversion or division
+    assert printed == [(0, 120, 0, 0), (1, 120, 0, 0)] * 2
 
 
 @pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])
 def test_sweep_prints_from_divisors_without_dividing(capsys, monkeypatch, argv):
     # the assembly forms each divisor once, into the list it returns, and
-    # the printer reads that list: printing makes no Fraction division
-    divisions, printed = [], []
-    printing = False
-    real_divide, real_format = F.__truediv__, cli.format_sequence
-
-    def divide(x, y):
-        if printing:
-            divisions.append(y)
-        return real_divide(x, y)
-
-    def counted(values, divisors=None):
-        nonlocal printing
-        printed.append((len(values), divisors is not None))
-        printing = True
-        try:
-            return real_format(values, divisors)
-        finally:
-            printing = False
-
+    # the printer reads that list: printing makes no Fraction division and
+    # converts no long int from scratch
     _one_process(monkeypatch)
-    monkeypatch.setattr(F, "__truediv__", divide)
-    monkeypatch.setattr(cli, "format_sequence", counted)
+    printed = _print_path(monkeypatch)
     code, _, _ = run_cli(capsys, ["solve", "--sweep", *argv])
-    assert code == 0 and printed == [(301, True)] * 2
-    assert divisions == []
+    assert code == 0 and printed == [(0, 300, 0, 0), (1, 300, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1265,12 +1259,14 @@ def test_a_full_device_is_a_report_error():
 
 
 def _no_long_entries(monkeypatch) -> None:
-    """Make the kernel that builds every long entry, systems.telescope, raise."""
+    """Make the kernels that build long entries raise: systems.telescope,
+    in binary, and rational.format_telescoping, in decimal."""
 
     def refuse(*args):
         raise AssertionError("reduce built the long entries of an orbit")
 
     monkeypatch.setattr(systems, "telescope", refuse)
+    monkeypatch.setattr(systems, "format_telescoping", refuse)
 
 
 @pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])

@@ -123,20 +123,21 @@ def _two_processes(monkeypatch) -> list:
 
 
 def _built_here(monkeypatch) -> list:
-    """The components whose entries this process builds from now on."""
-    real, built = systems.Telescoping.entries, []
+    """The components whose literals this process builds and prints from
+    now on."""
+    real, built = systems.Telescoping.literals, []
 
-    def entries(self, k):
+    def literals(self, k):
         built.append(k)
         return real(self, k)
 
-    monkeypatch.setattr(systems.Telescoping, "entries", entries)
+    monkeypatch.setattr(systems.Telescoping, "literals", literals)
     return built
 
 
 def _built_past_prefix(monkeypatch) -> set:
-    """The (component, last index) of each build past entry PREFIX that
-    this process makes from now on."""
+    """The (component, last index) of each build of Fraction entries past
+    entry PREFIX that this process makes from now on."""
     real, built = systems.Telescoping.entries, set()
 
     def entries(self, k):
@@ -157,11 +158,11 @@ def test_two_processes_print_the_one_process_bytes(capsys, monkeypatch, argv, fo
     assert _run(capsys, argv) == expected
     assert len(children) == forks
     if forks:
-        # the child builds the second component: this process builds only the first
+        # the child prints the second component: this process prints only the first
         assert set(built) == {0}
-    else:
-        # a passing (or refused) comparison builds no entry past the start values
-        assert past == set()
+    # printing builds no Fraction entry, and a passing (or refused)
+    # comparison none past the start values
+    assert past == set()
 
 
 def _wrong(monkeypatch, sequence: str) -> None:
@@ -346,3 +347,39 @@ def test_a_passing_comparison_builds_no_fraction_per_index(monkeypatch, system, 
         counts.append(len(built))
     monkeypatch.undo()
     assert counts[0] == counts[1] > 0
+
+
+# (input, the two orders n compared): the non-unit inputs' entries grow by
+# about n**2 bits, so they are counted below n = 2000, where printing
+# takes seconds
+PRINTED = {
+    "A-OnesOnes": (*COMPARED["A-OnesOnes"], (200, 2000)),
+    "A-ABneq1": (*COMPARED["A-ABneq1"], (100, 300)),
+    "B-ACneq1": (*COMPARED["B-ACneq1"], (200, 600)),
+}
+
+
+@pytest.mark.parametrize("system, params, ics, sizes", PRINTED.values(), ids=PRINTED.keys())
+def test_printing_builds_no_fraction_per_index(monkeypatch, system, params, ics, sizes):
+    # on one process both components are printed in decimal from the short
+    # starts and divisors, so the Fractions printing constructs do not grow
+    # in number with n
+    shape = systems.SHAPES[system]
+    params, ics = shape.params(*params), shape.initial(*ics)
+    monkeypatch.setattr(systems, "_FORK_BITS", float("inf"))
+    real, built = F.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return real(cls, *args, **kwargs)
+
+    counts = []
+    for n in sizes:
+        telescoping = systems.orbit_telescoping(system, params, ics, n)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", counted)
+            built.clear()
+            firsts, seconds = cli._component_literals(telescoping)
+            counts.append(len(built))
+        assert len(firsts) == len(seconds) == n + 1
+    assert counts[0] == counts[1]

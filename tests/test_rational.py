@@ -90,11 +90,18 @@ def _counting(monkeypatch, name: str) -> list:
 
 
 def _from_scratch(monkeypatch) -> list:
-    """Count the long ints converted from scratch from here on: with the
-    str() bound lowered to the split, every long int that does not chain
-    goes through _to_decimal."""
-    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", rational._FORMAT_SPLIT_BITS)
+    """Count the ints converted from scratch from here on: with the str()
+    bound lowered to 64 bits, every int of 64 bits or more that is
+    converted goes through _to_decimal."""
+    monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     return _counting(monkeypatch, "_to_decimal")
+
+
+def _reference(value: F) -> str:
+    """The literal of ``value`` from _reference_digits."""
+    num, den = abs(value.numerator), value.denominator
+    text = ("-" if value < 0 else "") + (_reference_digits(num) if num else "0")
+    return text if den == 1 else text + "/" + _reference_digits(den)
 
 
 DEEP_A = (
@@ -109,64 +116,50 @@ PURE_POWER = [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "Un
 
 
 def test_format_sequence_chains_deep_orbits(monkeypatch):
-    # pure-power sweeps grow by 1 to 3 bits per index, so with the split
-    # lowered to 64 bits most entries at n = 120 are long and chain
-    # from the entry two back by the divisor the period extension used;
-    # with the str() bound lowered too, every long int that does not chain
-    # is converted by divide and conquer, and counted
-    monkeypatch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
+    # pure-power sweeps grow by 1 to 3 bits per index, so most entries at
+    # n = 120 have 64 bits or more; each is printed from the entry two back
+    # and the divisor the period extension used, so with the str() bound
+    # lowered to 64 bits no int is converted from scratch
     converted = _from_scratch(monkeypatch)
     for system, tag in PURE_POWER:
         params = closed_form.CASES[system][tag].fixed
         ics = (DEEP_A if system == "A" else DEEP_B)[1]
         built = closed_form.case_telescoping(system, tag, params, ics, 120)
-        for values, divisors in zip(map(built.entries, (0, 1)), built.divisors):
+        for k, divisors in enumerate(built.divisors):
+            values = built.entries(k)
             # the divisors are the extension's steps at every index
             assert len(divisors) == len(values) - 2
             steps = fractions(divisors)
             assert all(steps[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
-            expected = [format_rational(v) for v in values]
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
-            assert format_sequence(values, divisors) == expected
-            # one conversion from scratch per index parity, for numerators
-            # and denominators
-            assert len(converted) <= 4
+            assert built.literals(k) == [_reference(v) for v in values]
+            assert converted == []
 
 
 def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
+    # format_sequence prints each value on its own: every long int is
+    # converted from scratch, whether the values are related or not
     rng = random.Random(11)
     unrelated = [F(rng.getrandbits(40_000), rng.getrandbits(30_000) | 1) for _ in range(8)]
     orbit = iterate_a(*DEEP_A, 300).first
     converted = _from_scratch(monkeypatch)
-    # divisors that built none of the entries, and no divisors at all
-    for values, divisors in ((unrelated, [(5, 3)] * 6), (unrelated, None), (orbit, None)):
-        expected = [format_rational(v) for v in values]
+    for values in (unrelated, orbit):
         converted.clear()
-        assert format_sequence(values, divisors) == expected
-        # every long int is converted from scratch
-        split = rational._FORMAT_SPLIT_BITS
-        long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
+        assert format_sequence(values) == [_reference(v) for v in values]
+        long = sum(x.bit_length() >= 64 for side in _sides(values) for x in side)
         assert len(converted) == long
 
 
-def _sequences(system: str, params, ics, n: int) -> list:
-    """(values, divisors) of both components of the orbit and, unless the
-    closed forms are undefined there, of the product-route sweep."""
+def _telescopings(system: str, params, ics, n: int) -> list:
+    """The orbit's telescoping and, unless the closed forms are undefined
+    there, the product-route sweep's."""
     _, orbit = systems.orbit_telescoping(system, params, ics, n)
-    sequences = [(orbit.entries(k), orbit.divisors[k]) for k in (0, 1)]
     try:
         sweep = closed_form.case_telescoping(system, "Product", params, ics, n)
     except closed_form.ForbiddenInputError:
-        return sequences
-    return sequences + [(sweep.entries(k), sweep.divisors[k]) for k in (0, 1)]
-
-
-def _chained(ints: list) -> set:
-    """Indices of the long ints of ``ints`` whose entry two back is long:
-    the ones a chain derives from that entry."""
-    long = [x.bit_length() >= rational._FORMAT_SPLIT_BITS for x in ints]
-    return {i for i in range(2, len(ints)) if long[i] and long[i - 2]}
+        return [orbit]
+    return [orbit, sweep]
 
 
 def _sides(values) -> tuple:
@@ -188,90 +181,52 @@ class _Reads(list):
 
 @pytest.mark.parametrize("system, inputs", [("A", DEEP_A), ("B", DEEP_B)])
 def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inputs):
-    # the deep-nonunit inputs at n = 300, orbits and product-route sweeps
-    for values, divisors in _sequences(system, *inputs, 300):
-        expected = [format_rational(v) for v in values]
-        converted = _from_scratch(monkeypatch)
-        reads = _Reads(divisors)
-        assert format_sequence(values, reads) == expected
-        # the first long entry of each parity, numerators and denominators
-        assert len(converted) == 4
-        # a divisor is read once for each entry that chains, and for no other
-        numerators, denominators = _sides(values)
-        assert sorted(reads.read) == sorted(_chained(numerators) | _chained(denominators))
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize(
-    "corrupt, fallbacks",
-    [
-        # the numerators' G is three times the denominators'
-        (lambda divisors: {201: divisors[199] / 3}, 2),
-        # absolute values are unchanged, so no entry falls back
-        (lambda divisors: {i: -value for i, value in enumerate(divisors, 2)}, 0),
-        # two entries built with each other's divisor
-        (lambda divisors: {201: divisors[201], 203: divisors[199]}, 4),
-    ],
-)
-def test_format_sequence_falls_back_on_a_wrong_ratio(monkeypatch, corrupt, fallbacks):
-    # ``corrupt`` maps entry indices i to the wrong divisors[i-2]
-    _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
-    divisors = list(orbit.divisors[0])
-    for i, value in corrupt(fractions(orbit.divisors[0])).items():
-        divisors[i - 2] = value.as_integer_ratio()
-    values = orbit.entries(0)
-    assert values[201].numerator.bit_length() >= rational._FORMAT_SPLIT_BITS
-    expected = [format_rational(v) for v in values]
-    converted = _from_scratch(monkeypatch)
-    assert format_sequence(values, divisors) == expected
-    assert len(converted) == 4 + fallbacks
+    # the deep-nonunit inputs at n = 300, orbits and product-route sweeps,
+    # whose entries pass 10k bits: the kernel reads each divisor once, for
+    # the entry it builds, takes no gcd of a long int, only of the short
+    # remainders and divisors, and converts no int from scratch
+    for built in _telescopings(system, *inputs, 300):
+        for k, divisors in enumerate(built.divisors):
+            values = built.entries(k)
+            assert max(x.bit_length() for side in _sides(values) for x in side) > 10_000
+            expected = [_reference(v) for v in values]
+            converted = _from_scratch(monkeypatch)
+            gcds = _counting(monkeypatch, "gcd")
+            reads = _Reads(divisors)
+            assert rational.format_telescoping(built.starts[k], reads, built.last) == expected
+            assert converted == []
+            assert reads.read == list(range(len(built.starts[k]), built.last + 1))
+            short = max(x.bit_length() for pair in divisors for x in pair)
+            assert gcds and max(x.bit_length() for pair in gcds for x in pair) <= short
+            monkeypatch.undo()
 
 
 def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
-    # a long int that does not chain is converted by str() under
-    # _FORMAT_STR_BITS and by divide and conquer from there on; the deep
-    # orbit's first long entries of each parity are under the bound, and
-    # every later entry chains, from str()'s digits or from a chained one
+    # an int is converted by str() under _FORMAT_STR_BITS and by divide and
+    # conquer from there on
     _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
-    values, divisors = orbit.entries(0), orbit.divisors[0]
+    values = orbit.entries(0)
     ints = [x for side in _sides(values) for x in side]
-    split, bound = rational._FORMAT_SPLIT_BITS, rational._FORMAT_STR_BITS
-    assert sum(split <= x.bit_length() < bound for x in ints) > 4
+    bound = rational._FORMAT_STR_BITS
+    assert sum(2_000 <= x.bit_length() < bound for x in ints) > 4
     expected = [format_rational(v) for v in values]
     converted = _counting(monkeypatch, "_to_decimal")
     assert format_sequence(values) == expected
     assert len(converted) == sum(x.bit_length() >= bound for x in ints) > 0
-    converted.clear()
-    assert format_sequence(values, divisors) == expected
-    assert converted == []
 
 
-def test_exact_quotient_from_leading_bits():
-    rng = random.Random(5)
-    for _ in range(300):
-        # a*f = b*q with f = f1*f2, b = f1*b1, q = f2*q1 and a = b1*q1
-        widths = (400, 400, 30_000, 2_000)
-        f1, f2, b1, q1 = (rng.getrandbits(rng.randint(1, bits)) | 1 for bits in widths)
-        a, b, f, q = b1 * q1, f1 * b1, f1 * f2, f2 * q1
-        assert rational._exact_quotient(a, b, f) == q
-        assert rational._exact_quotient(a * f, b) == q
-        # q is odd, so a*f/(2*b) ends in one half
-        assert rational._exact_quotient(a, 2 * b, f) is None
-    assert rational._exact_quotient(5, 7) is None
-    assert rational._exact_quotient(5, 0) is None
-
-
-def test_format_sequence_with_unreduced_ratios(monkeypatch):
-    # values[i-2]/values[i] = 25/441, given as 275/4851: G absorbs the 11
-    values = [F(21**k, 5**k) for k in range(7_000, 7_020)]  # 31k and 16k bits
-    unreduced = (25 * 11, 441 * 11)
-    expected = [format_rational(v) for v in values]
-    converted = _counting(monkeypatch, "_to_decimal")
-    assert format_sequence(values, [unreduced] * (len(values) - 2)) == expected
-    assert len(converted) == 4
+def test_format_telescoping_refuses_a_zero_divisor():
+    # as Fraction division does, for a zero and a nonzero entry two back
+    for starts in ([F(1, 2), F(3)], [F(0), F(3)]):
+        with pytest.raises(ZeroDivisionError):
+            systems.Telescoping((starts, starts), ([(0, 1)], [(0, 1)]), 2).entries(0)
+        with pytest.raises(decimal.InvalidOperation):
+            rational.format_telescoping(starts, [(0, 1)], 2)
 
 
 if given is not None:
+    from test_pair_kernels import EXAMPLES as PAIR_EXAMPLES
+
     # small values, often 0 and +-1, so that zero components of System A
     # and vanishing denominators occur, mixed with long ones
     _values = st.one_of(
@@ -285,32 +240,76 @@ if given is not None:
         system = draw(st.sampled_from("AB"))
         shape = systems.SHAPES[system]
         values = _values if system == "A" else _values.filter(bool)
-        params = shape.params(*(draw(_values) for _ in shape.params._fields))
+        pinned = [case.fixed for case in closed_form.CASES[system].values() if case.period]
+        params = draw(st.sampled_from([None, *pinned]))
+        if params is None:
+            params = shape.params(*(draw(_values) for _ in shape.params._fields))
         ics = shape.initial(*(draw(values) for _ in shape.initial._fields))
-        return system, params, ics, draw(st.integers(2, 30)), draw(st.sampled_from([2, 8, 64]))
+        return system, params, ics, draw(st.integers(2, 40))
+
+    # the pair kernels' examples (both systems, unit and non-unit parameters,
+    # every pure-power tag, System A's zero components, a singular step in
+    # each component), all-ones System B, whose entry 4 is the integer 1,
+    # and one deep orbit, whose entries pass 40k bits
+    EXAMPLES = [
+        *PAIR_EXAMPLES,
+        ("B", SystemBParams(1, 1, 1, 1), SystemBInitial(1, 1, 1, 1, 1, 1), 10),
+        ("A", *DEEP_A, 300),
+    ]
+
+    def _literal_telescopings(system, params, ics, n) -> list:
+        """The orbit's telescoping and the route telescopings of the most
+        specific case tag, where the closed forms are defined."""
+        _, orbit = systems.orbit_telescoping(system, params, ics, n)
+        tag = closed_form.auto_case(system, params)
+        try:
+            routes = closed_form.route_telescopings(system, tag, params, ics, n)
+        except closed_form.ForbiddenInputError:
+            return [orbit]
+        return [orbit, *routes.values()]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_inputs())
-    # u1 = 0 and v0 = 0 zero every other entry of a component and of w
-    @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), 0, F(4, 9), F(5, 8)), 30, 2))
-    @example(("A", DEEP_A[0], SystemAInitial(F(3, 5), F(-2, 7), 0, F(5, 8)), 30, 2))
-    def test_format_sequence_with_step_ratios_on_draws(inputs):
-        # every int at or past ``split`` bits is long, so short orbits chain,
-        # and every long int that does not chain is converted by divide and
-        # conquer; 0 and 1 stay short
-        system, params, ics, n, split = inputs
-        for values, divisors in _sequences(system, params, ics, n):
-            expected = [format_rational(v) for v in values]
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(rational, "_FORMAT_SPLIT_BITS", split)
-                patch.setattr(rational, "_FORMAT_STR_BITS", split)
-                converted = []
-                real = rational._to_decimal
-                patch.setattr(rational, "_to_decimal", lambda x: converted.append(x) or real(x))
-                assert format_sequence(values, divisors) == expected
-                # no entry that chains falls back
-                long = sum(x.bit_length() >= split for side in _sides(values) for x in side)
-                assert len(converted) == long - sum(len(_chained(side)) for side in _sides(values))
+    def _literals_equal_the_oracle(inputs):
+        for built in _literal_telescopings(*inputs):
+            for k in (0, 1):
+                expected = [format_rational(v) for v in built.entries(k)]
+                assert built.literals(k) == expected
+                # an ambient context that rounds to 5 digits and lets it pass
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 5
+                    ctx.traps[decimal.Inexact] = False
+                    assert built.literals(k) == expected
+
+    for _example in EXAMPLES:
+        _literals_equal_the_oracle = example(_example)(_literals_equal_the_oracle)
+
+    def test_format_sequence_with_step_ratios_on_draws():
+        # the oracle of Telescoping.literals, the kernel that prints orbits
+        # and sweeps from their divisors, is format_rational of each entry
+        # the binary telescope builds
+        _literals_equal_the_oracle()
+
+    def test_step_ratio_examples_cover_each_case():
+        tags, zeros, singular, negative, integers, longest = set(), 0, set(), 0, 0, 0
+        for system, params, ics, n in EXAMPLES:
+            tags.add(closed_form.auto_case(system, params))
+            zeros += not all(ics._astuple())
+            found = systems.carry(system, params, ics, n).singular
+            if found is not None:
+                singular.add((system, found.component))
+            for built in _literal_telescopings(system, params, ics, n):
+                for k, divisors in enumerate(built.divisors):
+                    negative += any(num < 0 for num, _ in divisors)
+                    values = built.entries(k)[len(built.starts[k]) :]
+                    integers += any(v.denominator == 1 and v for v in values)
+                    longest = max([longest, *(v.numerator.bit_length() for v in values)])
+        cases = [case for cases in closed_form.CASES.values() for case in cases.items()]
+        assert {tag for tag, case in cases if case.period} <= tags
+        assert {"ABneq1", "OnesOnes", "ACneq1", "ACeq1", "AllOnes"} <= tags
+        assert zeros == 3
+        assert singular == {(s, k) for s in systems.SHAPES for k in ("first", "second")}
+        assert negative > 0 and integers > 0 and longest > 40_000
 
 
 def test_format_sequence_signs_zeros_and_integers():
@@ -324,9 +323,10 @@ def test_format_sequence_signs_zeros_and_integers():
 
 
 def test_format_sequence_straddles_the_split():
-    # numerators 5**k grow by 46 bits per entry across the split, signs
-    # alternate, denominators stay short; then lengths split - 1 to split + 1
-    split = rational._FORMAT_SPLIT_BITS
+    # numerators 5**k grow by 46 bits per entry across the split between
+    # str() and divide and conquer, signs alternate, denominators stay
+    # short; then lengths split - 1 to split + 1
+    split = rational._FORMAT_STR_BITS
     start = split * 1000 // 2322 - 100  # 5**start has about split - 232 bits
     values = [F((-1) ** k * 5**k, 3 ** (k // 2)) for k in range(start, start + 200, 20)]
     values += [F((1 << bits) - 1, 7) for bits in (split - 1, split, split + 1)]
@@ -347,8 +347,9 @@ def test_format_sequence_exact_in_any_decimal_context():
         ctx.prec = 6
         ctx.traps[decimal.Inexact] = False
         assert format_sequence(values) == expected
-        # chained, from the entry two back divided by 1/3**20
-        assert format_sequence(values, [(1, 3**20)] * (len(values) - 2)) == expected
+        # built from the entry two back divided by 1/3**20
+        divisors = [(1, 3**20)] * (len(values) - 2)
+        assert rational.format_telescoping(values[:2], divisors, len(values) - 1) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):
@@ -405,19 +406,18 @@ def test_alternating_sign():
 
 def test_unit_orbit_chains_past_the_split(monkeypatch):
     # System A with a = b = 1 grows linearly, to about 4,200 bits at
-    # n = 2000; entries past the split chain, so with the orbit's divisors
-    # each component converts only its first long numerator and denominator
-    # of each index parity from scratch
+    # n = 2000; every entry past the start values is printed from the entry
+    # two back and its divisor, so no int is converted from scratch
     params = SystemAParams(1, 1)
     ics = SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8))
     _, orbit = systems.orbit_telescoping("A", params, ics, 2000)
-    for values, divisors in zip(map(orbit.entries, (0, 1)), orbit.divisors):
+    for k in (0, 1):
+        values = orbit.entries(k)
         numerators, denominators = _sides(values)
         longest = max(x.bit_length() for x in numerators + denominators)
-        assert rational._FORMAT_SPLIT_BITS < longest < 5_000
-        expected = [format_rational(v) for v in values]
+        assert 2_000 < longest < 5_000
+        expected = [_reference(v) for v in values]
         converted = _from_scratch(monkeypatch)
-        assert format_sequence(values, divisors) == expected
-        assert len(converted) == 4
-        assert len(_chained(numerators)) + len(_chained(denominators)) > 1_000
+        assert orbit.literals(k) == expected
+        assert converted == []
         monkeypatch.undo()

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from fraction_kernels import fractions
-from sdeq import closed_form, forbidden, rational, reduction, symmetry, systems
-from sdeq.rational import format_rational, format_sequence
+from sdeq import closed_form, forbidden, reduction, symmetry, systems
+from sdeq.rational import format_rational
 from sdeq.sampling import draw_admissible_a, draw_admissible_b, draw_params
 from sdeq.systems import (
     SHAPES,
@@ -284,16 +284,18 @@ if given is not None:
         return system, tag, params, ics, draw(st.integers(2, 30))
 
     def _assert_built_with(values, divisors) -> None:
-        """One divisor per entry from index 2 on, entry[i-2] ==
-        entry[i]*divisors[i-2] for i >= 2, and printing from the divisors is
-        printing value by value, with every int of 64 bits or more chaining
-        where it can."""
+        """One divisor per entry from index 2 on, and entry[i-2] ==
+        entry[i]*divisors[i-2] for i >= 2."""
         assert len(divisors) == len(values) - 2
         steps = fractions(divisors)
         assert all(values[i - 2] == values[i] * steps[i - 2] for i in range(2, len(values)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rational, "_FORMAT_SPLIT_BITS", 64)
-            assert format_sequence(values, divisors) == [format_rational(v) for v in values]
+
+    def _assert_printed_with(built, k: int) -> None:
+        """Component k of ``built`` is built with its divisors, and its
+        literals, printed from them, are its entries printed one by one."""
+        values = built.entries(k)
+        _assert_built_with(values, built.divisors[k])
+        assert built.literals(k) == [format_rational(v) for v in values]
 
     _LONG_A = SystemAInitial(F(3**25, 2**39 + 1), F(-(2**40) + 7, 9), F(4, 9), F(5, 8))
     _LONG_B = SystemBInitial(F(3, 5), F(-(2**40) + 7, 9), F(4, 9), F(5, 8), F(-3, 4), F(3**25, 7))
@@ -309,24 +311,23 @@ if given is not None:
     @example(("A", "Product", SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(3, 0, 4, 5), 30))
     def test_every_list_is_built_by_the_kernel_with_its_divisors(inputs):
         # the orbit, the case sweep, both routes and the reconstruction are
-        # each built by systems.telescope, and the divisors handed out for
-        # printing are the ones it divided by
+        # each built by systems.telescope, and the divisors their literals
+        # are printed from are the ones it divided by
         system, tag, params, ics, n = inputs
         built = {}  # id -> every list the kernel extended, checked as it returns
         real = systems.telescope
 
         def kernel(values, divisors, last):
-            assert real(values, divisors, last) is divisors
+            real(values, divisors, last)
             _assert_built_with(values, divisors)
             built[id(values)] = values
-            return divisors
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(systems, "telescope", kernel)
             carried, iterated = systems.orbit_telescoping(system, params, ics, n)
             trajectory = [iterated.entries(k) for k in (0, 1)]
-            for values, divisors in zip(trajectory, iterated.divisors):
-                _assert_built_with(values, divisors)
+            for k in (0, 1):
+                _assert_printed_with(iterated, k)
             try:
                 sweep = closed_form.case_telescoping(system, tag, params, ics, n)
                 routes = closed_form.route_telescopings(system, tag, params, ics, n)
@@ -335,7 +336,7 @@ if given is not None:
             else:
                 period = closed_form.CASES[system][tag].period
                 for k, divisors in enumerate(sweep.divisors):
-                    _assert_built_with(sweep.entries(k), divisors)
+                    _assert_printed_with(sweep, k)
                     # a pure-power sweep's list repeats its first P entries
                     if period:
                         assert all(d is divisors[j % period] for j, d in enumerate(divisors))
