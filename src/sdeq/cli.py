@@ -11,13 +11,15 @@ codes: 0 success/clean, 1 usage error or a report that cannot be written,
 ``iterate``, ``solve --sweep``, ``verify`` and each ``difftest`` trial
 raise every error from the short values first.  ``iterate`` and
 ``solve --sweep`` then build and print each component's long entries on
-its own; where those are long and a second CPU is free, the second
-component's job runs in a forked child process (``systems.both``), which
-sends back only its literals.  ``verify`` and ``difftest`` compare by
-the one ``_compare``, which reads the short divisor lists: a passing run
-builds no long entry, and a mismatch builds its literals up to the
-failing index only.  Every subcommand but ``iterate`` and
-``solve --sweep`` runs in one process.
+its own, in decimal from the short starts and divisors
+(``Telescoping.literals``); where those are long and a second CPU is
+free, the second component's job runs in a forked child process
+(``systems.both``), which sends back only its literals.  ``verify`` and
+``difftest`` compare by the one ``_compare``, which reads the two short
+starts and the divisor lists of each component: a passing run builds no
+entry, and a mismatch builds its literals up to the failing index only.
+Every subcommand but ``iterate`` and ``solve --sweep`` runs in one
+process.
 """
 
 from __future__ import annotations
@@ -136,20 +138,13 @@ def _singular_json(singular: Optional[systems.Singularity]):
     return {"step": singular.step, "component": singular.component}
 
 
-def _component_literals(built: systems.Telescoping) -> tuple[list[str], list[str]]:
-    """Each component's literals, built in decimal from the short starts
-    and divisors (Telescoping.literals); the second component is printed
-    in a child process where it is long (systems.both)."""
-    return systems.both(built.literals, built.bits())
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
 def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
     carried, built = systems.orbit_telescoping(config.system, config.params, config.ics, config.n)
-    firsts, seconds = _component_literals(built)
+    firsts, seconds = systems.both(built.literals, built.bits())
     labels = systems.SHAPES[config.system].labels
     if config.format == "csv":
         columns = [map(str, range(len(firsts))), firsts, seconds]
@@ -172,7 +167,8 @@ def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
     if config.sweep:
-        firsts, seconds = _component_literals(case_telescoping(system, tag, params, ics, config.n))
+        built = case_telescoping(system, tag, params, ics, config.n)
+        firsts, seconds = systems.both(built.literals, built.bits())
         indices = range(config.n + 1)
     else:
         point = case_point(system, tag, params, ics, config.n)
@@ -240,7 +236,7 @@ def _compare(system: str, tag: str, params, ics, n: int):
     component differs, counted once per route; ``first`` is the first
     (route, n, component) in sorted route order, or None.  The comparison
     reads the short starts and divisor lists (``_mismatches``), so a
-    passing run builds no long entry."""
+    passing run builds no entry."""
     from .closed_form import route_telescopings
 
     carried, orbit = systems.orbit_telescoping(system, params, ics, n)
@@ -263,7 +259,7 @@ def _mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
     """route -> the indices at which component k of the route's entries
     differs from the orbit's, read from the start values and divisor
     lists (Telescoping.mismatches), so a passing comparison builds no
-    long entry; each distinct telescoping is compared once."""
+    entry; each distinct telescoping is compared once."""
     failing = {built: orbit.mismatches(built, k) for built in dict.fromkeys(routes.values())}
     return {route: failing[built] for route, built in routes.items()}
 

@@ -5,7 +5,8 @@ conditions, and the index n alone; the forward iteration is never used,
 and the test suite checks each evaluator against it.
 
 Both systems rebuild their orbit from the auxiliary values S and T by one
-telescoped product, two indices at a time (``reduction.assemble``), with S
+telescoped product, two indices at a time (``systems.assemble``, the
+one assembly kernel, which builds System B's iterated orbit too), with S
 and T seeded by the reciprocals of the seed products of the system's
 ``systems.SHAPES`` record.  S and T come from one closed-form table
 (``reduction.closed_ST_sweep``), which covers every parameter value, g =
@@ -22,8 +23,9 @@ short values, validation, the S and T sweep, its zero scan and the
 divisor lists, all on reduced int pairs (the scan reads numerators),
 come first and raise every error, and then each component's long
 entries are built on their own, as Fractions or as the printed literals,
-so the CLI can print the two in two processes, or compare the divisor
-lists with the orbit's (``route_telescopings``) and build none.
+so the CLI can print the two in two processes, or compare the two
+starts and the divisor lists with the orbit's (``route_telescopings``)
+and build none.
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is
@@ -43,8 +45,8 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
-from .reduction import assemble, closed_ST_sweep
-from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, system_aliases
+from .reduction import closed_ST_sweep
+from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, assemble, system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -161,7 +163,7 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# the one case sweep: reduction.assemble over the closed-form sweep of S and
+# the one case sweep: systems.assemble over the closed-form sweep of S and
 # T.  A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
@@ -181,7 +183,7 @@ def _extend(period: int, built: Telescoping, last: int) -> Telescoping:
 
 
 def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
-    """How ``systems.telescope`` builds entries 0..n_max of ``case``: by
+    """How entries 0..n_max of ``case`` are built (a Telescoping): by
     the assembly, or for a pure-power case, which assembles entries
     0..P+1 at most, by its period extension.  Every error is raised here,
     before a long entry is built.  A zero initial value (lag 1) or seed
@@ -208,7 +210,7 @@ def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
 
 
 def case_telescoping(system: str, tag: str, params, ics, n_max: int) -> Telescoping:
-    """How ``systems.telescope`` builds entries 0..n_max of case ``tag``;
+    """How entries 0..n_max of case ``tag`` are built (a Telescoping);
     every error of the case sweep is raised here."""
     return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .systems import SHAPES, _Record, iterate, system_aliases
+from .systems import SHAPES, _Record, carry, system_aliases
 
 
 class Violation(_Record):
@@ -133,8 +133,9 @@ def predict_vs_observe(
     """
     if system not in SHAPES:
         raise ValueError(f"unknown system {system!r}")
-    # iteration refuses an n_max under the lag and, at lag >= 2, zero initials
-    trajectory = iterate(system, params, ics, n_max)
+    # the carry refuses an n_max under the lag and, at lag >= 2, zero
+    # initials; its first singular step is the orbit's, with no long entry
+    singular = carry(system, params, ics, n_max).singular
     shape = SHAPES[system]
     report = check_forbidden(system, params, ics, max(0, (n_max - 1) // shape.period))
     predicted = report.predicted_singular_step
@@ -142,7 +143,7 @@ def predict_vs_observe(
         predicted = _invariant_map_step(system, params, ics, n_max)
     if predicted is not None and predicted > n_max:
         predicted = None  # not reachable within the queried horizon
-    observed = None if trajectory.singular is None else trajectory.singular.step
+    observed = None if singular is None else singular.step
     if predicted == observed:
         if observed is None:
             return PredictVerdict("agree-regular")

@@ -9,8 +9,8 @@ computation.
   flags, and `format_rational`, `format_sequence` and `format_pairs` write
   it in every report.  `format_telescoping` writes the long entries of an
   orbit or a sweep: it builds each one in decimal from the entry two back
-  and the short divisor ``systems.telescope`` divides by, so that no long
-  int is built in binary or converted.
+  and the short divisor ``systems.Telescoping.entries`` divides by, so
+  that no long int is built in binary or converted.
 * `rat` coerces an int, literal or Fraction and refuses floats.
 * `pair_quotients` divides rationals held as reduced
   (numerator, denominator) pairs of ints with a positive denominator, the
@@ -84,7 +84,7 @@ def format_telescoping(starts, divisors, last: int) -> list[str]:
     """The literals of entries 0..last of one component of a
     ``systems.Telescoping``: its first entries ``starts``, Fractions, then
     entry i = entry i-2 / divisors[i-2], each divisor a reduced pair
-    (dn, dd) with dd > 0 (all of ``starts`` when there are more).
+    (dn, dd) with dd > 0.
 
     The entries are built in decimal, never in binary, so no long int is
     converted: each parity chain keeps its entry as a sign and Decimal
@@ -100,7 +100,7 @@ def format_telescoping(starts, divisors, last: int) -> list[str]:
     texts = []
     chains: list = [None, None]  # (negative, N, D) of the last entry of each index parity
     with decimal.localcontext(_EXACT):
-        for i in range(max(len(starts), last + 1)):
+        for i in range(last + 1):
             if i < len(starts):
                 num, den = starts[i].as_integer_ratio()
                 negative = num < 0

@@ -13,11 +13,11 @@ one function keyed by the system ("A" or "B"); ``system_aliases`` generates
 its per-system names (``invariants_a`` is ``invariants("A", ...)``).
 ``geometric_sweep`` evaluates a whole sweep of a table from carried integer
 powers; every route of ``sdeq.closed_form`` reads that sweep, and
-``assemble`` states how ``systems.telescope`` rebuilds an orbit from S and
-T two indices at a time: the start entries and the divisor lists.  The
-sweep, the divisors and ``reciprocals`` hold reduced (numerator,
-denominator) pairs of ints, as ``systems.carry`` does; the public
-functions take and return Fractions.
+``reconstruct`` rebuilds an orbit from S and T two indices at a time by
+the one assembly kernel, ``systems.assemble``, as the closed forms do.
+The sweep and ``reciprocals`` hold reduced (numerator, denominator)
+pairs of ints, as ``systems.carry`` does; the public functions take and
+return Fractions.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rational import geometric_sum, pair_quotients, rat
-from .systems import SHAPES, Telescoping, Trajectory, _Record, system_aliases
+from .rational import geometric_sum, rat
+from .systems import SHAPES, Trajectory, _Record, assemble, system_aliases, turned_over
 
 
 class InvariantSeq(_Record):
@@ -101,9 +101,7 @@ def reciprocals(w, z) -> tuple[list, list]:
     """linearize on reduced pairs (systems.Carried): (S, T), each pair
     of w and z turned over."""
     _require_nonzero(w, z, (0, 1))
-    return tuple(
-        [(den, num) if num > 0 else (-den, -num) for num, den in values] for values in (w, z)
-    )
+    return turned_over(w), turned_over(z)
 
 
 def geometric_sweep(classes, g: Fraction, count: int) -> list[tuple[int, int]]:
@@ -211,36 +209,6 @@ def closed_ST_sweep(system: str, params, seeds, count: int):
     closed-form route reads this."""
     g, s_classes, t_classes = _closed_table(system, params, seeds)
     return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
-
-
-def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int) -> Telescoping:
-    """How ``systems.telescope`` builds orbit entries 0..count from the
-    auxiliary values S[0..count-1], T[0..count-1], reduced pairs which the
-    caller has checked are nonzero, and nonzero start values (first0,
-    second0), Fractions.
-
-    The orbit is the telescoped product, two indices at a time,
-
-        trail[i] = trail[i-2] / (S[i-1]/T[i-2])
-        lead[i]  = lead[i-2]  / (T[i-1]/S[i-2])
-
-    from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
-    lead and trail the components in the order of SHAPES: each step
-    divides one long value by a short one, so assembly costs about what
-    one step of iteration costs.  The divisors are pairs, formed from the
-    four ints of S and T.
-    """
-    shape = SHAPES[system]
-    lead0, trail0 = shape.by_lead(first0, second0)
-    trail, lead = [trail0], [lead0]
-    if count >= 1:
-        trail.append(1 / lead0 / Fraction(*S[0]))
-        lead.append(1 / trail0 / Fraction(*T[0]))
-    divisors = (
-        pair_quotients(T[1:count], S[: count - 1]),
-        pair_quotients(S[1:count], T[: count - 1]),
-    )
-    return Telescoping(shape.by_lead(tuple(lead), tuple(trail)), shape.by_lead(*divisors), count)
 
 
 def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:

@@ -21,19 +21,22 @@ first singular step, all O(n)-bit values, held as reduced
 (numerator, denominator) pairs of ints: on values this short a step
 costs a few int operations, and Fraction operators several times more.
 ``reduce`` reads nothing else.  ``orbit_telescoping`` then states, as a
-``Telescoping``, how each component's long entries are built from
-them: each divides the entry two back by a short listed divisor, as
-Fractions in ``telescope`` (the closed forms build theirs with it too),
-or in decimal, as the literals printed (``Telescoping.literals``).  Each
-component is built on its own, and ``both`` runs the two components'
-printing jobs of ``iterate`` and ``solve --sweep`` in the CLI, the
-second in a forked child process (``sdeq.fork``) where the entries are
-long enough to pay for it; ``verify`` and ``difftest`` compare
-telescopings by their divisor lists and build no long entry, and past
-the start values no Fraction, where they agree.  ``iterate`` builds both
-components here and returns the trajectory.  ``shift_back`` performs the
-index relabeling that identifies these sequences with the originally
-posed systems, whose initial conditions sit at negative indices.
+``Telescoping``, how each component's long entries are built from its
+entries 0 and 1: each divides the entry two back by a short listed
+divisor, the step factors at lag 1 and at a longer lag the divisors of
+``assemble``, the one assembly kernel, which the closed forms build
+their sweeps with too.  The entries are built as Fractions
+(``Telescoping.entries``) or in decimal, as the literals printed
+(``Telescoping.literals``).  Each component is built on its own, and
+``both`` runs the two components' printing jobs of ``iterate`` and
+``solve --sweep`` in the CLI, the second in a forked child process
+(``sdeq.fork``) where the entries are long enough to pay for it;
+``verify`` and ``difftest`` compare telescopings by their two starts and
+divisor lists and build no entry where they agree.  ``iterate`` builds
+both components here and returns the trajectory.  ``shift_back``
+performs the index relabeling that identifies these sequences with the
+originally posed systems, whose initial conditions sit at negative
+indices.
 """
 
 from __future__ import annotations
@@ -369,29 +372,18 @@ def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
     )
 
 
-def telescope(values: list, divisors, last: int) -> None:
-    """Extend ``values`` in place to entries 0..last by
-    entry i = entry i-2 / divisors[i-2], one long entry by a short divisor
-    per step.  Each divisor is a reduced pair (see Carried), made a
-    Fraction for its division, so that a long entry costs Fraction's two
-    gcds with a short operand; a Fraction of two long ints would cost a
-    gcd of both.  The one loop that builds an entry from the entry two
-    back as a Fraction (``Telescoping.entries``);
-    rational.format_telescoping runs the same step in decimal to print."""
-    for i in range(len(values), last + 1):
-        values.append(values[i - 2] / Fraction(*divisors[i - 2]))
-
-
 class Telescoping(_Record):
     """What a pair of components' entries 0..last are built from: per
-    component (first, second) its first entries, Fractions, and its
-    divisor list of reduced pairs (see Carried), all short values; entry
-    i is entry i-2 / divisors[i-2].  Each component is built on its own,
-    as Fractions (``entries``) or as printed literals (``literals``), so
-    the two can be printed in two processes (``both``), and two
-    telescopings are compared by those short values (``mismatches``).
-    Compared by identity: routes that share one telescoping are compared
-    once."""
+    component (first, second) its entries 0 and 1 (entry 0 alone where
+    last is 0), Fractions, and its divisor list of reduced pairs (see
+    Carried), all short values; entry i is entry i-2 / divisors[i-2].
+    ``assemble`` makes each one from S and T but a lag-1 orbit's, whose
+    divisors are the step factors of ``carry``.  Each component is built
+    on its own, as Fractions (``entries``) or as printed literals
+    (``literals``), so the two can be printed in two processes
+    (``both``), and two telescopings are compared by those short values
+    (``mismatches``).  Compared by identity: routes that share one
+    telescoping are compared once."""
 
     starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     divisors: tuple
@@ -400,9 +392,14 @@ class Telescoping(_Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def entries(self, k: int) -> list[Fraction]:
-        """Entries 0..last of component k (0 first, 1 second)."""
-        values = list(self.starts[k])
-        telescope(values, self.divisors[k], self.last)
+        """Entries 0..last of component k (0 first, 1 second): the one
+        loop that builds an entry from the entry two back as a Fraction.
+        Each divisor is made a Fraction for its division, so that a long
+        entry costs two gcds with a short operand, not a gcd of two long
+        ints; ``literals`` runs the same step in decimal."""
+        values, divisors = list(self.starts[k]), self.divisors[k]
+        for i in range(len(values), self.last + 1):
+            values.append(values[i - 2] / Fraction(*divisors[i - 2]))
         return values
 
     def literals(self, k: int) -> list[str]:
@@ -413,30 +410,21 @@ class Telescoping(_Record):
 
     def mismatches(self, other: Telescoping, k: int) -> list[int]:
         """The indices 0..last at which component k of ``other``'s entries
-        differs from this one's, without building the long entries.
+        differs from this one's, without building an entry.
 
-        Both build entry i as entry i-2 / divisors[i-2], and every start
-        value and divisor of the two is nonzero here (on the comparison
-        path a zero initial value, S or T is a forbidden input, a zero
-        factor a singularity, and a longer lag refuses zero initials).  So
-        past the start values, which are built and compared as they are
-        (at most 3 entries), other[i] = self[i] exactly when the ratio
-        other[i]/self[i], carried along each parity chain by this divisor
-        over the other's, is 1.  Where the divisors agree the ratio does
-        not change: a passing comparison costs one equality of two short
-        pairs per index, and the ratio becomes a Fraction only where two
-        divisors differ."""
-        size = min(max(len(self.starts[k]), len(other.starts[k])), self.last + 1)
-        heads = [
-            Telescoping(side.starts, side.divisors, size - 1).entries(k) for side in (self, other)
-        ]
-        found = [i for i in range(size) if heads[0][i] != heads[1][i]]
-        ratio = [None, None]  # ratio[i % 2]: other[i]/self[i] at the last i of that parity
-        for i in (size - 2, size - 1):
-            ratio[i % 2] = heads[1][i] / heads[0][i]
+        Every start value and divisor of the two is nonzero here (on the
+        comparison path a zero initial value, S or T is a forbidden input,
+        a zero factor a singularity, and a longer lag refuses zero
+        initials).  So other[i] = self[i] exactly when the ratio
+        other[i]/self[i], which the two starts give and each parity chain
+        carries by this divisor over the other's, is 1.  A passing
+        comparison costs one equality of two short pairs per index: the
+        ratio changes only where two divisors differ."""
+        ratio = [theirs / mine for mine, theirs in zip(self.starts[k], other.starts[k])]
         differ = [value != 1 for value in ratio]
+        found = [i for i, value in enumerate(differ) if value]
         mine, theirs = self.divisors[k], other.divisors[k]
-        for i in range(size, self.last + 1):
+        for i in range(len(ratio), self.last + 1):
             if mine[i - 2] != theirs[i - 2]:
                 ratio[i % 2] *= Fraction(*mine[i - 2]) / Fraction(*theirs[i - 2])
                 differ[i % 2] = ratio[i % 2] != 1
@@ -460,24 +448,56 @@ def _bits(num: int, den: int) -> int:
     return num.bit_length() + den.bit_length()
 
 
+def assemble(system: str, S, T, first0: Fraction, second0: Fraction, count: int) -> Telescoping:
+    """The one assembly kernel: how orbit entries 0..count are built from
+    the auxiliary values S[0..count-1], T[0..count-1], nonzero reduced
+    pairs, and nonzero start values (first0, second0), Fractions.
+
+    The orbit is the telescoped product, two indices at a time,
+
+        trail[i] = trail[i-2] / (S[i-1]/T[i-2])
+        lead[i]  = lead[i-2]  / (T[i-1]/S[i-2])
+
+    from trail[1] = 1/(lead[0]*S[0]) and lead[1] = 1/(trail[0]*T[0]), with
+    lead and trail the components in the order of SHAPES: each step
+    divides one long value by a short one, so building an entry costs
+    about what one step of iteration costs.  The divisors are pairs,
+    formed from the four ints of S and T.  The closed forms read S and T
+    from their sweep, and an orbit of lag 2 or more from the reciprocals
+    of its carried w and z, as divisors w[i-2]/z[i-1] and z[i-2]/w[i-1].
+    """
+    shape = SHAPES[system]
+    lead0, trail0 = shape.by_lead(first0, second0)
+    trail, lead = [trail0], [lead0]
+    if count >= 1:
+        trail.append(1 / lead0 / Fraction(*S[0]))
+        lead.append(1 / trail0 / Fraction(*T[0]))
+    divisors = (
+        pair_quotients(T[1:count], S[: count - 1]),
+        pair_quotients(S[1:count], T[: count - 1]),
+    )
+    return Telescoping(shape.by_lead(tuple(lead), tuple(trail)), shape.by_lead(*divisors), count)
+
+
+def turned_over(pairs) -> list[Pair]:
+    """1/x of each nonzero reduced pair x (see Carried)."""
+    return [(den, num) if num > 0 else (-den, -num) for num, den in pairs]
+
+
 def orbit_telescoping(system: str, params, ics, n_max: int) -> tuple[Carried, Telescoping]:
     """The short part of iterating ``system`` up to index ``n_max``,
-    shared by its two components: the carried values, and how
-    ``telescope`` builds each component's entries from its initial
-    values.  Entry i is entry i-2 divided by entry i-2 of a divisor list:
-    at lag 1 the factors ``carry`` recorded, defined on zero components
-    too; at a longer lag the quotients w[i-2]/z[i-1] (leading) and
-    z[i-2]/w[i-1] (trailing), from i = 2 on, formed from the four ints of
-    the two pairs."""
+    shared by its two components: the carried values, and how each
+    component's entries are built from its entries 0 and 1.  At lag 1
+    entry i is entry i-2 divided by the factor ``carry`` recorded for
+    step i-2, defined on zero components too; at a longer lag ``assemble``
+    builds the orbit from S = 1/w and T = 1/z, from entry 2 on."""
     shape = SHAPES[system]
     carried = carry(system, params, ics, n_max)
-    w, z = carried.w, carried.z
-    divisors = carried.factors
-    if shape.lag > 1:  # lead[i-2]/lead[i] and trail[i-2]/trail[i]
-        divisors = shape.by_lead(
-            tuple(pair_quotients(w[:-1], z[1:])), tuple(pair_quotients(z[:-1], w[1:]))
-        )
-    return carried, Telescoping(shape.split(ics._astuple()), divisors, len(w))
+    starts, last = shape.split(ics._astuple()), len(carried.w)
+    if shape.lag == 1:
+        return carried, Telescoping(starts, carried.factors, last)
+    S, T = turned_over(carried.w), turned_over(carried.z)
+    return carried, assemble(system, S, T, starts[0][0], starts[1][0], last)
 
 
 # The second process pays where the entries it prints are long.  Measured
@@ -511,8 +531,8 @@ def both(job: Callable, bits: int) -> tuple:
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:
     """Iterate ``system`` exactly up to index ``n_max`` (inclusive): the
-    carried values, then each component's long entries by ``telescope``
-    (see orbit_telescoping)."""
+    carried values, then each component's long entries
+    (Telescoping.entries of orbit_telescoping)."""
     carried, built = orbit_telescoping(system, params, ics, n_max)
     first, second = (tuple(built.entries(k)) for k in (0, 1))
     return Trajectory(SHAPES[system].labels, first, second, carried.singular)

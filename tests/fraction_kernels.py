@@ -1,11 +1,12 @@
 """The comparison path's kernels on Fractions, kept as oracles.
 
-``sdeq.systems.carry``, the lag-2 quotients of ``orbit_telescoping`` and
-``sdeq.reduction.assemble`` run on reduced (numerator, denominator) pairs
-of ints.  Here they run on Fraction operators, one value at a time, as
-the map is written: ``tests/test_pair_kernels.py`` compares the two.  The
-kernels use only +, * and /, so they also run on sympy symbols, which
-the certificates of ``tests/test_certificates.py`` iterate.
+``sdeq.systems.carry`` and ``sdeq.systems.assemble``, which forms the
+divisors of the closed forms' sweeps and of the orbits of lag 2, run on
+reduced (numerator, denominator) pairs of ints.  Here they run on
+Fraction operators, one value at a time, as the map is written:
+``tests/test_pair_kernels.py`` compares the two.  The kernels use only
++, * and /, so they also run on sympy symbols, which the certificates of
+``tests/test_certificates.py`` iterate.
 """
 
 from fractions import Fraction
@@ -69,7 +70,7 @@ def orbit_divisors(system: str, carried: Carried) -> tuple:
 
 
 def assembly(system: str, S, T, first0, second0, count: int) -> tuple:
-    """(starts, divisors) of reduction.assemble from Fraction S and T:
+    """(starts, divisors) of systems.assemble from Fraction S and T:
     trail[i] = trail[i-2] / (S[i-1]/T[i-2]) and
     lead[i] = lead[i-2] / (T[i-1]/S[i-2]), from trail[1] = 1/(lead[0]*S[0])
     and lead[1] = 1/(trail[0]*T[0])."""

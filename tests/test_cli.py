@@ -1162,6 +1162,33 @@ def test_sweep_prints_from_divisors_without_dividing(capsys, monkeypatch, argv):
     assert code == 0 and printed == [(0, 300, 0, 0), (1, 300, 0, 0)]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_system_b_prints_its_initial_values_as_given(capsys, n):
+    # every telescoping starts with entries 0 and 1, so System B's x2 and
+    # y2 are entry 2, built by the first divisor of the orbit or of the
+    # assembly: iterate and solve --sweep print them as given, in JSON
+    # and in CSV, and verify finds every entry equal
+    argv = [*DEEP_B_FLAGS, "--n", str(n)]
+    flags = dict(zip(DEEP_B_FLAGS[::2], DEEP_B_FLAGS[1::2]))
+    given = [[flags[f"--{name}{i}"] for i in range(3)] for name in "xy"]
+    code, out, _ = run_cli(capsys, ["iterate", *argv])
+    report = json.loads(out)
+    assert code == 0 and [report["first"][:3], report["second"][:3]] == given
+    assert len(report["first"]) == len(report["second"]) == n + 1
+    code, out, _ = run_cli(capsys, ["solve", "--sweep", *argv])
+    records = json.loads(out)["records"]
+    assert code == 0 and [[r[k] for r in records[:3]] for k in ("first", "second")] == given
+    assert len(records) == n + 1
+    for sub in (["iterate"], ["solve", "--sweep"]):
+        code, out, _ = run_cli(capsys, [*sub, *argv, "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert code == 0 and len(rows) == n + 1
+        assert [[row[1] for row in rows[:3]], [row[2] for row in rows[:3]]] == given
+    code, out, _ = run_cli(capsys, ["verify", *argv])
+    report = json.loads(out)
+    assert code == 0 and report["equal"] is True and report["checked"] == 2 * (n + 1)
+
+
 # ---------------------------------------------------------------------------
 # the report writer
 
@@ -1259,13 +1286,14 @@ def test_a_full_device_is_a_report_error():
 
 
 def _no_long_entries(monkeypatch) -> None:
-    """Make the kernels that build long entries raise: systems.telescope,
-    in binary, and rational.format_telescoping, in decimal."""
+    """Make the kernels that build long entries raise:
+    systems.Telescoping.entries, in binary, and
+    rational.format_telescoping, in decimal."""
 
     def refuse(*args):
         raise AssertionError("reduce built the long entries of an orbit")
 
-    monkeypatch.setattr(systems, "telescope", refuse)
+    monkeypatch.setattr(systems.Telescoping, "entries", refuse)
     monkeypatch.setattr(systems, "format_telescoping", refuse)
 
 

@@ -1,8 +1,9 @@
 """The comparison path's pair kernels against their Fraction oracles.
 
-``systems.carry``, the lag-2 quotients of ``systems.orbit_telescoping``
-and ``reduction.assemble`` run on reduced (numerator, denominator) pairs
-of ints; ``tests/fraction_kernels.py`` runs the same steps on Fraction
+``systems.carry`` and the one assembly kernel ``systems.assemble``, which
+forms the divisors of the closed forms' sweeps and of every orbit of
+lag 2 or more, run on reduced (numerator, denominator) pairs of ints;
+``tests/fraction_kernels.py`` runs the same steps on Fraction
 operators.  Over both systems, System A's zero components, a singular
 step in each component, the pure-power cases' pinned parameters and unit
 and non-unit parameters, up to n = 40, the two give the same values, read
@@ -29,11 +30,13 @@ def pairs(values) -> list:
 
 
 def check(system: str, params, ics, n: int) -> None:
-    """carry, the orbit's divisor lists and the assembly of the closed-form
-    sweep (where its seeds and start values are nonzero) equal the
-    Fraction kernels."""
+    """carry, the orbit's start values and divisor lists and the assembly
+    of the closed-form sweep (where its seeds and start values are
+    nonzero) equal the Fraction kernels."""
     oracle = fraction_kernels.carry(system, params, ics, n)
     carried, orbit = systems.orbit_telescoping(system, params, ics, n)
+    # entries 0 and 1 of each component, as given
+    assert orbit.starts == tuple(values[:2] for values in SHAPES[system].split(ics._astuple()))
     assert [list(carried.w), list(carried.z)] == [pairs(oracle.w), pairs(oracle.z)]
     assert list(map(list, carried.factors)) == list(map(pairs, oracle.factors))
     assert carried.singular == oracle.singular
@@ -49,7 +52,7 @@ def check(system: str, params, ics, n: int) -> None:
     starts = [values[0] for values in SHAPES[system].split(ics._astuple())]
     if not all(starts):
         return
-    built = reduction.assemble(system, S, T, *starts, count)
+    built = systems.assemble(system, S, T, *starts, count)
     heads, divisors = fraction_kernels.assembly(system, *map(fractions, (S, T)), *starts, count)
     assert built.starts == heads
     assert list(map(list, built.divisors)) == list(map(pairs, divisors))

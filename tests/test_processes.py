@@ -80,9 +80,9 @@ ONE_PROCESS = {
     "point-A": ["solve", *A, "--n", "40"],
 }
 
-# entries 0..PREFIX of a component are its start values or built from
-# them: System B's orbit starts with 3 entries
-PREFIX = 2
+# entries 0..PREFIX of a component are its start values: every
+# telescoping starts with entries 0 and 1
+PREFIX = 1
 
 
 @pytest.fixture(autouse=True)
@@ -289,17 +289,18 @@ PASSING = {
 
 @pytest.mark.parametrize("argv", PASSING.values(), ids=PASSING.keys())
 def test_a_passing_comparison_builds_only_the_start_values(argv):
-    # a fresh interpreter, so that no other test has loaded sdeq.fork
+    # a fresh interpreter, so that no other test has loaded sdeq.fork; the
+    # comparison reads the start values as they are and builds no entry
     probe = (
         "import os, sys\n"
         "from sdeq import cli, systems\n"
-        "real, lasts = systems.telescope, []\n"
-        "def telescope(values, divisors, last):\n"
-        "    lasts.append(last)\n"
-        "    return real(values, divisors, last)\n"
-        "systems.telescope = telescope\n"
+        "real, lasts = systems.Telescoping.entries, []\n"
+        "def entries(self, k):\n"
+        "    lasts.append(self.last)\n"
+        "    return real(self, k)\n"
+        "systems.Telescoping.entries = entries\n"
         f"code = cli.main([*{argv!r}, '--out', os.devnull])\n"
-        f"print(code, max(lasts) <= {PREFIX}, 'sdeq.fork' in sys.modules)\n"
+        "print(code, lasts == [], 'sdeq.fork' in sys.modules)\n"
     )
     src = str(Path(systems.__file__).resolve().parents[1])
     result = subprocess.run(
@@ -379,7 +380,7 @@ def test_printing_builds_no_fraction_per_index(monkeypatch, system, params, ics,
         with monkeypatch.context() as patch:
             patch.setattr(F, "__new__", counted)
             built.clear()
-            firsts, seconds = cli._component_literals(telescoping)
+            firsts, seconds = systems.both(telescoping.literals, telescoping.bits())
             counts.append(len(built))
         assert len(firsts) == len(seconds) == n + 1
     assert counts[0] == counts[1]

@@ -115,7 +115,7 @@ DEEP_B = (
 PURE_POWER = [("A", "NegNeg"), ("A", "Aeq1Bneg1"), ("A", "Beq1Aneg1"), ("B", "UnitBD")]
 
 
-def test_format_sequence_chains_deep_orbits(monkeypatch):
+def test_telescoping_literals_of_pure_power_sweeps(monkeypatch):
     # pure-power sweeps grow by 1 to 3 bits per index, so most entries at
     # n = 120 have 64 bits or more; each is printed from the entry two back
     # and the divisor the period extension used, so with the str() bound
@@ -137,7 +137,7 @@ def test_format_sequence_chains_deep_orbits(monkeypatch):
             assert converted == []
 
 
-def test_format_sequence_stops_chaining_on_unrelated_values(monkeypatch):
+def test_format_sequence_converts_each_value_from_scratch(monkeypatch):
     # format_sequence prints each value on its own: every long int is
     # converted from scratch, whether the values are related or not
     rng = random.Random(11)
@@ -180,7 +180,7 @@ class _Reads(list):
 
 
 @pytest.mark.parametrize("system, inputs", [("A", DEEP_A), ("B", DEEP_B)])
-def test_format_sequence_with_step_ratios_needs_no_gcd(monkeypatch, system, inputs):
+def test_format_telescoping_takes_no_gcd_of_a_long_int(monkeypatch, system, inputs):
     # the deep-nonunit inputs at n = 300, orbits and product-route sweeps,
     # whose entries pass 10k bits: the kernel reads each divisor once, for
     # the entry it builds, takes no gcd of a long int, only of the short
@@ -284,13 +284,13 @@ if given is not None:
     for _example in EXAMPLES:
         _literals_equal_the_oracle = example(_example)(_literals_equal_the_oracle)
 
-    def test_format_sequence_with_step_ratios_on_draws():
+    def test_telescoping_literals_on_draws():
         # the oracle of Telescoping.literals, the kernel that prints orbits
         # and sweeps from their divisors, is format_rational of each entry
-        # the binary telescope builds
+        # Telescoping.entries builds
         _literals_equal_the_oracle()
 
-    def test_step_ratio_examples_cover_each_case():
+    def test_telescoping_literals_examples_cover_each_case():
         tags, zeros, singular, negative, integers, longest = set(), 0, set(), 0, 0, 0
         for system, params, ics, n in EXAMPLES:
             tags.add(closed_form.auto_case(system, params))
@@ -404,7 +404,7 @@ def test_alternating_sign():
     assert alternating_sign(-2) == 1
 
 
-def test_unit_orbit_chains_past_the_split(monkeypatch):
+def test_telescoping_literals_of_a_unit_orbit_past_the_split(monkeypatch):
     # System A with a = b = 1 grows linearly, to about 4,200 bits at
     # n = 2000; every entry past the start values is printed from the entry
     # two back and its divisor, so no int is converted from scratch

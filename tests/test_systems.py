@@ -311,19 +311,20 @@ if given is not None:
     @example(("A", "Product", SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(3, 0, 4, 5), 30))
     def test_every_list_is_built_by_the_kernel_with_its_divisors(inputs):
         # the orbit, the case sweep, both routes and the reconstruction are
-        # each built by systems.telescope, and the divisors their literals
-        # are printed from are the ones it divided by
+        # each built by systems.Telescoping.entries, and the divisors their
+        # literals are printed from are the ones it divided by
         system, tag, params, ics, n = inputs
-        built = {}  # id -> every list the kernel extended, checked as it returns
-        real = systems.telescope
+        built = {}  # id -> every list the kernel built, checked as it returns
+        real = systems.Telescoping.entries
 
-        def kernel(values, divisors, last):
-            real(values, divisors, last)
-            _assert_built_with(values, divisors)
+        def kernel(self, k):
+            values = real(self, k)
+            _assert_built_with(values, self.divisors[k])
             built[id(values)] = values
+            return values
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(systems, "telescope", kernel)
+            patch.setattr(systems.Telescoping, "entries", kernel)
             carried, iterated = systems.orbit_telescoping(system, params, ics, n)
             trajectory = [iterated.entries(k) for k in (0, 1)]
             for k in (0, 1):
