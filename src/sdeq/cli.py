@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
 
 # the other layers are imported by the subcommands that use them
-from . import systems
+from . import rational, systems
 from .rational import format_pairs, format_rational, format_sequence, parse_rational
 from .systems import ZeroInitialError
 
@@ -61,10 +60,13 @@ class _Literals(list):
     and '/', which JSON never escapes, so _jdump writes them as they are."""
 
 
-class _Literal(NamedTuple):
-    """One rational literal that _jdump writes as it is (see _Literals)."""
+class _Literal:
+    """One such literal, marked for _jdump as the items of _Literals are."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _jdump(payload: dict) -> str:
@@ -132,7 +134,7 @@ def _lit_map(record) -> dict:
     return {k: format_rational(v) for k, v in record._asdict().items()}
 
 
-def _singular_json(singular: Optional[systems.Singularity]):
+def _singular_json(singular: systems.Singularity | None):
     if singular is None:
         return None
     return {"step": singular.step, "component": singular.component}
@@ -456,13 +458,13 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let negative rational literals like -1/2 pass as option values
-        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$")
+        self._negative_number_matcher = rational._RATIONAL_RE
 
     def error(self, message):
         raise UsageError(message)
 
 
-class Subcommand(NamedTuple):
+class Subcommand(systems._Record):
     """One subcommand: its runner, its --help line, the input groups it
     takes ("params" and "ics", the systems' literal flags; "n", --n) and
     its own flags with their argparse options, in --help order.  Every
@@ -617,7 +619,7 @@ def _config_from_args(args) -> argparse.Namespace:
     return args
 
 
-def _documented_error(exc: Exception) -> Optional[tuple[int, str]]:
+def _documented_error(exc: Exception) -> tuple[int, str] | None:
     """(exit code, report text) of a library error with a documented exit
     code, else None.  The layers that define these errors are imported
     here, on the error path, so a successful run loads only the layers it

@@ -41,12 +41,13 @@ System B's x), the component whose update the iteration finds singular.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
 
 from .rational import format_rational
 from .reduction import closed_ST_sweep
-from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, assemble, system_aliases
+from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, _Record, assemble
+from .systems import system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -79,7 +80,7 @@ seeds_a, seeds_b = system_aliases("seeds_{}", seeds)
 # case tables: per system, tag -> predicate
 
 
-class Case(NamedTuple):
+class Case(_Record):
     """One enumerated parameter case.
 
     Every case is evaluated by the one sweep of its system's closed-form
@@ -90,10 +91,10 @@ class Case(NamedTuple):
     inputs report.
     """
 
-    applies: Callable[[Any], bool]
+    applies: Callable
     detail: str = ""
     period: int = 0
-    fixed: Any = None
+    fixed: SystemAParams | SystemBParams | None = None
 
 
 def _pinned(fixed, **route) -> Case:
@@ -103,6 +104,8 @@ def _pinned(fixed, **route) -> Case:
 _RESIDUE_4 = {"detail": "vanishing residue-4 denominator", "period": 4}
 _RESIDUE_8 = {"detail": "vanishing residue-8 denominator", "period": 8}
 
+# per system, the tags in --case order: each comes after every tag whose
+# parameter set contains its own, so auto_case takes the last one that holds
 CASES = {
     "A": {
         "Product": Case(lambda params: True),
@@ -134,17 +137,10 @@ def lookup_case(system: str, tag: str) -> Case:
         raise CaseParamError(f"unknown System {system} case tag: {tag!r}") from None
 
 
-# most specific first; the scan order makes auto selection deterministic
-# (Product always applies to A; ACeq1/ACneq1 partition the B parameters)
-_AUTO_ORDER = {
-    "A": ("OnesOnes", "NegNeg", "Aeq1Bneg1", "Beq1Aneg1", "Aeq1", "Beq1", "ABneq1", "Product"),
-    "B": ("AllOnes", "UnitBD", "ACeq1", "ACneq1"),
-}
-
-
 def auto_case(system: str, params) -> str:
     """The most specific case tag whose predicate holds for ``params``."""
-    return next(tag for tag in _AUTO_ORDER[system] if CASES[system][tag].applies(params))
+    cases = CASES[system]
+    return next(tag for tag in reversed(cases) if cases[tag].applies(params))
 
 
 auto_case_a, auto_case_b = system_aliases("auto_case_{}", auto_case)

@@ -23,8 +23,6 @@ the invariant map itself, which stays defined there.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .systems import SHAPES, _Record, carry, system_aliases
 
 
@@ -35,7 +33,7 @@ class Violation(_Record):
 
 class ForbiddenReport(_Record):
     violated: tuple[Violation, ...]
-    predicted_singular_step: Optional[int]
+    predicted_singular_step: int | None
 
     @property
     def closed_form_inadmissible(self) -> bool:
@@ -48,8 +46,8 @@ class ForbiddenReport(_Record):
 
 class PredictVerdict(_Record):
     kind: str  # "agree-regular" | "agree-singular" | "mismatch"
-    step: Optional[int] = None
-    details: Optional[dict] = None
+    step: int | None = None
+    details: dict | None = None
 
 
 def _affine(c, d):
@@ -81,7 +79,7 @@ def check_forbidden(system: str, params, ics, horizon: int) -> ForbiddenReport:
     seeds = [(value.denominator, value.numerator) for value in products]
     S, T = seeds[:lag], seeds[lag:]  # the pairs at indices m .. m + lag - 1
     residues = ("even", "odd") if period == 2 else [f"mod{period}_{k}" for k in range(period)]
-    predicted: Optional[int] = None
+    predicted: int | None = None
     for m in range(period * (horizon + 1)):
         s_pair, t_pair = S.pop(0), T.pop(0)
         for side, (numerator, _) in (("S", s_pair), ("T", t_pair)):
@@ -97,7 +95,7 @@ def check_forbidden(system: str, params, ics, horizon: int) -> ForbiddenReport:
 check_forbidden_a, check_forbidden_b = system_aliases("check_forbidden_{}", check_forbidden)
 
 
-def _invariant_map_step(system: str, params, ics, n_max: int) -> Optional[int]:
+def _invariant_map_step(system: str, params, ics, n_max: int) -> int | None:
     """First singular step by the invariant map w[n+lag] = z[n]/(p + q*z[n]),
     z[n+lag] = w[n]/(r + s*w[n]) from the seed products, which stays defined
     on zero products: step n + lag + 1 divides by p + q*z[n] and r + s*w[n]

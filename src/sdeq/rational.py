@@ -37,8 +37,9 @@ ExactScalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# optional '-', digits, optionally '/' and digits (denominator nonzero)
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# optional '-', digits, optionally '/' and digits (denominator nonzero); it
+# ends in "$" because cli._Parser hands it to argparse, which calls .match
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -55,8 +55,8 @@ class _Record:
     order, and their defaults as class attributes.  Instances cannot be
     changed after construction; equality and hash compare the field values
     of two records of the same class, and the repr, pickling and copying
-    follow the fields.  As on a NamedTuple, ``_fields`` names the fields
-    and ``_asdict()`` maps them to their values.
+    follow the fields.  ``_fields`` names the fields and ``_asdict()``
+    maps them to their values.
     """
 
     _fields: tuple[str, ...] = ()
@@ -66,7 +66,6 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
-        cls.__match_args__ = cls._fields
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):

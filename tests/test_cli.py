@@ -238,6 +238,21 @@ USAGE_ERRORS = {
         [*DIFFTEST_A, "--trials", "-1", "--n", "1", "--seed", "1"], None,
         "--trials must be >= 0",
     ),
+    # a value that starts with "-" and is no negative literal is an option
+    # to argparse, so --a lacks its value; "$" also matches before a final
+    # newline, so "-1\n" is a value, which the literal parser refuses
+    "dangling-slash": (
+        ["iterate", "--system", "A", "--a", "-1/", *A_FLAGS[2:], "--n", "4"], None,
+        "argument --a: expected one argument",
+    ),
+    "trailing-letter": (
+        ["iterate", "--system", "A", "--a", "-1/2x", *A_FLAGS[2:], "--n", "4"], None,
+        "argument --a: expected one argument",
+    ),
+    "trailing-newline": (
+        ["iterate", "--system", "A", "--a", "-1\n", *A_FLAGS[2:], "--n", "4"], None,
+        "--a: not a rational literal: '-1\\n'",
+    ),
 }
 
 
@@ -248,6 +263,14 @@ def test_usage_errors(capsys, monkeypatch, argv, seed, err):
     else:
         monkeypatch.setenv("SDE_SEED", seed)
     assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("value, printed", [("-01", "-1"), ("-0/3", "0")])
+def test_negative_literals_with_leading_zeros_are_values(capsys, value, printed):
+    argv = ["iterate", "--system", "A", "--a", value, *A_FLAGS[2:], "--n", "4"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"]["a"] == printed
 
 
 # (argv, the flag refused, the system): a literal flag of the other system
@@ -476,6 +499,43 @@ def test_draw_rational_keeps_the_seeded_stream():
         expected = F(reference.randint(-9, 9), reference.randint(1, 9))
         assert sampling.draw_rational(drawn) == expected
     assert drawn.random() == reference.random()
+
+
+def _stub_rng(bits):
+    """A stand-in for random.Random whose getrandbits(k) returns bits[k];
+    ``calls`` counts its calls per k."""
+    calls = dict.fromkeys(bits, 0)
+
+    def getrandbits(k):
+        calls[k] += 1
+        return bits[k]
+
+    return SimpleNamespace(getrandbits=getrandbits, calls=calls)
+
+
+def test_draw_pairs_stops_at_the_retry_cap():
+    # getrandbits(5) = 9 is the numerator 0, so no draw is nonzero
+    rng = _stub_rng({5: 9, 4: 0})
+    with pytest.raises(sampling.RetryCapError, match="drawing a nonzero rational"):
+        sampling.draw_pairs(rng, 1, nonzero=True)
+    assert rng.calls == {5: sampling.RETRY_CAP, 4: sampling.RETRY_CAP}
+
+
+def test_draw_params_stops_at_the_retry_cap():
+    # getrandbits(5) = 10 and getrandbits(4) = 0 draw the value 1, so every
+    # draw has a*b = 1 and ABneq1 never holds
+    rng = _stub_rng({5: 10, 4: 0})
+    with pytest.raises(sampling.RetryCapError, match="parameters for case ABneq1"):
+        sampling.draw_params(rng, "A", "ABneq1")
+    assert rng.calls == {5: 2 * sampling.RETRY_CAP, 4: 2 * sampling.RETRY_CAP}
+
+
+def test_symmetry_check_without_admissible_points_exits_1(capsys):
+    # with a = b = 0 no point of System B has both residuals defined
+    argv = ["symmetry-check", "--system", "B", "--a", "0", "--b", "0", "--c", "1", "--d", "1",
+            "--seed", "1"]
+    err = "error: no admissible sample points for the given parameters\n"
+    assert run_cli(capsys, argv) == (1, "", err)
 
 
 def _randint_sample(rng, system, fixed_params):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from fraction_kernels import fractions
 from sdeq.closed_form import (
     CASE_TAGS_A,
     CASE_TAGS_B,
+    CASES,
     CaseParamError,
     ForbiddenInputError,
     auto_case_a,
@@ -38,6 +40,26 @@ from sdeq.systems import (
 
 ONES_A = SystemAInitial(1, 1, 1, 1)
 ONES_B = SystemBInitial(1, 1, 1, 1, 1, 1)
+
+
+# the auto-selection oracle: each system's tags, most specific first
+# (Product always applies to A; ACeq1 and ACneq1 partition the B parameters)
+AUTO_ORDER = {
+    "A": ("OnesOnes", "NegNeg", "Aeq1Bneg1", "Beq1Aneg1", "Aeq1", "Beq1", "ABneq1", "Product"),
+    "B": ("AllOnes", "UnitBD", "ACeq1", "ACneq1"),
+}
+GRID = (-2, -1, F(-1, 2), 0, F(1, 2), 1, F(3, 2), 2)
+
+
+def _assert_auto_case_on_grid(system, auto_case):
+    """auto_case picks the first tag of AUTO_ORDER whose predicate holds,
+    at every parameter tuple over GRID and at each case's fixed record."""
+    cases, params = CASES[system], SHAPES[system].params
+    grid = [params(*values) for values in itertools.product(GRID, repeat=len(params._fields))]
+    fixed = [case.fixed for case in cases.values() if case.fixed is not None]
+    for point in grid + fixed:
+        expected = next(tag for tag in AUTO_ORDER[system] if cases[tag].applies(point))
+        assert auto_case(point) == expected, point
 
 
 def _product_entry(system, params, ics, n):
@@ -166,6 +188,10 @@ def test_auto_case_a():
     assert auto_case_a(SystemAParams(5, 1)) == "Beq1"
     assert auto_case_a(SystemAParams(2, 3)) == "ABneq1"
     assert auto_case_a(SystemAParams(2, F(1, 2))) == "Product"  # a*b = 1, no special form
+    assert CASE_TAGS_A == (
+        "Product", "ABneq1", "Aeq1", "Beq1", "Aeq1Bneg1", "Beq1Aneg1", "OnesOnes", "NegNeg"
+    )
+    _assert_auto_case_on_grid("A", auto_case_a)
 
 
 def test_case_a_tag_param_mismatch():
@@ -275,6 +301,8 @@ def test_auto_case_b():
     assert auto_case_b(SystemBParams(1, 1, -1, 1)) == "UnitBD"
     assert auto_case_b(SystemBParams(2, 5, F(1, 2), 7)) == "ACeq1"
     assert auto_case_b(SystemBParams(2, 5, 3, 7)) == "ACneq1"
+    assert CASE_TAGS_B == ("Product", "ACneq1", "ACeq1", "UnitBD", "AllOnes")
+    _assert_auto_case_on_grid("B", auto_case_b)
 
 
 def test_case_b_tag_param_mismatch():

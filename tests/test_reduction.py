@@ -24,6 +24,7 @@ from sdeq.systems import (
     SystemAParams,
     SystemBInitial,
     SystemBParams,
+    Trajectory,
     iterate_a,
     iterate_b,
 )
@@ -49,6 +50,12 @@ def test_invariants_a_rejects_singular():
     t = iterate_a(SystemAParams(1, 1), SystemAInitial(1, 5, 7, -1), 2)
     with pytest.raises(ValueError):
         invariants_a(t)
+
+
+def test_invariants_a_rejects_a_one_entry_trajectory():
+    t = iterate_a(SystemAParams(1, 1), SystemAInitial(1, 1, 1, 1), 1)
+    with pytest.raises(ValueError, match="need at least 2 entries"):
+        invariants_a(Trajectory(t.labels, t.first[:1], t.second[:1]))
 
 
 def test_invariants_a_recurrence_identity():
@@ -110,6 +117,11 @@ def test_closed_ST_a_examples():
     assert closed_ST_a(SystemAParams(2, 1), 1, 1, 2) == (5, 4)
     assert closed_ST_a(SystemAParams(3, 7), F(2, 5), F(-1, 3), 0) == (F(2, 5), F(-1, 3))
     assert closed_ST_a(SystemAParams(1, 1), 1, 1, 5) == (6, 6)
+
+
+def test_closed_ST_a_refuses_a_third_seed():
+    with pytest.raises(TypeError, match="System A takes 2 seeds"):
+        closed_ST_a(SystemAParams(1, 1), 1, 1, 1, 3)
 
 
 def test_closed_ST_a_equals_recursion():

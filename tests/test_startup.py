@@ -18,6 +18,9 @@ SRC = str(Path(sdeq.__file__).resolve().parents[1])
 # the modules every CLI process loads
 BASE = {"sdeq", "sdeq.cli", "sdeq.rational", "sdeq.systems"}
 
+# stdlib modules that no sdeq process loads
+UNLOADED = {"dataclasses", "inspect", "typing"}
+
 A_FLAGS = ["--a", "2", "--b", "3", "--u0", "1", "--u1", "2", "--v0", "3", "--v1", "1/2"]
 
 # subcommand invocation -> the layers it loads beyond BASE
@@ -73,7 +76,9 @@ EXPORTS = {
 
 
 def _added_modules(code: str) -> set:
-    """The modules a fresh interpreter adds to sys.modules while running ``code``."""
+    """The modules a fresh interpreter adds to sys.modules while running
+    ``code``.  It runs without ``site`` (``-S``), so that what a ``.pth``
+    file imports at start-up cannot hide a module that sdeq loads."""
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -82,7 +87,7 @@ def _added_modules(code: str) -> set:
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return set(json.loads(result.stdout.splitlines()[-1]))
 
@@ -95,7 +100,7 @@ def test_import_loads_no_layer():
     assert _sdeq_modules(_added_modules("import sdeq")) == {"sdeq"}
     added = _added_modules("import sdeq.cli")
     assert _sdeq_modules(added) == BASE
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & UNLOADED
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -112,7 +117,7 @@ def test_subcommand_loads_only_its_layers(command):
     )
     added = _added_modules(code)
     assert _sdeq_modules(added) == BASE | {f"sdeq.{layer}" for layer in layers}
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & UNLOADED
 
 
 def test_sampling_imports_its_restriction_checks_on_first_use():

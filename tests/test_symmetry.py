@@ -79,6 +79,13 @@ def test_residual_rejects_point_of_other_system(system, other):
             function(system, Characteristic(1, 2), params, 0, point)
 
 
+def test_residual_rejects_an_unknown_variant():
+    params = SystemAParams(1, 1)
+    for function in (residual, residual_kernel):
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            function("A", Characteristic(1, 2), params, 0, (1, 2, 3, 4), variant="nope")
+
+
 def test_residual_b_examples():
     params = SystemBParams(1, 1, 1, 1)
     assert slsc_residual_b(Characteristic(1, 0), params, 0, (1, 1, 1, 1, 1, 1)) == (0, 0)
