@@ -25,14 +25,14 @@ process.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 
-# the other layers are imported by the subcommands that use them
+# each subcommand runs in the layer it drives, imported when it runs
 from . import rational, systems
-from .rational import format_pairs, format_rational, format_sequence, parse_rational
+from .rational import format_rational, parse_rational
 from .systems import ZeroInitialError
 
 SCHEMA_VERSION = 1
@@ -44,15 +44,11 @@ EXIT_FORBIDDEN = 3
 EXIT_MISMATCH = 4
 
 
-# per system, the (stratum name, case tag or None) difftest trials cycle through
-STRATA = {
-    "A": (("general", None),),
-    "B": (("general", None), ("ac-unit", "ACeq1"), ("unit-bd", "UnitBD"), ("all-ones", "AllOnes")),
-}
-
-
 class UsageError(ValueError):
     pass
+
+
+# the reports: every runner writes its own with these, in the layer it drives
 
 
 class _Literals(list):
@@ -134,191 +130,11 @@ def _lit_map(record) -> dict:
     return {k: format_rational(v) for k, v in record._asdict().items()}
 
 
-def _singular_json(singular: systems.Singularity | None):
-    if singular is None:
-        return None
-    return {"step": singular.step, "component": singular.component}
-
-
-# ---------------------------------------------------------------------------
-# subcommand implementations
-
-
-def _run_iterate(config: argparse.Namespace) -> tuple[int, str]:
-    carried, built = systems.orbit_telescoping(config.system, config.params, config.ics, config.n)
-    firsts, seconds = systems.both(built.literals, built.bits())
-    labels = systems.SHAPES[config.system].labels
-    if config.format == "csv":
-        columns = [map(str, range(len(firsts))), firsts, seconds]
-        return EXIT_OK, _csv_table(["n", *labels], columns)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "system": config.system,
-        "params": _lit_map(config.params),
-        "N": config.n,
-        "first": _Literals(firsts),
-        "second": _Literals(seconds),
-        "singular": _singular_json(carried.singular),
-    }
-    return EXIT_OK, _jdump(payload)
-
-
-def _run_solve(config: argparse.Namespace) -> tuple[int, str]:
-    from .closed_form import case_point, case_telescoping
-
-    system, params, ics = config.system, config.params, config.ics
-    tag = config.case
-    if config.sweep:
-        built = case_telescoping(system, tag, params, ics, config.n)
-        firsts, seconds = systems.both(built.literals, built.bits())
-        indices = range(config.n + 1)
-    else:
-        point = case_point(system, tag, params, ics, config.n)
-        firsts, seconds = ([format_rational(value)] for value in point)
-        indices = [config.n]
-    if config.format == "csv":
-        columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
-        return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
-    records = [
-        {"n": n, "first": _Literal(f), "second": _Literal(s), "case": tag}
-        for n, f, s in zip(indices, firsts, seconds)
-    ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
-        "system": system,
-        "case": tag,
-        "params": _lit_map(params),
-        "ics": _lit_map(ics),
-        "records": records,
-    }
-    return EXIT_OK, _jdump(payload)
-
-
-def _run_reduce(config: argparse.Namespace) -> tuple[int, str]:
-    from .reduction import reciprocals
-
-    # the invariant recursion alone, w[0..N-1] and z[0..N-1] as reduced
-    # pairs, and S = 1/w, T = 1/z by turning them over: no long entry of
-    # the orbit is built, and no Fraction per index
-    carried = systems.carry(config.system, config.params, config.ics, config.n)
-    if carried.singular is not None:
-        raise _Singular(carried.singular)
-    sequences = (carried.w, carried.z, *reciprocals(carried.w, carried.z))
-    w, z, S, T = map(format_pairs, sequences)
-    if config.format == "csv":
-        columns = [map(str, range(len(w))), w, z, S, T]
-        return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reduce",
-        "system": config.system,
-        "params": _lit_map(config.params),
-        "N": config.n,
-        "w": _Literals(w),
-        "z": _Literals(z),
-        "S": _Literals(S),
-        "T": _Literals(T),
-    }
-    return EXIT_OK, _jdump(payload)
-
-
 class _Singular(Exception):
     def __init__(self, sing: systems.Singularity):
         super().__init__(
             f"singular trajectory at step {sing.step} ({sing.denominator_expression})"
         )
-
-
-def _compare(system: str, tag: str, params, ics, n: int):
-    """The one comparison of closed forms with iteration over entries 0..n:
-    the orbit's Singularity, or (orbit, routes, failures, first) with the
-    telescopings of the orbit and of case ``tag``'s routes
-    (closed_form.route_telescopings).  A failure is an index where either
-    component differs, counted once per route; ``first`` is the first
-    (route, n, component) in sorted route order, or None.  The comparison
-    reads the short starts and divisor lists (``_mismatches``), so a
-    passing run builds no entry."""
-    from .closed_form import route_telescopings
-
-    carried, orbit = systems.orbit_telescoping(system, params, ics, n)
-    if carried.singular is not None:
-        return carried.singular
-    routes = route_telescopings(system, tag, params, ics, n)
-    failing = [_mismatches(orbit, routes, k) for k in (0, 1)]
-    failures, first = 0, None
-    for route in sorted(routes):
-        indices = [found[route] for found in failing]
-        either = set(indices[0]).union(indices[1])
-        failures += len(either)
-        if either and first is None:
-            at = min(either)
-            first = (route, at, 0 if at in indices[0] else 1)
-    return orbit, routes, failures, first
-
-
-def _mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
-    """route -> the indices at which component k of the route's entries
-    differs from the orbit's, read from the start values and divisor
-    lists (Telescoping.mismatches), so a passing comparison builds no
-    entry; each distinct telescoping is compared once."""
-    failing = {built: orbit.mismatches(built, k) for built in dict.fromkeys(routes.values())}
-    return {route: failing[built] for route, built in routes.items()}
-
-
-def _literal(built: systems.Telescoping, k: int, n: int) -> str:
-    """Entry n of component k of ``built``, built up to n only."""
-    return format_rational(systems.Telescoping(built.starts, built.divisors, n).entries(k)[n])
-
-
-def _run_verify(config: argparse.Namespace) -> tuple[int, str]:
-    compared = _compare(config.system, config.case, config.params, config.ics, config.n)
-    if isinstance(compared, systems.Singularity):
-        raise _Singular(compared)
-    orbit, routes, _, first = compared
-    first_mismatch = None
-    if first is not None:
-        route, n, k = first
-        first_mismatch = {
-            "route": route,
-            "n": n,
-            "component": ("first", "second")[k],
-            "closed_form": _literal(routes[route], k, n),
-            "iterated": _literal(orbit, k, n),
-        }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "system": config.system,
-        "case": config.case,
-        "N": config.n,
-        "checked": len(routes) * (config.n + 1),
-        "equal": first_mismatch is None,
-        "first_mismatch": first_mismatch,
-    }
-    code = EXIT_OK if first_mismatch is None else EXIT_MISMATCH
-    return code, _jdump(payload)
-
-
-def _run_check_forbidden(config: argparse.Namespace) -> tuple[int, str]:
-    from .forbidden import check_forbidden
-
-    report = check_forbidden(config.system, config.params, config.ics, config.horizon)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check-forbidden",
-        "system": config.system,
-        "params": _lit_map(config.params),
-        "ics": _lit_map(config.ics),
-        "horizon": config.horizon,
-        "violations": [
-            {"restriction": v.restriction_id, "r": v.r} for v in report.violated
-        ],
-        "closed_form_inadmissible": report.closed_form_inadmissible,
-        "predicted_singular_step": report.predicted_singular_step,
-    }
-    code = EXIT_OK if report.clean else EXIT_FORBIDDEN
-    return code, _jdump(payload)
 
 
 def _sample_residual_input(rng, system: str, fixed_params):
@@ -335,145 +151,63 @@ def _sample_residual_input(rng, system: str, fixed_params):
     return fixed_params, tuple(map(pair_value, point))
 
 
-def _run_symmetry_check(config: argparse.Namespace) -> tuple[int, str]:
-    import random
-
-    from .sampling import draw_rational
-    from .symmetry import Characteristic, check
-
-    rng = random.Random(config.seed)
-    if config.c1 is not None:
-        characteristics = [Characteristic(config.c1, config.c2)]
-    else:
-        characteristics = [
-            Characteristic(draw_rational(rng), draw_rational(rng)) for _ in range(config.pairs)
-        ]
-    nonzero = [
-        {
-            "c1": format_rational(ch.c1),
-            "c2": format_rational(ch.c2),
-            "parity": parity,
-            "point": _Literals(format_sequence(point)),
-            "residuals": _Literals(format_sequence(residuals)),
-        }
-        for ch, parity, point, residuals in check(
-            config.system, rng, characteristics, config.samples, config.params
-        )
-    ]
-    checked = 2 * config.samples * len(characteristics)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "symmetry-check",
-        "system": config.system,
-        "pairs": len(characteristics),
-        "samples_per_parity": config.samples,
-        "seed": config.seed,
-        "checked": checked,
-        "all_zero": not nonzero,
-        "nonzero_residuals": nonzero,
-    }
-    return (EXIT_OK if not nonzero else EXIT_MISMATCH), _jdump(payload)
-
-
-def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
-    """Sample admissible inputs, skip forbidden ones, and assert exact
-    agreement of the product and case closed forms with iteration, by the
-    comparison ``verify`` makes (``_compare``) at the auto-selected case.
-
-    Trials cycle through the system's parameter strata (for System B the
-    geometric-ratio, unit-ratio, unit-b,d and all-ones families).
-    """
-    import random
-
-    from .closed_form import auto_case
-    from .sampling import DISTRIBUTION_NOTE, draw_admissible
-
-    strata = STRATA[system]
-    rng = random.Random(seed)
-    skipped = 0
-    comparisons = 0
-    failures = 0
-    first_counterexample = None
-    strata_counts: dict[str, int] = {}
-    for trial in range(trials):
-        stratum, case = strata[trial % len(strata)]
-        params, ics, skipped_now = draw_admissible(rng, system, n_max, case)
-        skipped += skipped_now
-        strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
-        compared = _compare(system, auto_case(system, params), params, ics, n_max)
-        inputs = {"params": _lit_map(params), "ics": _lit_map(ics)}
-        if isinstance(compared, systems.Singularity):
-            # admissible inputs cannot be singular; a hit here is a finding
-            failures += 1
-            if first_counterexample is None:
-                first_counterexample = {
-                    "kind": "unexpected-singularity",
-                    **inputs,
-                    "step": compared.step,
-                }
-            continue
-        orbit, routes, failed, mismatch = compared
-        comparisons += len(routes) * (n_max + 1)
-        failures += failed
-        if mismatch is not None and first_counterexample is None:
-            route, n, _ = mismatch
-            closed = routes[route]
-            first_counterexample = {
-                "kind": "value-mismatch",
-                "route": route,
-                **inputs,
-                "n": n,
-                "closed_first": _literal(closed, 0, n),
-                "closed_second": _literal(closed, 1, n),
-                "iterated_first": _literal(orbit, 0, n),
-                "iterated_second": _literal(orbit, 1, n),
-            }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "difftest",
-        "system": system,
-        "trials": trials,
-        "N": n_max,
-        "seed": seed,
-        "distribution": DISTRIBUTION_NOTE,
-        "strata": {k: strata_counts[k] for k in sorted(strata_counts)},
-        "skipped_draws": skipped,
-        "comparisons": comparisons,
-        "failures": failures,
-        "first_counterexample": first_counterexample,
-    }
-
-
-def _run_difftest(config: argparse.Namespace) -> tuple[int, str]:
-    report = difftest(config.system, config.trials, config.n, config.seed)
-    code = EXIT_OK if report["failures"] == 0 else EXIT_MISMATCH
-    return code, _jdump(report)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    """sdeq's parser and each subcommand's.  A subcommand's parser is made
+    with ``fill``, which adds its arguments on its first parse
+    (``parse_known_args``, which argparse calls on the subcommand's parser
+    on every Python version), so a process builds the arguments of the one
+    subcommand it parses."""
+
+    def __init__(self, *args, fill=None, **kwargs):
         super().__init__(*args, **kwargs)
         # let negative rational literals like -1/2 pass as option values
         self._negative_number_matcher = rational._RATIONAL_RE
+        self._fill = fill
+
+    def fill(self) -> None:
+        """Add the arguments that ``fill`` adds, once."""
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise UsageError(message)
 
 
 class Subcommand(systems._Record):
-    """One subcommand: its runner, its --help line, the input groups it
+    """One subcommand: its runner, "module function" of the layer it
+    drives, imported when it runs, its --help line, the input groups it
     takes ("params" and "ics", the systems' literal flags; "n", --n) and
     its own flags with their argparse options, in --help order.  Every
     subcommand also takes --system and --out."""
 
-    runner: Callable
+    runner: str
     help: str
     takes: tuple
     flags: tuple
+
+    def add_arguments(self, sub: _Parser) -> None:
+        """Every argument of this subcommand, added to its parser ``sub``."""
+        shapes = systems.SHAPES.values()
+        sub.add_argument("--system", required=True, choices=tuple(systems.SHAPES))
+        # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
+        flags = [shape.params._fields for shape in shapes] if "params" in self.takes else []
+        flags += [shape.initial._fields for shape in shapes] if "ics" in self.takes else []
+        for flag in dict.fromkeys(flag for group in flags for flag in group):
+            sub.add_argument(f"--{flag}")
+        if "n" in self.takes:
+            sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--out")
+        for flag, options in self.flags:
+            sub.add_argument(flag, **options)
 
 
 _ORBIT = ("params", "ics", "n")
@@ -482,17 +216,19 @@ _CASE = ("--case", {"default": "auto"})
 _SEED = ("--seed", {"type": int})
 
 SUBCOMMANDS = {
-    "iterate": Subcommand(_run_iterate, "iterate a system exactly", _ORBIT, (_FORMAT,)),
+    "iterate": Subcommand("printing _run_iterate", "iterate a system exactly", _ORBIT, (_FORMAT,)),
     "solve": Subcommand(
-        _run_solve,
+        "closed_form _run_solve",
         "evaluate a closed-form solution",
         _ORBIT,
         (_CASE, ("--sweep", {"action": "store_true"}), _FORMAT),
     ),
-    "reduce": Subcommand(_run_reduce, "invariants and auxiliary sequences", _ORBIT, (_FORMAT,)),
-    "verify": Subcommand(_run_verify, "closed forms vs iteration", _ORBIT, (_CASE,)),
+    "reduce": Subcommand(
+        "reduction _run_reduce", "invariants and auxiliary sequences", _ORBIT, (_FORMAT,)
+    ),
+    "verify": Subcommand("closed_form _run_verify", "closed forms vs iteration", _ORBIT, (_CASE,)),
     "symmetry-check": Subcommand(
-        _run_symmetry_check,
+        "symmetry _run_symmetry_check",
         "residual identity check",
         ("params",),
         (
@@ -504,13 +240,13 @@ SUBCOMMANDS = {
         ),
     ),
     "check-forbidden": Subcommand(
-        _run_check_forbidden,
+        "forbidden _run_check_forbidden",
         "restriction-set report",
         ("params", "ics"),
         (("--horizon", {"type": int, "required": True}),),
     ),
     "difftest": Subcommand(
-        _run_difftest,
+        "sampling _run_difftest",
         "differential test driver",
         ("n",),
         (("--trials", {"type": int, "required": True}), _SEED),
@@ -519,22 +255,12 @@ SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
+    """The parser of every subcommand.  Each subcommand's parser is
+    filled with its arguments on its first parse (``_Parser.fill``)."""
     parser = _Parser(prog="sdeq", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    shapes = systems.SHAPES.values()
     for name, command in SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=command.help)
-        sub.add_argument("--system", required=True, choices=tuple(systems.SHAPES))
-        # each flag once, in the order the systems list them (a, b, c, d; u0 .. y2)
-        flags = [shape.params._fields for shape in shapes] if "params" in command.takes else []
-        flags += [shape.initial._fields for shape in shapes] if "ics" in command.takes else []
-        for flag in dict.fromkeys(flag for group in flags for flag in group):
-            sub.add_argument(f"--{flag}")
-        if "n" in command.takes:
-            sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--out")
-        for flag, options in command.flags:
-            sub.add_argument(flag, **options)
+        subparsers.add_parser(name, help=command.help, fill=command.add_arguments)
     return parser
 
 
@@ -551,19 +277,6 @@ def _rational_arg(args, flag: str) -> Fraction:
 def _record(args, record: type):
     """The input ``record`` of the system, from its flags' rational literals."""
     return record(*(_rational_arg(args, flag) for flag in record._fields))
-
-
-def _resolve_seed(args) -> int:
-    """--seed, else SDE_SEED; only the sampling subcommands read either."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SDE_SEED")
-    if env is None:
-        raise UsageError(f"{args.command} samples randomly; provide --seed or SDE_SEED")
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"SDE_SEED is not an integer: {env!r}") from None
 
 
 def _config_from_args(args) -> argparse.Namespace:
@@ -594,8 +307,14 @@ def _config_from_args(args) -> argparse.Namespace:
             args.case = auto_case(args.system, args.params)
         elif args.case not in CASES[args.system]:
             raise UsageError(f"--case must be 'auto' or one of {', '.join(CASES[args.system])}")
-    if "seed" in options:
-        args.seed = _resolve_seed(args)
+    if "seed" in options and args.seed is None:  # --seed, else SDE_SEED
+        env = os.environ.get("SDE_SEED")
+        if env is None:
+            raise UsageError(f"{args.command} samples randomly; provide --seed or SDE_SEED")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise UsageError(f"SDE_SEED is not an integer: {env!r}") from None
     if "c1" in options:
         if (args.c1 is None) != (args.c2 is None):
             raise UsageError("--c1 and --c2 must be given together")
@@ -619,35 +338,29 @@ def _config_from_args(args) -> argparse.Namespace:
     return args
 
 
-def _documented_error(exc: Exception) -> tuple[int, str] | None:
-    """(exit code, report text) of a library error with a documented exit
-    code, else None.  The layers that define these errors are imported
-    here, on the error path, so a successful run loads only the layers it
-    uses."""
-    from .closed_form import CaseParamError, ForbiddenInputError
-    from .reduction import ZeroInvariantError
-    from .sampling import RetryCapError
-
-    if isinstance(exc, (ForbiddenInputError, ZeroInitialError, ZeroInvariantError)):
-        text = str(exc).removeprefix("forbidden input: ")  # ForbiddenInputErrors start with it
-        return EXIT_FORBIDDEN, f"error: forbidden input: {text}\n"
-    if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
-        return EXIT_USAGE, f"error: {exc}\n"
-    return None
-
-
 def run(config: argparse.Namespace) -> tuple[int, str]:
     """Run the subcommand of a configuration from ``_config_from_args``;
-    returns (exit code, report text)."""
+    returns (exit code, report text).  A library error with a documented
+    exit code is reported as such; the layers that define those errors
+    are imported on the error path, so a successful run loads only the
+    layers it uses."""
+    module, name = SUBCOMMANDS[config.command].runner.split()
+    runner = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
-        return SUBCOMMANDS[config.command].runner(config)
+        return runner(config)
     except _Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
     except (ValueError, RuntimeError) as exc:
-        documented = _documented_error(exc)
-        if documented is None:
-            raise
-        return documented
+        from .closed_form import CaseParamError, ForbiddenInputError
+        from .reduction import ZeroInvariantError
+        from .sampling import RetryCapError
+
+        if isinstance(exc, (ForbiddenInputError, ZeroInitialError, ZeroInvariantError)):
+            text = str(exc).removeprefix("forbidden input: ")  # ForbiddenInputErrors start with it
+            return EXIT_FORBIDDEN, f"error: forbidden input: {text}\n"
+        if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
+            return EXIT_USAGE, f"error: {exc}\n"
+        raise
 
 
 def main(argv=None) -> int:

@@ -5,27 +5,30 @@ conditions, and the index n alone; the forward iteration is never used,
 and the test suite checks each evaluator against it.
 
 Both systems rebuild their orbit from the auxiliary values S and T by one
-telescoped product, two indices at a time (``systems.assemble``, the
-one assembly kernel, which builds System B's iterated orbit too), with S
-and T seeded by the reciprocals of the seed products of the system's
+telescoped product, two indices at a time (``orbit.assemble``, the one
+assembly kernel, which builds System B's iterated orbit too), with S and
+T seeded by the reciprocals of the seed products of the system's
 ``systems.SHAPES`` record.  S and T come from one closed-form table
-(``reduction.closed_ST_sweep``), which covers every parameter value, g =
-ab or ac = 1 included.  Each enumerated case (a*b != 1, a = 1, b = 1,
-a = b = 1 for A; a*c != 1, a*c = 1, all ones for B) is that table at the
-case's parameters, and the product solution is the case ``Product``, so
-one sweep (``_sweep``) evaluates every case.
+(``_closed_table``, swept on int pairs by ``closed_ST_sweep``), which
+covers every parameter value, g = ab or ac = 1 included;
+``reduction.closed_ST`` evaluates it one index at a time.  Each
+enumerated case (a*b != 1, a = 1, b = 1, a = b = 1 for A; a*c != 1,
+a*c = 1, all ones for B) is that table at the case's parameters, and the
+product solution is the case ``Product``, so one sweep (``_sweep``)
+evaluates every case.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
 are pure powers: they assemble one period and two entries, and extend
 the orbit two indices at a time by the assembly's first P divisors,
-repeated with the period P.  A sweep is a ``systems.Telescoping``: the
+repeated with the period P.  A sweep is an ``orbit.Telescoping``: the
 short values, validation, the S and T sweep, its zero scan and the
 divisor lists, all on reduced int pairs (the scan reads numerators),
 come first and raise every error, and then each component's long
 entries are built on their own, as Fractions or as the printed literals,
 so the CLI can print the two in two processes, or compare the two
-starts and the divisor lists with the orbit's (``route_telescopings``)
-and build none.
+starts and the divisor lists with the orbit's (``route_telescopings``,
+``_compare``) and build none.  The ``solve`` and ``verify`` subcommands
+run here (``_run_solve``, ``_run_verify``).
 ``CASES`` holds, per system, each tag's predicate.  Each evaluator is
 one function keyed by the system ("A" or "B"); ``system_aliases``
 generates its per-system names (``solve_a_case`` is
@@ -43,11 +46,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from math import gcd
 
-from .rational import format_rational
-from .reduction import closed_ST_sweep
-from .systems import SHAPES, SystemAParams, SystemBParams, Telescoping, _Record, assemble
-from .systems import system_aliases
+from .orbit import Telescoping, assemble, orbit_telescoping
+from .rational import format_rational, rat
+from .systems import SHAPES, Singularity, SystemAParams, SystemBParams, _Record, system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -159,7 +162,77 @@ def _validated(system: str, tag: str, params, n_max: int) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# the one case sweep: systems.assemble over the closed-form sweep of S and
+# the closed form of S and T
+
+
+def _closed_table(system: str, params, seeds):
+    """The closed form of the system's recursion, as (g, S classes,
+    T classes) split by residue mod 2*lag: for k < lag, with g = p*r and
+    h = sum_{i<m} g^i,
+
+        S[2*lag*m + k]       = g^m S[k]          + (p*s + q) h
+        S[2*lag*m + lag + k] = g^m (p*T[k] + q)  + (p*s + q) h
+
+    and T mirrors S with (p, q, S) <-> (r, s, T).  So System A
+    (g = ab) splits by parity and System B (g = ac) by residue mod 4.
+    """
+    shape = SHAPES[system]
+    (p, q), (r, s) = shape.rule(params)
+    start = [rat(value) for value in seeds]
+    head_s, head_t = start[: shape.lag], start[shape.lag :]
+    shift_s, shift_t = p * s + q, r * q + s
+    s_values = head_s + [p * t + q for t in head_t]
+    t_values = head_t + [r * x + s for x in head_s]
+    return (
+        p * r,
+        tuple((x, shift_s) for x in s_values),
+        tuple((x, shift_t) for x in t_values),
+    )
+
+
+def closed_ST_sweep(system: str, params, seeds, count: int):
+    """Entries 0..count-1 of S and T from the system's closed form, as
+    reduced pairs, with seeds = (S[0..lag-1], T[0..lag-1]); every
+    closed-form route reads this."""
+    g, s_classes, t_classes = _closed_table(system, params, seeds)
+    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
+
+
+def geometric_sweep(classes, g: Fraction, count: int) -> list[tuple[int, int]]:
+    """Entries 0..count-1 of a table with w = len(classes) residue classes:
+    entry m*w + k is x_k*g**m + y_k*h_m for (x_k, y_k) = classes[k], with
+    h_m = sum_{i<m} g**i, as reduced (numerator, denominator) pairs.
+
+    With g = P/Q the sweep carries P**m, Q**m and H_m = Q**m*h_m as ints
+    (H_{m+1} = Q*(H_m + P**m)), so each entry is num/den with
+    den = xd*yd*Q**m, whose primes all divide the short xd*yd*Q.  So gcds
+    with a short operand reduce it, not a gcd of two long ints:
+    c = gcd(gcd(num, xd*yd*Q), den) divides both while it is not 1, which
+    takes one gcd where no prime of xd*yd*Q divides num.
+    """
+    P, Q = g.numerator, g.denominator
+    terms = []
+    for x, y in classes:
+        den = x.denominator * y.denominator
+        terms.append((x.numerator * y.denominator, y.numerator * x.denominator, den, den * Q))
+    power, scale, inner = 1, 1, 0
+    values = []
+    for start in range(0, count, len(terms)):
+        for x_num, y_num, den, short in terms[: count - start]:
+            num, den = x_num * power + y_num * inner, den * scale
+            common = gcd(num, short)
+            while common != 1 and (common := gcd(common, den)) != 1:
+                num, den = num // common, den // common
+                common = gcd(num, short)
+            values.append((num, den))
+        inner = Q * (inner + power)
+        power *= P
+        scale *= Q
+    return values
+
+
+# ---------------------------------------------------------------------------
+# the one case sweep: orbit.assemble over the closed-form sweep of S and
 # T.  A zero S[j] or T[j] makes every trajectory index >= j+1 forbidden.
 #
 # At a pure-power case's pinned parameters the auxiliary recursion is
@@ -242,7 +315,7 @@ def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fr
 
 def route_telescopings(system: str, tag: str, params, ics, n_max: int) -> dict:
     """The routes that ``verify`` and ``difftest`` compare with iteration
-    (``cli._compare``), "product" and case ``tag``, over entries 0..n_max,
+    (``_compare``), "product" and case ``tag``, over entries 0..n_max,
     as telescopings from one sweep of the table: the product sweep, which
     runs before the tag is checked.  A pure-power case extends the sweep's
     first two entries by the sweep's first P divisors, repeated with its
@@ -253,6 +326,117 @@ def route_telescopings(system: str, tag: str, params, ics, n_max: int) -> dict:
     if period and period + 1 < n_max:
         own = _extend(period, product, n_max)
     return {"product": product, tag: own}
+
+
+# ---------------------------------------------------------------------------
+# the comparison with iteration, and the solve and verify subcommands
+
+
+def _compare(system: str, tag: str, params, ics, n: int):
+    """The one comparison of closed forms with iteration over entries 0..n:
+    the orbit's Singularity, or (orbit, routes, failures, first) with the
+    telescopings of the orbit and of case ``tag``'s routes
+    (route_telescopings).  A failure is an index where either component
+    differs, counted once per route; ``first`` is the first
+    (route, n, component) in sorted route order, or None.  The comparison
+    reads the short starts and divisor lists (``_mismatches``), so a
+    passing run builds no entry."""
+    carried, orbit = orbit_telescoping(system, params, ics, n)
+    if carried.singular is not None:
+        return carried.singular
+    routes = route_telescopings(system, tag, params, ics, n)
+    failing = [_mismatches(orbit, routes, k) for k in (0, 1)]
+    failures, first = 0, None
+    for route in sorted(routes):
+        indices = [found[route] for found in failing]
+        either = set(indices[0]).union(indices[1])
+        failures += len(either)
+        if either and first is None:
+            at = min(either)
+            first = (route, at, 0 if at in indices[0] else 1)
+    return orbit, routes, failures, first
+
+
+def _mismatches(orbit: Telescoping, routes: dict, k: int) -> dict:
+    """route -> the indices at which component k of the route's entries
+    differs from the orbit's, read from the start values and divisor
+    lists (Telescoping.mismatches), so a passing comparison builds no
+    entry; each distinct telescoping is compared once."""
+    failing = {built: orbit.mismatches(built, k) for built in dict.fromkeys(routes.values())}
+    return {route: failing[built] for route, built in routes.items()}
+
+
+def _literal(built: Telescoping, k: int, n: int) -> str:
+    """Entry n of component k of ``built``, built up to n only."""
+    return format_rational(Telescoping(built.starts, built.divisors, n).entries(k)[n])
+
+
+def _run_solve(config) -> tuple[int, str]:
+    """The ``solve`` subcommand: the sweep of case --case, printed by
+    ``printing.both``, or its entry --n alone."""
+    from .cli import EXIT_OK, SCHEMA_VERSION, _csv_table, _jdump, _Literal, _lit_map
+
+    system, params, ics = config.system, config.params, config.ics
+    tag = config.case
+    if config.sweep:
+        from .printing import both
+
+        built = case_telescoping(system, tag, params, ics, config.n)
+        firsts, seconds = both(built)
+        indices = range(config.n + 1)
+    else:
+        point = case_point(system, tag, params, ics, config.n)
+        firsts, seconds = ([format_rational(value)] for value in point)
+        indices = [config.n]
+    if config.format == "csv":
+        columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
+        return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
+    records = [
+        {"n": n, "first": _Literal(f), "second": _Literal(s), "case": tag}
+        for n, f, s in zip(indices, firsts, seconds)
+    ]
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "solve",
+        "system": system,
+        "case": tag,
+        "params": _lit_map(params),
+        "ics": _lit_map(ics),
+        "records": records,
+    }
+    return EXIT_OK, _jdump(payload)
+
+
+def _run_verify(config) -> tuple[int, str]:
+    """The ``verify`` subcommand: ``_compare`` at case --case."""
+    from .cli import EXIT_MISMATCH, EXIT_OK, SCHEMA_VERSION, _jdump, _Singular
+
+    compared = _compare(config.system, config.case, config.params, config.ics, config.n)
+    if isinstance(compared, Singularity):
+        raise _Singular(compared)
+    orbit, routes, _, first = compared
+    first_mismatch = None
+    if first is not None:
+        route, n, k = first
+        first_mismatch = {
+            "route": route,
+            "n": n,
+            "component": ("first", "second")[k],
+            "closed_form": _literal(routes[route], k, n),
+            "iterated": _literal(orbit, k, n),
+        }
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify",
+        "system": config.system,
+        "case": config.case,
+        "N": config.n,
+        "checked": len(routes) * (config.n + 1),
+        "equal": first_mismatch is None,
+        "first_mismatch": first_mismatch,
+    }
+    code = EXIT_OK if first_mismatch is None else EXIT_MISMATCH
+    return code, _jdump(payload)
 
 
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(

@@ -18,12 +18,13 @@ the parameter denominators and the seed numerators, so they never vanish.
 Zero seed products make the closed forms inadmissible; they are reported
 as their own violations with no predicted step.  ``predict_vs_observe``
 closes the loop against the iterator, and on zero products predicts from
-the invariant map itself, which stays defined there.
+the invariant map itself, which stays defined there.  The
+``check-forbidden`` subcommand runs here (``_run_check_forbidden``).
 """
 
 from __future__ import annotations
 
-from .systems import SHAPES, _Record, carry, system_aliases
+from .systems import SHAPES, _Record, system_aliases
 
 
 class Violation(_Record):
@@ -100,7 +101,7 @@ def _invariant_map_step(system: str, params, ics, n_max: int) -> int | None:
     z[n+lag] = w[n]/(r + s*w[n]) from the seed products, which stays defined
     on zero products: step n + lag + 1 divides by p + q*z[n] and r + s*w[n]
     (see the module docstring), so it is singular iff one of them vanishes.
-    It repeats ``systems.carry``'s recursion on purpose: a prediction that
+    It repeats ``orbit.carry``'s recursion on purpose: a prediction that
     read the iterator's own steps would agree with a wrong step
     (test_predict_vs_observe_zero_product_sides_are_independent)."""
     shape = SHAPES[system]
@@ -129,6 +130,8 @@ def predict_vs_observe(
     seed product is predicted from the invariant map instead; only lag 1
     gets there, since a longer lag refuses zero initial components.
     """
+    from .orbit import carry
+
     if system not in SHAPES:
         raise ValueError(f"unknown system {system!r}")
     # the carry refuses an n_max under the lag and, at lag >= 2, zero
@@ -156,3 +159,26 @@ def predict_vs_observe(
         "violations": report.violated,
     }
     return PredictVerdict("mismatch", None, details)
+
+
+def _run_check_forbidden(config) -> tuple[int, str]:
+    """The ``check-forbidden`` subcommand: ``check_forbidden`` up to
+    --horizon, exit 3 where a restriction is violated."""
+    from .cli import EXIT_FORBIDDEN, EXIT_OK, SCHEMA_VERSION, _jdump, _lit_map
+
+    report = check_forbidden(config.system, config.params, config.ics, config.horizon)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "check-forbidden",
+        "system": config.system,
+        "params": _lit_map(config.params),
+        "ics": _lit_map(config.ics),
+        "horizon": config.horizon,
+        "violations": [
+            {"restriction": v.restriction_id, "r": v.r} for v in report.violated
+        ],
+        "closed_form_inadmissible": report.closed_form_inadmissible,
+        "predicted_singular_step": report.predicted_singular_step,
+    }
+    code = EXIT_OK if report.clean else EXIT_FORBIDDEN
+    return code, _jdump(payload)

@@ -1,6 +1,6 @@
 """The second component's job in a forked child process.
 
-``systems.both`` loads this module only for a job long enough to pay for
+``printing.both`` loads this module only for a job long enough to pay for
 a second process, so a run that does not fork loads neither it nor
 pickle.  Only ``iterate`` and ``solve --sweep`` reach it: ``verify`` and
 ``difftest`` compare divisor lists and build no long entry where they

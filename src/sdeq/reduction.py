@@ -11,22 +11,23 @@ reduction backwards (trail[n+1] = 1/(S[n]*lead[n]),
 lead[n+1] = 1/(T[n]*trail[n])), serve both systems.  Each operation is
 one function keyed by the system ("A" or "B"); ``system_aliases`` generates
 its per-system names (``invariants_a`` is ``invariants("A", ...)``).
-``geometric_sweep`` evaluates a whole sweep of a table from carried integer
-powers; every route of ``sdeq.closed_form`` reads that sweep, and
-``reconstruct`` rebuilds an orbit from S and T two indices at a time by
-the one assembly kernel, ``systems.assemble``, as the closed forms do.
-The sweep and ``reciprocals`` hold reduced (numerator, denominator)
-pairs of ints, as ``systems.carry`` does; the public functions take and
+The closed-form table and its sweep are ``sdeq.closed_form``'s, whose
+every route reads them; ``closed_ST`` reads the table one index at a
+time, and ``reconstruct`` rebuilds an orbit from S and T two indices at a
+time by the one assembly kernel, ``orbit.assemble``, as the closed forms
+do.  The ``reduce`` subcommand (``_run_reduce``) prints the invariant
+carry, ``orbit.carry``, and its ``reciprocals``, which hold reduced
+(numerator, denominator) pairs of ints; the public functions take and
 return Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .rational import geometric_sum, rat
-from .systems import SHAPES, Trajectory, _Record, assemble, system_aliases, turned_over
+from .orbit import assemble, carry, turned_over
+from .rational import format_pairs, geometric_sum, rat
+from .systems import SHAPES, Trajectory, _Record, system_aliases
 
 
 class InvariantSeq(_Record):
@@ -98,37 +99,10 @@ def linearize(invariants: InvariantSeq) -> LinearSeq:
 
 
 def reciprocals(w, z) -> tuple[list, list]:
-    """linearize on reduced pairs (systems.Carried): (S, T), each pair
+    """linearize on reduced pairs (orbit.Carried): (S, T), each pair
     of w and z turned over."""
     _require_nonzero(w, z, (0, 1))
     return turned_over(w), turned_over(z)
-
-
-def geometric_sweep(classes, g: Fraction, count: int) -> list[tuple[int, int]]:
-    """Entries 0..count-1 of a table with w = len(classes) residue classes:
-    entry m*w + k is x_k*g**m + y_k*h_m for (x_k, y_k) = classes[k], with
-    h_m = sum_{i<m} g**i, as reduced (numerator, denominator) pairs.
-
-    With g = P/Q the sweep carries P**m, Q**m and H_m = Q**m*h_m as ints
-    (H_{m+1} = Q*(H_m + P**m)), so each entry is num/den with
-    den = xd*yd*Q**m, reduced by one gcd.
-    """
-    terms = [
-        (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
-        for x, y in classes
-    ]
-    P, Q = g.numerator, g.denominator
-    power, scale, inner = 1, 1, 0
-    values = []
-    for start in range(0, count, len(terms)):
-        for x_num, y_num, den in terms[: count - start]:
-            num, den = x_num * power + y_num * inner, den * scale
-            common = gcd(num, den)
-            values.append((num // common, den // common))
-        inner = Q * (inner + power)
-        power *= P
-        scale *= Q
-    return values
 
 
 def _spread(keyed):
@@ -164,34 +138,11 @@ def solve_linear(system: str, params, seeds, n_max: int) -> LinearSeq:
 solve_linear_a, solve_linear_b = system_aliases("solve_linear_{}", _spread(solve_linear))
 
 
-def _closed_table(system: str, params, seeds):
-    """The closed form of the system's recursion, as (g, S classes,
-    T classes) split by residue mod 2*lag: for k < lag, with g = p*r and
-    h = sum_{i<m} g^i,
-
-        S[2*lag*m + k]       = g^m S[k]          + (p*s + q) h
-        S[2*lag*m + lag + k] = g^m (p*T[k] + q)  + (p*s + q) h
-
-    and T mirrors S with (p, q, S) <-> (r, s, T).  So System A
-    (g = ab) splits by parity and System B (g = ac) by residue mod 4.
-    """
-    shape = SHAPES[system]
-    (p, q), (r, s) = shape.rule(params)
-    start = [rat(value) for value in seeds]
-    head_s, head_t = start[: shape.lag], start[shape.lag :]
-    shift_s, shift_t = p * s + q, r * q + s
-    s_values = head_s + [p * t + q for t in head_t]
-    t_values = head_t + [r * x + s for x in head_s]
-    return (
-        p * r,
-        tuple((x, shift_s) for x in s_values),
-        tuple((x, shift_t) for x in t_values),
-    )
-
-
 def closed_ST(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
     """Entry n of S and T from the system's closed form; agrees entrywise
     with solve_linear, and the sums are empty at the seeds."""
+    from .closed_form import _closed_table
+
     if n < 0:
         raise ValueError("n must be >= 0")
     g, s_classes, t_classes = _closed_table(system, params, seeds)
@@ -201,14 +152,6 @@ def closed_ST(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
 
 
 closed_ST_a, closed_ST_b = system_aliases("closed_ST_{}", _spread(closed_ST))
-
-
-def closed_ST_sweep(system: str, params, seeds, count: int):
-    """Entries 0..count-1 of S and T from the system's closed form, as
-    reduced pairs, with seeds = (S[0..lag-1], T[0..lag-1]); every
-    closed-form route reads this."""
-    g, s_classes, t_classes = _closed_table(system, params, seeds)
-    return geometric_sweep(s_classes, g, count), geometric_sweep(t_classes, g, count)
 
 
 def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
@@ -233,3 +176,32 @@ def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
 
 
 reconstruct_a, reconstruct_b = system_aliases("reconstruct_{}", reconstruct)
+
+
+def _run_reduce(config) -> tuple[int, str]:
+    """The ``reduce`` subcommand: the invariant recursion alone, w[0..N-1]
+    and z[0..N-1] as reduced pairs, and S = 1/w, T = 1/z by turning them
+    over; no long entry of the orbit is built, and no Fraction per
+    index."""
+    from .cli import EXIT_OK, SCHEMA_VERSION, _csv_table, _jdump, _Literals, _lit_map, _Singular
+
+    carried = carry(config.system, config.params, config.ics, config.n)
+    if carried.singular is not None:
+        raise _Singular(carried.singular)
+    sequences = (carried.w, carried.z, *reciprocals(carried.w, carried.z))
+    w, z, S, T = map(format_pairs, sequences)
+    if config.format == "csv":
+        columns = [map(str, range(len(w))), w, z, S, T]
+        return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "reduce",
+        "system": config.system,
+        "params": _lit_map(config.params),
+        "N": config.n,
+        "w": _Literals(w),
+        "z": _Literals(z),
+        "S": _Literals(S),
+        "T": _Literals(T),
+    }
+    return EXIT_OK, _jdump(payload)

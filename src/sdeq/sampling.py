@@ -1,4 +1,5 @@
-"""Seeded rational sampling shared by difftest, symmetry-check and the tests.
+"""Seeded rational sampling shared by difftest, symmetry-check and the tests,
+and the differential test driver.
 
 Distribution: numerators uniform in [-9, 9], denominators uniform in
 [1, 9], one draw per field of the system's input records
@@ -6,6 +7,10 @@ Distribution: numerators uniform in [-9, 9], denominators uniform in
 is required, a forbidden initial condition, a parameter predicate) are
 redrawn up to a documented retry cap; the small magnitudes keep the
 product formulas fast while still exercising every sign case.
+
+``difftest`` draws admissible inputs stratum by stratum (``STRATA``) and
+compares the closed forms with iteration at each; the ``difftest``
+subcommand runs it (``_run_difftest``).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .systems import SHAPES, SystemAParams, SystemBParams, system_aliases
+from .systems import SHAPES, Singularity, SystemAParams, SystemBParams, system_aliases
 
 RETRY_CAP = 1000
 
@@ -151,3 +156,87 @@ def admissible_pair(system: str, rng: random.Random, n_max: int, tag: str | None
 
 
 draw_admissible_a, draw_admissible_b = system_aliases("draw_admissible_{}", admissible_pair)
+
+
+# per system, the (stratum name, case tag or None) difftest trials cycle through
+STRATA = {
+    "A": (("general", None),),
+    "B": (("general", None), ("ac-unit", "ACeq1"), ("unit-bd", "UnitBD"), ("all-ones", "AllOnes")),
+}
+
+
+def difftest(system: str, trials: int, n_max: int, seed: int) -> dict:
+    """Sample admissible inputs, skip forbidden ones, and assert exact
+    agreement of the product and case closed forms with iteration, by the
+    comparison ``verify`` makes (``closed_form._compare``) at the
+    auto-selected case.
+
+    Trials cycle through the system's parameter strata (for System B the
+    geometric-ratio, unit-ratio, unit-b,d and all-ones families).
+    """
+    from .cli import SCHEMA_VERSION, _lit_map
+    from .closed_form import _compare, _literal, auto_case
+
+    strata = STRATA[system]
+    rng = random.Random(seed)
+    skipped = 0
+    comparisons = 0
+    failures = 0
+    first_counterexample = None
+    strata_counts: dict[str, int] = {}
+    for trial in range(trials):
+        stratum, case = strata[trial % len(strata)]
+        params, ics, skipped_now = draw_admissible(rng, system, n_max, case)
+        skipped += skipped_now
+        strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
+        compared = _compare(system, auto_case(system, params), params, ics, n_max)
+        inputs = {"params": _lit_map(params), "ics": _lit_map(ics)}
+        if isinstance(compared, Singularity):
+            # admissible inputs cannot be singular; a hit here is a finding
+            failures += 1
+            if first_counterexample is None:
+                first_counterexample = {
+                    "kind": "unexpected-singularity",
+                    **inputs,
+                    "step": compared.step,
+                }
+            continue
+        orbit, routes, failed, mismatch = compared
+        comparisons += len(routes) * (n_max + 1)
+        failures += failed
+        if mismatch is not None and first_counterexample is None:
+            route, n, _ = mismatch
+            closed = routes[route]
+            first_counterexample = {
+                "kind": "value-mismatch",
+                "route": route,
+                **inputs,
+                "n": n,
+                "closed_first": _literal(closed, 0, n),
+                "closed_second": _literal(closed, 1, n),
+                "iterated_first": _literal(orbit, 0, n),
+                "iterated_second": _literal(orbit, 1, n),
+            }
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "difftest",
+        "system": system,
+        "trials": trials,
+        "N": n_max,
+        "seed": seed,
+        "distribution": DISTRIBUTION_NOTE,
+        "strata": {k: strata_counts[k] for k in sorted(strata_counts)},
+        "skipped_draws": skipped,
+        "comparisons": comparisons,
+        "failures": failures,
+        "first_counterexample": first_counterexample,
+    }
+
+
+def _run_difftest(config) -> tuple[int, str]:
+    """The ``difftest`` subcommand: ``difftest``, exit 4 on a failure."""
+    from .cli import EXIT_MISMATCH, EXIT_OK, _jdump
+
+    report = difftest(config.system, config.trials, config.n, config.seed)
+    code = EXIT_OK if report["failures"] == 0 else EXIT_MISMATCH
+    return code, _jdump(report)

@@ -42,7 +42,8 @@ and ``residual`` all read it.  ``check`` is the loop of symmetry-check:
 ``sampler`` draws each point as int pairs (``sampling.draw_pairs``), one
 evaluation of ``_terms`` serves both the point's admissibility test and
 its kernel, and the coefficient sums are formed once per characteristic
-and parity.
+and parity.  The ``symmetry-check`` subcommand runs it
+(``_run_symmetry_check``).
 
 The infinitesimal parameter is never exponentiated; the finite group
 parameter lam is a nonzero rational, so the group orbit stays inside exact
@@ -56,7 +57,7 @@ from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
-from .rational import alternating_sign, rat
+from .rational import alternating_sign, format_rational, format_sequence, rat
 from .systems import SHAPES, Trajectory, _Exact, _Record, system_aliases
 
 VARIANTS = ("alternating", "frozen")
@@ -267,6 +268,49 @@ def check(system: str, rng, characteristics, samples: int, params=None) -> list:
                     point = tuple(Fraction(*pair) for pair in point)
                     nonzero.append((ch, parity, point, _residuals(kernels, terms, K)))
     return nonzero
+
+
+def _run_symmetry_check(config) -> tuple[int, str]:
+    """The ``symmetry-check`` subcommand: ``check`` of the characteristic
+    --c1, --c2, or of --pairs drawn ones, exit 4 where a residual is not
+    zero."""
+    import random
+
+    from .cli import EXIT_MISMATCH, EXIT_OK, SCHEMA_VERSION, _jdump, _Literals
+    from .sampling import draw_rational
+
+    rng = random.Random(config.seed)
+    if config.c1 is not None:
+        characteristics = [Characteristic(config.c1, config.c2)]
+    else:
+        characteristics = [
+            Characteristic(draw_rational(rng), draw_rational(rng)) for _ in range(config.pairs)
+        ]
+    nonzero = [
+        {
+            "c1": format_rational(ch.c1),
+            "c2": format_rational(ch.c2),
+            "parity": parity,
+            "point": _Literals(format_sequence(point)),
+            "residuals": _Literals(format_sequence(residuals)),
+        }
+        for ch, parity, point, residuals in check(
+            config.system, rng, characteristics, config.samples, config.params
+        )
+    ]
+    checked = 2 * config.samples * len(characteristics)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "symmetry-check",
+        "system": config.system,
+        "pairs": len(characteristics),
+        "samples_per_parity": config.samples,
+        "seed": config.seed,
+        "checked": checked,
+        "all_zero": not nonzero,
+        "nonzero_residuals": nonzero,
+    }
+    return (EXIT_OK if not nonzero else EXIT_MISMATCH), _jdump(payload)
 
 
 slsc_residual_a, slsc_residual_b = system_aliases("slsc_residual_{}", residual)

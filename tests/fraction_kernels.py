@@ -1,6 +1,6 @@
 """The comparison path's kernels on Fractions, kept as oracles.
 
-``sdeq.systems.carry`` and ``sdeq.systems.assemble``, which forms the
+``sdeq.orbit.carry`` and ``sdeq.orbit.assemble``, which forms the
 divisors of the closed forms' sweeps and of the orbits of lag 2, run on
 reduced (numerator, denominator) pairs of ints.  Here they run on
 Fraction operators, one value at a time, as the map is written:
@@ -11,7 +11,8 @@ Fraction operators, one value at a time, as the map is written:
 
 from fractions import Fraction
 
-from sdeq.systems import SHAPES, Carried, Singularity, Trajectory, ZeroInitialError
+from sdeq.orbit import Carried
+from sdeq.systems import SHAPES, Singularity, Trajectory, ZeroInitialError
 
 
 def fractions(pairs) -> list:
@@ -24,7 +25,7 @@ def fractions(pairs) -> list:
 
 
 def carry(system: str, params, ics, n_max: int) -> Carried:
-    """systems.carry with Fraction values: step n + lag + 1 advances
+    """orbit.carry with Fraction values: step n + lag + 1 advances
     w[n+lag] = z[n]/(p + q*z[n]) and z[n+lag] = w[n]/(r + s*w[n])."""
     shape = SHAPES[system]
     lag = shape.lag
@@ -70,7 +71,7 @@ def orbit_divisors(system: str, carried: Carried) -> tuple:
 
 
 def assembly(system: str, S, T, first0, second0, count: int) -> tuple:
-    """(starts, divisors) of systems.assemble from Fraction S and T:
+    """(starts, divisors) of orbit.assemble from Fraction S and T:
     trail[i] = trail[i-2] / (S[i-1]/T[i-2]) and
     lead[i] = lead[i-2] / (T[i-1]/S[i-2]), from trail[1] = 1/(lead[0]*S[0])
     and lead[1] = 1/(trail[0]*T[0])."""

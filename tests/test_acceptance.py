@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 from sdeq.cli import main as cli_main
-from sdeq.cli import difftest
 from sdeq.closed_form import solve_a_case_sweep, solve_a_product_sweep
 from sdeq.forbidden import predict_vs_observe
 from sdeq.reduction import (
@@ -25,6 +24,7 @@ from sdeq.reduction import (
     solve_linear_b,
 )
 from sdeq.sampling import (
+    difftest,
     draw_admissible_a,
     draw_admissible_b,
     draw_ics,

@@ -86,7 +86,65 @@ def test_kernel_equals_formula(classes, g, count):
         m, k = divmod(j, len(classes))
         x, y = classes[k]
         expected.append(x * g**m + y * sum(g**i for i in range(m)))
-    assert fractions(reduction.geometric_sweep(classes, g, count)) == expected
+    assert fractions(closed_form.geometric_sweep(classes, g, count)) == expected
+
+
+# +-2**i * 3**j: values whose denominators share primes with the ratio's,
+# so that the sweep's entries cancel by them, at some indices by more than
+# one round of its gcds
+smooth = st.builds(
+    lambda sign, i, j: sign * 2**i * 3**j,
+    st.sampled_from([1, -1]),
+    st.integers(0, 5),
+    st.integers(0, 3),
+)
+shared = st.builds(F, smooth, st.builds(abs, smooth))
+
+
+@SETTINGS
+@hypothesis.given(
+    st.lists(st.tuples(shared, shared), min_size=1, max_size=4),
+    shared.filter(lambda g: g != 0),
+    st.integers(0, 40),
+)
+# every entry is 1: den = 2**(m+1) cancels in full, by short = 4 a round,
+# so in six rounds at the last index
+@hypothesis.example([(F(1), F(1, 2))], F(1, 2), 12)
+def test_kernel_is_exact_where_entries_cancel(classes, g, count):
+    # the sweep reduces each entry by gcds with the short xd*yd*Q; the
+    # Fractions of the defining formula are in lowest terms by construction
+    expected = []
+    for j in range(count):
+        m, k = divmod(j, len(classes))
+        x, y = classes[k]
+        expected.append(x * g**m + y * sum(g**i for i in range(m)))
+    assert fractions(closed_form.geometric_sweep(classes, g, count)) == expected
+
+
+# the four inputs the comparison is timed on, with the order each is timed
+# at: non-integer and unit parameters of both systems, whose ratio g has a
+# denominator (A, B non-integer) or not (the unit inputs)
+TIMED = {
+    "A-ABneq1": (SystemAParams(F(2, 3), F(-5, 7)), (F(3, 5), F(-2, 7), F(4, 9), F(5, 8)), 500),
+    "B-ACneq1": (
+        SystemBParams(F(2, 3), F(-5, 7), F(3, 5), F(4, 9)),
+        (F(3, 5), F(-2, 7), F(4, 9), F(5, 8), F(-3, 4), F(7, 6)),
+        500,
+    ),
+    "A-OnesOnes": (SystemAParams(1, 1), (F(3, 5), F(2, 7), F(4, 9), F(5, 8)), 2000),
+    "B-UnitBD": (
+        SystemBParams(1, 1, -1, 1), (F(3, 5), F(2, 7), F(4, 9), F(5, 8), F(3, 4), F(7, 6)), 2000
+    ),
+}
+
+
+@pytest.mark.parametrize("params, ics, n", TIMED.values(), ids=TIMED)
+def test_sweep_is_exact_on_the_timed_inputs(params, ics, n):
+    system = "A" if isinstance(params, SystemAParams) else "B"
+    seeds = closed_form.seeds(system, SYSTEMS[system][1](*ics))
+    S, T = map(fractions, closed_form.closed_ST_sweep(system, params, seeds, n))
+    linear = reduction.solve_linear(system, params, seeds, n - 1)
+    assert (S, T) == (list(linear.S), list(linear.T))
 
 
 @SETTINGS
@@ -95,7 +153,7 @@ def test_sweep_equals_closed_form_and_recursion(system, count, data):
     _, _, _, n_seeds, closed_st, solve_linear, _ = SYSTEMS[system]
     params = _params(data.draw, system)
     seeds = [data.draw(rationals) for _ in range(n_seeds)]
-    S, T = map(fractions, reduction.closed_ST_sweep(system, params, seeds, count))
+    S, T = map(fractions, closed_form.closed_ST_sweep(system, params, seeds, count))
     assert list(zip(S, T)) == [closed_st(params, *seeds, j) for j in range(count)]
     lin = solve_linear(params, *seeds, max(count - 1, 1))
     assert (S, T) == (list(lin.S[:count]), list(lin.T[:count]))

@@ -60,7 +60,7 @@ def _split(expr, ratios):
 
 @pytest.fixture
 def symbolic(monkeypatch):
-    for module in (symmetry, systems, reduction):
+    for module in (symmetry, systems, reduction, closed_form):
         monkeypatch.setattr(module, "rat", lambda value: value)
 
 
@@ -326,7 +326,7 @@ def test_closed_table_solves_linear_recursion(symbolic, system):
     names, seed_names = ("ab", "S0 T0") if system == "A" else ("abcd", "S0 S1 T0 T1")
     params = SimpleNamespace(**dict(zip(names, sympy.symbols(" ".join(names)))))
     seeds = sympy.symbols(seed_names)
-    table = reduction._closed_table(system, params, seeds)
+    table = closed_form._closed_table(system, params, seeds)
     assert _vanish(_table_residuals(system, table, params, seeds))
     for wrong in _perturbed(table):
         assert _nonzero_somewhere(_table_residuals(system, wrong, params, seeds))

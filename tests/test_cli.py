@@ -11,7 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdeq import cli, closed_form, rational, reduction, sampling, symmetry, systems
+from sdeq import cli, closed_form, orbit, printing, rational, reduction, sampling, symmetry
+from sdeq import systems
 from sdeq.cli import main
 from sdeq.rational import format_rational, parse_rational
 from sdeq.systems import SystemAInitial, SystemAParams, iterate_a
@@ -343,8 +344,29 @@ ARGUMENT_SURFACE = {
 }
 
 
+# one valid invocation per subcommand, in the order of cli.SUBCOMMANDS
+PARSED = {
+    "iterate": ["iterate", "--system", "A", *A_FLAGS, "--n", "4", "--format", "csv"],
+    "solve": ["solve", "--system", "B", *B_FLAGS, "--n", "4", "--sweep"],
+    "reduce": ["reduce", "--system", "A", *A_FLAGS, "--n", "4"],
+    "verify": ["verify", "--system", "B", *B_FLAGS, "--n", "4", "--case", "Product"],
+    "symmetry-check": ["symmetry-check", "--system", "A", "--c1", "1", "--c2", "2", "--seed", "3"],
+    "check-forbidden": ["check-forbidden", "--system", "A", *A_FLAGS, "--horizon", "3"],
+    "difftest": ["difftest", "--system", "B", "--trials", "2", "--n", "5", "--seed", "1"],
+}
+
+
+def _subparsers(parser) -> dict:
+    """Subcommand name -> its parser."""
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
 def test_argument_surface():
-    (subparsers,) = cli.build_parser()._subparsers._group_actions
+    parser = cli.build_parser()
+    for argv in PARSED.values():
+        parser.parse_args(argv)  # fills the subcommand's parser
+    (subparsers,) = parser._subparsers._group_actions
     helps = {action.dest: action.help for action in subparsers._choices_actions}
     surface = {
         name: (
@@ -358,6 +380,71 @@ def test_argument_surface():
     }
     assert surface == ARGUMENT_SURFACE
     assert list(surface) == list(ARGUMENT_SURFACE)
+
+
+def test_each_subparser_is_filled_on_its_first_parse():
+    parser = cli.build_parser()
+    subparsers = _subparsers(parser)
+    assert list(subparsers) == list(PARSED) == list(cli.SUBCOMMANDS)
+
+    def filled() -> list:
+        return [name for name, sub in subparsers.items() if len(sub._actions) > 1]
+
+    assert filled() == []  # each holds its -h/--help alone
+    parser.parse_args(PARSED["verify"])
+    assert filled() == ["verify"]
+    parser.parse_args(PARSED["difftest"])
+    assert filled() == ["verify", "difftest"]
+
+
+def test_one_parser_parses_every_subcommand_in_turn():
+    # the benchmark's replay builds one parser and parses every invocation
+    # of a pass with it
+    parser = cli.build_parser()
+    for argv in [*PARSED.values(), *reversed(PARSED.values())]:
+        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+# (argv, SDE_SEED or None) of each input that the parsers report on
+PARSER_REPORTS = {
+    "help": (["--help"], None),
+    **{f"{name}-help": ([name, "--help"], None) for name in PARSED},
+    "no-arguments": ([], None),
+    "unknown-subcommand": (["bogus", "--system", "A"], None),
+    **{name: (argv, seed) for name, (argv, seed, _) in USAGE_ERRORS.items()},
+}
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), --help's exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, seed", PARSER_REPORTS.values(), ids=PARSER_REPORTS)
+def test_lazy_parser_reports_what_a_filled_one_reports(capsys, monkeypatch, argv, seed):
+    # against a parser whose subparsers are all filled up front, in this
+    # interpreter, so that the wording of its argparse version is compared
+    if seed is None:
+        monkeypatch.delenv("SDE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SDE_SEED", seed)
+    lazy = _outcome(capsys, argv)
+    build = cli.build_parser
+
+    def filled():
+        parser = build()
+        for sub in _subparsers(parser).values():
+            sub.fill()
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", filled)
+    assert _outcome(capsys, argv) == lazy
+    assert lazy[0] in (0, 1) and (lazy[1] if lazy[0] == 0 else lazy[2])
 
 
 def test_case_param_mismatch_exits_1(capsys):
@@ -925,7 +1012,7 @@ DISTRIBUTION = (
 
 def test_difftest_value_mismatch_payload(monkeypatch):
     _wrong_st_a(monkeypatch)
-    assert cli.difftest("A", 3, 6, 5) == {
+    assert sampling.difftest("A", 3, 6, 5) == {
         "schema_version": 1,
         "command": "difftest",
         "system": "A",
@@ -961,7 +1048,7 @@ def test_difftest_value_mismatch_payload_b(monkeypatch):
         return S, T
 
     monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
-    report = cli.difftest("B", 4, 5, 3)
+    report = sampling.difftest("B", 4, 5, 3)
     assert report["strata"] == {"ac-unit": 1, "all-ones": 1, "general": 1, "unit-bd": 1}
     assert (report["skipped_draws"], report["comparisons"], report["failures"]) == (0, 48, 24)
     assert report["first_counterexample"] == {
@@ -1036,30 +1123,30 @@ def test_verify_pure_power_route_extends_two_periods(capsys, monkeypatch):
 def test_difftest_sweeps_the_table_once_per_trial(monkeypatch, system, n):
     calls = _counted_sweeps(monkeypatch)
     trials = 8
-    report = cli.difftest(system, trials, n, 7)
+    report = sampling.difftest(system, trials, n, 7)
     assert report["failures"] == 0
     assert report["comparisons"] == trials * 2 * (n + 1)
     assert sum(report["strata"].values()) == trials
-    assert len(report["strata"]) == len(cli.STRATA[system])
+    assert len(report["strata"]) == len(sampling.STRATA[system])
     assert calls == [system] * trials
 
 
 def _one_process(monkeypatch) -> None:
     """Run every job of a run in this process, so that the counters patched
     in here see it: a forked child's calls do not reach them."""
-    monkeypatch.setattr(systems, "_FORK_BITS", float("inf"))
+    monkeypatch.setattr(printing, "_FORK_BITS", float("inf"))
 
 
 def _compared_telescopings(monkeypatch) -> list:
     """The component of each comparison of a route telescoping with the
     orbit made from now on."""
-    real, calls = systems.Telescoping.mismatches, []
+    real, calls = orbit.Telescoping.mismatches, []
 
     def mismatches(self, other, k):
         calls.append(k)
         return real(self, other, k)
 
-    monkeypatch.setattr(systems.Telescoping, "mismatches", mismatches)
+    monkeypatch.setattr(orbit.Telescoping, "mismatches", mismatches)
     return calls
 
 
@@ -1069,7 +1156,7 @@ def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
     # are per route
     calls = _compared_telescopings(monkeypatch)
     trials, n = 6, 20
-    report = cli.difftest("A", trials, n, 7)
+    report = sampling.difftest("A", trials, n, 7)
     assert (report["comparisons"], report["failures"]) == (trials * 2 * (n + 1), 0)
     assert calls == [0, 1] * trials
     # NegNeg's route extends the sweep by its period: two telescopings
@@ -1080,15 +1167,15 @@ def test_each_distinct_route_is_compared_once(capsys, monkeypatch):
 
 
 def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
-    real = systems.carry
+    real = orbit.carry
 
     def always_singular(system, params, ics, n_max):
         carried = real(system, params, ics, n_max)
         forced = carried.singular or systems.Singularity(4, "second", "forced")
-        return systems.Carried(carried.w, carried.z, carried.factors, forced)
+        return orbit.Carried(carried.w, carried.z, carried.factors, forced)
 
-    monkeypatch.setattr(systems, "carry", always_singular)
-    report = cli.difftest("A", 3, 6, 5)
+    monkeypatch.setattr(orbit, "carry", always_singular)
+    report = sampling.difftest("A", 3, 6, 5)
     assert (report["comparisons"], report["failures"]) == (0, 3)
     assert report["first_counterexample"] == {
         "kind": "unexpected-singularity",
@@ -1116,12 +1203,12 @@ DEEP_B_FLAGS = [
 
 
 def _print_path(monkeypatch) -> list:
-    """Per Telescoping.literals call made from now on: (component, last
+    """Per printing.literals call made from now on: (component, last
     index, Fraction divisions, ints converted from scratch) inside it.
     With the str() bound lowered to 64 bits, every int of 64 bits or more
-    that is converted from scratch goes through rational._to_decimal."""
+    that is converted from scratch goes through printing._to_decimal."""
     real_literals, real_divide, real_convert = (
-        systems.Telescoping.literals, F.__truediv__, rational._to_decimal,
+        printing.literals, F.__truediv__, printing._to_decimal,
     )
     calls, counts = [], None
 
@@ -1135,19 +1222,19 @@ def _print_path(monkeypatch) -> list:
             counts[1] += 1
         return real_convert(x)
 
-    def literals(self, k):
+    def literals(built, k):
         nonlocal counts
         counts = [0, 0]
         try:
-            return real_literals(self, k)
+            return real_literals(built, k)
         finally:
-            calls.append((k, self.last, *counts))
+            calls.append((k, built.last, *counts))
             counts = None
 
     monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     monkeypatch.setattr(F, "__truediv__", divide)
-    monkeypatch.setattr(rational, "_to_decimal", convert)
-    monkeypatch.setattr(systems.Telescoping, "literals", literals)
+    monkeypatch.setattr(printing, "_to_decimal", convert)
+    monkeypatch.setattr(printing, "literals", literals)
     return calls
 
 
@@ -1347,14 +1434,14 @@ def test_a_full_device_is_a_report_error():
 
 def _no_long_entries(monkeypatch) -> None:
     """Make the kernels that build long entries raise:
-    systems.Telescoping.entries, in binary, and
-    rational.format_telescoping, in decimal."""
+    orbit.Telescoping.entries, in binary, and
+    printing.format_telescoping, in decimal."""
 
     def refuse(*args):
         raise AssertionError("reduce built the long entries of an orbit")
 
-    monkeypatch.setattr(systems.Telescoping, "entries", refuse)
-    monkeypatch.setattr(systems, "format_telescoping", refuse)
+    monkeypatch.setattr(orbit.Telescoping, "entries", refuse)
+    monkeypatch.setattr(printing, "format_telescoping", refuse)
 
 
 @pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])

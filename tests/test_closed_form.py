@@ -14,6 +14,7 @@ from sdeq.closed_form import (
     auto_case_a,
     auto_case_b,
     case_sweep,
+    closed_ST_sweep,
     product_sweep,
     seeds,
     seeds_a,
@@ -25,7 +26,6 @@ from sdeq.closed_form import (
     solve_b_case_sweep,
     solve_b_product_sweep,
 )
-from sdeq.reduction import closed_ST_sweep
 from sdeq.sampling import draw_admissible_a, draw_admissible_b
 from sdeq.systems import (
     SHAPES,

@@ -1,8 +1,8 @@
-"""The comparison of closed forms with iteration, ``cli._mismatches``,
+"""The comparison of closed forms with iteration, ``closed_form._mismatches``,
 against the entry-by-entry oracle, which builds every entry of the orbit
 and of each distinct route telescoping and compares them one by one.
 
-``cli._mismatches`` reads only the start values and the divisor lists
+``closed_form._mismatches`` reads only the start values and the divisor lists
 past the first entries.  Over both systems, every difftest stratum and
 the pure-power cases past two periods, the two give the same failing
 indices per route and component: on clean draws, with one divisor
@@ -21,10 +21,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from sdeq import cli, closed_form, sampling, systems  # noqa: E402
+from sdeq import closed_form, sampling  # noqa: E402
+from sdeq.orbit import Telescoping, orbit_telescoping  # noqa: E402
 
 
-def entry_mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
+def entry_mismatches(orbit: Telescoping, routes: dict, k: int) -> dict:
     """route -> the indices at which component k of the route's entries
     differs from the orbit's, each distinct telescoping built in full and
     compared entry by entry."""
@@ -39,12 +40,12 @@ def entry_mismatches(orbit: systems.Telescoping, routes: dict, k: int) -> dict:
 def _tags(system: str) -> tuple:
     """The case tag of each difftest stratum (None: all parameters drawn)
     and of each pure-power case."""
-    strata = [tag for _, tag in cli.STRATA[system]]
+    strata = [tag for _, tag in sampling.STRATA[system]]
     powers = [tag for tag, case in closed_form.CASES[system].items() if case.period]
     return tuple(dict.fromkeys(strata + powers))
 
 
-TAGS = {system: _tags(system) for system in cli.STRATA}
+TAGS = {system: _tags(system) for system in sampling.STRATA}
 KINDS = ("clean", "divisor", "start", "undone")
 SIDES = ("orbit", "product", "case")
 
@@ -62,7 +63,7 @@ class Corruption(NamedTuple):
     factor: F
     gap: int
 
-    def apply(self, built: systems.Telescoping) -> systems.Telescoping:
+    def apply(self, built: Telescoping) -> Telescoping:
         starts = [list(values) for values in built.starts]
         divisors = [list(values) for values in built.divisors]
         if self.kind == "start":
@@ -76,7 +77,7 @@ class Corruption(NamedTuple):
             if self.kind == "undone" and at + 2 * self.gap < len(values):
                 later = at + 2 * self.gap
                 values[later] = (F(*values[later]) / self.factor).as_integer_ratio()
-        return systems.Telescoping(tuple(map(tuple, starts)), tuple(divisors), built.last)
+        return Telescoping(tuple(map(tuple, starts)), tuple(divisors), built.last)
 
 
 nonzero = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
@@ -89,7 +90,7 @@ corruptions = st.builds(
     nonzero,
     st.integers(1, 4),
 )
-inputs = st.sampled_from(sorted(cli.STRATA)).flatmap(
+inputs = st.sampled_from(sorted(sampling.STRATA)).flatmap(
     lambda system: st.tuples(
         st.just(system),
         st.sampled_from(TAGS[system]),
@@ -127,7 +128,7 @@ def _compared(system, tag, seed, n, corruption):
     """(orbit, routes) of a difftest draw of ``tag``'s stratum with
     ``corruption`` applied to one side."""
     params, ics, _ = sampling.draw_admissible(random.Random(seed), system, n, tag)
-    carried, orbit = systems.orbit_telescoping(system, params, ics, n)
+    carried, orbit = orbit_telescoping(system, params, ics, n)
     assert carried.singular is None
     case = closed_form.auto_case(system, params)
     routes = closed_form.route_telescopings(system, case, params, ics, n)
@@ -146,7 +147,7 @@ def test_chain_comparison_equals_entry_oracle():
     def check(drawn, corruption):
         orbit, routes = _compared(*drawn, corruption)
         for k in (0, 1):
-            found = cli._mismatches(orbit, routes, k)
+            found = closed_form._mismatches(orbit, routes, k)
             assert found == entry_mismatches(orbit, routes, k)
             if any(found.values()):
                 failed.add(corruption.kind)
@@ -163,5 +164,5 @@ def test_an_undone_divisor_fails_only_between():
     # and the later ones by its change undone too
     drawn = ("A", None, 2, 12)
     orbit, routes = _compared(*drawn, Corruption("undone", "product", 0, 3, F(3, 2), 2))
-    assert cli._mismatches(orbit, routes, 0)["product"] == [5, 7]
-    assert cli._mismatches(orbit, routes, 1)["product"] == []
+    assert closed_form._mismatches(orbit, routes, 0)["product"] == [5, 7]
+    assert closed_form._mismatches(orbit, routes, 1)["product"] == []

@@ -1,6 +1,6 @@
 """The comparison path's pair kernels against their Fraction oracles.
 
-``systems.carry`` and the one assembly kernel ``systems.assemble``, which
+``orbit.carry`` and the one assembly kernel ``orbit.assemble``, which
 forms the divisors of the closed forms' sweeps and of every orbit of
 lag 2 or more, run on reduced (numerator, denominator) pairs of ints;
 ``tests/fraction_kernels.py`` runs the same steps on Fraction
@@ -21,7 +21,8 @@ st = hypothesis.strategies
 
 import fraction_kernels  # noqa: E402
 from fraction_kernels import fractions  # noqa: E402
-from sdeq import closed_form, reduction, systems  # noqa: E402
+from sdeq import closed_form  # noqa: E402
+from sdeq.orbit import assemble, orbit_telescoping  # noqa: E402
 from sdeq.systems import SHAPES  # noqa: E402
 
 
@@ -34,7 +35,7 @@ def check(system: str, params, ics, n: int) -> None:
     of the closed-form sweep (where its seeds and start values are
     nonzero) equal the Fraction kernels."""
     oracle = fraction_kernels.carry(system, params, ics, n)
-    carried, orbit = systems.orbit_telescoping(system, params, ics, n)
+    carried, orbit = orbit_telescoping(system, params, ics, n)
     # entries 0 and 1 of each component, as given
     assert orbit.starts == tuple(values[:2] for values in SHAPES[system].split(ics._astuple()))
     assert [list(carried.w), list(carried.z)] == [pairs(oracle.w), pairs(oracle.z)]
@@ -46,13 +47,13 @@ def check(system: str, params, ics, n: int) -> None:
         seeds = closed_form.seeds(system, ics)
     except closed_form.ForbiddenInputError:
         return
-    S, T = reduction.closed_ST_sweep(system, params, seeds, n)
+    S, T = closed_form.closed_ST_sweep(system, params, seeds, n)
     # the assembly reads S and T up to the first zero, as closed_form._sweep does
     count = next((j for j in range(n) if not (S[j][0] and T[j][0])), n)
     starts = [values[0] for values in SHAPES[system].split(ics._astuple())]
     if not all(starts):
         return
-    built = systems.assemble(system, S, T, *starts, count)
+    built = assemble(system, S, T, *starts, count)
     heads, divisors = fraction_kernels.assembly(system, *map(fractions, (S, T)), *starts, count)
     assert built.starts == heads
     assert list(map(list, built.divisors)) == list(map(pairs, divisors))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdeq import cli, closed_form, systems
+from sdeq import closed_form, sampling, systems
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,7 +31,7 @@ def test_workload_flags_and_periods_equal_shapes(perfbench):
 
 def test_replay_strata_equal_the_cli_strata(perfbench):
     _, replay = perfbench
-    assert replay._B_STRATA == cli.STRATA["B"]
+    assert replay._B_STRATA == sampling.STRATA["B"]
 
 
 def test_pure_power_families_are_periodic_cases(perfbench):

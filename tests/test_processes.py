@@ -1,6 +1,6 @@
 """The two-process path of ``iterate`` and ``solve --sweep``.
 
-With the size bar of ``systems.both`` lowered to nothing and two CPUs
+With the size bar of ``printing.both`` lowered to nothing and two CPUs
 granted, each of these runs forks one child, and its stdout, stderr and
 exit code equal those of the same run on one process.  When the fork
 fails, the child exits nonzero or its data is short, the parent builds
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from sdeq import cli, closed_form, systems
+from sdeq import cli, closed_form, orbit, printing, systems
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second process is forked")
 
@@ -101,14 +101,14 @@ def _run(capsys, argv) -> tuple:
 def _one_process(capsys, monkeypatch, argv) -> tuple:
     """The run of ``argv`` with every job in this process."""
     with monkeypatch.context() as patch:
-        patch.setattr(systems, "_FORK_BITS", float("inf"))
+        patch.setattr(printing, "_FORK_BITS", float("inf"))
         return _run(capsys, argv)
 
 
 def _two_processes(monkeypatch) -> list:
     """Lower the size bar to nothing and grant two CPUs; returns the list
     of the children forked from now on."""
-    monkeypatch.setattr(systems, "_FORK_BITS", -1)
+    monkeypatch.setattr(printing, "_FORK_BITS", -1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real, children = os.fork, []
 
@@ -125,27 +125,27 @@ def _two_processes(monkeypatch) -> list:
 def _built_here(monkeypatch) -> list:
     """The components whose literals this process builds and prints from
     now on."""
-    real, built = systems.Telescoping.literals, []
+    real, built = printing.literals, []
 
-    def literals(self, k):
+    def literals(telescoping, k):
         built.append(k)
-        return real(self, k)
+        return real(telescoping, k)
 
-    monkeypatch.setattr(systems.Telescoping, "literals", literals)
+    monkeypatch.setattr(printing, "literals", literals)
     return built
 
 
 def _built_past_prefix(monkeypatch) -> set:
     """The (component, last index) of each build of Fraction entries past
     entry PREFIX that this process makes from now on."""
-    real, built = systems.Telescoping.entries, set()
+    real, built = orbit.Telescoping.entries, set()
 
     def entries(self, k):
         if self.last > PREFIX:
             built.add((k, self.last))
         return real(self, k)
 
-    monkeypatch.setattr(systems.Telescoping, "entries", entries)
+    monkeypatch.setattr(orbit.Telescoping, "entries", entries)
     return built
 
 
@@ -279,7 +279,7 @@ def test_other_runs_stay_on_one_process(capsys, monkeypatch, argv):
 
 
 # deep inputs: the entries of A at n = 300 reach 49k bits, and the size
-# bound of their second component passes systems._FORK_BITS
+# bound of their second component passes printing._FORK_BITS
 PASSING = {
     "verify-A": ["verify", *A, "--n", "300"],
     "verify-B": ["verify", *B, "--n", "300"],
@@ -293,12 +293,12 @@ def test_a_passing_comparison_builds_only_the_start_values(argv):
     # comparison reads the start values as they are and builds no entry
     probe = (
         "import os, sys\n"
-        "from sdeq import cli, systems\n"
-        "real, lasts = systems.Telescoping.entries, []\n"
+        "from sdeq import cli, orbit\n"
+        "real, lasts = orbit.Telescoping.entries, []\n"
         "def entries(self, k):\n"
         "    lasts.append(self.last)\n"
         "    return real(self, k)\n"
-        "systems.Telescoping.entries = entries\n"
+        "orbit.Telescoping.entries = entries\n"
         f"code = cli.main([*{argv!r}, '--out', os.devnull])\n"
         "print(code, lasts == [], 'sdeq.fork' in sys.modules)\n"
     )
@@ -344,7 +344,7 @@ def test_a_passing_comparison_builds_no_fraction_per_index(monkeypatch, system, 
     counts = []
     for n in (200, 2000):
         built.clear()
-        assert cli._compare(system, tag, params, ics, n)[2] == 0
+        assert closed_form._compare(system, tag, params, ics, n)[2] == 0
         counts.append(len(built))
     monkeypatch.undo()
     assert counts[0] == counts[1] > 0
@@ -367,7 +367,7 @@ def test_printing_builds_no_fraction_per_index(monkeypatch, system, params, ics,
     # in number with n
     shape = systems.SHAPES[system]
     params, ics = shape.params(*params), shape.initial(*ics)
-    monkeypatch.setattr(systems, "_FORK_BITS", float("inf"))
+    monkeypatch.setattr(printing, "_FORK_BITS", float("inf"))
     real, built = F.__new__, []
 
     def counted(cls, *args, **kwargs):
@@ -376,11 +376,11 @@ def test_printing_builds_no_fraction_per_index(monkeypatch, system, params, ics,
 
     counts = []
     for n in sizes:
-        telescoping = systems.orbit_telescoping(system, params, ics, n)[1]
+        telescoping = orbit.orbit_telescoping(system, params, ics, n)[1]
         with monkeypatch.context() as patch:
             patch.setattr(F, "__new__", counted)
             built.clear()
-            firsts, seconds = systems.both(telescoping.literals, telescoping.bits())
+            firsts, seconds = printing.both(telescoping)
             counts.append(len(built))
         assert len(firsts) == len(seconds) == n + 1
     assert counts[0] == counts[1]

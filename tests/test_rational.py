@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from fraction_kernels import fractions
-from sdeq import closed_form, rational, systems
+from sdeq import closed_form, printing, rational, systems
+from sdeq.orbit import Telescoping, carry, orbit_telescoping
 from sdeq.rational import (
     alternating_sign,
     format_rational,
@@ -77,15 +78,15 @@ def test_long_literals_round_trip():
 
 
 def _counting(monkeypatch, name: str) -> list:
-    """Count the calls of ``rational.name`` from here on."""
+    """Count the calls of ``printing.name`` from here on."""
     calls = []
-    real = getattr(rational, name)
+    real = getattr(printing, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rational, name, counted)
+    monkeypatch.setattr(printing, name, counted)
     return calls
 
 
@@ -133,7 +134,7 @@ def test_telescoping_literals_of_pure_power_sweeps(monkeypatch):
             assert all(steps[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
-            assert built.literals(k) == [_reference(v) for v in values]
+            assert printing.literals(built, k) == [_reference(v) for v in values]
             assert converted == []
 
 
@@ -154,7 +155,7 @@ def test_format_sequence_converts_each_value_from_scratch(monkeypatch):
 def _telescopings(system: str, params, ics, n: int) -> list:
     """The orbit's telescoping and, unless the closed forms are undefined
     there, the product-route sweep's."""
-    _, orbit = systems.orbit_telescoping(system, params, ics, n)
+    _, orbit = orbit_telescoping(system, params, ics, n)
     try:
         sweep = closed_form.case_telescoping(system, "Product", params, ics, n)
     except closed_form.ForbiddenInputError:
@@ -193,7 +194,7 @@ def test_format_telescoping_takes_no_gcd_of_a_long_int(monkeypatch, system, inpu
             converted = _from_scratch(monkeypatch)
             gcds = _counting(monkeypatch, "gcd")
             reads = _Reads(divisors)
-            assert rational.format_telescoping(built.starts[k], reads, built.last) == expected
+            assert printing.format_telescoping(built.starts[k], reads, built.last) == expected
             assert converted == []
             assert reads.read == list(range(len(built.starts[k]), built.last + 1))
             short = max(x.bit_length() for pair in divisors for x in pair)
@@ -204,7 +205,7 @@ def test_format_telescoping_takes_no_gcd_of_a_long_int(monkeypatch, system, inpu
 def test_format_sequence_converts_with_str_below_its_bound(monkeypatch):
     # an int is converted by str() under _FORMAT_STR_BITS and by divide and
     # conquer from there on
-    _, orbit = systems.orbit_telescoping("A", *DEEP_A, 300)
+    _, orbit = orbit_telescoping("A", *DEEP_A, 300)
     values = orbit.entries(0)
     ints = [x for side in _sides(values) for x in side]
     bound = rational._FORMAT_STR_BITS
@@ -219,9 +220,9 @@ def test_format_telescoping_refuses_a_zero_divisor():
     # as Fraction division does, for a zero and a nonzero entry two back
     for starts in ([F(1, 2), F(3)], [F(0), F(3)]):
         with pytest.raises(ZeroDivisionError):
-            systems.Telescoping((starts, starts), ([(0, 1)], [(0, 1)]), 2).entries(0)
+            Telescoping((starts, starts), ([(0, 1)], [(0, 1)]), 2).entries(0)
         with pytest.raises(decimal.InvalidOperation):
-            rational.format_telescoping(starts, [(0, 1)], 2)
+            printing.format_telescoping(starts, [(0, 1)], 2)
 
 
 if given is not None:
@@ -260,7 +261,7 @@ if given is not None:
     def _literal_telescopings(system, params, ics, n) -> list:
         """The orbit's telescoping and the route telescopings of the most
         specific case tag, where the closed forms are defined."""
-        _, orbit = systems.orbit_telescoping(system, params, ics, n)
+        _, orbit = orbit_telescoping(system, params, ics, n)
         tag = closed_form.auto_case(system, params)
         try:
             routes = closed_form.route_telescopings(system, tag, params, ics, n)
@@ -274,18 +275,18 @@ if given is not None:
         for built in _literal_telescopings(*inputs):
             for k in (0, 1):
                 expected = [format_rational(v) for v in built.entries(k)]
-                assert built.literals(k) == expected
+                assert printing.literals(built, k) == expected
                 # an ambient context that rounds to 5 digits and lets it pass
                 with decimal.localcontext() as ctx:
                     ctx.prec = 5
                     ctx.traps[decimal.Inexact] = False
-                    assert built.literals(k) == expected
+                    assert printing.literals(built, k) == expected
 
     for _example in EXAMPLES:
         _literals_equal_the_oracle = example(_example)(_literals_equal_the_oracle)
 
     def test_telescoping_literals_on_draws():
-        # the oracle of Telescoping.literals, the kernel that prints orbits
+        # the oracle of printing.literals, the kernel that prints orbits
         # and sweeps from their divisors, is format_rational of each entry
         # Telescoping.entries builds
         _literals_equal_the_oracle()
@@ -295,7 +296,7 @@ if given is not None:
         for system, params, ics, n in EXAMPLES:
             tags.add(closed_form.auto_case(system, params))
             zeros += not all(ics._astuple())
-            found = systems.carry(system, params, ics, n).singular
+            found = carry(system, params, ics, n).singular
             if found is not None:
                 singular.add((system, found.component))
             for built in _literal_telescopings(system, params, ics, n):
@@ -349,7 +350,7 @@ def test_format_sequence_exact_in_any_decimal_context():
         assert format_sequence(values) == expected
         # built from the entry two back divided by 1/3**20
         divisors = [(1, 3**20)] * (len(values) - 2)
-        assert rational.format_telescoping(values[:2], divisors, len(values) - 1) == expected
+        assert printing.format_telescoping(values[:2], divisors, len(values) - 1) == expected
     # a step that would round raises instead
     with decimal.localcontext(rational._EXACT):
         with pytest.raises(decimal.Inexact):
@@ -410,7 +411,7 @@ def test_telescoping_literals_of_a_unit_orbit_past_the_split(monkeypatch):
     # two back and its divisor, so no int is converted from scratch
     params = SystemAParams(1, 1)
     ics = SystemAInitial(F(3, 5), F(2, 7), F(4, 9), F(5, 8))
-    _, orbit = systems.orbit_telescoping("A", params, ics, 2000)
+    _, orbit = orbit_telescoping("A", params, ics, 2000)
     for k in (0, 1):
         values = orbit.entries(k)
         numerators, denominators = _sides(values)
@@ -418,6 +419,6 @@ def test_telescoping_literals_of_a_unit_orbit_past_the_split(monkeypatch):
         assert 2_000 < longest < 5_000
         expected = [_reference(v) for v in values]
         converted = _from_scratch(monkeypatch)
-        assert orbit.literals(k) == expected
+        assert printing.literals(orbit, k) == expected
         assert converted == []
         monkeypatch.undo()

@@ -1,7 +1,13 @@
 """The start-up contract: ``import sdeq`` and ``import sdeq.cli`` load no
 layer beyond rational and systems, each subcommand imports only the layers
-it runs, and the package still exports every public name."""
+it runs and compiles few functions it never calls, and the package still
+exports every public name.
 
+Run as a script (``PYTHONPATH=src python tests/test_startup.py``), it
+prints, per subcommand, the sdeq lines its process compiles and how many
+of them lie in functions it never enters."""
+
+import ast
 import importlib
 import json
 import os
@@ -25,23 +31,40 @@ A_FLAGS = ["--a", "2", "--b", "3", "--u0", "1", "--u1", "2", "--v0", "3", "--v1"
 
 # subcommand invocation -> the layers it loads beyond BASE
 SUBCOMMANDS = {
-    "iterate": (["iterate", "--system", "A", *A_FLAGS, "--n", "6"], set()),
-    "reduce": (["reduce", "--system", "A", *A_FLAGS, "--n", "6"], {"reduction"}),
-    "solve": (["solve", "--system", "A", *A_FLAGS, "--n", "6"], {"closed_form", "reduction"}),
-    "verify": (["verify", "--system", "A", *A_FLAGS, "--n", "6"], {"closed_form", "reduction"}),
+    "iterate": (["iterate", "--system", "A", *A_FLAGS, "--n", "6"], {"orbit", "printing"}),
+    "reduce": (["reduce", "--system", "A", *A_FLAGS, "--n", "6"], {"orbit", "reduction"}),
+    "solve": (["solve", "--system", "A", *A_FLAGS, "--n", "6"], {"closed_form", "orbit"}),
+    "verify": (["verify", "--system", "A", *A_FLAGS, "--n", "6"], {"closed_form", "orbit"}),
     "check-forbidden": (
         ["check-forbidden", "--system", "A", *A_FLAGS, "--horizon", "4"],
         {"forbidden"},
     ),
     "difftest": (
         ["difftest", "--system", "A", "--trials", "2", "--n", "4", "--seed", "1"],
-        {"sampling", "closed_form", "forbidden", "reduction"},
+        {"sampling", "closed_form", "forbidden", "orbit"},
     ),
     "symmetry-check": (
         ["symmetry-check", "--system", "A", "--pairs", "1", "--samples", "2", "--seed", "1"],
         {"symmetry", "sampling"},
     ),
 }
+
+# per subcommand invocation, the lines of its loaded sdeq functions that it
+# never enters (_never_entered), measured when each subcommand's runner
+# moved into the layer it drives; the guard allows 10 % more.  They are
+# text because the set of int literals of 100 or more in src/ and tests/
+# stays fixed: Hypothesis draws constants from literals
+NEVER_ENTERED = dict(
+    line.split(": ")
+    for line in """\
+iterate: 209
+reduce: 281
+solve: 293
+verify: 199
+check-forbidden: 174
+difftest: 342
+symmetry-check: 410""".splitlines()
+)
 
 # the package's public names by defining module
 EXPORTS = {
@@ -75,21 +98,77 @@ EXPORTS = {
 }
 
 
+def _probe(code: str):
+    """The JSON that a fresh interpreter running ``code`` prints last.  It
+    runs without ``site`` (``-S``), so that what a ``.pth`` file imports
+    at start-up cannot hide a module that sdeq loads."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def _added_modules(code: str) -> set:
     """The modules a fresh interpreter adds to sys.modules while running
-    ``code``.  It runs without ``site`` (``-S``), so that what a ``.pth``
-    file imports at start-up cannot hide a module that sdeq loads."""
+    ``code``."""
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    return set(_probe(probe))
+
+
+def _run_module(argv) -> str:
+    """The code of ``python -m sdeq *argv``, with the report sent to the
+    null device."""
+    return (
+        "import os, runpy\n"
+        f"sys.argv = ['sdeq', *{argv!r}, '--out', os.devnull]\n"
+        "try:\n"
+        "    runpy.run_module('sdeq', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
     )
-    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def _never_entered(argv) -> tuple[int, int]:
+    """(compiled, never entered) of ``python -m sdeq *argv``: the lines of
+    the sdeq files its process loads, and the lines of their module-level
+    functions and methods that it never calls, as sys.setprofile sees the
+    calls (a nested function is counted with the function around it)."""
+    probe = (
+        "import json, sys\n"
+        "entered = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
+        "sys.setprofile(profile)\n"
+        f"{_run_module(argv)}"
+        "sys.setprofile(None)\n"
+        "files = [m.__file__ for n, m in list(sys.modules.items())\n"
+        "         if n == 'sdeq' or n.startswith('sdeq.')]\n"
+        "print(json.dumps([sorted(set(files)), sorted(entered)]))\n"
+    )
+    files, entered = _probe(probe)
+    entered = set(map(tuple, entered))
+    compiled = never = 0
+    for path in files:
+        with open(path) as handle:
+            text = handle.read()
+        compiled += len(text.splitlines())
+        nodes = list(ast.parse(text).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.ClassDef):
+                nodes += node.body
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                if (path, first) not in entered:
+                    never += node.end_lineno - first + 1
+    return compiled, never
 
 
 def _sdeq_modules(modules: set) -> set:
@@ -106,18 +185,15 @@ def test_import_loads_no_layer():
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_subcommand_loads_only_its_layers(command):
     argv, layers = SUBCOMMANDS[command]
-    # what ``python -m sdeq ...`` runs, with the report sent to the null device
-    code = (
-        "import os, runpy\n"
-        f"sys.argv = ['sdeq', *{argv!r}, '--out', os.devnull]\n"
-        "try:\n"
-        "    runpy.run_module('sdeq', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-    )
-    added = _added_modules(code)
+    added = _added_modules(_run_module(argv))
     assert _sdeq_modules(added) == BASE | {f"sdeq.{layer}" for layer in layers}
     assert not added & UNLOADED
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_compiles_few_functions_it_never_enters(command):
+    compiled, never = _never_entered(SUBCOMMANDS[command][0])
+    assert 0 < never <= 1.1 * int(NEVER_ENTERED[command]) and never < compiled
 
 
 def test_sampling_imports_its_restriction_checks_on_first_use():
@@ -157,5 +233,12 @@ def test_star_and_name_imports_in_a_fresh_interpreter():
         "assert sorted(set(namespace) - {'__builtins__'}) == sdeq.__all__\n"
         "assert all(namespace[name] is getattr(sdeq, name) for name in sdeq.__all__)\n"
     )
-    layers = {f"sdeq.{module}" for module in EXPORTS}
+    # orbit exports no public name; the layers that iterate import it
+    layers = {f"sdeq.{module}" for module in [*EXPORTS, "orbit"]}
     assert _sdeq_modules(_added_modules(code)) == {"sdeq"} | layers
+
+
+if __name__ == "__main__":
+    for command, (argv, _) in SUBCOMMANDS.items():
+        compiled, never = _never_entered(argv)
+        print(f"{command}: {compiled} sdeq lines compiled, {never} in functions never entered")

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from fraction_kernels import fractions
-from sdeq import closed_form, forbidden, reduction, symmetry, systems
+from sdeq import closed_form, forbidden, orbit, printing, reduction, symmetry, systems
 from sdeq.rational import format_rational
 from sdeq.sampling import draw_admissible_a, draw_admissible_b, draw_params
 from sdeq.systems import (
@@ -195,7 +195,7 @@ def _assert_literal(system, params, ics, n_max):
     trail[n]*lead[n+1] of that orbit; returns the orbit."""
     expected = _literal_map(system, params, ics, n_max)
     assert iterate(system, params, ics, n_max) == expected
-    carried = systems.carry(system, params, ics, n_max)
+    carried = orbit.carry(system, params, ics, n_max)
     lead, trail = SHAPES[system].by_lead(expected.first, expected.second)
     assert fractions(carried.w) == [lead[n] * trail[n + 1] for n in range(len(lead) - 1)]
     assert fractions(carried.z) == [trail[n] * lead[n + 1] for n in range(len(lead) - 1)]
@@ -295,7 +295,7 @@ if given is not None:
         literals, printed from them, are its entries printed one by one."""
         values = built.entries(k)
         _assert_built_with(values, built.divisors[k])
-        assert built.literals(k) == [format_rational(v) for v in values]
+        assert printing.literals(built, k) == [format_rational(v) for v in values]
 
     _LONG_A = SystemAInitial(F(3**25, 2**39 + 1), F(-(2**40) + 7, 9), F(4, 9), F(5, 8))
     _LONG_B = SystemBInitial(F(3, 5), F(-(2**40) + 7, 9), F(4, 9), F(5, 8), F(-3, 4), F(3**25, 7))
@@ -311,11 +311,11 @@ if given is not None:
     @example(("A", "Product", SystemAParams(F(2, 3), F(-5, 7)), SystemAInitial(3, 0, 4, 5), 30))
     def test_every_list_is_built_by_the_kernel_with_its_divisors(inputs):
         # the orbit, the case sweep, both routes and the reconstruction are
-        # each built by systems.Telescoping.entries, and the divisors their
+        # each built by orbit.Telescoping.entries, and the divisors their
         # literals are printed from are the ones it divided by
         system, tag, params, ics, n = inputs
         built = {}  # id -> every list the kernel built, checked as it returns
-        real = systems.Telescoping.entries
+        real = orbit.Telescoping.entries
 
         def kernel(self, k):
             values = real(self, k)
@@ -324,8 +324,8 @@ if given is not None:
             return values
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(systems.Telescoping, "entries", kernel)
-            carried, iterated = systems.orbit_telescoping(system, params, ics, n)
+            patch.setattr(orbit.Telescoping, "entries", kernel)
+            carried, iterated = orbit.orbit_telescoping(system, params, ics, n)
             trajectory = [iterated.entries(k) for k in (0, 1)]
             for k in (0, 1):
                 _assert_printed_with(iterated, k)
@@ -494,7 +494,7 @@ def _agrees(system: str, truth: SystemShape, params, ics, n: int) -> bool:
     if (trajectory.first, trajectory.second, singular) != (tuple(first), tuple(second), stop):
         return False
     lead, trail = truth.by_lead(first, second)
-    carried = systems.carry(system, params, ics, n)
+    carried = orbit.carry(system, params, ics, n)
     invariants = map(fractions, (carried.w, carried.z))
     lin = reduction.linearize(reduction.InvariantSeq(*invariants))
     if lin.S != tuple(1 / (lead[k] * trail[k + 1]) for k in range(len(lead) - 1)):
