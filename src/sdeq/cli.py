@@ -7,24 +7,12 @@ byte-deterministic given the configuration, including the seed.  Exit
 codes: 0 success/clean, 1 usage error or a report that cannot be written,
 2 singular trajectory where regularity was required, 3 forbidden input,
 4 verification mismatch.
-
-``iterate``, ``solve --sweep``, ``verify`` and each ``difftest`` trial
-raise every error from the short values first.  ``iterate`` and
-``solve --sweep`` then build and print each component's long entries on
-its own, in decimal from the short starts and divisors
-(``Telescoping.literals``); where those are long and a second CPU is
-free, the second component's job runs in a forked child process
-(``systems.both``), which sends back only its literals.  ``verify`` and
-``difftest`` compare by the one ``_compare``, which reads the two short
-starts and the divisor lists of each component: a passing run builds no
-entry, and a mismatch builds its literals up to the failing index only.
-Every subcommand but ``iterate`` and ``solve --sweep`` runs in one
-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import os
 import sys
@@ -32,7 +20,7 @@ from fractions import Fraction
 
 # each subcommand runs in the layer it drives, imported when it runs
 from . import rational, systems
-from .rational import format_rational, parse_rational
+from .rational import _Literal, _Literals, parse_rational
 from .systems import ZeroInitialError
 
 SCHEMA_VERSION = 1
@@ -48,21 +36,7 @@ class UsageError(ValueError):
     pass
 
 
-# the reports: every runner writes its own with these, in the layer it drives
-
-
-class _Literals(list):
-    """Rational literals from rational's formatters.  They hold only digits, '-'
-    and '/', which JSON never escapes, so _jdump writes them as they are."""
-
-
-class _Literal:
-    """One such literal, marked for _jdump as the items of _Literals are."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+# the report writers: each runner returns its report as data, which run writes
 
 
 def _jdump(payload: dict) -> str:
@@ -126,17 +100,6 @@ def _csv_table(header: list[str], columns) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def _lit_map(record) -> dict:
-    return {k: format_rational(v) for k, v in record._asdict().items()}
-
-
-class _Singular(Exception):
-    def __init__(self, sing: systems.Singularity):
-        super().__init__(
-            f"singular trajectory at step {sing.step} ({sing.denominator_expression})"
-        )
-
-
 def _sample_residual_input(rng, system: str, fixed_params):
     """(params, point) of the random.Random ``rng``, as a params record and
     a tuple of Fractions: the draw of ``symmetry.sampler``, which
@@ -185,14 +148,16 @@ class _Parser(argparse.ArgumentParser):
 class Subcommand(systems._Record):
     """One subcommand: its runner, "module function" of the layer it
     drives, imported when it runs, its --help line, the input groups it
-    takes ("params" and "ics", the systems' literal flags; "n", --n) and
-    its own flags with their argparse options, in --help order.  Every
-    subcommand also takes --system and --out."""
+    takes ("params" and "ics", the systems' literal flags; "n", --n), its
+    own flags with their argparse options, in --help order, and the exit
+    code of a report that does not pass.  Every subcommand also takes
+    --system and --out."""
 
     runner: str
     help: str
     takes: tuple
     flags: tuple
+    fails: int = EXIT_OK  # iterate, solve and reduce always pass
 
     def add_arguments(self, sub: _Parser) -> None:
         """Every argument of this subcommand, added to its parser ``sub``."""
@@ -226,7 +191,9 @@ SUBCOMMANDS = {
     "reduce": Subcommand(
         "reduction _run_reduce", "invariants and auxiliary sequences", _ORBIT, (_FORMAT,)
     ),
-    "verify": Subcommand("closed_form _run_verify", "closed forms vs iteration", _ORBIT, (_CASE,)),
+    "verify": Subcommand(
+        "closed_form _run_verify", "closed forms vs iteration", _ORBIT, (_CASE,), EXIT_MISMATCH
+    ),
     "symmetry-check": Subcommand(
         "symmetry _run_symmetry_check",
         "residual identity check",
@@ -238,18 +205,21 @@ SUBCOMMANDS = {
             ("--pairs", {"type": int, "default": 10}),
             _SEED,
         ),
+        EXIT_MISMATCH,
     ),
     "check-forbidden": Subcommand(
         "forbidden _run_check_forbidden",
         "restriction-set report",
         ("params", "ics"),
         (("--horizon", {"type": int, "required": True}),),
+        EXIT_FORBIDDEN,
     ),
     "difftest": Subcommand(
         "sampling _run_difftest",
         "differential test driver",
         ("n",),
         (("--trials", {"type": int, "required": True}), _SEED),
+        EXIT_MISMATCH,
     ),
 }
 
@@ -339,16 +309,17 @@ def _config_from_args(args) -> argparse.Namespace:
 
 
 def run(config: argparse.Namespace) -> tuple[int, str]:
-    """Run the subcommand of a configuration from ``_config_from_args``;
-    returns (exit code, report text).  A library error with a documented
-    exit code is reported as such; the layers that define those errors
-    are imported on the error path, so a successful run loads only the
-    layers it uses."""
-    module, name = SUBCOMMANDS[config.command].runner.split()
+    """(exit code, text) of the configuration from ``_config_from_args``.
+    Its runner returns (passed, report), a JSON body (dict) or a CSV
+    (header, columns), which run writes.  A library error with a
+    documented exit code is one "error:" line; the layers that define
+    those errors are imported on the error path only."""
+    command = SUBCOMMANDS[config.command]
+    module, name = command.runner.split()
     runner = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
-        return runner(config)
-    except _Singular as exc:
+        passed, report = runner(config)
+    except systems._Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
     except (ValueError, RuntimeError) as exc:
         from .closed_form import CaseParamError, ForbiddenInputError
@@ -361,38 +332,53 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
         if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
             return EXIT_USAGE, f"error: {exc}\n"
         raise
+    if isinstance(report, dict):
+        text = _jdump({"schema_version": SCHEMA_VERSION, **report})
+    else:
+        text = _csv_table(*report)
+    return (EXIT_OK if passed else command.fails), text
+
+
+def _write(stream, text: str) -> str | None:
+    """Write ``text`` to the --out file, stdout or stderr (None where its
+    descriptor was closed at start) and flush: None, or why it could not."""
+    if stream is None:
+        return os.strerror(errno.EBADF)
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        # what the buffer still holds goes to the null device, so the
+        # flush at close or at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc.strerror
+    return None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        config = _config_from_args(parser.parse_args(argv))
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_USAGE
     code, text = run(config)
-    if code in (EXIT_OK, EXIT_FORBIDDEN, EXIT_MISMATCH) and not text.startswith("error:"):
-        if config.out:
-            try:
-                with open(config.out, "w") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                print(f"error: cannot write --out {config.out}: {exc.strerror}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            try:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-            except OSError as exc:  # a closed pipe or a full device
-                # what the buffer still holds goes to the null device, so
-                # the flush at exit cannot fail again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
-                return EXIT_USAGE
+    if text.startswith("error:"):
+        _write(sys.stderr, text)  # the exit code stands where stderr is closed
+        return code
+    if not config.out:
+        where, reason = "the report", _write(sys.stdout, text)
     else:
-        sys.stderr.write(text)
-    return code
+        where = f"--out {config.out}"
+        try:
+            with open(config.out, "w") as handle:
+                reason = _write(handle, text)
+        except OSError as exc:
+            reason = exc.strerror
+    if reason is None:
+        return code
+    _write(sys.stderr, f"error: cannot write {where}: {reason}\n")
+    return EXIT_USAGE
 
 
 def console_main() -> None:

@@ -49,8 +49,9 @@ from fractions import Fraction
 from math import gcd
 
 from .orbit import Telescoping, assemble, orbit_telescoping
-from .rational import format_rational, rat
-from .systems import SHAPES, Singularity, SystemAParams, SystemBParams, _Record, system_aliases
+from .rational import _Literal, _lit_map, format_rational, rat
+from .systems import SHAPES, Singularity, SystemAParams, SystemBParams, _Record, _Singular
+from .systems import system_aliases
 
 
 class ForbiddenInputError(ValueError):
@@ -371,11 +372,9 @@ def _literal(built: Telescoping, k: int, n: int) -> str:
     return format_rational(Telescoping(built.starts, built.divisors, n).entries(k)[n])
 
 
-def _run_solve(config) -> tuple[int, str]:
+def _run_solve(config) -> tuple:
     """The ``solve`` subcommand: the sweep of case --case, printed by
-    ``printing.both``, or its entry --n alone."""
-    from .cli import EXIT_OK, SCHEMA_VERSION, _csv_table, _jdump, _Literal, _lit_map
-
+    ``printing.both``, or its entry --n alone; it always passes."""
     system, params, ics = config.system, config.params, config.ics
     tag = config.case
     if config.sweep:
@@ -390,13 +389,12 @@ def _run_solve(config) -> tuple[int, str]:
         indices = [config.n]
     if config.format == "csv":
         columns = [map(str, indices), firsts, seconds, [tag] * len(indices)]
-        return EXIT_OK, _csv_table(["n", "first", "second", "case"], columns)
+        return True, (["n", "first", "second", "case"], columns)
     records = [
         {"n": n, "first": _Literal(f), "second": _Literal(s), "case": tag}
         for n, f, s in zip(indices, firsts, seconds)
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return True, {
         "command": "solve",
         "system": system,
         "case": tag,
@@ -404,13 +402,11 @@ def _run_solve(config) -> tuple[int, str]:
         "ics": _lit_map(ics),
         "records": records,
     }
-    return EXIT_OK, _jdump(payload)
 
 
-def _run_verify(config) -> tuple[int, str]:
-    """The ``verify`` subcommand: ``_compare`` at case --case."""
-    from .cli import EXIT_MISMATCH, EXIT_OK, SCHEMA_VERSION, _jdump, _Singular
-
+def _run_verify(config) -> tuple:
+    """The ``verify`` subcommand: ``_compare`` at case --case; it passes
+    where every route equals the orbit."""
     compared = _compare(config.system, config.case, config.params, config.ics, config.n)
     if isinstance(compared, Singularity):
         raise _Singular(compared)
@@ -425,8 +421,7 @@ def _run_verify(config) -> tuple[int, str]:
             "closed_form": _literal(routes[route], k, n),
             "iterated": _literal(orbit, k, n),
         }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return first_mismatch is None, {
         "command": "verify",
         "system": config.system,
         "case": config.case,
@@ -435,8 +430,6 @@ def _run_verify(config) -> tuple[int, str]:
         "equal": first_mismatch is None,
         "first_mismatch": first_mismatch,
     }
-    code = EXIT_OK if first_mismatch is None else EXIT_MISMATCH
-    return code, _jdump(payload)
 
 
 solve_a_product_sweep, solve_b_product_sweep = system_aliases(

@@ -24,6 +24,7 @@ the invariant map itself, which stays defined there.  The
 
 from __future__ import annotations
 
+from .rational import _lit_map
 from .systems import SHAPES, _Record, system_aliases
 
 
@@ -161,14 +162,11 @@ def predict_vs_observe(
     return PredictVerdict("mismatch", None, details)
 
 
-def _run_check_forbidden(config) -> tuple[int, str]:
+def _run_check_forbidden(config) -> tuple:
     """The ``check-forbidden`` subcommand: ``check_forbidden`` up to
-    --horizon, exit 3 where a restriction is violated."""
-    from .cli import EXIT_FORBIDDEN, EXIT_OK, SCHEMA_VERSION, _jdump, _lit_map
-
+    --horizon; it passes where no restriction is violated."""
     report = check_forbidden(config.system, config.params, config.ics, config.horizon)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return report.clean, {
         "command": "check-forbidden",
         "system": config.system,
         "params": _lit_map(config.params),
@@ -180,5 +178,3 @@ def _run_check_forbidden(config) -> tuple[int, str]:
         "closed_form_inadmissible": report.closed_form_inadmissible,
         "predicted_singular_step": report.predicted_singular_step,
     }
-    code = EXIT_OK if report.clean else EXIT_FORBIDDEN
-    return code, _jdump(payload)

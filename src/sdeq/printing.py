@@ -18,7 +18,7 @@ from __future__ import annotations
 import decimal
 from math import gcd
 
-from .rational import _EXACT, _digits
+from .rational import _EXACT, _digits, _Literals, _lit_map
 from .systems import SHAPES
 
 
@@ -152,23 +152,20 @@ def both(built) -> tuple:
     return fork.run(lambda k: literals(built, k))
 
 
-def _run_iterate(config) -> tuple[int, str]:
+def _run_iterate(config) -> tuple:
     """The ``iterate`` subcommand: the orbit's short values, then both
-    components printed (``both``)."""
-    from .cli import EXIT_OK, SCHEMA_VERSION, _csv_table, _jdump, _Literals, _lit_map
+    components printed (``both``); it always passes."""
     from .orbit import orbit_telescoping
 
     carried, built = orbit_telescoping(config.system, config.params, config.ics, config.n)
     firsts, seconds = both(built)
     labels = SHAPES[config.system].labels
     if config.format == "csv":
-        columns = [map(str, range(len(firsts))), firsts, seconds]
-        return EXIT_OK, _csv_table(["n", *labels], columns)
+        return True, (["n", *labels], [map(str, range(len(firsts))), firsts, seconds])
     singular = carried.singular
     if singular is not None:
         singular = {"step": singular.step, "component": singular.component}
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return True, {
         "system": config.system,
         "params": _lit_map(config.params),
         "N": config.n,
@@ -176,4 +173,3 @@ def _run_iterate(config) -> tuple[int, str]:
         "second": _Literals(seconds),
         "singular": singular,
     }
-    return EXIT_OK, _jdump(payload)

@@ -10,6 +10,8 @@ computation.
   it in every report, `format_pairs` from reduced (numerator, denominator)
   pairs of ints.  The long entries of an orbit or a sweep are written by
   ``printing.format_telescoping`` in the exact decimal context `_EXACT`.
+  A report marks its literals (`_Literals`, `_Literal`, `_lit_map`), and
+  ``cli._jdump`` writes them unescaped: the grammar needs no escaping.
 * `rat` coerces an int, literal or Fraction and refuses floats.
 * `geometric_sum` is the exact sum of a geometric series, empty for a
   negative upper index (`reduction.closed_ST` evaluates S and T with it),
@@ -72,6 +74,25 @@ def format_pairs(pairs) -> list[str]:
         ("-" if num < 0 else "") + _digits(abs(num)) + ("" if den == 1 else "/" + _digits(den))
         for num, den in pairs
     ]
+
+
+class _Literals(list):
+    """Rational literals from this module's formatters.  They hold only
+    digits, '-' and '/', which JSON never escapes, so cli._jdump writes
+    them as they are."""
+
+
+class _Literal:
+    """One such literal, marked for cli._jdump as the items of _Literals are."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _lit_map(record) -> dict:
+    return {k: format_rational(v) for k, v in record._asdict().items()}
 
 
 # str(int) and int(str) take quadratic time and refuse more than 4300

@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .orbit import assemble, carry, turned_over
-from .rational import format_pairs, geometric_sum, rat
-from .systems import SHAPES, Trajectory, _Record, system_aliases
+from .rational import _Literals, _lit_map, format_pairs, geometric_sum, rat
+from .systems import SHAPES, Trajectory, _Record, _Singular, system_aliases
 
 
 class InvariantSeq(_Record):
@@ -178,23 +178,19 @@ def reconstruct(system: str, lin: LinearSeq, first0, second0) -> Trajectory:
 reconstruct_a, reconstruct_b = system_aliases("reconstruct_{}", reconstruct)
 
 
-def _run_reduce(config) -> tuple[int, str]:
+def _run_reduce(config) -> tuple:
     """The ``reduce`` subcommand: the invariant recursion alone, w[0..N-1]
     and z[0..N-1] as reduced pairs, and S = 1/w, T = 1/z by turning them
     over; no long entry of the orbit is built, and no Fraction per
-    index."""
-    from .cli import EXIT_OK, SCHEMA_VERSION, _csv_table, _jdump, _Literals, _lit_map, _Singular
-
+    index.  It always passes."""
     carried = carry(config.system, config.params, config.ics, config.n)
     if carried.singular is not None:
         raise _Singular(carried.singular)
     sequences = (carried.w, carried.z, *reciprocals(carried.w, carried.z))
     w, z, S, T = map(format_pairs, sequences)
     if config.format == "csv":
-        columns = [map(str, range(len(w))), w, z, S, T]
-        return EXIT_OK, _csv_table(["n", "w", "z", "S", "T"], columns)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+        return True, (["n", "w", "z", "S", "T"], [map(str, range(len(w))), w, z, S, T])
+    return True, {
         "command": "reduce",
         "system": config.system,
         "params": _lit_map(config.params),
@@ -204,4 +200,3 @@ def _run_reduce(config) -> tuple[int, str]:
         "S": _Literals(S),
         "T": _Literals(T),
     }
-    return EXIT_OK, _jdump(payload)

@@ -221,6 +221,15 @@ class Singularity(_Record):
     denominator_expression: str
 
 
+class _Singular(Exception):
+    """A singular orbit where ``reduce`` or ``verify`` requires a regular one."""
+
+    def __init__(self, sing: Singularity):
+        super().__init__(
+            f"singular trajectory at step {sing.step} ({sing.denominator_expression})"
+        )
+
+
 class Trajectory(_Record):
     """An exact orbit of one of the two systems.
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -1012,7 +1013,8 @@ DISTRIBUTION = (
 
 def test_difftest_value_mismatch_payload(monkeypatch):
     _wrong_st_a(monkeypatch)
-    assert sampling.difftest("A", 3, 6, 5) == {
+    report = sampling.difftest("A", 3, 6, 5)
+    assert {"schema_version": 1, **report} == {
         "schema_version": 1,
         "command": "difftest",
         "system": "A",
@@ -1187,7 +1189,7 @@ def test_difftest_unexpected_singularity_payload(capsys, monkeypatch):
         capsys, ["difftest", "--system", "A", "--trials", "3", "--n", "6", "--seed", "5"]
     )
     assert code == 4
-    assert json.loads(out) == report
+    assert json.loads(out) == {"schema_version": 1, **report}
 
 
 DEEP_A = [
@@ -1426,6 +1428,43 @@ def test_a_full_device_is_a_report_error():
         err = process.stderr.read()
     expected = b"error: cannot write the report: No space left on device\n"
     assert (process.wait(timeout=300), err) == (1, expected)
+
+
+def _closing(fd: int):
+    """A preexec_fn that closes ``fd`` in the child, as `>&-` or `2>&-` do."""
+    return lambda: os.close(fd)
+
+
+def test_a_closed_stdout_is_a_report_error():
+    argv = ["verify", "--system", "A", *A_FLAGS, "--n", "6"]
+    process = _sdeq(argv, preexec_fn=_closing(1))
+    err = process.stderr.read()
+    expected = f"error: cannot write the report: {os.strerror(errno.EBADF)}\n".encode()
+    assert (process.wait(timeout=300), err) == (1, expected)
+
+
+ZERO_SOLVE = ["solve", "--system", "A", "--a", "-1", "--b", "-1", "--u0", "0", "--u1", "2",
+              "--v0", "3", "--v1", "1/2", "--n", "9"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, reported",
+    [
+        (["iterate", "--system", "A", *A_FLAGS, "--n", "4", "--c", "1"], 1, False),
+        (["reduce", "--system", "B", "--a", "-1", *B_FLAGS[2:], "--n", "6"], 2, False),
+        (ZERO_SOLVE, 3, False),
+        (["check-forbidden", "--system", "A", *A_FLAGS[:-1], "-1/2", "--horizon", "3"], 3, True),
+        (["iterate", "--system", "A", *A_FLAGS, "--n", "4"], 0, True),
+    ],
+    ids=["usage", "singular", "forbidden", "violated", "report"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, reported):
+    result = subprocess.run(
+        [sys.executable, "-m", "sdeq", *argv], stdout=subprocess.PIPE, preexec_fn=_closing(2)
+    )
+    assert result.returncode == code
+    # an error line goes nowhere, and a report to stdout as ever
+    assert result.stdout.startswith(b"{") if reported else result.stdout == b""
 
 
 # ---------------------------------------------------------------------------
