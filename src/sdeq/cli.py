@@ -12,6 +12,7 @@ codes: 0 success/clean, 1 usage error or a report that cannot be written,
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
 import importlib
 import os
@@ -143,6 +144,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        reason = _write(file or sys.stdout, self.format_help())  # help is a report
+        if reason is not None:
+            _write(sys.stderr, f"error: cannot write the report: {reason}\n")
+            self.exit(EXIT_USAGE)
 
 
 class Subcommand(systems._Record):
@@ -382,4 +389,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` and exit with its code, by os._exit after the atexit callbacks and
+    flushes (no module teardown) unless a profiler, tracer or monitoring tool observes it."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    tools = map(monitoring.get_tool, range(6)) if monitoring else ()  # tool ids 0-5
+    if sys.getprofile() or sys.gettrace() or any(tools) or not hasattr(atexit, "_run_exitfuncs"):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None where closed at start
+        try:
+            stream.flush()
+        except OSError:  # the documented code stands
+            pass
+    os._exit(code)

@@ -974,16 +974,25 @@ def test_pure_power_point_solve_reports_first_break(capsys):
 # is named because routes are compared in sorted order.
 
 
+# code that adds 1 to S[3] of System A's closed-form sweep: _wrong_st_a
+# runs it in this process, and a subprocess can run it before sdeq
+WRONG_ST_A = """\
+from fractions import Fraction
+from sdeq import closed_form
+real = closed_form.closed_ST_sweep
+def wrong(system, params, seeds, count):
+    S, T = real(system, params, seeds, count)
+    if system == "A" and count > 3:
+        S[3] = (Fraction(*S[3]) + 1).as_integer_ratio()
+    return S, T
+closed_form.closed_ST_sweep = wrong
+"""
+
+
 def _wrong_st_a(monkeypatch):
-    real = closed_form.closed_ST_sweep
-
-    def wrong(system, params, seeds, count):
-        S, T = real(system, params, seeds, count)
-        if system == "A" and count > 3:
-            S[3] = (F(*S[3]) + 1).as_integer_ratio()
-        return S, T
-
-    monkeypatch.setattr(closed_form, "closed_ST_sweep", wrong)
+    # recorded first, so that monkeypatch restores the real sweep
+    monkeypatch.setattr(closed_form, "closed_ST_sweep", closed_form.closed_ST_sweep)
+    exec(WRONG_ST_A, {})
 
 
 def test_verify_mismatch_payload(capsys, monkeypatch):
@@ -1408,8 +1417,22 @@ def test_successful_run_imports_no_json(tmp_path):
     assert report["first"] == ["1", "1", "1/2", "2/3", "3/8"]
 
 
+def _python(args, **streams) -> subprocess.Popen:
+    """``python *args`` with its stderr piped.  PYTHONUNBUFFERED is
+    removed, so a report to a pipe or a file waits in its buffer until it
+    is flushed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, env=env, **streams)
+
+
 def _sdeq(argv, **streams) -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, "-m", "sdeq", *argv], stderr=subprocess.PIPE, **streams)
+    return _python(["-m", "sdeq", *argv], **streams)
+
+
+def _ended(process: subprocess.Popen) -> tuple:
+    """(exit code, stdout, stderr) of ``process`` once it has ended."""
+    out, err = process.communicate(timeout=300)
+    return process.returncode, out, err
 
 
 def test_a_closed_pipe_is_a_report_error():
@@ -1436,11 +1459,11 @@ def _closing(fd: int):
 
 
 def test_a_closed_stdout_is_a_report_error():
-    argv = ["verify", "--system", "A", *A_FLAGS, "--n", "6"]
-    process = _sdeq(argv, preexec_fn=_closing(1))
-    err = process.stderr.read()
     expected = f"error: cannot write the report: {os.strerror(errno.EBADF)}\n".encode()
-    assert (process.wait(timeout=300), err) == (1, expected)
+    # help is a report too: argparse alone would print it to stderr and exit 0
+    verify = ["verify", "--system", "A", *A_FLAGS, "--n", "6"]
+    for argv in [verify, ["--help"], ["iterate", "--help"]]:
+        assert _ended(_sdeq(argv, preexec_fn=_closing(1))) == (1, None, expected), argv
 
 
 ZERO_SOLVE = ["solve", "--system", "A", "--a", "-1", "--b", "-1", "--u0", "0", "--u1", "2",
@@ -1465,6 +1488,92 @@ def test_a_closed_stderr_keeps_the_exit_code(argv, code, reported):
     assert result.returncode == code
     # an error line goes nowhere, and a report to stdout as ever
     assert result.stdout.startswith(b"{") if reported else result.stdout == b""
+
+
+# ---------------------------------------------------------------------------
+# the console script leaves by os._exit once its report is flushed
+
+# iterate A at n = 300: the size of its second component (printing._bits)
+# is past printing._FORK_BITS, so on two CPUs a child builds it
+FORKING = ["iterate", *DEEP_A]
+
+def _after(prelude: str, argv) -> list:
+    """The python arguments that run the code ``prelude`` and then, in the
+    same interpreter, ``python -m sdeq *argv``."""
+    run = "runpy.run_module('sdeq', run_name='__main__', alter_sys=True)"
+    return ["-c", f"import runpy, sys\n{prelude}sys.argv = ['sdeq', *{argv!r}]\n{run}\n"]
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file", "out"])
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["json", "csv"])
+def test_the_console_script_loses_no_byte(monkeypatch, tmp_path, fmt, sink):
+    argv = [*FORKING, *fmt]
+    sizes, size = [], printing._bits
+    monkeypatch.setattr(printing, "_bits", lambda built: sizes.append(size(built)) or sizes[-1])
+    code, text = cli.run(cli._config_from_args(cli.build_parser().parse_args(argv)))
+    assert code == 0 and sizes[0] > printing._FORK_BITS
+    path = tmp_path / "report"
+    if sink == "file":
+        with open(path, "wb") as handle:
+            code, piped, err = _ended(_sdeq(argv, stdout=handle))
+    else:
+        out = ["--out", str(path)] if sink == "out" else []
+        code, piped, err = _ended(_sdeq([*argv, *out], stdout=subprocess.PIPE))
+    written = piped if sink == "pipe" else path.read_bytes()
+    assert (code, err, written) == (0, b"", text.encode())
+    assert sink != "out" or piped == b""
+
+
+def test_the_console_script_leaves_no_process():
+    # as the benchmark checks: the process group of a forking run is gone
+    # once its leader is reaped, so its child was reaped before it
+    process = _sdeq(FORKING, stdout=subprocess.DEVNULL, start_new_session=True)
+    assert _ended(process) == (0, None, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(process.pid, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, code, prelude",
+    [
+        (["iterate", "--system", "A", *A_FLAGS, "--n", "4", "--c", "1"], 1, None),
+        (["reduce", "--system", "B", "--a", "-1", *B_FLAGS[2:], "--n", "6"], 2, None),
+        (ZERO_SOLVE, 3, None),
+        (["check-forbidden", "--system", "A", *A_FLAGS[:-1], "-1/2", "--horizon", "3"], 3, None),
+        (VERIFY_A, 4, WRONG_ST_A),
+    ],
+    ids=["usage", "singular", "forbidden", "violated", "mismatch"],
+)
+def test_the_console_script_keeps_each_exit(capsys, monkeypatch, argv, code, prelude):
+    if prelude is not None:
+        _wrong_st_a(monkeypatch)
+    expected = run_cli(capsys, argv)
+    assert expected[0] == code
+    args = ["-m", "sdeq", *argv] if prelude is None else _after(prelude, argv)
+    code, out, err = _ended(_python(args, stdout=subprocess.PIPE))
+    assert (code, out.decode(), err.decode()) == expected
+
+
+def test_an_atexit_callback_still_runs():
+    # registered before sdeq runs, as a .pth file may register one; what
+    # it prints after the report is flushed too
+    argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "4"]
+    prelude = "import atexit\natexit.register(print, 'atexit ran')\n"
+    code, out, err = _ended(_python(_after(prelude, argv), stdout=subprocess.PIPE))
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"{") and out.endswith(b"}\natexit ran\n")
+
+
+def test_a_profiled_run_prints_its_table():
+    # a profiler (sys.setprofile before Python 3.12, sys.monitoring from
+    # then on) sees the process exit as usual, and prints its table after
+    # the report
+    args = ["-m", "cProfile", "-m", "sdeq", *VERIFY_A]
+    code, out, err = _ended(_python(args, stdout=subprocess.PIPE))
+    assert (code, err) == (0, b"")
+    report, table = out.split(b"\n}\n", 1)
+    assert json.loads(report + b"\n}")["equal"] is True
+    assert b" function calls " in table and b"Ordered by: " in table
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,13 @@ def _added_modules(code: str) -> set:
 
 def _run_module(argv) -> str:
     """The code of ``python -m sdeq *argv``, with the report sent to the
-    null device."""
+    null device.  Its os._exit raises SystemExit, so that the probe goes
+    on after the run and its exit code is checked."""
     return (
         "import os, runpy\n"
+        "def _exit(code):\n"
+        "    raise SystemExit(code)\n"
+        "os._exit = _exit\n"
         f"sys.argv = ['sdeq', *{argv!r}, '--out', os.devnull]\n"
         "try:\n"
         "    runpy.run_module('sdeq', run_name='__main__', alter_sys=True)\n"
