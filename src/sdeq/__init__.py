@@ -15,26 +15,19 @@ _EXPORTS = {
         "seeds_a seeds_b solve_a_case solve_a_case_sweep solve_a_product_sweep solve_b_case "
         "solve_b_case_sweep solve_b_product_sweep"
     ).split(),
-    "forbidden": (
-        "ForbiddenReport PredictVerdict Violation check_forbidden_a check_forbidden_b "
-        "predict_vs_observe"
-    ).split(),
-    "rational": (
-        "ExactScalar alternating_sign format_rational format_sequence geometric_sum "
-        "parse_rational rat"
-    ).split(),
+    "forbidden": "ForbiddenReport Violation check_forbidden_a check_forbidden_b".split(),
+    "rational": "format_rational format_sequence parse_rational rat".split(),
     "reduction": (
         "InvariantSeq LinearSeq ZeroDivisorError ZeroInvariantError closed_ST_a closed_ST_b "
         "invariants_a invariants_b linearize reconstruct_a reconstruct_b solve_linear_a "
         "solve_linear_b"
     ).split(),
     "symmetry": (
-        "Characteristic GroupAction group_transform invariant_annihilation slsc_residual_a "
-        "slsc_residual_b"
+        "Characteristic GroupAction group_transform slsc_residual_a slsc_residual_b"
     ).split(),
     "systems": (
         "Singularity SystemAInitial SystemAParams SystemBInitial SystemBParams Trajectory "
-        "ZeroInitialError iterate_a iterate_b shift_back"
+        "ZeroInitialError iterate_a iterate_b"
     ).split(),
 }
 

@@ -4,9 +4,10 @@ check-forbidden, and the differential-test driver.
 All machine output is JSON (CSV on request for the sequence-producing
 subcommands) with every scalar rendered as a rational literal; output is
 byte-deterministic given the configuration, including the seed.  Exit
-codes: 0 success/clean, 1 usage error or a report that cannot be written,
-2 singular trajectory where regularity was required, 3 forbidden input,
-4 verification mismatch.
+codes: 0 success/clean, 1 usage error, a report that cannot be written,
+or one that cannot be built in the memory at hand ("error: cannot build
+the report: out of memory"), 2 singular trajectory where regularity was
+required, 3 forbidden input, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -320,12 +321,19 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
     Its runner returns (passed, report), a JSON body (dict) or a CSV
     (header, columns), which run writes.  A library error with a
     documented exit code is one "error:" line; the layers that define
-    those errors are imported on the error path only."""
+    those errors are imported on the error path only.  Running out of
+    memory while the report or its text is built is one such line too."""
     command = SUBCOMMANDS[config.command]
     module, name = command.runner.split()
     runner = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
         passed, report = runner(config)
+        if isinstance(report, dict):
+            text = _jdump({"schema_version": SCHEMA_VERSION, **report})
+        else:
+            text = _csv_table(*report)
+    except MemoryError:
+        return EXIT_USAGE, "error: cannot build the report: out of memory\n"
     except systems._Singular as exc:
         return EXIT_SINGULAR, f"error: {exc}\n"
     except (ValueError, RuntimeError) as exc:
@@ -339,10 +347,6 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
         if isinstance(exc, (CaseParamError, RetryCapError, UsageError)):
             return EXIT_USAGE, f"error: {exc}\n"
         raise
-    if isinstance(report, dict):
-        text = _jdump({"schema_version": SCHEMA_VERSION, **report})
-    else:
-        text = _csv_table(*report)
     return (EXIT_OK if passed else command.fails), text
 
 

@@ -16,9 +16,8 @@ for zero, for each r up to the horizon: the denominators are products of
 the parameter denominators and the seed numerators, so they never vanish.
 
 Zero seed products make the closed forms inadmissible; they are reported
-as their own violations with no predicted step.  ``predict_vs_observe``
-closes the loop against the iterator, and on zero products predicts from
-the invariant map itself, which stays defined there.  The
+as their own violations with no predicted step.  The tests compare each
+predicted step with the first singular step of ``orbit.carry``.  The
 ``check-forbidden`` subcommand runs here (``_run_check_forbidden``).
 """
 
@@ -44,12 +43,6 @@ class ForbiddenReport(_Record):
     @property
     def clean(self) -> bool:
         return not self.violated
-
-
-class PredictVerdict(_Record):
-    kind: str  # "agree-regular" | "agree-singular" | "mismatch"
-    step: int | None = None
-    details: dict | None = None
 
 
 def _affine(c, d):
@@ -95,71 +88,6 @@ def check_forbidden(system: str, params, ics, horizon: int) -> ForbiddenReport:
 
 
 check_forbidden_a, check_forbidden_b = system_aliases("check_forbidden_{}", check_forbidden)
-
-
-def _invariant_map_step(system: str, params, ics, n_max: int) -> int | None:
-    """First singular step by the invariant map w[n+lag] = z[n]/(p + q*z[n]),
-    z[n+lag] = w[n]/(r + s*w[n]) from the seed products, which stays defined
-    on zero products: step n + lag + 1 divides by p + q*z[n] and r + s*w[n]
-    (see the module docstring), so it is singular iff one of them vanishes.
-    It repeats ``orbit.carry``'s recursion on purpose: a prediction that
-    read the iterator's own steps would agree with a wrong step
-    (test_predict_vs_observe_zero_product_sides_are_independent)."""
-    shape = SHAPES[system]
-    lag = shape.lag
-    (p, q), (r, s) = shape.rule(params)
-    products = [value for _, value in shape.seed_products(ics)]
-    w, z = products[:lag], products[lag:]
-    for n in range(n_max - lag):
-        den_w, den_z = p + q * z[n], r + s * w[n]
-        if den_w == 0 or den_z == 0:
-            return n + lag + 1
-        w.append(z[n] / den_w)
-        z.append(w[n] / den_z)
-    return None
-
-
-def predict_vs_observe(
-    system: str,
-    params,
-    ics,
-    n_max: int,
-) -> PredictVerdict:
-    """Compare the restriction-based singularity prediction with iteration.
-
-    The restrictions need nonzero seed products.  An input with a zero
-    seed product is predicted from the invariant map instead; only lag 1
-    gets there, since a longer lag refuses zero initial components.
-    """
-    from .orbit import carry
-
-    if system not in SHAPES:
-        raise ValueError(f"unknown system {system!r}")
-    # the carry refuses an n_max under the lag and, at lag >= 2, zero
-    # initials; its first singular step is the orbit's, with no long entry
-    singular = carry(system, params, ics, n_max).singular
-    shape = SHAPES[system]
-    report = check_forbidden(system, params, ics, max(0, (n_max - 1) // shape.period))
-    predicted = report.predicted_singular_step
-    if report.closed_form_inadmissible:
-        predicted = _invariant_map_step(system, params, ics, n_max)
-    if predicted is not None and predicted > n_max:
-        predicted = None  # not reachable within the queried horizon
-    observed = None if singular is None else singular.step
-    if predicted == observed:
-        if observed is None:
-            return PredictVerdict("agree-regular")
-        return PredictVerdict("agree-singular", observed)
-    details = {
-        "system": system,
-        "params": params,
-        "ics": ics,
-        "n_max": n_max,
-        "predicted": predicted,
-        "observed": observed,
-        "violations": report.violated,
-    }
-    return PredictVerdict("mismatch", None, details)
 
 
 def _run_check_forbidden(config) -> tuple:

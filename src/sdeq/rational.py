@@ -13,10 +13,6 @@ computation.
   A report marks its literals (`_Literals`, `_Literal`, `_lit_map`), and
   ``cli._jdump`` writes them unescaped: the grammar needs no escaping.
 * `rat` coerces an int, literal or Fraction and refuses floats.
-* `geometric_sum` is the exact sum of a geometric series, empty for a
-  negative upper index (`reduction.closed_ST` evaluates S and T with it),
-  and `alternating_sign` is (-1)**n, read at orbit labels by the symmetry
-  group's X2 action.
 """
 
 from __future__ import annotations
@@ -24,13 +20,6 @@ from __future__ import annotations
 import decimal
 import re
 from fractions import Fraction
-
-# The universal scalar type.  Stored reduced with positive denominator,
-# value equality -- Fraction guarantees all of it.
-ExactScalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # optional '-', digits, optionally '/' and digits (denominator nonzero); it
 # ends in "$" because cli._Parser hands it to argparse, which calls .match
@@ -151,7 +140,7 @@ def _digits_to_int(digits: str) -> int:
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, rational literal, or Fraction to an ExactScalar.
+    """Coerce an int, rational literal, or Fraction to a Fraction.
 
     Floats are refused: admitting them would silently launder binary
     rounding error into the exact pipeline.
@@ -163,23 +152,3 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
-
-
-def geometric_sum(q: int | Fraction, m: int) -> Fraction:
-    """Sum of q**i for i = 0..m, exactly.
-
-    m may be negative, in which case the sum is empty and equals 0.
-    For q != 1 the closed form (q**(m+1) - 1)/(q - 1) is used; for q == 1
-    the sum is m + 1.
-    """
-    if m < 0:
-        return ZERO
-    q = rat(q)
-    if q == 1:
-        return Fraction(m + 1)
-    return (q ** (m + 1) - 1) / (q - 1)
-
-
-def alternating_sign(n: int) -> Fraction:
-    """(-1)**n as an exact scalar; n may be negative (relabeled indices)."""
-    return ONE if n % 2 == 0 else -ONE

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .orbit import assemble, carry, turned_over
-from .rational import _Literals, _lit_map, format_pairs, geometric_sum, rat
+from .rational import _Literals, _lit_map, format_pairs, rat
 from .systems import SHAPES, Trajectory, _Record, _Singular, system_aliases
 
 
@@ -147,7 +147,8 @@ def closed_ST(system: str, params, seeds, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("n must be >= 0")
     g, s_classes, t_classes = _closed_table(system, params, seeds)
     m, k = divmod(n, len(s_classes))
-    power, inner = g**m, geometric_sum(g, m - 1)
+    power = g**m
+    inner = m if g == 1 else (power - 1) / (g - 1)  # sum of g**i over i < m
     return tuple(x * power + y * inner for x, y in (s_classes[k], t_classes[k]))
 
 

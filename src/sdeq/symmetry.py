@@ -10,8 +10,9 @@ second -> lam*second) and the alternating scaling (both components ->
 lam^((-1)^n)).  This module is a verifier, not a derivation engine: it
 evaluates the linearized symmetry condition residuals exactly at supplied
 rational points (zero residual at independently random points certifies
-the identity at desk scale), checks that the invariant products are
-annihilated, and applies the finite group actions to whole trajectories.
+the identity at desk scale) and applies the finite group actions to whole
+trajectories.  That both generators annihilate the invariant products is
+certified symbolically by the tests.
 
 Both systems update each component X (Y is the other one) by the shape
 that ``systems.SHAPES`` records, with (alpha, beta) the rule pair of X's
@@ -57,7 +58,7 @@ from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
-from .rational import _Literals, alternating_sign, format_rational, format_sequence, rat
+from .rational import _Literals, format_rational, format_sequence, rat
 from .systems import SHAPES, Trajectory, _Exact, _Record, system_aliases
 
 VARIANTS = ("alternating", "frozen")
@@ -312,35 +313,11 @@ def _run_symmetry_check(config) -> tuple:
 slsc_residual_a, slsc_residual_b = system_aliases("slsc_residual_{}", residual)
 
 
-def invariant_annihilation(
-    ch: Characteristic,
-    which: str,
-    n_parity: int,
-    point: tuple[Fraction, Fraction],
-    variant: str = "alternating",
-) -> Fraction:
-    """Apply the generator to one invariant product at a point.
-
-    For "w" the point is (second_n, first_{n+1}) and the value is
-    Q2(n)*first_{n+1} + Q1(n+1)*second_n; for "z" the point is
-    (first_n, second_{n+1}) with the mirrored expression.  Exactly zero
-    for every characteristic in the alternating family.  "w" and "z"
-    follow System A's naming (w[n] = v[n]*u[n+1]), so this "w" is the z
-    of System B in ``reduction.invariants``, and this "z" its w.
-    """
-    lead, trail = (rat(value) for value in point)
-    c = _coefficients(ch, n_parity, 0, variant), _coefficients(ch, n_parity, 1, variant)
-    if which not in ("w", "z"):
-        raise ValueError(f"unknown invariant {which!r}")
-    own = 1 if which == "w" else 0  # the slot of the point's first factor
-    return rat(c[0][own] + c[1][1 - own]) / c[0][2] * lead * trail
-
-
 def group_transform(action: GroupAction, trajectory: Trajectory) -> Trajectory:
     """Apply a finite symmetry transformation to a whole trajectory.
 
     X1 with scale lam sends (first, second) to (first/lam, lam*second);
-    X2 scales both components by lam^((-1)^n), using the labeled index n.
+    X2 scales both components by lam^((-1)^n) at index n.
     Either action maps exact solutions to exact solutions and leaves the
     invariant products unchanged.
     """
@@ -351,10 +328,7 @@ def group_transform(action: GroupAction, trajectory: Trajectory) -> Trajectory:
         first = tuple(value / lam for value in trajectory.first)
         second = tuple(value * lam for value in trajectory.second)
     else:
-        factors = [
-            lam if alternating_sign(trajectory.label_of(i)) == 1 else 1 / lam
-            for i in range(len(trajectory))
-        ]
+        factors = [1 / lam if i % 2 else lam for i in range(len(trajectory))]
         first = tuple(value * f for value, f in zip(trajectory.first, factors))
         second = tuple(value * f for value, f in zip(trajectory.second, factors))
-    return Trajectory(trajectory.labels, first, second, None, trajectory.origin)
+    return Trajectory(trajectory.labels, first, second)

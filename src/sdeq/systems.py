@@ -21,9 +21,6 @@ the telescoping its long entries are built by, is ``sdeq.orbit``, which
 ``iterate`` loads on its first call, so a process that never iterates
 (``symmetry-check``, ``check-forbidden``) does not compile it.
 ``iterate`` builds both components and returns the trajectory.
-``shift_back`` performs the index relabeling that identifies these
-sequences with the originally posed systems, whose initial conditions sit
-at negative indices.
 """
 
 from __future__ import annotations
@@ -233,20 +230,14 @@ class _Singular(Exception):
 class Trajectory(_Record):
     """An exact orbit of one of the two systems.
 
-    ``first``/``second`` hold entries for array indices 0..N (or 0..k-1
-    when a singularity occurred at step k).  ``origin`` is the label of
-    array index 0: freshly iterated trajectories start at 0, shifted-back
-    ones at -1 or -2.
+    ``first``/``second`` hold entries for indices 0..N (or 0..k-1 when a
+    singularity occurred at step k).
     """
 
     labels: tuple[str, str]
     first: tuple[Fraction, ...]
     second: tuple[Fraction, ...]
     singular: Singularity | None = None
-    origin: int = 0
-
-    def label_of(self, index: int) -> int:
-        return self.origin + index
 
     def __len__(self) -> int:
         return len(self.first)
@@ -256,26 +247,6 @@ class ZeroInitialError(ValueError):
     """``orbit.carry`` refuses zero initial components of a system of lag 2 or
     more, whose divisors are quotients of the invariant products; distinct
     from a runtime singularity."""
-
-
-def shift_back(trajectory: Trajectory, offset: int) -> Trajectory:
-    """Relabel indices so entry i carries label origin - offset + i.
-
-    Pure reindexing: values (and the array position of any singularity)
-    are untouched; only the label origin moves, and the ("u","v") labels
-    become ("x","y").  Composing two offset-1 shifts equals one offset-2
-    shift.
-    """
-    if offset not in (1, 2):
-        raise ValueError("shift_back offset must be 1 or 2")
-    labels = ("x", "y") if trajectory.labels == ("u", "v") else trajectory.labels
-    return Trajectory(
-        labels,
-        trajectory.first,
-        trajectory.second,
-        trajectory.singular,
-        trajectory.origin - offset,
-    )
 
 
 def iterate(system: str, params, ics, n_max: int) -> Trajectory:

@@ -4,13 +4,18 @@
 divisors of the closed forms' sweeps and of the orbits of lag 2, run on
 reduced (numerator, denominator) pairs of ints.  Here they run on
 Fraction operators, one value at a time, as the map is written:
-``tests/test_pair_kernels.py`` compares the two.  The kernels use only
+``tests/test_pair_kernels.py`` compares the two.  ``singular_steps``
+sets the step ``check_forbidden`` predicts against the one the carry
+observes, with the first singular step of ``carry`` here where the
+restrictions predict none.  The kernels use only
 +, * and /, so they also run on sympy symbols, which the certificates of
 ``tests/test_certificates.py`` iterate.
 """
 
 from fractions import Fraction
 
+from sdeq import orbit
+from sdeq.forbidden import check_forbidden
 from sdeq.orbit import Carried
 from sdeq.systems import SHAPES, Singularity, Trajectory, ZeroInitialError
 
@@ -54,6 +59,33 @@ def carry(system: str, params, ics, n_max: int) -> Carried:
         w.append(z[n] / den_trail)
         z.append(w[n] / den_lead)
     return stop()
+
+
+def invariant_map_step(system: str, params, ics, n_max: int) -> int | None:
+    """The first singular step up to ``n_max`` by the invariant map of
+    ``carry``, which stays defined on zero seed products: the oracle of
+    ``sdeq.orbit.carry``'s singular step where ``check_forbidden`` has
+    none to predict.  It repeats the recursion on Fractions on purpose: a
+    prediction that read the iterator's own steps would agree with a wrong
+    step (test_predict_vs_observe_zero_product_sides_are_independent)."""
+    singular = carry(system, params, ics, n_max).singular
+    return None if singular is None else singular.step
+
+
+def singular_steps(system: str, params, ics, n_max: int) -> tuple:
+    """(predicted, observed): the first singular step up to ``n_max`` that
+    ``check_forbidden`` predicts, or ``invariant_map_step`` where a zero
+    seed product leaves it none to predict, and the one that
+    ``sdeq.orbit.carry`` observes (None for a regular orbit).  The carry
+    refuses an n_max under the lag and, at lag >= 2, zero initials."""
+    singular = orbit.carry(system, params, ics, n_max).singular
+    report = check_forbidden(system, params, ics, max(0, (n_max - 1) // SHAPES[system].period))
+    predicted = report.predicted_singular_step
+    if report.closed_form_inadmissible:
+        predicted = invariant_map_step(system, params, ics, n_max)
+    if predicted is not None and predicted > n_max:
+        predicted = None  # not reachable within the queried horizon
+    return predicted, None if singular is None else singular.step
 
 
 def orbit_divisors(system: str, carried: Carried) -> tuple:

@@ -13,11 +13,14 @@ boundary lets symbols through.
   exact residual is, for every variant;
 * the alternating characteristics annihilate the residuals of
   both systems at both parities, and the frozen control does not;
+* both generators, the reciprocal and the alternating scaling, annihilate
+  the invariant products w and z of both systems, and the frozen
+  alternating scaling scales each by 2*C2;
 * the iteration denominators factor through the auxiliary sequences, as
   the docstring of ``sdeq.forbidden`` states, so a zero that the
   restriction scan finds is a singular step;
 * the invariants of an orbit follow the first-order map that
-  ``predict_vs_observe`` runs, and a map with a and b swapped does not;
+  ``orbit.carry`` runs, and a map with a and b swapped does not;
 * at the pinned parameters of each pure-power case the auxiliary
   recursion returns to free seeds after the case's period, which is what
   lets ``sdeq.closed_form`` extend each residue class by one ratio;
@@ -27,6 +30,7 @@ boundary lets symbols through.
   coefficient fails the certificate.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +39,7 @@ sympy = pytest.importorskip("sympy")
 
 from fraction_kernels import iterate  # noqa: E402
 from sdeq import closed_form, reduction, symmetry, systems  # noqa: E402
+from sdeq.sampling import draw_rational  # noqa: E402
 
 
 class Ratio(sympy.Symbol):
@@ -177,6 +182,57 @@ def test_slsc_identity(symbolic, system, parity):
     assert all(sympy.cancel(r) != 0 for r in frozen)
 
 
+def _generated(system, ch, parity, variant):
+    """The generator of characteristic ``ch`` applied to the invariant
+    products w[n] = lead[n]*trail[n+1] and z[n] = trail[n]*lead[n+1] of
+    ``system``, with the coefficients of ``symmetry._coefficients``:
+    Q_i(n + k) * d/d component_i[n + k], summed over both components and
+    k = 0, 1.  Returns ([X w, X z], [w, z])."""
+    components = sympy.symbols("first0 first1"), sympy.symbols("second0 second1")
+    coefficients = [symmetry._coefficients(ch, parity, k, variant) for k in (0, 1)]
+
+    def generator(expr):
+        return sum(
+            sympy.S(c[i]) / c[2] * values[k] * sympy.diff(expr, values[k])
+            for k, c in enumerate(coefficients)
+            for i, values in enumerate(components)
+        )
+
+    lead, trail = systems.SHAPES[system].by_lead(*components)
+    invariants = [lead[0] * trail[1], trail[0] * lead[1]]
+    return [sympy.cancel(generator(w)) for w in invariants], invariants
+
+
+_FAMILY = SimpleNamespace(c1=Ratio("C1"), c2=Ratio("C2"))
+
+
+def test_generators_annihilate_the_invariants():
+    # the reciprocal scaling (C1 = 1, C2 = 0), the alternating scaling
+    # (C1 = 0, C2 = 1) and so every characteristic of the family
+    for system in ("A", "B"):
+        for parity in (0, 1):
+            for ch in (symmetry.Characteristic(1, 0), symmetry.Characteristic(0, 1), _FAMILY):
+                assert _generated(system, ch, parity, "alternating")[0] == [0, 0]
+
+
+def test_frozen_variant_does_not_annihilate_the_invariants():
+    # ignoring the alternation, the alternating scaling scales both
+    # components alike, so it scales each invariant by 2*C2
+    C2 = _FAMILY.c2.numerator / _FAMILY.c2.denominator
+    for system in ("A", "B"):
+        for parity in (0, 1):
+            generated, invariants = _generated(system, _FAMILY, parity, "frozen")
+            assert [sympy.cancel(x - 2 * C2 * w) for x, w in zip(generated, invariants)] == [0, 0]
+    # and so at seeded characteristics wherever C2 != 0
+    rng = random.Random(204)
+    for _ in range(40):
+        ch = symmetry.Characteristic(draw_rational(rng), draw_rational(rng))
+        for parity in (0, 1):
+            assert _generated("A", ch, parity, "alternating")[0] == [0, 0]
+            frozen = _generated("A", ch, parity, "frozen")[0]
+            assert all((x != 0) == (ch.c2 != 0) for x in frozen)
+
+
 def test_denominator_factorization_a(symbolic):
     # index 0 of an orbit with free initial values stands for any index n
     a, b, u0, u1, v0, v1 = sympy.symbols("a b u0 u1 v0 v1")
@@ -205,7 +261,7 @@ def test_denominator_factorization_b(symbolic):
 
 
 # per system: parameter and initial-value names, the lag and the invariant
-# map (w, z)[n] -> (w, z)[n + lag] that ``predict_vs_observe`` runs
+# map (w, z)[n] -> (w, z)[n + lag] that ``orbit.carry`` runs
 _INVARIANT_MAPS = {
     "A": ("a b", "u0 u1 v0 v1", 1, lambda p, w, z: (z / (p.a + z), w / (p.b + w))),
     "B": (

@@ -1490,6 +1490,41 @@ def test_a_closed_stderr_keeps_the_exit_code(argv, code, reported):
     assert result.stdout.startswith(b"{") if reported else result.stdout == b""
 
 
+# the benchmark's unit System A input, whose carried lists outgrow 400 MiB
+# long before n = 3*10**7 (about 2 s on a 2 vCPU Xeon)
+UNIT_A_HUGE = [
+    "--system", "A", "--a", "1", "--b", "1", "--u0", "3/5", "--u1", "2/7",
+    "--v0", "4/9", "--v1", "5/8", "--n", "30000000",
+]
+OUT_OF_MEMORY = b"error: cannot build the report: out of memory\n"
+
+
+def _address_space(limit: int):
+    """A preexec_fn that caps the child's address space at ``limit`` bytes."""
+    import resource
+
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps mappings on Linux")
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_running_out_of_memory_is_a_report_error(command):
+    limit = _address_space(400 << 20)
+    process = _sdeq([command, *UNIT_A_HUGE], stdout=subprocess.PIPE, preexec_fn=limit)
+    # one line, no traceback
+    assert _ended(process) == (1, b"", OUT_OF_MEMORY)
+
+
+def test_running_out_of_memory_while_writing_the_text_is_a_report_error(monkeypatch):
+    def exhausted(payload):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_jdump", exhausted)
+    argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "4"]
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert cli.run(config) == (1, OUT_OF_MEMORY.decode())
+
+
 # ---------------------------------------------------------------------------
 # the console script leaves by os._exit once its report is flushed
 

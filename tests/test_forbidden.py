@@ -3,12 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from sdeq import forbidden
-from sdeq.forbidden import (
-    check_forbidden_a,
-    check_forbidden_b,
-    predict_vs_observe,
-)
+import fraction_kernels
+from fraction_kernels import singular_steps
+from sdeq.forbidden import check_forbidden, check_forbidden_a, check_forbidden_b
+from sdeq.orbit import carry
 from sdeq.sampling import draw_ics, draw_params, draw_rational
 from sdeq.systems import (
     SystemAInitial,
@@ -85,16 +83,16 @@ def test_monotonic_in_horizon():
         check_forbidden_a(params, ics, -1)
 
 
+# The test_predict_vs_observe_* tests compare the first singular step that
+# the restrictions predict with the one that iteration observes
+# (fraction_kernels.singular_steps).
+
+
 def test_predict_vs_observe_examples():
-    verdict = predict_vs_observe("A", SystemAParams(1, 1), ONES_A, 50)
-    assert verdict.kind == "agree-regular"
-    verdict = predict_vs_observe(
-        "A", SystemAParams(1, 1), SystemAInitial(1, 1, 1, F(-1, 2)), 10
-    )
-    assert verdict.kind == "agree-singular" and verdict.step == 3
+    assert singular_steps("A", SystemAParams(1, 1), ONES_A, 50) == (None, None)
+    assert singular_steps("A", SystemAParams(1, 1), SystemAInitial(1, 1, 1, F(-1, 2)), 10) == (3, 3)
     # b + v0*u1 = -1 + 1 = 0 forces step 2
-    verdict = predict_vs_observe("A", SystemAParams(1, -1), ONES_A, 5)
-    assert verdict.kind == "agree-singular" and verdict.step == 2
+    assert singular_steps("A", SystemAParams(1, -1), ONES_A, 5) == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -106,20 +104,21 @@ def test_predict_vs_observe_examples():
             "B", SystemBParams(1, 1, 1, 1), SystemBInitial(0, 1, 1, 1, 1, 1), 8,
             ZeroInitialError, "System B initial components must all be nonzero",
         ),
-        ("C", SystemAParams(1, 1), ONES_A, 8, ValueError, "unknown system 'C'"),
+        ("C", SystemAParams(1, 1), ONES_A, 8, KeyError, "'C'"),
     ],
 )
 def test_predict_vs_observe_refusals(system, params, ics, n_max, error, text):
     with pytest.raises(error) as raised:
-        predict_vs_observe(system, params, ics, n_max)
+        singular_steps(system, params, ics, n_max)
     assert str(raised.value) == text
 
 
 def test_predict_vs_observe_inadmissible_regular():
-    # zero seed product: no restriction-based prediction exists, iteration
-    # stays regular, so the verdict is agreement on regularity
-    verdict = predict_vs_observe("A", SystemAParams(1, 1), SystemAInitial(1, 1, 1, 0), 12)
-    assert verdict.kind == "agree-regular"
+    # zero seed product: no restriction-based prediction exists, and both
+    # the invariant map and iteration stay regular
+    ics = SystemAInitial(1, 1, 1, 0)
+    assert check_forbidden_a(SystemAParams(1, 1), ics, 5).closed_form_inadmissible
+    assert singular_steps("A", SystemAParams(1, 1), ics, 12) == (None, None)
 
 
 @pytest.mark.parametrize(
@@ -133,35 +132,29 @@ def test_predict_vs_observe_zero_product_sides_are_independent(monkeypatch, para
     # a zero seed product is predicted by the invariant map and observed by
     # iteration; a wrong map step must show as a mismatch, so iteration
     # cannot be reading the prediction's own steps
-    verdict = predict_vs_observe("A", params, ics, 12)
-    assert verdict.kind != "mismatch"
-    observed = verdict.step
-    monkeypatch.setattr(forbidden, "_invariant_map_step", lambda *args: wrong)
-    verdict = predict_vs_observe("A", params, ics, 12)
-    assert verdict.kind == "mismatch"
-    assert (verdict.details["predicted"], verdict.details["observed"]) == (wrong, observed)
+    predicted, observed = singular_steps("A", params, ics, 12)
+    assert predicted == observed != wrong
+    monkeypatch.setattr(fraction_kernels, "invariant_map_step", lambda *args: wrong)
+    assert singular_steps("A", params, ics, 12) == (wrong, observed)
+
+
+def _singular_agreements(rng, system: str, draws: int, n_max: int) -> int:
+    """How many of ``draws`` sampled inputs turn singular by n_max, each
+    predicted at the step iteration observes."""
+    singular = 0
+    for _ in range(draws):
+        params, ics = draw_params(rng, system), draw_ics(rng, system)
+        predicted, observed = singular_steps(system, params, ics, n_max)
+        assert predicted == observed, (params, ics)
+        singular += observed is not None
+    return singular
 
 
 def test_predict_vs_observe_soundness_sample():
     rng = random.Random(301)
-    singular_seen = 0
-    for _ in range(400):
-        params = draw_params(rng, "A")
-        ics = draw_ics(rng, "A")
-        verdict = predict_vs_observe("A", params, ics, 30)
-        assert verdict.kind != "mismatch", verdict.details
-        if verdict.kind == "agree-singular":
-            singular_seen += 1
-    assert singular_seen > 0  # the suite actually exercises singular orbits
-    singular_seen = 0
-    for _ in range(300):
-        params = draw_params(rng, "B")
-        ics = draw_ics(rng, "B")
-        verdict = predict_vs_observe("B", params, ics, 25)
-        assert verdict.kind != "mismatch", verdict.details
-        if verdict.kind == "agree-singular":
-            singular_seen += 1
-    assert singular_seen > 0
+    # the suite actually exercises singular orbits
+    assert _singular_agreements(rng, "A", 400, 30) > 0
+    assert _singular_agreements(rng, "B", 300, 25) > 0
 
 
 def test_predict_vs_observe_zero_initials():
@@ -172,16 +165,20 @@ def test_predict_vs_observe_zero_initials():
     for _ in range(20_000):
         params = SystemAParams(draw_rational(rng), draw_rational(rng))
         ics = SystemAInitial(*(draw_rational(rng) for _ in range(4)))
-        verdict = predict_vs_observe("A", params, ics, 12)
-        assert verdict.kind != "mismatch", verdict.details
+        predicted, observed = singular_steps("A", params, ics, 12)
+        assert predicted == observed, (params, ics)
         if 0 in (ics.u0, ics.u1, ics.v0, ics.v1):
             zero_seen += 1
-            singular_with_zero += verdict.kind == "agree-singular"
+            singular_with_zero += observed is not None
     assert zero_seen > 1000 and singular_with_zero > 100
 
 
 def test_predict_vs_observe_validation():
+    # an unknown system is refused by both sides, an index under the lag
+    # by the carry
+    with pytest.raises(KeyError):
+        carry("C", SystemAParams(1, 1), ONES_A, 5)
+    with pytest.raises(KeyError):
+        check_forbidden("C", SystemAParams(1, 1), ONES_A, 5)
     with pytest.raises(ValueError):
-        predict_vs_observe("C", SystemAParams(1, 1), ONES_A, 5)
-    with pytest.raises(ValueError):
-        predict_vs_observe("A", SystemAParams(1, 1), ONES_A, 0)
+        carry("A", SystemAParams(1, 1), ONES_A, 0)

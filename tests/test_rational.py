@@ -7,14 +7,7 @@ import pytest
 from fraction_kernels import fractions
 from sdeq import closed_form, printing, rational, systems
 from sdeq.orbit import Telescoping, carry, orbit_telescoping
-from sdeq.rational import (
-    alternating_sign,
-    format_rational,
-    format_sequence,
-    geometric_sum,
-    parse_rational,
-    rat,
-)
+from sdeq.rational import format_rational, format_sequence, parse_rational, rat
 from sdeq.systems import (
     SystemAInitial,
     SystemAParams,
@@ -370,39 +363,6 @@ def test_normalization_idempotent():
     assert (x.numerator, x.denominator) == (3, 2)
     assert F(x.numerator, x.denominator) == x
     assert F(3, 2) == F(-3, -2)  # value equality p*s == r*q
-
-
-def test_geometric_sum_examples():
-    assert geometric_sum(F(2), 2) == 7  # 1 + 2 + 4
-    assert geometric_sum(F(1), 3) == 4  # four ones
-    assert geometric_sum(F(5, 3), -1) == 0  # empty sum convention
-    assert geometric_sum(F(0), 4) == 1  # 0**0 == 1 leading term
-
-
-def test_geometric_sum_matches_term_by_term():
-    rng = random.Random(42)
-    for _ in range(200):
-        q = F(rng.randint(-9, 9), rng.randint(1, 9))
-        m = rng.randint(-3, 25)
-        expected = sum((q**i for i in range(m + 1)), F(0))
-        assert geometric_sum(q, m) == expected
-
-
-def test_geometric_sum_telescoping_identity():
-    rng = random.Random(7)
-    for _ in range(200):
-        q = F(rng.randint(-9, 9), rng.randint(1, 9))
-        if q == 1:
-            continue
-        m = rng.randint(-1, 30)
-        assert geometric_sum(q, m) * (q - 1) == q ** (m + 1) - 1
-
-
-def test_alternating_sign():
-    assert alternating_sign(0) == 1
-    assert alternating_sign(1) == -1
-    assert alternating_sign(-1) == -1  # shifted-back labels may be negative
-    assert alternating_sign(-2) == 1
 
 
 def test_telescoping_literals_of_a_unit_orbit_past_the_split(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sdeq.forbidden import ForbiddenReport, PredictVerdict, Violation
+from sdeq.forbidden import ForbiddenReport, Violation
 from sdeq.reduction import InvariantSeq, LinearSeq
 from sdeq.symmetry import Characteristic, GroupAction
 from sdeq.systems import (
@@ -62,10 +62,9 @@ CASES = [
             "first": (F(1), F(2)),
             "second": (F(3), F(1, 2)),
             "singular": None,
-            "origin": 0,
         },
         "Trajectory(labels=('u', 'v'), first=(Fraction(1, 1), Fraction(2, 1)), "
-        "second=(Fraction(3, 1), Fraction(1, 2)), singular=None, origin=0)",
+        "second=(Fraction(3, 1), Fraction(1, 2)), singular=None)",
     ),
     (
         InvariantSeq,
@@ -91,12 +90,6 @@ CASES = [
         {"violated": (Violation("w0_zero", 0),), "predicted_singular_step": None},
         "ForbiddenReport(violated=(Violation(restriction_id='w0_zero', r=0),), "
         "predicted_singular_step=None)",
-    ),
-    (
-        PredictVerdict,
-        {"kind": "agree-regular"},
-        {"kind": "agree-regular", "step": None, "details": None},
-        "PredictVerdict(kind='agree-regular', step=None, details=None)",
     ),
     (
         Characteristic,
@@ -156,4 +149,5 @@ def test_record_constructor_rejects_bad_calls():
         SystemAParams(0.5, 1)  # floats are refused, not rounded
     with pytest.raises(ValueError):
         Characteristic("1/0", 1)
-    assert Trajectory(("u", "v"), (), (), origin=-2).origin == -2
+    singular = Singularity(2, "second", "b + v0*u1 = 0")
+    assert Trajectory(("u", "v"), (), (), singular=singular).singular is singular

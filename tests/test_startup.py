@@ -1,11 +1,13 @@
 """The start-up contract: ``import sdeq`` and ``import sdeq.cli`` load no
 layer beyond rational and systems, each subcommand imports only the layers
-it runs and compiles few functions it never calls, and the package still
-exports every public name.
+it runs and compiles few functions it never calls, every function under
+src/sdeq serves an invocation or has a named reason not to (``ALLOWED``),
+and the package still exports every public name.
 
 Run as a script (``PYTHONPATH=src python tests/test_startup.py``), it
 prints, per subcommand, the sdeq lines its process compiles and how many
-of them lie in functions it never enters."""
+of them lie in functions it never enters, and then, per reason of
+``ALLOWED``, the functions that no invocation of the gate enters."""
 
 import ast
 import importlib
@@ -20,6 +22,7 @@ import pytest
 import sdeq
 
 SRC = str(Path(sdeq.__file__).resolve().parents[1])
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 # the modules every CLI process loads
 BASE = {"sdeq", "sdeq.cli", "sdeq.rational", "sdeq.systems"}
@@ -50,21 +53,83 @@ SUBCOMMANDS = {
 }
 
 # per subcommand invocation, the lines of its loaded sdeq functions that it
-# never enters (_never_entered), measured when the runners began to return
-# their reports as data for cli to write; the guard allows 10 % more.
+# never enters (_never_entered), measured once the functions that no
+# subcommand, benchmark or public entry needs were deleted; the guard
+# allows 10 % more.
 # They are text because the set of int literals of 100 or more in src/
 # and tests/ stays fixed: Hypothesis draws constants from literals
 NEVER_ENTERED = dict(
     line.split(": ")
     for line in """\
-iterate: 191
-reduce: 263
-solve: 289
-verify: 195
-check-forbidden: 156
-difftest: 329
-symmetry-check: 389""".splitlines()
+iterate: 160
+reduce: 233
+solve: 258
+verify: 164
+check-forbidden: 64
+difftest: 237
+symmetry-check: 333""".splitlines()
 )
+
+# (exit code, argv) of the documented errors: a usage error that argparse
+# finds (no --n), a singular orbit (b + v0*u1 = 0), a zero invariant
+# (u0*v1 = 0) and a zero initial value on a pure-power case
+EXITS = [
+    (1, ["iterate", "--system", "A", *A_FLAGS]),
+    (2, ["reduce", "--system", "A", "--a", "1", "--b", "-1", "--u0", "1", "--u1", "1",
+         "--v0", "1", "--v1", "1", "--n", "5"]),
+    (3, ["reduce", "--system", "A", "--a", "1", "--b", "1", "--u0", "0", "--u1", "1",
+         "--v0", "1", "--v1", "1", "--n", "4"]),
+    (3, ["solve", "--system", "A", "--a", "-1", "--b", "-1", "--u0", "0", "--u1", "2",
+         "--v0", "3", "--v1", "1/2", "--n", "9"]),
+]
+
+# the module-level functions and methods under src/sdeq that no invocation
+# of _gate_calls enters, by reason; every other one serves a subcommand
+ALLOWED = {
+    # the replay times these by name until the benchmark reads per-stage
+    # times from the CLI itself (ROADMAP item 1)
+    "held by perfbench/replay.py": (
+        "cli._sample_residual_input",
+        "closed_form.case_sweep",
+        "closed_form.product_sweep",
+        "reduction.ZeroDivisorError.__init__",
+        "reduction._require_regular",
+        "reduction.closed_ST",
+        "reduction.invariants",
+        "reduction.linearize",
+        "reduction.reconstruct",
+        "reduction.solve_linear",
+        "sampling.admissible_pair",
+        "symmetry.GroupAction._coerce",
+        "symmetry._kernels",
+        "symmetry._parameter_pairs",
+        "symmetry._point_terms",
+        "symmetry._residuals",
+        "symmetry.group_transform",
+        "symmetry.residual",
+        "systems.Trajectory.__len__",
+    ),
+    # the oracles that tests/ checks symmetry-check's kernel and its
+    # admissibility test against
+    "oracle of a kernel the CLI runs": ("symmetry.defined_at", "symmetry.residual_kernel"),
+    # a second process pays only past printing._FORK_BITS, and a
+    # divide-and-conquer conversion only past rational._FORMAT_STR_BITS
+    "full sizes only": (
+        "fork._child", "fork._cpus", "fork._pin", "fork.run", "printing._to_decimal",
+    ),
+    # the literals of a mismatch report
+    "exit 4 only": ("closed_form._literal",),
+    "record protocol": (
+        "systems._Record.__delattr__",
+        "systems._Record.__hash__",
+        "systems._Record.__reduce__",
+        "systems._Record.__repr__",
+        "systems._Record.__setattr__",
+    ),
+    "library entry": ("sdeq.__dir__", "systems.iterate"),
+    # the console script, which ends its process by os._exit
+    "separate process": ("cli.console_main",),
+}
 
 # the package's public names by defining module
 EXPORTS = {
@@ -74,26 +139,20 @@ EXPORTS = {
         "solve_a_case_sweep", "solve_a_product_sweep", "solve_b_case", "solve_b_case_sweep",
         "solve_b_product_sweep",
     ],
-    "forbidden": [
-        "ForbiddenReport", "PredictVerdict", "Violation", "check_forbidden_a",
-        "check_forbidden_b", "predict_vs_observe",
-    ],
-    "rational": [
-        "ExactScalar", "alternating_sign", "format_rational", "format_sequence",
-        "geometric_sum", "parse_rational", "rat",
-    ],
+    "forbidden": ["ForbiddenReport", "Violation", "check_forbidden_a", "check_forbidden_b"],
+    "rational": ["format_rational", "format_sequence", "parse_rational", "rat"],
     "reduction": [
         "InvariantSeq", "LinearSeq", "ZeroDivisorError", "ZeroInvariantError", "closed_ST_a",
         "closed_ST_b", "invariants_a", "invariants_b", "linearize", "reconstruct_a",
         "reconstruct_b", "solve_linear_a", "solve_linear_b",
     ],
     "symmetry": [
-        "Characteristic", "GroupAction", "group_transform", "invariant_annihilation",
-        "slsc_residual_a", "slsc_residual_b",
+        "Characteristic", "GroupAction", "group_transform", "slsc_residual_a",
+        "slsc_residual_b",
     ],
     "systems": [
         "Singularity", "SystemAInitial", "SystemAParams", "SystemBInitial", "SystemBParams",
-        "Trajectory", "ZeroInitialError", "iterate_a", "iterate_b", "shift_back",
+        "Trajectory", "ZeroInitialError", "iterate_a", "iterate_b",
     ],
 }
 
@@ -138,11 +197,10 @@ def _run_module(argv) -> str:
     )
 
 
-def _never_entered(argv) -> tuple[int, int]:
-    """(compiled, never entered) of ``python -m sdeq *argv``: the lines of
-    the sdeq files its process loads, and the lines of their module-level
-    functions and methods that it never calls, as sys.setprofile sees the
-    calls (a nested function is counted with the function around it)."""
+def _traced(code: str) -> tuple[list, set]:
+    """(files, entered) of a fresh interpreter running ``code`` under
+    sys.setprofile: the sdeq files it loaded, and the (file, first line)
+    of every function it called."""
     probe = (
         "import json, sys\n"
         "entered = set()\n"
@@ -150,29 +208,93 @@ def _never_entered(argv) -> tuple[int, int]:
         "    if event == 'call':\n"
         "        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
         "sys.setprofile(profile)\n"
-        f"{_run_module(argv)}"
+        f"{code}"
         "sys.setprofile(None)\n"
         "files = [m.__file__ for n, m in list(sys.modules.items())\n"
         "         if n == 'sdeq' or n.startswith('sdeq.')]\n"
         "print(json.dumps([sorted(set(files)), sorted(entered)]))\n"
     )
     files, entered = _probe(probe)
-    entered = set(map(tuple, entered))
+    return files, set(map(tuple, entered))
+
+
+def _functions(path: str):
+    """(name, first line, last line) of each module-level function and
+    method of the sdeq file ``path``, named ``module.function`` or
+    ``module.Class.method`` (``sdeq.`` for the package itself); a nested
+    function is counted with the function around it."""
+    with open(path) as handle:
+        body = ast.parse(handle.read()).body
+    stem = Path(path).stem
+    nodes = [("sdeq" if stem == "__init__" else stem, node) for node in body]
+    while nodes:
+        prefix, node = nodes.pop()
+        if isinstance(node, ast.ClassDef):
+            nodes += [(f"{prefix}.{node.name}", child) for child in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            yield f"{prefix}.{node.name}", first, node.end_lineno
+
+
+def _never_entered(argv) -> tuple[int, int]:
+    """(compiled, never entered) of ``python -m sdeq *argv``: the lines of
+    the sdeq files its process loads, and the lines of their module-level
+    functions and methods that it never calls, as sys.setprofile sees the
+    calls."""
+    files, entered = _traced(_run_module(argv))
     compiled = never = 0
     for path in files:
         with open(path) as handle:
-            text = handle.read()
-        compiled += len(text.splitlines())
-        nodes = list(ast.parse(text).body)
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, ast.ClassDef):
-                nodes += node.body
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-                if (path, first) not in entered:
-                    never += node.end_lineno - first + 1
+            compiled += len(handle.read().splitlines())
+        for _, first, last in _functions(path):
+            if (path, first) not in entered:
+                never += last - first + 1
     return compiled, never
+
+
+def _gate_calls() -> list:
+    """(argv, exit code) of each invocation the gate traces: the three
+    workloads' tiny lists at seed 1 (perfbench/ is only read), every
+    --help, and EXITS."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(PERFBENCH)
+    calls = [
+        (call.argv, call.expected_code)
+        for name in workloads.WORKLOADS
+        for call in workloads.generate(name, 1, tiny=True)
+    ]
+    calls += [(["--help"], 0), *(([command, "--help"], 0) for command in SUBCOMMANDS)]
+    return calls + [(argv, code) for code, argv in EXITS]
+
+
+def _gate_never_entered() -> set:
+    """The names (_functions) of the functions under src/sdeq that one
+    interpreter never enters while cli.main runs every _gate_calls
+    invocation in turn, each with the exit code it expects."""
+    code = (
+        "import os\n"
+        "from sdeq import cli\n"
+        "with open(os.devnull, 'w') as null:\n"
+        "    sys.stdout = sys.stderr = null\n"
+        f"    for argv, expected in {_gate_calls()!r}:\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:  # --help\n"
+        "            code = exc.code\n"
+        "        assert code == expected, (argv, code)\n"
+        "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+    )
+    _, entered = _traced(code)
+    paths = sorted(str(path) for path in Path(SRC, "sdeq").glob("*.py"))
+    return {
+        name
+        for path in paths
+        for name, first, _ in _functions(path)
+        if (path, first) not in entered
+    }
 
 
 def _sdeq_modules(modules: set) -> set:
@@ -200,6 +322,12 @@ def test_subcommand_compiles_few_functions_it_never_enters(command):
     assert 0 < never <= 1.1 * int(NEVER_ENTERED[command]) and never < compiled
 
 
+def test_every_function_serves_an_invocation():
+    # names, not a count: a function that stops serving an invocation, or
+    # one that no invocation reaches, fails here by name
+    assert _gate_never_entered() == {name for names in ALLOWED.values() for name in names}
+
+
 def test_sampling_imports_its_restriction_checks_on_first_use():
     code = (
         "import sdeq.sampling as sampling\n"
@@ -214,7 +342,7 @@ def test_sampling_imports_its_restriction_checks_on_first_use():
 
 def test_package_exports_every_public_name():
     expected = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
-    assert len(expected) == 62
+    assert len(expected) == 55
     assert sdeq.__all__ == expected
     for module, names in EXPORTS.items():
         layer = importlib.import_module(f"sdeq.{module}")
@@ -246,3 +374,9 @@ if __name__ == "__main__":
     for command, (argv, _) in SUBCOMMANDS.items():
         compiled, never = _never_entered(argv)
         print(f"{command}: {compiled} sdeq lines compiled, {never} in functions never entered")
+    never = _gate_never_entered()
+    print(f"functions no invocation of the gate enters ({len(_gate_calls())} invocations):")
+    for reason, names in ALLOWED.items():
+        print(f"  {reason}: {', '.join(sorted(never.intersection(names))) or '-'}")
+    unlisted = never.difference(*ALLOWED.values())
+    print(f"  not allowed: {', '.join(sorted(unlisted)) or '-'}")

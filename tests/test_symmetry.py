@@ -9,7 +9,6 @@ from sdeq.symmetry import (
     Characteristic,
     GroupAction,
     group_transform,
-    invariant_annihilation,
     residual,
     residual_kernel,
     slsc_residual_a,
@@ -122,31 +121,6 @@ def test_residual_b_identity_by_sampling():
             if point is None:
                 continue  # degenerate parameters (e.g. a = b = 0)
             assert slsc_residual_b(ch, params, parity, point) == (0, 0)
-
-
-def test_invariant_annihilation_zero_for_family():
-    # the alternating-scaling direction annihilates both invariants at
-    # every point, and so does the reciprocal-scaling direction (w = v*u+
-    # is degree (+1, -1) under it) -- exact evaluation settles it
-    assert invariant_annihilation(Characteristic(0, 1), "w", 0, (7, 5)) == 0
-    assert invariant_annihilation(Characteristic(1, 0), "w", 0, (7, 5)) == 0
-    assert invariant_annihilation(Characteristic(0, 1), "z", 1, (3, 11)) == 0
-    rng = random.Random(204)
-    for _ in range(40):
-        ch = Characteristic(draw_rational(rng), draw_rational(rng))
-        point = (draw_nonzero(rng), draw_nonzero(rng))
-        for which in ("w", "z"):
-            for parity in (0, 1):
-                assert invariant_annihilation(ch, which, parity, point) == 0
-
-
-def test_invariant_annihilation_frozen_control():
-    value = invariant_annihilation(
-        Characteristic(0, 1), "w", 0, (7, 5), variant="frozen"
-    )
-    assert value == 70
-    with pytest.raises(ValueError):
-        invariant_annihilation(Characteristic(0, 1), "q", 0, (1, 1))
 
 
 def test_group_transform_x1():

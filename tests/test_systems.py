@@ -20,7 +20,6 @@ from sdeq.systems import (
     iterate,
     iterate_a,
     iterate_b,
-    shift_back,
 )
 
 try:
@@ -39,7 +38,6 @@ def test_iterate_a_all_ones():
     assert list(t.second) == [1, 1, F(1, 2), F(2, 3), F(3, 8)]
     assert t.singular is None
     assert t.labels == ("u", "v")
-    assert t.origin == 0
 
 
 def test_iterate_a_zero_u_fixed_point():
@@ -132,31 +130,6 @@ def test_time_reversibility_desk_check():
         )
         assert shifted.first[2] == t.first[n + 2]
         assert shifted.second[2] == t.second[n + 2]
-
-
-def test_shift_back_relabels():
-    t = iterate_a(SystemAParams(1, 1), ONES_A, 2)
-    shifted = shift_back(t, 1)
-    assert shifted.labels == ("x", "y")
-    assert shifted.origin == -1
-    assert shifted.first == t.first  # values untouched
-    assert shifted.label_of(0) == -1 and shifted.label_of(2) == 1
-
-
-def test_shift_back_singular_step_label():
-    t = iterate_a(SystemAParams(1, 1), SystemAInitial(1, 5, 7, -1), 2)
-    shifted = shift_back(t, 1)
-    assert shifted.singular.step == t.singular.step  # array position kept
-    assert shifted.label_of(shifted.singular.step) == t.singular.step - 1
-
-
-def test_shift_back_composition():
-    t = iterate_b(SystemBParams(1, 1, 1, 1), ONES_B, 4)
-    twice = shift_back(shift_back(t, 1), 1)
-    assert twice == shift_back(t, 2)
-    assert twice.origin == -2
-    with pytest.raises(ValueError):
-        shift_back(t, 3)
 
 
 def _literal_map(system, params, ics, n_max):
