@@ -11,9 +11,9 @@ import importlib
 # the public names of each layer module
 _EXPORTS = {
     "closed_form": (
-        "CASE_TAGS_A CASE_TAGS_B CaseParamError ForbiddenInputError auto_case_a auto_case_b "
-        "seeds_a seeds_b solve_a_case solve_a_case_sweep solve_a_product_sweep solve_b_case "
-        "solve_b_case_sweep solve_b_product_sweep"
+        "CaseParamError ForbiddenInputError auto_case_a auto_case_b seeds_a seeds_b "
+        "solve_a_case solve_a_case_sweep solve_a_product_sweep solve_b_case solve_b_case_sweep "
+        "solve_b_product_sweep"
     ).split(),
     "forbidden": "ForbiddenReport Violation check_forbidden_a check_forbidden_b".split(),
     "rational": "format_rational format_sequence parse_rational rat".split(),

@@ -352,16 +352,22 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
 
 def _write(stream, text: str) -> str | None:
     """Write ``text`` to the --out file, stdout or stderr (None where its
-    descriptor was closed at start) and flush: None, or why it could not."""
+    descriptor was closed at start): None, or why it could not.  The
+    encoded text goes to the stream's raw layer until every byte is taken,
+    since an unbuffered text layer drops what a short write leaves, and
+    nothing stays buffered for a later flush to fail on."""
     if stream is None:
         return os.strerror(errno.EBADF)
     try:
-        stream.write(text)
         stream.flush()
+        if not hasattr(stream, "buffer"):  # a text-only stream, such as io.StringIO
+            stream.write(text)
+            return None
+        raw = getattr(stream.buffer, "raw", stream.buffer)  # unbuffered: the buffer is raw
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[raw.write(data) or 0 :]  # None: a non-blocking write took nothing
     except OSError as exc:  # a closed pipe or a full device
-        # what the buffer still holds goes to the null device, so the
-        # flush at close or at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return exc.strerror
     return None
 

@@ -14,8 +14,8 @@ covers every parameter value, g = ab or ac = 1 included;
 ``reduction.closed_ST`` evaluates it one index at a time.  Each
 enumerated case (a*b != 1, a = 1, b = 1, a = b = 1 for A; a*c != 1,
 a*c = 1, all ones for B) is that table at the case's parameters, and the
-product solution is the case ``Product``, so one sweep (``_sweep``)
-evaluates every case.
+product solution is the case ``Product``, so one sweep
+(``case_telescoping``) evaluates every case.
 
 The sign-mixed pairs and a = b = -1 for A, and the unit-b,d family for B,
 are pure powers: they assemble one period and two entries, and extend
@@ -91,8 +91,8 @@ class Case(_Record):
     table; the case only says where that is valid.  ``applies`` is its
     predicate and ``fixed`` holds the parameters of a case that admits
     exactly one choice of them.  A pure-power case also has the period of
-    its auxiliary sequences (see _sweep) and the ``detail`` its forbidden
-    inputs report.
+    its auxiliary sequences (see case_telescoping) and the ``detail`` its
+    forbidden inputs report.
     """
 
     applies: Callable
@@ -129,9 +129,6 @@ CASES = {
         "AllOnes": _pinned(SystemBParams(1, 1, 1, 1)),
     },
 }
-
-CASE_TAGS_A, CASE_TAGS_B = tuple(CASES["A"]), tuple(CASES["B"])
-
 
 def lookup_case(system: str, tag: str) -> Case:
     """The table entry of a case tag; CaseParamError for an unknown tag."""
@@ -252,14 +249,15 @@ def _extend(period: int, built: Telescoping, last: int) -> Telescoping:
     return Telescoping(built.starts, divisors, last)
 
 
-def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
-    """How entries 0..n_max of ``case`` are built (a Telescoping): by
+def case_telescoping(system: str, tag: str, params, ics, n_max: int) -> Telescoping:
+    """How entries 0..n_max of case ``tag`` are built (a Telescoping): by
     the assembly, or for a pure-power case, which assembles entries
     0..P+1 at most, by its period extension.  Every error is raised here,
     before a long entry is built.  A zero initial value (lag 1) or seed
     product is reported before a pure-power case can give the error its
     own detail; where S and T vanish at one index, the auxiliary of the
     first component's update is named."""
+    case = _validated(system, tag, params, n_max)
     shape, period = SHAPES[system], case.period
     # only lag-1 iteration admits zero components (a longer lag refuses
     # them), so only there must the closed forms name the zero
@@ -279,12 +277,6 @@ def _sweep(case: Case, system: str, params, ics, n_max: int) -> Telescoping:
     return _extend(period, built, n_max) if count < n_max else built
 
 
-def case_telescoping(system: str, tag: str, params, ics, n_max: int) -> Telescoping:
-    """How entries 0..n_max of case ``tag`` are built (a Telescoping);
-    every error of the case sweep is raised here."""
-    return _sweep(_validated(system, tag, params, n_max), system, params, ics, n_max)
-
-
 def case_sweep(system: str, tag: str, params, ics, n_max: int):
     """Entries 0..n_max of case ``tag``, as (first, second)."""
     built = case_telescoping(system, tag, params, ics, n_max)
@@ -302,13 +294,12 @@ def case_point(system: str, tag: str, params, ics, n: int) -> tuple[Fraction, Fr
     """Entry n of case ``tag``: entry[k] * rho_k**m for n = k + m*period
     past the first two periods of a pure-power case, with rho_k =
     entry[k+period] / entry[k], else entry n of the sweep."""
-    case = _validated(system, tag, params, n)
-    period = case.period
+    period = _validated(system, tag, params, n).period
     if not period or n < 2 * period:
-        built = _sweep(case, system, params, ics, n)
+        built = case_telescoping(system, tag, params, ics, n)
         return built.entries(0)[n], built.entries(1)[n]
     m, k = divmod(n, period)
-    built = _sweep(case, system, params, ics, 2 * period - 1)
+    built = case_telescoping(system, tag, params, ics, 2 * period - 1)
     sweep = map(built.entries, (0, 1))
     first, second = (values[k] * (values[k + period] / values[k]) ** m for values in sweep)
     return first, second

@@ -16,9 +16,9 @@ every route reads them; ``closed_ST`` reads the table one index at a
 time, and ``reconstruct`` rebuilds an orbit from S and T two indices at a
 time by the one assembly kernel, ``orbit.assemble``, as the closed forms
 do.  The ``reduce`` subcommand (``_run_reduce``) prints the invariant
-carry, ``orbit.carry``, and its ``reciprocals``, which hold reduced
-(numerator, denominator) pairs of ints; the public functions take and
-return Fractions.
+carry, ``orbit.carry``, and its pairs turned over
+(``orbit.turned_over``), all reduced (numerator, denominator) pairs of
+ints; the public functions take and return Fractions.
 """
 
 from __future__ import annotations
@@ -60,18 +60,14 @@ class ZeroDivisorError(ValueError):
         super().__init__(f"zero divisor in reconstruction: {what} at index {index}")
 
 
-def _require_regular(trajectory: Trajectory, min_len: int) -> None:
-    if trajectory.singular is not None:
-        raise ValueError("invariants are undefined on a singular trajectory")
-    if len(trajectory) < min_len:
-        raise ValueError(f"trajectory too short: need at least {min_len} entries")
-
-
 def invariants(system: str, trajectory: Trajectory) -> InvariantSeq:
     """w[n] = lead[n]*trail[n+1], z[n] = trail[n]*lead[n+1] for n = 0..N-1,
     with lead and trail the system's components in the order of SHAPES
     (System A: w[n] = v[n]*u[n+1]; System B: w[n] = x[n]*y[n+1])."""
-    _require_regular(trajectory, 2)
+    if trajectory.singular is not None:
+        raise ValueError("invariants are undefined on a singular trajectory")
+    if len(trajectory) < 2:
+        raise ValueError("trajectory too short: need at least 2 entries")
     lead, trail = SHAPES[system].by_lead(trajectory.first, trajectory.second)
     w = tuple(lead[n] * trail[n + 1] for n in range(len(lead) - 1))
     z = tuple(trail[n] * lead[n + 1] for n in range(len(lead) - 1))
@@ -96,13 +92,6 @@ def linearize(invariants: InvariantSeq) -> LinearSeq:
     S = tuple(1 / value for value in invariants.w)
     T = tuple(1 / value for value in invariants.z)
     return LinearSeq(S, T)
-
-
-def reciprocals(w, z) -> tuple[list, list]:
-    """linearize on reduced pairs (orbit.Carried): (S, T), each pair
-    of w and z turned over."""
-    _require_nonzero(w, z, (0, 1))
-    return turned_over(w), turned_over(z)
 
 
 def _spread(keyed):
@@ -187,7 +176,8 @@ def _run_reduce(config) -> tuple:
     carried = carry(config.system, config.params, config.ics, config.n)
     if carried.singular is not None:
         raise _Singular(carried.singular)
-    sequences = (carried.w, carried.z, *reciprocals(carried.w, carried.z))
+    _require_nonzero(carried.w, carried.z, (0, 1))
+    sequences = (carried.w, carried.z, turned_over(carried.w), turned_over(carried.z))
     w, z, S, T = map(format_pairs, sequences)
     if config.format == "csv":
         return True, (["n", "w", "z", "S", "T"], [map(str, range(len(w))), w, z, S, T])

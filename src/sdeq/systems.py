@@ -102,9 +102,6 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):
-        return type(self), self._astuple()
-
 
 class _Exact(_Record):
     """Base of the frozen input records: every field becomes an exact rational."""

@@ -1417,16 +1417,21 @@ def test_successful_run_imports_no_json(tmp_path):
     assert report["first"] == ["1", "1", "1/2", "2/3", "3/8"]
 
 
-def _python(args, **streams) -> subprocess.Popen:
-    """``python *args`` with its stderr piped.  PYTHONUNBUFFERED is
-    removed, so a report to a pipe or a file waits in its buffer until it
-    is flushed."""
+def _python(args, **options) -> subprocess.Popen:
+    """``python *args`` with its stderr piped, in this process's
+    environment unless ``options`` give one."""
+    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, **options)
+
+
+def _environment(unbuffered: bool) -> dict:
+    """This process's environment with PYTHONUNBUFFERED=1, or without it,
+    so that stdout and stderr are block-buffered to a pipe or a file."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, env=env, **streams)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
-def _sdeq(argv, **streams) -> subprocess.Popen:
-    return _python(["-m", "sdeq", *argv], **streams)
+def _sdeq(argv, **options) -> subprocess.Popen:
+    return _python(["-m", "sdeq", *argv], **options)
 
 
 def _ended(process: subprocess.Popen) -> tuple:
@@ -1439,6 +1444,19 @@ def test_a_closed_pipe_is_a_report_error():
     # as in `sdeq iterate ... | true`: the reader is gone before the report
     # (17 MB at n = 400) is written
     process = _sdeq(["iterate", *DEEP_A[:-1], "400"], stdout=subprocess.PIPE)
+    process.stdout.close()
+    err = process.stderr.read()
+    assert (process.wait(timeout=300), err) == (1, b"error: cannot write the report: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_leaves_early_is_a_report_error(unbuffered):
+    # as in `sdeq iterate ... | head -c 1`: the reader takes one byte of the
+    # report (5 MB at n = 300) and leaves while sdeq writes the rest.  The
+    # write it cut short returns a short count, which an unbuffered text
+    # layer would drop without an error
+    process = _sdeq(["iterate", *DEEP_A], stdout=subprocess.PIPE, env=_environment(unbuffered))
+    assert process.stdout.read(1) == b"{"
     process.stdout.close()
     err = process.stderr.read()
     assert (process.wait(timeout=300), err) == (1, b"error: cannot write the report: Broken pipe\n")
@@ -1590,11 +1608,14 @@ def test_the_console_script_keeps_each_exit(capsys, monkeypatch, argv, code, pre
 
 
 def test_an_atexit_callback_still_runs():
-    # registered before sdeq runs, as a .pth file may register one; what
-    # it prints after the report is flushed too
+    """A callback registered before sdeq runs, as a .pth file may register
+    one, runs, and what it prints after the report is flushed too.  Block
+    buffered, as without PYTHONUNBUFFERED, that text waits in stdout's
+    buffer until console_main flushes it."""
     argv = ["iterate", "--system", "A", *A_FLAGS, "--n", "4"]
     prelude = "import atexit\natexit.register(print, 'atexit ran')\n"
-    code, out, err = _ended(_python(_after(prelude, argv), stdout=subprocess.PIPE))
+    env = _environment(unbuffered=False)
+    code, out, err = _ended(_python(_after(prelude, argv), stdout=subprocess.PIPE, env=env))
     assert (code, err) == (0, b"")
     assert out.startswith(b"{") and out.endswith(b"}\natexit ran\n")
 

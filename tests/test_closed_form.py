@@ -6,8 +6,6 @@ import pytest
 
 from fraction_kernels import fractions
 from sdeq.closed_form import (
-    CASE_TAGS_A,
-    CASE_TAGS_B,
     CASES,
     CaseParamError,
     ForbiddenInputError,
@@ -141,7 +139,7 @@ def test_case_a_initial_indices_unchanged():
 
 def test_case_a_against_oracle_per_tag():
     rng = random.Random(102)
-    for tag in CASE_TAGS_A:
+    for tag in CASES["A"]:
         for _ in range(12):
             params, ics = draw_admissible_a(rng, 30, tag)
             t = iterate_a(params, ics, 30)
@@ -188,7 +186,7 @@ def test_auto_case_a():
     assert auto_case_a(SystemAParams(5, 1)) == "Beq1"
     assert auto_case_a(SystemAParams(2, 3)) == "ABneq1"
     assert auto_case_a(SystemAParams(2, F(1, 2))) == "Product"  # a*b = 1, no special form
-    assert CASE_TAGS_A == (
+    assert tuple(CASES["A"]) == (
         "Product", "ABneq1", "Aeq1", "Beq1", "Aeq1Bneg1", "Beq1Aneg1", "OnesOnes", "NegNeg"
     )
     _assert_auto_case_on_grid("A", auto_case_a)
@@ -265,7 +263,7 @@ def test_case_b_initial_indices_unchanged():
 
 def test_case_b_against_oracle_per_tag():
     rng = random.Random(105)
-    for tag in CASE_TAGS_B:
+    for tag in CASES["B"]:
         for _ in range(10):
             params, ics = draw_admissible_b(rng, 28, tag)
             t = iterate_b(params, ics, 28)
@@ -301,7 +299,7 @@ def test_auto_case_b():
     assert auto_case_b(SystemBParams(1, 1, -1, 1)) == "UnitBD"
     assert auto_case_b(SystemBParams(2, 5, F(1, 2), 7)) == "ACeq1"
     assert auto_case_b(SystemBParams(2, 5, 3, 7)) == "ACneq1"
-    assert CASE_TAGS_B == ("Product", "ACneq1", "ACeq1", "UnitBD", "AllOnes")
+    assert tuple(CASES["B"]) == ("Product", "ACneq1", "ACeq1", "UnitBD", "AllOnes")
     _assert_auto_case_on_grid("B", auto_case_b)
 
 

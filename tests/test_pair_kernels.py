@@ -48,7 +48,7 @@ def check(system: str, params, ics, n: int) -> None:
     except closed_form.ForbiddenInputError:
         return
     S, T = closed_form.closed_ST_sweep(system, params, seeds, n)
-    # the assembly reads S and T up to the first zero, as closed_form._sweep does
+    # the assembly reads S and T up to the first zero, as closed_form.case_telescoping does
     count = next((j for j in range(n) if not (S[j][0] and T[j][0])), n)
     starts = [values[0] for values in SHAPES[system].split(ics._astuple())]
     if not all(starts):
