@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,22 @@ B_FLAGS = [
     "--a", "1", "--b", "1", "--c", "1", "--d", "1",
     "--x0", "1", "--x1", "1", "--x2", "1", "--y0", "1", "--y1", "1", "--y2", "1",
 ]
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _environment(unbuffered: bool | None = None) -> dict:
+    """This process's environment for a child, with the ``src`` of these
+    sources first on PYTHONPATH (pyproject.toml's pythonpath reaches only
+    the pytest process); with PYTHONUNBUFFERED=1 where ``unbuffered``,
+    without it where false, so that stdout and stderr are block-buffered
+    to a pipe or a file, and as inherited where None."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def run_cli(capsys, argv):
@@ -792,6 +809,7 @@ def test_no_floats_in_machine_output(capsys):
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "sdeq", "iterate", "--system", "A", *A_FLAGS, "--n", "2"],
+        env=_environment(),
         capture_output=True,
         text=True,
     )
@@ -876,6 +894,7 @@ def test_zero_initial_b_exits_3(capsys):
     flags[flags.index("--x0") + 1] = "0"
     result = subprocess.run(
         [sys.executable, "-m", "sdeq", "iterate", "--system", "B", *flags, "--n", "5"],
+        env=_environment(),
         capture_output=True,
         text=True,
     )
@@ -1411,23 +1430,19 @@ def test_successful_run_imports_no_json(tmp_path):
         f" '--out', {str(tmp_path / 'report.json')!r}])\n"
         "print(code, 'json' in sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_environment(), capture_output=True, text=True
+    )
     assert result.stdout == "0 False\n", result.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["first"] == ["1", "1", "1/2", "2/3", "3/8"]
 
 
-def _python(args, **options) -> subprocess.Popen:
-    """``python *args`` with its stderr piped, in this process's
-    environment unless ``options`` give one."""
-    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, **options)
-
-
-def _environment(unbuffered: bool) -> dict:
-    """This process's environment with PYTHONUNBUFFERED=1, or without it,
-    so that stdout and stderr are block-buffered to a pipe or a file."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+def _python(args, env=None, **options) -> subprocess.Popen:
+    """``python *args`` with its stderr piped, in ``env`` or else in
+    ``_environment()``."""
+    env = env or _environment()
+    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, env=env, **options)
 
 
 def _sdeq(argv, **options) -> subprocess.Popen:
@@ -1501,7 +1516,10 @@ ZERO_SOLVE = ["solve", "--system", "A", "--a", "-1", "--b", "-1", "--u0", "0", "
 )
 def test_a_closed_stderr_keeps_the_exit_code(argv, code, reported):
     result = subprocess.run(
-        [sys.executable, "-m", "sdeq", *argv], stdout=subprocess.PIPE, preexec_fn=_closing(2)
+        [sys.executable, "-m", "sdeq", *argv],
+        env=_environment(),
+        stdout=subprocess.PIPE,
+        preexec_fn=_closing(2),
     )
     assert result.returncode == code
     # an error line goes nowhere, and a report to stdout as ever

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from sdeq import cli, closed_form, orbit, printing, systems
+from sdeq import cli, closed_form, fork, orbit, printing, systems
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second process is forked")
 
@@ -248,6 +248,23 @@ def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
     built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
     assert attempts == [1] and sorted(built) == [0, 1]
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the affinity set cannot be read or holds one CPU",
+)
+def test_the_fork_leaves_the_placement_alone():
+    # the parent runs its job on every CPU it may use, and keeps them after
+    before, seen = os.sched_getaffinity(0), []
+
+    def job(k):
+        seen.append(os.sched_getaffinity(0))
+        return os.getpid()
+
+    first, second = fork.run(job)
+    assert first == os.getpid() != second  # job(1) ran in the child
+    assert seen == [before] and os.sched_getaffinity(0) == before
 
 
 def test_one_cpu_or_a_second_thread_keeps_one_process(capsys, monkeypatch):

@@ -117,7 +117,7 @@ ALLOWED = {
     # a second process pays only past printing._FORK_BITS, and a
     # divide-and-conquer conversion only past rational._FORMAT_STR_BITS
     "full sizes only": (
-        "fork._child", "fork._cpus", "fork._pin", "fork.run", "printing._to_decimal",
+        "fork._child", "fork._cpus", "fork.run", "printing._to_decimal",
     ),
     # the literals of a mismatch report
     "exit 4 only": ("closed_form._literal",),
