@@ -355,7 +355,9 @@ def _write(stream, text: str) -> str | None:
     descriptor was closed at start): None, or why it could not.  The
     encoded text goes to the stream's raw layer until every byte is taken,
     since an unbuffered text layer drops what a short write leaves, and
-    nothing stays buffered for a later flush to fail on."""
+    nothing stays buffered for a later flush to fail on.  Where a
+    non-blocking descriptor takes nothing, the write waits until it is
+    writable (``select``), not in a busy loop."""
     if stream is None:
         return os.strerror(errno.EBADF)
     try:
@@ -366,7 +368,12 @@ def _write(stream, text: str) -> str | None:
         raw = getattr(stream.buffer, "raw", stream.buffer)  # unbuffered: the buffer is raw
         data = memoryview(text.encode(stream.encoding, stream.errors))
         while data:
-            data = data[raw.write(data) or 0 :]  # None: a non-blocking write took nothing
+            taken = raw.write(data)
+            if taken is None:  # a non-blocking write took nothing
+                import select
+
+                select.select([], [raw], [])
+            data = data[taken or 0 :]
     except OSError as exc:  # a closed pipe or a full device
         return exc.strerror
     return None

@@ -2,16 +2,18 @@
 
 ``printing.both`` loads this module only for a job long enough to pay for
 a second process, so a run that does not fork loads neither it nor
-pickle.  Only ``iterate`` and ``solve --sweep`` reach it: ``verify`` and
-``difftest`` compare divisor lists and build no long entry where they
-agree.  The child builds and prints its component and sends back only
-its literals, and whatever goes wrong with it, the parent gets the same
-result.
+pickle, which it loads before the fork and the child inherits.  Only
+``iterate`` and ``solve --sweep`` reach it: ``verify`` and ``difftest``
+compare divisor lists and build no long entry where they agree.  The
+child builds and prints its component and sends back only its literals,
+and whatever goes wrong with the pipe, the fork or the child, the parent
+gets the same result.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from collections.abc import Callable
 
@@ -20,19 +22,21 @@ def run(job: Callable) -> tuple:
     """(job(0), job(1)), with job(1) run in a forked child while this
     process runs job(0) when os.fork exists, the process may run on two
     CPUs or more and it has one thread; otherwise both run here, in order.
-    The child sends back job(1)'s result pickled.  If the fork fails, or
-    the child exits nonzero or its data is short, job(1) runs here, with
-    the same result; the child is always reaped."""
+    The child sends back job(1)'s result pickled.  If the pipe or the
+    fork fails, both run here; if the child exits nonzero or its data is
+    short, job(1) runs here; either way with the same result.  The child
+    is always reaped."""
     threading = sys.modules.get("threading")
     alone = threading is None or threading.active_count() == 1
     if not alone or not hasattr(os, "fork") or _cpus() < 2:
         return job(0), job(1)
-    read, write = os.pipe()
+    ends = ()
     try:
+        ends = read, write = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
+    except OSError:  # no descriptors for the pipe's two ends, or no process
+        for end in ends:
+            os.close(end)
         return job(0), job(1)
     if pid == 0:
         _child(job, read, write)
@@ -40,8 +44,6 @@ def run(job: Callable) -> tuple:
     try:
         with open(read, "rb") as pipe:  # closed first: a child still writing gets EPIPE
             first = job(0)
-            import pickle  # a few ms, so each process loads it after its job
-
             try:
                 second = (pickle.load(pipe),)
             except (EOFError, pickle.UnpicklingError):  # the child's data is short
@@ -71,8 +73,6 @@ def _child(job: Callable, read: int, write: int) -> None:
         os.dup2(null, 2)
         os.close(read)
         result = job(1)
-        import pickle
-
         with open(write, "wb") as pipe:
             pickle.dump(result, pipe, protocol=-1)
         code = 0

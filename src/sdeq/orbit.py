@@ -125,10 +125,10 @@ class Telescoping(_Record):
     ``assemble`` makes each one from S and T but a lag-1 orbit's, whose
     divisors are the step factors of ``carry``.  Each component is built
     on its own, as Fractions (``entries``) or as printed literals
-    (``printing.literals``), so the two can be printed in two processes
-    (``printing.both``), and two telescopings are compared by those short
-    values (``mismatches``).  Compared by identity: routes that share one
-    telescoping are compared once."""
+    (``printing.format_telescoping``), so the two can be printed in two
+    processes (``printing.both``), and two telescopings are compared by
+    those short values (``mismatches``).  Compared by identity: routes
+    that share one telescoping are compared once."""
 
     starts: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     divisors: tuple
@@ -141,7 +141,7 @@ class Telescoping(_Record):
         loop that builds an entry from the entry two back as a Fraction.
         Each divisor is made a Fraction for its division, so that a long
         entry costs two gcds with a short operand, not a gcd of two long
-        ints; ``printing.literals`` runs the same step in decimal."""
+        ints; ``printing.format_telescoping`` runs the same step in decimal."""
         values, divisors = list(self.starts[k]), self.divisors[k]
         for i in range(len(values), self.last + 1):
             values.append(values[i - 2] / Fraction(*divisors[i - 2]))

@@ -4,13 +4,12 @@ and ``iterate``.
 Only ``iterate`` and ``solve --sweep`` print long entries, so only they
 load this module; another report loads it only for a value past
 ``rational._FORMAT_STR_BITS``, which ``_to_decimal`` converts.
-``literals`` writes the entries of one component of an
-``orbit.Telescoping`` by ``format_telescoping``, which builds each entry
-in decimal from the entry two back and the short divisor
-``Telescoping.entries`` divides by, so that no long int is built in
-binary or converted.  ``both`` prints the two components, the second in
-a forked child process (``sdeq.fork``) where the entries are long enough
-to pay for it.
+``format_telescoping`` writes the entries of one component of an
+``orbit.Telescoping``: it builds each entry in decimal from the entry
+two back and the short divisor ``Telescoping.entries`` divides by, so
+that no long int is built in binary or converted.  ``both`` prints the
+two components, the second in a forked child process (``sdeq.fork``)
+where the entries are long enough to pay for it.
 """
 
 from __future__ import annotations
@@ -102,24 +101,18 @@ def _to_decimal(n: int) -> decimal.Decimal:
 
 # The second process pays where the entries it prints are long.  Measured
 # in fresh processes on a 2 vCPU Xeon VM (Python 3.11): a fork takes about
-# 1 ms, loading pickle 3 ms and reaping the child 2 ms, and the literals'
-# trip through the pipe about 0.7 ns per bit of the entries printed (14 MB
-# in 30 ms), against 2-6 ns per bit to build and print them in decimal
-# (1.8 at A's a = b = 1 and n = 2000, 5.6 at A's non-unit input at
-# n = 500).  Forking an ``iterate`` cost 5-15 % at 0.1-1.7M bits, and
-# saved 3 % at 5.7M (System A at n = 250), 11 % at 12.7M (System B at
-# n = 500) and 26 % at 46M (A at n = 500).  The bound overstates entries
-# that cancel, as with unit parameters, by up to 3 times: on the six
-# unit-parameter inputs at n = 2000 (8-23M bits by the bound, 5-10M built)
-# forking was within 4 % of one process either way.
+# 1 ms, loading pickle 3 ms (once, with sdeq.fork, before the fork) and
+# reaping the child 2 ms, and the literals' trip through the pipe about
+# 0.7 ns per bit of the entries printed (14 MB in 30 ms), against 2-6 ns
+# per bit to build and print them in decimal (1.8 at A's a = b = 1 and
+# n = 2000, 5.6 at A's non-unit input at n = 500).  Forking an ``iterate``
+# cost 5-15 % at 0.1-1.7M bits, and saved 3 % at 5.7M (System A at
+# n = 250), 11 % at 12.7M (System B at n = 500) and 26 % at 46M (A at
+# n = 500).  The bound overstates entries that cancel, as with unit
+# parameters, by up to 3 times: on the six unit-parameter inputs at
+# n = 2000 (8-23M bits by the bound, 5-10M built) forking was within 4 %
+# of one process either way.
 _FORK_BITS = 4_000_000
-
-
-def literals(built, k: int) -> list[str]:
-    """The rational literals of entries 0..last of component k (0 first,
-    1 second) of the orbit.Telescoping ``built``: format_rational of each
-    of built.entries(k), built by format_telescoping."""
-    return format_telescoping(built.starts[k], built.divisors[k], built.last)
 
 
 def _bits(built) -> int:
@@ -139,17 +132,21 @@ def _size(num: int, den: int) -> int:
 
 
 def both(built) -> tuple:
-    """(literals(built, 0), literals(built, 1)): the printing of
-    ``iterate`` and ``solve --sweep``, the only callers.  Where the size
-    of the second component's work (``_bits``) exceeds _FORK_BITS, it
-    runs in a forked child while this process prints the first
-    (``sdeq.fork.run``, loaded only then); otherwise both run here, in
-    order."""
+    """The literals of both components of the orbit.Telescoping ``built``
+    (format_telescoping): the printing of ``iterate`` and ``solve --sweep``,
+    the only callers.  Where the size of the second component's work
+    (``_bits``) exceeds _FORK_BITS, it runs in a forked child while this
+    process prints the first (``sdeq.fork.run``, loaded only then);
+    otherwise both run here, in order."""
+
+    def job(k: int) -> list[str]:
+        return format_telescoping(built.starts[k], built.divisors[k], built.last)
+
     if _bits(built) <= _FORK_BITS:
-        return literals(built, 0), literals(built, 1)
+        return job(0), job(1)
     from . import fork
 
-    return fork.run(lambda k: literals(built, k))
+    return fork.run(job)
 
 
 def _run_iterate(config) -> tuple:

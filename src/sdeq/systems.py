@@ -43,36 +43,24 @@ class _Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(self._fields, self._coerce(args)))
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """Field values in order from positional and keyword arguments and
-        the defaults, with the TypeErrors of a call that does not fit."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        values = {**self._defaults, **values}
-        missing = [field for field in fields if field not in values]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return [values[field] for field in fields]
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # each field once, by position or keyword, or else its default
+            given = {**dict(zip(fields, args)), **kwargs}
+            values = {name: getattr(self, name) for name in fields if hasattr(self, name)} | given
+            if len(given) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__name__}({', '.join(fields)}) cannot take"
+                    f" positional {args} and keyword {kwargs}"
+                )
+            args = [values[field] for field in fields]
+        self.__dict__.update(zip(fields, self._coerce(args)))
 
     def _coerce(self, values):
         """The values to store, in field order; subclasses coerce and validate."""

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -1233,12 +1234,13 @@ DEEP_B_FLAGS = [
 
 
 def _print_path(monkeypatch) -> list:
-    """Per printing.literals call made from now on: (component, last
-    index, Fraction divisions, ints converted from scratch) inside it.
-    With the str() bound lowered to 64 bits, every int of 64 bits or more
-    that is converted from scratch goes through printing._to_decimal."""
+    """Per printing.format_telescoping call made from now on: (start
+    values, last index, Fraction divisions, ints converted from scratch)
+    inside it.  With the str() bound lowered to 64 bits, every int of 64
+    bits or more that is converted from scratch goes through
+    printing._to_decimal."""
     real_literals, real_divide, real_convert = (
-        printing.literals, F.__truediv__, printing._to_decimal,
+        printing.format_telescoping, F.__truediv__, printing._to_decimal,
     )
     calls, counts = [], None
 
@@ -1252,19 +1254,19 @@ def _print_path(monkeypatch) -> list:
             counts[1] += 1
         return real_convert(x)
 
-    def literals(built, k):
+    def literals(starts, divisors, last):
         nonlocal counts
         counts = [0, 0]
         try:
-            return real_literals(built, k)
+            return real_literals(starts, divisors, last)
         finally:
-            calls.append((k, built.last, *counts))
+            calls.append((tuple(starts), last, *counts))
             counts = None
 
     monkeypatch.setattr(rational, "_FORMAT_STR_BITS", 64)
     monkeypatch.setattr(F, "__truediv__", divide)
     monkeypatch.setattr(printing, "_to_decimal", convert)
-    monkeypatch.setattr(printing, "literals", literals)
+    monkeypatch.setattr(printing, "format_telescoping", literals)
     return calls
 
 
@@ -1287,7 +1289,8 @@ def test_orbit_outputs_print_from_step_factors(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--sweep", *DEEP_A, "--format", "csv"])
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(first, second)]
-    assert (printed, sweeps) == ([(0, 300, 0, 0), (1, 300, 0, 0)] * 3, ["A"])
+    starts = [orbit.first[:2], orbit.second[:2]]
+    assert (printed, sweeps) == ([(start, 300, 0, 0) for start in starts] * 3, ["A"])
 
 
 def _flags(record) -> list:
@@ -1325,7 +1328,8 @@ def test_pure_power_sweeps_print_from_step_factors(capsys, monkeypatch, system, 
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert code == 0 and [row[1:3] for row in rows] == [list(pair) for pair in zip(*expected)]
     # each component of each output, printed with no conversion or division
-    assert printed == [(0, 120, 0, 0), (1, 120, 0, 0)] * 2
+    starts = [tuple(values[:2]) for values in sweep]
+    assert printed == [(start, 120, 0, 0) for start in starts] * 2
 
 
 @pytest.mark.parametrize("argv", [DEEP_A, [*DEEP_B_FLAGS, "--n", "300"]], ids=["A", "B"])
@@ -1335,8 +1339,10 @@ def test_sweep_prints_from_divisors_without_dividing(capsys, monkeypatch, argv):
     # converts no long int from scratch
     _one_process(monkeypatch)
     printed = _print_path(monkeypatch)
-    code, _, _ = run_cli(capsys, ["solve", "--sweep", *argv])
-    assert code == 0 and printed == [(0, 300, 0, 0), (1, 300, 0, 0)]
+    code, out, _ = run_cli(capsys, ["solve", "--sweep", *argv])
+    records = json.loads(out)["records"][:2]
+    starts = [tuple(parse_rational(r[label]) for r in records) for label in ("first", "second")]
+    assert code == 0 and printed == [(start, 300, 0, 0) for start in starts]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1475,6 +1481,29 @@ def test_a_reader_that_leaves_early_is_a_report_error(unbuffered):
     process.stdout.close()
     err = process.stderr.read()
     assert (process.wait(timeout=300), err) == (1, b"error: cannot write the report: Broken pipe\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads the child's CPU time by os.wait4")
+def test_a_non_blocking_stdout_waits_for_its_reader():
+    # the reader holds off for a second while the report (731 kB at
+    # n = 150) fills the pipe, whose write end is non-blocking: sdeq waits
+    # until the pipe is writable, without spending that second on the CPU
+    argv = ["iterate", *DEEP_A[:-1], "150"]
+    expected = _ended(_sdeq(argv, stdout=subprocess.PIPE))
+    assert expected[0] == 0 and len(expected[1]) > 500_000
+    read, write = os.pipe()
+    os.set_blocking(write, False)
+    with open(read, "rb") as reader:
+        process = _sdeq(argv, stdout=write)
+        os.close(write)
+        time.sleep(1)
+        out = reader.read()
+    err = process.stderr.read()
+    process.stderr.close()
+    status, usage = os.wait4(process.pid, 0)[1:]
+    process.returncode = os.waitstatus_to_exitcode(status)
+    assert (process.returncode, out, err) == expected
+    assert usage.ru_utime + usage.ru_stime < 0.5
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device")

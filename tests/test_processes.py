@@ -123,16 +123,27 @@ def _two_processes(monkeypatch) -> list:
 
 
 def _built_here(monkeypatch) -> list:
-    """The components whose literals this process builds and prints from
-    now on."""
-    real, built = printing.literals, []
+    """The start values of each component whose literals this process
+    builds and prints from now on."""
+    real, built = printing.format_telescoping, []
 
-    def literals(telescoping, k):
-        built.append(k)
-        return real(telescoping, k)
+    def literals(starts, divisors, last):
+        built.append(tuple(starts))
+        return real(starts, divisors, last)
 
-    monkeypatch.setattr(printing, "literals", literals)
+    monkeypatch.setattr(printing, "format_telescoping", literals)
     return built
+
+
+def _one_process_components(capsys, monkeypatch, argv) -> tuple:
+    """(the run of ``argv`` on one process, the start values of the
+    components it printed, first then second, and the list of those
+    printed from now on)."""
+    built = _built_here(monkeypatch)
+    expected = _one_process(capsys, monkeypatch, argv)
+    components = built.copy()
+    built.clear()
+    return expected, components, built
 
 
 def _built_past_prefix(monkeypatch) -> set:
@@ -151,15 +162,14 @@ def _built_past_prefix(monkeypatch) -> set:
 
 @pytest.mark.parametrize("argv, forks", RUNS.values(), ids=RUNS.keys())
 def test_two_processes_print_the_one_process_bytes(capsys, monkeypatch, argv, forks):
-    expected = _one_process(capsys, monkeypatch, argv)
+    expected, components, built = _one_process_components(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
-    built = _built_here(monkeypatch)
     past = _built_past_prefix(monkeypatch)
     assert _run(capsys, argv) == expected
     assert len(children) == forks
     if forks:
         # the child prints the second component: this process prints only the first
-        assert set(built) == {0}
+        assert len(components) == 2 and built == components[:1]
     # printing builds no Fraction entry, and a passing (or refused)
     # comparison none past the start values
     assert past == set()
@@ -226,17 +236,16 @@ def _short_dump(obj, file, protocol):
 @pytest.mark.parametrize("dump", [_broken_dump, _short_dump], ids=["exits-nonzero", "short-data"])
 @pytest.mark.parametrize("argv, forks", [RUNS["iterate-A"]], ids=["iterate"])
 def test_a_failed_child_is_replaced_here(capsys, monkeypatch, argv, forks, dump):
-    expected = _one_process(capsys, monkeypatch, argv)
+    expected, components, built = _one_process_components(capsys, monkeypatch, argv)
     children = _two_processes(monkeypatch)
     monkeypatch.setattr(pickle, "dump", dump)
-    built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert len(children) == forks and 1 in built
+    assert len(children) == forks and built == components
 
 
 def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
     argv = RUNS["solve-B-csv"][0]
-    expected = _one_process(capsys, monkeypatch, argv)
+    expected, components, built = _one_process_components(capsys, monkeypatch, argv)
     _two_processes(monkeypatch)
     attempts = []
 
@@ -245,9 +254,43 @@ def test_a_failed_fork_builds_both_here(capsys, monkeypatch):
         raise OSError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
-    built = _built_here(monkeypatch)
     assert _run(capsys, argv) == expected
-    assert attempts == [1] and sorted(built) == [0, 1]
+    assert attempts == [1] and built == components
+
+
+def test_a_failed_pipe_builds_both_here(capsys, monkeypatch):
+    # a child interpreter with one descriptor free below its limit on open
+    # descriptors: os.open succeeds, but os.pipe, which takes two, fails,
+    # and the run falls back as a failed fork does
+    argv = RUNS["iterate-A"][0]
+    expected = _one_process(capsys, monkeypatch, argv)
+    probe = (
+        "import os, pickle, resource, sys\n"
+        "from sdeq import cli, fork, orbit, printing\n"
+        "printing._FORK_BITS = -1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "# descriptors are taken lowest first: every one below the last is open\n"
+        "last = [os.open(os.devnull, os.O_RDONLY) for _ in range(4)][-1]\n"
+        "os.close(last)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (last + 1, hard))\n"
+        "os.close(os.open(os.devnull, os.O_RDONLY))\n"
+        "try:\n"
+        "    os.pipe()\n"
+        "except OSError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('a pipe was made')\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = str(Path(systems.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == expected
 
 
 @pytest.mark.skipif(

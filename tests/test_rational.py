@@ -127,7 +127,8 @@ def test_telescoping_literals_of_pure_power_sweeps(monkeypatch):
             assert all(steps[i - 2] == values[i - 2] / values[i] for i in range(2, len(values)))
             assert sum(x.bit_length() >= 64 for side in _sides(values) for x in side) > 100
             converted.clear()
-            assert printing.literals(built, k) == [_reference(v) for v in values]
+            literals = printing.format_telescoping(built.starts[k], divisors, built.last)
+            assert literals == [_reference(v) for v in values]
             assert converted == []
 
 
@@ -268,20 +269,21 @@ if given is not None:
         for built in _literal_telescopings(*inputs):
             for k in (0, 1):
                 expected = [format_rational(v) for v in built.entries(k)]
-                assert printing.literals(built, k) == expected
+                inputs = built.starts[k], built.divisors[k], built.last
+                assert printing.format_telescoping(*inputs) == expected
                 # an ambient context that rounds to 5 digits and lets it pass
                 with decimal.localcontext() as ctx:
                     ctx.prec = 5
                     ctx.traps[decimal.Inexact] = False
-                    assert printing.literals(built, k) == expected
+                    assert printing.format_telescoping(*inputs) == expected
 
     for _example in EXAMPLES:
         _literals_equal_the_oracle = example(_example)(_literals_equal_the_oracle)
 
     def test_telescoping_literals_on_draws():
-        # the oracle of printing.literals, the kernel that prints orbits
-        # and sweeps from their divisors, is format_rational of each entry
-        # Telescoping.entries builds
+        # the oracle of printing.format_telescoping, the kernel that prints
+        # orbits and sweeps from their divisors, is format_rational of each
+        # entry Telescoping.entries builds
         _literals_equal_the_oracle()
 
     def test_telescoping_literals_examples_cover_each_case():
@@ -379,6 +381,7 @@ def test_telescoping_literals_of_a_unit_orbit_past_the_split(monkeypatch):
         assert 2_000 < longest < 5_000
         expected = [_reference(v) for v in values]
         converted = _from_scratch(monkeypatch)
-        assert printing.literals(orbit, k) == expected
+        literals = printing.format_telescoping(orbit.starts[k], orbit.divisors[k], orbit.last)
+        assert literals == expected
         assert converted == []
         monkeypatch.undo()

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from sdeq.cli import Subcommand
+from sdeq.closed_form import Case
 from sdeq.forbidden import ForbiddenReport, Violation
 from sdeq.reduction import InvariantSeq, LinearSeq
 from sdeq.symmetry import Characteristic, GroupAction
@@ -151,3 +153,52 @@ def test_record_constructor_rejects_bad_calls():
         Characteristic("1/0", 1)
     singular = Singularity(2, "second", "b + v0*u1 = 0")
     assert Trajectory(("u", "v"), (), (), singular=singular).singular is singular
+
+
+def _never(params):
+    return False
+
+
+# records with defaults: (class, every field given by position, the
+# required fields alone, by keyword)
+DEFAULTED = [
+    (
+        Trajectory,
+        (("u", "v"), (F(1),), (F(2),), Singularity(1, "first", "a + u0*v1 = 0")),
+        {"labels": ("x", "y"), "first": (), "second": ()},
+    ),
+    (
+        Case,
+        (_never, "vanishing residue-4 denominator", 4, SystemAParams(1, -1)),
+        {"applies": _never},
+    ),
+    (
+        Subcommand,
+        ("printing _run_iterate", "iterate a system", ("n",), (), 4),
+        {"runner": "printing _run_iterate", "help": "h", "takes": (), "flags": ()},
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, full, required", DEFAULTED, ids=[c[0].__name__ for c in DEFAULTED])
+def test_keyword_calls_bind_by_one_rule(cls, full, required):
+    fields = cls._fields
+    by_name = dict(zip(fields, full))
+    assert cls(**by_name) == cls(*full) == cls(*full[:2], **dict(list(by_name.items())[2:]))
+    # a keyword call that leaves a default in place
+    record = cls(**required)
+    for name in fields:
+        assert getattr(record, name) == required.get(name, getattr(cls, name, None))
+    assert record == cls(*required.values())
+    # one TypeError, which names the record, its fields and the arguments
+    signature = f"{cls.__name__}({', '.join(fields)}) cannot take"
+    bad_calls = [
+        (full[:1], {fields[0]: full[0]}),  # a keyword that repeats a positional
+        ((), {**required, "extra": 1}),  # an unknown keyword
+        ((*full, None), {}),  # too many positionals
+        ((), {name: value for name, value in required.items() if name != fields[0]}),  # missing
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError) as raised:
+            cls(*args, **kwargs)
+        assert str(raised.value) == f"{signature} positional {args} and keyword {kwargs}"

@@ -6,15 +6,19 @@ and the package still exports every public name.
 
 Run as a script (``PYTHONPATH=src python tests/test_startup.py``), it
 prints, per subcommand, the sdeq lines its process compiles and how many
-of them lie in functions it never enters, and then, per reason of
-``ALLOWED``, the functions that no invocation of the gate enters."""
+of them lie in functions it never enters, then, per reason of
+``ALLOWED``, the functions that no invocation of the gate enters, and
+last each module's code lines (``_code_lines``), which editing prose
+cannot move."""
 
 import ast
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -252,6 +256,24 @@ def _never_entered(argv) -> tuple[int, int]:
     return compiled, never
 
 
+def _code_lines(path: str) -> int:
+    """The lines of the file ``path`` that hold code: not blank, not only
+    a comment and not inside a docstring (a statement that is only a
+    string, such as a module's, a class's or a function's first)."""
+    with open(path) as handle:
+        source = handle.read()
+    layout = {"COMMENT", "NL", "NEWLINE", "INDENT", "DEDENT", "ENDMARKER"}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tokenize.tok_name[token.type] not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        value = node.value if isinstance(node, ast.Expr) else None
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            lines.difference_update(range(node.lineno, node.end_lineno + 1))
+    return len(lines)
+
+
 def _gate_calls() -> list:
     """(argv, exit code) of each invocation the gate traces: the three
     workloads' tiny lists at seed 1 (perfbench/ is only read), FIXED_SYMMETRY,
@@ -381,3 +403,9 @@ if __name__ == "__main__":
         print(f"  {reason}: {', '.join(sorted(never.intersection(names))) or '-'}")
     unlisted = never.difference(*ALLOWED.values())
     print(f"  not allowed: {', '.join(sorted(unlisted)) or '-'}")
+    paths = sorted(Path(SRC, "sdeq").glob("*.py"))
+    counts = {path.name: _code_lines(str(path)) for path in paths}
+    print("code lines (not blank, a comment or a docstring) per module:")
+    for name, count in counts.items():
+        print(f"  {name}: {count}")
+    print(f"  total: {sum(counts.values())}")

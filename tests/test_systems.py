@@ -268,7 +268,8 @@ if given is not None:
         literals, printed from them, are its entries printed one by one."""
         values = built.entries(k)
         _assert_built_with(values, built.divisors[k])
-        assert printing.literals(built, k) == [format_rational(v) for v in values]
+        literals = printing.format_telescoping(built.starts[k], built.divisors[k], built.last)
+        assert literals == [format_rational(v) for v in values]
 
     _LONG_A = SystemAInitial(F(3**25, 2**39 + 1), F(-(2**40) + 7, 9), F(4, 9), F(5, 8))
     _LONG_B = SystemBInitial(F(3, 5), F(-(2**40) + 7, 9), F(4, 9), F(5, 8), F(-3, 4), F(3**25, 7))
